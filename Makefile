@@ -59,6 +59,9 @@ metrics-smoke: ## boot a 2-node cluster, scrape /metrics, check the required ser
 	  insane_stage_network_seconds_bucket insane_mempool_gets_total \
 	  insane_mempool_free_slots insane_envcache_events_total \
 	  insane_emit_backpressure_total insane_sched_queue_depth \
+	  insane_rx_malformed_drops_total insane_poller_parks_total \
+	  insane_poller_wakes_tx_total insane_poller_wakes_rx_total \
+	  insane_poller_wakes_gate_timer_total insane_poller_idle_passes_total \
 	  insane_tenant_emits_total insane_tenant_consumes_total \
 	  insane_tenant_weight insane_tenant_mem_slots_used \
 	  insane_tenant_tx_inflight insane_tenant_consume_latency_seconds_bucket; do \

@@ -3,8 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/insane-mw/insane/internal/bench"
 )
 
 func TestRunList(t *testing.T) {
@@ -58,5 +62,37 @@ func TestRunHotpathBadIters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hotpath.json")
 	if err := run([]string{"-hotpath", path, "-hotpath-iters", "0"}); err == nil {
 		t.Fatal("zero iterations accepted")
+	}
+}
+
+// TestThroughputTwoProcs is the regression test of the -throughput hang:
+// with a core per goroutine, flat-out producers used to overrun the
+// 1024-deep sink rings and the consumers then waited five minutes for
+// messages that had been dropped. 20 000 messages per stream is far past
+// the ring depth; the row must finish, with every message delivered or
+// counted as dropped.
+func TestThroughputTwoProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const pollers, streams, packets = 2, 4, 20000
+	type outcome struct {
+		res bench.ThroughputResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := measureThroughput("throughput/64B-2p", pollers, streams, 64, packets)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if got := uint64(o.res.Packets) + o.res.Dropped; got != streams*packets {
+			t.Errorf("%d delivered + %d dropped, want %d emitted", o.res.Packets, o.res.Dropped, streams*packets)
+		}
+		t.Log(o.res)
+	case <-time.After(30 * time.Second):
+		t.Fatal("the 2-poller throughput row did not finish within 30 s")
 	}
 }

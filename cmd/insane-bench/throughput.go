@@ -98,59 +98,96 @@ func measureThroughput(name string, pollers, streams, size, packets int) (bench.
 		}
 	}
 
-	errs := make(chan error, 2*streams)
+	before := node.Metrics()
+	delivered := make([]int, streams)
+	errs := make(chan error, streams)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for _, p := range pairs {
-		wg.Add(2)
-		go func(src *insane.Source) {
+	for i, p := range pairs {
+		wg.Add(1)
+		go func(i int, p pair) {
 			defer wg.Done()
-			for n := 0; n < packets; n++ {
-				if err := emitRetry(src, size); err != nil {
-					errs <- err
-					return
-				}
+			n, err := pumpWindows(p.src, p.sink, size, packets)
+			delivered[i] = n
+			if err != nil {
+				errs <- err
 			}
-		}(p.src)
-		go func(sink *insane.Sink) {
-			defer wg.Done()
-			// One deadline context reused across the drain loop keeps
-			// ConsumeContext on the allocation-free pooled-timer path; the
-			// deadline is a liveness guard for the whole drain, not a
-			// per-message budget.
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-			defer cancel()
-			for n := 0; n < packets; n++ {
-				msg, err := sink.ConsumeContext(ctx)
-				if err != nil {
-					errs <- err
-					return
-				}
-				sink.Release(msg)
-			}
-		}(p.sink)
+		}(i, p)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 	close(errs)
-	for err := range errs {
-		if err != nil {
-			return bench.ThroughputResult{}, err
-		}
+	if err := <-errs; err != nil {
+		return bench.ThroughputResult{}, err
 	}
 
 	m := node.Metrics()
-	total := streams * packets
+	total := 0
+	for _, n := range delivered {
+		total += n
+	}
+	// A message that was emitted and not delivered must be in the drop
+	// ledger; the rate counts delivered messages only.
+	dropped := m.DroppedBackpressure - before.DroppedBackpressure
+	if lost := uint64(streams*packets - total); lost != dropped {
+		return bench.ThroughputResult{}, fmt.Errorf("%s: %d messages not delivered, %d counted as dropped on a full sink ring", name, lost, dropped)
+	}
 	return bench.ThroughputResult{
-		Name:          name,
-		Pollers:       pollers,
-		Streams:       streams,
-		Packets:       total,
-		Elapsed:       elapsed.Seconds(),
-		PacketsPerSec: float64(total) / elapsed.Seconds(),
-		SchedDwellNs:  float64(m.SchedDwell.Mean.Nanoseconds()),
-		DeliverNs:     float64(m.DeliverLatency.Mean.Nanoseconds()),
+		Name:             name,
+		Pollers:          pollers,
+		Streams:          streams,
+		Packets:          total,
+		Dropped:          dropped,
+		EmitBackpressure: m.EmitBackpressure - before.EmitBackpressure,
+		Elapsed:          elapsed.Seconds(),
+		PacketsPerSec:    float64(total) / elapsed.Seconds(),
+		SchedDwellNs:     float64(m.SchedDwell.Mean.Nanoseconds()),
+		DeliverNs:        float64(m.DeliverLatency.Mean.Nanoseconds()),
 	}, nil
+}
+
+// throughputWindow is how many messages a stream has in flight at most:
+// half the depth of the session TX lane and of the sink ring (1024 each),
+// so a producer that outruns its consumer — any machine with a core per
+// goroutine — cannot overrun either.
+const throughputWindow = 512
+
+// lostGrace bounds the wait for the rest of a window once the sink has
+// gone quiet: a message still missing then is lost, and is reported as
+// such instead of being waited for.
+const lostGrace = 2 * time.Second
+
+// pumpWindows moves packets messages over one stream pair in closed
+// windows — emit up to throughputWindow back to back, then consume them
+// — and returns how many were delivered.
+func pumpWindows(src *insane.Source, sink *insane.Sink, size, packets int) (int, error) {
+	delivered := 0
+	for sent := 0; sent < packets; {
+		window := min(throughputWindow, packets-sent)
+		for n := 0; n < window; n++ {
+			if err := emitRetry(src, size); err != nil {
+				return delivered, err
+			}
+		}
+		sent += window
+		// One deadline context per window keeps ConsumeContext on the
+		// allocation-free pooled-timer path.
+		ctx, cancel := context.WithTimeout(context.Background(), lostGrace)
+		for n := 0; n < window; n++ {
+			msg, err := sink.ConsumeContext(ctx)
+			if err != nil {
+				if errors.Is(err, context.DeadlineExceeded) {
+					break // the rest of the window was dropped
+				}
+				cancel()
+				return delivered, err
+			}
+			sink.Release(msg)
+			delivered++
+		}
+		cancel()
+	}
+	return delivered, nil
 }
 
 // pumpOne sends and consumes a single message on one stream pair.

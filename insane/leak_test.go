@@ -16,9 +16,9 @@ import (
 // TestNoGoroutineLeakOnClose proves the shutdown contract the
 // goroutinecheck annotations promise: opening a two-node cluster with
 // the telemetry endpoint, pushing traffic through a callback sink, and
-// closing everything must return the process to its pre-open goroutine
-// population. Stacks are compared by creation site, so the failure
-// output names the exact `go` statement that leaked.
+// closing the cluster under traffic must return the process to its
+// pre-open goroutine population. Stacks are compared by creation site, so
+// the failure output names the exact `go` statement that leaked.
 func TestNoGoroutineLeakOnClose(t *testing.T) {
 	before := goroutineSites()
 
@@ -87,8 +87,13 @@ func TestNoGoroutineLeakOnClose(t *testing.T) {
 	resp.Body.Close()
 	http.DefaultClient.CloseIdleConnections()
 
+	// Close the cluster with frames in flight: a burst nobody waits for,
+	// on a session nobody closes, so pollers are stopped with work queued
+	// and doorbells ringing.
+	for i := 0; i < 512; i++ {
+		send(t, src, []byte("in flight at close"))
+	}
 	rx.Close()
-	tx.Close()
 	c.Close()
 	closed = true
 

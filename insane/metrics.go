@@ -71,10 +71,19 @@ type Metrics struct {
 	// synchronously on the emitting goroutine, and emits on RTC-enabled
 	// streams that fell back to the queued path.
 	RTCDeliveries, RTCFallbacks uint64
-	// Drop and degradation counters.
-	DroppedNoSink, DroppedBackpressure, TechDowngrades uint64
+	// Drop and degradation counters. DroppedMalformed counts received
+	// frames discarded before dispatch: netstack decode error, wrong UDP
+	// port, bad INSANE header.
+	DroppedNoSink, DroppedBackpressure, DroppedMalformed, TechDowngrades uint64
 	// Consume side.
 	Consumes, ConsumeBytes uint64
+	// Poller health (DESIGN.md, "Idle policy"), summed over the node's
+	// polling threads. A poller parks after two passes in a row without
+	// work and every park ends in exactly one wake — a TX ring, the RX
+	// doorbell of its port, or the timer toward a far 802.1Qbv gate — so
+	// PollerParks minus the three wakes is the number of pollers asleep
+	// now. PollerIdlePasses counts the passes that found no work.
+	PollerParks, PollerWakesTX, PollerWakesRX, PollerWakesGateTimer, PollerIdlePasses uint64
 
 	// Per-stage latency distributions (virtual time, Fig. 6).
 	SchedDwell      LatencyStats
@@ -176,9 +185,16 @@ func (n *Node) Metrics() Metrics {
 		RTCFallbacks:        s.Counters[telemetry.CtrRTCFallbacks],
 		DroppedNoSink:       s.Counters[telemetry.CtrNoSinkDrops],
 		DroppedBackpressure: s.Counters[telemetry.CtrRingFullDrops],
+		DroppedMalformed:    s.Counters[telemetry.CtrRxMalformedDrops],
 		TechDowngrades:      s.Counters[telemetry.CtrTechDowngrades],
 		Consumes:            s.Counters[telemetry.CtrConsumes],
 		ConsumeBytes:        s.Counters[telemetry.CtrConsumeBytes],
+
+		PollerParks:          s.Counters[telemetry.CtrPollerParks],
+		PollerWakesTX:        s.Counters[telemetry.CtrPollerWakesTX],
+		PollerWakesRX:        s.Counters[telemetry.CtrPollerWakesRX],
+		PollerWakesGateTimer: s.Counters[telemetry.CtrPollerWakesGateTimer],
+		PollerIdlePasses:     s.Counters[telemetry.CtrPollerIdlePasses],
 
 		SchedDwell:      latencyStats(&s.Hists[telemetry.HistSchedDwell]),
 		DeliverLatency:  latencyStats(&s.Hists[telemetry.HistDeliverLatency]),

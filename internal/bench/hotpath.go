@@ -93,6 +93,11 @@ type ThroughputResult struct {
 	// Packets is the total delivered; Elapsed the wall-clock seconds.
 	Packets int     `json:"packets"`
 	Elapsed float64 `json:"elapsed_sec"`
+	// Dropped is the emitted messages lost on a full sink ring
+	// (DroppedBackpressure) and EmitBackpressure the Emits refused on a
+	// full TX lane and retried; both are 0 when the windows hold.
+	Dropped          uint64 `json:"dropped"`
+	EmitBackpressure uint64 `json:"emit_backpressure"`
 	// PacketsPerSec is the headline rate.
 	PacketsPerSec float64 `json:"packets_per_sec"`
 	// Stage breakdown means (virtual ns per packet), from the runtime's
@@ -103,8 +108,8 @@ type ThroughputResult struct {
 
 // String renders a throughput result for terminal output.
 func (r ThroughputResult) String() string {
-	return fmt.Sprintf("%-28s %2d pollers %2d streams  %12.0f pkt/s  dwell %8.1f ns  deliver %8.1f ns",
-		r.Name, r.Pollers, r.Streams, r.PacketsPerSec, r.SchedDwellNs, r.DeliverNs)
+	return fmt.Sprintf("%-28s %2d pollers %2d streams  %12.0f pkt/s  dropped %d  emit-backpressure %d  dwell %8.1f ns  deliver %8.1f ns",
+		r.Name, r.Pollers, r.Streams, r.PacketsPerSec, r.Dropped, r.EmitBackpressure, r.SchedDwellNs, r.DeliverNs)
 }
 
 // BenchEnv records the machine the numbers were taken on, so a baseline

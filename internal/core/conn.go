@@ -132,7 +132,7 @@ func (c *ClientConn) lane(tech model.Tech) (*txLane, error) {
 	// technology (SharedPoller or the default one-poller-per-plugin
 	// mapping) and this first source stays the lane's only producer.
 	st := c.rt.techs[tech]
-	l, err := newTxLane(st != nil && st.consumers == 1)
+	l, err := newTxLane(st != nil && len(st.pollers) == 1)
 	if err != nil {
 		return nil, err
 	}
@@ -213,8 +213,8 @@ func (c *ClientConn) Close() error {
 }
 
 // flush waits (bounded) until the session's TX rings are drained and
-// every polling thread has completed two further passes, so emitted
-// messages leave before the session's slots are reclaimed.
+// every polling thread serving them has completed two further passes, so
+// emitted messages leave before the session's slots are reclaimed.
 func (c *ClientConn) flush(timeout time.Duration) {
 	if c.rt.stopped.Load() {
 		return // no poller will ever drain; dropConn reclaims the lanes
@@ -223,20 +223,52 @@ func (c *ClientConn) flush(timeout time.Duration) {
 	for timebase.Wall().Before(deadline) {
 		c.mu.Lock()
 		empty := true
-		for _, l := range c.lanes {
+		for tech, l := range c.lanes {
 			if l.queued() > 0 {
 				empty = false
-				break
+				c.rt.techs[tech].ring(telemetry.CtrPollerWakesTX)
 			}
 		}
 		c.mu.Unlock()
 		if empty {
 			break
 		}
-		c.rt.kickTX()
 		time.Sleep(20 * time.Microsecond)
 	}
-	c.rt.waitPollerPasses(2, deadline)
+	c.waitPollerPasses(2, deadline)
+}
+
+// waitPollerPasses blocks until every polling thread serving one of the
+// session's TX lanes — the only pollers that hold a view of them —
+// advances by at least n iterations (or the deadline passes), ringing
+// the ones still short: a parked poller makes no passes on its own.
+func (c *ClientConn) waitPollerPasses(n uint64, deadline time.Time) {
+	var pollers []*poller
+	c.mu.Lock()
+	for tech := range c.lanes {
+		pollers = append(pollers, c.rt.techs[tech].pollers...)
+	}
+	c.mu.Unlock()
+	start := make([]uint64, len(pollers))
+	for i, p := range pollers {
+		start[i] = p.loops.Load()
+	}
+	for timebase.Wall().Before(deadline) {
+		if c.rt.stopped.Load() {
+			return
+		}
+		done := true
+		for i, p := range pollers {
+			if p.loops.Load() < start[i]+n {
+				done = false
+				p.ring(telemetry.CtrPollerWakesTX)
+			}
+		}
+		if done {
+			return
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
 }
 
 // StreamHandle is an open stream: a QoS contract mapped to a technology.
@@ -330,13 +362,12 @@ func (h *StreamHandle) CreateSource(channel uint32) (*SourceHandle, error) {
 		noTel:   h.opts.NoTelemetry,
 		rtc:     h.opts.RunToCompletion,
 		ten:     h.conn.ten,
+		st:      h.conn.rt.techs[h.tech],
 	}
 	if s.rtc && h.opts.Timing == qos.TimingSensitive {
 		// Cache the stream technology's time-aware shaper so the RTC
 		// admission check can test the 802.1Qbv gate lock-free.
-		if st := h.conn.rt.techs[h.tech]; st != nil {
-			s.gate = st.tas
-		}
+		s.gate = s.st.tas
 	}
 	h.sources = append(h.sources, s)
 	return s, nil
@@ -438,6 +469,8 @@ type SourceHandle struct {
 	// ten caches the session's tenant binding (nil = default tenant) so
 	// the Emit/GetBuffer quota checks skip a pointer chase.
 	ten *tenant //insane:guardedby immutable after=CreateSource
+	// st is the stream technology's state: Emit rings its pollers.
+	st *techState //insane:guardedby immutable after=CreateSource
 	// gate is the stream technology's 802.1Qbv shaper, cached only for
 	// RTC time-sensitive sources so the admission check is one immutable
 	// read, no scheduler lock.
@@ -571,7 +604,7 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 		ten.shard.Inc(telemetry.CtrEmits)
 		ten.shard.Add(telemetry.CtrEmitBytes, uint64(n))
 	}
-	s.stream.conn.rt.kickTX()
+	s.st.ring(telemetry.CtrPollerWakesTX)
 	return seq, nil
 }
 

@@ -510,6 +510,87 @@ func TestNoSinkDropsCounted(t *testing.T) {
 	}
 }
 
+// TestMalformedRxDropsCounted injects frames the receive path must
+// discard — cut short, addressed to a UDP port the endpoint does not
+// own, carrying no INSANE header — straight onto the wire and checks that
+// each is counted as an rx_malformed_drop and its slot is back in the
+// pool. The frames reach a parked poller through the port's doorbell.
+func TestMalformedRxDropsCounted(t *testing.T) {
+	caps := datapath.Caps{DPDK: true}
+	w := buildWorld(t, caps, caps, nil)
+	from, to := w.a.cfg.Ports[model.TechDPDK], w.b.cfg.Ports[model.TechDPDK]
+	frameTo := func(port uint16, payload []byte) []byte {
+		buf := make([]byte, netstack.HeadersLen+len(payload))
+		copy(buf[netstack.HeadersLen:], payload)
+		n, err := netstack.EncodeUDP(buf, netstack.FrameMeta{
+			SrcMAC: from.MAC(), DstMAC: to.MAC(),
+			Src: netstack.Endpoint{IP: from.IP(), Port: TechPort(model.TechDPDK)},
+			Dst: netstack.Endpoint{IP: to.IP(), Port: port},
+		}, len(payload), netstack.JumboMTU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf[:n]
+	}
+	var hdr [HeaderLen]byte
+	encodeHeader(hdr[:], header{kind: kindData, channel: 9})
+	frames := [][]byte{
+		frameTo(TechPort(model.TechDPDK), hdr[:])[:netstack.HeadersLen-4], // truncated
+		frameTo(TechPort(model.TechDPDK)+1, hdr[:]),                       // wrong UDP port
+		frameTo(TechPort(model.TechDPDK), []byte("not an INSANE header")), // bad header
+	}
+
+	free := fmt.Sprint(w.b.mm.FreeSlots())
+	for _, f := range frames {
+		if err := from.Transmit(f, 0, fabric.Breakdown{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The poller counts a drop, then releases its slot: wait for both.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		drops, got := w.b.tel.Counter(telemetry.CtrRxMalformedDrops), fmt.Sprint(w.b.mm.FreeSlots())
+		if drops == uint64(len(frames)) && got == free {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rx_malformed_drops = %d, want %d; free slots = %s, want %s", drops, len(frames), got, free)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if s := w.b.Stats(); s.RxMessages != 0 || s.NoSinkDrops != 0 {
+		t.Errorf("malformed frames reached dispatch: %+v", s)
+	}
+}
+
+// TestClosedRuntimeIsNeverRung: Close disarms the ports' RX doorbells, so
+// a frame that arrives afterwards stays on the port and rings nothing —
+// even with every poller left in the state in which a ring would reach it.
+func TestClosedRuntimeIsNeverRung(t *testing.T) {
+	caps := datapath.Caps{DPDK: true}
+	w := buildWorld(t, caps, caps, nil)
+	from, to := w.a.cfg.Ports[model.TechDPDK], w.b.cfg.Ports[model.TechDPDK]
+	w.b.Close()
+	for _, p := range w.b.pollers {
+		p.parked.Store(true)
+		select {
+		case <-p.kick:
+		default:
+		}
+	}
+	if err := from.Transmit(make([]byte, netstack.HeadersLen), 0, fabric.Breakdown{}); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range w.b.pollers {
+		if len(p.kick) != 0 {
+			t.Errorf("poller %d of the closed runtime was rung", i)
+		}
+	}
+	if _, ok := to.TryRecv(); !ok {
+		t.Error("the frame did not stay queued on the closed runtime's port")
+	}
+}
+
 func TestInvalidQoSRejected(t *testing.T) {
 	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, nil)
 	conn, _ := w.a.Connect()

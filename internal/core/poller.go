@@ -13,13 +13,11 @@ import (
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
-// Idle pacing: pollers back off exponentially when no work shows up and
-// are woken by Emit kicks ("threads are automatically paused when idle",
-// §5.3).
-const (
-	idleSleepMin = 2 * time.Microsecond
-	idleSleepMax = 200 * time.Microsecond
-)
+// Idle policy (DESIGN.md, "Idle policy"): a poller that finds no work
+// parks on its doorbell and is woken by the event that brings work — an
+// Emit, a frame queued on its port — never by a timer ("threads are
+// automatically paused when idle", §5.3). The one timed wait left is
+// toward a far 802.1Qbv gate, below.
 
 // gateSpinHorizon bounds the busy-wait a poller runs up to the next
 // 802.1Qbv gate opening. Go timers on a parked process fire with
@@ -59,16 +57,19 @@ type pktEnv struct {
 	meta outMeta
 }
 
-// pollLoop is the body of one polling thread.
+// pollLoop is the body of one polling thread: poll while there is work;
+// on a pass without work arm the doorbell (parked), poll once more, and
+// only then block. A ringer publishes its work before it reads parked and
+// the poller sets parked before it polls, so either the ringer sees the
+// flag and kicks, or the re-poll sees the work: no wake is lost.
 //
 //insane:hotpath allow=block
 func (r *Runtime) pollLoop(p *poller) {
 	defer r.wg.Done()
-	backoff := idleSleepMin
-	// One reusable timer for idle pacing; time.After would allocate a
-	// timer (and a channel) per idle iteration.
+	// One reusable timer for the sleep toward a far gate; time.After
+	// would allocate a timer (and a channel) per sleep.
 	//lint:ignore insanevet/hotpathcheck one-time timer allocation at poller startup
-	timer := time.NewTimer(idleSleepMax)
+	timer := time.NewTimer(gateSpinHorizon)
 	if !timer.Stop() {
 		<-timer.C
 	}
@@ -103,42 +104,63 @@ func (r *Runtime) pollLoop(p *poller) {
 			}
 			st.schedMu.Unlock()
 		}
-		if work > 0 {
-			backoff = idleSleepMin
+		if work == 0 {
+			p.shard.Inc(telemetry.CtrPollerIdlePasses)
+		}
+		// Packets waiting for their 802.1Qbv gate bound the sleep. Timer
+		// wakeups are too coarse to hit a gate window reliably: spin to a
+		// near edge, sleep toward a far one.
+		var gateWait time.Duration
+		if gated && nextGate != 0 {
+			gateWait = nextGate.Sub(r.clock.Now())
+		}
+		if work > 0 || (gated && gateWait <= gateSpinHorizon) {
+			if p.parked.Load() {
+				p.parked.Store(false)
+			}
+			if work == 0 {
+				runtime.Gosched()
+			}
 			continue
 		}
-		sleep := backoff
-		if gated {
-			// Time-sensitive packets are waiting for their 802.1Qbv gate.
-			// Timer wakeups are too coarse to hit a gate window reliably:
-			// spin to a near edge, sleep toward a far one.
-			backoff = idleSleepMin
-			wait := time.Duration(0)
-			if nextGate != 0 {
-				wait = nextGate.Sub(r.clock.Now())
-			}
-			if wait <= gateSpinHorizon {
-				runtime.Gosched()
-				continue
-			}
-			sleep = wait - gateSpinHorizon
+		if !p.parked.Load() {
+			p.parked.Store(true)
+			continue
 		}
-		timer.Reset(sleep)
+		p.shard.Inc(telemetry.CtrPollerParks)
+		var gateC <-chan time.Time
+		if gated {
+			timer.Reset(gateWait - gateSpinHorizon)
+			gateC = timer.C
+		}
 		select {
 		case <-p.stop:
 			return
-		case <-p.kick:
+		case why := <-p.kick:
 			// Drain the still-armed timer so the next Reset starts clean.
-			if !timer.Stop() {
+			if gated && !timer.Stop() {
 				<-timer.C
 			}
-			backoff = idleSleepMin
-		case <-timer.C:
-			backoff *= 2
-			if backoff > idleSleepMax {
-				backoff = idleSleepMax
-			}
+			p.shard.Inc(why)
+		case <-gateC:
+			p.shard.Inc(telemetry.CtrPollerWakesGateTimer)
 		}
+		p.parked.Store(false)
+	}
+}
+
+// ring wakes the poller if it is parked, or armed to park; a running
+// poller costs the ringer one atomic load. why is the wake counter the
+// poller records.
+//
+//insane:hotpath
+func (p *poller) ring(why telemetry.CounterID) {
+	if !p.parked.Load() {
+		return
+	}
+	select {
+	case p.kick <- why:
+	default:
 	}
 }
 
@@ -536,6 +558,7 @@ func (r *Runtime) receiveOne(p *poller, st *techState, pkt *datapath.Packet) {
 		pkt.Charge(r.rc.NetstackRx, pkt.Len, 1, r.tb)
 		meta, payload, err := netstack.DecodeUDP(pkt.Bytes())
 		if err != nil || meta.Dst.Port != st.local.Port {
+			p.shard.Inc(telemetry.CtrRxMalformedDrops)
 			_ = r.mm.Release(pkt.Slot)
 			return
 		}
@@ -547,6 +570,7 @@ func (r *Runtime) receiveOne(p *poller, st *techState, pkt *datapath.Packet) {
 
 	h, err := decodeHeader(pkt.Bytes())
 	if err != nil {
+		p.shard.Inc(telemetry.CtrRxMalformedDrops)
 		_ = r.mm.Release(pkt.Slot)
 		return
 	}

@@ -30,8 +30,8 @@ func TechPort(t model.Tech) uint16 { return UDPPortBase + uint16(t) }
 type Config struct {
 	// Name identifies the runtime in logs and warnings.
 	Name string
-	// Clock drives the TSN gate schedule and idle pacing. Defaults to a
-	// RealClock.
+	// Clock drives the TSN gate schedule and the poller's wait toward the
+	// next gate opening. Defaults to a RealClock.
 	Clock timebase.Clock
 	// Testbed selects the calibrated cost environment (default Local).
 	Testbed model.Testbed
@@ -123,11 +123,29 @@ type techState struct {
 	wdrr    *sched.WDRR //insane:guardedby immutable after=NewRuntime
 	tas     *sched.TAS  //insane:guardedby immutable after=NewRuntime
 
-	// consumers is how many polling threads drain this technology's TX
-	// lanes, fixed at runtime construction. Exactly 1 is what makes a
-	// single-producer lane eligible for the SPSC ring.
-	consumers int //insane:guardedby immutable after=NewRuntime
+	// pollers are the polling threads that serve this technology, fixed
+	// at runtime construction: the ones a TX ring or the port's RX
+	// doorbell has to wake, and — when there is exactly one — what makes
+	// a single-producer lane eligible for the SPSC ring.
+	pollers []*poller //insane:guardedby immutable after=NewRuntime
 }
+
+// ring wakes the technology's parked pollers; why is the wake counter
+// the woken poller records (CtrPollerWakesTX or CtrPollerWakesRX).
+//
+//insane:hotpath
+func (st *techState) ring(why telemetry.CounterID) {
+	//insane:bounded by=one entry per polling thread serving the technology, fixed at runtime construction
+	for _, p := range st.pollers {
+		p.ring(why)
+	}
+}
+
+// Ring is the RX doorbell of the technology's fabric port
+// (fabric.Doorbell): a frame was queued for the endpoint.
+//
+//insane:hotpath
+func (st *techState) Ring() { st.ring(telemetry.CtrPollerWakesRX) }
 
 // Runtime is the INSANE runtime instance of one host.
 //
@@ -189,9 +207,15 @@ type Runtime struct {
 //
 //insane:shared
 type poller struct {
-	states []*techState  //insane:guardedby immutable after=NewRuntime
-	kick   chan struct{} //insane:guardedby immutable after=NewRuntime
-	stop   chan struct{} //insane:guardedby immutable after=NewRuntime
+	states []*techState //insane:guardedby immutable after=NewRuntime
+	// kick is the poller's doorbell: one buffered slot carrying the wake
+	// counter of whoever rang first.
+	kick chan telemetry.CounterID //insane:guardedby immutable after=NewRuntime
+	stop chan struct{}            //insane:guardedby immutable after=NewRuntime
+	// parked is set by pollLoop before the last pass it runs ahead of
+	// blocking on kick and cleared when it resumes; ringers skip the
+	// channel operation while it is clear (DESIGN.md, "Idle policy").
+	parked atomic.Bool //insane:guardedby atomic
 	// batch is the poller's scratch dequeue buffer (no per-iteration
 	// allocation on the hot path).
 	batch []*datapath.Packet //insane:guardedby confined owner=pollLoop
@@ -349,20 +373,13 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			}
 		}
 	}
-	// Record how many pollers drain each technology: the TX-lane SPSC
-	// election (lane) needs the consumer count to be provably 1.
-	for _, g := range groups {
-		for _, st := range g {
-			st.consumers++
-		}
-	}
 	// One telemetry shard per polling thread (hot-path writers stay on
 	// private cache lines) plus a stripe for client-side handles.
 	r.tel = telemetry.New(len(groups) + clientTelemetryShards)
 	for i, g := range groups {
 		p := &poller{
 			states: g,
-			kick:   make(chan struct{}, 1),
+			kick:   make(chan telemetry.CounterID, 1),
 			stop:   make(chan struct{}),
 			batch:  make([]*datapath.Packet, burst),
 			toks:   make([]txToken, burst),
@@ -371,6 +388,17 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			shard:  r.tel.Shard(i),
 		}
 		r.pollers = append(r.pollers, p)
+		for _, st := range g {
+			st.pollers = append(st.pollers, p)
+		}
+	}
+	// Every source of work rings the pollers that serve it: Emit through
+	// the stream's techState, the fabric through the port's RX doorbell.
+	// Both are in place before the first poller runs.
+	for tech, st := range r.techs {
+		cfg.Ports[tech].SetRxDoorbell(st)
+	}
+	for _, p := range r.pollers {
 		r.wg.Add(1)
 		//insane:goroutine owner=Runtime stop=Close
 		go r.pollLoop(p)
@@ -485,7 +513,7 @@ func (r *Runtime) dropConn(c *ClientConn) {
 	// Pollers pick up the shrunk session list on their next pass; after
 	// two full passes none can still be draining this session's lanes,
 	// so the SPSC remnant may be popped from this goroutine.
-	r.waitPollerPasses(2, timebase.Wall().Add(50*time.Millisecond))
+	c.waitPollerPasses(2, timebase.Wall().Add(50*time.Millisecond))
 	if n := r.reclaimLanes(c); n > 0 {
 		r.tel.AssignShard().Add(telemetry.CtrTxReclaims, uint64(n))
 		r.warnf("session %d: reclaimed %d undrained TX tokens on detach", c.id, n)
@@ -602,6 +630,9 @@ func (r *Runtime) Close() error {
 	if !r.stopped.CompareAndSwap(false, true) {
 		return nil
 	}
+	for tech := range r.techs {
+		r.cfg.Ports[tech].SetRxDoorbell(nil)
+	}
 	for _, p := range r.pollers {
 		close(p.stop)
 	}
@@ -620,43 +651,6 @@ func (r *Runtime) warnf(format string, args ...any) {
 	r.mu.Unlock()
 	if r.cfg.Logf != nil {
 		r.cfg.Logf("insane[%s]: %s", r.name, msg)
-	}
-}
-
-// waitPollerPasses blocks until every polling thread advances by at least
-// n iterations (or the deadline passes), kicking them awake.
-func (r *Runtime) waitPollerPasses(n uint64, deadline time.Time) {
-	start := make([]uint64, len(r.pollers))
-	for i, p := range r.pollers {
-		start[i] = p.loops.Load()
-	}
-	for timebase.Wall().Before(deadline) {
-		if r.stopped.Load() {
-			return
-		}
-		done := true
-		for i, p := range r.pollers {
-			if p.loops.Load() < start[i]+n {
-				done = false
-				break
-			}
-		}
-		if done {
-			return
-		}
-		r.kickTX()
-		time.Sleep(20 * time.Microsecond)
-	}
-}
-
-// kickTX wakes idle pollers after an Emit.
-func (r *Runtime) kickTX() {
-	//insane:bounded by=one poller per technology, fixed at runtime construction
-	for _, p := range r.pollers {
-		select {
-		case p.kick <- struct{}{}:
-		default:
-		}
 	}
 }
 

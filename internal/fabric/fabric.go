@@ -116,26 +116,54 @@ type PortStats struct {
 	Dropped            uint64 // frames lost on the wire or on full RX queue
 }
 
-// Port is a NIC port attached to a host.
-type Port struct {
-	mac  netstack.MAC
-	ip   netstack.IPv4
-	net  *Network
-	name string
+// Doorbell is a port's receive interrupt line: the owner of the port arms
+// it with SetRxDoorbell and the fabric rings it once for every frame it
+// queues on the port — the interrupt-mode RX a poll-mode driver enables
+// when it goes idle (rte_eth_dev_rx_intr_enable, NAPI). Ring runs on the
+// transmitting goroutine, so it must neither block nor allocate.
+type Doorbell interface {
+	//insane:hotpath
+	Ring()
+}
 
-	rx     chan Frame
-	closed atomic.Bool
+// Port is a NIC port attached to a host.
+//
+//insane:shared
+type Port struct {
+	mac  netstack.MAC  //insane:guardedby immutable after=AddHost
+	ip   netstack.IPv4 //insane:guardedby immutable after=AddHost
+	net  *Network      //insane:guardedby immutable after=AddHost
+	name string        //insane:guardedby immutable after=AddHost
+
+	rx     chan Frame  //insane:guardedby immutable after=AddHost
+	closed atomic.Bool //insane:guardedby atomic
+
+	// rxBell is the armed receive doorbell (nil = polled only). deliver
+	// loads it after the frame is queued; a ring that loaded the pointer
+	// just before SetRxDoorbell(nil) may still complete, so a Doorbell
+	// must tolerate one late ring.
+	rxBell atomic.Pointer[Doorbell] //insane:guardedby atomic
 
 	// attachment: exactly one of peer / sw is set once connected.
 	mu   sync.Mutex
-	link LinkParams
-	peer *Port
-	sw   *Switch
-	rng  *rand.Rand
+	link LinkParams //insane:guardedby mu=mu
+	peer *Port      //insane:guardedby mu=mu
+	sw   *Switch    //insane:guardedby mu=mu
+	rng  *rand.Rand //insane:guardedby mu=mu
 
-	txFrames, rxFrames atomic.Uint64
-	txBytes, rxBytes   atomic.Uint64
-	dropped            atomic.Uint64
+	txFrames, rxFrames atomic.Uint64 //insane:guardedby atomic
+	txBytes, rxBytes   atomic.Uint64 //insane:guardedby atomic
+	dropped            atomic.Uint64 //insane:guardedby atomic
+}
+
+// SetRxDoorbell arms the port's receive doorbell; nil disarms it. Frames
+// queued after a disarm returns ring nothing.
+func (p *Port) SetRxDoorbell(d Doorbell) {
+	if d == nil {
+		p.rxBell.Store(nil)
+		return
+	}
+	p.rxBell.Store(&d)
 }
 
 // MAC returns the port's Ethernet address.
@@ -227,7 +255,10 @@ func (p *Port) Transmit(data []byte, vt timebase.VTime, bd Breakdown) error {
 }
 
 // deliver enqueues a frame on the port's receive queue, dropping on
-// overflow (the receiver cannot keep up: the paper's Fig. 8b regime).
+// overflow (the receiver cannot keep up: the paper's Fig. 8b regime), and
+// rings the armed doorbell for every frame it queued.
+//
+//insane:hotpath
 func (p *Port) deliver(f Frame) {
 	if p.closed.Load() {
 		p.dropped.Add(1)
@@ -237,6 +268,9 @@ func (p *Port) deliver(f Frame) {
 	case p.rx <- f:
 		p.rxFrames.Add(1)
 		p.rxBytes.Add(uint64(len(f.Data)))
+		if d := p.rxBell.Load(); d != nil {
+			(*d).Ring()
+		}
 	default:
 		p.dropped.Add(1)
 	}

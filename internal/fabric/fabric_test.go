@@ -379,3 +379,85 @@ func TestSwitchUnknownUnicastDropped(t *testing.T) {
 		t.Errorf("dropped = %d, want 1 (counted against sender)", a.Stats().Dropped)
 	}
 }
+
+// countingBell counts rings.
+type countingBell struct{ rings int }
+
+func (c *countingBell) Ring() { c.rings++ }
+
+// TestRxDoorbell pins the doorbell contract the runtime's idle policy
+// rests on: exactly one ring per frame the port queued, none for a frame
+// that never reached the queue, none once disarmed.
+func TestRxDoorbell(t *testing.T) {
+	lossy := DefaultLink
+	lossy.LossRate = 0.5
+
+	t.Run("one ring per queued frame", func(t *testing.T) {
+		_, a, b := twoHostsDirect(t, DefaultLink)
+		var bell countingBell
+		b.SetRxDoorbell(&bell)
+		frame := buildFrame(t, a, b, []byte("x"))
+		for i := 0; i < 10; i++ {
+			if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if bell.rings != 10 || b.Stats().RxFrames != 10 {
+			t.Errorf("rings = %d, rx frames = %d, want 10 and 10", bell.rings, b.Stats().RxFrames)
+		}
+	})
+	t.Run("no ring on a full RX queue", func(t *testing.T) {
+		_, a, b := twoHostsDirect(t, DefaultLink)
+		var bell countingBell
+		b.SetRxDoorbell(&bell)
+		frame := buildFrame(t, a, b, []byte("x"))
+		for i := 0; i < rxQueueDepth+100; i++ {
+			if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if bell.rings != rxQueueDepth || b.Stats().Dropped != 100 {
+			t.Errorf("rings = %d, dropped = %d, want %d and 100", bell.rings, b.Stats().Dropped, rxQueueDepth)
+		}
+	})
+	t.Run("no ring on injected loss", func(t *testing.T) {
+		_, a, b := twoHostsDirect(t, lossy)
+		var bell countingBell
+		b.SetRxDoorbell(&bell)
+		frame := buildFrame(t, a, b, []byte("x"))
+		const total = 1000
+		for i := 0; i < total; i++ {
+			if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lost := a.Stats().Dropped
+		if lost == 0 || uint64(bell.rings)+lost != total || uint64(bell.rings) != b.Stats().RxFrames {
+			t.Errorf("rings = %d, lost = %d, rx frames = %d of %d sent", bell.rings, lost, b.Stats().RxFrames, total)
+		}
+	})
+	t.Run("no ring on a closed port", func(t *testing.T) {
+		_, a, b := twoHostsDirect(t, DefaultLink)
+		var bell countingBell
+		b.SetRxDoorbell(&bell)
+		b.Close()
+		if err := a.Transmit(buildFrame(t, a, b, []byte("x")), 0, Breakdown{}); err != nil {
+			t.Fatal(err)
+		}
+		if bell.rings != 0 || b.Stats().Dropped != 1 {
+			t.Errorf("rings = %d, dropped = %d, want 0 and 1", bell.rings, b.Stats().Dropped)
+		}
+	})
+	t.Run("no ring once disarmed", func(t *testing.T) {
+		_, a, b := twoHostsDirect(t, DefaultLink)
+		var bell countingBell
+		b.SetRxDoorbell(&bell)
+		b.SetRxDoorbell(nil)
+		if err := a.Transmit(buildFrame(t, a, b, []byte("x")), 0, Breakdown{}); err != nil {
+			t.Fatal(err)
+		}
+		if bell.rings != 0 || b.Stats().RxFrames != 1 {
+			t.Errorf("rings = %d, rx frames = %d, want 0 and 1", bell.rings, b.Stats().RxFrames)
+		}
+	})
+}

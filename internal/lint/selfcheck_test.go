@@ -89,8 +89,8 @@ func TestHotPathIsProven(t *testing.T) {
 			}
 		}
 	}
-	if roots < 20 {
-		t.Errorf("only %d //insane:hotpath annotations in the tree; the proof's root set has shrunk (want >= 20)", roots)
+	if roots < 25 {
+		t.Errorf("only %d //insane:hotpath annotations in the tree; the proof's root set has shrunk (want >= 25)", roots)
 	}
 }
 
@@ -168,11 +168,11 @@ func TestGuardRegistryIsAlive(t *testing.T) {
 			}
 		}
 	}
-	if shared < 20 {
-		t.Errorf("only %d //insane:shared structs in the tree; the shared-state registry has shrunk (want >= 20)", shared)
+	if shared < 21 {
+		t.Errorf("only %d //insane:shared structs in the tree; the shared-state registry has shrunk (want >= 21)", shared)
 	}
-	if specs < 100 {
-		t.Errorf("only %d //insane:guardedby specs in the tree; the regime proof's root set has shrunk (want >= 100)", specs)
+	if specs < 116 {
+		t.Errorf("only %d //insane:guardedby specs in the tree; the regime proof's root set has shrunk (want >= 116)", specs)
 	}
 	if waivers > 0 {
 		t.Errorf("%d //insane:unguarded waivers in the tree (ceiling 0); prove the regime instead of waiving it", waivers)

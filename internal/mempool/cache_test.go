@@ -2,15 +2,16 @@ package mempool
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 func newIntPool(t *testing.T, sharedCap int) *CachePool[*int] {
 	t.Helper()
-	built := 0
+	// Sibling caches call the factory concurrently.
+	var built atomic.Int64
 	p, err := NewCachePool[*int](sharedCap, func() *int {
-		built++
-		v := built
+		v := int(built.Add(1))
 		return &v
 	})
 	if err != nil {

@@ -18,6 +18,7 @@ package mempool
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync/atomic"
 
@@ -118,9 +119,9 @@ type slotState struct {
 //
 //insane:shared
 type pool struct {
-	slotSize int         //insane:guardedby immutable after=NewManager
-	backing  []byte      //insane:guardedby immutable after=NewManager
-	states   []slotState //insane:guardedby immutable after=NewManager
+	slotSize int                   //insane:guardedby immutable after=NewManager
+	backing  []byte                //insane:guardedby immutable after=NewManager
+	states   []slotState           //insane:guardedby immutable after=NewManager
 	free     *ringbuf.MPMC[uint32] //insane:guardedby immutable after=NewManager
 }
 
@@ -208,7 +209,9 @@ func (m *Manager) GetBudget(size int, owner Owner, b *Budget) (SlotID, []byte, e
 		}
 		idx, ok := p.free.TryPop()
 		if !ok {
-			continue // class exhausted; try a larger one
+			if idx, ok = p.popFreeContended(); !ok {
+				continue // class exhausted; try a larger one
+			}
 		}
 		st := &p.states[idx]
 		st.refs.Store(1)
@@ -304,13 +307,50 @@ func (m *Manager) Release(id SlotID) error {
 		st.owner.Store(int32(NoOwner))
 		st.gen.Add(1)
 		m.releases.Add(1)
-		if !p.free.TryPush(uint32(idx)) {
-			// Cannot happen: ring capacity equals slot count.
+		if !p.free.TryPush(uint32(idx)) && !p.pushFreeContended(uint32(idx)) {
 			//lint:ignore insanevet/hotpathcheck cold error path, never taken steady-state
 			return fmt.Errorf("mempool: free ring overflow for %v", id)
 		}
 	}
 	return nil
+}
+
+// The free ring is a Vyukov MPMC ring: a TryPush or TryPop that fails may
+// only have run into a cell another goroutine has claimed and not yet
+// published (a Get or Release descheduled between its two steps), which
+// the ring cannot tell from full or empty. Taking that at face value
+// leaks every slot released, or fails every borrow, until the stalled
+// goroutine runs again. The two slow paths below compare against Len,
+// which counts claimed cells, and wait the stall out.
+
+// pushFreeContended returns a slot index to the free ring after a failed
+// TryPush. The ring holds every index at most once and its capacity is at
+// least the slot count, so false — the ring really is full — means a slot
+// was released twice.
+//
+//insane:coldpath a Get was descheduled between claiming a free-ring cell and marking it consumed
+func (p *pool) pushFreeContended(idx uint32) bool {
+	for !p.free.TryPush(idx) {
+		if p.free.Len() == p.free.Cap() {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
+// popFreeContended takes a free slot index after a failed TryPop; false
+// means the class is exhausted.
+//
+//insane:coldpath a Release was descheduled between claiming a free-ring cell and publishing it
+func (p *pool) popFreeContended() (uint32, bool) {
+	for p.free.Len() > 0 {
+		if idx, ok := p.free.TryPop(); ok {
+			return idx, true
+		}
+		runtime.Gosched()
+	}
+	return 0, false
 }
 
 // ReleaseOwner force-releases every slot currently borrowed by owner,
@@ -335,7 +375,9 @@ func (m *Manager) ReleaseOwner(owner Owner) int {
 				st.owner.Store(int32(NoOwner))
 				st.gen.Add(1)
 				m.releases.Add(1)
-				p.free.TryPush(uint32(idx))
+				if !p.free.TryPush(uint32(idx)) {
+					p.pushFreeContended(uint32(idx))
+				}
 				reclaimed++
 			}
 		}

@@ -35,6 +35,13 @@ var counterHelp = [NumCounters]string{
 	CtrRTCFallbacks:       "Emits on RTC-enabled streams that fell back to the queued path.",
 	CtrTenantQuotaRejects: "Admissions refused by a tenant quota (slot budget or TX token cap).",
 	CtrTxReclaims:         "TX tokens reclaimed undrained from the lanes of a detaching session.",
+
+	CtrRxMalformedDrops:     "Received frames dropped as malformed (netstack decode error, wrong UDP port, bad INSANE header).",
+	CtrPollerParks:          "Times a polling thread found no work twice in a row and went to sleep.",
+	CtrPollerWakesTX:        "Polling-thread sleeps ended by a TX ring (Emit, session flush or detach).",
+	CtrPollerWakesRX:        "Polling-thread sleeps ended by the RX doorbell of a fabric port.",
+	CtrPollerWakesGateTimer: "Polling-thread sleeps ended by the timer toward a far 802.1Qbv gate.",
+	CtrPollerIdlePasses:     "Polling passes that found no work.",
 }
 
 // histHelp documents each histogram.

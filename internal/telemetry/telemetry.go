@@ -65,6 +65,29 @@ const (
 	// detach: each was charged and queued but never drained by a poller
 	// (slot released, tenant uncharged, DESIGN.md §13).
 	CtrTxReclaims
+	// CtrRxMalformedDrops counts received frames discarded before dispatch
+	// because they could not be parsed or were not addressed to the
+	// endpoint: netstack decode error, wrong UDP port, bad INSANE header.
+	CtrRxMalformedDrops
+	// CtrPollerParks counts the times a polling thread went to sleep: it
+	// found no work, armed its doorbell, found no work again and blocked
+	// (DESIGN.md, "Idle policy"). Every park ends in exactly one of the
+	// three wakes below, so parks minus wakes is the number of pollers
+	// asleep right now.
+	CtrPollerParks
+	// CtrPollerWakesTX counts parks ended by a TX ring (Emit, session
+	// flush or detach).
+	CtrPollerWakesTX
+	// CtrPollerWakesRX counts parks ended by the RX doorbell of a fabric
+	// port.
+	CtrPollerWakesRX
+	// CtrPollerWakesGateTimer counts parks ended by the timer armed toward
+	// a far 802.1Qbv gate opening.
+	CtrPollerWakesGateTimer
+	// CtrPollerIdlePasses counts polling passes that found no work (the
+	// arm and re-poll passes before a park, and the spin toward a near
+	// gate).
+	CtrPollerIdlePasses
 
 	// NumCounters sizes the per-shard counter array.
 	NumCounters
@@ -89,6 +112,13 @@ var counterNames = [NumCounters]string{
 	CtrRTCFallbacks:       "rtc_fallbacks",
 	CtrTenantQuotaRejects: "tenant_quota_rejects",
 	CtrTxReclaims:         "tx_reclaims",
+
+	CtrRxMalformedDrops:     "rx_malformed_drops",
+	CtrPollerParks:          "poller_parks",
+	CtrPollerWakesTX:        "poller_wakes_tx",
+	CtrPollerWakesRX:        "poller_wakes_rx",
+	CtrPollerWakesGateTimer: "poller_wakes_gate_timer",
+	CtrPollerIdlePasses:     "poller_idle_passes",
 }
 
 // NameOf returns the stable exporter name of a counter.
