@@ -17,15 +17,11 @@ var (
 	// ErrBackpressure is returned by Emit when the runtime is busy; the
 	// caller keeps the buffer and should retry.
 	ErrBackpressure = errors.New("insane: runtime busy, retry")
-	// ErrNoData is returned by a non-blocking Consume on an empty sink.
-	ErrNoData = errors.New("insane: no data available")
-	// ErrTimeout is returned by a blocking Consume that hit its deadline.
-	ErrTimeout = errors.New("insane: consume timeout")
 	// ErrNoBuffers is returned by GetBuffer when the memory pools are
 	// momentarily exhausted; slot recycling is the natural flow control
 	// of the zero-copy design, so callers back off and retry.
 	ErrNoBuffers = errors.New("insane: no free buffers")
-	// ErrNoDatapath is returned by CreateStream when the QoS mapping
+	// ErrNoDatapath is returned by CreateStreamOpts when the QoS mapping
 	// picked a technology this node has no endpoint for.
 	ErrNoDatapath = errors.New("insane: no datapath for mapped technology")
 	// ErrBufferConsumed is returned by Emit when the buffer is nil or its
@@ -55,10 +51,6 @@ func publicErr(err error) error {
 		return ErrClosed
 	case err == core.ErrBackpressure:
 		return ErrBackpressure
-	case err == core.ErrNoData:
-		return ErrNoData
-	case err == core.ErrTimeout:
-		return ErrTimeout
 	case err == mempool.ErrExhausted:
 		return ErrNoBuffers
 	case err == core.ErrTenantQuota, err == mempool.ErrQuota:

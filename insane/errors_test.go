@@ -21,8 +21,6 @@ func TestPublicErrTranslation(t *testing.T) {
 		{nil, nil},
 		{core.ErrClosed, ErrClosed},
 		{core.ErrBackpressure, ErrBackpressure},
-		{core.ErrNoData, ErrNoData},
-		{core.ErrTimeout, ErrTimeout},
 		{mempool.ErrExhausted, ErrNoBuffers},
 		{core.ErrTenantQuota, ErrTenantQuota},
 		{mempool.ErrQuota, ErrTenantQuota},

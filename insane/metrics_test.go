@@ -431,7 +431,12 @@ func TestConsumeContext(t *testing.T) {
 	if string(m.Payload) != "with context" {
 		t.Errorf("payload = %q", m.Payload)
 	}
+	// The non-blocking poll is Available() > 0; the sink is drained now.
+	if sink.Available() != 0 {
+		t.Error("Available after drain != 0")
+	}
 	sink.Release(m)
+	sink.Release(m) // double release is a no-op on a released message
 }
 
 // TestSessionCloseIdempotent verifies repeated Close calls are safe and
@@ -479,9 +484,8 @@ func TestErrorSentinels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ErrNoData / ErrTimeout by-value rows live in compat_test.go:
-	// only the deprecated Consume/ConsumeTimeout calls can surface them
-	// (ConsumeContext maps both cases to context errors).
+	// An empty sink and an expired wait have no sentinel of their own:
+	// ConsumeContext reports both as the context's error (TestConsumeContext).
 
 	src, err := st.CreateSource(2)
 	if err != nil {

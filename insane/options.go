@@ -53,15 +53,14 @@ func WithRunToCompletion(enabled bool) Option {
 
 // WithOptions replaces the whole contract with an assembled Options
 // struct; later options still apply on top. It is the bridge for code
-// that builds Options programmatically (and for the deprecated
-// CreateStream signature, which is now a wrapper over it).
+// that builds Options programmatically.
 func WithOptions(o Options) Option {
 	return func(dst *Options) { *dst = o }
 }
 
 // CreateStreamOpts opens a stream from functional options; the runtime
 // maps the assembled QoS contract to the most appropriate technology
-// available on this node. This is the preferred stream constructor.
+// available on this node (create_stream).
 func (s *Session) CreateStreamOpts(opts ...Option) (*Stream, error) {
 	var o Options
 	for _, opt := range opts {

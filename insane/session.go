@@ -168,16 +168,6 @@ func (s *Session) Close() error {
 	return publicErr(s.conn.Close())
 }
 
-// CreateStream opens a stream with the given QoS options; the runtime
-// maps it to the most appropriate technology available on this node.
-//
-// Deprecated: use CreateStreamOpts with functional options (WithOptions
-// wraps an existing Options struct); this signature remains for the
-// paper's create_stream(options) shape.
-func (s *Session) CreateStream(opts Options) (*Stream, error) {
-	return s.CreateStreamOpts(WithOptions(opts))
-}
-
 // Stream is an open stream: a set of quality requirements shared by its
 // channels (Fig. 1).
 //
@@ -212,7 +202,7 @@ type DataCallback func(m *Message)
 
 // CreateSink opens a data consumer on a channel (create_sink). With a
 // non-nil callback, the library dispatches every delivery to it from a
-// dedicated goroutine; otherwise the application calls Consume.
+// dedicated goroutine; otherwise the application calls ConsumeContext.
 func (st *Stream) CreateSink(channel int, cb DataCallback) (*Sink, error) {
 	h, err := st.h.CreateSink(uint32(channel))
 	if err != nil {
@@ -392,9 +382,8 @@ func (k *Sink) Available() int { return k.h.Available() }
 
 // ConsumeContext pops one delivery, waiting until data arrives, the
 // context's deadline passes (the context error is returned), or the
-// context is canceled. This is the preferred consumption call; Consume
-// and ConsumeTimeout are retained as thin wrappers over the same
-// primitive.
+// context is canceled. It is the one consumption call: a non-blocking
+// poll is Available() > 0 before it, a timeout is a context deadline.
 //
 //insane:hotpath allow=block
 //insane:acquire resource=mem-slot on=nilerr
@@ -426,42 +415,6 @@ func (k *Sink) ConsumeContext(ctx context.Context) (*Message, error) {
 		return nil, publicErr(err)
 	}
 	return wrapDelivery(d), nil
-}
-
-// Consume pops one delivery. With block=false it returns ErrNoData
-// immediately when the sink is empty; with block=true it waits.
-//
-// Deprecated: use ConsumeContext, which supports cancellation; Consume
-// remains for the paper's boolean-flag consume_data signature.
-//
-//insane:hotpath allow=block
-//insane:acquire resource=mem-slot on=nilerr
-func (k *Sink) Consume(block bool) (*Message, error) {
-	if !block {
-		d, err := k.h.TryConsume()
-		if err != nil {
-			return nil, publicErr(err)
-		}
-		return wrapDelivery(d), nil
-	}
-	return k.ConsumeTimeout(0)
-}
-
-// ConsumeTimeout pops one delivery, waiting at most d (zero waits
-// forever). Unlike ConsumeContext with a deadline it allocates nothing,
-// so steady-state request/reply loops stay on the zero-allocation path.
-//
-// Deprecated: prefer ConsumeContext when cancellation matters more than
-// the last allocation.
-//
-//insane:hotpath allow=block
-//insane:acquire resource=mem-slot on=nilerr
-func (k *Sink) ConsumeTimeout(d time.Duration) (*Message, error) {
-	del, err := k.h.ConsumeCancel(nil, d)
-	if err != nil {
-		return nil, publicErr(err)
-	}
-	return wrapDelivery(del), nil
 }
 
 // Release returns a consumed message's memory to the runtime

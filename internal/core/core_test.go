@@ -110,6 +110,31 @@ func sendOn(t *testing.T, src *SourceHandle, payload []byte) uint32 {
 	return seq
 }
 
+// waitOutcome polls until the runtime has recorded the fate of an emitted
+// message.
+func waitOutcome(t *testing.T, src *SourceHandle, seq uint32) Outcome {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if o, ok := src.Outcome(seq); ok {
+			return o
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("outcome of seq %d never recorded", seq)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// totalFree sums the free slots over every pool class.
+func totalFree(rt *Runtime) int {
+	n := 0
+	for _, f := range rt.mm.FreeSlots() {
+		n += f
+	}
+	return n
+}
+
 func TestRuntimeValidation(t *testing.T) {
 	if _, err := NewRuntime(Config{}); err == nil {
 		t.Error("missing kernel port: want error")
@@ -319,18 +344,8 @@ func TestEmitOutcome(t *testing.T) {
 	src, _ := stA.CreateSource(7)
 
 	seq := sendOn(t, src, []byte("outcome"))
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if o, ok := src.Outcome(seq); ok {
-			if o.LocalSinks != 1 || o.RemotePeers != 1 || o.Err != nil {
-				t.Fatalf("outcome = %+v, want 1 local, 1 remote", o)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("outcome never recorded")
-		}
-		time.Sleep(50 * time.Microsecond)
+	if o := waitOutcome(t, src, seq); o.LocalSinks != 1 || o.RemotePeers != 1 || o.Err != nil {
+		t.Fatalf("outcome = %+v, want 1 local, 1 remote", o)
 	}
 	if _, ok := src.Outcome(seq + 1000); ok {
 		t.Error("unknown seq returned an outcome")
@@ -691,10 +706,7 @@ func TestCloseReclaimsQueuedTxTokens(t *testing.T) {
 	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(cfg *Config) {
 		cfg.Tenants = []TenantSpec{{Name: "acme", TxTokens: 8, MemSlots: 8}}
 	})
-	freeBefore := 0
-	for _, n := range w.a.mm.FreeSlots() {
-		freeBefore += n
-	}
+	freeBefore := totalFree(w.a)
 	conn, err := w.a.ConnectTenant("acme")
 	if err != nil {
 		t.Fatal(err)
@@ -736,11 +748,7 @@ func TestCloseReclaimsQueuedTxTokens(t *testing.T) {
 	if got := w.a.tel.Counter(telemetry.CtrTxReclaims); got != queued {
 		t.Errorf("tx_reclaims = %d, want %d", got, queued)
 	}
-	freeAfter := 0
-	for _, n := range w.a.mm.FreeSlots() {
-		freeAfter += n
-	}
-	if freeAfter != freeBefore {
+	if freeAfter := totalFree(w.a); freeAfter != freeBefore {
 		t.Errorf("free slots after Close = %d, want %d (slots leaked)", freeAfter, freeBefore)
 	}
 }

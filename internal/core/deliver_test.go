@@ -1,0 +1,245 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"github.com/insane-mw/insane/internal/datapath"
+	"github.com/insane-mw/insane/internal/mempool"
+	"github.com/insane-mw/insane/internal/qos"
+	"github.com/insane-mw/insane/internal/telemetry"
+)
+
+// TestDeliverAccounting drives the one delivery routine directly: for
+// every fan-out and every pattern of full sink rings, each sink either
+// gets the token (and one wake) or has its reference released and its
+// drop counted on the caller's shard and on its tenant's — and the slot
+// goes back to the pool exactly when the last holder lets go.
+func TestDeliverAccounting(t *testing.T) {
+	cases := []struct {
+		name      string
+		sinks     int
+		full      []int // indices of sinks whose ring is full
+		msgNoTel  bool
+		sinkNoTel []int // indices of sinks that opted out of telemetry
+		observed  int   // deliver_latency observations expected
+	}{
+		{name: "1 sink", sinks: 1, observed: 1},
+		{name: "1 sink, full", sinks: 1, full: []int{0}},
+		{name: "2 sinks", sinks: 2, observed: 2},
+		{name: "2 sinks, second full", sinks: 2, full: []int{1}, observed: 1},
+		{name: "2 sinks, both full", sinks: 2, full: []int{0, 1}},
+		{name: "4 sinks", sinks: 4, observed: 4},
+		{name: "4 sinks, two full", sinks: 4, full: []int{0, 2}, observed: 2},
+		{name: "4 sinks, message opted out", sinks: 4, msgNoTel: true},
+		{name: "4 sinks, one sink opted out", sinks: 4, sinkNoTel: []int{3}, observed: 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(cfg *Config) {
+				cfg.Tenants = []TenantSpec{{Name: "acme"}}
+			})
+			rt := w.a
+			conn, err := rt.ConnectTenant("acme")
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, _ := conn.OpenStream(qos.Options{})
+			sinks := make([]*SinkHandle, tc.sinks)
+			for i := range sinks {
+				if sinks[i], err = st.CreateSink(7); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, i := range tc.sinkNoTel {
+				sinks[i].noTel = true
+			}
+			isFull := make(map[int]bool)
+			for _, i := range tc.full {
+				isFull[i] = true
+				for sinks[i].ring.TryPush(rxToken{slot: mempool.NoSlot}) {
+				}
+			}
+			// The fillers carry no slot: drop them before the sinks close,
+			// which would release whatever is queued.
+			defer func() {
+				for _, i := range tc.full {
+					for {
+						if _, ok := sinks[i].ring.TryPop(); !ok {
+							break
+						}
+					}
+				}
+			}()
+
+			baseline := totalFree(rt)
+			slot, buf, err := rt.mm.Get(MsgHeadroom+8, conn.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.mm.AddRef(slot, tc.sinks); err != nil {
+				t.Fatal(err)
+			}
+			caller := telemetry.New(1)
+			got := rt.deliver(caller.Shard(0), rxToken{
+				slot: slot, buf: buf, off: MsgHeadroom, length: 8, channel: 7,
+			}, sinks, tc.msgNoTel)
+
+			want := tc.sinks - len(tc.full)
+			if got != want {
+				t.Errorf("deliver = %d, want %d", got, want)
+			}
+			drops := uint64(len(tc.full))
+			if n := caller.Counter(telemetry.CtrRingFullDrops); n != drops {
+				t.Errorf("caller ring_full_drops = %d, want %d", n, drops)
+			}
+			if n := conn.ten.tel.Counter(telemetry.CtrRingFullDrops); n != drops {
+				t.Errorf("sink tenant ring_full_drops = %d, want %d", n, drops)
+			}
+			if n := caller.Snapshot().Hists[telemetry.HistDeliverLatency].Count; n != uint64(tc.observed) {
+				t.Errorf("deliver_latency observations = %d, want %d", n, tc.observed)
+			}
+			for i, k := range sinks {
+				if woken := len(k.notify) == 1; woken == isFull[i] {
+					t.Errorf("sink %d: woken = %v with ring full = %v", i, woken, isFull[i])
+				}
+			}
+
+			// References: the caller's own plus one per sink that took the
+			// token. The slot stays borrowed until the last is released.
+			if err := rt.mm.Release(slot); err != nil {
+				t.Fatalf("caller's own reference: %v", err)
+			}
+			for i, k := range sinks {
+				if isFull[i] {
+					continue
+				}
+				if free := totalFree(rt); free != baseline-1 {
+					t.Fatalf("before sink %d released: %d free slots, want %d (reference over-released)", i, free, baseline-1)
+				}
+				tok, ok := k.ring.TryPop()
+				if !ok || tok.slot != slot || tok.bd.Recv != rt.deliveryCost(i) {
+					t.Fatalf("sink %d: token %+v ok=%v, want slot %v charged %v", i, tok, ok, slot, rt.deliveryCost(i))
+				}
+				if err := rt.mm.Release(tok.slot); err != nil {
+					t.Fatalf("sink %d reference: %v", i, err)
+				}
+			}
+			if free := totalFree(rt); free != baseline {
+				t.Errorf("after the last release: %d free slots, want %d (reference leaked)", free, baseline)
+			}
+		})
+	}
+}
+
+// TestDeliverSameFromEveryOrigin: a message reaches a channel's sinks by
+// one of three routes — a poller dispatching a queued Emit, the emitting
+// goroutine on a run-to-completion stream, a poller receiving it from a
+// peer — and all three end in the same routine, so payload, channel and
+// the per-sink delivery charge come out the same.
+func TestDeliverSameFromEveryOrigin(t *testing.T) {
+	const channel = 9
+	payload := []byte("same bytes, whatever the route")
+	origins := []struct {
+		name   string
+		opts   qos.Options
+		remote bool
+	}{
+		{name: "queued local"},
+		{name: "run to completion", opts: rtcOpts},
+		{name: "remote RX", remote: true},
+	}
+	for _, o := range origins {
+		t.Run(o.name, func(t *testing.T) {
+			w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, nil)
+			rxRT, txRT := w.a, w.a
+			if o.remote {
+				txRT = w.b
+			}
+			rxConn, _ := rxRT.Connect()
+			rxStream, _ := rxConn.OpenStream(o.opts)
+			var sinks [2]*SinkHandle
+			for i := range sinks {
+				var err error
+				if sinks[i], err = rxStream.CreateSink(channel); err != nil {
+					t.Fatal(err)
+				}
+			}
+			txStream := rxStream
+			if o.remote {
+				waitSubscribed(t, txRT, channel, 1)
+				txConn, _ := txRT.Connect()
+				txStream, _ = txConn.OpenStream(o.opts)
+			}
+			src, err := txStream.CreateSource(channel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sendOn(t, src, payload)
+
+			var recv [2]time.Duration
+			for i, k := range sinks {
+				d, err := k.Consume(2 * time.Second)
+				if err != nil {
+					t.Fatalf("sink %d: %v", i, err)
+				}
+				if !bytes.Equal(d.Payload, payload) || d.Channel != channel {
+					t.Errorf("sink %d: payload %q on channel %d", i, d.Payload, d.Channel)
+				}
+				recv[i] = d.Breakdown.Recv
+				k.Release(d)
+			}
+			// What precedes delivery differs by route (a remote message has
+			// paid for the receive path already); the delivery charge on top
+			// of it may not.
+			if got, want := recv[1]-recv[0], rxRT.deliveryCost(1)-rxRT.deliveryCost(0); got != want {
+				t.Errorf("second sink charged %v over the first, want %v", got, want)
+			}
+			if !o.remote && recv[0] != rxRT.deliveryCost(0) {
+				t.Errorf("first sink Recv = %v, want the delivery cost %v", recv[0], rxRT.deliveryCost(0))
+			}
+		})
+	}
+}
+
+// TestDrainedTokenOfDeadSlotIsCounted: a token whose slot was reclaimed
+// between Emit and the poller's drain cannot be sent. The poller settles
+// it — the tenant's in-flight charge comes back, the outcome carries the
+// error — and counts it under tx_reclaims like a token dropConn finds
+// still queued, so the message is not silently gone.
+func TestDrainedTokenOfDeadSlotIsCounted(t *testing.T) {
+	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(cfg *Config) {
+		cfg.Tenants = []TenantSpec{{Name: "acme", TxTokens: 8}}
+	})
+	conn, err := w.a.ConnectTenant("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := conn.OpenStream(qos.Options{})
+	src, err := st.CreateSource(35)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := src.GetBuffer(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.a.Mem().Release(b.Slot); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := src.Emit(b, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if o := waitOutcome(t, src, seq); o.Err == nil {
+		t.Errorf("outcome = %+v, want the slot error", o)
+	}
+	if got := w.a.tel.Counter(telemetry.CtrTxReclaims); got != 1 {
+		t.Errorf("tx_reclaims = %d, want 1", got)
+	}
+	if got := conn.ten.inflight.Load(); got != 0 {
+		t.Errorf("tenant inflight = %d, want 0", got)
+	}
+}

@@ -1,89 +1,30 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"github.com/insane-mw/insane/internal/ringbuf"
 )
 
-// Lane modes: which ring Emit pushes into. A lane starts SPSC when the
-// topology proves single-producer/single-consumer and is promoted to MPMC
-// (one-way, never demoted) the moment a second producer registers.
-const (
-	laneSPSC uint32 = iota
-	laneMPMC
-)
+// txRingDepth bounds each per-technology session TX ring.
+const txRingDepth = 1024
 
 // txLane is the per-(session,technology) token queue between Emit and the
-// technology's polling thread. The epoch-versioned TX snapshot already
-// proves which rings exist; the lane adds the producer/consumer count
-// bookkeeping that lets the runtime elect the cheaper wait-free SPSC ring
-// where exactly one source feeds exactly one poller, and fall back to the
-// Vyukov MPMC ring everywhere else (multi-source sessions, multi-poller
-// plugins). Election happens at source-creation time, so the Emit hot
-// path pays one atomic mode load, not a topology walk.
+// technology's polling threads: one multi-producer/multi-consumer ring,
+// whatever the number of sources feeding it or pollers draining it. One
+// ring means one order, so per-source FIFO holds by construction
+// (DESIGN.md §11 has the measurement behind not electing a cheaper
+// single-producer ring).
 //
 //insane:shared
 type txLane struct {
-	// mode is laneSPSC or laneMPMC. Stored under the owning ClientConn's
-	// mu; loaded lock-free by Emit. The release store in promoteLocked
-	// orders the mpmc pointer write before the mode flip.
-	mode atomic.Uint32 //insane:guardedby atomic
-	// spsc is set iff the lane was born single-producer; it stays in
-	// place after a promotion so the poller can drain the remnant.
-	spsc *ringbuf.SPSC[txToken] //insane:guardedby immutable after=newTxLane
-	// mpmc is set at construction (multi-producer lanes) or at promotion.
-	// Written under the ClientConn's mu; read by producers only after an
-	// acquire load of mode observes laneMPMC (RCU-style publication: the
-	// mode flip is the release store that makes the pointer visible).
-	mpmc *ringbuf.MPMC[txToken] //insane:guardedby rcu=promoteLocked
-	// producers counts the sources ever registered on the lane; guarded
-	// by the owning ClientConn's mu. It never decrements — a promoted
-	// lane stays MPMC even if sources close, keeping the state machine
-	// one-way.
-	producers int //insane:guardedby mu=ClientConn.mu
+	ring *ringbuf.MPMC[txToken] //insane:guardedby immutable after=newTxLane
 }
 
-// newTxLane builds a lane. spscOK is the election predicate: the caller
-// proved exactly one poller consumes this technology and this is the
-// lane's first producer.
-func newTxLane(spscOK bool) (*txLane, error) {
-	l := &txLane{}
-	if spscOK {
-		r, err := ringbuf.NewSPSC[txToken](txRingDepth)
-		if err != nil {
-			return nil, err
-		}
-		l.spsc = r
-		l.mode.Store(laneSPSC)
-		return l, nil
-	}
+func newTxLane() (*txLane, error) {
 	r, err := ringbuf.NewMPMC[txToken](txRingDepth)
 	if err != nil {
 		return nil, err
 	}
-	l.mpmc = r
-	l.mode.Store(laneMPMC)
-	return l, nil
-}
-
-// promoteLocked switches an SPSC lane to MPMC because a second producer
-// registered. Callers hold the owning ClientConn's mu. The racing first
-// producer may still complete one in-flight SPSC push — it is still the
-// sole SPSC producer — and push() holds every producer back until the
-// poller drains the SPSC remnant, so no producer's pre-promotion tokens
-// are ever overtaken by its post-promotion ones.
-func (l *txLane) promoteLocked() error {
-	if l.mpmc != nil {
-		return nil
-	}
-	r, err := ringbuf.NewMPMC[txToken](txRingDepth)
-	if err != nil {
-		return err
-	}
-	l.mpmc = r
-	l.mode.Store(laneMPMC)
-	return nil
+	return &txLane{ring: r}, nil
 }
 
 // push appends one token, reporting whether there was room. False means
@@ -95,56 +36,15 @@ func (l *txLane) promoteLocked() error {
 //insane:hotpath
 //insane:transfer resource=tenant-tx on=true
 //insane:transfer resource=mem-slot on=true
-func (l *txLane) push(tok txToken) bool {
-	if l.mode.Load() == laneSPSC {
-		return l.spsc.TryPush(tok)
-	}
-	// Promoted lane: hold every producer back until the poller drains the
-	// SPSC remnant, so per-producer FIFO order survives the promotion.
-	// The check is one atomic pair on lanes that were ever promoted and a
-	// nil test on lanes born MPMC.
-	if l.spsc != nil && l.spsc.Len() > 0 {
-		return false
-	}
-	return l.mpmc.TryPush(tok)
-}
+func (l *txLane) push(tok txToken) bool { return l.ring.TryPush(tok) }
 
-// pop drains one buffered token, SPSC remnant first (the order push
-// enforces across a promotion). It is the teardown-side counterpart of
+// pop drains one buffered token. It is the teardown-side counterpart of
 // push: the caller takes over the tenant TX charge and slot reference
-// the token carries. Only safe once no poller consumes the lane — the
-// runtime guarantees that by dropping the session from the poll list
-// and waiting out two poller passes before reclaiming.
+// the token carries. The runtime calls it only once no poller consumes
+// the lane — it drops the session from the poll list and waits out two
+// poller passes before reclaiming — so a reclaimed token cannot also be
+// in a poller's burst buffer.
 //
 //insane:acquire resource=tenant-tx on=true
 //insane:acquire resource=mem-slot on=true
-func (l *txLane) pop() (txToken, bool) {
-	if l.spsc != nil {
-		if tok, ok := l.spsc.TryPop(); ok {
-			return tok, true
-		}
-	}
-	if l.mpmc != nil {
-		if tok, ok := l.mpmc.TryPop(); ok {
-			return tok, true
-		}
-	}
-	return txToken{}, false
-}
-
-// queued returns the tokens buffered in the lane (both rings during a
-// promotion transition). Snapshot semantics, like ringbuf Len.
-func (l *txLane) queued() int {
-	n := 0
-	if l.spsc != nil {
-		n += l.spsc.Len()
-	}
-	if l.mpmc != nil {
-		n += l.mpmc.Len()
-	}
-	return n
-}
-
-// single reports whether the lane is still in SPSC mode (tests and
-// introspection; the hot path reads mode directly).
-func (l *txLane) single() bool { return l.mode.Load() == laneSPSC }
+func (l *txLane) pop() (txToken, bool) { return l.ring.TryPop() }

@@ -8,7 +8,6 @@ import (
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/netstack"
 	"github.com/insane-mw/insane/internal/qos"
-	"github.com/insane-mw/insane/internal/ringbuf"
 	"github.com/insane-mw/insane/internal/telemetry"
 	"github.com/insane-mw/insane/internal/timebase"
 )
@@ -164,38 +163,14 @@ func (p *poller) ring(why telemetry.CounterID) {
 	}
 }
 
-// laneView is a poller's immutable view of one TX lane's rings. Both
-// pointers are captured under the owning conn's mu; a promotion bumps the
-// topology epoch, so a view missing the new MPMC ring survives at most
-// one pass. The SPSC ring is always drained before the MPMC ring — that,
-// plus the producer-side remnant hold-back in txLane.push, preserves
-// per-producer FIFO order across a promotion.
-type laneView struct {
-	spsc *ringbuf.SPSC[txToken]
-	mpmc *ringbuf.MPMC[txToken]
-}
-
-// queued returns the view's buffered token count (occupancy sampling).
-func (v *laneView) queued() int {
-	n := 0
-	if v.spsc != nil {
-		n += v.spsc.Len()
-	}
-	if v.mpmc != nil {
-		n += v.mpmc.Len()
-	}
-	return n
-}
-
 // txSnap is a poller's cached view of the TX lanes feeding one
 // technology. The lane set only changes when a session connects,
-// disconnects, lazily creates a lane, or a lane is promoted to MPMC, so
-// the poller rebuilds it only when the runtime's topology epoch moves —
-// the steady-state drain pass touches no locks and no maps (RCU-style
-// read path, §5.3).
+// disconnects or lazily creates a lane, so the poller rebuilds it only
+// when the runtime's topology epoch moves — the steady-state drain pass
+// touches no locks and no maps (RCU-style read path, §5.3).
 type txSnap struct {
 	epoch uint64
-	lanes []laneView
+	lanes []*txLane
 }
 
 // refreshTxSnap rebuilds a poller's lane snapshot for one technology if
@@ -216,16 +191,10 @@ func (r *Runtime) refreshTxSnap(s *txSnap, tech model.Tech) {
 	for _, c := range conns {
 		c.mu.Lock()
 		l := c.lanes[tech]
-		var view laneView
-		if l != nil {
-			// Capture both ring pointers under c.mu: promotion writes
-			// l.mpmc under the same lock.
-			view = laneView{spsc: l.spsc, mpmc: l.mpmc}
-		}
 		c.mu.Unlock()
 		if l != nil {
 			//lint:ignore insanevet/hotpathcheck topology-epoch rebuild; the steady-state drain pass never reaches this
-			s.lanes = append(s.lanes, view)
+			s.lanes = append(s.lanes, l)
 		}
 	}
 	s.epoch = epoch
@@ -243,52 +212,29 @@ func (r *Runtime) drainTX(p *poller, snap *txSnap, st *techState) int {
 	now := r.clock.Now()
 	pulled := 0
 	//insane:bounded by=one lane per live session in the epoch snapshot
-	for li := range snap.lanes {
-		lv := &snap.lanes[li]
+	for _, l := range snap.lanes {
 		// Lane occupancy, sampled before the drain: queue-depth visibility
 		// for the exporter without a per-token cost. Empty lanes are not
 		// recorded — an idle poller would otherwise bury the distribution
 		// under zeros.
-		if occ := lv.queued(); occ > 0 {
+		if occ := l.ring.Len(); occ > 0 {
 			p.shard.Observe(telemetry.HistTxRingOccupancy, int64(occ))
 		}
-		// SPSC ring first (the pre-promotion remnant precedes any MPMC
-		// tokens from the same producer), then the MPMC ring.
-		if lv.spsc != nil {
-			//insane:bounded by=pulled strictly increases per iteration and r.burst <= model.MaxBurst
-			for pulled < r.burst {
-				want := r.burst - pulled
-				if want > len(p.toks) {
-					want = len(p.toks)
-				}
-				n := lv.spsc.PopBatch(p.toks[:want])
-				if n == 0 {
-					break
-				}
-				//insane:bounded by=n <= len(p.toks), the per-poller burst buffer (<= model.MaxBurst)
-				for i := 0; i < n; i++ {
-					r.enqueueToken(p, st, p.toks[i], now)
-				}
-				pulled += n
+		//insane:bounded by=pulled strictly increases per iteration and r.burst <= model.MaxBurst
+		for pulled < r.burst {
+			want := r.burst - pulled
+			if want > len(p.toks) {
+				want = len(p.toks)
 			}
-		}
-		if lv.mpmc != nil {
-			//insane:bounded by=pulled strictly increases per iteration and r.burst <= model.MaxBurst
-			for pulled < r.burst {
-				want := r.burst - pulled
-				if want > len(p.toks) {
-					want = len(p.toks)
-				}
-				n := lv.mpmc.PopBatch(p.toks[:want])
-				if n == 0 {
-					break
-				}
-				//insane:bounded by=n <= len(p.toks), the per-poller burst buffer (<= model.MaxBurst)
-				for i := 0; i < n; i++ {
-					r.enqueueToken(p, st, p.toks[i], now)
-				}
-				pulled += n
+			n := l.ring.PopBatch(p.toks[:want])
+			if n == 0 {
+				break
 			}
+			//insane:bounded by=n <= len(p.toks), the per-poller burst buffer (<= model.MaxBurst)
+			for i := 0; i < n; i++ {
+				r.enqueueToken(p, st, p.toks[i], now)
+			}
+			pulled += n
 		}
 	}
 
@@ -320,11 +266,14 @@ func (r *Runtime) drainTX(p *poller, snap *txSnap, st *techState) int {
 func (r *Runtime) enqueueToken(p *poller, st *techState, tok txToken, now timebase.VTime) {
 	buf, err := r.mm.Buf(tok.slot)
 	if err != nil {
-		// The session died between Emit and drain; nothing to send. The
-		// tenant's TX token is done traveling either way.
+		// The slot died between Emit and drain (its session was reclaimed);
+		// nothing to send. The tenant's TX token is done traveling either
+		// way, and the discard is counted like dropConn's reclaim of a
+		// token it finds still queued: same cause, other side of the race.
 		if tok.ten != nil {
 			tok.ten.unchargeTX()
 		}
+		p.shard.Inc(telemetry.CtrTxReclaims)
 		tok.src.recordOutcome(Outcome{Seq: tok.seq, Err: err})
 		return
 	}
@@ -384,7 +333,8 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet, n
 		sinks := r.sinksFor(meta.channel)
 		if len(sinks) > 0 {
 			_ = r.mm.AddRef(pkt.Slot, len(sinks))
-			r.deliverLocal(p, pkt, meta.channel, sinks, meta.noTel)
+			n := r.deliver(p.shard, pktToken(pkt, meta.channel), sinks, meta.noTel)
+			p.shard.Add(telemetry.CtrLocalDeliveries, uint64(n))
 		}
 
 		// Remote peers that subscribed to the channel.
@@ -484,56 +434,6 @@ func (r *Runtime) sendToPeer(p *poller, st *techState, pkt *datapath.Packet, sub
 	return err
 }
 
-// deliverLocal pushes a packet's slot to co-located sinks via shared
-// memory (one reference each).
-func (r *Runtime) deliverLocal(p *poller, pkt *datapath.Packet, channel uint32, sinks []*SinkHandle, noTel bool) {
-	payloadOff := pkt.Off + HeaderLen
-	payloadLen := pkt.Len - HeaderLen
-	//insane:bounded by=one entry per sink registered on the channel, fixed by the application
-	for i, k := range sinks {
-		tok := rxToken{
-			slot:    pkt.Slot,
-			buf:     pkt.Buf,
-			off:     payloadOff,
-			length:  payloadLen,
-			channel: channel,
-			vtime:   pkt.VTime,
-			bd:      pkt.Breakdown,
-		}
-		// Delivery cost, plus the per-extra-sink cache effect (Fig. 8b).
-		d := r.deliveryCost(i)
-		tok.vtime = tok.vtime.Add(d)
-		tok.bd.Recv += d
-		if !k.ring.TryPush(tok) {
-			_ = r.mm.Release(pkt.Slot)
-			p.shard.Inc(telemetry.CtrRingFullDrops)
-			if k.ten != nil {
-				k.ten.shard.Inc(telemetry.CtrRingFullDrops)
-			}
-			continue
-		}
-		p.shard.Inc(telemetry.CtrLocalDeliveries)
-		if !noTel {
-			p.shard.Observe(telemetry.HistDeliverLatency, int64(d))
-		}
-		k.wake()
-	}
-}
-
-// deliveryCost returns the charged cost of delivering to the i-th sink of
-// a packet's fanout.
-func (r *Runtime) deliveryCost(i int) time.Duration {
-	d := r.tb.Scale(r.rc.Deliver.Class, r.rc.Deliver.Fixed+r.rc.Deliver.Amort)
-	if i > 0 {
-		extra := r.rc.PerExtraSinkNs
-		if r.rc.SinkCacheKnee > 0 && i >= r.rc.SinkCacheKnee {
-			extra = r.rc.PerExtraSinkSpillNs
-		}
-		d += r.tb.Scale(model.ScaleRuntime, time.Duration(extra))
-	}
-	return d
-}
-
 // pollRX drains one technology's receive path: poll the plugin, run the
 // packet processing engine where needed, handle control messages, and
 // dispatch data to local sinks.
@@ -595,43 +495,13 @@ func (r *Runtime) receiveOne(p *poller, st *techState, pkt *datapath.Packet) {
 		_ = r.mm.Release(pkt.Slot)
 		return
 	}
+	// The packet's own reference becomes the first sink's.
 	if len(sinks) > 1 {
 		_ = r.mm.AddRef(pkt.Slot, len(sinks)-1)
 	}
-	r.deliverRemote(p, pkt, h.channel, sinks)
-}
-
-// deliverRemote hands a received packet's slot to the subscribed sinks.
-func (r *Runtime) deliverRemote(p *poller, pkt *datapath.Packet, channel uint32, sinks []*SinkHandle) {
-	payloadOff := pkt.Off + HeaderLen
-	payloadLen := pkt.Len - HeaderLen
-	//insane:bounded by=one entry per sink registered on the channel, fixed by the application
-	for i, k := range sinks {
-		tok := rxToken{
-			slot:    pkt.Slot,
-			buf:     pkt.Buf,
-			off:     payloadOff,
-			length:  payloadLen,
-			channel: channel,
-			vtime:   pkt.VTime,
-			bd:      pkt.Breakdown,
-		}
-		d := r.deliveryCost(i)
-		tok.vtime = tok.vtime.Add(d)
-		tok.bd.Recv += d
-		if !k.ring.TryPush(tok) {
-			_ = r.mm.Release(pkt.Slot)
-			p.shard.Inc(telemetry.CtrRingFullDrops)
-			if k.ten != nil {
-				k.ten.shard.Inc(telemetry.CtrRingFullDrops)
-			}
-			continue
-		}
-		if !k.noTel {
-			p.shard.Observe(telemetry.HistDeliverLatency, int64(d))
-		}
-		k.wake()
-	}
+	// The wire header does not carry the sender's telemetry opt-out; the
+	// sink's own decides.
+	r.deliver(p.shard, pktToken(pkt, h.channel), sinks, false)
 }
 
 // handleControl applies a SUB/UNSUB message from a peer.

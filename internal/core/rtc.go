@@ -54,43 +54,33 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32) bool {
 	}
 
 	// Commit. The RTC hop replaces the queued path's IPC+scheduler
-	// charges; per-sink delivery cost is charged exactly like
-	// deliverLocal. The header is never encoded — the rxToken carries
-	// the payload view directly, as deliverLocal's tokens do.
+	// charges; the per-sink delivery cost is deliver's, the same on every
+	// path. The header is never encoded — the token carries the payload
+	// view directly.
 	hop := rt.tb.Scale(rt.rc.RTCDeliver.Class, rt.rc.RTCDeliver.Fixed+rt.rc.RTCDeliver.Amort)
-	vt := b.VTime.Add(hop)
 	bd := b.Breakdown
 	bd.Send += hop
 
+	// One reference per sink on top of the emitter's own, released below.
+	// A consumer-side race may still fill a ring after the advisory check
+	// above; deliver drops and counts that delivery like any other.
 	_ = rt.mm.AddRef(b.Slot, len(sinks))
-	//insane:bounded by=fanout capped at RTCMaxFanout by the admission check above
-	for i, k := range sinks {
-		tok := rxToken{
-			slot:    b.Slot,
-			buf:     b.buf,
-			off:     MsgHeadroom,
-			length:  n,
-			channel: s.channel,
-			vtime:   vt,
-			bd:      bd,
+	delivered := rt.deliver(s.shard, rxToken{
+		slot:    b.Slot,
+		buf:     b.buf,
+		off:     MsgHeadroom,
+		length:  n,
+		channel: s.channel,
+		vtime:   b.VTime.Add(hop),
+		bd:      bd,
+	}, sinks, s.noTel)
+	s.shard.Add(telemetry.CtrLocalDeliveries, uint64(delivered))
+	s.shard.Add(telemetry.CtrRTCDeliveries, uint64(delivered))
+	if !s.noTel {
+		//insane:bounded by=delivered <= len(sinks) <= RTCMaxFanout
+		for i := 0; i < delivered; i++ {
+			s.shard.Observe(telemetry.HistRTCDeliver, int64(hop+rt.deliveryCost(i)))
 		}
-		d := rt.deliveryCost(i)
-		tok.vtime = tok.vtime.Add(d)
-		tok.bd.Recv += d
-		if !k.ring.TryPush(tok) {
-			// A consumer-side race filled the ring after the advisory
-			// check: drop this delivery exactly like deliverLocal would.
-			_ = rt.mm.Release(b.Slot)
-			s.shard.Inc(telemetry.CtrRingFullDrops)
-			continue
-		}
-		s.shard.Inc(telemetry.CtrLocalDeliveries)
-		s.shard.Inc(telemetry.CtrRTCDeliveries)
-		if !s.noTel {
-			s.shard.Observe(telemetry.HistDeliverLatency, int64(d))
-			s.shard.Observe(telemetry.HistRTCDeliver, int64(hop+d))
-		}
-		k.wake()
 	}
 	_ = rt.mm.Release(b.Slot)
 

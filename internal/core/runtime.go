@@ -125,8 +125,7 @@ type techState struct {
 
 	// pollers are the polling threads that serve this technology, fixed
 	// at runtime construction: the ones a TX ring or the port's RX
-	// doorbell has to wake, and — when there is exactly one — what makes
-	// a single-producer lane eligible for the SPSC ring.
+	// doorbell has to wake.
 	pollers []*poller //insane:guardedby immutable after=NewRuntime
 }
 
@@ -160,6 +159,11 @@ type Runtime struct {
 	subs  *subTable                 //insane:guardedby immutable after=NewRuntime
 	techs map[model.Tech]*techState //insane:guardedby immutable after=NewRuntime
 	burst int                       //insane:guardedby immutable after=NewRuntime
+	// deliverCost is the charged cost of delivering to the first sink of a
+	// fanout, to a further one, and to one past the cache knee (Fig. 8b).
+	// All three are constants of tb and rc, scaled once here rather than on
+	// every delivery: deliver runs per message and per sink on every path.
+	deliverCost [3]time.Duration //insane:guardedby immutable after=NewRuntime
 
 	// tenants is the immutable tenant registry (index 0 = the implicit
 	// default tenant); nil in single-tenant mode.
@@ -293,6 +297,12 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 
 		tenants:      tenants,
 		tenantByName: byName,
+	}
+	base := tb.Scale(r.rc.Deliver.Class, r.rc.Deliver.Fixed+r.rc.Deliver.Amort)
+	r.deliverCost = [3]time.Duration{
+		base,
+		base + tb.Scale(model.ScaleRuntime, time.Duration(r.rc.PerExtraSinkNs)),
+		base + tb.Scale(model.ScaleRuntime, time.Duration(r.rc.PerExtraSinkSpillNs)),
 	}
 	r.publishSinksLocked()
 	r.envPool, err = mempool.NewCachePool(envSharedCap, func() *pktEnv { return new(pktEnv) })
@@ -512,7 +522,7 @@ func (r *Runtime) dropConn(c *ClientConn) {
 	r.mu.Unlock()
 	// Pollers pick up the shrunk session list on their next pass; after
 	// two full passes none can still be draining this session's lanes,
-	// so the SPSC remnant may be popped from this goroutine.
+	// so what is left in them is popped from this goroutine.
 	c.waitPollerPasses(2, timebase.Wall().Add(50*time.Millisecond))
 	if n := r.reclaimLanes(c); n > 0 {
 		r.tel.AssignShard().Add(telemetry.CtrTxReclaims, uint64(n))

@@ -1,0 +1,260 @@
+// TX data path: a source borrows a buffer and emits it — into the
+// session's TX lane, or run-to-completion (rtc.go).
+
+package core
+
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+
+	"github.com/insane-mw/insane/internal/fabric"
+	"github.com/insane-mw/insane/internal/mempool"
+	"github.com/insane-mw/insane/internal/qos"
+	"github.com/insane-mw/insane/internal/sched"
+	"github.com/insane-mw/insane/internal/telemetry"
+	"github.com/insane-mw/insane/internal/timebase"
+)
+
+// txToken travels from the client library to the runtime over the
+// per-technology TX rings: slot ids, never bytes (§5.3, Fig. 4).
+type txToken struct {
+	slot    mempool.SlotID
+	msgLen  int // INSANE header + payload
+	channel uint32
+	class   uint8
+	timing  qos.Timing
+	seq     uint32
+	src     *SourceHandle
+	vtime   timebase.VTime
+	bd      fabric.Breakdown
+	// ten is the emitting session's tenant (nil = default): the poller
+	// uncharges the in-flight TX token and tags the packet with it.
+	ten *tenant
+	// noTel opts the message out of the latency histograms (stream-level
+	// telemetry opt-out; counters still run).
+	noTel bool
+}
+
+// Buffer is a zero-copy send buffer borrowed from the runtime memory
+// manager (get_buffer). The application writes into Payload and must not
+// touch it again after Emit (no after-write protection, §5.1).
+type Buffer struct {
+	// Slot identifies the backing memory slot.
+	Slot mempool.SlotID
+	// Payload is the writable application area of the slot.
+	Payload []byte
+	// VTime seeds the packet's virtual clock; an echo server copies the
+	// request's VTime here so round-trip accounting accumulates.
+	VTime timebase.VTime
+	// Breakdown seeds the packet's stage accounting, like VTime.
+	Breakdown fabric.Breakdown
+
+	buf []byte
+}
+
+// Wrapper free lists: the Buffer and Delivery structs handed across the
+// API are recycled once ownership returns to the runtime (successful
+// Emit / Abort / Release). The ownership contract — enforced by the
+// insanevet bufownership rule — already forbids touching a wrapper after
+// those calls, which is exactly what makes pooling them safe.
+var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
+
+// Outcome reports what happened to an emitted message
+// (check_emit_outcome).
+type Outcome struct {
+	Seq uint32
+	// LocalSinks and RemotePeers count the deliveries fanned out.
+	LocalSinks  int
+	RemotePeers int
+	// Err is non-nil when the send failed.
+	Err error
+}
+
+// outcomeWindow is how many past outcomes a source retains.
+const outcomeWindow = 1024
+
+// SourceHandle is a data producer on one channel (create_source).
+//
+//insane:shared
+type SourceHandle struct {
+	stream  *StreamHandle //insane:guardedby immutable after=CreateSource
+	channel uint32        //insane:guardedby immutable after=CreateSource
+	lane    *txLane       //insane:guardedby immutable after=CreateSource
+	seq     atomic.Uint32 //insane:guardedby atomic
+	closed  atomic.Bool   //insane:guardedby atomic
+	// shard is the telemetry stripe Emit records into; assigned
+	// round-robin at creation so concurrent publishers spread out.
+	shard *telemetry.Shard //insane:guardedby immutable after=CreateSource
+	noTel bool             //insane:guardedby immutable after=CreateSource
+	// rtc opts Emit into the run-to-completion fast path (DESIGN.md §11).
+	rtc bool //insane:guardedby immutable after=CreateSource
+	// ten caches the session's tenant binding (nil = default tenant) so
+	// the Emit/GetBuffer quota checks skip a pointer chase.
+	ten *tenant //insane:guardedby immutable after=CreateSource
+	// st is the stream technology's state: Emit rings its pollers.
+	st *techState //insane:guardedby immutable after=CreateSource
+	// gate is the stream technology's 802.1Qbv shaper, cached only for
+	// RTC time-sensitive sources so the admission check is one immutable
+	// read, no scheduler lock.
+	gate *sched.TAS //insane:guardedby immutable after=CreateSource
+
+	mu       sync.Mutex
+	outcomes [outcomeWindow]Outcome //insane:guardedby mu=mu
+	haveOut  [outcomeWindow]bool    //insane:guardedby mu=mu
+}
+
+// Channel returns the source's channel id.
+func (s *SourceHandle) Channel() uint32 { return s.channel }
+
+// GetBuffer borrows a zero-copy buffer able to hold size payload bytes,
+// charged against the session tenant's slot budget (mempool.ErrQuota
+// when the tenant is at its cap; the public layer maps it to
+// ErrTenantQuota).
+//
+//insane:hotpath
+//insane:acquire resource=mem-slot on=nilerr
+func (s *SourceHandle) GetBuffer(size int) (*Buffer, error) {
+	if s.closed.Load() {
+		return nil, ErrClosed
+	}
+	var budget *mempool.Budget
+	if s.ten != nil {
+		budget = s.ten.budget
+	}
+	slot, buf, err := s.stream.conn.rt.mm.GetBudget(MsgHeadroom+size, s.stream.conn.id, budget)
+	if err != nil {
+		if s.ten != nil && errors.Is(err, mempool.ErrQuota) {
+			s.ten.shard.Inc(telemetry.CtrTenantQuotaRejects)
+			s.shard.Inc(telemetry.CtrTenantQuotaRejects)
+		}
+		return nil, err
+	}
+	b := bufferPool.Get().(*Buffer)
+	*b = Buffer{
+		Slot:    slot,
+		Payload: buf[MsgHeadroom : MsgHeadroom+size],
+		buf:     buf,
+	}
+	return b, nil
+}
+
+// Abort returns an unsent buffer to the pool.
+//
+//insane:hotpath
+//insane:release resource=mem-slot
+func (s *SourceHandle) Abort(b *Buffer) {
+	if b != nil && b.buf != nil {
+		_ = s.stream.conn.rt.mm.Release(b.Slot)
+		*b = Buffer{}
+		bufferPool.Put(b)
+	}
+}
+
+// Emit hands n payload bytes of the buffer to the runtime for
+// transmission (emit_data) and returns the sequence number usable with
+// Outcome. Ownership of the buffer passes to the runtime; on
+// ErrBackpressure the caller keeps it and may retry.
+//
+//insane:hotpath
+//insane:transfer resource=mem-slot on=nilerr
+func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
+	if s.closed.Load() {
+		return 0, ErrClosed
+	}
+	if n < 0 || n > len(b.Payload) {
+		return 0, ErrEmitRange
+	}
+	seq := s.seq.Add(1)
+	if s.rtc {
+		if s.emitRTC(b, n, seq) {
+			return seq, nil
+		}
+		// A precondition failed (remote subscriber, fanout over budget,
+		// closed TSN gate, or a full sink ring): queued path below.
+		s.shard.Inc(telemetry.CtrRTCFallbacks)
+	}
+	st := s.stream
+	// Tenant admission: the queued path holds a TX token from here until
+	// the poller dispatches (or drops) the message; a tenant at its
+	// in-flight cap is rejected before touching the ring. RTC deliveries
+	// above never queue, so they bypass the token quota by design.
+	if ten := s.ten; ten != nil && !ten.chargeTX() {
+		ten.shard.Inc(telemetry.CtrTenantQuotaRejects)
+		s.shard.Inc(telemetry.CtrTenantQuotaRejects)
+		return 0, ErrTenantQuota
+	}
+	encodeHeader(b.buf[headroomOffset:], header{
+		kind:    kindData,
+		channel: s.channel,
+		class:   st.opts.Class,
+		seq:     seq,
+	})
+	tok := txToken{
+		slot:    b.Slot,
+		msgLen:  HeaderLen + n,
+		channel: s.channel,
+		class:   st.opts.Class,
+		timing:  st.opts.Timing,
+		seq:     seq,
+		src:     s,
+		vtime:   b.VTime,
+		bd:      b.Breakdown,
+		ten:     s.ten,
+		noTel:   s.noTel,
+	}
+	// The IPC hop: the token crosses the client→runtime ring.
+	ipc := s.stream.conn.rt.rc.IPCTx
+	d := s.stream.conn.rt.tb.Scale(ipc.Class, ipc.Fixed+ipc.Amort)
+	tok.vtime = tok.vtime.Add(d)
+	tok.bd.Send += d
+	if !s.lane.push(tok) {
+		// Backpressure: the caller keeps buffer ownership and may retry.
+		if ten := s.ten; ten != nil {
+			ten.unchargeTX()
+			ten.shard.Inc(telemetry.CtrEmitBackpressure)
+		}
+		s.shard.Inc(telemetry.CtrEmitBackpressure)
+		return 0, ErrBackpressure
+	}
+	// Ownership of the slot moved to the runtime; the wrapper is dead to
+	// the caller (bufownership rule) and can be recycled immediately.
+	*b = Buffer{}
+	bufferPool.Put(b)
+	s.shard.Inc(telemetry.CtrEmits)
+	s.shard.Add(telemetry.CtrEmitBytes, uint64(n))
+	if ten := s.ten; ten != nil {
+		ten.shard.Inc(telemetry.CtrEmits)
+		ten.shard.Add(telemetry.CtrEmitBytes, uint64(n))
+	}
+	s.st.ring(telemetry.CtrPollerWakesTX)
+	return seq, nil
+}
+
+// headroomOffset is where the INSANE header starts inside a slot.
+const headroomOffset = MsgHeadroom - HeaderLen
+
+// recordOutcome stores the fate of an emitted message.
+func (s *SourceHandle) recordOutcome(o Outcome) {
+	//lint:ignore insanevet/hotpathcheck outcome-window lock; bounded array write, never held across I/O
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	idx := int(o.Seq) % outcomeWindow
+	s.outcomes[idx] = o
+	s.haveOut[idx] = true
+}
+
+// Outcome retrieves the result of a past Emit, if still retained
+// (check_emit_outcome).
+func (s *SourceHandle) Outcome(seq uint32) (Outcome, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	idx := int(seq) % outcomeWindow
+	if !s.haveOut[idx] || s.outcomes[idx].Seq != seq {
+		return Outcome{}, false
+	}
+	return s.outcomes[idx], true
+}
+
+// Close closes the source (close_source).
+func (s *SourceHandle) Close() { s.closed.Store(true) }

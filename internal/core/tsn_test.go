@@ -311,18 +311,8 @@ func TestPortFailureSurfacesInOutcome(t *testing.T) {
 	w.a.cfg.Ports[model.TechKernelUDP].Close()
 
 	seq := sendOn(t, src, []byte("doomed"))
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if o, ok := src.Outcome(seq); ok {
-			if o.Err == nil || o.RemotePeers != 0 {
-				t.Fatalf("outcome = %+v, want send error and zero peers", o)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("outcome never recorded after port failure")
-		}
-		time.Sleep(100 * time.Microsecond)
+	if o := waitOutcome(t, src, seq); o.Err == nil || o.RemotePeers != 0 {
+		t.Fatalf("outcome = %+v, want send error and zero peers", o)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 //	//insane:guardedby immutable after=<func>  never written once <func> returns
 //
 // The mu= lock is a sibling field by default; <Type>.<field> names a
-// lock living in another struct (the txLane fields guarded by their
-// owning ClientConn's mu). Fields of sync primitive types (Mutex,
+// lock living in another struct (a child object's fields guarded by its
+// owner's mu). Fields of sync primitive types (Mutex,
 // RWMutex, WaitGroup, Once) are the regimes' own machinery and carry no
 // marker.
 //

@@ -61,9 +61,10 @@ const (
 	// CtrTenantQuotaRejects counts admissions refused by a tenant quota
 	// (mempool slot budget or in-flight TX token cap, DESIGN.md §12).
 	CtrTenantQuotaRejects
-	// CtrTxReclaims counts TX tokens reclaimed from a session's lanes at
-	// detach: each was charged and queued but never drained by a poller
-	// (slot released, tenant uncharged, DESIGN.md §13).
+	// CtrTxReclaims counts TX tokens that were charged and queued but never
+	// sent because their session went away: reclaimed from its lanes at
+	// detach (slot released, tenant uncharged, DESIGN.md §13), or drained
+	// by a poller after the slot was already reclaimed.
 	CtrTxReclaims
 	// CtrRxMalformedDrops counts received frames discarded before dispatch
 	// because they could not be parsed or were not addressed to the
