@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race vet lint lint-hotpath lint-concurrency lint-arch lint-bounded lint-pair lint-guard bench bench-baseline bench-compare bench-isolation metrics-smoke experiments demo examples loc help
+.PHONY: all test perfbench-test race vet lint lint-hotpath lint-concurrency lint-arch lint-bounded lint-pair lint-guard bench bench-baseline bench-compare bench-isolation metrics-smoke experiments demo examples loc help
 
 all: vet test lint ## vet + test + lint (the CI gate)
 
@@ -11,6 +11,9 @@ help: ## list the available targets
 
 test: ## run the full test suite
 	$(GO) test ./...
+
+perfbench-test: ## run the repository benchmark's own unit tests (own module and build tag, outside ./...)
+	cd perfbench && $(GO) test -tags perfbench ./...
 
 race: ## run the test suite under the race detector
 	$(GO) test -race ./...
@@ -59,7 +62,8 @@ metrics-smoke: ## boot a 2-node cluster, scrape /metrics, check the required ser
 	  insane_stage_network_seconds_bucket insane_mempool_gets_total \
 	  insane_mempool_free_slots insane_envcache_events_total \
 	  insane_emit_backpressure_total insane_sched_queue_depth \
-	  insane_rx_malformed_drops_total insane_poller_parks_total \
+	  insane_rx_malformed_drops_total insane_fabric_drops_total \
+	  insane_rx_alloc_drops_total insane_poller_parks_total \
 	  insane_poller_wakes_tx_total insane_poller_wakes_rx_total \
 	  insane_poller_wakes_gate_timer_total insane_poller_idle_passes_total \
 	  insane_tenant_emits_total insane_tenant_consumes_total \

@@ -75,6 +75,14 @@ type Metrics struct {
 	// frames discarded before dispatch: netstack decode error, wrong UDP
 	// port, bad INSANE header.
 	DroppedNoSink, DroppedBackpressure, DroppedMalformed, TechDowngrades uint64
+	// Loss below the runtime, read from the owners' counters at snapshot
+	// time. DroppedFabric counts frames this node's fabric ports lost
+	// (link loss or an unknown address on transmit, a full or closed
+	// queue on receive); DroppedRxAlloc counts frames a datapath plugin
+	// received and dropped before the runtime saw them — no free slot
+	// to receive into, or (kernel UDP, RDMA) wrong port / no posted
+	// buffer.
+	DroppedFabric, DroppedRxAlloc uint64
 	// Consume side.
 	Consumes, ConsumeBytes uint64
 	// Poller health (DESIGN.md, "Idle policy"), summed over the node's
@@ -187,6 +195,8 @@ func (n *Node) Metrics() Metrics {
 		DroppedBackpressure: s.Counters[telemetry.CtrRingFullDrops],
 		DroppedMalformed:    s.Counters[telemetry.CtrRxMalformedDrops],
 		TechDowngrades:      s.Counters[telemetry.CtrTechDowngrades],
+		DroppedFabric:       s.FabricDrops,
+		DroppedRxAlloc:      s.RxAllocDrops,
 		Consumes:            s.Counters[telemetry.CtrConsumes],
 		ConsumeBytes:        s.Counters[telemetry.CtrConsumeBytes],
 

@@ -569,3 +569,109 @@ func TestFunctionalOptions(t *testing.T) {
 		t.Errorf("mapper stream tech = %s, want rdma", st.Technology())
 	}
 }
+
+// TestDropAccountingBelowRuntime: the two loss points under the runtime
+// — the fabric and the datapath plugins' receive allocation — each show
+// up in Node.Metrics(), and each moves only its own counter.
+func TestDropAccountingBelowRuntime(t *testing.T) {
+	below := func(c *insane.Cluster) (fabric, rxAlloc uint64) {
+		for _, name := range []string{"a", "b"} {
+			m := c.Node(name).Metrics()
+			fabric += m.DroppedFabric
+			rxAlloc += m.DroppedRxAlloc
+		}
+		return fabric, rxAlloc
+	}
+	// pair boots a two-node cluster with a subscribed remote sink.
+	pair := func(t *testing.T, loss float64) (*insane.Cluster, *insane.Source, *insane.Sink) {
+		c, err := insane.NewCluster(insane.ClusterOptions{
+			Nodes:    []insane.NodeSpec{{Name: "a"}, {Name: "b"}},
+			LossRate: loss,
+			Seed:     99,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		sessA, _ := c.Node("a").InitSession()
+		sessB, _ := c.Node("b").InitSession()
+		stA, _ := sessA.CreateStreamOpts()
+		stB, _ := sessB.CreateStreamOpts()
+		sink, _ := stB.CreateSink(1, nil)
+		// The SUB itself may be lost on a lossy link: re-announce until
+		// it lands, as TestLossyLinkBestEffort does.
+		deadline := time.Now().Add(3 * time.Second)
+		for c.Node("a").SubscriberCount(1) == 0 {
+			if time.Now().After(deadline) {
+				t.Skip("subscription never survived the lossy link")
+			}
+			extra, _ := stB.CreateSink(1, nil)
+			extra.Close()
+			time.Sleep(time.Millisecond)
+		}
+		src, _ := stA.CreateSource(1)
+		return c, src, sink
+	}
+	drain := func(sink *insane.Sink) (received int) {
+		for {
+			m, err := consumeWithin(sink, 100*time.Millisecond)
+			if err != nil {
+				return received
+			}
+			received++
+			sink.Release(m)
+		}
+	}
+	const total = 200
+
+	t.Run("lossy link", func(t *testing.T) {
+		c, src, sink := pair(t, 0.3)
+		fabric0, _ := below(c)
+		for i := 0; i < total; i++ {
+			send(t, src, []byte{byte(i)})
+		}
+		received := drain(sink)
+		fabric1, rxAlloc := below(c)
+		if lost := uint64(total - received); lost == 0 || fabric1-fabric0 != lost {
+			t.Errorf("lost %d of %d messages, fabric drops moved by %d", lost, total, fabric1-fabric0)
+		}
+		if rxAlloc != 0 {
+			t.Errorf("rx alloc drops = %d on a link that only loses frames", rxAlloc)
+		}
+	})
+
+	t.Run("exhausted pool", func(t *testing.T) {
+		c, src, sink := pair(t, 0)
+		// Borrow every slot of the receiving node, smallest class first
+		// (a small request falls back to the larger classes).
+		hog, err := c.Node("b").InitSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hogStream, _ := hog.CreateStreamOpts()
+		hogSrc, _ := hogStream.CreateSource(7)
+		var held []*insane.Buffer
+		for {
+			b, err := hogSrc.GetBuffer(1)
+			if err != nil {
+				break
+			}
+			held = append(held, b)
+		}
+		fabric0, rxAlloc0 := below(c)
+		for i := 0; i < total; i++ {
+			send(t, src, []byte{byte(i)})
+		}
+		received := drain(sink)
+		fabric1, rxAlloc1 := below(c)
+		for _, b := range held {
+			hogSrc.Abort(b)
+		}
+		if received != 0 || rxAlloc1-rxAlloc0 != total {
+			t.Errorf("received %d of %d with no free slot, rx alloc drops moved by %d", received, total, rxAlloc1-rxAlloc0)
+		}
+		if fabric1 != fabric0 {
+			t.Errorf("fabric drops moved by %d on a lossless link", fabric1-fabric0)
+		}
+	})
+}

@@ -627,10 +627,12 @@ func (r *Runtime) MetricsSnapshot() *telemetry.Snapshot {
 		s.EnvCache.Drops += cs.Drops
 	}
 
-	for _, st := range r.techs {
+	for tech, st := range r.techs {
 		st.schedMu.Lock()
 		s.SchedQueueDepth += uint64(st.wdrr.Pending() + st.tas.Pending())
 		st.schedMu.Unlock()
+		s.FabricDrops += r.cfg.Ports[tech].Stats().Dropped
+		s.RxAllocDrops += st.ep.Stats().Drops
 	}
 	return s
 }

@@ -17,7 +17,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -52,43 +51,8 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 			check(t, []*loader.Package{pkg}, a, nil)
 			continue
 		}
-		closure, err := dependencyClosure(ldr, pkg)
-		if err != nil {
-			t.Fatalf("closure of %s: %v", path, err)
-		}
-		check(t, closure, a, analysis.NewFactStore())
+		check(t, ldr.Closure(pkg), a, analysis.NewFactStore())
 	}
-}
-
-// dependencyClosure returns pkg plus its in-tree imports, sorted
-// dependencies-first.
-func dependencyClosure(ldr *loader.Loader, pkg *loader.Package) ([]*loader.Package, error) {
-	var order []*loader.Package
-	state := make(map[string]int)
-	var topo func(p *loader.Package) error
-	topo = func(p *loader.Package) error {
-		switch state[p.Path] {
-		case 1:
-			return fmt.Errorf("import cycle through %s", p.Path)
-		case 2:
-			return nil
-		}
-		state[p.Path] = 1
-		for _, imp := range p.Types.Imports() {
-			if dep, ok := ldr.ByPath(imp.Path()); ok {
-				if err := topo(dep); err != nil {
-					return err
-				}
-			}
-		}
-		state[p.Path] = 2
-		order = append(order, p)
-		return nil
-	}
-	if err := topo(pkg); err != nil {
-		return nil, err
-	}
-	return order, nil
 }
 
 // expectation is one `// want` pattern awaiting a diagnostic.

@@ -34,6 +34,7 @@ import (
 	"go/types"
 
 	"github.com/insane-mw/insane/internal/lint/analysis"
+	"github.com/insane-mw/insane/internal/lint/callutil"
 	"github.com/insane-mw/insane/internal/lint/directive"
 	"github.com/insane-mw/insane/internal/lint/guardfacts"
 )
@@ -86,7 +87,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				return
 			}
 			parent := parentOf(stack)
-			if isAtomicValueType(fld.Type()) {
+			if callutil.IsNamed(fld.Type(), "sync/atomic") {
 				if usedAsValue(parent, sel) {
 					pass.Reportf(sel.Pos(), "%s field %s copied by value: use its methods (Load/Store/Add) or take its address", typeString(fld.Type()), sel.Sel.Name)
 				}
@@ -147,18 +148,6 @@ func fieldOf(pass *analysis.Pass, sel *ast.SelectorExpr) *types.Var {
 		return nil
 	}
 	return v
-}
-
-// isAtomicValueType reports whether t is one of the sync/atomic value
-// types (atomic.Bool, Int32, Int64, Uint32, Uint64, Uintptr, Pointer,
-// Value).
-func isAtomicValueType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
 }
 
 // plainScalar reports whether t is a bare scalar (integer, pointer,

@@ -44,11 +44,9 @@
 package boundedcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"github.com/insane-mw/insane/internal/lint/analysis"
 	"github.com/insane-mw/insane/internal/lint/callutil"
@@ -105,32 +103,13 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	idx := directive.NewIndex(pass.Fset, pass.Files)
-	bidx := directive.NewBoundedIndex(pass.Fset, pass.Files)
+	bidx := directive.Scan(pass.Fset, pass.Files, directive.ParseBounded)
 
 	// Phase 1a: interface methods carrying //insane:hotpath are trusted
 	// boundaries, exactly as in hotpathcheck: implementations are
 	// vetted where they are defined.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			it, ok := n.(*ast.InterfaceType)
-			if !ok || it.Methods == nil {
-				return true
-			}
-			for _, field := range it.Methods.List {
-				if len(field.Names) == 0 {
-					continue
-				}
-				if !directive.HasMarker(field.Doc, directive.HotMarker) && !directive.HasMarker(field.Comment, directive.HotMarker) {
-					continue
-				}
-				for _, mname := range field.Names {
-					if m, ok := pass.TypesInfo.Defs[mname].(*types.Func); ok {
-						pass.ExportObjectFact(m, &WorkSummary{Trusted: true})
-					}
-				}
-			}
-			return true
-		})
+	for _, m := range directive.HotInterfaceMethods(pass.Files, pass.TypesInfo) {
+		pass.ExportObjectFact(m, &WorkSummary{Trusted: true})
 	}
 
 	// Phase 1b: collect declarations and pre-compute constant returns,
@@ -185,13 +164,12 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	qual := types.RelativeTo(pass.Pkg)
 	reported := make(map[token.Pos]bool)
 	for _, r := range roots {
-		parent := make(map[*types.Func]*types.Func)
-		done := make(map[*types.Func]bool)
+		search := callutil.NewSearch(r)
 		onstack := make(map[*types.Func]bool)
 		var dfs func(fn *types.Func)
 		dfs = func(fn *types.Func) {
 			onstack[fn] = true
-			defer func() { onstack[fn] = false; done[fn] = true }()
+			defer func() { onstack[fn] = false }()
 			var sum WorkSummary
 			if !pass.ImportObjectFact(fn, &sum) {
 				return // not module code; hotpathcheck governs the boundary
@@ -199,15 +177,13 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if sum.Cold || sum.Trusted {
 				return
 			}
+			suffix := func() string { return callutil.HotChainSuffix(search.Chain(fn), qual) }
 			for _, lp := range sum.Loops {
 				if reported[lp.Pos] {
 					continue
 				}
 				reported[lp.Pos] = true
-				pass.Report(analysis.Diagnostic{
-					Pos:     lp.Pos,
-					Message: lp.Msg + " [unbounded]" + chainSuffix(r, fn, parent, qual),
-				})
+				pass.Report(analysis.Diagnostic{Pos: lp.Pos, Message: lp.Msg + " [unbounded]" + suffix()})
 			}
 			for _, e := range sum.Calls {
 				if onstack[e.Fn] {
@@ -215,16 +191,14 @@ func run(pass *analysis.Pass) (interface{}, error) {
 						reported[e.Pos] = true
 						pass.Report(analysis.Diagnostic{
 							Pos:     e.Pos,
-							Message: "recursive call to " + callutil.FuncName(e.Fn, qual) + " makes per-packet work unprovable [unbounded]" + chainSuffix(r, fn, parent, qual),
+							Message: "recursive call to " + callutil.FuncName(e.Fn, qual) + " makes per-packet work unprovable [unbounded]" + suffix(),
 						})
 					}
 					continue
 				}
-				if done[e.Fn] {
-					continue
+				if search.Reach(fn, e.Fn) {
+					dfs(e.Fn)
 				}
-				parent[e.Fn] = fn
-				dfs(e.Fn)
 			}
 		}
 		dfs(r)
@@ -255,23 +229,4 @@ func constReturn(pass *analysis.Pass, fd *ast.FuncDecl) (int64, bool) {
 		return 0, false
 	}
 	return intConst(pass.TypesInfo, ret.Results[0])
-}
-
-// chainSuffix renders the call chain from root to the function holding
-// the finding, for the diagnostic message.
-func chainSuffix(rootFn, fn *types.Func, parent map[*types.Func]*types.Func, qual types.Qualifier) string {
-	if fn == rootFn {
-		return " in hot-path root " + callutil.FuncName(rootFn, qual)
-	}
-	var chain []string
-	for f := fn; f != nil; f = parent[f] {
-		chain = append(chain, callutil.FuncName(f, qual))
-		if f == rootFn {
-			break
-		}
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return fmt.Sprintf(" reachable from hot-path root %s: %s", callutil.FuncName(rootFn, qual), strings.Join(chain, " -> "))
 }

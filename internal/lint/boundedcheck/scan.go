@@ -16,7 +16,7 @@ import (
 type scanner struct {
 	pass     *analysis.Pass
 	idx      *directive.Index
-	bidx     *directive.BoundedIndex
+	bidx     *directive.Lines[*directive.Bounded]
 	constRet map[*types.Func]int64
 	sum      *WorkSummary
 	seen     map[*types.Func]bool
@@ -30,7 +30,7 @@ type clamp struct {
 	pos token.Pos
 }
 
-func scanBody(pass *analysis.Pass, idx *directive.Index, bidx *directive.BoundedIndex, constRet map[*types.Func]int64, fd *ast.FuncDecl, sum *WorkSummary) {
+func scanBody(pass *analysis.Pass, idx *directive.Index, bidx *directive.Lines[*directive.Bounded], constRet map[*types.Func]int64, fd *ast.FuncDecl, sum *WorkSummary) {
 	s := &scanner{
 		pass:     pass,
 		idx:      idx,

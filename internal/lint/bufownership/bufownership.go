@@ -29,7 +29,9 @@
 // by a condition on the error returned by the killing call (for
 // example `if errors.Is(err, insane.ErrBackpressure)`) are not flagged,
 // and re-emitting the same buffer inside a retry loop is fine because
-// the analysis is forward-only within each loop iteration.
+// the analysis is forward-only within each loop iteration. The walk is
+// the shared flow engine's (internal/lint/flow); this rule's join
+// discards what happened inside a branch.
 //
 // Reassigning the variable (`b, err = src.GetBuffer(n)` or
 // `b.inner = nil`) re-establishes ownership and stops the tracking.
@@ -43,6 +45,7 @@ import (
 	"github.com/insane-mw/insane/internal/lint/analysis"
 	"github.com/insane-mw/insane/internal/lint/callutil"
 	"github.com/insane-mw/insane/internal/lint/directive"
+	"github.com/insane-mw/insane/internal/lint/flow"
 	"github.com/insane-mw/insane/internal/lint/pairfacts"
 )
 
@@ -67,7 +70,7 @@ type kill struct {
 // state maps canonical expressions ("b", "b.inner") to their kill.
 type state map[string]kill
 
-func (s state) clone() state {
+func (s state) Clone() state {
 	c := make(state, len(s))
 	for k, v := range s {
 		c[k] = v
@@ -75,21 +78,51 @@ func (s state) clone() state {
 	return c
 }
 
+// Join discards the arms: a kill inside a branch does not escape it
+// (conservative: no false positives after
+// `if cond { Emit(b) } else { Abort(b) }`), while kills in straight-line
+// code reach every following statement.
+func (s state) Join([]state) state { return s }
+
 func run(pass *analysis.Pass) (interface{}, error) {
 	// Export this package's pair annotations as facts so downstream
 	// packages see its consuming functions. Malformed directives are
 	// dropped silently here — paircheck already diagnoses them, and a
 	// second copy of each problem would be noise.
 	pairfacts.Export(pass)
+	w := flow.New(flow.Hooks[state]{
+		NoReturn: func(call *ast.CallExpr) bool { return callutil.NoReturn(pass.TypesInfo, call) },
+		Stmt:     func(s ast.Stmt, st state) { scanStmt(pass, s, st) },
+		Eval:     func(_ ast.Node, e ast.Expr, st state) { checkUses(pass, e, st) },
+		Exit: func(ret *ast.ReturnStmt, st state) {
+			for _, r := range ret.Results {
+				checkUses(pass, r, st)
+			}
+		},
+		// The error-guard exception: inside a branch (or loop body)
+		// conditioned on the killing call's error, the caller still
+		// owns the buffer (ErrBackpressure keeps ownership with the
+		// caller).
+		Branch: func(_ ast.Node, cond ast.Expr, st state) (then, els state) {
+			checkUses(pass, cond, st)
+			then = st.Clone()
+			for key, k := range st {
+				if k.errVar != nil && mentions(pass, cond, k.errVar) {
+					delete(then, key)
+				}
+			}
+			return then, st.Clone()
+		},
+	})
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					scanBlock(pass, fn.Body.List, make(state))
+					w.Walk(fn.Body.List, make(state))
 				}
 			case *ast.FuncLit:
-				scanBlock(pass, fn.Body.List, make(state))
+				w.Walk(fn.Body.List, make(state))
 			}
 			return true
 		})
@@ -97,17 +130,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// scanBlock walks a statement list in order, tracking ownership
-// transfers. Branches are analyzed with a copy of the state and their
-// kills do not escape (conservative: no false positives after
-// `if cond { Emit(b) } else { Abort(b) }`), while kills in straight-line
-// code propagate to every following statement of the block.
-func scanBlock(pass *analysis.Pass, stmts []ast.Stmt, st state) {
-	for _, s := range stmts {
-		scanStmt(pass, s, st)
-	}
-}
-
+// scanStmt applies one simple statement: uses of dead values are
+// reported, consuming calls kill their arguments, and reassignment
+// re-establishes ownership. Control flow is the flow engine's.
 func scanStmt(pass *analysis.Pass, s ast.Stmt, st state) {
 	switch s := s.(type) {
 	case *ast.AssignStmt:
@@ -117,7 +142,7 @@ func scanStmt(pass *analysis.Pass, s ast.Stmt, st state) {
 		kills := applyKills(pass, s.Rhs, st)
 		// Bind the error result so guarded uses can be excused.
 		if len(kills) > 0 && len(s.Rhs) == 1 {
-			if errObj := errorLHS(pass, s.Lhs); errObj != nil {
+			if errObj := callutil.ErrorLHS(pass.TypesInfo, s.Lhs); errObj != nil {
 				for _, k := range kills {
 					kl := st[k]
 					kl.errVar = errObj
@@ -126,7 +151,7 @@ func scanStmt(pass *analysis.Pass, s ast.Stmt, st state) {
 			}
 		}
 		for _, lhs := range s.Lhs {
-			if key := canon(lhs); key != "" {
+			if key := trackKey(lhs); key != "" {
 				if _, dead := st[key]; dead {
 					delete(st, key) // reassignment re-establishes ownership
 					continue
@@ -151,10 +176,6 @@ func scanStmt(pass *analysis.Pass, s ast.Stmt, st state) {
 				}
 			}
 		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			checkUses(pass, r, st)
-		}
 	case *ast.DeferStmt:
 		checkUses(pass, s.Call, st)
 	case *ast.GoStmt:
@@ -164,77 +185,6 @@ func scanStmt(pass *analysis.Pass, s ast.Stmt, st state) {
 		checkUses(pass, s.Value, st)
 	case *ast.IncDecStmt:
 		checkUses(pass, s.X, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			scanStmt(pass, s.Init, st)
-		}
-		checkUses(pass, s.Cond, st)
-		// The error-guard exception: inside a branch conditioned on the
-		// killing call's error, the caller still owns the buffer
-		// (ErrBackpressure keeps ownership with the caller).
-		branch := st.clone()
-		for key, k := range st {
-			if k.errVar != nil && mentions(pass, s.Cond, k.errVar) {
-				delete(branch, key)
-			}
-		}
-		scanBlock(pass, s.Body.List, branch)
-		if s.Else != nil {
-			scanStmt(pass, s.Else, st.clone())
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			scanStmt(pass, s.Init, st)
-		}
-		if s.Cond != nil {
-			checkUses(pass, s.Cond, st)
-		}
-		body := st.clone()
-		for key, k := range st {
-			if s.Cond != nil && k.errVar != nil && mentions(pass, s.Cond, k.errVar) {
-				delete(body, key)
-			}
-		}
-		scanBlock(pass, s.Body.List, body)
-	case *ast.RangeStmt:
-		checkUses(pass, s.X, st)
-		scanBlock(pass, s.Body.List, st.clone())
-	case *ast.BlockStmt:
-		scanBlock(pass, s.List, st)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			scanStmt(pass, s.Init, st)
-		}
-		if s.Tag != nil {
-			checkUses(pass, s.Tag, st)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				branch := st.clone()
-				for _, e := range cc.List {
-					checkUses(pass, e, branch)
-				}
-				scanBlock(pass, cc.Body, branch)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				scanBlock(pass, cc.Body, st.clone())
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				branch := st.clone()
-				if cc.Comm != nil {
-					scanStmt(pass, cc.Comm, branch)
-				}
-				scanBlock(pass, cc.Body, branch)
-			}
-		}
-	case *ast.LabeledStmt:
-		scanStmt(pass, s.Stmt, st)
 	}
 }
 
@@ -288,7 +238,7 @@ func killerCall(pass *analysis.Pass, call *ast.CallExpr) (verb string, keys []st
 		if pointeeName(pass, arg) == "" {
 			continue
 		}
-		if key := canon(arg); key != "" {
+		if key := trackKey(arg); key != "" {
 			keys = append(keys, key)
 		}
 	}
@@ -331,7 +281,7 @@ func checkUses(pass *analysis.Pass, e ast.Expr, st state) {
 		case *ast.Ident:
 			key = n.Name
 		case *ast.SelectorExpr:
-			key = canon(n)
+			key = callutil.Canon(n)
 		default:
 			return true
 		}
@@ -347,27 +297,6 @@ func checkUses(pass *analysis.Pass, e ast.Expr, st state) {
 	})
 }
 
-// errorLHS returns the object of an LHS identifier with type error.
-func errorLHS(pass *analysis.Pass, lhs []ast.Expr) types.Object {
-	for _, e := range lhs {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		obj := pass.TypesInfo.Defs[id]
-		if obj == nil {
-			obj = pass.TypesInfo.Uses[id]
-		}
-		if obj == nil || obj.Type() == nil {
-			continue
-		}
-		if named, ok := obj.Type().(*types.Named); ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil {
-			return obj
-		}
-	}
-	return nil
-}
-
 // mentions reports whether the expression references the object.
 func mentions(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
 	found := false
@@ -380,20 +309,13 @@ func mentions(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
 	return found
 }
 
-// canon renders an identifier or dotted selector chain as a stable
-// key ("b", "b.inner", "st.schedMu"); other shapes are untrackable.
-func canon(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.ParenExpr:
-		return canon(e.X)
-	case *ast.SelectorExpr:
-		base := canon(e.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + e.Sel.Name
+// trackKey is the tracking key of an argument or assignment target:
+// callutil.Canon, narrowed to refuse &x and *p — the object those name
+// is not the variable whose ownership moved.
+func trackKey(e ast.Expr) string {
+	switch ast.Unparen(e).(type) {
+	case *ast.UnaryExpr, *ast.StarExpr:
+		return ""
 	}
-	return ""
+	return callutil.Canon(e)
 }

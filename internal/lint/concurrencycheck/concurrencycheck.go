@@ -184,7 +184,7 @@ func runGoroutine(pass *analysis.Pass) (interface{}, error) {
 
 	// Phase 2: judge every go statement, wherever it appears
 	// (declared functions and function literals alike).
-	gidx := directive.NewGoroutineIndex(pass.Fset, pass.Files)
+	gidx := directive.Scan(pass.Fset, pass.Files, directive.ParseGoroutine)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if gs, ok := n.(*ast.GoStmt); ok {
@@ -208,7 +208,7 @@ func runGoroutine(pass *analysis.Pass) (interface{}, error) {
 }
 
 // checkGo applies the ownership rule to one go statement.
-func checkGo(pass *analysis.Pass, gidx *directive.GoroutineIndex, gs *ast.GoStmt) {
+func checkGo(pass *analysis.Pass, gidx *directive.Lines[*directive.Goroutine], gs *ast.GoStmt) {
 	qual := types.RelativeTo(pass.Pkg)
 	dir, annotated := gidx.At(pass.Fset.Position(gs.Pos()))
 	malformedDir := false
@@ -288,22 +288,13 @@ func checkGo(pass *analysis.Pass, gidx *directive.GoroutineIndex, gs *ast.GoStmt
 		mechs = appendMechs(mechs, []Mech{fc.Mech})
 	}
 
-	parent := map[*types.Func]*types.Func{}
-	seen := map[*types.Func]bool{}
-	var queue []*types.Func
-	for _, c := range direct.Calls {
-		if !seen[c] {
-			seen[c] = true
-			queue = append(queue, c)
-		}
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
+	search := callutil.NewSearch(direct.Calls...)
+	search.BFS(func(fn *types.Func) []*types.Func {
 		var sum GoSummary
 		if !pass.ImportObjectFact(fn, &sum) {
-			continue
+			return nil
 		}
+		chain := func() string { return directName + " -> " + callutil.ChainText(search.Chain(fn), qual) }
 		for _, l := range sum.Loops {
 			if !l.Infinite {
 				continue
@@ -316,25 +307,19 @@ func checkGo(pass *analysis.Pass, gidx *directive.GoroutineIndex, gs *ast.GoStmt
 				continue
 			}
 			if !l.HasExit {
-				hard = append(hard, fmt.Sprintf("%s reaches %s, which loops forever with no exit: %s", directName, callutil.FuncName(fn, qual), chainText(directName, fn, parent, qual)))
+				hard = append(hard, fmt.Sprintf("%s reaches %s, which loops forever with no exit: %s", directName, callutil.FuncName(fn, qual), chain()))
 			}
 		}
 		for _, fc := range sum.Forever {
 			if fc.Mech.Kind == "" {
-				hard = append(hard, fmt.Sprintf("%s reaches a call to %s, which can never be stopped: %s", directName, fc.Name, chainText(directName, fn, parent, qual)))
+				hard = append(hard, fmt.Sprintf("%s reaches a call to %s, which can never be stopped: %s", directName, fc.Name, chain()))
 				continue
 			}
 			needOwner = true
 			mechs = appendMechs(mechs, []Mech{fc.Mech})
 		}
-		for _, c := range sum.Calls {
-			if !seen[c] {
-				seen[c] = true
-				parent[c] = fn
-				queue = append(queue, c)
-			}
-		}
-	}
+		return sum.Calls
+	})
 
 	if annotated {
 		for _, p := range verifyDirective(pass, dir, mechs, needOwner) {
@@ -354,7 +339,7 @@ func checkGo(pass *analysis.Pass, gidx *directive.GoroutineIndex, gs *ast.GoStmt
 // stop method must exist, and — when the goroutine runs until stopped —
 // the stop method's call closure must perform one of the observed stop
 // mechanisms. Returns the problems found.
-func verifyDirective(pass *analysis.Pass, dir directive.Goroutine, mechs []Mech, needOwner bool) []string {
+func verifyDirective(pass *analysis.Pass, dir *directive.Goroutine, mechs []Mech, needOwner bool) []string {
 	obj := pass.Pkg.Scope().Lookup(dir.Owner)
 	tn, ok := obj.(*types.TypeName)
 	if !ok {
@@ -388,23 +373,14 @@ func lookupMethod(t types.Type, name string, pkg *types.Package) *types.Func {
 // module-internal call closure, via the fact graph.
 func stopActions(pass *analysis.Pass, fn *types.Func) []Mech {
 	var out []Mech
-	seen := map[*types.Func]bool{fn.Origin(): true}
-	queue := []*types.Func{fn.Origin()}
-	for len(queue) > 0 {
-		f := queue[0]
-		queue = queue[1:]
+	callutil.NewSearch(fn.Origin()).BFS(func(f *types.Func) []*types.Func {
 		var sum GoSummary
 		if !pass.ImportObjectFact(f, &sum) {
-			continue
+			return nil
 		}
 		out = append(out, sum.Stops...)
-		for _, c := range sum.Calls {
-			if !seen[c] {
-				seen[c] = true
-				queue = append(queue, c)
-			}
-		}
-	}
+		return sum.Calls
+	})
 	return out
 }
 
@@ -435,16 +411,4 @@ func mechList(mechs []Mech) string {
 		parts[i] = m.String()
 	}
 	return strings.Join(parts, " / ")
-}
-
-// chainText renders the call chain from the spawned function to fn.
-func chainText(start string, fn *types.Func, parent map[*types.Func]*types.Func, qual types.Qualifier) string {
-	var chain []string
-	for f := fn; f != nil; f = parent[f] {
-		chain = append(chain, callutil.FuncName(f, qual))
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return start + " -> " + strings.Join(chain, " -> ")
 }

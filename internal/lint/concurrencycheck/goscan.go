@@ -84,7 +84,7 @@ func (s *goScanner) call(call *ast.CallExpr) {
 	}
 
 	// Calling a context.CancelFunc value cancels the context.
-	if t := info.TypeOf(call.Fun); t != nil && isCancelFunc(t) {
+	if t := info.TypeOf(call.Fun); t != nil && callutil.IsNamed(t, "context", "CancelFunc") {
 		s.sum.Stops = append(s.sum.Stops, Mech{Kind: "context", Short: "cancel()"})
 		return
 	}
@@ -179,7 +179,8 @@ func (s *goScanner) analyzeLoop(loop ast.Stmt, body *ast.BlockStmt) LoopSum {
 			}
 			return false
 		case *ast.ExprStmt:
-			return isTerminalCall(info, st.X)
+			call, ok := ast.Unparen(st.X).(*ast.CallExpr)
+			return ok && callutil.NoReturn(info, call)
 		case *ast.IfStmt:
 			out := exitsList(st.Body.List, depth)
 			if st.Else != nil && exits(st.Else, depth) {
@@ -288,7 +289,7 @@ func chanMech(info *types.Info, e ast.Expr) Mech {
 	switch e := e.(type) {
 	case *ast.CallExpr:
 		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
-			if isContext(info.TypeOf(sel.X)) {
+			if callutil.IsNamed(info.TypeOf(sel.X), "context", "Context") {
 				return Mech{Kind: "context", Short: "ctx.Done()"}
 			}
 		}
@@ -323,14 +324,7 @@ func flagMech(info *types.Info, e ast.Expr) Mech {
 // namedOwner resolves an expression to its named type: the full
 // (package-path-qualified) identity and a short pkg.Type display form.
 func namedOwner(info *types.Info, e ast.Expr) (full, short string) {
-	t := info.TypeOf(e)
-	if t == nil {
-		return "", ""
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
+	named, ok := callutil.Deref(info.TypeOf(e)).(*types.Named)
 	if !ok {
 		return "", ""
 	}
@@ -354,43 +348,7 @@ func recvTypeOf(fn *types.Func) types.Type {
 
 // isAtomicType reports whether t (possibly a pointer) is one of the
 // sync/atomic value types.
-func isAtomicType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
-// isContext reports whether t is context.Context.
-func isContext(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// isCancelFunc reports whether t is context.CancelFunc.
-func isCancelFunc(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "CancelFunc"
-}
+func isAtomicType(t types.Type) bool { return callutil.IsNamed(callutil.Deref(t), "sync/atomic") }
 
 // isChanType reports whether t's underlying type is a channel.
 func isChanType(t types.Type) bool {
@@ -399,27 +357,6 @@ func isChanType(t types.Type) bool {
 	}
 	_, ok := t.Underlying().(*types.Chan)
 	return ok
-}
-
-// isTerminalCall reports whether e is a call that never returns:
-// panic, os.Exit, runtime.Goexit, or a log.Fatal variant.
-func isTerminalCall(info *types.Info, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			return b.Name() == "panic"
-		}
-	}
-	if fn := callutil.StaticCallee(info, call); fn != nil {
-		switch fn.FullName() {
-		case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
-			return true
-		}
-	}
-	return false
 }
 
 // foreverFuncs are library functions that run until an associated

@@ -6,6 +6,8 @@ import (
 	"go/types"
 
 	"github.com/insane-mw/insane/internal/lint/analysis"
+	"github.com/insane-mw/insane/internal/lint/callutil"
+	"github.com/insane-mw/insane/internal/lint/flow"
 )
 
 // Sync is the sync-misuse rule: intra-function channel and WaitGroup
@@ -20,10 +22,11 @@ import (
 //   - a non-deferred wg.Done below an early return (Wait hangs when
 //     the return path is taken).
 //
-// The channel rules are branch-aware and sequential: state forks at
-// branches and is not merged back, so a close on one path never taints
-// the other. Deferred closes run at return and are tracked separately
-// (two deferred closes of one channel still panic).
+// The channel rules run on the shared flow engine (internal/lint/flow)
+// with the discard join: state forks at branches and is not merged
+// back, so a close on one path never taints the other. Deferred closes
+// run at return and are tracked separately (two deferred closes of one
+// channel still panic).
 var Sync = &analysis.Analyzer{
 	Name: "syncmisuse",
 	Doc:  "flag double close, send after close, wg.Add inside the spawned goroutine, and WaitGroup paths missing Done",
@@ -52,101 +55,64 @@ func runSync(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// closeState maps a channel's canonical expression to the position of
-// the close that retired it on the current path.
-type closeState map[string]token.Pos
+// closeState is the channel-close knowledge on one path: closed maps a
+// channel's canonical expression to the close that retired it and is
+// forked at branches; deferred closes run at return whichever path is
+// taken, so that map is shared by every path of the function.
+type closeState struct {
+	closed, deferred map[string]token.Pos
+}
 
-func (c closeState) clone() closeState {
-	out := make(closeState, len(c))
-	for k, v := range c {
-		out[k] = v
+func (c closeState) Clone() closeState {
+	out := closeState{closed: make(map[string]token.Pos, len(c.closed)), deferred: c.deferred}
+	for k, v := range c.closed {
+		out.closed[k] = v
 	}
 	return out
 }
 
+// Join discards the arms: a close on one path never taints another.
+func (c closeState) Join([]closeState) closeState { return c }
+
 // checkCloses scans one function body for double close and
-// send-after-close, with branch-forked sequential state.
+// send-after-close.
 func checkCloses(pass *analysis.Pass, body *ast.BlockStmt) {
-	closed := make(closeState)
-	deferred := make(closeState)
-	scanCloseBlock(pass, body.List, closed, deferred)
-}
-
-func scanCloseBlock(pass *analysis.Pass, stmts []ast.Stmt, closed, deferred closeState) {
-	for _, s := range stmts {
-		scanCloseStmt(pass, s, closed, deferred)
-	}
-}
-
-func scanCloseStmt(pass *analysis.Pass, s ast.Stmt, closed, deferred closeState) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		applyCloses(pass, s.X, closed, deferred, false)
-	case *ast.DeferStmt:
-		applyCloses(pass, s.Call, closed, deferred, true)
-	case *ast.SendStmt:
-		if key := chanKey(pass, s.Chan); key != "" {
-			if _, ok := closed[key]; ok {
-				pass.Reportf(s.Pos(), "send on %s after close(%s) (send on a closed channel panics)", key, key)
+	flow.New(flow.Hooks[closeState]{
+		NoReturn: func(call *ast.CallExpr) bool { return callutil.NoReturn(pass.TypesInfo, call) },
+		Stmt: func(s ast.Stmt, st closeState) {
+			switch s := s.(type) {
+			case *ast.ExprStmt:
+				applyCloses(pass, s.X, st, false)
+			case *ast.DeferStmt:
+				applyCloses(pass, s.Call, st, true)
+			case *ast.SendStmt:
+				if key := chanKey(pass, s.Chan); key != "" {
+					if _, ok := st.closed[key]; ok {
+						pass.Reportf(s.Pos(), "send on %s after close(%s) (send on a closed channel panics)", key, key)
+					}
+				}
+				applyCloses(pass, s.Value, st, false)
+			case *ast.AssignStmt:
+				for _, e := range s.Rhs {
+					applyCloses(pass, e, st, false)
+				}
+				// Reassigning the variable makes it a fresh channel.
+				for _, l := range s.Lhs {
+					if key := callutil.Canon(l); key != "" {
+						delete(st.closed, key)
+						delete(st.deferred, key)
+					}
+				}
 			}
-		}
-		applyCloses(pass, s.Value, closed, deferred, false)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			applyCloses(pass, e, closed, deferred, false)
-		}
-		// Reassigning the variable makes it a fresh channel.
-		for _, l := range s.Lhs {
-			if key := canonExpr(l); key != "" {
-				delete(closed, key)
-				delete(deferred, key)
-			}
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			scanCloseStmt(pass, s.Init, closed, deferred)
-		}
-		scanCloseBlock(pass, s.Body.List, closed.clone(), deferred)
-		if s.Else != nil {
-			scanCloseStmt(pass, s.Else, closed.clone(), deferred)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			scanCloseStmt(pass, s.Init, closed, deferred)
-		}
-		scanCloseBlock(pass, s.Body.List, closed.clone(), deferred)
-	case *ast.RangeStmt:
-		scanCloseBlock(pass, s.Body.List, closed.clone(), deferred)
-	case *ast.BlockStmt:
-		scanCloseBlock(pass, s.List, closed, deferred)
-	case *ast.SwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				scanCloseBlock(pass, cc.Body, closed.clone(), deferred)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				scanCloseBlock(pass, cc.Body, closed.clone(), deferred)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				scanCloseBlock(pass, cc.Body, closed.clone(), deferred)
-			}
-		}
-	case *ast.LabeledStmt:
-		scanCloseStmt(pass, s.Stmt, closed, deferred)
-	}
+		},
+	}).Walk(body.List, closeState{closed: make(map[string]token.Pos), deferred: make(map[string]token.Pos)})
 }
 
 // applyCloses records close(ch) calls in the expression, reporting
 // double closes. Deferred closes run at return: they do not retire the
 // channel for the statements that follow, but a second deferred close
 // of the same channel still panics.
-func applyCloses(pass *analysis.Pass, e ast.Expr, closed, deferred closeState, isDefer bool) {
+func applyCloses(pass *analysis.Pass, e ast.Expr, st closeState, isDefer bool) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -164,18 +130,18 @@ func applyCloses(pass *analysis.Pass, e ast.Expr, closed, deferred closeState, i
 			if key == "" {
 				return true
 			}
-			if _, ok := closed[key]; ok {
+			if _, ok := st.closed[key]; ok {
 				pass.Reportf(n.Pos(), "second close of %s (closing a closed channel panics)", key)
 				return true
 			}
-			if _, ok := deferred[key]; ok {
+			if _, ok := st.deferred[key]; ok {
 				pass.Reportf(n.Pos(), "close of %s with a deferred close(%s) pending (closing a closed channel panics)", key, key)
 				return true
 			}
 			if isDefer {
-				deferred[key] = n.Pos()
+				st.deferred[key] = n.Pos()
 			} else {
-				closed[key] = n.Pos()
+				st.closed[key] = n.Pos()
 			}
 		}
 		return true
@@ -188,24 +154,7 @@ func chanKey(pass *analysis.Pass, e ast.Expr) string {
 	if !isChanType(pass.TypesInfo.TypeOf(e)) {
 		return ""
 	}
-	return canonExpr(e)
-}
-
-// canonExpr renders a dotted identifier chain ("k.stop") or "".
-func canonExpr(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.ParenExpr:
-		return canonExpr(e.X)
-	case *ast.SelectorExpr:
-		base := canonExpr(e.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + e.Sel.Name
-	}
-	return ""
+	return callutil.Canon(e)
 }
 
 // addEvent is one wg.Add call in the spawning function.
@@ -374,20 +323,8 @@ func wgKey(pass *analysis.Pass, e ast.Expr) string {
 	if ue, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && ue.Op == token.AND {
 		e = ue.X
 	}
-	t := pass.TypesInfo.TypeOf(e)
-	if t == nil {
+	if !callutil.IsNamed(callutil.Deref(pass.TypesInfo.TypeOf(e)), "sync", "WaitGroup") {
 		return ""
 	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" || obj.Name() != "WaitGroup" {
-		return ""
-	}
-	return canonExpr(e)
+	return callutil.Canon(e)
 }

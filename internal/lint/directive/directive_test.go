@@ -135,7 +135,7 @@ func TestGoroutineIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := directive.NewGoroutineIndex(fset, []*ast.File{f})
+	idx := directive.Scan(fset, []*ast.File{f}, directive.ParseGoroutine)
 	at := func(line int) token.Position { return token.Position{Filename: "x.go", Line: line} }
 
 	// Comment-above style: directive on line 4 covers the go statement
@@ -166,7 +166,7 @@ func TestCollectReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	igs := directive.Collect(fset, []*ast.File{f})
+	igs := directive.NewIndex(fset, []*ast.File{f}).All()
 	if len(igs) != 4 {
 		t.Fatalf("got %d directives, want 4", len(igs))
 	}

@@ -3,6 +3,7 @@ package directive
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -81,8 +82,7 @@ func HasMarker(cg *ast.CommentGroup, marker string) bool {
 		return false
 	}
 	for _, c := range cg.List {
-		text := strings.TrimSpace(c.Text)
-		if text == marker || strings.HasPrefix(text, marker+" ") {
+		if matchesMarker(strings.TrimSpace(c.Text), marker) {
 			return true
 		}
 	}
@@ -100,112 +100,52 @@ func HasMarker(cg *ast.CommentGroup, marker string) bool {
 // batch buffer, a CAS retry that only loses to concurrent progress).
 const boundedMarker = "//insane:bounded"
 
+var boundedGrammar = grammar{{name: "by", hint: "<reason>", tail: true}}
+
 // Bounded is one parsed //insane:bounded annotation.
 type Bounded struct {
+	Anchor
 	// By is the documented bound (the value of by=, the rest of the
 	// line, spaces included).
 	By string
-	// File and Line locate the annotation.
-	File string
-	Line int
-	// Pos is the annotation's position.
-	Pos token.Pos
-	// Malformed is set when the annotation was recognized but cannot
-	// vouch for anything (missing by= or empty reason).
-	Malformed string
 }
 
 // ParseBounded interprets one comment as a bounded annotation.
-func ParseBounded(text string) (Bounded, bool) {
+func ParseBounded(text string) (*Bounded, bool) {
 	text = strings.TrimSpace(text)
-	if text != boundedMarker && !strings.HasPrefix(text, boundedMarker+" ") {
-		return Bounded{}, false
+	if !matchesMarker(text, boundedMarker) {
+		return nil, false
 	}
-	rest := strings.TrimSpace(strings.TrimPrefix(text, boundedMarker))
-	if rest == "" {
-		return Bounded{Malformed: "missing by=<reason>"}, true
-	}
-	reason, ok := strings.CutPrefix(rest, "by=")
-	switch {
-	case !ok:
-		return Bounded{Malformed: "option " + strings.Fields(rest)[0] + " is not by=<reason>"}, true
-	case strings.TrimSpace(reason) == "":
-		return Bounded{Malformed: "empty reason after by="}, true
-	}
-	return Bounded{By: strings.TrimSpace(reason)}, true
+	vals, bad := boundedGrammar.parse(strings.TrimPrefix(text, boundedMarker))
+	return &Bounded{By: vals["by"], Anchor: Anchor{Malformed: bad}}, true
 }
 
-// BoundedAnnotations extracts every //insane:bounded annotation from
-// the files, malformed ones included.
-func BoundedAnnotations(fset *token.FileSet, files []*ast.File) []Bounded {
-	var out []Bounded
+// HotInterfaceMethods returns the interface methods declared in files
+// that carry //insane:hotpath. Such a method is a trusted boundary for
+// every hot-path rule: implementations are vetted where they are
+// defined (or deliberately exempt, like datapath plugins), so calls
+// through it are neither followed nor flagged as unknown.
+func HotInterfaceMethods(files []*ast.File, info *types.Info) []*types.Func {
+	var out []*types.Func
 	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				b, ok := ParseBounded(c.Text)
-				if !ok {
+		ast.Inspect(f, func(n ast.Node) bool {
+			it, ok := n.(*ast.InterfaceType)
+			if !ok || it.Methods == nil {
+				return true
+			}
+			for _, field := range it.Methods.List {
+				// An embedded interface has no names of its own.
+				if !HasMarker(field.Doc, HotMarker) && !HasMarker(field.Comment, HotMarker) {
 					continue
 				}
-				pos := fset.Position(c.Pos())
-				b.File = pos.Filename
-				b.Line = pos.Line
-				b.Pos = c.Pos()
-				out = append(out, b)
+				for _, name := range field.Names {
+					if m, ok := info.Defs[name].(*types.Func); ok {
+						out = append(out, m)
+					}
+				}
 			}
-		}
-	}
-	return out
-}
-
-// BoundedIndex answers per-line lookups of //insane:bounded annotations
-// for one package.
-type BoundedIndex struct {
-	byLine map[string]map[int]Bounded
-	all    []Bounded
-	// claimed marks annotations a loop looked up, so the analyzer can
-	// surface the stray ones that annotate nothing.
-	claimed map[token.Pos]bool
-}
-
-// NewBoundedIndex builds a BoundedIndex from the package's files.
-func NewBoundedIndex(fset *token.FileSet, files []*ast.File) *BoundedIndex {
-	idx := &BoundedIndex{
-		byLine:  make(map[string]map[int]Bounded),
-		claimed: make(map[token.Pos]bool),
-	}
-	for _, b := range BoundedAnnotations(fset, files) {
-		idx.all = append(idx.all, b)
-		lines := idx.byLine[b.File]
-		if lines == nil {
-			lines = make(map[int]Bounded)
-			idx.byLine[b.File] = lines
-		}
-		// An annotation covers its own line (trailing comment) and the
-		// next line (comment-above style), like //lint:ignore.
-		lines[b.Line] = b
-		lines[b.Line+1] = b
-	}
-	return idx
-}
-
-// At returns the annotation covering pos, marking it claimed.
-func (idx *BoundedIndex) At(pos token.Position) (Bounded, bool) {
-	b, ok := idx.byLine[pos.Filename][pos.Line]
-	if ok {
-		idx.claimed[b.Pos] = true
-	}
-	return b, ok
-}
-
-// Unclaimed returns the annotations no loop looked up — an annotation
-// that drifted away from its statement vouches for nothing and should
-// be surfaced rather than silently ignored.
-func (idx *BoundedIndex) Unclaimed() []Bounded {
-	var out []Bounded
-	for _, b := range idx.all {
-		if !idx.claimed[b.Pos] {
-			out = append(out, b)
-		}
+			return true
+		})
 	}
 	return out
 }

@@ -140,7 +140,7 @@ var y int
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := NewBoundedIndex(fset, []*ast.File{f})
+	idx := Scan(fset, []*ast.File{f}, ParseBounded)
 
 	// Line 5 (the statement under the first annotation) is covered.
 	if b, ok := idx.At(token.Position{Filename: "p.go", Line: 5}); !ok || b.By != "claimed below" {

@@ -2,7 +2,6 @@ package directive
 
 import (
 	"go/ast"
-	"go/token"
 	"strings"
 )
 
@@ -98,17 +97,7 @@ func (r Regime) Spec() string {
 }
 
 // HasShared reports whether the comment group carries //insane:shared.
-func HasShared(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if matchesMarker(strings.TrimSpace(c.Text), sharedMarker) {
-			return true
-		}
-	}
-	return false
-}
+func HasShared(doc *ast.CommentGroup) bool { return HasMarker(doc, sharedMarker) }
 
 // ParseGuardedBy extracts the //insane:guardedby specification from a
 // field's doc or line comment group. It returns the regime, whether a
@@ -187,83 +176,22 @@ func parseRegime(rest string) (Regime, string) {
 	return Regime{}, "unknown regime " + head + " (mu=, atomic, rcu=, confined, immutable are recognized)"
 }
 
-// UnguardedWaiver is one //insane:unguarded waiver.
-type UnguardedWaiver struct {
-	Pos    token.Pos
-	Line   int
+// Unguarded is one //insane:unguarded waiver; everything after the
+// marker is the mandatory reason.
+type Unguarded struct {
+	Anchor
 	Reason string
 }
 
-// UnguardedIndex collects a file set's //insane:unguarded waivers by
-// line, tracking which ones suppressed a finding so guardcheck can
-// report the stale remainder.
-type UnguardedIndex struct {
-	byLine  map[string]map[int]*UnguardedWaiver
-	claimed map[*UnguardedWaiver]bool
-	probs   []Problem
-}
-
-// NewUnguardedIndex scans the files' comments for //insane:unguarded
-// markers. A waiver covers its own line and the next one, exactly like
-// //lint:ignore.
-func NewUnguardedIndex(fset *token.FileSet, files []*ast.File) *UnguardedIndex {
-	idx := &UnguardedIndex{
-		byLine:  make(map[string]map[int]*UnguardedWaiver),
-		claimed: make(map[*UnguardedWaiver]bool),
+// ParseUnguarded interprets one comment as an unguarded waiver.
+func ParseUnguarded(text string) (*Unguarded, bool) {
+	text = strings.TrimSpace(text)
+	if !matchesMarker(text, unguardedMarker) {
+		return nil, false
 	}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				if !matchesMarker(text, unguardedMarker) {
-					continue
-				}
-				reason := strings.TrimSpace(strings.TrimPrefix(text, unguardedMarker))
-				if reason == "" {
-					idx.probs = append(idx.probs, Problem{Pos: c.Pos(), Msg: unguardedMarker + ": missing reason"})
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				w := &UnguardedWaiver{Pos: c.Pos(), Line: pos.Line, Reason: reason}
-				m := idx.byLine[pos.Filename]
-				if m == nil {
-					m = make(map[int]*UnguardedWaiver)
-					idx.byLine[pos.Filename] = m
-				}
-				m[pos.Line] = w
-			}
-		}
+	w := &Unguarded{Reason: strings.TrimSpace(strings.TrimPrefix(text, unguardedMarker))}
+	if w.Reason == "" {
+		w.Malformed = "missing reason"
 	}
-	return idx
-}
-
-// Waive reports whether a finding at pos is covered by a waiver on its
-// line or the line above, claiming the waiver.
-func (idx *UnguardedIndex) Waive(fset *token.FileSet, pos token.Pos) bool {
-	p := fset.Position(pos)
-	m := idx.byLine[p.Filename]
-	if m == nil {
-		return false
-	}
-	for _, line := range []int{p.Line, p.Line - 1} {
-		if w := m[line]; w != nil {
-			idx.claimed[w] = true
-			return true
-		}
-	}
-	return false
-}
-
-// Stale returns the waivers that never suppressed a finding, plus the
-// malformed ones, as problems.
-func (idx *UnguardedIndex) Stale() []Problem {
-	probs := append([]Problem(nil), idx.probs...)
-	for _, m := range idx.byLine {
-		for _, w := range m {
-			if !idx.claimed[w] {
-				probs = append(probs, Problem{Pos: w.Pos, Msg: "stale //insane:unguarded waiver: no regime finding on this or the next line (delete it or re-justify)"})
-			}
-		}
-	}
-	return probs
+	return w, true
 }

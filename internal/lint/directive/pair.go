@@ -102,6 +102,15 @@ type PairDirectives struct {
 	Waivers []PairWaiver
 }
 
+// The option grammars of the pair markers. A release is unconditional,
+// so its grammar knows on= only to say so.
+var (
+	resourceKey    = optKey{name: "resource", hint: "<name>"}
+	effectGrammar  = grammar{resourceKey, {name: "on", optional: true, enum: []string{"true", "nilerr"}}}
+	releaseGrammar = grammar{resourceKey, {name: "on", reject: "release effects are unconditional (drop on=)"}}
+	waiverGrammar  = grammar{resourceKey, {name: "by", hint: "<reason>", tail: true}}
+)
+
 // ParsePairDecl extracts the pair annotations from a declaration's doc
 // comment group, returning malformed ones as problems.
 func ParsePairDecl(doc *ast.CommentGroup) (PairDirectives, []Problem) {
@@ -110,105 +119,39 @@ func ParsePairDecl(doc *ast.CommentGroup) (PairDirectives, []Problem) {
 	if doc == nil {
 		return d, nil
 	}
+	markers := []struct {
+		marker string
+		g      grammar
+		kind   PairKind // of the effect; unused for the waiver
+	}{
+		{acquireMarker, effectGrammar, PairAcquire},
+		{releaseMarker, releaseGrammar, PairRelease},
+		{transferMarker, effectGrammar, PairTransfer},
+		{unbalancedMarker, waiverGrammar, 0},
+	}
 	for _, c := range doc.List {
 		text := strings.TrimSpace(c.Text)
-		var kind PairKind
-		var marker string
-		switch {
-		case matchesMarker(text, acquireMarker):
-			kind, marker = PairAcquire, acquireMarker
-		case matchesMarker(text, releaseMarker):
-			kind, marker = PairRelease, releaseMarker
-		case matchesMarker(text, transferMarker):
-			kind, marker = PairTransfer, transferMarker
-		case matchesMarker(text, unbalancedMarker):
-			w, msg := parseWaiver(strings.TrimPrefix(text, unbalancedMarker))
-			if msg != "" {
-				probs = append(probs, Problem{Pos: c.Pos(), Msg: unbalancedMarker + ": " + msg})
+		for _, m := range markers {
+			if !matchesMarker(text, m.marker) {
 				continue
 			}
-			d.Waivers = append(d.Waivers, w)
-			continue
-		default:
-			continue
+			vals, bad := m.g.parse(strings.TrimPrefix(text, m.marker))
+			switch {
+			case bad != "":
+				probs = append(probs, Problem{Pos: c.Pos(), Msg: m.marker + ": " + bad})
+			case m.marker == unbalancedMarker:
+				d.Waivers = append(d.Waivers, PairWaiver{Resource: vals["resource"], Reason: vals["by"]})
+			default:
+				e := PairEffect{Kind: m.kind, Resource: vals["resource"]}
+				switch vals["on"] {
+				case "true":
+					e.Cond = CondTrue
+				case "nilerr":
+					e.Cond = CondNilErr
+				}
+				d.Effects = append(d.Effects, e)
+			}
 		}
-		e, msg := parseEffect(kind, strings.TrimPrefix(text, marker))
-		if msg != "" {
-			probs = append(probs, Problem{Pos: c.Pos(), Msg: marker + ": " + msg})
-			continue
-		}
-		d.Effects = append(d.Effects, e)
 	}
 	return d, probs
-}
-
-// matchesMarker reports whether text is the marker, bare or with
-// options. Prefix matching alone would let //insane:released shadow
-// //insane:release.
-func matchesMarker(text, marker string) bool {
-	return text == marker || strings.HasPrefix(text, marker+" ")
-}
-
-// parseEffect interprets the options of one acquire/release/transfer
-// marker; rest is the text after the marker.
-func parseEffect(kind PairKind, rest string) (PairEffect, string) {
-	e := PairEffect{Kind: kind}
-	for _, f := range strings.Fields(rest) {
-		key, val, ok := strings.Cut(f, "=")
-		switch {
-		case !ok:
-			return e, "option " + f + " is not key=value"
-		case val == "":
-			return e, "empty value for " + key + "="
-		}
-		switch key {
-		case "resource":
-			e.Resource = val
-		case "on":
-			if kind == PairRelease {
-				return e, "release effects are unconditional (drop on=)"
-			}
-			switch val {
-			case "true":
-				e.Cond = CondTrue
-			case "nilerr":
-				e.Cond = CondNilErr
-			default:
-				return e, "unknown on= value " + val + " (only true and nilerr are recognized)"
-			}
-		default:
-			return e, "unknown key " + key + " (only resource= and on= are recognized)"
-		}
-	}
-	if e.Resource == "" {
-		return e, "missing resource=<name>"
-	}
-	return e, ""
-}
-
-// parseWaiver interprets the options of one //insane:unbalanced
-// marker; rest is the text after the marker. The by= reason runs to
-// the end of the line, so resource= must come first.
-func parseWaiver(rest string) (PairWaiver, string) {
-	rest = strings.TrimSpace(rest)
-	if rest == "" {
-		return PairWaiver{}, "missing resource=<name> and by=<reason>"
-	}
-	res, ok := strings.CutPrefix(rest, "resource=")
-	if !ok {
-		return PairWaiver{}, "resource=<name> must come first (the by= reason runs to end of line)"
-	}
-	name, rest, _ := strings.Cut(res, " ")
-	if name == "" {
-		return PairWaiver{}, "empty value for resource="
-	}
-	rest = strings.TrimSpace(rest)
-	reason, ok := strings.CutPrefix(rest, "by=")
-	switch {
-	case !ok:
-		return PairWaiver{}, "missing by=<reason>"
-	case strings.TrimSpace(reason) == "":
-		return PairWaiver{}, "empty reason after by="
-	}
-	return PairWaiver{Resource: name, Reason: strings.TrimSpace(reason)}, ""
 }

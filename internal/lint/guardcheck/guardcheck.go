@@ -150,7 +150,7 @@ func (s lockSet) add(h heldLock) { s[h.lockKey+"|"+h.base] = h }
 
 func (s lockSet) remove(lockKey, base string) { delete(s, lockKey+"|"+base) }
 
-func (s lockSet) clone() lockSet {
+func (s lockSet) Clone() lockSet {
 	out := make(lockSet, len(s))
 	for k, v := range s {
 		out[k] = v
@@ -158,22 +158,11 @@ func (s lockSet) clone() lockSet {
 	return out
 }
 
-func (s lockSet) replace(with lockSet) {
-	for k := range s {
-		delete(s, k)
-	}
-	for k, v := range with {
-		s[k] = v
-	}
-}
-
-// intersect keeps the locks held in every out-state, demoting mode to
-// read when any branch held only the read lock.
-func intersect(sets []lockSet) lockSet {
-	if len(sets) == 0 {
-		return lockSet{}
-	}
-	out := sets[0].clone()
+// Join is the must-hold merge: it keeps the locks held in every
+// out-state, demoting mode to read when any arm held only the read
+// lock.
+func (lockSet) Join(sets []lockSet) lockSet {
+	out := sets[0].Clone()
 	for _, s := range sets[1:] {
 		for k, v := range out {
 			o, ok := s[k]
@@ -259,7 +248,7 @@ func (f *fnInfo) addNeed(n Need) bool {
 // state is the per-package analysis state.
 type state struct {
 	pass      *analysis.Pass
-	idx       *directive.UnguardedIndex
+	idx       *directive.Lines[*directive.Unguarded]
 	fns       []*fnInfo
 	byObj     map[*types.Func]*fnInfo
 	accesses  []accessRec
@@ -272,7 +261,7 @@ type state struct {
 func run(pass *analysis.Pass) (interface{}, error) {
 	st := &state{
 		pass:      pass,
-		idx:       directive.NewUnguardedIndex(pass.Fset, pass.Files),
+		idx:       directive.Scan(pass.Fset, pass.Files, directive.ParseUnguarded),
 		byObj:     make(map[*types.Func]*fnInfo),
 		funcNames: make(map[string]bool),
 		goTargets: make(map[string]bool),
@@ -325,8 +314,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if obj != nil {
 				st.byObj[obj] = fi
 			}
-			w := &walker{st: st, fn: fi, fresh: make(map[types.Object]bool)}
-			w.stmts(fd.Body.List, lockSet{})
+			st.walkFunc(fi)
 		}
 	}
 
@@ -349,8 +337,17 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 
-	for _, p := range st.idx.Stale() {
-		pass.Reportf(p.Pos, "%s", p.Msg)
+	// A waiver must say why and must be needed: malformed ones and the
+	// ones that never suppressed a finding are findings themselves.
+	for _, w := range st.idx.All() {
+		if w.Malformed != "" {
+			pass.Reportf(w.Pos, "//insane:unguarded: %s", w.Malformed)
+		}
+	}
+	for _, w := range st.idx.Unclaimed() {
+		if w.Malformed == "" {
+			pass.Reportf(w.Pos, "stale //insane:unguarded waiver: no regime finding on this or the next line (delete it or re-justify)")
+		}
 	}
 	return nil, nil
 }
@@ -396,11 +393,9 @@ func (st *state) validate(structs []guardfacts.Struct) {
 func (st *state) resolveLockSpec(field *types.Var, owner guardfacts.Struct, arg string) (lockKey, lockName string, msg string) {
 	pkg := field.Pkg()
 	typeName, fieldName := owner.Name, arg
-	qualified := false
 	if t, f, ok := strings.Cut(arg, "."); ok {
-		typeName, fieldName, qualified = t, f, true
+		typeName, fieldName = t, f
 	}
-	_ = qualified
 	if pkg == nil {
 		return "", "", "field has no package"
 	}
@@ -417,7 +412,7 @@ func (st *state) resolveLockSpec(field *types.Var, owner guardfacts.Struct, arg 
 		if fv.Name() != fieldName {
 			continue
 		}
-		if !isMutexType(fv.Type()) {
+		if !callutil.IsMutex(fv.Type()) {
 			return "", "", typeName + "." + fieldName + " is not a sync.Mutex or sync.RWMutex"
 		}
 		return pkg.Path() + "." + typeName + "." + fieldName, arg, ""
@@ -436,19 +431,6 @@ func lockFor(field *types.Var, fact guardfacts.Regime) (lockKey, lockName string
 		return "", fact.R.Arg, qualified
 	}
 	return field.Pkg().Path() + "." + typeName + "." + fieldName, fact.R.Arg, qualified
-}
-
-func isMutexType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
 // confinedReach computes, for every confined owner function named in
@@ -476,24 +458,17 @@ func (st *state) confinedReach() map[string]map[*fnInfo]bool {
 	}
 	out := make(map[string]map[*fnInfo]bool, len(owners))
 	for owner := range owners {
-		seen := make(map[*fnInfo]bool)
-		var queue []*fnInfo
+		var roots []*fnInfo
 		for _, fi := range st.fns {
 			if fi.name == owner {
-				seen[fi] = true
-				queue = append(queue, fi)
+				roots = append(roots, fi)
 			}
 		}
-		for len(queue) > 0 {
-			fi := queue[0]
-			queue = queue[1:]
-			for _, next := range edges[fi] {
-				if !seen[next] {
-					seen[next] = true
-					queue = append(queue, next)
-				}
-			}
-		}
+		seen := make(map[*fnInfo]bool)
+		callutil.NewSearch(roots...).BFS(func(fi *fnInfo) []*fnInfo {
+			seen[fi] = true
+			return edges[fi]
+		})
 		out[owner] = seen
 	}
 	return out
@@ -649,7 +624,7 @@ func (st *state) report(pos token.Pos, format string, args ...interface{}) {
 		return
 	}
 	st.reported[key] = true
-	if st.idx.Waive(st.pass.Fset, pos) {
+	if w, ok := st.idx.At(st.pass.Fset.Position(pos)); ok && w.Malformed == "" {
 		return
 	}
 	st.pass.Reportf(pos, "%s", msg)

@@ -1,21 +1,22 @@
 package guardcheck
 
-// The walker is guardcheck's flow-sensitive half: it traverses one
-// function body tracking the set of locks held at every program point
-// (Lock/RLock, Unlock/RUnlock, deferred unlocks held to function end,
-// TryLock conditioned on its branch), which locals are provably fresh
-// (initialized from a composite literal or new() and not yet shared),
-// and whether execution is inside a spawned function literal. Every
-// touch of a guarded field and every static call is recorded with that
-// context for the resolution phases in guardcheck.go.
+// The walker is guardcheck's flow-sensitive half, a client of the shared
+// flow engine (internal/lint/flow): over one function body it tracks the
+// set of locks held at every program point (Lock/RLock, Unlock/RUnlock,
+// deferred unlocks held to function end, TryLock conditioned on its
+// branch), which locals are provably fresh (initialized from a composite
+// literal or new() and not yet shared), and whether execution is inside
+// a spawned function literal. Every touch of a guarded field and every
+// static call is recorded with that context for the resolution phases in
+// guardcheck.go.
 //
-// Accepted approximations, all on the conservative side for the access
-// proof (a lock is dropped from the set rather than invented): branch
-// merges intersect the held sets and demote to read mode when any arm
-// held only the read lock; a loop body starts from the loop-entry set;
-// a function literal that is not go-spawned inherits the current set
-// (closures stored and invoked later are not modeled); deferred calls
-// run with the set live at the defer statement.
+// The join is must-hold: where arms meet, the held sets are intersected
+// and a lock is demoted to read mode when any arm held only the read
+// lock — a lock is dropped from the set rather than invented. Beyond
+// the engine's own approximations: a function literal that is not
+// go-spawned inherits the current set (closures stored and invoked
+// later are not modeled); deferred calls run with the set live at the
+// defer statement.
 
 import (
 	"go/ast"
@@ -23,6 +24,7 @@ import (
 	"go/types"
 
 	"github.com/insane-mw/insane/internal/lint/callutil"
+	"github.com/insane-mw/insane/internal/lint/flow"
 	"github.com/insane-mw/insane/internal/lint/guardfacts"
 )
 
@@ -31,29 +33,37 @@ type walker struct {
 	fn      *fnInfo
 	fresh   map[types.Object]bool
 	goDepth int
+	eng     *flow.Walker[lockSet]
 }
 
 func (w *walker) info() *types.Info { return w.st.pass.TypesInfo }
 
-// stmts walks a statement list, returning true when the tail is
-// unreachable (every path returned, panicked or branched away).
-func (w *walker) stmts(list []ast.Stmt, held lockSet) bool {
-	for _, s := range list {
-		if w.stmt(s, held) {
-			return true
-		}
-	}
-	return false
+// walkFunc records every access and call of one function body.
+func (st *state) walkFunc(fi *fnInfo) {
+	w := &walker{st: st, fn: fi, fresh: make(map[types.Object]bool)}
+	w.eng = flow.New(flow.Hooks[lockSet]{
+		NoReturn: func(call *ast.CallExpr) bool { return callutil.NoReturn(w.info(), call) },
+		Stmt:     w.stmt,
+		Eval:     w.eval,
+		Branch: func(_ ast.Node, cond ast.Expr, held lockSet) (then, els lockSet) {
+			then, els = held.Clone(), held.Clone()
+			w.cond(cond, held, then, els)
+			return then, els
+		},
+		Exit: func(ret *ast.ReturnStmt, held lockSet) {
+			for _, e := range ret.Results {
+				w.expr(e, akRead, held)
+			}
+		},
+	})
+	w.eng.Walk(fi.decl.Body.List, lockSet{})
 }
 
-func (w *walker) stmt(s ast.Stmt, held lockSet) bool {
+// stmt applies one simple statement.
+func (w *walker) stmt(s ast.Stmt, held lockSet) {
 	switch s := s.(type) {
-	case nil, *ast.EmptyStmt:
 	case *ast.ExprStmt:
 		w.expr(s.X, akRead, held)
-		if call, ok := s.X.(*ast.CallExpr); ok && callutil.NoReturn(w.info(), call) {
-			return true
-		}
 	case *ast.SendStmt:
 		w.expr(s.Chan, akRead, held)
 		w.expr(s.Value, akRead, held)
@@ -75,102 +85,33 @@ func (w *walker) stmt(s ast.Stmt, held lockSet) bool {
 	case *ast.GoStmt:
 		w.goStmt(s, held)
 	case *ast.DeferStmt:
-		w.deferStmt(s, held)
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.expr(e, akRead, held)
+		if _, _, ok := w.mutexOp(s.Call); ok {
+			// defer mu.Unlock(): the lock stays held to function end; other
+			// deferred lock ops have no modeled effect.
+			return
 		}
-		return true
-	case *ast.BranchStmt:
-		return s.Tok != token.FALLTHROUGH
-	case *ast.BlockStmt:
-		return w.stmts(s.List, held)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
-	case *ast.IfStmt:
-		return w.ifStmt(s, held)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond, akRead, held)
-		}
-		body := held.clone()
-		w.stmts(s.Body.List, body)
-		if s.Post != nil {
-			w.stmt(s.Post, body)
-		}
-		// A for{} with no way out never reaches the code after it.
-		return s.Cond == nil && !hasBreak(s.Body)
-	case *ast.RangeStmt:
-		// Index-only range over an array reads no memory at all — len is
-		// a compile-time constant — so a bare selector there is not an
-		// access (the telemetry merge loops range atomic arrays this way).
-		if !(s.Value == nil && w.lenOnlyRange(s.X)) {
-			w.expr(s.X, akRead, held)
-		}
-		if s.Tok == token.ASSIGN {
-			if s.Key != nil {
-				w.expr(s.Key, akWrite, held)
-			}
-			if s.Value != nil {
-				w.expr(s.Value, akWrite, held)
-			}
-		}
-		body := held.clone()
-		w.stmts(s.Body.List, body)
-	case *ast.SwitchStmt:
-		return w.switchStmt(s.Init, s.Tag, nil, s.Body, held)
-	case *ast.TypeSwitchStmt:
-		return w.switchStmt(s.Init, nil, s.Assign, s.Body, held)
-	case *ast.SelectStmt:
-		var outs []lockSet
-		for _, cc := range s.Body.List {
-			c, ok := cc.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			arm := held.clone()
-			if c.Comm != nil {
-				w.stmt(c.Comm, arm)
-			}
-			if !w.stmts(c.Body, arm) {
-				outs = append(outs, arm)
-			}
-		}
-		if len(outs) == 0 {
-			return true
-		}
-		held.replace(intersect(outs))
+		w.expr(s.Call, akRead, held)
 	}
-	return false
 }
 
-func (w *walker) ifStmt(s *ast.IfStmt, held lockSet) bool {
-	if s.Init != nil {
-		w.stmt(s.Init, held)
+// eval applies an expression a control statement evaluates. A range
+// statement also assigns its key and value.
+func (w *walker) eval(at ast.Node, e ast.Expr, held lockSet) {
+	s, isRange := at.(*ast.RangeStmt)
+	if !isRange {
+		w.expr(e, akRead, held)
+		return
 	}
-	thenHeld := held.clone()
-	elseHeld := held.clone()
-	w.cond(s.Cond, held, thenHeld, elseHeld)
-	bterm := w.stmts(s.Body.List, thenHeld)
-	eterm := false
-	if s.Else != nil {
-		eterm = w.stmt(s.Else, elseHeld)
+	// Index-only range over an array reads no memory at all — len is
+	// a compile-time constant — so a bare selector there is not an
+	// access (the telemetry merge loops range atomic arrays this way).
+	if !(s.Value == nil && w.lenOnlyRange(s.X)) {
+		w.expr(s.X, akRead, held)
 	}
-	var outs []lockSet
-	if !bterm {
-		outs = append(outs, thenHeld)
+	if s.Tok == token.ASSIGN {
+		w.expr(s.Key, akWrite, held)
+		w.expr(s.Value, akWrite, held)
 	}
-	if s.Else == nil || !eterm {
-		outs = append(outs, elseHeld)
-	}
-	if len(outs) == 0 {
-		return true
-	}
-	held.replace(intersect(outs))
-	return false
 }
 
 // cond walks a branch condition, threading TryLock/TryRLock results
@@ -190,67 +131,30 @@ func (w *walker) cond(e ast.Expr, held, thenHeld, elseHeld lockSet) {
 		switch x.Op {
 		case token.LAND:
 			// then-arm means both operands were true.
-			scratch := held.clone()
+			scratch := held.Clone()
 			w.cond(x.X, held, thenHeld, scratch)
 			w.cond(x.Y, held, thenHeld, scratch)
 			return
 		case token.LOR:
 			// else-arm means both operands were false.
-			scratch := held.clone()
+			scratch := held.Clone()
 			w.cond(x.X, held, scratch, elseHeld)
 			w.cond(x.Y, held, scratch, elseHeld)
 			return
 		}
 	case *ast.CallExpr:
-		if op, lk, base, ok := w.mutexOp(x); ok {
-			switch op {
+		if verb, h, ok := w.mutexOp(x); ok {
+			switch verb {
 			case "TryLock":
-				thenHeld.add(heldLock{lockKey: lk, base: base, write: true})
+				h.write = true
+				thenHeld.add(h)
 			case "TryRLock":
-				thenHeld.add(heldLock{lockKey: lk, base: base, write: false})
+				thenHeld.add(h)
 			}
 			return
 		}
 	}
 	w.expr(e, akRead, held)
-}
-
-func (w *walker) switchStmt(init ast.Stmt, tag ast.Expr, assign ast.Stmt, body *ast.BlockStmt, held lockSet) bool {
-	if init != nil {
-		w.stmt(init, held)
-	}
-	if tag != nil {
-		w.expr(tag, akRead, held)
-	}
-	if assign != nil {
-		w.stmt(assign, held)
-	}
-	var outs []lockSet
-	hasDefault := false
-	for _, cc := range body.List {
-		c, ok := cc.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if c.List == nil {
-			hasDefault = true
-		}
-		for _, e := range c.List {
-			w.expr(e, akRead, held)
-		}
-		arm := held.clone()
-		if !w.stmts(c.Body, arm) {
-			outs = append(outs, arm)
-		}
-	}
-	if !hasDefault {
-		outs = append(outs, held.clone())
-	}
-	if len(outs) == 0 {
-		return true
-	}
-	held.replace(intersect(outs))
-	return false
 }
 
 func (w *walker) declStmt(s *ast.DeclStmt, held lockSet) {
@@ -283,7 +187,7 @@ func (w *walker) goStmt(s *ast.GoStmt, held lockSet) {
 	}
 	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
 		w.goDepth++
-		w.stmts(lit.Body.List, lockSet{})
+		w.eng.Walk(lit.Body.List, lockSet{})
 		w.goDepth--
 		return
 	}
@@ -297,16 +201,6 @@ func (w *walker) goStmt(s *ast.GoStmt, held lockSet) {
 			held: lockSet{}, recvCanon: recvCanon, recvFresh: recvFresh, isGo: true,
 		})
 	}
-}
-
-func (w *walker) deferStmt(s *ast.DeferStmt, held lockSet) {
-	if op, _, _, ok := w.mutexOp(s.Call); ok {
-		// defer mu.Unlock(): the lock stays held to function end; other
-		// deferred lock ops have no modeled effect.
-		_ = op
-		return
-	}
-	w.expr(s.Call, akRead, held)
 }
 
 // expr walks an expression, recording guarded-field touches with the
@@ -380,7 +274,7 @@ func (w *walker) expr(e ast.Expr, kind accessKind, held lockSet) {
 			w.expr(kv.Value, akRead, held)
 		}
 	case *ast.FuncLit:
-		w.stmts(e.Body.List, held.clone())
+		w.eng.Walk(e.Body.List, held.Clone())
 	}
 }
 
@@ -389,14 +283,15 @@ func (w *walker) expr(e ast.Expr, kind accessKind, held lockSet) {
 // hand-off, method receivers record akMethod accesses, and the static
 // callee is recorded for need resolution.
 func (w *walker) call(e *ast.CallExpr, held lockSet) {
-	if op, lk, base, ok := w.mutexOp(e); ok {
-		switch op {
+	if verb, h, ok := w.mutexOp(e); ok {
+		switch verb {
 		case "Lock":
-			held.add(heldLock{lockKey: lk, base: base, write: true})
+			h.write = true
+			held.add(h)
 		case "RLock":
-			held.add(heldLock{lockKey: lk, base: base, write: false})
+			held.add(h)
 		case "Unlock", "RUnlock":
-			held.remove(lk, base)
+			held.remove(h.lockKey, h.base)
 			// TryLock outside an if-condition has no modeled effect.
 		}
 		return
@@ -422,7 +317,7 @@ func (w *walker) call(e *ast.CallExpr, held lockSet) {
 		}
 	case *ast.FuncLit:
 		// Immediately invoked literal: runs here, under the current set.
-		w.stmts(fun.Body.List, held.clone())
+		w.eng.Walk(fun.Body.List, held.Clone())
 	default:
 		w.expr(e.Fun, akRead, held)
 	}
@@ -437,7 +332,7 @@ func (w *walker) call(e *ast.CallExpr, held lockSet) {
 		recvCanon, recvFresh := w.callReceiver(e)
 		w.st.calls = append(w.st.calls, callRec{
 			fn: w.fn, callee: callee, pos: e.Pos(),
-			held: held.clone(), recvCanon: recvCanon, recvFresh: recvFresh,
+			held: held.Clone(), recvCanon: recvCanon, recvFresh: recvFresh,
 		})
 	}
 }
@@ -488,7 +383,7 @@ func (w *walker) recordSel(sel *ast.SelectorExpr, kind accessKind, method string
 	}
 	w.st.accesses = append(w.st.accesses, accessRec{
 		fn: w.fn, field: obj, fact: fact, kind: kind, method: method,
-		pos: sel.Sel.Pos(), held: held.clone(),
+		pos: sel.Sel.Pos(), held: held.Clone(),
 		base:  types.ExprString(ast.Unparen(sel.X)),
 		fresh: w.isFresh(sel.X), inGo: w.goDepth > 0,
 	})
@@ -509,61 +404,26 @@ func (w *walker) baseKind(kind accessKind, base ast.Expr) accessKind {
 	return kind
 }
 
-// mutexOp recognizes a sync.Mutex/RWMutex method call, returning the
-// operation name and the lock's identity key plus canonical base.
-func (w *walker) mutexOp(call *ast.CallExpr) (op, lockKey, base string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", "", false
+// mutexOp recognizes a sync.Mutex/RWMutex method call and names its
+// lock operand: a struct field lock keys as "pkgpath.Type.field" with
+// the receiver expression as base, a plain variable (package-level or
+// local mutex) keys by its object. The mode is left for the caller,
+// which knows what the verb means where it stands.
+func (w *walker) mutexOp(call *ast.CallExpr) (verb string, h heldLock, ok bool) {
+	m, ok := callutil.MutexCall(w.info(), call)
+	if !ok {
+		return "", h, false
 	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
+	switch {
+	case m.Field != "":
+		h.lockKey, _ = m.Class()
+		h.base = types.ExprString(ast.Unparen(m.Base))
+	case m.Var.Pkg() != nil && m.Var.Parent() == m.Var.Pkg().Scope():
+		h.lockKey = m.Var.Pkg().Path() + ".var." + m.Var.Name()
 	default:
-		return "", "", "", false
+		h.lockKey = "local." + m.Var.Name()
 	}
-	tv, hasType := w.info().Types[sel.X]
-	if !hasType || !isMutexType(tv.Type) {
-		return "", "", "", false
-	}
-	lockKey, base = w.lockIdent(sel.X)
-	if lockKey == "" {
-		return "", "", "", false
-	}
-	return sel.Sel.Name, lockKey, base, true
-}
-
-// lockIdent names a lock operand: a struct field lock keys as
-// "pkgpath.Type.field" with the receiver expression as base, a plain
-// variable (package-level or local mutex) keys by its object.
-func (w *walker) lockIdent(e ast.Expr) (lockKey, base string) {
-	e = ast.Unparen(e)
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		s, ok := w.info().Selections[x]
-		if !ok || s.Kind() != types.FieldVal {
-			return "", ""
-		}
-		t := s.Recv()
-		if p, isPtr := t.(*types.Pointer); isPtr {
-			t = p.Elem()
-		}
-		named, isNamed := t.(*types.Named)
-		if !isNamed || named.Obj().Pkg() == nil {
-			return "", ""
-		}
-		return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + x.Sel.Name,
-			types.ExprString(ast.Unparen(x.X))
-	case *ast.Ident:
-		obj := w.info().Uses[x]
-		if obj == nil {
-			return "", ""
-		}
-		if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-			return obj.Pkg().Path() + ".var." + obj.Name(), ""
-		}
-		return "local." + obj.Name(), ""
-	}
-	return "", ""
+	return m.Verb, h, h.lockKey != ""
 }
 
 // markFresh records locals born from a composite literal or new():
@@ -612,43 +472,6 @@ func freshInit(e ast.Expr) bool {
 		return ok && id.Name == "new"
 	}
 	return false
-}
-
-// hasBreak reports a break belonging to this loop (not to a nested
-// loop, switch or select, where break targets the inner statement).
-func hasBreak(body *ast.BlockStmt) bool {
-	found := false
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch s := n.(type) {
-		case *ast.BranchStmt:
-			if s.Tok == token.BREAK {
-				found = true
-				return false
-			}
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SelectStmt, *ast.FuncLit:
-			return false
-		case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-			return false
-		}
-		return true
-	}
-	ast.Inspect(body, walk)
-	// A labeled break inside a nested statement can still target this
-	// loop; treat any labeled break as an exit.
-	if !found {
-		ast.Inspect(body, func(n ast.Node) bool {
-			if s, ok := n.(*ast.BranchStmt); ok && s.Tok == token.BREAK && s.Label != nil {
-				found = true
-				return false
-			}
-			return !found
-		})
-	}
-	return found
 }
 
 // lenOnlyRange reports whether ranging x with no value variable touches

@@ -17,6 +17,7 @@ import (
 	"go/types"
 
 	"github.com/insane-mw/insane/internal/lint/analysis"
+	"github.com/insane-mw/insane/internal/lint/callutil"
 	"github.com/insane-mw/insane/internal/lint/directive"
 )
 
@@ -153,20 +154,5 @@ func Lookup(pass *analysis.Pass, v *types.Var) (Regime, bool) {
 // exemptType reports a sync primitive: the machinery a regime is built
 // from rather than data needing one.
 func exemptType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		if ptr, ok := t.(*types.Pointer); ok {
-			return exemptType(ptr.Elem())
-		}
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	switch obj.Name() {
-	case "Mutex", "RWMutex", "WaitGroup", "Once":
-		return true
-	}
-	return false
+	return callutil.IsNamed(callutil.Deref(t), "sync", "Mutex", "RWMutex", "WaitGroup", "Once")
 }

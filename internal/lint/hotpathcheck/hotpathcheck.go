@@ -57,7 +57,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"github.com/insane-mw/insane/internal/lint/analysis"
 	"github.com/insane-mw/insane/internal/lint/callutil"
@@ -127,27 +126,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	// trusted boundaries (datapath.Endpoint.Send, timebase.Clock.Now).
 	// They are exported before any body is scanned, so a body in one
 	// file can call a trusted method declared in another.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			it, ok := n.(*ast.InterfaceType)
-			if !ok || it.Methods == nil {
-				return true
-			}
-			for _, field := range it.Methods.List {
-				if len(field.Names) == 0 {
-					continue // embedded interface
-				}
-				if !directive.HasMarker(field.Doc, directive.HotMarker) && !directive.HasMarker(field.Comment, directive.HotMarker) {
-					continue
-				}
-				for _, name := range field.Names {
-					if m, ok := pass.TypesInfo.Defs[name].(*types.Func); ok {
-						pass.ExportObjectFact(m, &Summary{Trusted: true})
-					}
-				}
-			}
-			return true
-		})
+	for _, m := range directive.HotInterfaceMethods(pass.Files, pass.TypesInfo) {
+		pass.ExportObjectFact(m, &Summary{Trusted: true})
 	}
 
 	// Phase 1b: summarize every function declaration and export the
@@ -183,18 +163,14 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	qual := types.RelativeTo(pass.Pkg)
 	reported := make(map[token.Pos]bool)
 	for _, r := range roots {
-		parent := map[*types.Func]*types.Func{}
-		seen := map[*types.Func]bool{r.fn: true}
-		queue := []*types.Func{r.fn}
-		for len(queue) > 0 {
-			fn := queue[0]
-			queue = queue[1:]
+		search := callutil.NewSearch(r.fn)
+		search.BFS(func(fn *types.Func) []*types.Func {
 			var sum Summary
 			if !pass.ImportObjectFact(fn, &sum) {
-				continue // classified at the call site during scanning
+				return nil // classified at the call site during scanning
 			}
 			if sum.Cold || sum.Trusted {
-				continue
+				return nil
 			}
 			for _, op := range sum.Ops {
 				if r.allowBlock && op.Sev == SevBlock {
@@ -206,37 +182,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				reported[op.Pos] = true
 				pass.Report(analysis.Diagnostic{
 					Pos:     op.Pos,
-					Message: fmt.Sprintf("%s [%s]%s", op.Msg, op.Sev, chainSuffix(r.fn, fn, parent, qual)),
+					Message: fmt.Sprintf("%s [%s]%s", op.Msg, op.Sev, callutil.HotChainSuffix(search.Chain(fn), qual)),
 				})
 			}
-			for _, callee := range sum.Calls {
-				if !seen[callee] {
-					seen[callee] = true
-					parent[callee] = fn
-					queue = append(queue, callee)
-				}
-			}
-		}
+			return sum.Calls
+		})
 	}
 	return nil, nil
-}
-
-// chainSuffix renders the call chain from root to the function holding
-// the op, for the diagnostic message.
-func chainSuffix(rootFn, fn *types.Func, parent map[*types.Func]*types.Func, qual types.Qualifier) string {
-	if fn == rootFn {
-		return " in hot-path root " + callutil.FuncName(rootFn, qual)
-	}
-	var chain []string
-	for f := fn; f != nil; f = parent[f] {
-		chain = append(chain, callutil.FuncName(f, qual))
-		if f == rootFn {
-			break
-		}
-	}
-	// Reverse into root→...→fn order.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return fmt.Sprintf(" reachable from hot-path root %s: %s", callutil.FuncName(rootFn, qual), strings.Join(chain, " -> "))
 }

@@ -185,10 +185,10 @@ func RunWithInfo(ldr *loader.Loader, pkgs []*loader.Package, analyzers []*analys
 	}
 
 	if len(whole) > 0 {
-		closure, err := dependencyClosure(ldr, pkgs)
-		if err != nil {
-			return nil, info, err
+		if ldr == nil {
+			return nil, info, fmt.Errorf("lint: a whole-program analyzer requires a loader")
 		}
+		closure := ldr.Closure(pkgs...)
 		info.ClosurePackages = len(closure)
 		for _, a := range whole {
 			store := analysis.NewFactStore()
@@ -212,63 +212,4 @@ func RunWithInfo(ldr *loader.Loader, pkgs []*loader.Package, analyzers []*analys
 		return a.Message < b.Message
 	})
 	return out, info, nil
-}
-
-// dependencyClosure expands pkgs with their in-module imports (loaded
-// through ldr while type-checking) and returns the closure sorted
-// dependencies-first.
-func dependencyClosure(ldr *loader.Loader, pkgs []*loader.Package) ([]*loader.Package, error) {
-	if ldr == nil {
-		return nil, fmt.Errorf("lint: a whole-program analyzer requires a loader")
-	}
-	byPath := make(map[string]*loader.Package)
-	var visit func(pkg *loader.Package)
-	visit = func(pkg *loader.Package) {
-		if byPath[pkg.Path] != nil {
-			return
-		}
-		byPath[pkg.Path] = pkg
-		for _, imp := range pkg.Types.Imports() {
-			if dep, ok := ldr.ByPath(imp.Path()); ok {
-				visit(dep)
-			}
-		}
-	}
-	for _, pkg := range pkgs {
-		visit(pkg)
-	}
-
-	// Topological order via depth-first post-order over imports.
-	var order []*loader.Package
-	state := make(map[string]int) // 0 unvisited, 1 in progress, 2 done
-	var topo func(pkg *loader.Package) error
-	topo = func(pkg *loader.Package) error {
-		switch state[pkg.Path] {
-		case 1:
-			return fmt.Errorf("lint: import cycle through %s", pkg.Path)
-		case 2:
-			return nil
-		}
-		state[pkg.Path] = 1
-		for _, imp := range pkg.Types.Imports() {
-			if dep := byPath[imp.Path()]; dep != nil {
-				if err := topo(dep); err != nil {
-					return err
-				}
-			}
-		}
-		state[pkg.Path] = 2
-		order = append(order, pkg)
-		return nil
-	}
-	// Stable iteration: requested packages arrive sorted from the
-	// loader; closure members are reached deterministically from them.
-	for _, pkg := range pkgs {
-		if err := topo(pkg); err != nil {
-			return nil, err
-		}
-	}
-	// Closure members not reachable via topo from pkgs cannot exist
-	// (visit and topo walk the same edges), so order is complete.
-	return order, nil
 }

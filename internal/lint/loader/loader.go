@@ -181,6 +181,35 @@ func (l *Loader) ByPath(path string) (*Package, bool) {
 	return e.pkg, true
 }
 
+// Closure expands pkgs with the in-module packages they import, directly
+// or not (loaded while type-checking them), and returns the closure
+// sorted dependencies-first. The order is deterministic: requested
+// packages arrive sorted from the loader and imports are followed in
+// the type-checker's order. A loaded package graph has no cycles —
+// LoadDir refuses them — so a depth-first post-order is a topological
+// one.
+func (l *Loader) Closure(pkgs ...*Package) []*Package {
+	var order []*Package
+	seen := make(map[string]bool)
+	var visit func(p *Package)
+	visit = func(p *Package) {
+		if seen[p.Path] {
+			return
+		}
+		seen[p.Path] = true
+		for _, imp := range p.Types.Imports() {
+			if dep, ok := l.ByPath(imp.Path()); ok {
+				visit(dep)
+			}
+		}
+		order = append(order, p)
+	}
+	for _, p := range pkgs {
+		visit(p)
+	}
+	return order
+}
+
 // resolve maps patterns to the sorted list of candidate directories.
 func (l *Loader) resolve(patterns []string) ([]string, error) {
 	var dirs []string
@@ -239,7 +268,8 @@ func (l *Loader) pathFor(dir string) string {
 }
 
 // walk collects package directories below base, skipping testdata,
-// hidden and underscore-prefixed directories.
+// hidden and underscore-prefixed directories, and — as `go build ./...`
+// does — any subdirectory that is the root of another module.
 func (l *Loader) walk(base string, add func(string)) error {
 	return filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -250,6 +280,9 @@ func (l *Loader) walk(base string, add func(string)) error {
 		}
 		name := d.Name()
 		if path != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); path != base && err == nil {
 			return filepath.SkipDir
 		}
 		add(path)

@@ -1,6 +1,8 @@
 package loader_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -66,5 +68,43 @@ func TestWalkSkipsTestdata(t *testing.T) {
 	}
 	if len(pkgs) < 8 {
 		t.Errorf("expected the full lint subtree, got %d packages", len(pkgs))
+	}
+}
+
+// TestWalkSkipsNestedModules: a subdirectory with its own go.mod is
+// another module, not part of ./... — its packages (here one that does
+// not even type-check against this module) are neither loaded nor
+// reported as unloadable.
+func TestWalkSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module example.com/outer\n\ngo 1.22\n")
+	write("a/a.go", "package a\n\nfunc A() {}\n")
+	write("nested/go.mod", "module example.com/nested\n\ngo 1.22\n")
+	write("nested/n.go", "package nested\n\nimport \"example.com/nested/missing\"\n\nvar _ = missing.X\n")
+	write("nested/deep/d.go", "package deep\n")
+
+	ldr, err := loader.New(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, skipped, err := ldr.LoadAll("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "example.com/outer/a" {
+		t.Errorf("loaded %v, want only example.com/outer/a", pkgs)
+	}
+	if len(skipped) != 0 {
+		t.Errorf("nested module reported as unloadable: %v", skipped)
 	}
 }

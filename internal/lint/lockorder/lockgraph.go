@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"github.com/insane-mw/insane/internal/lint/analysis"
+	"github.com/insane-mw/insane/internal/lint/callutil"
 )
 
 // edge is one acquired-after relation in the global lock graph: while
@@ -157,34 +158,30 @@ func checkCycles(pass *analysis.Pass, cycleSeen map[string]bool) {
 // findPath returns the edges of a shortest path from lock class `from`
 // to `to` in the acquired-after graph, or nil when unreachable.
 func findPath(adj map[string][]edge, from, to string) []edge {
-	if from == to {
-		return []edge{}
+	search := callutil.NewSearch(from)
+	search.BFS(func(id string) []string {
+		next := make([]string, len(adj[id]))
+		for i, e := range adj[id] {
+			next[i] = e.to.ID
+		}
+		return next
+	})
+	if !search.Seen(to) {
+		return nil
 	}
-	parent := make(map[string]edge)
-	visited := map[string]bool{from: true}
-	queue := []string{from}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range adj[cur] {
-			if visited[e.to.ID] {
-				continue
+	// The search reached each class through the first edge listed for
+	// its parent, so that edge is the one on the path.
+	path := []edge{}
+	chain := search.Chain(to)
+	for i, id := range chain[1:] {
+		for _, e := range adj[chain[i]] {
+			if e.to.ID == id {
+				path = append(path, e)
+				break
 			}
-			visited[e.to.ID] = true
-			parent[e.to.ID] = e
-			if e.to.ID == to {
-				var path []edge
-				for at := to; at != from; {
-					p := parent[at]
-					path = append([]edge{p}, path...)
-					at = p.from.ID
-				}
-				return path
-			}
-			queue = append(queue, e.to.ID)
 		}
 	}
-	return nil
+	return path
 }
 
 // funcDisp renders a function for chain text: "core.send" or

@@ -38,11 +38,14 @@
 // export no summary: a goroutine body's acquisition order is analyzed
 // where its named callees are defined.
 //
-// The per-function analysis is branch-aware and sequential: lock state
-// forks at branches, and a branch that cannot terminate the function
-// (no return/panic on its tail) merges the locks it still holds back
-// into the fall-through state — a deferred Unlock keeps its lock held
-// until the function returns, which is exactly how deadlocks happen.
+// The per-function analysis runs on the shared flow engine
+// (internal/lint/flow) with a may-hold join: lock state forks at
+// branches, and every arm that can fall out of a construct (or break
+// out of a loop) adds the locks it still holds to the fall-through
+// state — taking the arm is always possible, so any order established
+// inside it is established, period. A deferred Unlock keeps its lock
+// held until the function returns, which is exactly how deadlocks
+// happen.
 package lockorder
 
 import (
@@ -53,6 +56,8 @@ import (
 	"strings"
 
 	"github.com/insane-mw/insane/internal/lint/analysis"
+	"github.com/insane-mw/insane/internal/lint/callutil"
+	"github.com/insane-mw/insane/internal/lint/flow"
 )
 
 // Analyzer is the lockorder rule.
@@ -160,12 +165,26 @@ type scanner struct {
 // held tracks the mutexes currently locked during the scan.
 type held map[string]lockEvent
 
-func (h held) clone() held {
+func (h held) Clone() held {
 	c := make(held, len(h))
 	for k, v := range h {
 		c[k] = v
 	}
 	return c
+}
+
+// Join is the may-hold union: locks an arm still holds where it rejoins
+// (a Lock with a deferred or missing Unlock) stay held in the
+// fall-through.
+func (h held) Join(outs []held) held {
+	for _, out := range outs {
+		for k, ev := range out {
+			if _, ok := h[k]; !ok {
+				h[k] = ev
+			}
+		}
+	}
+	return h
 }
 
 // refs returns the distinct lock classes held, sorted by ID.
@@ -207,8 +226,15 @@ func (s *scanner) checkFunc(body *ast.BlockStmt) {
 		}
 	}
 
-	// Rules 1 and 3 plus summary collection: branch-aware scan.
-	s.scanBlock(body.List, make(held))
+	// Rules 1 and 3 plus summary collection: path-sensitive walk.
+	flow.New(flow.Hooks[held]{
+		NoReturn: func(call *ast.CallExpr) bool { return callutil.NoReturn(s.pass.TypesInfo, call) },
+		Stmt:     s.scanStmt,
+		Eval:     func(_ ast.Node, e ast.Expr, h held) { s.applyExpr(e, h, false) },
+		Exit:     s.scanReturn,
+		// What a lap leaves locked is still locked after the loop.
+		IterEnd: func(ast.Stmt, int, token.Pos, held) bool { return true },
+	}).Walk(body.List, make(held))
 }
 
 // collect gathers the lock events of a function body in source order,
@@ -229,137 +255,30 @@ func collect(pass *analysis.Pass, body *ast.BlockStmt) []lockEvent {
 	return out
 }
 
-// mutexCall recognizes a Lock/Unlock-family call on a selector whose
-// receiver is a sync.Mutex or sync.RWMutex field.
+// mutexCall recognizes a Lock/Unlock-family call on a mutex that is a
+// struct field with a trackable owner chain. The rule is deliberately
+// narrower than the shared recogniser: TryLock never blocks, so it
+// orders nothing, and a local or package-level mutex has no owner to
+// compare or class to put in the global graph.
 func mutexCall(pass *analysis.Pass, call *ast.CallExpr) (lockEvent, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	op, ok := callutil.MutexCall(pass.TypesInfo, call)
+	if !ok || op.Field == "" || strings.HasPrefix(op.Verb, "Try") {
 		return lockEvent{}, false
 	}
-	verb := sel.Sel.Name
-	switch verb {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return lockEvent{}, false
-	}
-	recv, ok := sel.X.(*ast.SelectorExpr) // field access: owner.mutexField
-	if !ok {
-		return lockEvent{}, false
-	}
-	if !isSyncMutex(pass.TypesInfo.Types[sel.X].Type) {
-		return lockEvent{}, false
-	}
-	key := canon(sel.X)
+	key := callutil.Canon(op.X)
 	if key == "" {
 		return lockEvent{}, false
 	}
-	var ownerType types.Type
-	if tv, ok := pass.TypesInfo.Types[recv.X]; ok {
-		ownerType = tv.Type
-	}
-	return lockEvent{
-		call:  call,
-		verb:  verb,
-		key:   key,
-		field: recv.Sel.Name,
-		base:  canon(recv.X),
-		typ:   ownerType,
-		ref:   lockRefOf(ownerType, recv.Sel.Name),
-	}, true
+	ev := lockEvent{call: call, verb: op.Verb, key: key, field: op.Field, base: callutil.Canon(op.Base), typ: op.Owner}
+	ev.ref.ID, ev.ref.Disp = op.Class()
+	return ev, true
 }
 
-// lockRefOf builds the global identity of a mutex field from its
-// owner's type, or the zero LockRef for unnamed owners.
-func lockRefOf(owner types.Type, field string) LockRef {
-	if owner == nil {
-		return LockRef{}
-	}
-	if p, ok := owner.Underlying().(*types.Pointer); ok {
-		owner = p.Elem()
-	}
-	named, ok := owner.(*types.Named)
-	if !ok {
-		return LockRef{}
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return LockRef{}
-	}
-	return LockRef{
-		ID:   obj.Pkg().Path() + "." + obj.Name() + "." + field,
-		Disp: obj.Pkg().Name() + "." + obj.Name() + "." + field,
-	}
-}
-
-// isSyncMutex reports whether t is sync.Mutex or sync.RWMutex.
-func isSyncMutex(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
-// scanBlock applies rules 1 and 3 over a statement list: sequential
-// lock state within the block, copies for branches. It reports whether
-// the block always terminates the function (return/panic on every
-// path), so callers know not to merge its lock state back.
-func (s *scanner) scanBlock(stmts []ast.Stmt, h held) bool {
-	for _, st := range stmts {
-		if s.scanStmt(st, h) {
-			return true
-		}
-	}
-	return false
-}
-
-// branch scans a branch body into a fork of h; locks a non-terminating
-// branch still holds at its end (a Lock with a deferred or missing
-// Unlock) stay held in the fall-through — taking the branch is always
-// possible, so any order established inside it is established, period.
-func (s *scanner) branch(stmts []ast.Stmt, h held) bool {
-	hb := h.clone()
-	terminated := s.scanBlock(stmts, hb)
-	if !terminated {
-		for k, ev := range hb {
-			if _, ok := h[k]; !ok {
-				h[k] = ev
-			}
-		}
-	}
-	return terminated
-}
-
-func (s *scanner) scanStmt(st ast.Stmt, h held) bool {
+// scanStmt applies one simple statement to the held set.
+func (s *scanner) scanStmt(st ast.Stmt, h held) {
 	switch st := st.(type) {
 	case *ast.ExprStmt:
 		s.applyExpr(st.X, h, false)
-		return isTerminalCall(s.pass, st.X)
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			s.applyExpr(e, h, false)
-		}
-		// Rule 3: an explicit return leaks every held lock whose Unlock
-		// is not deferred.
-		keys := make([]string, 0, len(h))
-		for k := range h {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if !h[k].deferredUnlock {
-				s.pass.Reportf(st.Pos(), "return while still holding %s (the Unlock below is skipped on this path; defer it at the Lock)", k)
-			}
-		}
-		return true
-	case *ast.BranchStmt:
-		// break/continue/goto leave the block; nothing after them on
-		// this path.
-		return true
 	case *ast.DeferStmt:
 		// A deferred Unlock releases only at return: the mutex stays
 		// held for everything that follows in this function.
@@ -368,61 +287,27 @@ func (s *scanner) scanStmt(st ast.Stmt, h held) bool {
 		for _, e := range st.Rhs {
 			s.applyExpr(e, h, false)
 		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			s.scanStmt(st.Init, h)
-		}
-		s.applyExpr(st.Cond, h, false)
-		bodyTerm := s.branch(st.Body.List, h)
-		elseTerm := false
-		if st.Else != nil {
-			switch e := st.Else.(type) {
-			case *ast.BlockStmt:
-				elseTerm = s.branch(e.List, h)
-			default:
-				elseTerm = s.branch([]ast.Stmt{e}, h)
-			}
-		}
-		return bodyTerm && elseTerm && st.Else != nil
-	case *ast.ForStmt:
-		if st.Init != nil {
-			s.scanStmt(st.Init, h)
-		}
-		if st.Cond != nil {
-			s.applyExpr(st.Cond, h, false)
-		}
-		s.branch(st.Body.List, h)
-	case *ast.RangeStmt:
-		s.applyExpr(st.X, h, false)
-		s.branch(st.Body.List, h)
-	case *ast.BlockStmt:
-		return s.scanBlock(st.List, h)
-	case *ast.SwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.branch(cc.Body, h)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.branch(cc.Body, h)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				s.branch(cc.Body, h)
-			}
-		}
-	case *ast.GoStmt:
-		// The spawned goroutine runs concurrently: the spawner's held
-		// set does not order its acquisitions (its named callees are
-		// summarized on their own).
-	case *ast.LabeledStmt:
-		return s.scanStmt(st.Stmt, h)
 	}
-	return false
+	// A go statement orders nothing: the spawned goroutine runs
+	// concurrently (its named callees are summarized on their own).
+}
+
+// scanReturn is rule 3: an explicit return leaks every held lock whose
+// Unlock is not deferred.
+func (s *scanner) scanReturn(ret *ast.ReturnStmt, h held) {
+	for _, e := range ret.Results {
+		s.applyExpr(e, h, false)
+	}
+	keys := make([]string, 0, len(h))
+	for k := range h {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if !h[k].deferredUnlock {
+			s.pass.Reportf(ret.Pos(), "return while still holding %s (the Unlock below is skipped on this path; defer it at the Lock)", k)
+		}
+	}
 }
 
 // applyExpr updates the held set with every mutex call in the
@@ -481,7 +366,7 @@ func (s *scanner) recordCall(call *ast.CallExpr, h held) {
 	if s.sum == nil {
 		return
 	}
-	callee := staticCallee(s.pass.TypesInfo, call)
+	callee := callutil.StaticCallee(s.pass.TypesInfo, call)
 	if callee == nil {
 		return
 	}
@@ -500,29 +385,6 @@ func (s *scanner) recordCall(call *ast.CallExpr, h held) {
 	})
 }
 
-// isTerminalCall reports whether the expression statement never
-// returns (panic, os.Exit, runtime.Goexit, log.Fatal*).
-func isTerminalCall(pass *analysis.Pass, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
-			return true
-		}
-	}
-	fn := staticCallee(pass.TypesInfo, call)
-	if fn == nil {
-		return false
-	}
-	switch fn.FullName() {
-	case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
-		return true
-	}
-	return false
-}
-
 // sameOwner reports whether two mutex fields belong to the same
 // receiver expression or the same struct type.
 func sameOwner(a, b lockEvent) bool {
@@ -530,54 +392,6 @@ func sameOwner(a, b lockEvent) bool {
 		return true
 	}
 	return a.typ != nil && b.typ != nil && types.Identical(a.typ, b.typ)
-}
-
-// canon renders a dotted identifier chain ("st.schedMu") or "" when the
-// expression has another shape.
-func canon(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.ParenExpr:
-		return canon(e.X)
-	case *ast.SelectorExpr:
-		base := canon(e.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + e.Sel.Name
-	}
-	return ""
-}
-
-// staticCallee resolves the *types.Func a call statically targets, or
-// nil for calls through func values.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	fun := ast.Unparen(call.Fun)
-	// Unwrap explicit generic instantiation: f[T](...).
-	switch ix := fun.(type) {
-	case *ast.IndexExpr:
-		fun = ast.Unparen(ix.X)
-	case *ast.IndexListExpr:
-		fun = ast.Unparen(ix.X)
-	}
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if f, ok := sel.Obj().(*types.Func); ok {
-				return f
-			}
-			return nil // field of func type: dynamic
-		}
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f // package-qualified function
-		}
-	}
-	return nil
 }
 
 // cycleKey canonicalizes a set of lock IDs for deduplication.

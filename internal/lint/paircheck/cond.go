@@ -6,7 +6,6 @@ import (
 
 	"github.com/insane-mw/insane/internal/lint/callutil"
 	"github.com/insane-mw/insane/internal/lint/directive"
-	"github.com/insane-mw/insane/internal/lint/pairfacts"
 )
 
 // splitCond evaluates a branch condition against the incoming state
@@ -38,11 +37,11 @@ func (w *walker) splitCond(cond ast.Expr, st *state) (thenSt, elseSt *state) {
 			return merge(aT, bT), bF
 		case "==", "!=":
 			if obj, isNilCmp := nilComparand(w.pass.TypesInfo, c); isNilCmp {
-				thenSt, elseSt = st.clone(), st.clone()
+				thenSt, elseSt = st.Clone(), st.Clone()
 				eq := c.Op.String() == "=="
 				// Branch where the comparand IS nil:
-				w.resolveNil(pick(eq, thenSt, elseSt), obj, true)
-				w.resolveNil(pick(eq, elseSt, thenSt), obj, false)
+				w.resolve(pick(eq, thenSt, elseSt), obj, directive.CondNilErr, true)
+				w.resolve(pick(eq, elseSt, thenSt), obj, directive.CondNilErr, false)
 				w.resolveGuards(thenSt, elseSt, posDesc(w.pass.TypesInfo, c))
 				return thenSt, elseSt
 			}
@@ -51,18 +50,18 @@ func (w *walker) splitCond(cond ast.Expr, st *state) (thenSt, elseSt *state) {
 		// errors.Is(err, X): the true side proves err non-nil; the
 		// false side proves nothing (err may be nil or another error).
 		if obj := errorsIsTarget(w.pass.TypesInfo, c); obj != nil {
-			thenSt, elseSt = st.clone(), st.clone()
-			w.resolveNil(thenSt, obj, false)
+			thenSt, elseSt = st.Clone(), st.Clone()
+			w.resolve(thenSt, obj, directive.CondNilErr, false)
 			return thenSt, elseSt
 		}
 		// A conditional effect call evaluated directly as the branch
 		// condition: the true side saw the effect succeed.
-		if fn := callutil.StaticCallee(w.pass.TypesInfo, c); fn != nil {
-			for _, e := range pairfacts.Lookup(w.pass, fn) {
-				if e.Cond != directive.CondTrue || w.skip[e.Resource] {
+		if fn, effs := w.effects(c); fn != nil {
+			for _, e := range effs {
+				if e.Cond != directive.CondTrue {
 					continue
 				}
-				thenSt, elseSt = st.clone(), st.clone()
+				thenSt, elseSt = st.Clone(), st.Clone()
 				switch e.Kind {
 				case directive.PairAcquire:
 					t := w.newTok(thenSt, c, fn, e, nil)
@@ -78,9 +77,9 @@ func (w *walker) splitCond(cond ast.Expr, st *state) (thenSt, elseSt *state) {
 		}
 	case *ast.Ident, *ast.SelectorExpr:
 		if obj := boolObj(w.pass.TypesInfo, ast.Unparen(cond)); obj != nil {
-			thenSt, elseSt = st.clone(), st.clone()
-			w.resolveBool(thenSt, obj, true)
-			w.resolveBool(elseSt, obj, false)
+			thenSt, elseSt = st.Clone(), st.Clone()
+			w.resolve(thenSt, obj, directive.CondTrue, true)
+			w.resolve(elseSt, obj, directive.CondTrue, false)
 			w.resolveGuards(thenSt, elseSt, posDesc(w.pass.TypesInfo, cond))
 			return thenSt, elseSt
 		}
@@ -88,7 +87,7 @@ func (w *walker) splitCond(cond ast.Expr, st *state) (thenSt, elseSt *state) {
 	// Opaque condition: apply any release/transfer effects buried in it
 	// leniently, then fork.
 	w.applyNested(st, cond, nil)
-	return st.clone(), st.clone()
+	return st.Clone(), st.Clone()
 }
 
 // pick returns a when cond, else b.
@@ -99,13 +98,16 @@ func pick(cond bool, a, b *state) *state {
 	return b
 }
 
-// resolveNil applies the branch knowledge "obj is nil" (isNil) to the
-// pending tokens gated on obj: a CondNilErr acquire materialized iff
-// the error is nil; a CondNilErr transfer discharged iff it is nil.
-func (w *walker) resolveNil(st *state, obj types.Object, isNil bool) {
+// resolve applies branch knowledge about a gating variable to the
+// tokens pending on it under the given condition kind: holds means the
+// error is nil (CondNilErr) or the bool is true (CondTrue) — in both
+// encodings the gated effect happened iff holds. A pending acquire
+// materializes or never existed; a pending transfer discharged or
+// reverted to the caller.
+func (w *walker) resolve(st *state, obj types.Object, cond directive.PairCond, holds bool) {
 	for _, t := range append([]*tok(nil), st.toks...) {
-		if t.pendAcq.matches(obj) && t.pendAcq.cond == directive.CondNilErr {
-			if isNil {
+		if t.pendAcq.matches(obj) && t.pendAcq.cond == cond {
+			if holds {
 				t.pendAcq = nil
 			} else {
 				st.drop(t)
@@ -113,31 +115,8 @@ func (w *walker) resolveNil(st *state, obj types.Object, isNil bool) {
 				continue
 			}
 		}
-		if t.pendXfer.matches(obj) && t.pendXfer.cond == directive.CondNilErr {
-			if isNil {
-				t.status = stReleased
-				t.relPos = t.pendXfer.pos
-				t.relVia = t.pendXfer.via
-			}
-			t.pendXfer = nil
-		}
-	}
-}
-
-// resolveBool applies "obj is truth" to CondTrue-gated pendings.
-func (w *walker) resolveBool(st *state, obj types.Object, truth bool) {
-	for _, t := range append([]*tok(nil), st.toks...) {
-		if t.pendAcq.matches(obj) && t.pendAcq.cond == directive.CondTrue {
-			if truth {
-				t.pendAcq = nil
-			} else {
-				st.drop(t)
-				st.dropped[t.resource] = t.pos
-				continue
-			}
-		}
-		if t.pendXfer.matches(obj) && t.pendXfer.cond == directive.CondTrue {
-			if truth {
+		if t.pendXfer.matches(obj) && t.pendXfer.cond == cond {
+			if holds {
 				t.status = stReleased
 				t.relPos = t.pendXfer.pos
 				t.relVia = t.pendXfer.via

@@ -15,7 +15,8 @@
 // The declarations travel the whole-program dependency closure as
 // facts (internal/lint/pairfacts), so a call into another package
 // resolves its effect exactly like a local one. Within each body the
-// analyzer runs a path-sensitive walk: conditional acquires
+// analyzer runs a path-sensitive walk on the shared flow engine
+// (internal/lint/flow) with a token-merge join: conditional acquires
 // (TryCharge returning false, GetBuffer returning an error) stay
 // pending until a branch on the gating variable resolves them, a
 // conditional transfer (a failed lane push) reverts ownership to the
@@ -82,16 +83,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 // verifyFunc walks one declared function body.
 func verifyFunc(pass *analysis.Pass, fd *ast.FuncDecl, decl *pairfacts.Decl) {
-	w := &walker{
-		pass:      pass,
-		fname:     fd.Name.Name,
-		declared:  make(map[string]directive.PairCond),
-		skip:      make(map[string]bool),
-		waived:    make(map[string]bool),
-		waiverHit: make(map[string]bool),
-		nonLocal:  make(map[types.Object]bool),
-		reported:  make(map[string]bool),
-	}
+	w := newWalker(pass, fd.Body)
 	if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
 		w.sig, _ = obj.Type().(*types.Signature)
 	}
@@ -115,12 +107,7 @@ func verifyFunc(pass *analysis.Pass, fd *ast.FuncDecl, decl *pairfacts.Decl) {
 			w.waived[wv.Resource] = true
 		}
 	}
-	w.hasEffect = effectCallsIn(pass, fd.Body)
-	w.bodyEnd = fd.Body.Rbrace
-	out := w.walkStmts(fd.Body.List, newState())
-	if out != nil {
-		w.doExit(out, nil)
-	}
+	w.verify(fd.Body)
 	if decl != nil {
 		for _, wv := range decl.Dirs.Waivers {
 			if !w.waiverHit[wv.Resource] {
@@ -134,26 +121,12 @@ func verifyFunc(pass *analysis.Pass, fd *ast.FuncDecl, decl *pairfacts.Decl) {
 // no declarations apply, and an acquire in return position forwards
 // the unit to whoever calls the closure.
 func verifyLit(pass *analysis.Pass, lit *ast.FuncLit) {
-	w := &walker{
-		pass:      pass,
-		fname:     "func literal",
-		isLit:     true,
-		declared:  make(map[string]directive.PairCond),
-		skip:      make(map[string]bool),
-		waived:    make(map[string]bool),
-		waiverHit: make(map[string]bool),
-		nonLocal:  make(map[types.Object]bool),
-		reported:  make(map[string]bool),
-	}
+	w := newWalker(pass, lit.Body)
+	w.isLit = true
 	if tv, ok := pass.TypesInfo.Types[lit]; ok {
 		w.sig, _ = tv.Type.(*types.Signature)
 	}
-	w.hasEffect = effectCallsIn(pass, lit.Body)
-	w.bodyEnd = lit.Body.Rbrace
-	out := w.walkStmts(lit.Body.List, newState())
-	if out != nil {
-		w.doExit(out, nil)
-	}
+	w.verify(lit.Body)
 }
 
 // effectCallsIn records which resources the body touches through
@@ -200,7 +173,7 @@ func (w *walker) doExit(st *state, ret *ast.ReturnStmt) {
 		}
 		w.scanReturnAcquires(st, ret.Results, forwarded)
 	}
-	ex := st.clone()
+	ex := st.Clone()
 	for i := len(ex.defers) - 1; i >= 0; i-- {
 		w.applyDefer(ex, ex.defers[i])
 	}
@@ -221,12 +194,9 @@ func (w *walker) scanReturnAcquires(st *state, results []ast.Expr, forwarded map
 			if !ok {
 				return true
 			}
-			fn := callutil.StaticCallee(w.pass.TypesInfo, call)
-			if fn == nil {
-				return true
-			}
-			for _, e := range pairfacts.Lookup(w.pass, fn) {
-				if e.Kind != directive.PairAcquire || w.skip[e.Resource] {
+			fn, effs := w.effects(call)
+			for _, e := range effs {
+				if e.Kind != directive.PairAcquire {
 					continue
 				}
 				if _, ok := w.declared[e.Resource]; ok || w.isLit {
@@ -244,32 +214,13 @@ func (w *walker) scanReturnAcquires(st *state, results []ast.Expr, forwarded map
 // applyDefer applies the release effects of one deferred call to the
 // exit state.
 func (w *walker) applyDefer(ex *state, d deferEntry) {
-	call, ok := d.call.(*ast.CallExpr)
-	if !ok {
-		return
-	}
+	call := d.call
 	if lit, isLit := ast.Unparen(call.Fun).(*ast.FuncLit); isLit {
 		// A deferred closure: trust it with every token it captures.
 		w.dischargeMentioned(ex, lit.Body, d.pos)
 		return
 	}
-	fn := callutil.StaticCallee(w.pass.TypesInfo, call)
-	if fn == nil {
-		return
-	}
-	for _, e := range pairfacts.Lookup(w.pass, fn) {
-		if w.skip[e.Resource] {
-			continue
-		}
-		switch e.Kind {
-		case directive.PairRelease:
-			w.releaseAt(ex, e.Resource, candidateKeys(call), call.Pos(), fn, false)
-		case directive.PairTransfer:
-			for _, t := range transferTargets(ex, e.Resource, call) {
-				w.discharge(t, call.Pos(), fn)
-			}
-		}
-	}
+	w.consume(ex, call)
 }
 
 // checkExit verifies the balance of every resource at one exit.
@@ -366,7 +317,7 @@ func (w *walker) classifyExit(ret *ast.ReturnStmt, cond directive.PairCond) exit
 	case directive.CondNilErr:
 		idx := -1
 		for i := w.sig.Results().Len() - 1; i >= 0; i-- {
-			if isErrorType(w.sig.Results().At(i).Type()) {
+			if callutil.IsError(w.sig.Results().At(i).Type()) {
 				idx = i
 				break
 			}
@@ -409,7 +360,7 @@ func (w *walker) classifyErrExpr(e ast.Expr) exitClass {
 		case *ast.SelectorExpr:
 			obj = w.pass.TypesInfo.Uses[e.Sel]
 		}
-		if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() && isErrorType(v.Type()) {
+		if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() && callutil.IsError(v.Type()) {
 			return exitFailure // package-level error sentinels are non-nil
 		}
 	}

@@ -1,6 +1,7 @@
 package paircheck
 
 import (
+	"go/ast"
 	"go/token"
 	"go/types"
 	"strings"
@@ -70,18 +71,18 @@ type tok struct {
 	aliases  []string // other holders the unit flowed into (m := wrap(d))
 	via      string   // rendered acquire callee, for messages
 	status   tokStatus
-	maybe    bool      // status merged from diverging paths: be lenient
-	pendAcq  *pending  // unresolved conditional acquire
-	pendXfer *pending  // unresolved conditional transfer
+	maybe    bool     // status merged from diverging paths: be lenient
+	pendAcq  *pending // unresolved conditional acquire
+	pendXfer *pending // unresolved conditional transfer
 	guard    *guardDesc
-	depth    int       // loop depth at the acquire
+	depth    int // loop depth at the acquire
 	// holderPos is the declaration position of the variable holding the
 	// unit (NoPos when the holder is synthetic): a holder declared
 	// before a loop survives its iterations, so holding at an
 	// iteration's end is not a per-lap leak.
 	holderPos token.Pos
-	relPos   token.Pos // release site, for double-release messages
-	relVia   string
+	relPos    token.Pos // release site, for double-release messages
+	relVia    string
 }
 
 func (t *tok) id() [2]interface{} { return [2]interface{}{t.pos, t.resource} }
@@ -99,7 +100,7 @@ func (t *tok) firm() bool {
 // subsequent exit of the function.
 type deferEntry struct {
 	pos  token.Pos
-	call interface{} // *ast.CallExpr (direct) or *ast.FuncLit body scan
+	call *ast.CallExpr
 }
 
 // state is the walker's per-path knowledge: the tracked tokens, the
@@ -116,7 +117,7 @@ func newState() *state {
 	return &state{dropped: make(map[string]token.Pos)}
 }
 
-func (s *state) clone() *state {
+func (s *state) Clone() *state {
 	c := &state{
 		toks:    make([]*tok, len(s.toks)),
 		dropped: make(map[string]token.Pos, len(s.dropped)),
@@ -197,7 +198,7 @@ func merge(a, b *state) *state {
 	if b == nil {
 		return a
 	}
-	out := a.clone()
+	out := a.Clone()
 	for _, bt := range b.toks {
 		at := out.find(bt.id())
 		if at == nil {
@@ -210,14 +211,7 @@ func merge(a, b *state) *state {
 			at.maybe = true
 		}
 		for _, a := range bt.aliases {
-			dup := false
-			for _, x := range at.aliases {
-				if x == a {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if !containsKey(at.aliases, a) {
 				at.aliases = append(at.aliases, a)
 			}
 		}
@@ -255,10 +249,11 @@ func merge(a, b *state) *state {
 	return out
 }
 
-// mergeAll folds a set of branch outcomes, tolerating nils.
-func mergeAll(states ...*state) *state {
+// Join is the token merge of the states that fall out of a construct;
+// the state it was entered with has no say.
+func (*state) Join(outs []*state) *state {
 	var out *state
-	for _, s := range states {
+	for _, s := range outs {
 		out = merge(out, s)
 	}
 	return out

@@ -10,31 +10,17 @@ import (
 	"github.com/insane-mw/insane/internal/lint/analysis"
 	"github.com/insane-mw/insane/internal/lint/callutil"
 	"github.com/insane-mw/insane/internal/lint/directive"
+	"github.com/insane-mw/insane/internal/lint/flow"
 	"github.com/insane-mw/insane/internal/lint/pairfacts"
 )
 
-// frameKind distinguishes the statements an unlabeled break can target.
-type frameKind int
-
-const (
-	frameLoop frameKind = iota
-	frameSwitch
-	frameSelect
-)
-
-// frame is one enclosing breakable statement on the walker's stack.
-type frame struct {
-	kind   frameKind
-	label  string
-	depth  int       // loop depth of the frame body (loops only)
-	pos    token.Pos // the statement's position (loop-scope checks)
-	breaks []*state
-}
-
-// walker verifies one function body against the pair convention.
+// walker verifies one function body against the pair convention. The
+// control flow is the shared flow engine's (internal/lint/flow); the
+// walker supplies the transfer functions and, through state.Join, the
+// token merge.
 type walker struct {
 	pass      *analysis.Pass
-	fname     string
+	eng       *flow.Walker[*state]
 	sig       *types.Signature
 	isLit     bool
 	declared  map[string]directive.PairCond // declared acquire resources
@@ -44,10 +30,43 @@ type walker struct {
 	hasEffect map[string]bool // resource -> body calls an annotated function for it
 	nonLocal  map[types.Object]bool
 	bodyEnd   token.Pos
-	depth     int
-	frames    []*frame
-	label     string // pending label for the next loop/switch
 	reported  map[string]bool
+}
+
+// newWalker returns a walker for one body, with nothing declared.
+func newWalker(pass *analysis.Pass, body *ast.BlockStmt) *walker {
+	w := &walker{
+		pass:      pass,
+		declared:  make(map[string]directive.PairCond),
+		skip:      make(map[string]bool),
+		waived:    make(map[string]bool),
+		waiverHit: make(map[string]bool),
+		hasEffect: effectCallsIn(pass, body),
+		nonLocal:  make(map[types.Object]bool),
+		bodyEnd:   body.Rbrace,
+		reported:  make(map[string]bool),
+	}
+	w.eng = flow.New(flow.Hooks[*state]{
+		NoReturn: func(call *ast.CallExpr) bool { return callutil.NoReturn(pass.TypesInfo, call) },
+		Stmt:     w.stmt,
+		Eval:     func(_ ast.Node, e ast.Expr, st *state) { w.applyNested(st, e, nil) },
+		Branch:   w.branch,
+		Exit:     func(ret *ast.ReturnStmt, st *state) { w.doExit(st, ret) },
+		// A unit still held at the lap boundary is reported there and
+		// then; the state goes no further.
+		IterEnd: func(loop ast.Stmt, depth int, at token.Pos, st *state) bool {
+			w.iterEndAt(st, at, depth, loop.Pos())
+			return false
+		},
+	})
+	return w
+}
+
+// verify walks the body and checks the exit that falls off its end.
+func (w *walker) verify(body *ast.BlockStmt) {
+	if out, ok := w.eng.Walk(body.List, newState()); ok {
+		w.doExit(out, nil)
+	}
 }
 
 // line is shorthand for the source line of a position.
@@ -73,19 +92,27 @@ func (w *walker) flag(resource string, pos token.Pos, format string, args ...int
 	w.pass.Reportf(pos, "%s", msg)
 }
 
-// walkStmts walks a statement list, threading the path state; nil
-// means every path through the list terminated (return/panic/branch).
-func (w *walker) walkStmts(stmts []ast.Stmt, st *state) *state {
-	for _, s := range stmts {
-		if st == nil {
-			return nil
-		}
-		st = w.walkStmt(s, st)
+// branch splits the state on a condition and notes the side taken on
+// each path's trail: both sides of an if, the matching side of a switch
+// case, nothing for a loop.
+func (w *walker) branch(at ast.Node, cond ast.Expr, st *state) (then, els *state) {
+	then, els = w.splitCond(cond, st)
+	if _, loop := at.(*ast.ForStmt); loop {
+		// The condition runs again before every lap, so what it
+		// releases is released on the body side too.
+		w.applyNested(then, cond, nil)
+		return then, els
 	}
-	return st
+	text := types.ExprString(cond)
+	then.note(text)
+	if _, isIf := at.(*ast.IfStmt); isIf {
+		els.note("!(" + text + ")")
+	}
+	return then, els
 }
 
-func (w *walker) walkStmt(s ast.Stmt, st *state) *state {
+// stmt applies one simple statement to the path state.
+func (w *walker) stmt(s ast.Stmt, st *state) {
 	switch s := s.(type) {
 	case *ast.AssignStmt:
 		var topCall *ast.CallExpr
@@ -109,12 +136,11 @@ func (w *walker) walkStmt(s ast.Stmt, st *state) *state {
 		if topCall != nil {
 			w.applyCall(st, topCall, s.Lhs)
 		}
-		return st
 
 	case *ast.DeclStmt:
 		gd, ok := s.Decl.(*ast.GenDecl)
 		if !ok {
-			return st
+			return
 		}
 		for _, spec := range gd.Specs {
 			vs, ok := spec.(*ast.ValueSpec)
@@ -136,237 +162,29 @@ func (w *walker) walkStmt(s ast.Stmt, st *state) *state {
 				w.applyCall(st, topCall, lhs)
 			}
 		}
-		return st
 
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if callutil.NoReturn(w.pass.TypesInfo, call) {
-				return nil
-			}
 			w.applyNested(st, call, call)
 			w.applyCall(st, call, nil)
-			return st
+			return
 		}
 		w.applyNested(st, s.X, nil)
-		return st
-
-	case *ast.ReturnStmt:
-		w.doExit(st, s)
-		return nil
-
-	case *ast.IfStmt:
-		if s.Init != nil {
-			if st = w.walkStmt(s.Init, st); st == nil {
-				return nil
-			}
-		}
-		thenSt, elseSt := w.splitCond(s.Cond, st)
-		cond := types.ExprString(s.Cond)
-		thenSt.note(cond)
-		elseSt.note("!(" + cond + ")")
-		thenOut := w.walkStmts(s.Body.List, thenSt)
-		elseOut := elseSt
-		if s.Else != nil {
-			elseOut = w.walkStmt(s.Else, elseSt)
-		}
-		return merge(thenOut, elseOut)
-
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, st)
-
-	case *ast.ForStmt:
-		if s.Init != nil {
-			if st = w.walkStmt(s.Init, st); st == nil {
-				return nil
-			}
-		}
-		bodySt, exitSt := st.clone(), (*state)(nil)
-		if s.Cond != nil {
-			bodySt, exitSt = w.splitCond(s.Cond, st)
-			w.applyNested(bodySt, s.Cond, nil)
-		}
-		fr := w.pushFrame(frameLoop, s.Pos())
-		w.depth++
-		out := w.walkStmts(s.Body.List, bodySt)
-		if out != nil {
-			w.iterEndAt(out, s.Body.Rbrace, fr.depth, fr.pos)
-		}
-		w.depth--
-		w.popFrame()
-		return mergeAll(append(fr.breaks, exitSt)...)
-
-	case *ast.RangeStmt:
-		w.applyNested(st, s.X, nil)
-		fr := w.pushFrame(frameLoop, s.Pos())
-		w.depth++
-		out := w.walkStmts(s.Body.List, st.clone())
-		if out != nil {
-			w.iterEndAt(out, s.Body.Rbrace, fr.depth, fr.pos)
-		}
-		w.depth--
-		w.popFrame()
-		return mergeAll(append(fr.breaks, st)...)
-
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			if st = w.walkStmt(s.Init, st); st == nil {
-				return nil
-			}
-		}
-		if s.Tag != nil {
-			w.applyNested(st, s.Tag, nil)
-		}
-		fr := w.pushFrame(frameSwitch, s.Pos())
-		cur := st
-		var outs []*state
-		hasDefault := false
-		var defaultBody []ast.Stmt
-		for _, c := range s.Body.List {
-			cc, ok := c.(*ast.CaseClause)
-			if !ok {
-				continue
-			}
-			if len(cc.List) == 0 {
-				hasDefault = true
-				defaultBody = cc.Body
-				continue
-			}
-			var branch *state
-			if s.Tag == nil && len(cc.List) == 1 {
-				// Untagged switch: the cases are boolean conditions,
-				// split exactly like an if/else-if chain.
-				var t, f *state
-				t, f = w.splitCond(cc.List[0], cur)
-				t.note(types.ExprString(cc.List[0]))
-				branch, cur = t, f
-			} else {
-				for _, e := range cc.List {
-					w.applyNested(cur, e, nil)
-				}
-				branch = cur.clone()
-			}
-			outs = append(outs, w.walkStmts(cc.Body, branch))
-		}
-		if hasDefault {
-			outs = append(outs, w.walkStmts(defaultBody, cur))
-		} else {
-			outs = append(outs, cur)
-		}
-		w.popFrame()
-		return mergeAll(append(outs, fr.breaks...)...)
-
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			if st = w.walkStmt(s.Init, st); st == nil {
-				return nil
-			}
-		}
-		fr := w.pushFrame(frameSwitch, s.Pos())
-		var outs []*state
-		hasDefault := false
-		for _, c := range s.Body.List {
-			cc, ok := c.(*ast.CaseClause)
-			if !ok {
-				continue
-			}
-			if len(cc.List) == 0 {
-				hasDefault = true
-			}
-			outs = append(outs, w.walkStmts(cc.Body, st.clone()))
-		}
-		if !hasDefault {
-			outs = append(outs, st)
-		}
-		w.popFrame()
-		return mergeAll(append(outs, fr.breaks...)...)
-
-	case *ast.SelectStmt:
-		fr := w.pushFrame(frameSelect, s.Pos())
-		var outs []*state
-		for _, c := range s.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			branch := st.clone()
-			if cc.Comm != nil {
-				branch = w.walkStmt(cc.Comm, branch)
-			}
-			if branch != nil {
-				branch = w.walkStmts(cc.Body, branch)
-			}
-			outs = append(outs, branch)
-		}
-		w.popFrame()
-		return mergeAll(append(outs, fr.breaks...)...)
-
-	case *ast.BranchStmt:
-		label := ""
-		if s.Label != nil {
-			label = s.Label.Name
-		}
-		switch s.Tok {
-		case token.BREAK:
-			if fr := w.findFrame(label, false); fr != nil {
-				fr.breaks = append(fr.breaks, st)
-			}
-		case token.CONTINUE:
-			if fr := w.findFrame(label, true); fr != nil {
-				w.iterEndAt(st, s.Pos(), fr.depth, fr.pos)
-			}
-		}
-		return nil // break/continue/goto/fallthrough all end this path
-
-	case *ast.LabeledStmt:
-		w.label = s.Label.Name
-		return w.walkStmt(s.Stmt, st)
 
 	case *ast.DeferStmt:
 		for _, a := range s.Call.Args {
 			w.applyNested(st, a, nil)
 		}
 		st.defers = append(st.defers, deferEntry{pos: s.Pos(), call: s.Call})
-		return st
 
 	case *ast.GoStmt:
 		// Ownership of anything the goroutine can reach moves with it.
 		w.dischargeMentioned(st, s.Call, s.Pos())
-		return st
 
 	case *ast.SendStmt:
 		w.applyNested(st, s.Value, nil)
 		w.dischargeMentioned(st, s.Value, s.Pos())
-		return st
-
-	case *ast.IncDecStmt, *ast.EmptyStmt:
-		return st
 	}
-	return st
-}
-
-// pushFrame enters a breakable statement, consuming any pending label.
-func (w *walker) pushFrame(kind frameKind, pos token.Pos) *frame {
-	fr := &frame{kind: kind, label: w.label, depth: w.depth + 1, pos: pos}
-	w.label = ""
-	w.frames = append(w.frames, fr)
-	return fr
-}
-
-func (w *walker) popFrame() { w.frames = w.frames[:len(w.frames)-1] }
-
-// findFrame resolves the target of a break (any frame) or continue
-// (loops only), innermost first, honoring labels.
-func (w *walker) findFrame(label string, loopOnly bool) *frame {
-	for i := len(w.frames) - 1; i >= 0; i-- {
-		fr := w.frames[i]
-		if loopOnly && fr.kind != frameLoop {
-			continue
-		}
-		if label == "" || fr.label == label {
-			return fr
-		}
-	}
-	return nil
 }
 
 // iterEndAt flags tokens acquired inside the current loop iteration
@@ -397,10 +215,7 @@ func (w *walker) iterEndAt(st *state, pos token.Pos, depth int, loopPos token.Po
 func deferredKeys(st *state) map[string]bool {
 	out := make(map[string]bool)
 	for _, d := range st.defers {
-		call, ok := d.call.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
+		call := d.call
 		if lit, isLit := ast.Unparen(call.Fun).(*ast.FuncLit); isLit {
 			for name := range identNames(lit.Body) {
 				out[name] = true
@@ -544,38 +359,54 @@ func (w *walker) lhsEscapes(l ast.Expr) bool {
 	return obj.Parent() == w.pass.Pkg.Scope()
 }
 
-// applyNested applies the release/transfer effects of calls nested in
-// an expression (excluding skipTop, which the caller handles with its
-// assignment context). Nested acquires hand their result to the
-// surrounding expression and are not tracked.
+// effects resolves a call's declared pair effects on the resources
+// this function is answerable for (a resource it is itself declared to
+// release or transfer is its caller's to balance).
+func (w *walker) effects(call *ast.CallExpr) (*types.Func, []directive.PairEffect) {
+	fn := callutil.StaticCallee(w.pass.TypesInfo, call)
+	if fn == nil {
+		return nil, nil
+	}
+	var out []directive.PairEffect
+	for _, e := range pairfacts.Lookup(w.pass, fn) {
+		if !w.skip[e.Resource] {
+			out = append(out, e)
+		}
+	}
+	return fn, out
+}
+
+// consume applies the release and transfer effects of one call as
+// settled facts: a nested call's result is not inspected, and a
+// deferred call runs regardless. Acquires are not tracked here — a
+// nested acquire hands its result to the surrounding expression.
+func (w *walker) consume(st *state, call *ast.CallExpr) {
+	fn, effs := w.effects(call)
+	for _, e := range effs {
+		switch e.Kind {
+		case directive.PairRelease:
+			w.releaseAt(st, e.Resource, candidateKeys(call), call.Pos(), fn)
+		case directive.PairTransfer:
+			for _, t := range transferTargets(st, e.Resource, call) {
+				w.discharge(t, call.Pos(), fn)
+			}
+		}
+	}
+}
+
+// applyNested consumes through every call nested in an expression
+// (excluding skipTop, which the caller handles with its assignment
+// context), function literals aside: those are analyzed separately.
 func (w *walker) applyNested(st *state, e ast.Expr, skipTop *ast.CallExpr) {
 	if e == nil {
 		return
 	}
 	ast.Inspect(e, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
-			return false // analyzed separately
+			return false
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call == skipTop {
-			return true
-		}
-		fn := callutil.StaticCallee(w.pass.TypesInfo, call)
-		if fn == nil {
-			return true
-		}
-		for _, eff := range pairfacts.Lookup(w.pass, fn) {
-			if w.skip[eff.Resource] {
-				continue
-			}
-			switch eff.Kind {
-			case directive.PairRelease:
-				w.releaseAt(st, eff.Resource, candidateKeys(call), call.Pos(), fn, false)
-			case directive.PairTransfer:
-				for _, t := range transferTargets(st, eff.Resource, call) {
-					w.discharge(t, call.Pos(), fn)
-				}
-			}
+		if call, ok := n.(*ast.CallExpr); ok && call != skipTop {
+			w.consume(st, call)
 		}
 		return true
 	})
@@ -585,19 +416,13 @@ func (w *walker) applyNested(st *state, e ast.Expr, skipTop *ast.CallExpr) {
 // with the assignment left-hand side providing the token key and the
 // gating variable for conditional effects.
 func (w *walker) applyCall(st *state, call *ast.CallExpr, lhs []ast.Expr) {
-	fn := callutil.StaticCallee(w.pass.TypesInfo, call)
-	if fn == nil {
-		return
-	}
-	for _, e := range pairfacts.Lookup(w.pass, fn) {
-		if w.skip[e.Resource] {
-			continue
-		}
+	fn, effs := w.effects(call)
+	for _, e := range effs {
 		switch e.Kind {
 		case directive.PairAcquire:
 			w.acquire(st, call, fn, e, lhs)
 		case directive.PairRelease:
-			w.releaseAt(st, e.Resource, candidateKeys(call), call.Pos(), fn, false)
+			w.releaseAt(st, e.Resource, candidateKeys(call), call.Pos(), fn)
 		case directive.PairTransfer:
 			w.transfer(st, call, fn, e, lhs)
 		}
@@ -610,7 +435,7 @@ func (w *walker) newTok(st *state, call *ast.CallExpr, fn *types.Func, e directi
 	if key == "" {
 		key = recvCanon(call)
 	}
-	t := &tok{pos: call.Pos(), resource: e.Resource, key: key, via: w.funcName(fn), depth: w.depth, holderPos: holder}
+	t := &tok{pos: call.Pos(), resource: e.Resource, key: key, via: w.funcName(fn), depth: w.eng.Depth(), holderPos: holder}
 	st.toks = append(st.toks, t)
 	return t
 }
@@ -619,7 +444,7 @@ func (w *walker) acquire(st *state, call *ast.CallExpr, fn *types.Func, e direct
 	t := w.newTok(st, call, fn, e, lhs)
 	switch e.Cond {
 	case directive.CondNilErr:
-		if obj := errorObjLHS(w.pass.TypesInfo, lhs); obj != nil {
+		if obj := callutil.ErrorLHS(w.pass.TypesInfo, lhs); obj != nil {
 			t.pendAcq = &pending{obj: obj, cond: e.Cond, pos: call.Pos(), via: t.via}
 		}
 		// Error discarded with _: the caller asserts success; the
@@ -642,7 +467,7 @@ func (w *walker) transfer(st *state, call *ast.CallExpr, fn *types.Func, e direc
 	var obj types.Object
 	switch e.Cond {
 	case directive.CondNilErr:
-		obj = errorObjLHS(w.pass.TypesInfo, lhs)
+		obj = callutil.ErrorLHS(w.pass.TypesInfo, lhs)
 	case directive.CondTrue:
 		obj = boolObjLHS(w.pass.TypesInfo, lhs)
 	}
@@ -696,7 +521,7 @@ func (w *walker) discharge(t *tok, pos token.Pos, fn *types.Func) {
 // the double-release and failed-conditional-acquire findings; a
 // release with no tracked unit and no failed acquire acts on a
 // caller-owned unit and is fine.
-func (w *walker) releaseAt(st *state, resource string, keys []string, pos token.Pos, fn *types.Func, lenient bool) {
+func (w *walker) releaseAt(st *state, resource string, keys []string, pos token.Pos, fn *types.Func) {
 	live := st.liveOf(resource)
 	for _, t := range live {
 		if tokMatchesKeys(t, keys) {
@@ -706,10 +531,8 @@ func (w *walker) releaseAt(st *state, resource string, keys []string, pos token.
 	}
 	for _, t := range st.toks {
 		if t.resource == resource && t.status == stReleased && !t.maybe && tokMatchesKeys(t, keys) {
-			if !lenient {
-				w.flag(resource, pos, "resource %s already %s at line %d is released again via %s (double release)",
-					resource, releasedVerb(t), w.line(t.relPos), w.funcName(fn))
-			}
+			w.flag(resource, pos, "resource %s already %s at line %d is released again via %s (double release)",
+				resource, releasedVerb(t), w.line(t.relPos), w.funcName(fn))
 			return
 		}
 	}
@@ -717,7 +540,7 @@ func (w *walker) releaseAt(st *state, resource string, keys []string, pos token.
 		w.discharge(live[0], pos, fn)
 		return
 	}
-	if acqPos, ok := st.dropped[resource]; ok && !lenient {
+	if acqPos, ok := st.dropped[resource]; ok {
 		w.flag(resource, pos, "release of resource %s via %s on a path where the conditional acquire at line %d did not succeed%s",
 			resource, w.funcName(fn), w.line(acqPos), st.path())
 	}
@@ -807,39 +630,14 @@ func recvCanon(call *ast.CallExpr) string {
 	return ""
 }
 
-func lhsObj(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if o := info.Defs[id]; o != nil {
-		return o
-	}
-	return info.Uses[id]
-}
-
-func isErrorType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
-}
-
 func isBoolType(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsBoolean != 0
 }
 
-func errorObjLHS(info *types.Info, lhs []ast.Expr) types.Object {
-	for _, e := range lhs {
-		if o := lhsObj(info, e); o != nil && o.Type() != nil && isErrorType(o.Type()) {
-			return o
-		}
-	}
-	return nil
-}
-
 func boolObjLHS(info *types.Info, lhs []ast.Expr) types.Object {
 	for _, e := range lhs {
-		if o := lhsObj(info, e); o != nil && o.Type() != nil && isBoolType(o.Type()) {
+		if o := callutil.LHSObj(info, e); o != nil && o.Type() != nil && isBoolType(o.Type()) {
 			return o
 		}
 	}
@@ -852,8 +650,8 @@ func boolObjLHS(info *types.Info, lhs []ast.Expr) types.Object {
 // tell a holder declared outside the loop from a per-lap one.
 func keyFromLHS(info *types.Info, lhs []ast.Expr) (string, token.Pos) {
 	for _, e := range lhs {
-		o := lhsObj(info, e)
-		if o == nil || o.Type() == nil || isErrorType(o.Type()) || isBoolType(o.Type()) {
+		o := callutil.LHSObj(info, e)
+		if o == nil || o.Type() == nil || callutil.IsError(o.Type()) || isBoolType(o.Type()) {
 			continue
 		}
 		if key := callutil.Canon(e); key != "" {

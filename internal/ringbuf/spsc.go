@@ -5,15 +5,16 @@
 //
 // Two variants are provided:
 //
-//   - SPSC: a single-producer/single-consumer ring used where the runtime
-//     can prove each end is owned by exactly one goroutine — notably the
-//     per-(session,technology) TX lanes elected single-producer
-//     (internal/core's txLane) — and cheaper than the MPMC by two CAS
-//     loops per transfer.
-//   - MPMC: a Vyukov-style bounded multi-producer/multi-consumer ring used
-//     wherever ownership cannot be pinned: multi-source TX lanes, sink RX
-//     rings (fed by pollers and run-to-completion emitters alike), and the
-//     memory manager's free-slot list.
+//   - SPSC: a single-producer/single-consumer ring, cheaper than the
+//     MPMC by two CAS loops per transfer where each end is owned by
+//     exactly one goroutine. It has no runtime user: every TX lane is
+//     one MPMC ring (DESIGN.md §11). It stays only as the subject of the
+//     repository benchmark's ringbuf.spsc_ns layer row, until a
+//     benchmark change retires the two together.
+//   - MPMC: a Vyukov-style bounded multi-producer/multi-consumer ring,
+//     used everywhere: TX lanes, sink RX rings (fed by pollers and
+//     run-to-completion emitters alike), and the memory manager's
+//     free-slot list.
 //
 // Both are fixed capacity (a power of two), never allocate after
 // construction, and never block: full/empty conditions are reported to the

@@ -127,11 +127,20 @@ func WriteProm(w io.Writer, nodes []NodeSnapshot) error {
 	writeMempool(bw, nodes)
 	writeEnvCache(bw, nodes)
 
-	name := MetricPrefix + "sched_queue_depth"
-	bw.printf("# HELP %s Packets parked in the per-technology schedulers.\n# TYPE %s gauge\n", name, name)
-	for _, n := range nodes {
-		bw.printf("%s{node=%q} %d\n", name, n.Node, n.Snap.SchedQueueDepth)
+	// Values sampled from their owners at snapshot time.
+	sampled := func(name, kind, help string, val func(*Snapshot) uint64) {
+		name = MetricPrefix + name
+		bw.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+		for _, n := range nodes {
+			bw.printf("%s{node=%q} %d\n", name, n.Node, val(n.Snap))
+		}
 	}
+	sampled("sched_queue_depth", "gauge", "Packets parked in the per-technology schedulers.",
+		func(s *Snapshot) uint64 { return s.SchedQueueDepth })
+	sampled("fabric_drops_total", "counter", "Frames lost by the node's fabric ports: link loss, unknown destination, full or closed receive queue.",
+		func(s *Snapshot) uint64 { return s.FabricDrops })
+	sampled("rx_alloc_drops_total", "counter", "Received frames dropped inside the datapath plugins: no free slot (or, kernel UDP and RDMA, wrong port or no posted buffer).",
+		func(s *Snapshot) uint64 { return s.RxAllocDrops })
 
 	writeTenants(bw, nodes)
 	return bw.err

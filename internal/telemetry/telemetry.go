@@ -260,6 +260,17 @@ type Snapshot struct {
 	EnvCache EnvCacheSnapshot
 	// SchedQueueDepth is the total packets parked in the schedulers.
 	SchedQueueDepth uint64
+
+	// The two loss points below the runtime, read from their owners'
+	// counters at snapshot time (no hot-path write of the runtime's).
+	// FabricDrops counts frames the node's fabric ports lost: on a
+	// lossy link or to an unknown address when transmitting, on a full
+	// or closed receive queue when receiving. RxAllocDrops counts frames
+	// the datapath plugins took off the wire and dropped before the
+	// runtime saw them: no free slot to receive into — or, in the
+	// plugins that demultiplex themselves (kernel UDP, RDMA), a frame
+	// for another port or no posted receive buffer.
+	FabricDrops, RxAllocDrops uint64
 }
 
 // MempoolSnapshot mirrors the memory manager's counters and per-class
