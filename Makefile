@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test perfbench-test race vet lint lint-hotpath lint-concurrency lint-arch lint-bounded lint-pair lint-guard bench bench-baseline bench-compare bench-isolation metrics-smoke experiments demo examples loc help
+.PHONY: all test perfbench-test fuzz remote-smoke race vet lint lint-hotpath lint-concurrency lint-arch lint-bounded lint-pair lint-guard bench bench-baseline bench-compare bench-isolation metrics-smoke experiments demo examples loc help
 
 all: vet test lint ## vet + test + lint (the CI gate)
 
@@ -14,6 +14,15 @@ test: ## run the full test suite
 
 perfbench-test: ## run the repository benchmark's own unit tests (own module and build tag, outside ./...)
 	cd perfbench && $(GO) test -tags perfbench ./...
+
+fuzz: ## fuzz the decoders a peer's bytes reach, 10 s each, from the committed seed corpora
+	$(GO) test -run '^$$' -fuzz FuzzDecodeUDP -fuzztime=10s ./internal/netstack
+	$(GO) test -run '^$$' -fuzz FuzzDecodeHeader -fuzztime=10s ./internal/core
+
+remote-smoke: ## 5 s traced benchmark pass over the fabric; fails on a failed operation or allocs_per_msg > 0.01
+	mkdir -p .bench_build
+	bash perfbench/run.sh --workload remote-dpdk --seed 1 --seconds 5 --trace 1 | tail -n 1 > .bench_build/remote-smoke.json
+	python3 -c 'import json, sys; d = json.load(open(".bench_build/remote-smoke.json")); a = d["metrics"]["allocs_per_msg"]["value"]; print("remote-smoke: failed =", d["failed"], "allocs_per_msg =", a); sys.exit(d["failed"] > 0 or a > 0.01)'
 
 race: ## run the test suite under the race detector
 	$(GO) test -race ./...

@@ -32,6 +32,108 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	})
 }
 
+// TestSteadyStateZeroAllocRemote holds the cross-node path to the same
+// zero: two nodes over DPDK, GetBuffer → Emit → frame → wire → Poll →
+// deliver → Consume → Release and the echo back. The wire copy lands in a
+// slot of the receiver's pool and the RX burst fills the poller's own
+// vector, so neither the fabric nor the plugin allocates per frame.
+func TestSteadyStateZeroAllocRemote(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the gate measures the plain build")
+	}
+	cluster, err := insane.NewCluster(insane.ClusterOptions{
+		Nodes:    []insane.NodeSpec{{Name: "a", DPDK: true}, {Name: "b", DPDK: true}},
+		Topology: insane.TopologyDirect,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	const pingCh, pongCh = 1, 2
+	var streams [2]*insane.Stream
+	for i, name := range []string{"a", "b"} {
+		sess, err := cluster.Node(name).InitSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		st, err := sess.CreateStreamOpts(insane.WithDatapath(insane.Fast))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Technology() != "dpdk" {
+			t.Fatalf("fast stream on %s mapped to %s, want dpdk", name, st.Technology())
+		}
+		streams[i] = st
+	}
+	pingSink, err := streams[1].CreateSink(pingCh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pongSink, err := streams[0].CreateSink(pongCh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []struct {
+		node    string
+		channel int
+	}{{"a", pingCh}, {"b", pongCh}} {
+		deadline := time.Now().Add(5 * time.Second)
+		for cluster.Node(sub.node).SubscriberCount(sub.channel) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %s never learned of the subscriber of channel %d", sub.node, sub.channel)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	pingSrc, err := streams[0].CreateSource(pingCh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pongSrc, err := streams[1].CreateSource(pongCh)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
+	oneWay := func(src *insane.Source, sink *insane.Sink) {
+		buf, err := src.GetBuffer(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.Emit(buf, 64); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := sink.ConsumeContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink.Release(msg)
+	}
+	op := func() {
+		oneWay(pingSrc, pingSink)
+		oneWay(pongSrc, pongSink)
+	}
+	for i := 0; i < 500; i++ {
+		op()
+	}
+	var avg float64
+	for attempt := 0; attempt < 2; attempt++ {
+		if avg = testing.AllocsPerRun(200, op); avg == 0 {
+			break
+		}
+	}
+	if avg != 0 {
+		t.Fatalf("steady-state remote path allocates: %.2f allocs/op, want 0", avg)
+	}
+	for _, name := range []string{"a", "b"} {
+		if m := cluster.Node(name).Metrics(); m.TechDowngrades != 0 || m.RxMessages == 0 {
+			t.Errorf("node %s: %d downgrades, %d messages received; the gate must have measured the DPDK plane", name, m.TechDowngrades, m.RxMessages)
+		}
+	}
+}
+
 func gateZeroAlloc(t *testing.T, opts ...insane.Option) {
 	cluster, err := insane.NewCluster(insane.ClusterOptions{
 		Nodes: []insane.NodeSpec{{Name: "a"}, {Name: "b"}},

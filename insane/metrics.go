@@ -78,10 +78,10 @@ type Metrics struct {
 	// Loss below the runtime, read from the owners' counters at snapshot
 	// time. DroppedFabric counts frames this node's fabric ports lost
 	// (link loss or an unknown address on transmit, a full or closed
-	// queue on receive); DroppedRxAlloc counts frames a datapath plugin
-	// received and dropped before the runtime saw them — no free slot
-	// to receive into, or (kernel UDP, RDMA) wrong port / no posted
-	// buffer.
+	// queue on receive); DroppedRxAlloc counts frames that reached the
+	// node and were dropped before the runtime saw them — no free slot
+	// in the pools the port receives into, or (kernel UDP, RDMA) wrong
+	// port / no posted buffer.
 	DroppedFabric, DroppedRxAlloc uint64
 	// Consume side.
 	Consumes, ConsumeBytes uint64

@@ -298,7 +298,7 @@ func (r *Runtime) enqueueToken(p *poller, st *techState, tok txToken, now timeba
 		src: tok.src, seq: tok.seq, channel: tok.channel, timing: tok.timing,
 		enqVT: now, ten: tok.ten, noTel: tok.noTel,
 	}
-	env.pkt.Charge(r.rc.Sched, tok.msgLen, 1, r.tb)
+	env.pkt.Charge(&r.rc.Sched, tok.msgLen, 1, r.tb)
 	p.shard.Inc(telemetry.CtrSchedEnqueues)
 	st.schedMu.Lock()
 	if tok.timing == qos.TimingSensitive {
@@ -407,7 +407,7 @@ func (r *Runtime) sendToPeer(p *poller, st *techState, pkt *datapath.Packet, sub
 	if target.info.NeedsUserStack {
 		// Packet processing engine: frame in place using the slot
 		// headroom (§5.3).
-		out.Charge(r.rc.NetstackTx, out.Len, 1, r.tb)
+		out.Charge(&r.rc.NetstackTx, out.Len, 1, r.tb)
 		dstMAC, err := r.cfg.Resolver.Resolve(dst.IP)
 		if err != nil {
 			return err
@@ -439,23 +439,23 @@ func (r *Runtime) sendToPeer(p *poller, st *techState, pkt *datapath.Packet, sub
 // dispatch data to local sinks.
 func (r *Runtime) pollRX(p *poller, st *techState) int {
 	st.mu.Lock()
-	pkts, err := st.ep.Poll(r.burst)
+	n, err := st.ep.Poll(p.rxPkts)
 	st.mu.Unlock()
-	if err != nil || len(pkts) == 0 {
+	if err != nil {
 		return 0
 	}
-	//insane:bounded by=the datapath returns at most one burst of packets per Receive
-	for _, pkt := range pkts {
-		r.receiveOne(p, st, pkt)
+	//insane:bounded by=n <= len(p.rxPkts), the per-poller RX vector of one burst
+	for i := 0; i < n; i++ {
+		r.receiveOne(p, st, &p.rxPkts[i])
 	}
-	return len(pkts)
+	return n
 }
 
 // receiveOne processes one inbound packet.
 func (r *Runtime) receiveOne(p *poller, st *techState, pkt *datapath.Packet) {
 	if pkt.Framed {
 		// Packet processing engine, receive side.
-		pkt.Charge(r.rc.NetstackRx, pkt.Len, 1, r.tb)
+		pkt.Charge(&r.rc.NetstackRx, pkt.Len, 1, r.tb)
 		meta, payload, err := netstack.DecodeUDP(pkt.Bytes())
 		if err != nil || meta.Dst.Port != st.local.Port {
 			p.shard.Inc(telemetry.CtrRxMalformedDrops)

@@ -153,9 +153,9 @@ type Runtime struct {
 	cfg   Config                    //insane:guardedby immutable after=NewRuntime
 	name  string                    //insane:guardedby immutable after=NewRuntime
 	clock timebase.Clock            //insane:guardedby immutable after=NewRuntime
-	tb    model.Testbed             //insane:guardedby immutable after=NewRuntime
+	tb    *model.Testbed            //insane:guardedby immutable after=NewRuntime
 	mm    *mempool.Manager          //insane:guardedby immutable after=NewRuntime
-	rc    model.RuntimeCosts        //insane:guardedby immutable after=NewRuntime
+	rc    *model.RuntimeCosts       //insane:guardedby immutable after=NewRuntime
 	subs  *subTable                 //insane:guardedby immutable after=NewRuntime
 	techs map[model.Tech]*techState //insane:guardedby immutable after=NewRuntime
 	burst int                       //insane:guardedby immutable after=NewRuntime
@@ -223,6 +223,10 @@ type poller struct {
 	// batch is the poller's scratch dequeue buffer (no per-iteration
 	// allocation on the hot path).
 	batch []*datapath.Packet //insane:guardedby confined owner=pollLoop
+	// rxPkts is the poller's own RX burst vector: the plugin's Poll fills
+	// it under the endpoint lock and the poller processes it after letting
+	// go, so pollers sharing an endpoint never share a packet.
+	rxPkts []datapath.Packet //insane:guardedby confined owner=pollLoop
 	// toks is the scratch buffer for batched TX-ring pops.
 	toks []txToken //insane:guardedby confined owner=pollLoop
 	// snaps caches the TX-ring topology per served techState (parallel
@@ -282,13 +286,14 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 
+	rc := model.DefaultRuntimeCosts()
 	r := &Runtime{
 		cfg:   cfg,
 		name:  cfg.Name,
 		clock: clock,
-		tb:    tb,
+		tb:    &tb,
 		mm:    mm,
-		rc:    model.DefaultRuntimeCosts(),
+		rc:    &rc,
 		subs:  newSubTable(cfg.Peers),
 		techs: make(map[model.Tech]*techState),
 		burst: burst,
@@ -310,9 +315,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	alloc := func(size int) (mempool.SlotID, []byte, error) {
-		return mm.Get(size, mempool.NoOwner)
-	}
 	for _, tech := range cfg.Caps.List() {
 		port := cfg.Ports[tech]
 		if port == nil {
@@ -327,7 +329,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			Port:     port,
 			Resolver: cfg.Resolver,
 			Local:    local,
-			Alloc:    alloc,
+			Mem:      mm,
 			Testbed:  tb,
 			Burst:    burst,
 		})
@@ -392,6 +394,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			kick:   make(chan telemetry.CounterID, 1),
 			stop:   make(chan struct{}),
 			batch:  make([]*datapath.Packet, burst),
+			rxPkts: make([]datapath.Packet, burst),
 			toks:   make([]txToken, burst),
 			snaps:  make([]txSnap, len(g)),
 			envs:   r.envPool.NewCache(envLocalCap),
@@ -436,7 +439,7 @@ func (r *Runtime) Name() string { return r.name }
 func (r *Runtime) Mem() *mempool.Manager { return r.mm }
 
 // Testbed returns the cost environment the runtime runs in.
-func (r *Runtime) Testbed() model.Testbed { return r.tb }
+func (r *Runtime) Testbed() model.Testbed { return *r.tb }
 
 // EffectiveCaps reports the technologies with an open endpoint.
 func (r *Runtime) EffectiveCaps() datapath.Caps {
@@ -631,13 +634,17 @@ func (r *Runtime) MetricsSnapshot() *telemetry.Snapshot {
 		st.schedMu.Lock()
 		s.SchedQueueDepth += uint64(st.wdrr.Pending() + st.tas.Pending())
 		st.schedMu.Unlock()
-		s.FabricDrops += r.cfg.Ports[tech].Stats().Dropped
-		s.RxAllocDrops += st.ep.Stats().Drops
+		ps := r.cfg.Ports[tech].Stats()
+		s.FabricDrops += ps.Dropped
+		s.RxAllocDrops += ps.RxNoMem + st.ep.Stats().Drops
 	}
 	return s
 }
 
-// Close stops the polling threads and releases the endpoints.
+// Close stops the polling threads and releases the endpoints. Closing an
+// endpoint unregisters the pools from its port and releases the frames
+// still queued there, so when Close returns a peer that keeps transmitting
+// takes nothing from this runtime's memory.
 func (r *Runtime) Close() error {
 	if !r.stopped.CompareAndSwap(false, true) {
 		return nil

@@ -81,15 +81,17 @@ type Packet struct {
 func (p *Packet) Bytes() []byte { return p.Buf[p.Off : p.Off+p.Len] }
 
 // Charge adds a model component's latency cost to the packet's virtual
-// clock and breakdown, amortizing burstable work over burst packets.
-func (p *Packet) Charge(c model.Component, payload, burst int, tb model.Testbed) {
-	occ := c.Occupancy(payload, burst, tb)
-	wait := tb.Scale(c.Class, c.LatencyOnly)
+// clock and breakdown, amortizing burstable work over burst packets. It
+// runs several times per packet on every plugin, so the component and the
+// testbed come by pointer.
+//
+//insane:hotpath
+func (p *Packet) Charge(c *model.Component, payload, burst int, tb *model.Testbed) {
 	if c.OccupancyOnly {
 		// Off the latency critical path: no virtual time charge.
 		return
 	}
-	d := occ + wait
+	d := c.Occupancy(payload, burst, tb) + tb.Scale(c.Class, c.LatencyOnly)
 	p.VTime = p.VTime.Add(d)
 	switch c.Category {
 	case model.CatSend:
@@ -103,10 +105,6 @@ func (p *Packet) Charge(c model.Component, payload, burst int, tb model.Testbed)
 	}
 }
 
-// Allocator hands out memory-manager slots to receiving plugins (the
-// stand-in for NIC DMA into the registered memory pools).
-type Allocator func(size int) (mempool.SlotID, []byte, error)
-
 // Config configures one endpoint.
 type Config struct {
 	// Port is the fabric NIC port the endpoint drives.
@@ -115,8 +113,11 @@ type Config struct {
 	Resolver *netstack.Resolver
 	// Local is the endpoint's own UDP address for demultiplexing.
 	Local netstack.Endpoint
-	// Alloc provides receive buffers from the runtime memory manager.
-	Alloc Allocator
+	// Mem is the memory manager the endpoint receives into: Open
+	// registers it with Port (the stand-in for registering the pools with
+	// the NIC for DMA), so every received packet already sits in one of
+	// its slots, and Close unregisters it.
+	Mem *mempool.Manager
 	// Testbed selects the cost scaling environment.
 	Testbed model.Testbed
 	// Burst caps how many packets one Send/Poll call moves. Zero means
@@ -139,7 +140,7 @@ func (c Config) EffectiveBurst() int {
 type Stats struct {
 	TxPackets, RxPackets uint64
 	TxBytes, RxBytes     uint64
-	Drops                uint64 // demux misses, allocation failures
+	Drops                uint64 // demux misses, no posted receive buffer
 	EmptyPolls           uint64 // busy-poll iterations that found nothing
 }
 
@@ -149,15 +150,17 @@ type Endpoint interface {
 	Tech() model.Tech
 	// Send transmits a burst of packets to dst. It returns the number of
 	// packets accepted; the caller retains ownership of rejected ones.
-	// Plugins are trusted hot-path boundaries: each implementation is
-	// vetted (or deliberately exempt) where it is defined.
+	// Every implementation is an //insane:hotpath root of its own.
 	//
 	//insane:hotpath
 	Send(pkts []*Packet, dst netstack.Endpoint) (int, error)
-	// Poll receives up to max packets without blocking.
+	// Poll receives up to len(pkts) packets into pkts without blocking
+	// (burst-oriented plugins stop at Config.Burst) and returns how many
+	// it filled. Each sits in a slot of Config.Mem that the caller now
+	// owns. The vector is the caller's: one per polling thread.
 	//
 	//insane:hotpath
-	Poll(max int) ([]*Packet, error)
+	Poll(pkts []Packet) (int, error)
 	// WaitRecv blocks until at least one packet is available or the
 	// timeout elapses; busy-polling technologies return immediately.
 	WaitRecv(timeout time.Duration) error
@@ -165,7 +168,8 @@ type Endpoint interface {
 	MTU() int
 	// Stats returns a snapshot of endpoint counters.
 	Stats() Stats
-	// Close releases the endpoint.
+	// Close releases the endpoint, unregisters Config.Mem from the port
+	// and releases every frame still queued on it.
 	Close() error
 }
 

@@ -17,14 +17,14 @@ func TestPacketBytes(t *testing.T) {
 }
 
 func TestChargeCategories(t *testing.T) {
-	mk := func(cat model.Category) model.Component {
-		return model.Component{Name: "c", Category: cat, Fixed: 100}
+	mk := func(cat model.Category) *model.Component {
+		return &model.Component{Name: "c", Category: cat, Fixed: 100}
 	}
 	p := &Packet{}
-	p.Charge(mk(model.CatSend), 0, 1, model.Local)
-	p.Charge(mk(model.CatNetwork), 0, 1, model.Local)
-	p.Charge(mk(model.CatRecv), 0, 1, model.Local)
-	p.Charge(mk(model.CatProcessing), 0, 1, model.Local)
+	p.Charge(mk(model.CatSend), 0, 1, &model.Local)
+	p.Charge(mk(model.CatNetwork), 0, 1, &model.Local)
+	p.Charge(mk(model.CatRecv), 0, 1, &model.Local)
+	p.Charge(mk(model.CatProcessing), 0, 1, &model.Local)
 	if p.VTime.Duration() != 400 {
 		t.Errorf("vtime = %v, want 400ns", p.VTime)
 	}
@@ -38,11 +38,11 @@ func TestChargeCategories(t *testing.T) {
 }
 
 func TestChargeAmortization(t *testing.T) {
-	c := model.Component{Name: "a", Category: model.CatSend, Fixed: 100, Amort: 320}
+	c := &model.Component{Name: "a", Category: model.CatSend, Fixed: 100, Amort: 320}
 	single := &Packet{}
-	single.Charge(c, 0, 1, model.Local)
+	single.Charge(c, 0, 1, &model.Local)
 	burst := &Packet{}
-	burst.Charge(c, 0, 32, model.Local)
+	burst.Charge(c, 0, 32, &model.Local)
 	if single.VTime.Duration() != 420 {
 		t.Errorf("single charge = %v, want 420ns", single.VTime)
 	}
@@ -52,19 +52,19 @@ func TestChargeAmortization(t *testing.T) {
 }
 
 func TestChargeOccupancyOnlySkipsLatency(t *testing.T) {
-	c := model.Component{Name: "reap", Category: model.CatSend, Amort: 400, OccupancyOnly: true}
+	c := &model.Component{Name: "reap", Category: model.CatSend, Amort: 400, OccupancyOnly: true}
 	p := &Packet{}
-	p.Charge(c, 0, 1, model.Local)
+	p.Charge(c, 0, 1, &model.Local)
 	if p.VTime != 0 || p.Breakdown.Total() != 0 {
 		t.Error("occupancy-only work charged to the latency clock")
 	}
 }
 
 func TestChargeLatencyOnlyWaits(t *testing.T) {
-	c := model.Component{Name: "wait", Category: model.CatRecv, Class: model.ScaleKernel, LatencyOnly: 1000}
+	c := &model.Component{Name: "wait", Category: model.CatRecv, Class: model.ScaleKernel, LatencyOnly: 1000}
 	p := &Packet{}
-	p.Charge(c, 0, 32, model.Cloud) // burst must not amortize waits
-	want := time.Duration(1600)     // 1000 × 1.6 kernel scale
+	p.Charge(c, 0, 32, &model.Cloud) // burst must not amortize waits
+	want := time.Duration(1600)      // 1000 × 1.6 kernel scale
 	if p.VTime.Duration() != want {
 		t.Errorf("wait charge = %v, want %v", p.VTime, want)
 	}

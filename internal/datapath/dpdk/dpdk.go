@@ -12,6 +12,7 @@
 package dpdk
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -35,11 +36,13 @@ func (Plugin) Info() model.TechInfo { return model.Info(model.TechDPDK) }
 // Available reports whether the host has DPDK support.
 func (Plugin) Available(caps datapath.Caps) bool { return caps.DPDK }
 
-// Open takes over the NIC port in poll mode.
+// Open takes over the NIC port in poll mode and registers the memory
+// pools with it.
 func (Plugin) Open(cfg datapath.Config) (datapath.Endpoint, error) {
-	if cfg.Port == nil || cfg.Alloc == nil {
+	if cfg.Port == nil || cfg.Mem == nil {
 		return nil, fmt.Errorf("dpdk: incomplete config")
 	}
+	cfg.Port.SetRxMemory(cfg.Mem)
 	return &endpoint{cfg: cfg, costs: model.DPDK()}, nil
 }
 
@@ -77,21 +80,25 @@ func (e *endpoint) Stats() datapath.Stats {
 // Send transmits a burst of framed packets (tx_burst). The per-burst
 // doorbell cost amortizes over the burst — INSANE's opportunistic batching
 // leans on exactly this property (§6.2).
+//
+//insane:hotpath
 func (e *endpoint) Send(pkts []*datapath.Packet, _ netstack.Endpoint) (int, error) {
 	if e.closed.Load() {
 		return 0, datapath.ErrClosed
 	}
 	burst := len(pkts)
+	tb := &e.cfg.Testbed
+	//insane:bounded by=pkts is one TX burst of the caller, <= model.MaxBurst
 	for i, p := range pkts {
 		if !p.Framed {
-			return i, fmt.Errorf("dpdk: unframed packet; the packet processing engine must encode first")
+			return i, errUnframed
 		}
-		tb := e.cfg.Testbed
 		payload := p.Len - netstack.HeadersLen
-		p.Charge(e.costs.TxDriver, payload, burst, tb)
-		p.Charge(e.costs.TxComplete, payload, burst, tb)
-		p.Charge(e.costs.NICTx, payload, burst, tb)
+		p.Charge(&e.costs.TxDriver, payload, burst, tb)
+		p.Charge(&e.costs.TxComplete, payload, burst, tb)
+		p.Charge(&e.costs.NICTx, payload, burst, tb)
 		if err := e.cfg.Port.Transmit(p.Bytes(), p.VTime, p.Breakdown); err != nil {
+			//lint:ignore insanevet/hotpathcheck cold error path: the port was closed or never attached
 			return i, fmt.Errorf("dpdk: %w", err)
 		}
 		e.txPackets.Add(1)
@@ -100,50 +107,45 @@ func (e *endpoint) Send(pkts []*datapath.Packet, _ netstack.Endpoint) (int, erro
 	return len(pkts), nil
 }
 
+// errUnframed rejects a packet the packet processing engine did not frame.
+var errUnframed = errors.New("dpdk: unframed packet; the packet processing engine must encode first")
+
 // Poll busy-polls the RX ring (rx_burst): frames are returned still framed
-// for the packet processing engine, in memory-pool slots where the NIC
-// "DMAed" them.
-func (e *endpoint) Poll(max int) ([]*datapath.Packet, error) {
+// for the packet processing engine, in the memory-pool slots where the NIC
+// "DMAed" them — the wire copy already landed there.
+//
+//insane:hotpath
+func (e *endpoint) Poll(pkts []datapath.Packet) (int, error) {
 	if e.closed.Load() {
-		return nil, datapath.ErrClosed
+		return 0, datapath.ErrClosed
 	}
-	if max > e.cfg.EffectiveBurst() {
-		max = e.cfg.EffectiveBurst()
+	if max := e.cfg.EffectiveBurst(); len(pkts) > max {
+		pkts = pkts[:max]
 	}
-	var out []*datapath.Packet
-	for len(out) < max {
+	n := 0
+	//insane:bounded by=n strictly increases up to len(pkts), one RX burst
+	for n < len(pkts) {
 		frame, ok := e.cfg.Port.TryRecv()
 		if !ok {
 			break
 		}
-		slot, buf, err := e.cfg.Alloc(len(frame.Data))
-		if err != nil {
-			e.drops.Add(1)
-			continue
-		}
-		copy(buf, frame.Data) // stands in for NIC DMA into the mempool
-		out = append(out, &datapath.Packet{
-			Slot:      slot,
-			Buf:       buf,
-			Off:       0,
-			Len:       len(frame.Data),
-			Framed:    true,
-			VTime:     frame.VTime,
-			Breakdown: frame.Breakdown,
-		})
+		pkts[n] = datapath.PacketOf(frame)
+		n++
 	}
-	burst := len(out)
-	for _, p := range out {
+	tb := &e.cfg.Testbed
+	//insane:bounded by=n <= len(pkts), one RX burst
+	for i := 0; i < n; i++ {
+		p := &pkts[i]
 		payload := p.Len - netstack.HeadersLen
-		p.Charge(e.costs.NICRx, payload, burst, e.cfg.Testbed)
-		p.Charge(e.costs.RxPoll, payload, burst, e.cfg.Testbed)
+		p.Charge(&e.costs.NICRx, payload, n, tb)
+		p.Charge(&e.costs.RxPoll, payload, n, tb)
 		e.rxPackets.Add(1)
 		e.rxBytes.Add(uint64(p.Len))
 	}
-	if burst == 0 {
+	if n == 0 {
 		e.emptyPolls.Add(1) // busy-poll burn: DPDK's CPU cost (Table 1)
 	}
-	return out, nil
+	return n, nil
 }
 
 // WaitRecv returns immediately: a PMD never blocks, it spins.
@@ -154,8 +156,11 @@ func (e *endpoint) WaitRecv(time.Duration) error {
 	return nil
 }
 
-// Close releases the port back from poll mode.
+// Close releases the port back from poll mode; frames still in its RX
+// ring go back to the pools.
 func (e *endpoint) Close() error {
-	e.closed.Store(true)
+	if e.closed.CompareAndSwap(false, true) {
+		e.cfg.Port.SetRxMemory(nil)
+	}
 	return nil
 }

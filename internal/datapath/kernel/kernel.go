@@ -5,17 +5,19 @@
 // The plugin stands in for AF_INET sockets over the OS stack. Frames are
 // built and parsed by this plugin itself — modeling the kernel's protocol
 // processing — and every packet is charged the calibrated syscall, stack
-// and copy costs of the kernel path (internal/model). Payloads are copied
-// at both ends because the kernel path is not zero-copy (Table 1).
+// and copy costs of the kernel path (internal/model). The kernel path is
+// not zero-copy (Table 1): the send side really copies, and the receive
+// side charges the kernel→user copy while the one real copy per frame —
+// the wire into the socket's registered memory — is the fabric's.
 package kernel
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
-	"github.com/insane-mw/insane/internal/fabric"
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/netstack"
 )
@@ -37,13 +39,18 @@ func (Plugin) Available(datapath.Caps) bool { return true }
 
 // Open creates a socket-like endpoint bound to cfg.Local.
 func (Plugin) Open(cfg datapath.Config) (datapath.Endpoint, error) {
-	if cfg.Port == nil || cfg.Resolver == nil || cfg.Alloc == nil {
+	if cfg.Port == nil || cfg.Resolver == nil || cfg.Mem == nil {
 		return nil, fmt.Errorf("kernel: incomplete config")
 	}
+	cfg.Port.SetRxMemory(cfg.Mem)
 	return &endpoint{
 		cfg:     cfg,
 		costs:   model.KernelUDP(),
 		scratch: make([]byte, netstack.HeadersLen+netstack.MaxPayload(cfg.Port.MTU())),
+		wakeup: model.Component{
+			Name: "rx-wakeup", Category: model.CatRecv,
+			Class: model.ScaleKernel, LatencyOnly: model.BlockingWakeup(),
+		},
 	}, nil
 }
 
@@ -54,9 +61,11 @@ type endpoint struct {
 	cfg     datapath.Config
 	costs   model.TechCosts
 	scratch []byte
-	// pending holds packets already consumed by WaitRecv, returned by
+	// wakeup is the extra receive cost of a blocking socket.
+	wakeup model.Component
+	// backlog holds frames consumed by a blocking WaitRecv, processed by
 	// the next Poll.
-	pending []*datapath.Packet
+	backlog datapath.Backlog
 	closed  atomic.Bool
 	stats   statCounters
 }
@@ -91,25 +100,31 @@ func (e *endpoint) Stats() datapath.Stats { return e.stats.snapshot() }
 // Send copies each message through the simulated kernel stack and
 // transmits it. Kernel sockets have no burst interface, so costs never
 // amortize (burst = 1).
+//
+//insane:hotpath
 func (e *endpoint) Send(pkts []*datapath.Packet, dst netstack.Endpoint) (int, error) {
 	if e.closed.Load() {
 		return 0, datapath.ErrClosed
 	}
 	dstMAC, err := e.cfg.Resolver.Resolve(dst.IP)
 	if err != nil {
+		//lint:ignore insanevet/hotpathcheck cold error path: destination outside the static ARP table
 		return 0, fmt.Errorf("kernel: %w", err)
 	}
+	tb := &e.cfg.Testbed
+	mtu := e.cfg.Port.MTU()
+	//insane:bounded by=pkts is one TX burst of the caller, <= model.MaxBurst
 	for i, p := range pkts {
 		if p.Framed {
-			return i, fmt.Errorf("kernel: framed packet on kernel path")
+			return i, errFramed
 		}
-		if p.Len > e.MTU() {
-			return i, fmt.Errorf("%w: %d > %d", datapath.ErrTooLarge, p.Len, e.MTU())
+		if p.Len > netstack.MaxPayload(mtu) {
+			//lint:ignore insanevet/hotpathcheck cold error path: message above the path MTU
+			return i, fmt.Errorf("%w: %d > %d", datapath.ErrTooLarge, p.Len, netstack.MaxPayload(mtu))
 		}
-		tb := e.cfg.Testbed
-		p.Charge(e.costs.TxSyscall, p.Len, 1, tb)
-		p.Charge(e.costs.TxStack, p.Len, 1, tb) // includes the user→kernel copy
-		p.Charge(e.costs.NICTx, p.Len, 1, tb)
+		p.Charge(&e.costs.TxSyscall, p.Len, 1, tb)
+		p.Charge(&e.costs.TxStack, p.Len, 1, tb) // includes the user→kernel copy
+		p.Charge(&e.costs.NICTx, p.Len, 1, tb)
 
 		// The "kernel" builds the frame in its own buffer: a real copy,
 		// as on the non-zero-copy kernel path.
@@ -120,11 +135,13 @@ func (e *endpoint) Send(pkts []*datapath.Packet, dst netstack.Endpoint) (int, er
 			Src:    e.cfg.Local,
 			Dst:    dst,
 		}
-		n, err := netstack.EncodeUDP(e.scratch, meta, p.Len, e.cfg.Port.MTU())
+		n, err := netstack.EncodeUDP(e.scratch, meta, p.Len, mtu)
 		if err != nil {
+			//lint:ignore insanevet/hotpathcheck cold error path: frame does not fit the MTU
 			return i, fmt.Errorf("kernel: %w", err)
 		}
 		if err := e.cfg.Port.Transmit(e.scratch[:n], p.VTime, p.Breakdown); err != nil {
+			//lint:ignore insanevet/hotpathcheck cold error path: the port was closed or never attached
 			return i, fmt.Errorf("kernel: %w", err)
 		}
 		e.stats.txPackets.Add(1)
@@ -133,34 +150,57 @@ func (e *endpoint) Send(pkts []*datapath.Packet, dst netstack.Endpoint) (int, er
 	return len(pkts), nil
 }
 
-// Poll receives up to max datagrams without blocking.
-func (e *endpoint) Poll(max int) ([]*datapath.Packet, error) {
+// errFramed rejects a packet already framed for a userspace stack.
+var errFramed = errors.New("kernel: framed packet on kernel path")
+
+// Poll receives up to len(pkts) datagrams without blocking, running each
+// frame through the simulated kernel receive path. A datagram stays in
+// place in its frame's slot — the payload of a frame at slot offset 0
+// already sits at datapath.Headroom — and a frame for another socket is
+// dropped and its slot released.
+//
+//insane:hotpath
+func (e *endpoint) Poll(pkts []datapath.Packet) (int, error) {
 	if e.closed.Load() {
-		return nil, datapath.ErrClosed
+		return 0, datapath.ErrClosed
 	}
-	var out []*datapath.Packet
-	for len(e.pending) > 0 && len(out) < max {
-		out = append(out, e.pending[0])
-		e.pending = e.pending[1:]
-	}
-	for len(out) < max {
-		frame, ok := e.cfg.Port.TryRecv()
+	tb := &e.cfg.Testbed
+	n := 0
+	//insane:bounded by=every iteration consumes one queued frame; the RX queue holds at most fabric's rxQueueDepth and n stops at len(pkts)
+	for n < len(pkts) {
+		frame, ok := e.backlog.Next(e.cfg.Port)
 		if !ok {
 			break
 		}
-		if p := e.receive(frame); p != nil {
-			out = append(out, p)
+		meta, payload, err := netstack.DecodeUDP(frame.Data)
+		if err != nil || meta.Dst.Port != e.cfg.Local.Port {
+			e.stats.drops.Add(1)
+			_ = e.cfg.Mem.Release(frame.Slot) // a received frame holds exactly the reference the port took
+			continue
 		}
+		pkts[n] = datapath.PacketOf(frame)
+		p := &pkts[n]
+		p.Off, p.Len, p.Framed = datapath.Headroom, len(payload), false
+		p.Src, p.Dst = meta.Src, meta.Dst
+		p.Charge(&e.costs.NICRx, p.Len, 1, tb)
+		p.Charge(&e.costs.RxWait, p.Len, 1, tb)
+		p.Charge(&e.costs.RxStack, p.Len, 1, tb) // kernel→user copy cost
+		p.Charge(&e.costs.RxPoll, p.Len, 1, tb)
+		if e.cfg.Blocking {
+			p.Charge(&e.wakeup, p.Len, 1, tb)
+		}
+		e.stats.rxPackets.Add(1)
+		e.stats.rxBytes.Add(uint64(p.Len))
+		n++
 	}
-	if len(out) == 0 {
+	if n == 0 {
 		e.stats.emptyPolls.Add(1)
 	}
-	return out, nil
+	return n, nil
 }
 
 // WaitRecv blocks until a datagram is queued (blocking-socket semantics).
-// The received frame is processed on the next Poll: the port queue keeps
-// it; here we only wait for availability.
+// The frame it takes off the port is kept for the next Poll.
 func (e *endpoint) WaitRecv(timeout time.Duration) error {
 	if e.closed.Load() {
 		return datapath.ErrClosed
@@ -168,59 +208,15 @@ func (e *endpoint) WaitRecv(timeout time.Duration) error {
 	if !e.cfg.Blocking {
 		return nil
 	}
-	frame, err := e.cfg.Port.Recv(timeout)
-	if err != nil {
-		return err
-	}
-	// Hand the frame straight through the receive path and keep it for
-	// the next Poll.
-	if p := e.receive(frame); p != nil {
-		e.pending = append(e.pending, p)
-	}
-	return nil
+	return e.backlog.Wait(e.cfg.Port, timeout)
 }
 
-// receive runs one frame through the simulated kernel receive path.
-func (e *endpoint) receive(frame fabric.Frame) *datapath.Packet {
-	meta, payload, err := netstack.DecodeUDP(frame.Data)
-	if err != nil || meta.Dst.Port != e.cfg.Local.Port {
-		e.stats.drops.Add(1)
-		return nil
-	}
-	slot, buf, err := e.cfg.Alloc(datapath.Headroom + len(payload))
-	if err != nil {
-		e.stats.drops.Add(1)
-		return nil
-	}
-	copy(buf[datapath.Headroom:], payload) // kernel→user copy
-	p := &datapath.Packet{
-		Slot:      slot,
-		Buf:       buf,
-		Off:       datapath.Headroom,
-		Len:       len(payload),
-		Src:       meta.Src,
-		Dst:       meta.Dst,
-		VTime:     frame.VTime,
-		Breakdown: frame.Breakdown,
-	}
-	tb := e.cfg.Testbed
-	p.Charge(e.costs.NICRx, p.Len, 1, tb)
-	p.Charge(e.costs.RxWait, p.Len, 1, tb)
-	p.Charge(e.costs.RxStack, p.Len, 1, tb) // kernel→user copy cost
-	p.Charge(e.costs.RxPoll, p.Len, 1, tb)
-	if e.cfg.Blocking {
-		p.Charge(model.Component{
-			Name: "rx-wakeup", Category: model.CatRecv,
-			Class: model.ScaleKernel, LatencyOnly: model.BlockingWakeup(),
-		}, p.Len, 1, tb)
-	}
-	e.stats.rxPackets.Add(1)
-	e.stats.rxBytes.Add(uint64(p.Len))
-	return p
-}
-
-// Close marks the endpoint closed.
+// Close closes the socket; frames it still holds, and those queued on the
+// port, go back to the pools.
 func (e *endpoint) Close() error {
-	e.closed.Store(true)
+	if e.closed.CompareAndSwap(false, true) {
+		e.backlog.Release(e.cfg.Mem)
+		e.cfg.Port.SetRxMemory(nil)
+	}
 	return nil
 }

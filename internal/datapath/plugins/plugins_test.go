@@ -59,9 +59,7 @@ func newRig(t *testing.T, tech model.Tech, blocking bool) *rig {
 			Port:     port,
 			Resolver: net.Resolver(),
 			Local:    local,
-			Alloc: func(size int) (mempool.SlotID, []byte, error) {
-				return mm.Get(size, mempool.NoOwner)
-			},
+			Mem:      mm,
 			Testbed:  model.Local,
 			Blocking: blocking,
 		})
@@ -75,8 +73,45 @@ func newRig(t *testing.T, tech model.Tech, blocking bool) *rig {
 		a: open(portA, mmA, epA), b: open(portB, mmB, epB),
 		epA: epA, epB: epB,
 	}
-	t.Cleanup(func() { r.a.Close(); r.b.Close() })
+	// Cleanups run last-in first-out, so this one runs after every release
+	// poll registers: with both endpoints closed, whatever a port still
+	// queued is back too and both pools are whole again.
+	t.Cleanup(func() {
+		r.a.Close()
+		r.b.Close()
+		for name, mm := range map[string]*mempool.Manager{"a": mmA, "b": mmB} {
+			for class, free := range mm.FreeSlots() {
+				if want := mm.Classes()[class].Slots; free != want {
+					t.Errorf("host %s: %d of %d slots of class %d free after the endpoints closed", name, free, want, class)
+				}
+			}
+		}
+	})
 	return r
+}
+
+// poll polls ep once for up to max packets. The packets sit in slots of
+// the polling host's manager; they are released when the test ends.
+func (r *rig) poll(t *testing.T, ep datapath.Endpoint, max int) []datapath.Packet {
+	t.Helper()
+	pkts := make([]datapath.Packet, max)
+	n, err := ep.Poll(pkts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := r.mmA
+	if ep == r.b {
+		mm = r.mmB
+	}
+	for i := range pkts[:n] {
+		slot := pkts[i].Slot
+		t.Cleanup(func() {
+			if err := mm.Release(slot); err != nil {
+				t.Errorf("release of a polled packet: %v", err)
+			}
+		})
+	}
+	return pkts[:n]
 }
 
 // makePacket builds an unframed message packet in a fresh buffer.
@@ -104,16 +139,12 @@ func frame(t *testing.T, payload []byte, src, dst netstack.Endpoint, srcMAC, dst
 }
 
 // pollOne spins until the endpoint returns one packet or times out.
-func pollOne(t *testing.T, ep datapath.Endpoint) *datapath.Packet {
+func (r *rig) pollOne(t *testing.T, ep datapath.Endpoint) *datapath.Packet {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		pkts, err := ep.Poll(8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pkts) > 0 {
-			return pkts[0]
+		if pkts := r.poll(t, ep, 8); len(pkts) > 0 {
+			return &pkts[0]
 		}
 	}
 	t.Fatal("no packet received before deadline")
@@ -126,7 +157,7 @@ func TestKernelRoundTrip(t *testing.T) {
 	if n, err := r.a.Send([]*datapath.Packet{makePacket(msg)}, r.epB); err != nil || n != 1 {
 		t.Fatalf("Send = %d,%v", n, err)
 	}
-	got := pollOne(t, r.b)
+	got := r.pollOne(t, r.b)
 	if !bytes.Equal(got.Bytes(), msg) {
 		t.Errorf("payload = %q, want %q", got.Bytes(), msg)
 	}
@@ -156,8 +187,8 @@ func TestKernelBlockingChargesWakeup(t *testing.T) {
 	if err := bl.b.WaitRecv(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	fast := pollOne(t, nb.b).VTime
-	slow := pollOne(t, bl.b).VTime
+	fast := nb.pollOne(t, nb.b).VTime
+	slow := bl.pollOne(t, bl.b).VTime
 	if delta := slow.Sub(fast); delta != model.BlockingWakeup() {
 		t.Errorf("blocking wakeup delta = %v, want %v", delta, model.BlockingWakeup())
 	}
@@ -186,7 +217,7 @@ func TestDPDKRoundTripFramed(t *testing.T) {
 	if n, err := r.a.Send([]*datapath.Packet{f}, r.epB); err != nil || n != 1 {
 		t.Fatalf("Send = %d,%v", n, err)
 	}
-	got := pollOne(t, r.b)
+	got := r.pollOne(t, r.b)
 	if !got.Framed {
 		t.Fatal("DPDK must deliver framed packets")
 	}
@@ -236,7 +267,7 @@ func TestDPDKBurstAmortizesDoorbell(t *testing.T) {
 	if _, err := single.a.Send([]*datapath.Packet{frameFor(t, single, msg)}, single.epB); err != nil {
 		t.Fatal(err)
 	}
-	soloVT := pollOne(t, single.b).VTime
+	soloVT := single.pollOne(t, single.b).VTime
 
 	pkts := make([]*datapath.Packet, 16)
 	for i := range pkts {
@@ -247,14 +278,10 @@ func TestDPDKBurstAmortizesDoorbell(t *testing.T) {
 	}
 	// Drain the whole burst; per-packet charged time must be lower than
 	// the single-packet case thanks to doorbell amortization.
-	var got []*datapath.Packet
+	var got []datapath.Packet
 	deadline := time.Now().Add(2 * time.Second)
 	for len(got) < 16 && time.Now().Before(deadline) {
-		ps, err := burst.b.Poll(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ps...)
+		got = append(got, burst.poll(t, burst.b, 16)...)
 	}
 	if len(got) != 16 {
 		t.Fatalf("received %d of 16", len(got))
@@ -270,7 +297,7 @@ func TestXDPRoundTrip(t *testing.T) {
 	if _, err := r.a.Send([]*datapath.Packet{frameFor(t, r, msg)}, r.epB); err != nil {
 		t.Fatal(err)
 	}
-	got := pollOne(t, r.b)
+	got := r.pollOne(t, r.b)
 	_, payload, err := netstack.DecodeUDP(got.Bytes())
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +318,7 @@ func TestRDMARoundTrip(t *testing.T) {
 	if _, err := r.a.Send([]*datapath.Packet{makePacket(msg)}, r.epB); err != nil {
 		t.Fatal(err)
 	}
-	got := pollOne(t, r.b)
+	got := r.pollOne(t, r.b)
 	if !bytes.Equal(got.Bytes(), msg) {
 		t.Errorf("payload = %q, want %q", got.Bytes(), msg)
 	}
@@ -321,18 +348,17 @@ func TestRDMAReceiverNotReady(t *testing.T) {
 		t.Fatal(err)
 	}
 	mm, _ := mempool.NewManager(mempool.Config{})
-	alloc := func(size int) (mempool.SlotID, []byte, error) { return mm.Get(size, mempool.NoOwner) }
 	plugin := rdma.Plugin{RecvDepth: 4}
 	a, err := plugin.Open(datapath.Config{
 		Port: portA, Resolver: net.Resolver(),
-		Local: netstack.Endpoint{IP: ipA, Port: 9}, Alloc: alloc, Testbed: model.Local,
+		Local: netstack.Endpoint{IP: ipA, Port: 9}, Mem: mm, Testbed: model.Local,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, err := plugin.Open(datapath.Config{
 		Port: portB, Resolver: net.Resolver(),
-		Local: netstack.Endpoint{IP: ipB, Port: 9}, Alloc: alloc, Testbed: model.Local,
+		Local: netstack.Endpoint{IP: ipB, Port: 9}, Mem: mm, Testbed: model.Local,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -343,16 +369,22 @@ func TestRDMAReceiverNotReady(t *testing.T) {
 		}
 	}
 	time.Sleep(50 * time.Millisecond)
-	pkts, err := b.Poll(10)
+	pkts := make([]datapath.Packet, 10)
+	n, err := b.Poll(pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkts) != 4 {
-		t.Fatalf("reaped %d completions, want 4 (depth)", len(pkts))
+	if n != 4 {
+		t.Fatalf("reaped %d completions, want 4 (depth)", n)
 	}
 	rn := b.(interface{ RNRDrops() uint64 }).RNRDrops()
 	if rn != 6 {
 		t.Errorf("RNR drops = %d, want 6", rn)
+	}
+	// The six refused messages gave their slots back on the spot; the four
+	// reaped ones are the caller's.
+	if free, want := mm.FreeSlots()[0], mm.Classes()[0].Slots-4; free != want {
+		t.Errorf("%d small slots free with 4 completions held, want %d", free, want)
 	}
 }
 
@@ -366,7 +398,7 @@ func TestClosedEndpointErrors(t *testing.T) {
 			if _, err := r.a.Send(nil, r.epB); !errors.Is(err, datapath.ErrClosed) {
 				t.Errorf("Send on closed = %v", err)
 			}
-			if _, err := r.a.Poll(1); !errors.Is(err, datapath.ErrClosed) {
+			if _, err := r.a.Poll(make([]datapath.Packet, 1)); !errors.Is(err, datapath.ErrClosed) {
 				t.Errorf("Poll on closed = %v", err)
 			}
 			if err := r.a.WaitRecv(time.Millisecond); !errors.Is(err, datapath.ErrClosed) {
@@ -383,11 +415,7 @@ func TestDemuxDropsForeignPort(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	pkts, err := r.b.Poll(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkts) != 0 {
+	if pkts := r.poll(t, r.b, 4); len(pkts) != 0 {
 		t.Errorf("received %d packets for a foreign port", len(pkts))
 	}
 	if r.b.Stats().Drops == 0 {
@@ -437,7 +465,7 @@ func TestTechLatencyOrderingEndToEnd(t *testing.T) {
 		if _, err := r.a.Send([]*datapath.Packet{pkt}, r.epB); err != nil {
 			t.Fatal(err)
 		}
-		return pollOne(t, r.b).VTime.Duration()
+		return r.pollOne(t, r.b).VTime.Duration()
 	}
 	rdmaT := oneWay(model.TechRDMA)
 	dpdkT := oneWay(model.TechDPDK)
@@ -459,10 +487,7 @@ func TestXDPBlockingWaitRecv(t *testing.T) {
 	if err := r.b.WaitRecv(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	pkts, err := r.b.Poll(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkts := r.poll(t, r.b, 4)
 	if len(pkts) != 1 {
 		t.Fatalf("polled %d packets after blocking wait, want 1", len(pkts))
 	}
@@ -482,7 +507,7 @@ func TestNonBlockingWaitRecvIsNoop(t *testing.T) {
 	if err := r.b.WaitRecv(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := pollOne(t, r.b); string(got.Bytes()) != "x" {
+	if got := r.pollOne(t, r.b); string(got.Bytes()) != "x" {
 		t.Errorf("payload = %q", got.Bytes())
 	}
 }

@@ -19,6 +19,7 @@
 package rdma
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -54,9 +55,10 @@ func (Plugin) Available(caps datapath.Caps) bool { return caps.RDMA }
 // Open registers the runtime memory with the NIC and creates a queue pair
 // endpoint.
 func (p Plugin) Open(cfg datapath.Config) (datapath.Endpoint, error) {
-	if cfg.Port == nil || cfg.Resolver == nil || cfg.Alloc == nil {
+	if cfg.Port == nil || cfg.Resolver == nil || cfg.Mem == nil {
 		return nil, fmt.Errorf("rdma: incomplete config")
 	}
+	cfg.Port.SetRxMemory(cfg.Mem)
 	depth := p.RecvDepth
 	if depth <= 0 {
 		depth = DefaultRecvDepth
@@ -114,26 +116,32 @@ func (e *endpoint) RNRDrops() uint64 { return e.rnrDrops.Load() }
 
 // Send posts send work requests for a burst of messages. The host only
 // writes the WQE; transport processing is charged to the NIC engine.
+//
+//insane:hotpath
 func (e *endpoint) Send(pkts []*datapath.Packet, dst netstack.Endpoint) (int, error) {
 	if e.closed.Load() {
 		return 0, datapath.ErrClosed
 	}
 	dstMAC, err := e.cfg.Resolver.Resolve(dst.IP)
 	if err != nil {
+		//lint:ignore insanevet/hotpathcheck cold error path: destination outside the static ARP table
 		return 0, fmt.Errorf("rdma: %w", err)
 	}
 	burst := len(pkts)
+	tb := &e.cfg.Testbed
+	mtu := e.cfg.Port.MTU()
+	//insane:bounded by=pkts is one TX burst of the caller, <= model.MaxBurst
 	for i, p := range pkts {
 		if p.Framed {
-			return i, fmt.Errorf("rdma: framed packet; the NIC implements the transport")
+			return i, errFramed
 		}
-		if p.Len > e.MTU() {
-			return i, fmt.Errorf("%w: %d > %d", datapath.ErrTooLarge, p.Len, e.MTU())
+		if p.Len > netstack.MaxPayload(mtu) {
+			//lint:ignore insanevet/hotpathcheck cold error path: message above the path MTU
+			return i, fmt.Errorf("%w: %d > %d", datapath.ErrTooLarge, p.Len, netstack.MaxPayload(mtu))
 		}
-		tb := e.cfg.Testbed
-		p.Charge(e.costs.TxDriver, p.Len, burst, tb)   // post WQE
-		p.Charge(e.costs.TxComplete, p.Len, burst, tb) // CQ reaping (occupancy only)
-		p.Charge(e.costs.NICTx, p.Len, burst, tb)      // hardware transport
+		p.Charge(&e.costs.TxDriver, p.Len, burst, tb)   // post WQE
+		p.Charge(&e.costs.TxComplete, p.Len, burst, tb) // CQ reaping (occupancy only)
+		p.Charge(&e.costs.NICTx, p.Len, burst, tb)      // hardware transport
 
 		// The NIC reads the message directly from the registered memory
 		// region (zero-copy from the slot) and encapsulates it (RoCEv2).
@@ -144,11 +152,13 @@ func (e *endpoint) Send(pkts []*datapath.Packet, dst netstack.Endpoint) (int, er
 			Src:    e.cfg.Local,
 			Dst:    dst,
 		}
-		n, err := netstack.EncodeUDP(e.scratch, meta, p.Len, e.cfg.Port.MTU())
+		n, err := netstack.EncodeUDP(e.scratch, meta, p.Len, mtu)
 		if err != nil {
+			//lint:ignore insanevet/hotpathcheck cold error path: frame does not fit the MTU
 			return i, fmt.Errorf("rdma: %w", err)
 		}
 		if err := e.cfg.Port.Transmit(e.scratch[:n], p.VTime, p.Breakdown); err != nil {
+			//lint:ignore insanevet/hotpathcheck cold error path: the port was closed or never attached
 			return i, fmt.Errorf("rdma: %w", err)
 		}
 		e.txPackets.Add(1)
@@ -157,15 +167,22 @@ func (e *endpoint) Send(pkts []*datapath.Packet, dst netstack.Endpoint) (int, er
 	return len(pkts), nil
 }
 
+// errFramed rejects a packet already framed for a userspace stack.
+var errFramed = errors.New("rdma: framed packet; the NIC implements the transport")
+
 // Poll reaps receive completions: each completed message sits in a
-// pre-posted receive buffer (a memory-manager slot). Consumed receive
-// credits are re-posted afterwards, as the runtime's receive loop would.
-func (e *endpoint) Poll(max int) ([]*datapath.Packet, error) {
+// pre-posted receive buffer (a memory-manager slot the NIC wrote the frame
+// into). Consumed receive credits are re-posted afterwards, as the
+// runtime's receive loop would.
+//
+//insane:hotpath
+func (e *endpoint) Poll(pkts []datapath.Packet) (int, error) {
 	if e.closed.Load() {
-		return nil, datapath.ErrClosed
+		return 0, datapath.ErrClosed
 	}
-	var out []*datapath.Packet
-	for len(out) < max {
+	n := 0
+	//insane:bounded by=every iteration consumes one queued frame; the RX queue holds at most fabric's rxQueueDepth and n stops at len(pkts)
+	for n < len(pkts) {
 		frame, ok := e.cfg.Port.TryRecv()
 		if !ok {
 			break
@@ -173,6 +190,7 @@ func (e *endpoint) Poll(max int) ([]*datapath.Packet, error) {
 		meta, payload, err := netstack.DecodeUDP(frame.Data)
 		if err != nil || meta.Dst.Port != e.cfg.Local.Port {
 			e.drops.Add(1)
+			_ = e.cfg.Mem.Release(frame.Slot) // a received frame holds exactly the reference the port took
 			continue
 		}
 		// A receive buffer must have been posted (two-sided semantics:
@@ -180,40 +198,32 @@ func (e *endpoint) Poll(max int) ([]*datapath.Packet, error) {
 		if e.credits.Add(-1) < 0 {
 			e.credits.Add(1)
 			e.rnrDrops.Add(1)
+			_ = e.cfg.Mem.Release(frame.Slot) // as above
 			continue
 		}
-		slot, buf, err := e.cfg.Alloc(datapath.Headroom + len(payload))
-		if err != nil {
-			e.credits.Add(1)
-			e.drops.Add(1)
-			continue
-		}
-		copy(buf[datapath.Headroom:], payload) // NIC DMA into the posted buffer
-		out = append(out, &datapath.Packet{
-			Slot:      slot,
-			Buf:       buf,
-			Off:       datapath.Headroom,
-			Len:       len(payload),
-			Src:       meta.Src,
-			Dst:       meta.Dst,
-			VTime:     frame.VTime,
-			Breakdown: frame.Breakdown,
-		})
+		// The message stays where the NIC put it: the payload of a frame
+		// at slot offset 0 already sits at datapath.Headroom.
+		pkts[n] = datapath.PacketOf(frame)
+		p := &pkts[n]
+		p.Off, p.Len, p.Framed = datapath.Headroom, len(payload), false
+		p.Src, p.Dst = meta.Src, meta.Dst
+		n++
 	}
-	burst := len(out)
-	for _, p := range out {
-		tb := e.cfg.Testbed
-		p.Charge(e.costs.NICRx, p.Len, burst, tb)  // hardware transport
-		p.Charge(e.costs.RxPoll, p.Len, burst, tb) // CQ poll
+	tb := &e.cfg.Testbed
+	//insane:bounded by=n <= len(pkts), one RX burst
+	for i := 0; i < n; i++ {
+		p := &pkts[i]
+		p.Charge(&e.costs.NICRx, p.Len, n, tb)  // hardware transport
+		p.Charge(&e.costs.RxPoll, p.Len, n, tb) // CQ poll
 		e.rxPackets.Add(1)
 		e.rxBytes.Add(uint64(p.Len))
 		// Re-post the consumed receive buffer.
 		e.credits.Add(1)
 	}
-	if burst == 0 {
+	if n == 0 {
 		e.emptyPolls.Add(1)
 	}
-	return out, nil
+	return n, nil
 }
 
 // WaitRecv returns immediately: completion queues are polled.
@@ -224,8 +234,11 @@ func (e *endpoint) WaitRecv(time.Duration) error {
 	return nil
 }
 
-// Close destroys the queue pair.
+// Close destroys the queue pair; messages still queued on the port go
+// back to the pools.
 func (e *endpoint) Close() error {
-	e.closed.Store(true)
+	if e.closed.CompareAndSwap(false, true) {
+		e.cfg.Port.SetRxMemory(nil)
+	}
 	return nil
 }

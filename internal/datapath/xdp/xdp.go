@@ -12,12 +12,12 @@
 package xdp
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
-	"github.com/insane-mw/insane/internal/fabric"
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/netstack"
 )
@@ -36,24 +36,26 @@ func (Plugin) Info() model.TechInfo { return model.Info(model.TechXDP) }
 // Available reports whether the host driver supports XDP.
 func (Plugin) Available(caps datapath.Caps) bool { return caps.XDP }
 
-// Open binds an AF_XDP-style socket to the port.
+// Open binds an AF_XDP-style socket to the port, with the memory pools as
+// its UMEM.
 func (Plugin) Open(cfg datapath.Config) (datapath.Endpoint, error) {
-	if cfg.Port == nil || cfg.Alloc == nil {
+	if cfg.Port == nil || cfg.Mem == nil {
 		return nil, fmt.Errorf("xdp: incomplete config")
 	}
+	cfg.Port.SetRxMemory(cfg.Mem)
 	return &endpoint{cfg: cfg, costs: model.XDP()}, nil
 }
 
-// endpoint models one AF_XDP socket: fill/completion ring interaction is
-// represented by the UMEM slot allocation plus the per-packet eBPF hop
-// costs. Owned by a single polling thread.
+// endpoint models one AF_XDP socket: the fill ring is the port taking a
+// UMEM slot for every frame that arrives, the completion ring the
+// per-packet eBPF hop costs. Owned by a single polling thread.
 type endpoint struct {
 	cfg   datapath.Config
 	costs model.TechCosts
-	// pendingFrames holds frames consumed by a blocking WaitRecv,
-	// processed by the next Poll.
-	pendingFrames []fabric.Frame
-	closed        atomic.Bool
+	// backlog holds frames consumed by a blocking WaitRecv, processed by
+	// the next Poll.
+	backlog datapath.Backlog
+	closed  atomic.Bool
 
 	txPackets, rxPackets atomic.Uint64
 	txBytes, rxBytes     atomic.Uint64
@@ -82,23 +84,27 @@ func (e *endpoint) Stats() datapath.Stats {
 // Send places framed packets on the TX ring and kicks the kernel driver:
 // zero-copy out of the UMEM, but each kick is a (cheap) syscall and each
 // packet an eBPF hop.
+//
+//insane:hotpath
 func (e *endpoint) Send(pkts []*datapath.Packet, _ netstack.Endpoint) (int, error) {
 	if e.closed.Load() {
 		return 0, datapath.ErrClosed
 	}
 	burst := len(pkts)
+	tb := &e.cfg.Testbed
+	//insane:bounded by=pkts is one TX burst of the caller, <= model.MaxBurst
 	for i, p := range pkts {
 		if !p.Framed {
-			return i, fmt.Errorf("xdp: unframed packet; the packet processing engine must encode first")
+			return i, errUnframed
 		}
-		tb := e.cfg.Testbed
 		payload := p.Len - netstack.HeadersLen
-		p.Charge(e.costs.TxSyscall, payload, burst, tb) // sendto() kick
-		p.Charge(e.costs.TxStack, payload, burst, tb)   // eBPF driver hop
-		p.Charge(e.costs.TxDriver, payload, burst, tb)  // descriptor ring
-		p.Charge(e.costs.TxComplete, payload, burst, tb)
-		p.Charge(e.costs.NICTx, payload, burst, tb)
+		p.Charge(&e.costs.TxSyscall, payload, burst, tb) // sendto() kick
+		p.Charge(&e.costs.TxStack, payload, burst, tb)   // eBPF driver hop
+		p.Charge(&e.costs.TxDriver, payload, burst, tb)  // descriptor ring
+		p.Charge(&e.costs.TxComplete, payload, burst, tb)
+		p.Charge(&e.costs.NICTx, payload, burst, tb)
 		if err := e.cfg.Port.Transmit(p.Bytes(), p.VTime, p.Breakdown); err != nil {
+			//lint:ignore insanevet/hotpathcheck cold error path: the port was closed or never attached
 			return i, fmt.Errorf("xdp: %w", err)
 		}
 		e.txPackets.Add(1)
@@ -107,59 +113,46 @@ func (e *endpoint) Send(pkts []*datapath.Packet, _ netstack.Endpoint) (int, erro
 	return len(pkts), nil
 }
 
+// errUnframed rejects a packet the packet processing engine did not frame.
+var errUnframed = errors.New("xdp: unframed packet; the packet processing engine must encode first")
+
 // Poll drains the RX ring: the eBPF program has already steered frames
-// into UMEM; each one pays the per-packet driver-hop cost.
-func (e *endpoint) Poll(max int) ([]*datapath.Packet, error) {
+// into UMEM slots; each one pays the per-packet driver-hop cost.
+//
+//insane:hotpath
+func (e *endpoint) Poll(pkts []datapath.Packet) (int, error) {
 	if e.closed.Load() {
-		return nil, datapath.ErrClosed
+		return 0, datapath.ErrClosed
 	}
-	if max > e.cfg.EffectiveBurst() {
-		max = e.cfg.EffectiveBurst()
+	if max := e.cfg.EffectiveBurst(); len(pkts) > max {
+		pkts = pkts[:max]
 	}
-	var out []*datapath.Packet
-	for len(out) < max {
-		var frame fabric.Frame
-		if len(e.pendingFrames) > 0 {
-			frame = e.pendingFrames[0]
-			e.pendingFrames = e.pendingFrames[1:]
-		} else {
-			var ok bool
-			frame, ok = e.cfg.Port.TryRecv()
-			if !ok {
-				break
-			}
+	n := 0
+	//insane:bounded by=n strictly increases up to len(pkts), one RX burst
+	for n < len(pkts) {
+		frame, ok := e.backlog.Next(e.cfg.Port)
+		if !ok {
+			break
 		}
-		slot, buf, err := e.cfg.Alloc(len(frame.Data))
-		if err != nil {
-			e.drops.Add(1)
-			continue
-		}
-		copy(buf, frame.Data) // driver write into the UMEM
-		out = append(out, &datapath.Packet{
-			Slot:      slot,
-			Buf:       buf,
-			Off:       0,
-			Len:       len(frame.Data),
-			Framed:    true,
-			VTime:     frame.VTime,
-			Breakdown: frame.Breakdown,
-		})
+		pkts[n] = datapath.PacketOf(frame)
+		n++
 	}
-	burst := len(out)
-	for _, p := range out {
-		tb := e.cfg.Testbed
+	tb := &e.cfg.Testbed
+	//insane:bounded by=n <= len(pkts), one RX burst
+	for i := 0; i < n; i++ {
+		p := &pkts[i]
 		payload := p.Len - netstack.HeadersLen
-		p.Charge(e.costs.NICRx, payload, burst, tb)
-		p.Charge(e.costs.RxWait, payload, burst, tb)  // driver→socket latency
-		p.Charge(e.costs.RxStack, payload, burst, tb) // eBPF hop
-		p.Charge(e.costs.RxPoll, payload, burst, tb)
+		p.Charge(&e.costs.NICRx, payload, n, tb)
+		p.Charge(&e.costs.RxWait, payload, n, tb)  // driver→socket latency
+		p.Charge(&e.costs.RxStack, payload, n, tb) // eBPF hop
+		p.Charge(&e.costs.RxPoll, payload, n, tb)
 		e.rxPackets.Add(1)
 		e.rxBytes.Add(uint64(p.Len))
 	}
-	if burst == 0 {
+	if n == 0 {
 		e.emptyPolls.Add(1)
 	}
-	return out, nil
+	return n, nil
 }
 
 // WaitRecv blocks on the socket until frames are available (AF_XDP
@@ -171,16 +164,15 @@ func (e *endpoint) WaitRecv(timeout time.Duration) error {
 	if !e.cfg.Blocking {
 		return nil
 	}
-	frame, err := e.cfg.Port.Recv(timeout)
-	if err != nil {
-		return err
-	}
-	e.pendingFrames = append(e.pendingFrames, frame)
-	return nil
+	return e.backlog.Wait(e.cfg.Port, timeout)
 }
 
-// Close unbinds the socket.
+// Close unbinds the socket; frames it still holds, and those in the RX
+// ring, go back to the UMEM.
 func (e *endpoint) Close() error {
-	e.closed.Store(true)
+	if e.closed.CompareAndSwap(false, true) {
+		e.backlog.Release(e.cfg.Mem)
+		e.cfg.Port.SetRxMemory(nil)
+	}
 	return nil
 }

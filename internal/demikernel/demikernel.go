@@ -104,10 +104,9 @@ type LibOS struct {
 
 // socket is one UDP queue.
 type socket struct {
-	local   netstack.Endpoint
-	remote  netstack.Endpoint
-	bound   bool
-	pending []*datapath.Packet
+	local  netstack.Endpoint
+	remote netstack.Endpoint
+	bound  bool
 }
 
 // New creates a library OS of the given variant.
@@ -151,14 +150,11 @@ func (l *LibOS) Bind(qd QD, local netstack.Endpoint) error {
 		return ErrBadQD
 	}
 	if l.ep == nil {
-		alloc := func(size int) (mempool.SlotID, []byte, error) {
-			return l.mm.Get(size, mempool.NoOwner)
-		}
 		dcfg := datapath.Config{
 			Port:     l.cfg.Port,
 			Resolver: l.cfg.Resolver,
 			Local:    local,
-			Alloc:    alloc,
+			Mem:      l.mm,
 			Testbed:  l.cfg.Testbed,
 			Blocking: l.cfg.Blocking,
 			Burst:    1, // Demikernel sends/receives one packet per time
@@ -220,7 +216,7 @@ func (l *LibOS) PushAt(qd QD, payload []byte, at timebase.VTime, bd fabric.Break
 		Off: datapath.Headroom, Len: len(payload),
 		Src: s.local, VTime: at, Breakdown: bd,
 	}
-	pkt.Charge(l.costs.PerSide, len(payload), 1, l.cfg.Testbed)
+	pkt.Charge(&l.costs.PerSide, len(payload), 1, &l.cfg.Testbed)
 
 	if l.variant == Catnip {
 		// Catnip runs its own stack: frame in place (zero-copy), one
@@ -256,24 +252,19 @@ func (l *LibOS) Pop(qd QD, timeout time.Duration) (Result, error) {
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
 	}
+	var pkts [1]datapath.Packet // Demikernel receives one packet per time
 	for {
-		if len(s.pending) > 0 {
-			pkt := s.pending[0]
-			s.pending = s.pending[1:]
-			return l.complete(pkt)
-		}
 		if l.cfg.Blocking {
 			if err := l.ep.WaitRecv(timeout); err != nil {
 				return Result{}, ErrTimeout
 			}
 		}
-		pkts, err := l.ep.Poll(1)
+		n, err := l.ep.Poll(pkts[:])
 		if err != nil {
 			return Result{}, err
 		}
-		if len(pkts) > 0 {
-			s.pending = append(s.pending, pkts...)
-			continue
+		if n > 0 {
+			return l.complete(&pkts[0])
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return Result{}, ErrTimeout
@@ -295,7 +286,7 @@ func (l *LibOS) complete(pkt *datapath.Packet) (Result, error) {
 		payloadView = payload
 		from = meta.Src
 	}
-	pkt.Charge(l.costs.PerSide, len(payloadView), 1, l.cfg.Testbed)
+	pkt.Charge(&l.costs.PerSide, len(payloadView), 1, &l.cfg.Testbed)
 	out := Result{
 		Payload:   append([]byte(nil), payloadView...),
 		From:      from,

@@ -26,7 +26,7 @@ type dpdkApp struct {
 	srcMAC  netstack.MAC
 	dstMAC  netstack.MAC
 	mtu     int
-	rxBurst []*datapath.Packet
+	rxBurst [1]datapath.Packet
 }
 
 // dpdkInit opens the PMD port and resolves the peer's L2 address — the
@@ -38,7 +38,7 @@ func dpdkInit(env *Env, portA bool) *dpdkApp {
 		app.local, app.remote = env.AddrA, env.AddrB
 		ep, err := dpdk.Plugin{}.Open(datapath.Config{
 			Port: env.PortA, Resolver: env.Net.Resolver(), Local: env.AddrA,
-			Alloc: env.AllocA, Testbed: env.Testbed,
+			Mem: env.MemA, Testbed: env.Testbed,
 		})
 		check(err, "dpdk port A")
 		app.port = ep
@@ -49,7 +49,7 @@ func dpdkInit(env *Env, portA bool) *dpdkApp {
 		app.local, app.remote = env.AddrB, env.AddrA
 		ep, err := dpdk.Plugin{}.Open(datapath.Config{
 			Port: env.PortB, Resolver: env.Net.Resolver(), Local: env.AddrB,
-			Alloc: env.AllocB, Testbed: env.Testbed,
+			Mem: env.MemB, Testbed: env.Testbed,
 		})
 		check(err, "dpdk port B")
 		app.port = ep
@@ -120,13 +120,13 @@ func (app *dpdkApp) txOne(pkt *datapath.Packet) bool {
 func (app *dpdkApp) rxOne() *datapath.Packet {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		pkts, err := app.port.Poll(1)
+		n, err := app.port.Poll(app.rxBurst[:])
 		if err != nil {
 			return nil
 		}
-		for _, pkt := range pkts {
-			if _, ok := app.parseFrame(pkt); ok {
-				return pkt
+		for i := 0; i < n; i++ {
+			if _, ok := app.parseFrame(&app.rxBurst[i]); ok {
+				return &app.rxBurst[i]
 			}
 		}
 	}

@@ -70,21 +70,6 @@ func NewEnv(tb model.Testbed) (*Env, error) {
 	}, nil
 }
 
-// AllocA and AllocB adapt the memory managers to the datapath allocator
-// signature.
-//
-//insane:acquire resource=mem-slot on=nilerr
-func (e *Env) AllocA(size int) (mempool.SlotID, []byte, error) {
-	return e.MemA.Get(size, mempool.NoOwner)
-}
-
-// AllocB allocates from host B's pool.
-//
-//insane:acquire resource=mem-slot on=nilerr
-func (e *Env) AllocB(size int) (mempool.SlotID, []byte, error) {
-	return e.MemB.Get(size, mempool.NoOwner)
-}
-
 // check panics on setup errors: benchmark apps treat environment failures
 // as fatal, like the C originals exiting on rte_eal_init failure.
 func check(err error, what string) {

@@ -21,7 +21,7 @@ func UDPPingPong(env *Env, payload, rounds int, blocking bool) []time.Duration {
 		Port:     env.PortA,
 		Resolver: env.Net.Resolver(),
 		Local:    env.AddrA,
-		Alloc:    env.AllocA,
+		Mem:      env.MemA,
 		Testbed:  env.Testbed,
 		Blocking: blocking,
 	})
@@ -33,7 +33,7 @@ func UDPPingPong(env *Env, payload, rounds int, blocking bool) []time.Duration {
 		Port:     env.PortB,
 		Resolver: env.Net.Resolver(),
 		Local:    env.AddrB,
-		Alloc:    env.AllocB,
+		Mem:      env.MemB,
 		Testbed:  env.Testbed,
 		Blocking: blocking,
 	})
@@ -45,8 +45,9 @@ func UDPPingPong(env *Env, payload, rounds int, blocking bool) []time.Duration {
 	serverDone := make(chan struct{})
 	go func() {
 		defer close(serverDone)
+		var rx [1]datapath.Packet
 		for i := 0; i < rounds; i++ {
-			req := udpReceiveOne(server, blocking)
+			req := udpReceiveOne(server, blocking, rx[:])
 			if req == nil {
 				return
 			}
@@ -65,6 +66,7 @@ func UDPPingPong(env *Env, payload, rounds int, blocking bool) []time.Duration {
 	// The client: send, wait for the echo, record the round trip.
 	rtts := make([]time.Duration, 0, rounds)
 	buf := make([]byte, payload)
+	var rx [1]datapath.Packet
 	for i := 0; i < rounds; i++ {
 		msg := udpNewPacket(env.MemA, buf)
 		_, err := client.Send([]*datapath.Packet{msg}, env.AddrB)
@@ -72,7 +74,7 @@ func UDPPingPong(env *Env, payload, rounds int, blocking bool) []time.Duration {
 		if err != nil {
 			break
 		}
-		pong := udpReceiveOne(client, blocking)
+		pong := udpReceiveOne(client, blocking, rx[:])
 		if pong == nil {
 			break
 		}
@@ -95,8 +97,9 @@ func udpNewPacket(mm *mempool.Manager, payload []byte) *datapath.Packet {
 	return &datapath.Packet{Slot: slot, Buf: buf, Off: datapath.Headroom, Len: len(payload)}
 }
 
-// udpReceiveOne spins (or blocks) until one datagram arrives.
-func udpReceiveOne(sock datapath.Endpoint, blocking bool) *datapath.Packet {
+// udpReceiveOne spins (or blocks) until one datagram arrives in rx[0];
+// the caller owns its slot.
+func udpReceiveOne(sock datapath.Endpoint, blocking bool, rx []datapath.Packet) *datapath.Packet {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if blocking {
@@ -104,12 +107,12 @@ func udpReceiveOne(sock datapath.Endpoint, blocking bool) *datapath.Packet {
 				return nil
 			}
 		}
-		pkts, err := sock.Poll(1)
+		n, err := sock.Poll(rx[:1])
 		if err != nil {
 			return nil
 		}
-		if len(pkts) == 1 {
-			return pkts[0]
+		if n == 1 {
+			return &rx[0]
 		}
 	}
 	return nil

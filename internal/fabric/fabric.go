@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/netstack"
 	"github.com/insane-mw/insane/internal/timebase"
 )
@@ -55,17 +56,61 @@ func (b *Breakdown) Add(o Breakdown) {
 	b.Processing += o.Processing
 }
 
-// Frame is one Ethernet frame in flight, with its virtual-time annotations.
+// Frame is one received Ethernet frame, with its virtual-time annotations.
 type Frame struct {
 	// Data is the raw frame (Ethernet headers included). The fabric
-	// copies at the wire, so the slice is owned by the receiver.
+	// copies at the wire, so the receiver owns it. On a port with
+	// registered receive memory it starts at offset 0 of Slot and
+	// cap(Data) is the slot's size; otherwise it is a heap buffer.
 	Data []byte
-	// VTime is the virtual time at which the frame becomes visible at
-	// its current location (after transmission: arrival time at the
-	// receiving NIC).
+	// Slot is the slot of the port's receive memory that holds Data
+	// (mempool.NoSlot on a port without registered memory). The receiver
+	// releases it.
+	Slot mempool.SlotID
+	// VTime is the virtual time at which the frame arrived at the
+	// receiving NIC.
 	VTime timebase.VTime
 	// Breakdown accounts for where the virtual time was spent.
 	Breakdown Breakdown
+}
+
+// rxDesc is one entry of a port's receive queue: where the wire copy of
+// the frame landed, and its annotations. It is deliberately no larger
+// than 64 bytes — every port carries rxQueueDepth of them.
+type rxDesc struct {
+	// mm and slot locate a frame received into registered memory: the
+	// first n bytes of the slot. mm is nil for a heap frame.
+	mm   *mempool.Manager
+	slot mempool.SlotID
+	n    uint32
+	// heap holds the frame of a port without registered memory.
+	heap *[]byte
+	vt   timebase.VTime
+	bd   Breakdown
+}
+
+// release gives the descriptor's slot back to the memory it came from.
+//
+//insane:hotpath
+//insane:release resource=mem-slot
+func (d *rxDesc) release() {
+	if d.mm != nil {
+		_ = d.mm.Release(d.slot) // the slot was borrowed by deliver and never shared: Release cannot fail
+	}
+}
+
+// frame turns a dequeued descriptor into the Frame handed to the receiver.
+//
+//insane:hotpath
+func (d *rxDesc) frame() Frame {
+	f := Frame{Slot: d.slot, VTime: d.vt, Breakdown: d.bd}
+	if d.mm == nil {
+		f.Data = *d.heap
+		return f
+	}
+	buf, _ := d.mm.Buf(d.slot) // a queued slot holds the reference deliver took: Buf cannot fail
+	f.Data = buf[:d.n]
+	return f
 }
 
 // LinkParams models one link.
@@ -113,7 +158,13 @@ type SwitchParams struct {
 type PortStats struct {
 	TxFrames, RxFrames uint64
 	TxBytes, RxBytes   uint64
-	Dropped            uint64 // frames lost on the wire or on full RX queue
+	// Dropped counts frames lost on the wire, to an unknown address, on a
+	// full RX queue, or queued on a port that was then closed or had its
+	// receive memory unregistered.
+	Dropped uint64
+	// RxNoMem counts frames that arrived while the registered receive
+	// memory had no free slot for them.
+	RxNoMem uint64
 }
 
 // Doorbell is a port's receive interrupt line: the owner of the port arms
@@ -126,6 +177,17 @@ type Doorbell interface {
 	Ring()
 }
 
+// attachment is what a port is wired to, immutable once published:
+// exactly one of peer / sw is set.
+type attachment struct {
+	link LinkParams
+	peer *Port
+	sw   *Switch
+	// noisy marks a link with loss or jitter: only those frames draw from
+	// the port's seeded rng, under its mutex.
+	noisy bool
+}
+
 // Port is a NIC port attached to a host.
 //
 //insane:shared
@@ -135,8 +197,15 @@ type Port struct {
 	net  *Network      //insane:guardedby immutable after=AddHost
 	name string        //insane:guardedby immutable after=AddHost
 
-	rx     chan Frame  //insane:guardedby immutable after=AddHost
-	closed atomic.Bool //insane:guardedby atomic
+	rx     chan rxDesc   //insane:guardedby immutable after=AddHost
+	down   chan struct{} //insane:guardedby immutable after=AddHost
+	closed atomic.Bool   //insane:guardedby atomic
+
+	// rxMem is the registered receive memory (nil = none: frames land in
+	// heap buffers). deliver loads it once per frame and checks it again
+	// after queueing, so a frame that raced with SetRxMemory or Close is
+	// released by whichever of the two sides drains last.
+	rxMem atomic.Pointer[mempool.Manager] //insane:guardedby atomic
 
 	// rxBell is the armed receive doorbell (nil = polled only). deliver
 	// loads it after the frame is queued; a ring that loaded the pointer
@@ -144,16 +213,16 @@ type Port struct {
 	// must tolerate one late ring.
 	rxBell atomic.Pointer[Doorbell] //insane:guardedby atomic
 
-	// attachment: exactly one of peer / sw is set once connected.
-	mu   sync.Mutex
-	link LinkParams //insane:guardedby mu=mu
-	peer *Port      //insane:guardedby mu=mu
-	sw   *Switch    //insane:guardedby mu=mu
-	rng  *rand.Rand //insane:guardedby mu=mu
+	// att is published once, by ConnectDirect or ConnectToSwitch.
+	att atomic.Pointer[attachment] //insane:guardedby atomic
+
+	// mu serializes attaching the port and draws from rng.
+	mu  sync.Mutex
+	rng *rand.Rand //insane:guardedby mu=mu
 
 	txFrames, rxFrames atomic.Uint64 //insane:guardedby atomic
 	txBytes, rxBytes   atomic.Uint64 //insane:guardedby atomic
-	dropped            atomic.Uint64 //insane:guardedby atomic
+	dropped, rxNoMem   atomic.Uint64 //insane:guardedby atomic
 }
 
 // SetRxDoorbell arms the port's receive doorbell; nil disarms it. Frames
@@ -166,6 +235,18 @@ func (p *Port) SetRxDoorbell(d Doorbell) {
 	p.rxBell.Store(&d)
 }
 
+// SetRxMemory registers mm as the port's receive memory — the region a
+// NIC DMAs into: from now on the wire copy of every arriving frame lands
+// in a slot of mm, which the receiver owns and releases. nil unregisters.
+// Frames queued under the previous registration are released and counted
+// as dropped, so once SetRxMemory(nil) returns the port holds no slot and
+// a peer that keeps transmitting takes none. The port's owner calls it,
+// and not while it is receiving.
+func (p *Port) SetRxMemory(mm *mempool.Manager) {
+	p.rxMem.Store(mm)
+	p.drainRx()
+}
+
 // MAC returns the port's Ethernet address.
 func (p *Port) MAC() netstack.MAC { return p.mac }
 
@@ -174,19 +255,20 @@ func (p *Port) IP() netstack.IPv4 { return p.ip }
 
 // MTU returns the MTU of the attached link (JumboMTU if unattached).
 func (p *Port) MTU() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.peer == nil && p.sw == nil {
+	att := p.att.Load()
+	if att == nil {
 		return netstack.JumboMTU
 	}
-	return p.link.mtu()
+	return att.link.mtu()
 }
 
 // Rate returns the line rate of the attached link.
 func (p *Port) Rate() timebase.Rate {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.link.Rate
+	att := p.att.Load()
+	if att == nil {
+		return 0
+	}
+	return att.link.Rate
 }
 
 // Stats returns a snapshot of the port counters.
@@ -197,23 +279,25 @@ func (p *Port) Stats() PortStats {
 		TxBytes:  p.txBytes.Load(),
 		RxBytes:  p.rxBytes.Load(),
 		Dropped:  p.dropped.Load(),
+		RxNoMem:  p.rxNoMem.Load(),
 	}
 }
 
 // Transmit sends one frame. data must be a full Ethernet frame; the fabric
-// copies it (the "wire"), so the caller may reuse its buffer immediately —
-// this is where a real NIC would DMA out of the registered memory region.
-// vt is the virtual time at which the frame hits the wire. Transmission
-// never blocks: if the receiver queue is full the frame is dropped, which
-// matches the best-effort semantics of the paper (§5.2).
+// copies it (the "wire") into the receiving port's memory before it
+// returns, so the caller may reuse its buffer immediately — this is where
+// a real NIC would DMA out of the registered memory region and the peer's
+// NIC into its own. vt is the virtual time at which the frame hits the
+// wire. Transmission never blocks: if the receiver has no room the frame
+// is dropped, which matches the best-effort semantics of the paper (§5.2).
+//
+//insane:hotpath
 func (p *Port) Transmit(data []byte, vt timebase.VTime, bd Breakdown) error {
 	if p.closed.Load() {
 		return ErrPortClosed
 	}
-	p.mu.Lock()
-	peer, sw, link, rng := p.peer, p.sw, p.link, p.rng
-	p.mu.Unlock()
-	if peer == nil && sw == nil {
+	att := p.att.Load()
+	if att == nil {
 		return ErrNotAttached
 	}
 
@@ -222,135 +306,229 @@ func (p *Port) Transmit(data []byte, vt timebase.VTime, bd Breakdown) error {
 
 	// Wire model: serialization of frame + preamble/IFG, then
 	// propagation, optionally perturbed by seeded jitter.
-	wire := link.Rate.Transmission(len(data)+netstack.WireOverhead) + link.PropDelay
-	if rng != nil && (link.LossRate > 0 || link.Jitter > 0) {
-		p.mu.Lock()
-		lost := link.LossRate > 0 && rng.Float64() < link.LossRate
-		if link.Jitter > 0 {
-			wire += time.Duration(rng.Int63n(int64(2*link.Jitter))) - link.Jitter
-			if wire < 0 {
-				wire = 0
-			}
-		}
-		p.mu.Unlock()
-		if lost {
+	wire := att.link.Rate.Transmission(len(data)+netstack.WireOverhead) + att.link.PropDelay
+	if att.noisy {
+		var lost bool
+		if wire, lost = p.perturb(&att.link, wire); lost {
 			p.dropped.Add(1)
 			return nil // silently lost, like a real wire
 		}
 	}
+	vt = vt.Add(wire)
+	bd.Network += wire
 
-	f := Frame{
-		Data:      append(make([]byte, 0, len(data)), data...),
-		VTime:     vt.Add(wire),
-		Breakdown: bd,
-	}
-	f.Breakdown.Network += wire
-
-	if sw != nil {
-		sw.forward(p, f)
+	if att.sw != nil {
+		att.sw.forward(p, data, vt, bd)
 		return nil
 	}
-	peer.deliver(f)
+	att.peer.deliver(data, vt, bd)
 	return nil
 }
 
-// deliver enqueues a frame on the port's receive queue, dropping on
-// overflow (the receiver cannot keep up: the paper's Fig. 8b regime), and
-// rings the armed doorbell for every frame it queued.
+// perturb applies a noisy link's seeded loss and jitter to one frame's
+// wire time.
+//
+//insane:coldpath fault-injection links only: the seeded rng is drawn under the port mutex
+func (p *Port) perturb(link *LinkParams, wire time.Duration) (time.Duration, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	lost := link.LossRate > 0 && p.rng.Float64() < link.LossRate
+	if link.Jitter > 0 {
+		wire += time.Duration(p.rng.Int63n(int64(2*link.Jitter))) - link.Jitter
+		if wire < 0 {
+			wire = 0
+		}
+	}
+	return wire, lost
+}
+
+// deliver is the receiving half of the wire: it copies the frame into a
+// slot of the port's registered memory (a heap buffer if none is
+// registered), queues the descriptor and rings the armed doorbell. A
+// frame the port cannot take — closed, no free slot, RX queue full (the
+// receiver cannot keep up: the paper's Fig. 8b regime) — is dropped and
+// counted, and its slot goes back.
 //
 //insane:hotpath
-func (p *Port) deliver(f Frame) {
+func (p *Port) deliver(data []byte, vt timebase.VTime, bd Breakdown) {
 	if p.closed.Load() {
 		p.dropped.Add(1)
 		return
 	}
-	select {
-	case p.rx <- f:
-		p.rxFrames.Add(1)
-		p.rxBytes.Add(uint64(len(f.Data)))
-		if d := p.rxBell.Load(); d != nil {
-			(*d).Ring()
+	d := rxDesc{n: uint32(len(data)), vt: vt, bd: bd}
+	mm := p.rxMem.Load()
+	if mm == nil {
+		d.heap = heapCopy(data)
+	} else {
+		slot, buf, err := mm.Get(len(data), mempool.NoOwner)
+		if err != nil {
+			p.rxNoMem.Add(1)
+			return
 		}
-	default:
+		copy(buf, data)
+		d.mm, d.slot = mm, slot
+	}
+	if !p.enqueue(d) {
 		p.dropped.Add(1)
+		d.release()
+		return
+	}
+	p.rxFrames.Add(1)
+	p.rxBytes.Add(uint64(len(data)))
+	// SetRxMemory or Close may have drained the queue between the load of
+	// rxMem and the enqueue, leaving this frame's slot stranded: drain
+	// again. Both sides store before they drain and this side queues
+	// before it re-reads, so one of the two drains sees the frame.
+	if p.rxMem.Load() != mm || p.closed.Load() {
+		p.drainRx()
+		return
+	}
+	if bell := p.rxBell.Load(); bell != nil {
+		(*bell).Ring()
 	}
 }
 
-// TryRecv returns the next received frame without blocking.
+// heapCopy is the wire copy of a port nobody registered memory on.
+//
+//insane:coldpath raw fabric use only: every datapath endpoint registers its memory manager
+func heapCopy(data []byte) *[]byte {
+	b := append(make([]byte, 0, len(data)), data...)
+	return &b
+}
+
+// enqueue appends one descriptor to the RX queue without blocking; false
+// means the queue is full and the caller still owns the slot.
+//
+//insane:hotpath
+//insane:transfer resource=mem-slot on=true
+func (p *Port) enqueue(d rxDesc) bool {
+	select {
+	case p.rx <- d:
+		return true
+	default:
+		return false
+	}
+}
+
+// drainRx releases every queued frame and counts it as dropped.
+//
+//insane:coldpath teardown and re-registration only
+func (p *Port) drainRx() {
+	for {
+		select {
+		case d := <-p.rx:
+			d.release()
+			p.dropped.Add(1)
+		default:
+			return
+		}
+	}
+}
+
+// TryRecv returns the next received frame without blocking. The caller
+// owns the frame's slot.
+//
+//insane:hotpath
+//insane:acquire resource=mem-slot on=true
 func (p *Port) TryRecv() (Frame, bool) {
 	select {
-	case f, ok := <-p.rx:
-		if !ok {
-			return Frame{}, false
-		}
-		return f, true
+	case d := <-p.rx:
+		return d.frame(), true
 	default:
 		return Frame{}, false
 	}
 }
 
 // Recv blocks until a frame arrives, the timeout elapses, or the port
-// closes. A zero timeout blocks indefinitely.
+// closes. A zero timeout blocks indefinitely. The caller owns the frame's
+// slot.
+//
+//insane:acquire resource=mem-slot on=nilerr
 func (p *Port) Recv(timeout time.Duration) (Frame, error) {
-	if timeout <= 0 {
-		f, ok := <-p.rx
-		if !ok {
-			return Frame{}, ErrPortClosed
-		}
-		return f, nil
+	if p.closed.Load() {
+		return Frame{}, ErrPortClosed
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+	}
 	select {
-	case f, ok := <-p.rx:
-		if !ok {
-			return Frame{}, ErrPortClosed
-		}
-		return f, nil
-	case <-t.C:
+	case d := <-p.rx:
+		return d.frame(), nil
+	case <-p.down:
+		return Frame{}, ErrPortClosed
+	case <-expired:
 		return Frame{}, fmt.Errorf("fabric: recv timeout after %v", timeout)
 	}
 }
 
-// Close detaches the port; in-flight frames are dropped.
+// Close detaches the port: queued frames are dropped and their slots
+// released, and the receive memory is unregistered. The queue itself stays
+// open — a peer may be about to send on it — and deliver drops on the
+// closed flag instead.
 func (p *Port) Close() {
 	if p.closed.CompareAndSwap(false, true) {
-		close(p.rx)
+		close(p.down)
+		p.SetRxMemory(nil)
 	}
 }
 
 // rxQueueDepth bounds the per-port receive queue; a real NIC RX descriptor
-// ring is of comparable size.
+// ring is of comparable size. It is also how many slots of the registered
+// memory a receiver that stopped polling can pin (DESIGN.md, "Remote
+// path").
 const rxQueueDepth = 4096
 
 // Switch is a store-and-forward Ethernet switch with a static forwarding
 // database built at connect time.
+//
+//insane:shared
 type Switch struct {
-	name   string
-	params SwitchParams
+	name   string       //insane:guardedby immutable after=AddSwitch
+	params SwitchParams //insane:guardedby immutable after=AddSwitch
 
-	mu  sync.RWMutex
-	fdb map[netstack.MAC]*Port
+	// fdb is the published forwarding database: ConnectToSwitch swaps in a
+	// fresh copy under mu, forward reads it without locking.
+	mu  sync.Mutex
+	fdb atomic.Pointer[map[netstack.MAC]*Port] //insane:guardedby rcu=learn
 }
 
-// forward moves a frame from the ingress port to its destination(s).
-func (s *Switch) forward(from *Port, f Frame) {
-	f.VTime = f.VTime.Add(s.params.Latency)
-	f.Breakdown.Network += s.params.Latency
+// learn publishes a forwarding database extended with one port.
+func (s *Switch) learn(p *Port) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := *s.fdb.Load()
+	fdb := make(map[netstack.MAC]*Port, len(old)+1)
+	for mac, port := range old {
+		fdb[mac] = port
+	}
+	fdb[p.mac] = p
+	s.fdb.Store(&fdb)
+}
 
-	dst := netstack.MAC(f.Data[0:6])
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// forward moves a frame from the ingress port to its destination(s); a
+// broadcast is copied once into each destination port's memory.
+//
+//insane:hotpath
+func (s *Switch) forward(from *Port, data []byte, vt timebase.VTime, bd Breakdown) {
+	vt = vt.Add(s.params.Latency)
+	bd.Network += s.params.Latency
+
+	dst := netstack.MAC(data[0:6])
+	fdb := *s.fdb.Load()
 	if dst.IsBroadcast() {
-		for _, p := range s.fdb {
+		//insane:bounded by=one entry per port attached to the switch
+		for _, p := range fdb {
 			if p != from {
-				p.deliver(f)
+				p.deliver(data, vt, bd)
 			}
 		}
 		return
 	}
-	if p, ok := s.fdb[dst]; ok && p != from {
-		p.deliver(f)
+	if p, ok := fdb[dst]; ok && p != from {
+		p.deliver(data, vt, bd)
 		return
 	}
 	from.dropped.Add(1) // unknown unicast: count against sender
@@ -389,7 +567,8 @@ func (n *Network) AddHost(name string, ip netstack.IPv4) (*Port, error) {
 		ip:   ip,
 		net:  n,
 		name: name,
-		rx:   make(chan Frame, rxQueueDepth),
+		rx:   make(chan rxDesc, rxQueueDepth),
+		down: make(chan struct{}),
 	}
 	n.ports[name] = p
 	n.resolver.Add(ip, mac)
@@ -399,24 +578,31 @@ func (n *Network) AddHost(name string, ip netstack.IPv4) (*Port, error) {
 // Resolver returns the IP→MAC table for the whole network (static ARP).
 func (n *Network) Resolver() *netstack.Resolver { return n.resolver }
 
+// attach publishes a port's attachment and seeds its rng; false means
+// the port is already attached. Callers hold n.mu.
+func (n *Network) attach(p *Port, att attachment) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.att.Load() != nil {
+		return false
+	}
+	att.noisy = att.link.LossRate > 0 || att.link.Jitter > 0
+	p.rng = rand.New(rand.NewSource(n.seed + int64(p.mac[5])))
+	p.att.Store(&att)
+	return true
+}
+
 // ConnectDirect wires two ports back to back (the local testbed topology).
 func (n *Network) ConnectDirect(a, b *Port, link LinkParams) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, p := range []*Port{a, b} {
-		p.mu.Lock()
-		attached := p.peer != nil || p.sw != nil
-		p.mu.Unlock()
-		if attached {
-			return fmt.Errorf("fabric: port %q already attached", p.name)
-		}
+	if b.att.Load() != nil {
+		return fmt.Errorf("fabric: port %q already attached", b.name)
 	}
-	a.mu.Lock()
-	a.peer, a.link, a.rng = b, link, rand.New(rand.NewSource(n.seed+int64(a.mac[5])))
-	a.mu.Unlock()
-	b.mu.Lock()
-	b.peer, b.link, b.rng = a, link, rand.New(rand.NewSource(n.seed+int64(b.mac[5])))
-	b.mu.Unlock()
+	if !n.attach(a, attachment{link: link, peer: b}) {
+		return fmt.Errorf("fabric: port %q already attached", a.name)
+	}
+	n.attach(b, attachment{link: link, peer: a})
 	return nil
 }
 
@@ -424,21 +610,19 @@ func (n *Network) ConnectDirect(a, b *Port, link LinkParams) error {
 func (n *Network) AddSwitch(name string, params SwitchParams) *Switch {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	sw := &Switch{name: name, params: params, fdb: make(map[netstack.MAC]*Port)}
+	sw := &Switch{name: name, params: params}
+	sw.fdb.Store(&map[netstack.MAC]*Port{})
 	n.switches = append(n.switches, sw)
 	return sw
 }
 
 // ConnectToSwitch attaches a port to a switch.
 func (n *Network) ConnectToSwitch(p *Port, sw *Switch, link LinkParams) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.peer != nil || p.sw != nil {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.attach(p, attachment{link: link, sw: sw}) {
 		return fmt.Errorf("fabric: port %q already attached", p.name)
 	}
-	p.sw, p.link, p.rng = sw, link, rand.New(rand.NewSource(n.seed+int64(p.mac[5])))
-	sw.mu.Lock()
-	sw.fdb[p.mac] = p
-	sw.mu.Unlock()
+	sw.learn(p)
 	return nil
 }

@@ -89,8 +89,8 @@ func TestHotPathIsProven(t *testing.T) {
 			}
 		}
 	}
-	if roots < 25 {
-		t.Errorf("only %d //insane:hotpath annotations in the tree; the proof's root set has shrunk (want >= 25)", roots)
+	if roots < 78 {
+		t.Errorf("only %d //insane:hotpath annotations in the tree; the proof's root set has shrunk (want >= 78)", roots)
 	}
 }
 
@@ -218,8 +218,8 @@ func TestResourceRegistryIsAlive(t *testing.T) {
 			}
 		}
 	}
-	if pairs < 30 {
-		t.Errorf("only %d //insane:{acquire,release,transfer} annotations in the tree; the resource registry has shrunk (want >= 30)", pairs)
+	if pairs < 39 {
+		t.Errorf("only %d //insane:{acquire,release,transfer} annotations in the tree; the resource registry has shrunk (want >= 39)", pairs)
 	}
 	if waivers > 3 {
 		t.Errorf("%d //insane:unbalanced waivers in the tree (ceiling 3); prove the balance instead of waiving it", waivers)

@@ -51,7 +51,7 @@ type Component struct {
 }
 
 // Latency returns the component's contribution to one-packet latency.
-func (c Component) Latency(payload int, tb Testbed) time.Duration {
+func (c *Component) Latency(payload int, tb *Testbed) time.Duration {
 	if c.OccupancyOnly {
 		return 0
 	}
@@ -61,7 +61,7 @@ func (c Component) Latency(payload int, tb Testbed) time.Duration {
 
 // Occupancy returns the component's per-packet resource occupancy under a
 // send/receive burst of the given size.
-func (c Component) Occupancy(payload, burst int, tb Testbed) time.Duration {
+func (c *Component) Occupancy(payload, burst int, tb *Testbed) time.Duration {
 	if burst < 1 {
 		burst = 1
 	}

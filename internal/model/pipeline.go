@@ -94,7 +94,7 @@ func (st Stage) Latency(payload int, tb Testbed) time.Duration {
 	}
 	var d time.Duration
 	for _, c := range st.Comps {
-		d += c.Latency(payload, tb)
+		d += c.Latency(payload, &tb)
 	}
 	return d
 }
@@ -108,7 +108,7 @@ func (st Stage) Occupancy(payload, burst int, tb Testbed) time.Duration {
 	}
 	var d time.Duration
 	for _, c := range st.Comps {
-		d += c.Occupancy(payload, burst, tb)
+		d += c.Occupancy(payload, burst, &tb)
 	}
 	return d
 }
@@ -279,7 +279,7 @@ func (p Pipeline) Breakdown(payload int, tb Testbed) map[Category]time.Duration 
 			continue
 		}
 		for _, c := range st.Comps {
-			out[c.Category] += c.Latency(payload, tb)
+			out[c.Category] += c.Latency(payload, &tb)
 		}
 	}
 	return out

@@ -46,7 +46,7 @@ type Testbed struct {
 }
 
 // Scale applies the testbed factor for the given class to a duration.
-func (tb Testbed) Scale(class ScaleClass, d time.Duration) time.Duration {
+func (tb *Testbed) Scale(class ScaleClass, d time.Duration) time.Duration {
 	f := 1.0
 	switch class {
 	case ScaleKernel:
@@ -66,7 +66,7 @@ func (tb Testbed) Scale(class ScaleClass, d time.Duration) time.Duration {
 
 // WireLatency returns the one-way wire time for a frame of frameLen bytes:
 // serialization (plus preamble/IFG), propagation, and switch traversal.
-func (tb Testbed) WireLatency(frameLen int) time.Duration {
+func (tb *Testbed) WireLatency(frameLen int) time.Duration {
 	const wireOverhead = 24 // preamble+SFD+FCS+IFG, mirrors netstack.WireOverhead
 	return tb.LinkRate.Transmission(frameLen+wireOverhead) + tb.PropDelay + tb.SwitchLatency
 }
@@ -74,7 +74,7 @@ func (tb Testbed) WireLatency(frameLen int) time.Duration {
 // WireOccupancy returns how long a frame occupies the wire (the throughput
 // bottleneck contribution of the link): serialization only, since
 // propagation and switch latency are pipelined away.
-func (tb Testbed) WireOccupancy(frameLen int) time.Duration {
+func (tb *Testbed) WireOccupancy(frameLen int) time.Duration {
 	const wireOverhead = 24
 	return tb.LinkRate.Transmission(frameLen + wireOverhead)
 }

@@ -85,7 +85,6 @@ type Participant struct {
 	rng    *rand.Rand
 
 	readers map[uint32]func(Sample)
-	pending []*datapath.Packet
 }
 
 // Sample is one received publication.
@@ -127,9 +126,7 @@ func NewParticipant(f Flavor, cfg Config) (*Participant, error) {
 		Port:     cfg.Port,
 		Resolver: cfg.Resolver,
 		Local:    cfg.Local,
-		Alloc: func(size int) (mempool.SlotID, []byte, error) {
-			return mm.Get(size, mempool.NoOwner)
-		},
+		Mem:      mm,
 		Testbed:  cfg.Testbed,
 		Blocking: true, // DDS receive threads block on the socket (§7.1)
 		Burst:    1,
@@ -189,9 +186,9 @@ func (p *Participant) PublishAt(topic string, payload []byte, at timebase.VTime,
 		Off: datapath.Headroom, Len: msgLen,
 		Src: p.local, VTime: at, Breakdown: bd,
 	}
-	pkt.Charge(cycloneMarshal, len(payload), 1, p.tb)
+	pkt.Charge(&cycloneMarshal, len(payload), 1, &p.tb)
 	if p.flavor == FlavorZeroMQ {
-		pkt.Charge(zmqQueueHop, len(payload), 1, p.tb)
+		pkt.Charge(&zmqQueueHop, len(payload), 1, &p.tb)
 	}
 	// Jitter: the paper observes markedly higher variability than the
 	// raw socket baselines.
@@ -221,16 +218,17 @@ func (p *Participant) Subscribe(topic string, handler func(Sample)) {
 func (p *Participant) Spin(n int, timeout time.Duration) int {
 	deadline := time.Now().Add(timeout)
 	dispatched := 0
+	var pkts [4]datapath.Packet
 	for (n <= 0 || dispatched < n) && time.Now().Before(deadline) {
 		if err := p.ep.WaitRecv(time.Until(deadline)); err != nil {
 			break
 		}
-		pkts, err := p.ep.Poll(4)
+		got, err := p.ep.Poll(pkts[:])
 		if err != nil {
 			break
 		}
-		for _, pkt := range pkts {
-			if p.deliver(pkt) {
+		for i := 0; i < got; i++ {
+			if p.deliver(&pkts[i]) {
 				dispatched++
 			}
 		}
@@ -254,9 +252,9 @@ func (p *Participant) deliver(pkt *datapath.Packet) bool {
 	if !ok {
 		return false
 	}
-	pkt.Charge(cycloneUnmarshal, plen, 1, p.tb)
+	pkt.Charge(&cycloneUnmarshal, plen, 1, &p.tb)
 	if p.flavor == FlavorZeroMQ {
-		pkt.Charge(zmqQueueHop, plen, 1, p.tb)
+		pkt.Charge(&zmqQueueHop, plen, 1, &p.tb)
 	}
 	handler(Sample{
 		Payload:   append([]byte(nil), b[rtpsHeaderLen:rtpsHeaderLen+plen]...),
@@ -275,10 +273,10 @@ func (p *Participant) Close() error { return p.ep.Close() }
 // ZeroMQ, four I/O-thread hops).
 func ModelRTT(f Flavor, payload int, tb model.Testbed) time.Duration {
 	base := model.Build(model.SysUDPBlocking).RTT(payload, tb)
-	perDir := cycloneMarshal.Latency(payload, tb) + cycloneUnmarshal.Latency(payload, tb)
+	perDir := cycloneMarshal.Latency(payload, &tb) + cycloneUnmarshal.Latency(payload, &tb)
 	rtt := base + 2*perDir
 	if f == FlavorZeroMQ {
-		rtt += 4 * zmqQueueHop.Latency(payload, tb)
+		rtt += 4 * zmqQueueHop.Latency(payload, &tb)
 	}
 	return rtt
 }
@@ -289,10 +287,10 @@ func ModelRTT(f Flavor, payload int, tb model.Testbed) time.Duration {
 func ModelThroughput(f Flavor, payload int, tb model.Testbed) timebase.Rate {
 	p := model.Build(model.SysUDPBlocking)
 	bottleneck := p.Bottleneck(payload, 1, tb)
-	if m := cycloneMarshal.Occupancy(payload, 1, tb); m > bottleneck {
+	if m := cycloneMarshal.Occupancy(payload, 1, &tb); m > bottleneck {
 		bottleneck = m
 	}
-	if u := cycloneUnmarshal.Occupancy(payload, 1, tb); u > bottleneck {
+	if u := cycloneUnmarshal.Occupancy(payload, 1, &tb); u > bottleneck {
 		bottleneck = u
 	}
 	return timebase.Goodput(payload, bottleneck)

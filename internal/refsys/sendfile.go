@@ -34,9 +34,9 @@ func (s *Sendfile) perPacket() time.Duration {
 	// call covers the file) and no user copy.
 	txStack := tc.TxStack
 	txStack.PerByteNs = 0 // page references, not copies
-	tx := txStack.Occupancy(s.chunk, 1, s.tb)
+	tx := txStack.Occupancy(s.chunk, 1, &s.tb)
 	// Receiver: full kernel receive path including the copy out.
-	rx := tc.RxStack.Occupancy(s.chunk, 1, s.tb) + tc.RxPoll.Occupancy(s.chunk, 1, s.tb)
+	rx := tc.RxStack.Occupancy(s.chunk, 1, &s.tb) + tc.RxPoll.Occupancy(s.chunk, 1, &s.tb)
 	wire := s.tb.WireOccupancy(s.chunk + netstack.HeadersLen)
 	worst := tx
 	if rx > worst {

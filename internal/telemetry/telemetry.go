@@ -266,10 +266,10 @@ type Snapshot struct {
 	// FabricDrops counts frames the node's fabric ports lost: on a
 	// lossy link or to an unknown address when transmitting, on a full
 	// or closed receive queue when receiving. RxAllocDrops counts frames
-	// the datapath plugins took off the wire and dropped before the
-	// runtime saw them: no free slot to receive into — or, in the
-	// plugins that demultiplex themselves (kernel UDP, RDMA), a frame
-	// for another port or no posted receive buffer.
+	// that reached the node and were dropped before the runtime saw
+	// them: no free slot in the pools the port receives into (counted by
+	// the port) — or, in the plugins that demultiplex themselves (kernel
+	// UDP, RDMA), a frame for another port or no posted receive buffer.
 	FabricDrops, RxAllocDrops uint64
 }
 
