@@ -198,6 +198,118 @@ func BenchmarkEmitConsumeLocal(b *testing.B) {
 	}
 }
 
+// openFanout opens, on one node, a source fanned out to fanout sinks of
+// the same stream: the co-located shape of the repository benchmark's
+// local workloads, small enough to iterate on in seconds.
+func openFanout(tb testing.TB, node *insane.Node, fanout int, opts ...insane.Option) (*insane.Source, []*insane.Sink) {
+	tb.Helper()
+	sess, err := node.InitSession()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { sess.Close() })
+	st, err := sess.CreateStreamOpts(opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sinks := make([]*insane.Sink, fanout)
+	for i := range sinks {
+		if sinks[i], err = st.CreateSink(1, nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	src, err := st.CreateSource(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return src, sinks
+}
+
+// fanoutRound is one message through the rig: GetBuffer → Emit → one
+// ConsumeContext per sink → one Release per sink. held is scratch, one
+// entry per sink.
+func fanoutRound(tb testing.TB, ctx context.Context, src *insane.Source, sinks []*insane.Sink, held []*insane.Message) {
+	buf, err := src.GetBuffer(64)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := src.Emit(buf, 64); err != nil {
+		tb.Fatal(err)
+	}
+	for i, sink := range sinks {
+		if held[i], err = sink.ConsumeContext(ctx); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i, sink := range sinks {
+		sink.Release(held[i])
+	}
+}
+
+// localRig is openFanout on a one-node cluster of its own.
+func localRig(b *testing.B, fanout int, opts ...insane.Option) (*insane.Source, []*insane.Sink) {
+	b.Helper()
+	cluster, err := insane.NewCluster(insane.ClusterOptions{Nodes: []insane.NodeSpec{{Name: "a"}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(cluster.Close)
+	return openFanout(b, cluster.Node("a"), fanout, opts...)
+}
+
+// BenchmarkRTCFanout4 is the repository benchmark's local-rtc-fanout
+// message in a loop: GetBuffer → Emit, run to completion into four sink
+// rings → four ConsumeContext calls that find their message already there
+// → four Releases. Nothing waits and no poller runs, so ns/op is the
+// client-library half of the path and nothing else.
+func BenchmarkRTCFanout4(b *testing.B) {
+	src, sinks := localRig(b, 4, insane.WithRunToCompletion(true))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
+	held := make([]*insane.Message, len(sinks))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fanoutRound(b, ctx, src, sinks, held)
+	}
+}
+
+// BenchmarkConsumeReady times the pop and release of a message that is
+// already queued — ConsumeContext's fast path, with a deadline context it
+// must not look at. The sink ring is refilled off the clock, a batch at a
+// time.
+func BenchmarkConsumeReady(b *testing.B) {
+	src, sinks := localRig(b, 1, insane.WithRunToCompletion(true))
+	sink := sinks[0]
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
+	const batch = 256
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		n := min(batch, b.N-done)
+		b.StopTimer()
+		for i := 0; i < n; i++ {
+			buf, err := src.GetBuffer(64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := src.Emit(buf, 64); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		for i := 0; i < n; i++ {
+			msg, err := sink.ConsumeContext(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink.Release(msg)
+		}
+		done += n
+	}
+}
+
 // BenchmarkRemotePingPong measures the real wall-clock round trip of the
 // full middleware path over the virtual fabric (not the modeled virtual
 // time — this is what the Go implementation actually costs per message).

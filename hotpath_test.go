@@ -13,9 +13,11 @@ import (
 // dispatch → shared-memory delivery → Consume → Release — performs zero
 // heap allocations per message once the pools and topology snapshots are
 // warm. A regression here fails `go test ./...`, not just a human
-// reading benchstat. The run-to-completion subtest gates the synchronous
+// reading benchstat. The run-to-completion subtests gate the synchronous
 // variant of the same path (Emit delivers on the calling goroutine,
-// DESIGN.md §11) at the same zero.
+// DESIGN.md §11) at the same zero, to one sink and fanned out to four —
+// the repository benchmark's local-rtc-fanout shape, where one buffer
+// wrapper and four message wrappers cycle through their pools per op.
 //
 // testing.AllocsPerRun counts process-wide mallocs (all goroutines), so
 // an allocation smuggled into the polling threads trips the gate too.
@@ -25,10 +27,13 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; the gate measures the plain build")
 	}
 	t.Run("queued", func(t *testing.T) {
-		gateZeroAlloc(t)
+		gateZeroAlloc(t, 1)
 	})
 	t.Run("run-to-completion", func(t *testing.T) {
-		gateZeroAlloc(t, insane.WithRunToCompletion(true))
+		gateZeroAlloc(t, 1, insane.WithRunToCompletion(true))
+	})
+	t.Run("run-to-completion 1 to 4 sinks", func(t *testing.T) {
+		gateZeroAlloc(t, 4, insane.WithRunToCompletion(true))
 	})
 }
 
@@ -134,51 +139,23 @@ func TestSteadyStateZeroAllocRemote(t *testing.T) {
 	}
 }
 
-func gateZeroAlloc(t *testing.T, opts ...insane.Option) {
+func gateZeroAlloc(t *testing.T, fanout int, opts ...insane.Option) {
 	cluster, err := insane.NewCluster(insane.ClusterOptions{
 		Nodes: []insane.NodeSpec{{Name: "a"}, {Name: "b"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Close()
-	sess, err := cluster.Node("a").InitSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	st, err := sess.CreateStreamOpts(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink, err := st.CreateSink(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := st.CreateSource(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(cluster.Close) // after the session openFanout registers
+	src, sinks := openFanout(t, cluster.Node("a"), fanout, opts...)
 
 	// One deadline context reused across every op keeps ConsumeContext on
 	// the pooled-timer path; a fresh context per op would allocate and
 	// fail the gate for the wrong reason.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	op := func() {
-		buf, err := src.GetBuffer(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := src.Emit(buf, 64); err != nil {
-			t.Fatal(err)
-		}
-		msg, err := sink.ConsumeContext(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink.Release(msg)
-	}
+	held := make([]*insane.Message, fanout)
+	op := func() { fanoutRound(t, ctx, src, sinks, held) }
 
 	// Warm the wrapper pools, poller env caches, timer pool and topology
 	// snapshots: first messages pay one-time costs by design.
@@ -210,6 +187,9 @@ func gateZeroAlloc(t *testing.T, opts ...insane.Option) {
 		if s.RTCDeliveries == 0 || s.RTCFallbacks != 0 {
 			t.Errorf("RTC gate: deliveries=%d fallbacks=%d, want >0/0",
 				s.RTCDeliveries, s.RTCFallbacks)
+		}
+		if m := cluster.Node("a").Metrics(); m.RTCDeliveries != m.Emits*uint64(fanout) {
+			t.Errorf("RTC gate: %d deliveries for %d emits, want %d per emit", m.RTCDeliveries, m.Emits, fanout)
 		}
 	}
 }

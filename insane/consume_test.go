@@ -1,0 +1,257 @@
+package insane_test
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/insane-mw/insane/insane"
+)
+
+// oneNode opens a single-node cluster with one session and one stream, the
+// rig of the co-located consume tests.
+func oneNode(t *testing.T, opts ...insane.Option) (*insane.Cluster, *insane.Session, *insane.Stream) {
+	t.Helper()
+	c, err := insane.NewCluster(insane.ClusterOptions{Nodes: []insane.NodeSpec{{Name: "edge-1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	sess, err := c.Node("edge-1").InitSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sess.CreateStreamOpts(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, sess, st
+}
+
+// waitQueued waits until n deliveries sit in the sink's ring.
+func waitQueued(t *testing.T, k *insane.Sink, n int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for k.Available() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d deliveries queued after 2 s", k.Available(), n)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// countingCtx counts every look ConsumeContext takes at its context.
+type countingCtx struct {
+	context.Context
+	looks int
+}
+
+func (c *countingCtx) Deadline() (time.Time, bool) { c.looks++; return c.Context.Deadline() }
+func (c *countingCtx) Done() <-chan struct{}       { c.looks++; return c.Context.Done() }
+func (c *countingCtx) Err() error                  { c.looks++; return c.Context.Err() }
+
+// TestConsumeReadySkipsContext pins the pop-first contract of
+// ConsumeContext: a delivery that is already queued is returned without a
+// single call into the context — even an expired one — and the context
+// decides only the call that finds the sink empty.
+func TestConsumeReadySkipsContext(t *testing.T) {
+	_, _, st := oneNode(t)
+	sink, err := st.CreateSink(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := st.CreateSource(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"live context", context.Background()},
+		{"expired context", expired},
+	} {
+		send(t, src, []byte(tc.name))
+		waitQueued(t, sink, 1)
+		ctx := &countingCtx{Context: tc.ctx}
+		m, err := sink.ConsumeContext(ctx)
+		if err != nil {
+			t.Fatalf("%s, delivery queued: ConsumeContext = %v, want the delivery", tc.name, err)
+		}
+		if string(m.Payload) != tc.name {
+			t.Errorf("%s: payload = %q", tc.name, m.Payload)
+		}
+		sink.Release(m)
+		if ctx.looks != 0 {
+			t.Errorf("%s, delivery queued: %d calls into the context, want 0", tc.name, ctx.looks)
+		}
+	}
+
+	ctx := &countingCtx{Context: expired}
+	if _, err := sink.ConsumeContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("expired context, empty sink: ConsumeContext = %v, want context.DeadlineExceeded", err)
+	}
+	if ctx.looks == 0 {
+		t.Error("expired context, empty sink: the context was never consulted")
+	}
+}
+
+// waitBlockedConsumers waits until n goroutines are parked in the blocking
+// consume's select, so a close that follows is a close while waiting and
+// not a close the consumers find on arrival.
+func waitBlockedConsumers(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	buf := make([]byte, 1<<20)
+	for {
+		blocked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[select") && strings.Contains(g, "core.(*SinkHandle).Consume") {
+				blocked++
+			}
+		}
+		if blocked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d consumers blocked after 5 s", blocked, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// blockedConsumeReturns parks waiters goroutines in
+// ConsumeContext(context.Background()) on one sink, closes something with
+// closeIt, and requires every waiter back with ErrClosed and no goroutine
+// left behind. The notify channel is one deep and wakes one waiter, so
+// the close signal has to be one every waiter sees.
+func blockedConsumeReturns(t *testing.T, waiters int, closeIt func(*insane.Session, *insane.Sink)) {
+	before := goroutineSites()
+	c, sess, st := oneNode(t)
+	sink, err := st.CreateSink(5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			m, err := sink.ConsumeContext(context.Background())
+			if err == nil {
+				sink.Release(m)
+			}
+			errc <- err
+		}()
+	}
+	waitBlockedConsumers(t, waiters)
+	closeIt(sess, sink)
+	timeout := time.After(2 * time.Second)
+	for i := 0; i < waiters; i++ {
+		select {
+		case err := <-errc:
+			if !errors.Is(err, insane.ErrClosed) {
+				t.Errorf("blocked consume returned %v, want ErrClosed", err)
+			}
+		case <-timeout:
+			t.Fatalf("ConsumeContext still blocked 2 s after the close (%d of %d waiters back)", i, waiters)
+		}
+	}
+	sess.Close()
+	c.Close()
+	requireNoLeak(t, before)
+}
+
+func TestBlockedConsumeReturnsOnSinkClose(t *testing.T) {
+	for _, waiters := range []int{1, 4} {
+		blockedConsumeReturns(t, waiters, func(_ *insane.Session, k *insane.Sink) { k.Close() })
+	}
+}
+
+func TestBlockedConsumeReturnsOnSessionClose(t *testing.T) {
+	for _, waiters := range []int{1, 4} {
+		blockedConsumeReturns(t, waiters, func(s *insane.Session, _ *insane.Sink) {
+			if err := s.Close(); err != nil {
+				t.Errorf("session close: %v", err)
+			}
+		})
+	}
+}
+
+// TestStageHistogramsSkipZeroCharge: a stage a message was never charged
+// for is not observed. Co-located traffic has no network stage and, unless
+// a layered middleware charges some, no processing stage, so those two
+// histograms stay empty while every counter and every other consume-side
+// histogram counts each message. (Remote traffic, charged for the wire,
+// still fills stage_network once per message:
+// TestMetricsConcurrentPublishers.)
+func TestStageHistogramsSkipZeroCharge(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		opts []insane.Option
+	}{
+		{"queued", nil},
+		{"run-to-completion", []insane.Option{insane.WithRunToCompletion(true)}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			c, _, st := oneNode(t, mode.opts...)
+			sink, err := st.CreateSink(4, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := st.CreateSource(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const plain, charged = 40, 7
+			for i := 0; i < plain+charged; i++ {
+				b, err := src.GetBuffer(8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i >= plain {
+					b.AddProcessing(3 * time.Microsecond)
+				}
+				if _, err := src.Emit(b, 8); err != nil {
+					t.Fatal(err)
+				}
+				m, err := consumeWithin(sink, 2*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, network, _, processing := m.Breakdown(); network != 0 || (processing != 0) != (i >= plain) {
+					t.Fatalf("message %d: network %v, processing %v", i, network, processing)
+				}
+				sink.Release(m)
+			}
+			m := c.Node("edge-1").Metrics()
+			const total = plain + charged
+			if m.Consumes != total {
+				t.Errorf("Consumes = %d, want %d", m.Consumes, total)
+			}
+			for _, h := range []struct {
+				name string
+				got  uint64
+				want uint64
+			}{
+				{"ConsumeLatency", m.ConsumeLatency.Count, total},
+				{"StageSend", m.StageSend.Count, total},
+				{"StageRecv", m.StageRecv.Count, total},
+				{"DeliverLatency", m.DeliverLatency.Count, total},
+				{"StageNetwork", m.StageNetwork.Count, 0},
+				{"StageProcessing", m.StageProcessing.Count, charged},
+			} {
+				if h.got != h.want {
+					t.Errorf("%s.Count = %d, want %d", h.name, h.got, h.want)
+				}
+			}
+			if want := 3 * time.Microsecond; m.StageProcessing.Mean != want {
+				t.Errorf("StageProcessing.Mean = %v, want %v: zeros must not dilute the charged messages", m.StageProcessing.Mean, want)
+			}
+		})
+	}
+}

@@ -97,9 +97,16 @@ func TestNoGoroutineLeakOnClose(t *testing.T) {
 	c.Close()
 	closed = true
 
-	// The runtimes join their goroutines synchronously, but client-side
-	// HTTP teardown is asynchronous: poll briefly before judging.
-	deadline = time.Now().Add(2 * time.Second)
+	requireNoLeak(t, before)
+}
+
+// requireNoLeak fails the test unless the goroutine population returns to
+// before. The runtimes join their goroutines synchronously, but client-side
+// HTTP teardown and goroutines a test just released are asynchronous: it
+// polls briefly before judging.
+func requireNoLeak(t *testing.T, before map[string]int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
 	for {
 		leaked := diffSites(before, goroutineSites())
 		if len(leaked) == 0 {
@@ -108,7 +115,7 @@ func TestNoGoroutineLeakOnClose(t *testing.T) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
 			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked across cluster close:\n%s\nfull dump:\n%s",
+			t.Fatalf("goroutines leaked across close:\n%s\nfull dump:\n%s",
 				strings.Join(leaked, "\n"), buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -93,7 +93,11 @@ type Metrics struct {
 	// now. PollerIdlePasses counts the passes that found no work.
 	PollerParks, PollerWakesTX, PollerWakesRX, PollerWakesGateTimer, PollerIdlePasses uint64
 
-	// Per-stage latency distributions (virtual time, Fig. 6).
+	// Per-stage latency distributions (virtual time, Fig. 6). A stage a
+	// message was never charged for is not observed, so StageNetwork and
+	// StageProcessing count the messages that crossed a wire or were
+	// charged processing — fewer than Consumes on co-located traffic —
+	// while the others count every consumed message.
 	SchedDwell      LatencyStats
 	DeliverLatency  LatencyStats
 	ConsumeLatency  LatencyStats

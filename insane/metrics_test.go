@@ -408,7 +408,7 @@ func TestConsumeContext(t *testing.T) {
 		t.Fatalf("deadline consume = %v, want context.DeadlineExceeded", err)
 	}
 
-	// An already-expired context never touches the ring.
+	// An already-canceled context on an empty sink returns at once.
 	ectx, ecancel := context.WithCancel(context.Background())
 	ecancel()
 	if _, err := sink.ConsumeContext(ectx); !errors.Is(err, context.Canceled) {

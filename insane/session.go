@@ -2,7 +2,6 @@ package insane
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -226,13 +225,16 @@ func (st *Stream) CreateSink(channel int, cb DataCallback) (*Sink, error) {
 type Buffer struct {
 	// Payload is the writable application area.
 	Payload []byte
-	inner   *core.Buffer
+	inner   core.Buffer
 }
 
-// Wrapper free lists, mirroring the core layer's: the public Buffer and
-// Message structs are recycled when ownership returns to the library
-// (successful Emit / Abort / Release), which the API contract — never
-// touch a buffer after Emit, a message after Release — makes safe.
+// Wrapper free lists: the Buffer and Message structs handed across the
+// API are recycled when ownership returns to the library (successful
+// Emit / Abort / Release), which the API contract — never touch a buffer
+// after Emit, a message after Release, enforced by the insanevet
+// bufownership rule — makes safe. They are the only pooled wrappers: each
+// holds the runtime's own struct by value and the core calls fill it in
+// place, so an API object costs one pool round trip.
 var (
 	bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
 
@@ -255,13 +257,13 @@ func (s *Source) Channel() int { return int(s.h.Channel()) }
 //insane:hotpath
 //insane:acquire resource=mem-slot on=nilerr
 func (s *Source) GetBuffer(size int) (*Buffer, error) {
-	b, err := s.h.GetBuffer(size)
-	if err != nil {
+	b := bufferPool.Get().(*Buffer)
+	if err := s.h.GetBuffer(&b.inner, size); err != nil {
+		bufferPool.Put(b)
 		return nil, publicErr(err)
 	}
-	out := bufferPool.Get().(*Buffer)
-	*out = Buffer{Payload: b.Payload, inner: b}
-	return out, nil
+	b.Payload = b.inner.Payload
+	return b, nil
 }
 
 // Abort returns an unsent buffer to the pool.
@@ -269,9 +271,9 @@ func (s *Source) GetBuffer(size int) (*Buffer, error) {
 //insane:hotpath
 //insane:release resource=mem-slot
 func (s *Source) Abort(b *Buffer) {
-	if b != nil && b.inner != nil {
-		s.h.Abort(b.inner)
-		*b = Buffer{}
+	if b != nil && b.inner.Payload != nil {
+		s.h.Abort(&b.inner)
+		b.Payload = nil
 		bufferPool.Put(b)
 	}
 }
@@ -298,16 +300,18 @@ func (b *Buffer) ContinueFrom(m *Message) {
 //insane:hotpath
 //insane:transfer resource=mem-slot on=nilerr
 func (s *Source) Emit(b *Buffer, n int) (uint32, error) {
-	if b == nil || b.inner == nil {
+	if b == nil || b.inner.Payload == nil {
 		return 0, ErrBufferConsumed
 	}
-	seq, err := s.h.Emit(b.inner, n)
-	if err == nil {
-		// Ownership moved to the runtime; recycle the dead wrapper.
-		*b = Buffer{}
-		bufferPool.Put(b)
+	seq, err := s.h.Emit(&b.inner, n)
+	if err != nil {
+		return 0, publicErr(err)
 	}
-	return seq, publicErr(err)
+	// Ownership moved to the runtime, which cleared inner; recycle the
+	// dead wrapper.
+	b.Payload = nil
+	bufferPool.Put(b)
+	return seq, nil
 }
 
 // Outcome reports the fate of an emitted message (check_emit_outcome).
@@ -339,7 +343,7 @@ type Message struct {
 	Channel int
 	// Latency is the accumulated one-way virtual latency.
 	Latency time.Duration
-	d       *core.Delivery
+	d       core.Delivery
 }
 
 // Breakdown splits the message latency into the Fig. 6 stages.
@@ -381,40 +385,78 @@ func (k *Sink) Channel() int { return int(k.h.Channel()) }
 func (k *Sink) Available() int { return k.h.Available() }
 
 // ConsumeContext pops one delivery, waiting until data arrives, the
-// context's deadline passes (the context error is returned), or the
-// context is canceled. It is the one consumption call: a non-blocking
-// poll is Available() > 0 before it, a timeout is a context deadline.
+// context's deadline passes or the context is canceled (the context's
+// error is returned), or the sink or its session is closed (ErrClosed). It
+// is the one consumption call: a non-blocking poll is Available() > 0
+// before it, a timeout is a context deadline.
+//
+// The sink is tried first: a message that is already queued is returned
+// without a look at the context — no Deadline, no Done, no Err — so the
+// context decides only a call that would otherwise wait. A call on an
+// empty sink with an expired or canceled context returns the context's
+// error at once.
 //
 //insane:hotpath allow=block
 //insane:acquire resource=mem-slot on=nilerr
 func (k *Sink) ConsumeContext(ctx context.Context) (*Message, error) {
+	m := messagePool.Get().(*Message)
+	err := k.h.TryConsume(&m.d)
+	if err == nil {
+		return m.filled(), nil
+	}
+	if err == core.ErrNoData {
+		err = k.await(ctx, m)
+		if err == nil {
+			return m.filled(), nil
+		}
+	}
+	messagePool.Put(m)
+	return nil, publicErr(err)
+}
+
+// await is ConsumeContext on an empty sink: it blocks until a delivery
+// lands in m.d or the context or a close ends the wait.
+//
+//insane:hotpath allow=block
+//insane:acquire resource=mem-slot on=nilerr
+func (k *Sink) await(ctx context.Context, m *Message) error {
 	var timeout time.Duration
 	if deadline, ok := ctx.Deadline(); ok {
 		timeout = time.Until(deadline)
 		if timeout <= 0 {
-			return nil, ctx.Err()
+			return ctxErr(ctx, context.DeadlineExceeded)
 		}
 	}
-	d, err := k.h.ConsumeCancel(ctx.Done(), timeout)
-	if err != nil {
-		switch err {
-		case core.ErrCanceled:
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return nil, context.Canceled
-		case core.ErrTimeout:
-			// The timeout was derived from the context's deadline, so
-			// hitting it is the context expiring — even if the internal
-			// timer fired an instant before ctx.Err() flipped.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return nil, context.DeadlineExceeded
-		}
-		return nil, publicErr(err)
+	err := k.h.Consume(&m.d, ctx.Done(), timeout)
+	if err == nil {
+		return nil
 	}
-	return wrapDelivery(d), nil
+	switch err {
+	case core.ErrTimeout:
+		return ctxErr(ctx, context.DeadlineExceeded)
+	case core.ErrCanceled:
+		return ctxErr(ctx, context.Canceled)
+	}
+	return err
+}
+
+// ctxErr is the context's error for a wait the context ended. The timeout
+// is derived from the context's deadline, so running into it is the
+// context expiring even when the internal timer fires an instant before
+// ctx.Err() flips: ifUnset is returned then.
+func ctxErr(ctx context.Context, ifUnset error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return ifUnset
+}
+
+// filled publishes the delivery m.d now holds through the public fields.
+func (m *Message) filled() *Message {
+	m.Payload = m.d.Payload
+	m.Channel = int(m.d.Channel)
+	m.Latency = m.d.VTime.Duration()
+	return m
 }
 
 // Release returns a consumed message's memory to the runtime
@@ -423,9 +465,9 @@ func (k *Sink) ConsumeContext(ctx context.Context) (*Message, error) {
 //insane:hotpath
 //insane:release resource=mem-slot
 func (k *Sink) Release(m *Message) {
-	if m != nil && m.d != nil {
-		k.h.Release(m.d)
-		*m = Message{}
+	if m != nil && m.d.Payload != nil {
+		k.h.Release(&m.d)
+		m.Payload = nil
 		messagePool.Put(m)
 	}
 }
@@ -450,38 +492,24 @@ func (k *Sink) stopDispatch() {
 	<-k.done
 }
 
-// dispatch is the callback pump: it waits on the sink's notification
-// channel and hands every delivery to the callback, releasing the buffer
-// afterwards.
+// dispatch is the callback pump: it hands every delivery to the callback,
+// releasing the message afterwards, until the dispatcher is stopped or
+// the sink closes. Stop is looked at before every delivery, so closing a
+// sink under steady traffic does not wait for the traffic to pause.
 func (k *Sink) dispatch(cb DataCallback) {
 	defer close(k.done)
 	for {
-		d, err := k.h.TryConsume()
-		if err == nil {
-			m := wrapDelivery(d)
-			cb(m)
-			k.Release(m)
-			continue
-		}
-		if !errors.Is(err, core.ErrNoData) {
-			return // sink closed
-		}
 		select {
 		case <-k.stop:
 			return
-		case <-k.h.Notify():
+		default:
 		}
+		m := messagePool.Get().(*Message)
+		if err := k.h.Consume(&m.d, k.stop, 0); err != nil {
+			messagePool.Put(m)
+			return
+		}
+		cb(m.filled())
+		k.Release(m)
 	}
-}
-
-// wrapDelivery adapts a core delivery to the public Message.
-func wrapDelivery(d *core.Delivery) *Message {
-	m := messagePool.Get().(*Message)
-	*m = Message{
-		Payload: d.Payload,
-		Channel: int(d.Channel),
-		Latency: d.VTime.Duration(),
-		d:       d,
-	}
-	return m
 }

@@ -98,12 +98,12 @@ func waitSubscribed(t *testing.T, r *Runtime, channel uint32, n int) {
 // sendOn emits one payload on a source and fails the test on error.
 func sendOn(t *testing.T, src *SourceHandle, payload []byte) uint32 {
 	t.Helper()
-	b, err := src.GetBuffer(len(payload))
-	if err != nil {
+	var b Buffer
+	if err := src.GetBuffer(&b, len(payload)); err != nil {
 		t.Fatal(err)
 	}
 	copy(b.Payload, payload)
-	seq, err := src.Emit(b, len(payload))
+	seq, err := src.Emit(&b, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +172,11 @@ func TestSlowStreamRemoteDelivery(t *testing.T) {
 	msg := []byte("hello from A over the kernel plane")
 	sendOn(t, src, msg)
 
-	d, err := sink.Consume(2 * time.Second)
-	if err != nil {
+	var d Delivery
+	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	defer sink.Release(d)
+	defer sink.Release(&d)
 	if !bytes.Equal(d.Payload, msg) {
 		t.Errorf("payload = %q, want %q", d.Payload, msg)
 	}
@@ -226,29 +226,29 @@ func TestFastStreamPingPongOverDPDK(t *testing.T) {
 	var rtts []time.Duration
 	for i := 0; i < rounds; i++ {
 		sendOn(t, pingSrc, payload)
-		req, err := pingSink.Consume(2 * time.Second)
-		if err != nil {
+		var req Delivery
+		if err := pingSink.Consume(&req, nil, 2*time.Second); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
 		// Echo: continue the request's virtual clock on the response.
-		resp, err := pongSrc.GetBuffer(len(req.Payload))
-		if err != nil {
+		var resp Buffer
+		if err := pongSrc.GetBuffer(&resp, len(req.Payload)); err != nil {
 			t.Fatal(err)
 		}
 		copy(resp.Payload, req.Payload)
 		resp.VTime = req.VTime
 		resp.Breakdown = req.Breakdown
-		if _, err := pongSrc.Emit(resp, len(req.Payload)); err != nil {
+		if _, err := pongSrc.Emit(&resp, len(req.Payload)); err != nil {
 			t.Fatal(err)
 		}
-		pingSink.Release(req)
+		pingSink.Release(&req)
 
-		pong, err := pongSink.Consume(2 * time.Second)
-		if err != nil {
+		var pong Delivery
+		if err := pongSink.Consume(&pong, nil, 2*time.Second); err != nil {
 			t.Fatalf("round %d pong: %v", i, err)
 		}
 		rtts = append(rtts, pong.VTime.Duration())
-		pongSink.Release(pong)
+		pongSink.Release(&pong)
 	}
 	// INSANE fast RTT ≈ 4.95 µs (64 B, local testbed).
 	for _, rtt := range rtts {
@@ -267,8 +267,8 @@ func TestCoLocatedSharedMemoryDelivery(t *testing.T) {
 
 	msg := []byte("co-located zero-copy")
 	sendOn(t, src, msg)
-	d, err := sink.Consume(2 * time.Second)
-	if err != nil {
+	var d Delivery
+	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(d.Payload, msg) {
@@ -286,7 +286,7 @@ func TestCoLocatedSharedMemoryDelivery(t *testing.T) {
 	if d.VTime.Duration() > 2*time.Microsecond {
 		t.Errorf("local delivery vtime = %v, want sub-2µs", d.VTime)
 	}
-	sink.Release(d)
+	sink.Release(&d)
 }
 
 func TestMultiSinkFanoutSharesOneSlot(t *testing.T) {
@@ -305,16 +305,15 @@ func TestMultiSinkFanoutSharesOneSlot(t *testing.T) {
 	msg := []byte("fanout")
 	sendOn(t, src, msg)
 
-	var deliveries []*Delivery
+	deliveries := make([]Delivery, len(sinks))
 	for i, k := range sinks {
-		d, err := k.Consume(2 * time.Second)
-		if err != nil {
+		d := &deliveries[i]
+		if err := k.Consume(d, nil, 2*time.Second); err != nil {
 			t.Fatalf("sink %d: %v", i, err)
 		}
 		if !bytes.Equal(d.Payload, msg) {
 			t.Errorf("sink %d payload = %q", i, d.Payload)
 		}
-		deliveries = append(deliveries, d)
 	}
 	// All sinks must see the same slot (zero-copy fanout).
 	for _, d := range deliveries[1:] {
@@ -324,7 +323,7 @@ func TestMultiSinkFanoutSharesOneSlot(t *testing.T) {
 	}
 	free := w.a.Mem().FreeSlots()
 	for i, k := range sinks {
-		k.Release(deliveries[i])
+		k.Release(&deliveries[i])
 	}
 	after := w.a.Mem().FreeSlots()
 	if after[0] != free[0]+1 {
@@ -351,10 +350,12 @@ func TestEmitOutcome(t *testing.T) {
 		t.Error("unknown seq returned an outcome")
 	}
 	// Drain so slots go back.
-	d1, _ := sinkLocal.Consume(time.Second)
-	sinkLocal.Release(d1)
-	d2, _ := sinkRemote.Consume(time.Second)
-	sinkRemote.Release(d2)
+	var d1 Delivery
+	_ = sinkLocal.Consume(&d1, nil, time.Second)
+	sinkLocal.Release(&d1)
+	var d2 Delivery
+	_ = sinkRemote.Consume(&d2, nil, time.Second)
+	sinkRemote.Release(&d2)
 }
 
 func TestFallbackWarningOnBareHost(t *testing.T) {
@@ -394,14 +395,14 @@ func TestHeterogeneousDowngrade(t *testing.T) {
 	msg := []byte("downgraded delivery")
 	sendOn(t, src, msg)
 
-	d, err := sink.Consume(2 * time.Second)
-	if err != nil {
+	var d Delivery
+	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(d.Payload, msg) {
 		t.Errorf("payload = %q", d.Payload)
 	}
-	sink.Release(d)
+	sink.Release(&d)
 	if w.a.Stats().TechDowngrades == 0 {
 		t.Error("downgrade not counted")
 	}
@@ -421,11 +422,11 @@ func TestTimeSensitiveStreamDelivers(t *testing.T) {
 	waitSubscribed(t, w.a, 11, 1)
 	src, _ := stA.CreateSource(11)
 	sendOn(t, src, []byte("tsn"))
-	d, err := sink.Consume(2 * time.Second)
-	if err != nil {
+	var d Delivery
+	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	sink.Release(d)
+	sink.Release(&d)
 }
 
 func TestSessionCloseReclaimsAndUnsubscribes(t *testing.T) {
@@ -442,7 +443,7 @@ func TestSessionCloseReclaimsAndUnsubscribes(t *testing.T) {
 	connA2, _ := w.b.Connect()
 	stA2, _ := connA2.OpenStream(qos.Options{})
 	src, _ := stA2.CreateSource(78)
-	if _, err := src.GetBuffer(128); err != nil {
+	if err := src.GetBuffer(new(Buffer), 128); err != nil {
 		t.Fatal(err)
 	}
 	if err := connA2.Close(); err != nil {
@@ -483,10 +484,10 @@ func TestClosedHandlesError(t *testing.T) {
 	sink, _ := st.CreateSink(1)
 	st.Close()
 
-	if _, err := src.GetBuffer(10); !errors.Is(err, ErrClosed) {
+	if err := src.GetBuffer(new(Buffer), 10); !errors.Is(err, ErrClosed) {
 		t.Errorf("GetBuffer after close = %v", err)
 	}
-	if _, err := sink.TryConsume(); !errors.Is(err, ErrClosed) {
+	if err := sink.TryConsume(new(Delivery)); !errors.Is(err, ErrClosed) {
 		t.Errorf("TryConsume after close = %v", err)
 	}
 	if _, err := st.CreateSource(2); !errors.Is(err, ErrClosed) {
@@ -619,17 +620,17 @@ func TestEmitValidation(t *testing.T) {
 	conn, _ := w.a.Connect()
 	st, _ := conn.OpenStream(qos.Options{})
 	src, _ := st.CreateSource(1)
-	b, err := src.GetBuffer(16)
-	if err != nil {
+	var b Buffer
+	if err := src.GetBuffer(&b, 16); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Emit(b, 17); err == nil {
+	if _, err := src.Emit(&b, 17); err == nil {
 		t.Error("emit beyond buffer accepted")
 	}
-	if _, err := src.Emit(b, -1); err == nil {
+	if _, err := src.Emit(&b, -1); err == nil {
 		t.Error("negative emit accepted")
 	}
-	src.Abort(b)
+	src.Abort(&b)
 }
 
 func TestSharedPollerMode(t *testing.T) {
@@ -645,11 +646,11 @@ func TestSharedPollerMode(t *testing.T) {
 	waitSubscribed(t, w.a, 8, 1)
 	src, _ := stA.CreateSource(8)
 	sendOn(t, src, []byte("shared poller"))
-	d, err := sink.Consume(2 * time.Second)
-	if err != nil {
+	var d Delivery
+	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	sink.Release(d)
+	sink.Release(&d)
 }
 
 func TestTechsAndCaps(t *testing.T) {
@@ -727,11 +728,11 @@ func TestCloseReclaimsQueuedTxTokens(t *testing.T) {
 	}
 	const queued = 4
 	for i := 0; i < queued; i++ {
-		b, err := src.GetBuffer(64)
-		if err != nil {
+		var b Buffer
+		if err := src.GetBuffer(&b, 64); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := src.Emit(b, 64); err != nil {
+		if _, err := src.Emit(&b, 64); err != nil {
 			t.Fatal(err)
 		}
 	}

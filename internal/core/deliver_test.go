@@ -4,12 +4,22 @@ import (
 	"bytes"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/insane-mw/insane/internal/datapath"
 	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/qos"
 	"github.com/insane-mw/insane/internal/telemetry"
 )
+
+// TestSinkTokenSize pins the sink-ring element — the Delivery itself — at
+// 80 bytes: every crossing of a sink ring copies it once in and once out,
+// and every sink carries rxRingDepth of them.
+func TestSinkTokenSize(t *testing.T) {
+	if size := unsafe.Sizeof(Delivery{}); size > 80 {
+		t.Errorf("Delivery is %d bytes, want <= 80", size)
+	}
+}
 
 // TestDeliverAccounting drives the one delivery routine directly: for
 // every fan-out and every pattern of full sink rings, each sink either
@@ -56,19 +66,17 @@ func TestDeliverAccounting(t *testing.T) {
 				sinks[i].noTel = true
 			}
 			isFull := make(map[int]bool)
+			filler := Delivery{Slot: mempool.NoSlot}
 			for _, i := range tc.full {
 				isFull[i] = true
-				for sinks[i].ring.TryPush(rxToken{slot: mempool.NoSlot}) {
+				for sinks[i].ring.TryPushFrom(&filler) {
 				}
 			}
 			// The fillers carry no slot: drop them before the sinks close,
 			// which would release whatever is queued.
 			defer func() {
 				for _, i := range tc.full {
-					for {
-						if _, ok := sinks[i].ring.TryPop(); !ok {
-							break
-						}
+					for sinks[i].ring.TryPopInto(&filler) {
 					}
 				}
 			}()
@@ -82,8 +90,8 @@ func TestDeliverAccounting(t *testing.T) {
 				t.Fatal(err)
 			}
 			caller := telemetry.New(1)
-			got := rt.deliver(caller.Shard(0), rxToken{
-				slot: slot, buf: buf, off: MsgHeadroom, length: 8, channel: 7,
+			got := rt.deliver(caller.Shard(0), &Delivery{
+				Slot: slot, Payload: buf[MsgHeadroom : MsgHeadroom+8], Channel: 7,
 			}, sinks, tc.msgNoTel)
 
 			want := tc.sinks - len(tc.full)
@@ -118,11 +126,12 @@ func TestDeliverAccounting(t *testing.T) {
 				if free := totalFree(rt); free != baseline-1 {
 					t.Fatalf("before sink %d released: %d free slots, want %d (reference over-released)", i, free, baseline-1)
 				}
-				tok, ok := k.ring.TryPop()
-				if !ok || tok.slot != slot || tok.bd.Recv != rt.deliveryCost(i) {
+				var tok Delivery
+				ok := k.ring.TryPopInto(&tok)
+				if !ok || tok.Slot != slot || tok.Breakdown.Recv != rt.deliveryCost(i) {
 					t.Fatalf("sink %d: token %+v ok=%v, want slot %v charged %v", i, tok, ok, slot, rt.deliveryCost(i))
 				}
-				if err := rt.mm.Release(tok.slot); err != nil {
+				if err := rt.mm.Release(tok.Slot); err != nil {
 					t.Fatalf("sink %d reference: %v", i, err)
 				}
 			}
@@ -180,15 +189,15 @@ func TestDeliverSameFromEveryOrigin(t *testing.T) {
 
 			var recv [2]time.Duration
 			for i, k := range sinks {
-				d, err := k.Consume(2 * time.Second)
-				if err != nil {
+				var d Delivery
+				if err := k.Consume(&d, nil, 2*time.Second); err != nil {
 					t.Fatalf("sink %d: %v", i, err)
 				}
 				if !bytes.Equal(d.Payload, payload) || d.Channel != channel {
 					t.Errorf("sink %d: payload %q on channel %d", i, d.Payload, d.Channel)
 				}
 				recv[i] = d.Breakdown.Recv
-				k.Release(d)
+				k.Release(&d)
 			}
 			// What precedes delivery differs by route (a remote message has
 			// paid for the receive path already); the delivery charge on top
@@ -221,14 +230,14 @@ func TestDrainedTokenOfDeadSlotIsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := src.GetBuffer(16)
-	if err != nil {
+	var b Buffer
+	if err := src.GetBuffer(&b, 16); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.a.Mem().Release(b.Slot); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := src.Emit(b, 16)
+	seq, err := src.Emit(&b, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,19 +38,19 @@ func TestSteadyStateZeroAllocCore(t *testing.T) {
 	}
 
 	op := func() {
-		b, err := src.GetBuffer(64)
-		if err != nil {
+		var b Buffer
+		if err := src.GetBuffer(&b, 64); err != nil {
 			t.Fatal(err)
 		}
 		copy(b.Payload, "steady-state")
-		if _, err := src.Emit(b, 64); err != nil {
+		if _, err := src.Emit(&b, 64); err != nil {
 			t.Fatal(err)
 		}
-		d, err := sink.Consume(time.Second)
-		if err != nil {
+		var d Delivery
+		if err := sink.Consume(&d, nil, time.Second); err != nil {
 			t.Fatal(err)
 		}
-		sink.Release(d)
+		sink.Release(&d)
 	}
 
 	// Warm pools, poller envelope caches and topology snapshots.

@@ -15,14 +15,14 @@ import (
 // emitTagged emits one 8-byte message carrying the source's tag and a
 // per-source sequence number, retrying on backpressure.
 func emitTagged(src *SourceHandle, tag byte, n uint32) error {
-	b, err := src.GetBuffer(8)
-	if err != nil {
+	var b Buffer
+	if err := src.GetBuffer(&b, 8); err != nil {
 		return err
 	}
 	b.Payload[0] = tag
 	binary.LittleEndian.PutUint32(b.Payload[1:], n)
 	for {
-		_, err := src.Emit(b, 8)
+		_, err := src.Emit(&b, 8)
 		if !errors.Is(err, ErrBackpressure) {
 			return err
 		}
@@ -134,14 +134,14 @@ func runConcurrentSources(t *testing.T, rt *Runtime, n int, check func(tag byte,
 	}
 	next := make(map[byte]uint32, n)
 	for i := 0; i < n*perSourceMsgs; i++ {
-		d, err := sink.Consume(5 * time.Second)
-		if err != nil {
+		var d Delivery
+		if err := sink.Consume(&d, nil, 5*time.Second); err != nil {
 			t.Fatalf("consume %d of %d: %v", i, n*perSourceMsgs, err)
 		}
 		tag, seq := d.Payload[0], binary.LittleEndian.Uint32(d.Payload[1:])
 		check(tag, seq, next[tag])
 		next[tag]++
-		sink.Release(d)
+		sink.Release(&d)
 		<-credits
 	}
 	return next
@@ -165,13 +165,13 @@ func TestSecondSourceSharesBackloggedLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	emit := func(src *SourceHandle) error {
-		b, err := src.GetBuffer(8)
-		if err != nil {
+		var b Buffer
+		if err := src.GetBuffer(&b, 8); err != nil {
 			t.Fatal(err)
 		}
-		_, err = src.Emit(b, 8)
+		_, err = src.Emit(&b, 8)
 		if err != nil {
-			src.Abort(b)
+			src.Abort(&b)
 		}
 		return err
 	}

@@ -333,7 +333,8 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet, n
 		sinks := r.sinksFor(meta.channel)
 		if len(sinks) > 0 {
 			_ = r.mm.AddRef(pkt.Slot, len(sinks))
-			n := r.deliver(p.shard, pktToken(pkt, meta.channel), sinks, meta.noTel)
+			msg := pktDelivery(pkt, meta.channel)
+			n := r.deliver(p.shard, &msg, sinks, meta.noTel)
 			p.shard.Add(telemetry.CtrLocalDeliveries, uint64(n))
 		}
 
@@ -501,7 +502,8 @@ func (r *Runtime) receiveOne(p *poller, st *techState, pkt *datapath.Packet) {
 	}
 	// The wire header does not carry the sender's telemetry opt-out; the
 	// sink's own decides.
-	r.deliver(p.shard, pktToken(pkt, h.channel), sinks, false)
+	msg := pktDelivery(pkt, h.channel)
+	r.deliver(p.shard, &msg, sinks, false)
 }
 
 // handleControl applies a SUB/UNSUB message from a peer.

@@ -178,8 +178,8 @@ func TestPollersPerPluginOwnRxVectors(t *testing.T) {
 	seen := make([]bool, total)
 	payload := make([]byte, size)
 	consume := func() {
-		m, err := sink.Consume(2 * time.Second)
-		if err != nil {
+		var m Delivery
+		if err := sink.Consume(&m, nil, 2*time.Second); err != nil {
 			t.Fatalf("consume: %v", err)
 		}
 		seq := binary.BigEndian.Uint32(m.Payload)
@@ -192,7 +192,7 @@ func TestPollersPerPluginOwnRxVectors(t *testing.T) {
 			}
 		}
 		seen[seq] = true
-		sink.Release(m)
+		sink.Release(&m)
 	}
 	for seq := 0; seq < total; seq++ {
 		binary.BigEndian.PutUint32(payload, uint32(seq))

@@ -55,7 +55,7 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32) bool {
 
 	// Commit. The RTC hop replaces the queued path's IPC+scheduler
 	// charges; the per-sink delivery cost is deliver's, the same on every
-	// path. The header is never encoded — the token carries the payload
+	// path. The header is never encoded — the delivery carries the payload
 	// view directly.
 	hop := rt.tb.Scale(rt.rc.RTCDeliver.Class, rt.rc.RTCDeliver.Fixed+rt.rc.RTCDeliver.Amort)
 	bd := b.Breakdown
@@ -65,15 +65,14 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32) bool {
 	// A consumer-side race may still fill a ring after the advisory check
 	// above; deliver drops and counts that delivery like any other.
 	_ = rt.mm.AddRef(b.Slot, len(sinks))
-	delivered := rt.deliver(s.shard, rxToken{
-		slot:    b.Slot,
-		buf:     b.buf,
-		off:     MsgHeadroom,
-		length:  n,
-		channel: s.channel,
-		vtime:   b.VTime.Add(hop),
-		bd:      bd,
-	}, sinks, s.noTel)
+	msg := Delivery{
+		Payload:   b.Payload[:n],
+		VTime:     b.VTime.Add(hop),
+		Breakdown: bd,
+		Slot:      b.Slot,
+		Channel:   s.channel,
+	}
+	delivered := rt.deliver(s.shard, &msg, sinks, s.noTel)
 	s.shard.Add(telemetry.CtrLocalDeliveries, uint64(delivered))
 	s.shard.Add(telemetry.CtrRTCDeliveries, uint64(delivered))
 	if !s.noTel {
@@ -93,9 +92,8 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32) bool {
 		ten.shard.Inc(telemetry.CtrEmits)
 		ten.shard.Add(telemetry.CtrEmitBytes, uint64(n))
 	}
-	// Ownership of the slot moved to the sinks; recycle the dead wrapper
-	// (same contract as the queued Emit).
+	// Ownership of the slot moved to the sinks; the buffer is dead to the
+	// caller (same contract as the queued Emit).
 	*b = Buffer{}
-	bufferPool.Put(b)
 	return true
 }

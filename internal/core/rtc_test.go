@@ -29,8 +29,8 @@ func TestRTCDeliversSynchronously(t *testing.T) {
 
 	sendOn(t, src, []byte("sync"))
 	// No waiting: the delivery was pushed before Emit returned.
-	d, err := sink.TryConsume()
-	if err != nil {
+	var d Delivery
+	if err := sink.TryConsume(&d); err != nil {
 		t.Fatalf("RTC delivery not immediately consumable: %v", err)
 	}
 	if !bytes.Equal(d.Payload, []byte("sync")) {
@@ -39,7 +39,7 @@ func TestRTCDeliversSynchronously(t *testing.T) {
 	if d.VTime.Duration() <= 0 {
 		t.Error("RTC delivery carries no virtual-time charge")
 	}
-	sink.Release(d)
+	sink.Release(&d)
 
 	s := w.a.Stats()
 	if s.RTCDeliveries != 1 {
@@ -70,11 +70,11 @@ func TestRTCOutcomeRecorded(t *testing.T) {
 	if o.LocalSinks != 1 || o.RemotePeers != 0 || o.Err != nil {
 		t.Errorf("outcome = %+v, want 1 local sink", o)
 	}
-	d, err := sink.TryConsume()
-	if err != nil {
+	var d Delivery
+	if err := sink.TryConsume(&d); err != nil {
 		t.Fatal(err)
 	}
-	sink.Release(d)
+	sink.Release(&d)
 }
 
 // TestRTCFallbackRemoteSubscriber: a remote peer subscribed to the
@@ -93,14 +93,14 @@ func TestRTCFallbackRemoteSubscriber(t *testing.T) {
 
 	sendOn(t, src, []byte("remote-too"))
 	for _, k := range []*SinkHandle{localSink, remoteSink} {
-		d, err := k.Consume(2 * time.Second)
-		if err != nil {
+		var d Delivery
+		if err := k.Consume(&d, nil, 2*time.Second); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(d.Payload, []byte("remote-too")) {
 			t.Errorf("payload = %q", d.Payload)
 		}
-		k.Release(d)
+		k.Release(&d)
 	}
 	s := w.a.Stats()
 	if s.RTCFallbacks != 1 {
@@ -129,11 +129,11 @@ func TestRTCFallbackWideFanout(t *testing.T) {
 
 	sendOn(t, src, []byte("wide"))
 	for i, k := range sinks {
-		d, err := k.Consume(2 * time.Second)
-		if err != nil {
+		var d Delivery
+		if err := k.Consume(&d, nil, 2*time.Second); err != nil {
 			t.Fatalf("sink %d: %v", i, err)
 		}
-		k.Release(d)
+		k.Release(&d)
 	}
 	s := w.a.Stats()
 	if s.RTCFallbacks != 1 {
@@ -176,26 +176,25 @@ func TestRTCFallbackClosedGate(t *testing.T) {
 	}
 	// The shaper must hold the packet while the gate stays closed.
 	time.Sleep(20 * time.Millisecond)
-	if _, err := sink.TryConsume(); err == nil {
+	if err := sink.TryConsume(new(Delivery)); err == nil {
 		t.Fatal("packet leaked through a closed gate")
 	}
 	clock.Set(timebase.VTime(150 * time.Microsecond))
-	d, err := sink.Consume(2 * time.Second)
-	if err != nil {
+	var d Delivery
+	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	sink.Release(d)
+	sink.Release(&d)
 
 	// With the clock in the open window the fast path engages.
 	sendOn(t, src, []byte("open"))
 	if s := w.a.Stats(); s.RTCDeliveries != 1 {
 		t.Errorf("open gate: RTCDeliveries = %d, want 1", s.RTCDeliveries)
 	}
-	d, err = sink.TryConsume()
-	if err != nil {
+	if err := sink.TryConsume(&d); err != nil {
 		t.Fatal(err)
 	}
-	sink.Release(d)
+	sink.Release(&d)
 }
 
 // TestRTCFallbackFullSinkRing: a sink ring at capacity fails the
@@ -224,11 +223,11 @@ func TestRTCFallbackFullSinkRing(t *testing.T) {
 	}
 	// Drain and confirm nothing was lost out of order.
 	for i := 0; i < rxRingDepth; i++ {
-		d, err := sink.Consume(2 * time.Second)
-		if err != nil {
+		var d Delivery
+		if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
 			t.Fatalf("drain %d: %v", i, err)
 		}
-		sink.Release(d)
+		sink.Release(&d)
 	}
 }
 
@@ -258,19 +257,19 @@ func TestSteadyStateZeroAllocRTC(t *testing.T) {
 	}
 
 	op := func() {
-		b, err := src.GetBuffer(64)
-		if err != nil {
+		var b Buffer
+		if err := src.GetBuffer(&b, 64); err != nil {
 			t.Fatal(err)
 		}
 		copy(b.Payload, "steady-state")
-		if _, err := src.Emit(b, 64); err != nil {
+		if _, err := src.Emit(&b, 64); err != nil {
 			t.Fatal(err)
 		}
-		d, err := sink.TryConsume()
-		if err != nil {
+		var d Delivery
+		if err := sink.TryConsume(&d); err != nil {
 			t.Fatal(err)
 		}
-		sink.Release(d)
+		sink.Release(&d)
 	}
 
 	for i := 0; i < 500; i++ {

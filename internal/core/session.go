@@ -29,7 +29,7 @@ var (
 	ErrNoData = errors.New("core: no data available")
 	// ErrTimeout is returned by blocking consume when the deadline hits.
 	ErrTimeout = errors.New("core: consume timeout")
-	// ErrCanceled is returned by ConsumeCancel when the cancel channel
+	// ErrCanceled is returned by blocking consume when the cancel channel
 	// closes before data arrives; the public layer translates it to the
 	// caller's context error.
 	ErrCanceled = errors.New("core: consume canceled")
@@ -320,7 +320,7 @@ func (h *StreamHandle) CreateSink(channel uint32) (*SinkHandle, error) {
 	}
 	h.mu.Unlock()
 
-	ring, err := ringbuf.NewMPMC[rxToken](rxRingDepth)
+	ring, err := ringbuf.NewMPMC[Delivery](rxRingDepth)
 	if err != nil {
 		return nil, err
 	}
@@ -329,6 +329,7 @@ func (h *StreamHandle) CreateSink(channel uint32) (*SinkHandle, error) {
 		channel: channel,
 		ring:    ring,
 		notify:  make(chan struct{}, 1),
+		done:    make(chan struct{}),
 		shard:   h.conn.rt.tel.AssignShard(),
 		noTel:   h.opts.NoTelemetry,
 		ten:     h.conn.ten,

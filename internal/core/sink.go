@@ -17,58 +17,62 @@ import (
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
-// rxToken travels from the runtime to a sink's RX ring.
-type rxToken struct {
-	slot    mempool.SlotID
-	buf     []byte
-	off     int
-	length  int
-	channel uint32
-	vtime   timebase.VTime
-	bd      fabric.Breakdown
-}
-
 // rxRingDepth bounds each sink RX ring.
 const rxRingDepth = 1024
 
-// deliveryPool recycles Delivery wrappers (see bufferPool).
-var deliveryPool = sync.Pool{New: func() any { return new(Delivery) }}
+// Delivery is one received message, borrowed zero-copy from the runtime
+// pools: release it as soon as processing ends (release_buffer). It is
+// also the element of the sink RX rings: deliver resolves the payload view
+// once and writes the Delivery into the ring cell, and a consume reads it
+// out of the cell straight into the struct the caller owns — one copy per
+// ring crossing, nothing rebuilt on the way (TestSinkTokenSize pins its
+// size).
+type Delivery struct {
+	// Payload is the read-only view of the message in its slot.
+	Payload []byte
+	// VTime is the accumulated one-way virtual latency of the message.
+	VTime timebase.VTime
+	// Breakdown splits VTime by Fig. 6 stage.
+	Breakdown fabric.Breakdown
+	Slot      mempool.SlotID
+	Channel   uint32
+}
 
-// pktToken is the delivery token of a data packet: the payload view past
-// the INSANE header, on the packet's clock.
-func pktToken(pkt *datapath.Packet, channel uint32) rxToken {
-	return rxToken{
-		slot:    pkt.Slot,
-		buf:     pkt.Buf,
-		off:     pkt.Off + HeaderLen,
-		length:  pkt.Len - HeaderLen,
-		channel: channel,
-		vtime:   pkt.VTime,
-		bd:      pkt.Breakdown,
+// pktDelivery is the delivery of a data packet: the payload view past the
+// INSANE header, on the packet's clock.
+func pktDelivery(pkt *datapath.Packet, channel uint32) Delivery {
+	off := pkt.Off + HeaderLen
+	return Delivery{
+		Payload:   pkt.Buf[off : off+pkt.Len-HeaderLen],
+		VTime:     pkt.VTime,
+		Breakdown: pkt.Breakdown,
+		Slot:      pkt.Slot,
+		Channel:   channel,
 	}
 }
 
 // deliver hands one message to every sink of its channel — the one place
-// a token enters a sink ring, whatever the origin (poller dispatch, remote
-// receive, run-to-completion Emit). The caller holds one slot reference
-// per sink: each either travels with the token into the sink's ring or,
-// when that ring is full, is released here and the drop counted on the
-// caller's shard and the sink tenant's. It returns how many sinks took
-// the message. noTel is the message's telemetry opt-out; a sink's own
-// opt-out counts as well.
+// a delivery enters a sink ring, whatever the origin (poller dispatch,
+// remote receive, run-to-completion Emit). The caller holds one slot
+// reference per sink: each either travels with the delivery into the
+// sink's ring or, when that ring is full, is released here and the drop
+// counted on the caller's shard and the sink tenant's. It returns how many
+// sinks took the message. msg is the caller's scratch: its clock is
+// rewritten per sink. noTel is the message's telemetry opt-out; a sink's
+// own opt-out counts as well.
 //
 //insane:hotpath
-func (r *Runtime) deliver(shard *telemetry.Shard, tok rxToken, sinks []*SinkHandle, noTel bool) int {
+func (r *Runtime) deliver(shard *telemetry.Shard, msg *Delivery, sinks []*SinkHandle, noTel bool) int {
 	delivered := 0
-	vtime, recv := tok.vtime, tok.bd.Recv
+	vtime, recv := msg.VTime, msg.Breakdown.Recv
 	//insane:bounded by=one entry per sink registered on the channel, fixed by the application
 	for i, k := range sinks {
 		// Delivery cost, plus the per-extra-sink cache effect (Fig. 8b).
 		d := r.deliveryCost(i)
-		tok.vtime = vtime.Add(d)
-		tok.bd.Recv = recv + d
-		if !k.ring.TryPush(tok) {
-			_ = r.mm.Release(tok.slot)
+		msg.VTime = vtime.Add(d)
+		msg.Breakdown.Recv = recv + d
+		if !k.ring.TryPushFrom(msg) {
+			_ = r.mm.Release(msg.Slot)
 			shard.Inc(telemetry.CtrRingFullDrops)
 			if k.ten != nil {
 				k.ten.shard.Inc(telemetry.CtrRingFullDrops)
@@ -96,27 +100,18 @@ func (r *Runtime) deliveryCost(i int) time.Duration {
 	return r.deliverCost[1]
 }
 
-// Delivery is one received message, borrowed zero-copy from the runtime
-// pools: release it as soon as processing ends (release_buffer).
-type Delivery struct {
-	Slot    mempool.SlotID
-	Payload []byte
-	Channel uint32
-	// VTime is the accumulated one-way virtual latency of the message.
-	VTime timebase.VTime
-	// Breakdown splits VTime by Fig. 6 stage.
-	Breakdown fabric.Breakdown
-}
-
 // SinkHandle is a data consumer on one channel (create_sink).
 //
 //insane:shared
 type SinkHandle struct {
-	stream  *StreamHandle          //insane:guardedby immutable after=CreateSink
-	channel uint32                 //insane:guardedby immutable after=CreateSink
-	ring    *ringbuf.MPMC[rxToken] //insane:guardedby immutable after=CreateSink
-	notify  chan struct{}          //insane:guardedby immutable after=CreateSink
-	closed  atomic.Bool            //insane:guardedby atomic
+	stream  *StreamHandle           //insane:guardedby immutable after=CreateSink
+	channel uint32                  //insane:guardedby immutable after=CreateSink
+	ring    *ringbuf.MPMC[Delivery] //insane:guardedby immutable after=CreateSink
+	notify  chan struct{}           //insane:guardedby immutable after=CreateSink
+	// done is closed by Close, after closed is set: the one signal every
+	// Consume blocked on the sink sees (notify is 1-deep and wakes one).
+	done   chan struct{} //insane:guardedby immutable after=CreateSink
+	closed atomic.Bool   //insane:guardedby atomic
 	// shard is the telemetry stripe Consume records into.
 	shard *telemetry.Shard //insane:guardedby immutable after=CreateSink
 	noTel bool             //insane:guardedby immutable after=CreateSink
@@ -128,52 +123,49 @@ type SinkHandle struct {
 // Channel returns the sink's channel id.
 func (k *SinkHandle) Channel() uint32 { return k.channel }
 
-// Notify returns a channel signaled when new data may be available; used
-// by the client library to run callbacks and blocking consumes without
-// spinning.
-func (k *SinkHandle) Notify() <-chan struct{} { return k.notify }
-
 // Available returns the number of queued deliveries (data_available).
 func (k *SinkHandle) Available() int { return k.ring.Len() }
 
-// TryConsume pops one delivery without blocking (consume_data with the
-// non-blocking flag).
+// TryConsume pops one delivery into d without blocking (consume_data with
+// the non-blocking flag). On an error d is left as it was.
+//
+// A stage the message was never charged for is not observed: co-located
+// traffic has no network stage, and only a layered middleware charges
+// processing (AddProcessing), so recording their zeros would cost two
+// histogram samples per message and bury the distribution of the messages
+// that did cross a wire — the rule drainTX follows for empty lanes.
 //
 //insane:hotpath
 //insane:acquire resource=mem-slot on=nilerr
-func (k *SinkHandle) TryConsume() (*Delivery, error) {
+func (k *SinkHandle) TryConsume(d *Delivery) error {
 	if k.closed.Load() {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	tok, ok := k.ring.TryPop()
-	if !ok {
-		return nil, ErrNoData
-	}
-	d := deliveryPool.Get().(*Delivery)
-	*d = Delivery{
-		Slot:      tok.slot,
-		Payload:   tok.buf[tok.off : tok.off+tok.length],
-		Channel:   tok.channel,
-		VTime:     tok.vtime,
-		Breakdown: tok.bd,
+	if !k.ring.TryPopInto(d) {
+		return ErrNoData
 	}
 	k.shard.Inc(telemetry.CtrConsumes)
-	k.shard.Add(telemetry.CtrConsumeBytes, uint64(tok.length))
+	k.shard.Add(telemetry.CtrConsumeBytes, uint64(len(d.Payload)))
 	if ten := k.ten; ten != nil {
 		ten.shard.Inc(telemetry.CtrConsumes)
-		ten.shard.Add(telemetry.CtrConsumeBytes, uint64(tok.length))
+		ten.shard.Add(telemetry.CtrConsumeBytes, uint64(len(d.Payload)))
 	}
 	if !k.noTel {
-		k.shard.Observe(telemetry.HistConsumeLatency, int64(tok.vtime))
-		k.shard.Observe(telemetry.HistStageSend, int64(tok.bd.Send))
-		k.shard.Observe(telemetry.HistStageNetwork, int64(tok.bd.Network))
-		k.shard.Observe(telemetry.HistStageRecv, int64(tok.bd.Recv))
-		k.shard.Observe(telemetry.HistStageProcessing, int64(tok.bd.Processing))
+		bd := &d.Breakdown
+		k.shard.Observe(telemetry.HistConsumeLatency, int64(d.VTime))
+		k.shard.Observe(telemetry.HistStageSend, int64(bd.Send))
+		if bd.Network != 0 {
+			k.shard.Observe(telemetry.HistStageNetwork, int64(bd.Network))
+		}
+		k.shard.Observe(telemetry.HistStageRecv, int64(bd.Recv))
+		if bd.Processing != 0 {
+			k.shard.Observe(telemetry.HistStageProcessing, int64(bd.Processing))
+		}
 		if ten := k.ten; ten != nil {
-			ten.shard.Observe(telemetry.HistConsumeLatency, int64(tok.vtime))
+			ten.shard.Observe(telemetry.HistConsumeLatency, int64(d.VTime))
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // timerPool recycles the deadline timers of blocking Consumes, so a
@@ -207,28 +199,23 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// Consume blocks until a delivery arrives or the timeout elapses
-// (consume_data with the blocking flag). A zero timeout waits forever.
-//
-//insane:hotpath allow=block
-//insane:acquire resource=mem-slot on=nilerr
-func (k *SinkHandle) Consume(timeout time.Duration) (*Delivery, error) {
-	return k.ConsumeCancel(nil, timeout)
-}
-
-// ConsumeCancel is Consume with an additional cancellation channel: it
-// returns ErrCanceled as soon as cancel is closed. A nil cancel channel
-// never fires; a zero timeout waits forever. The public layer builds
-// context-aware consumption on top of this primitive without forcing a
+// Consume pops one delivery into d, waiting until one arrives, the timeout
+// elapses (ErrTimeout), cancel is closed (ErrCanceled) or the sink or its
+// session closes (ErrClosed) — consume_data with the blocking flag. A zero
+// timeout waits forever; a nil cancel channel never fires. The public
+// layer builds context-aware consumption on top of this without forcing a
 // context (and its allocations) onto the timeout-only path.
 //
 //insane:hotpath allow=block
 //insane:acquire resource=mem-slot on=nilerr
-func (k *SinkHandle) ConsumeCancel(cancel <-chan struct{}, timeout time.Duration) (*Delivery, error) {
+func (k *SinkHandle) Consume(d *Delivery, cancel <-chan struct{}, timeout time.Duration) error {
 	// Fast path: data is already queued — no timer needed.
-	d, err := k.TryConsume()
-	if err == nil || !errors.Is(err, ErrNoData) {
-		return d, err
+	err := k.TryConsume(d)
+	if err == nil {
+		return nil
+	}
+	if !errors.Is(err, ErrNoData) {
+		return err
 	}
 	var deadline <-chan time.Time
 	if timeout > 0 {
@@ -236,50 +223,50 @@ func (k *SinkHandle) ConsumeCancel(cancel <-chan struct{}, timeout time.Duration
 		defer putTimer(t)
 		deadline = t.C
 	}
-	//insane:bounded by=blocking-consume wait: exits on data, deadline, or cancellation, not per-packet work
+	//insane:bounded by=blocking-consume wait: exits on data, deadline, cancellation or close, not per-packet work
 	for {
-		d, err := k.TryConsume()
-		if err == nil {
-			return d, nil
-		}
-		if !errors.Is(err, ErrNoData) {
-			return nil, err
-		}
 		select {
 		case <-k.notify:
+		case <-k.done:
+			return ErrClosed
 		case <-deadline:
-			return nil, ErrTimeout
+			return ErrTimeout
 		case <-cancel:
-			return nil, ErrCanceled
+			return ErrCanceled
+		}
+		err := k.TryConsume(d)
+		if err == nil {
+			return nil
+		}
+		if !errors.Is(err, ErrNoData) {
+			return err
 		}
 	}
 }
 
 // Release returns a consumed delivery's memory to the pool
-// (release_buffer).
+// (release_buffer) and clears d; releasing a cleared delivery is a no-op.
 //
 //insane:hotpath
 //insane:release resource=mem-slot
 func (k *SinkHandle) Release(d *Delivery) {
-	if d == nil || d.Payload == nil {
-		return // nil or already-released delivery
+	if d.Payload == nil {
+		return // never filled, or already released
 	}
 	_ = k.stream.conn.rt.mm.Release(d.Slot)
 	*d = Delivery{}
-	deliveryPool.Put(d)
 }
 
-// Close closes the sink, withdrawing its subscription (close_sink).
+// Close closes the sink, withdrawing its subscription (close_sink) and
+// failing every Consume blocked on it with ErrClosed.
 func (k *SinkHandle) Close() {
 	if k.closed.CompareAndSwap(false, true) {
+		close(k.done)
 		k.stream.conn.rt.unregisterSink(k)
 		// Drain anything still queued so slots return to the pool.
-		for {
-			tok, ok := k.ring.TryPop()
-			if !ok {
-				break
-			}
-			_ = k.stream.conn.rt.mm.Release(tok.slot)
+		var d Delivery
+		for k.ring.TryPopInto(&d) {
+			_ = k.stream.conn.rt.mm.Release(d.Slot)
 		}
 	}
 }

@@ -38,7 +38,10 @@ type txToken struct {
 
 // Buffer is a zero-copy send buffer borrowed from the runtime memory
 // manager (get_buffer). The application writes into Payload and must not
-// touch it again after Emit (no after-write protection, §5.1).
+// touch it again after Emit (no after-write protection, §5.1). The struct
+// is the caller's: GetBuffer fills it, and a successful Emit or an Abort
+// clears it, so the public layer embeds it in its own pooled wrapper and
+// the two cost one pool round trip, not two.
 type Buffer struct {
 	// Slot identifies the backing memory slot.
 	Slot mempool.SlotID
@@ -52,13 +55,6 @@ type Buffer struct {
 
 	buf []byte
 }
-
-// Wrapper free lists: the Buffer and Delivery structs handed across the
-// API are recycled once ownership returns to the runtime (successful
-// Emit / Abort / Release). The ownership contract — enforced by the
-// insanevet bufownership rule — already forbids touching a wrapper after
-// those calls, which is exactly what makes pooling them safe.
-var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
 
 // Outcome reports what happened to an emitted message
 // (check_emit_outcome).
@@ -107,16 +103,16 @@ type SourceHandle struct {
 // Channel returns the source's channel id.
 func (s *SourceHandle) Channel() uint32 { return s.channel }
 
-// GetBuffer borrows a zero-copy buffer able to hold size payload bytes,
-// charged against the session tenant's slot budget (mempool.ErrQuota
-// when the tenant is at its cap; the public layer maps it to
-// ErrTenantQuota).
+// GetBuffer borrows a slot able to hold size payload bytes and fills b
+// with it, charged against the session tenant's slot budget
+// (mempool.ErrQuota when the tenant is at its cap; the public layer maps
+// it to ErrTenantQuota). On an error b is left as it was.
 //
 //insane:hotpath
 //insane:acquire resource=mem-slot on=nilerr
-func (s *SourceHandle) GetBuffer(size int) (*Buffer, error) {
+func (s *SourceHandle) GetBuffer(b *Buffer, size int) error {
 	if s.closed.Load() {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	var budget *mempool.Budget
 	if s.ten != nil {
@@ -128,33 +124,33 @@ func (s *SourceHandle) GetBuffer(size int) (*Buffer, error) {
 			s.ten.shard.Inc(telemetry.CtrTenantQuotaRejects)
 			s.shard.Inc(telemetry.CtrTenantQuotaRejects)
 		}
-		return nil, err
+		return err
 	}
-	b := bufferPool.Get().(*Buffer)
 	*b = Buffer{
 		Slot:    slot,
 		Payload: buf[MsgHeadroom : MsgHeadroom+size],
 		buf:     buf,
 	}
-	return b, nil
+	return nil
 }
 
-// Abort returns an unsent buffer to the pool.
+// Abort returns an unsent buffer's slot to the pool and clears b; aborting
+// a cleared buffer is a no-op.
 //
 //insane:hotpath
 //insane:release resource=mem-slot
 func (s *SourceHandle) Abort(b *Buffer) {
-	if b != nil && b.buf != nil {
+	if b.buf != nil {
 		_ = s.stream.conn.rt.mm.Release(b.Slot)
 		*b = Buffer{}
-		bufferPool.Put(b)
 	}
 }
 
 // Emit hands n payload bytes of the buffer to the runtime for
 // transmission (emit_data) and returns the sequence number usable with
-// Outcome. Ownership of the buffer passes to the runtime; on
-// ErrBackpressure the caller keeps it and may retry.
+// Outcome. Ownership of the slot passes to the runtime and b is cleared;
+// on an error — ErrBackpressure above all — the caller keeps it and may
+// retry.
 //
 //insane:hotpath
 //insane:transfer resource=mem-slot on=nilerr
@@ -217,10 +213,9 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 		s.shard.Inc(telemetry.CtrEmitBackpressure)
 		return 0, ErrBackpressure
 	}
-	// Ownership of the slot moved to the runtime; the wrapper is dead to
-	// the caller (bufownership rule) and can be recycled immediately.
+	// Ownership of the slot moved to the runtime; the buffer is dead to
+	// the caller (bufownership rule).
 	*b = Buffer{}
-	bufferPool.Put(b)
 	s.shard.Inc(telemetry.CtrEmits)
 	s.shard.Add(telemetry.CtrEmitBytes, uint64(n))
 	if ten := s.ten; ten != nil {

@@ -44,17 +44,17 @@ func TestTSNGateWaitAccountedInVTime(t *testing.T) {
 	// Give the poller time to pull the token into the shaper; the gate
 	// stays closed so nothing must be delivered.
 	time.Sleep(20 * time.Millisecond)
-	if _, err := sink.TryConsume(); err == nil {
+	if err := sink.TryConsume(new(Delivery)); err == nil {
 		t.Fatal("packet leaked through a closed gate")
 	}
 
 	// Open the gate: move the clock into the open window.
 	clock.Set(timebase.VTime(150 * time.Microsecond))
-	d, err := sink.Consume(2 * time.Second)
-	if err != nil {
+	var d Delivery
+	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	defer sink.Release(d)
+	defer sink.Release(&d)
 	// The delivery must account ≥ the 140µs spent waiting for the gate.
 	if d.VTime.Duration() < 140*time.Microsecond {
 		t.Errorf("delivery vtime = %v, want ≥140µs of gate wait", d.VTime)
@@ -76,7 +76,7 @@ func TestBestEffortUnaffectedByGates(t *testing.T) {
 	waitSubscribed(t, w.a, 22, 1)
 	src, _ := stA.CreateSource(22)
 	sendOn(t, src, []byte("best effort"))
-	if _, err := sink.Consume(2 * time.Second); err != nil {
+	if err := sink.Consume(new(Delivery), nil, 2*time.Second); err != nil {
 		t.Fatalf("best-effort delivery blocked: %v", err)
 	}
 }
@@ -123,7 +123,8 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 		go func(i int) {
 			l := lanes[i]
 			for m := 0; m < perSession; m++ {
-				b, err := l.src.GetBuffer(8)
+				var b Buffer
+				err := l.src.GetBuffer(&b, 8)
 				if err != nil {
 					done <- err
 					return
@@ -131,7 +132,7 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 				b.Payload[0] = byte(i)
 				b.Payload[1] = byte(m)
 				for {
-					_, err = l.src.Emit(b, 8)
+					_, err = l.src.Emit(&b, 8)
 					if err != ErrBackpressure {
 						break
 					}
@@ -152,8 +153,8 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 	}
 	for i, l := range lanes {
 		for m := 0; m < perSession; m++ {
-			d, err := l.sink.Consume(2 * time.Second)
-			if err != nil {
+			var d Delivery
+			if err := l.sink.Consume(&d, nil, 2*time.Second); err != nil {
 				t.Fatalf("lane %d msg %d: %v", i, m, err)
 			}
 			if d.Payload[0] != byte(i) {
@@ -162,7 +163,7 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 			if d.Payload[1] != byte(m) {
 				t.Fatalf("lane %d: message %d arrived as %d (order broken)", i, m, d.Payload[1])
 			}
-			l.sink.Release(d)
+			l.sink.Release(&d)
 		}
 	}
 }
@@ -183,13 +184,13 @@ func TestBackpressureSurfaceToEmitter(t *testing.T) {
 	src, _ := st.CreateSource(1)
 	sawBackpressure := false
 	for i := 0; i < txRingDepth+10; i++ {
-		b, err := src.GetBuffer(16)
-		if err != nil {
+		var b Buffer
+		if err := src.GetBuffer(&b, 16); err != nil {
 			break // pool exhausted first is also acceptable backpressure
 		}
-		if _, err := src.Emit(b, 16); err == ErrBackpressure {
+		if _, err := src.Emit(&b, 16); err == ErrBackpressure {
 			sawBackpressure = true
-			src.Abort(b)
+			src.Abort(&b)
 			break
 		}
 	}
@@ -217,16 +218,16 @@ func TestStatsAccumulate(t *testing.T) {
 		sendOn(t, src, []byte{byte(i)})
 	}
 	for i := 0; i < n; i++ {
-		d, err := sink.Consume(2 * time.Second)
-		if err != nil {
+		var d Delivery
+		if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		sink.Release(d)
-		dl, err := localSink.Consume(2 * time.Second)
-		if err != nil {
+		sink.Release(&d)
+		var dl Delivery
+		if err := localSink.Consume(&dl, nil, 2*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		localSink.Release(dl)
+		localSink.Release(&dl)
 	}
 	sa, sb := w.a.Stats(), w.b.Stats()
 	if sa.TxMessages != n {
@@ -264,13 +265,13 @@ func TestMultiPollerPerPlugin(t *testing.T) {
 	const n = 200
 	go func() {
 		for i := 0; i < n; i++ {
-			b, err := src.GetBuffer(4)
-			if err != nil {
+			var b Buffer
+			if err := src.GetBuffer(&b, 4); err != nil {
 				return
 			}
 			b.Payload[0] = byte(i)
 			for {
-				if _, err := src.Emit(b, 4); err != ErrBackpressure {
+				if _, err := src.Emit(&b, 4); err != ErrBackpressure {
 					break
 				}
 				time.Sleep(5 * time.Microsecond)
@@ -279,12 +280,12 @@ func TestMultiPollerPerPlugin(t *testing.T) {
 	}()
 	seen := make(map[byte]bool, n)
 	for i := 0; i < n; i++ {
-		d, err := sink.Consume(5 * time.Second)
-		if err != nil {
+		var d Delivery
+		if err := sink.Consume(&d, nil, 5*time.Second); err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
 		seen[d.Payload[0]] = true
-		sink.Release(d)
+		sink.Release(&d)
 	}
 	if len(seen) != n {
 		t.Errorf("distinct messages = %d, want %d", len(seen), n)

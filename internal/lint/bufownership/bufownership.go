@@ -34,7 +34,8 @@
 // discards what happened inside a branch.
 //
 // Reassigning the variable (`b, err = src.GetBuffer(n)` or
-// `b.inner = nil`) re-establishes ownership and stops the tracking.
+// `b.inner = core.Buffer{}`) re-establishes ownership and stops the
+// tracking.
 package bufownership
 
 import (
@@ -218,7 +219,9 @@ func applyKills(pass *analysis.Pass, exprs []ast.Expr, st state) []string {
 // plus the canonical keys of the arguments whose ownership the call
 // takes. Only pointer-to-named-type arguments with a trackable key are
 // killed: value arguments (a txToken, a SlotID) carry no aliasable
-// reference, and composite expressions (&x, f(y)) have no stable key.
+// reference, and composite expressions (&x, f(y)) have no stable key —
+// except the address of a field, &x.f, which names the struct x holds by
+// value.
 func killerCall(pass *analysis.Pass, call *ast.CallExpr) (verb string, keys []string) {
 	fn := callutil.StaticCallee(pass.TypesInfo, call)
 	if fn == nil || len(call.Args) == 0 {
@@ -311,10 +314,18 @@ func mentions(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
 
 // trackKey is the tracking key of an argument or assignment target:
 // callutil.Canon, narrowed to refuse &x and *p — the object those name
-// is not the variable whose ownership moved.
+// is not the variable whose ownership moved. The address of a field is
+// the exception: `h.Release(&m.d)` hands over the struct a wrapper holds
+// by value, so m.d is dead afterwards exactly as a pointer field passed
+// as `h.Release(m.d)` would be.
 func trackKey(e ast.Expr) string {
-	switch ast.Unparen(e).(type) {
-	case *ast.UnaryExpr, *ast.StarExpr:
+	switch e := ast.Unparen(e).(type) {
+	case *ast.UnaryExpr:
+		if _, field := ast.Unparen(e.X).(*ast.SelectorExpr); field && e.Op == token.AND {
+			return callutil.Canon(e.X)
+		}
+		return ""
+	case *ast.StarExpr:
 		return ""
 	}
 	return callutil.Canon(e)

@@ -207,3 +207,83 @@ func unrelatedPut(p *otherPool, b *Buffer) {
 	p.Put(b)
 	_ = b.Payload // ok: Put of a non-packet type is not tracked
 }
+
+// ---- wrappers that hold the runtime's struct by value ----------------
+//
+// The client library embeds the core structs in its pooled wrappers and
+// hands the core calls their address (one wrapper per API object), so the
+// consuming call sees &m.d, not a pointer field.
+
+// delivery and sendBuf mimic core.Delivery and core.Buffer.
+type delivery struct{ Payload []byte }
+type sendBuf struct{ Payload []byte }
+
+// handle mimics the core sink and source handles.
+type handle struct{}
+
+//insane:release resource=slot
+func (h *handle) release(d *delivery) { *d = delivery{} }
+
+//insane:transfer resource=slot on=nilerr
+func (h *handle) emit(b *sendBuf, n int) error { *b = sendBuf{}; return nil }
+
+// Msg and Buf mimic insane.Message and insane.Buffer.
+type Msg struct {
+	Payload []byte
+	d       delivery
+}
+type Buf struct {
+	Payload []byte
+	inner   sendBuf
+}
+
+// Port mimics insane.Sink and insane.Source over one handle.
+type Port struct{ h *handle }
+
+// The wrapper's own Release: recycling the wrapper after the inner
+// struct was handed back is not a use of the inner struct.
+//
+//insane:release resource=slot
+func (p *Port) Release(m *Msg) {
+	p.h.release(&m.d)
+	m.Payload = nil // ok: the wrapper outlives the delivery it held
+}
+
+//insane:transfer resource=slot on=nilerr
+func (p *Port) Emit(b *Buf, n int) error {
+	err := p.h.emit(&b.inner, n)
+	if err != nil {
+		_ = b.inner.Payload // ok: on error the caller keeps the buffer
+		return err
+	}
+	b.Payload = nil // ok
+	return nil
+}
+
+// Seeded violation 9: the embedded struct is dead once its address went
+// to the consuming call.
+func (p *Port) releaseThenRead(m *Msg) byte {
+	p.h.release(&m.d)
+	return m.d.Payload[0] // want `m.d used after release`
+}
+
+// Seeded violation 10: the same for a send buffer after the transfer.
+func (p *Port) emitThenWrite(b *Buf) {
+	p.h.emit(&b.inner, 1)
+	b.inner.Payload[0] = 1 // want `b.inner used after emit`
+}
+
+// Seeded violation 11: a *Msg after Release, read through the embedded
+// struct or the public field alike.
+func msgAfterRelease(p *Port, m *Msg) int {
+	p.Release(m)
+	return len(m.d.Payload) + len(m.Payload) // want `m used after Release`
+}
+
+// Seeded violation 12: a *Buf after a successful Emit.
+func bufAfterEmit(p *Port, b *Buf) {
+	if err := p.Emit(b, 1); err != nil {
+		return
+	}
+	b.inner.Payload[0] = 1 // want `b used after Emit`
+}

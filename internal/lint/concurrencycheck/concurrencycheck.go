@@ -37,7 +37,7 @@
 //
 // Deeper in the call closure the rule is deliberately lenient: an
 // infinite loop with recognized exits reached through a call (a
-// bounded wait like core.ConsumeCancel) contributes its stop
+// bounded wait like core.(*SinkHandle).Consume) contributes its stop
 // mechanisms to the match but is not itself flagged — by convention a
 // goroutine's main loop lives in the function the `go` statement
 // spawns. Loops with no exit and run-forever calls are flagged
@@ -301,7 +301,7 @@ func checkGo(pass *analysis.Pass, gidx *directive.Lines[*directive.Goroutine], g
 			}
 			if len(l.Mechs) > 0 {
 				// A stoppable loop reached through a call is a bounded
-				// wait (ConsumeCancel-style); it contributes its stop
+				// wait (the blocking Consume); it contributes its stop
 				// mechanisms to the ownership match but is not flagged.
 				mechs = appendMechs(mechs, l.Mechs)
 				continue

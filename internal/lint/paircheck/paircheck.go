@@ -250,7 +250,7 @@ func (w *walker) checkExit(ex *state, ret *ast.ReturnStmt, forwarded map[string]
 			}
 			switch w.classifyExit(ret, cond) {
 			case exitSuccess:
-				if len(live) == 0 {
+				if len(live) == 0 && !ex.storedOut(resource) {
 					w.flag(resource, exitPos(ret, w), "declared //insane:acquire resource=%s, but no unit is held at this success return%s; the annotation is stale or an acquire is missing",
 						resource, ex.path())
 				} else if len(firm) > 1 {

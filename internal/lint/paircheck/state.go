@@ -174,6 +174,19 @@ func (s *state) liveOf(resource string) []*tok {
 	return out
 }
 
+// storedOut reports whether a unit of the resource left this path by a
+// store into memory that outlives the frame (escapeStores). For a declared
+// acquirer that fills a struct its caller owns (`GetBuffer(b *Buffer)`
+// writing `*b = Buffer{Slot: slot}`), that store is the hand-over.
+func (s *state) storedOut(resource string) bool {
+	for _, t := range s.toks {
+		if t.resource == resource && t.status == stReleased && t.relVia == "store" {
+			return true
+		}
+	}
+	return false
+}
+
 // drop removes a token from the state entirely (its acquire did not
 // happen on this path).
 func (s *state) drop(t *tok) {

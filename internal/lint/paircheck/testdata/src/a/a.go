@@ -146,6 +146,75 @@ func staleAcquire() (*Slot, error) {
 	return nil, nil // want `declared //insane:acquire resource=slot, but no unit is held at this success return`
 }
 
+// ---- declared acquirer filling a struct its caller owns -------------
+
+// slotBox mimics a caller-owned API struct a core call fills in place.
+type slotBox struct{ s *Slot }
+
+// fillHolder hands the unit over by storing it through the parameter:
+// the caller sees the obligation through the declaration.
+//
+//insane:acquire resource=slot on=nilerr
+func fillHolder(h *slotBox) error {
+	s, err := getSlot()
+	if err != nil {
+		return err
+	}
+	*h = slotBox{s: s}
+	return nil
+}
+
+// fillNothing claims to acquire into the parameter but stores nothing.
+//
+//insane:acquire resource=slot on=nilerr
+func fillNothing(h *slotBox) error {
+	s, err := getSlot()
+	if err != nil {
+		return err
+	}
+	putSlot(s)
+	return nil // want `declared //insane:acquire resource=slot, but no unit is held at this success return`
+}
+
+// useFilled balances a unit acquired into a local struct.
+func useFilled() error {
+	var h slotBox
+	if err := fillHolder(&h); err != nil {
+		return err
+	}
+	putSlot(h.s)
+	return nil
+}
+
+// leakFilled forgets it.
+func leakFilled() error {
+	var h slotBox
+	if err := fillHolder(&h); err != nil {
+		return err
+	}
+	return nil // want `resource slot acquired via fillHolder at line \d+ is not released on this return path`
+}
+
+// filler mimics a handle whose acquirer fills a caller-owned struct.
+type filler struct{ done chan struct{} }
+
+//insane:acquire resource=slot on=nilerr
+func (f *filler) fill(h *slotBox) error { return fillHolder(h) }
+
+// pump acquires into a per-lap struct by address. The unit answers to
+// that struct, not to the receiver of the call that filled it — keyed on
+// the receiver, the deferred close(f.done) would pass for its cleanup.
+func (f *filler) pump() {
+	defer close(f.done)
+	for {
+		var h slotBox
+		if err := f.fill(&h); err != nil {
+			return
+		}
+		use(h.s)
+	} // want `resource slot acquired via \(\*filler\).fill at line \d+ is still held at the end of the loop iteration`
+}
+
 // ---- declared acquirer leaking on a recognizable failure return -----
 
 //insane:acquire resource=slot on=nilerr

@@ -275,7 +275,7 @@ func anyBaseIn(names map[string]bool, t *tok) bool {
 }
 
 // propagateAliases records holder flow through local wrappers: when an
-// assigned RHS mentions a live token's holder (`m := wrapDelivery(d)`),
+// assigned RHS mentions a live token's holder (`m := wrap(d)`),
 // the LHS becomes another name the unit answers to, so a later
 // `Release(m)` still matches the token acquired into `d`.
 func (w *walker) propagateAliases(st *state, lhs, rhs []ast.Expr) {
@@ -341,15 +341,7 @@ func (w *walker) lhsEscapes(l ast.Expr) bool {
 	if w.isLit {
 		return true // closures capture freely; be lenient
 	}
-	// Resolve the base identifier.
-	name := baseKey(key)
-	var obj types.Object
-	ast.Inspect(l, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name && obj == nil {
-			obj = w.pass.TypesInfo.Uses[id]
-		}
-		return true
-	})
+	obj := w.pass.TypesInfo.Uses[baseIdent(l)]
 	if obj == nil {
 		return true
 	}
@@ -432,6 +424,9 @@ func (w *walker) applyCall(st *state, call *ast.CallExpr, lhs []ast.Expr) {
 // newTok creates a live token for an acquire call.
 func (w *walker) newTok(st *state, call *ast.CallExpr, fn *types.Func, e directive.PairEffect, lhs []ast.Expr) *tok {
 	key, holder := keyFromLHS(w.pass.TypesInfo, lhs)
+	if key == "" {
+		key, holder = keyFromAddrArg(w.pass.TypesInfo, call)
+	}
 	if key == "" {
 		key = recvCanon(call)
 	}
@@ -621,6 +616,45 @@ func candidateKeys(call *ast.CallExpr) []string {
 		}
 	}
 	return keys
+}
+
+// keyFromAddrArg picks the holder of an acquirer that fills a struct its
+// caller owns (`h.TryConsume(&m.d)`): the first argument passed by
+// address, with the declaration position of the variable it lives in.
+func keyFromAddrArg(info *types.Info, call *ast.CallExpr) (string, token.Pos) {
+	for _, a := range call.Args {
+		u, ok := ast.Unparen(a).(*ast.UnaryExpr)
+		if !ok || u.Op != token.AND {
+			continue
+		}
+		if key := callutil.Canon(u.X); key != "" {
+			if o := info.Uses[baseIdent(u.X)]; o != nil {
+				return key, o.Pos()
+			}
+			return key, token.NoPos
+		}
+	}
+	return "", token.NoPos
+}
+
+// baseIdent returns the identifier an expression callutil.Canon renders
+// starts from (`m` of `&m.d`); the caller has checked that Canon does.
+func baseIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		default:
+			id, _ := e.(*ast.Ident)
+			return id
+		}
+	}
 }
 
 func recvCanon(call *ast.CallExpr) string {

@@ -89,8 +89,8 @@ func TestHotPathIsProven(t *testing.T) {
 			}
 		}
 	}
-	if roots < 78 {
-		t.Errorf("only %d //insane:hotpath annotations in the tree; the proof's root set has shrunk (want >= 78)", roots)
+	if roots < 80 {
+		t.Errorf("only %d //insane:hotpath annotations in the tree; the proof's root set has shrunk (want >= 80)", roots)
 	}
 }
 
@@ -124,8 +124,8 @@ func TestWorkBoundWaiversAreAlive(t *testing.T) {
 			}
 		}
 	}
-	if waivers < 20 {
-		t.Errorf("only %d //insane:bounded annotations in the tree; the work-bound waiver set has shrunk (want >= 20)", waivers)
+	if waivers < 56 {
+		t.Errorf("only %d //insane:bounded annotations in the tree; the work-bound waiver set has shrunk (want >= 56)", waivers)
 	}
 }
 

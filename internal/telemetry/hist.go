@@ -2,10 +2,10 @@
 // boundaries grow exponentially (one octave per power of two) and each
 // octave is subdivided linearly, so a single preallocated array covers
 // nanoseconds to tens of seconds with bounded (~12%) relative error and
-// O(1) recording — one bit-scan plus one atomic add, no allocation, no
-// locks. This is what lets every pipeline stage keep an always-on
-// latency distribution without breaking the hot path's 0 allocs/op
-// discipline (DESIGN.md §8).
+// O(1) recording — one bit-scan plus two atomic adds (the bucket and the
+// sum), no allocation, no locks. This is what lets every pipeline stage
+// keep an always-on latency distribution without breaking the hot path's
+// 0 allocs/op discipline (DESIGN.md §8).
 
 package telemetry
 
@@ -55,15 +55,15 @@ func BucketUpper(i int) uint64 {
 }
 
 // Hist is one fixed-bucket histogram: preallocated, recorded into with
-// plain atomic adds, merged off the hot path. The sum rides along so
-// Prometheus `_sum`/`_count` semantics and mean latencies fall out of a
-// snapshot directly.
+// two atomic adds per sample (its bucket and the sum), merged off the hot
+// path. The sample count is not stored: it is the total of the buckets,
+// taken when a snapshot merges them, so Prometheus `_sum`/`_count`
+// semantics and mean latencies still fall out of a snapshot directly.
 //
 //insane:shared
 type Hist struct {
 	//insane:guardedby atomic
 	buckets [NumBuckets]atomic.Uint64
-	count   atomic.Uint64 //insane:guardedby atomic
 	sum     atomic.Uint64 //insane:guardedby atomic
 }
 
@@ -74,29 +74,31 @@ func (h *Hist) observe(v int64) {
 		u = 0
 	}
 	h.buckets[bucketIndex(u)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(u)
 }
 
 // HistSnapshot is a merged, immutable view of one histogram.
 type HistSnapshot struct {
-	// Count and Sum aggregate every recorded value.
+	// Count is the number of recorded values — always the total of
+	// Buckets — and Sum their sum.
 	Count, Sum uint64
 	// Buckets holds per-bucket occupancy (not cumulative); bucket i
 	// covers (BucketUpper(i-1), BucketUpper(i)].
 	Buckets [NumBuckets]uint64
 }
 
-// merge accumulates a live histogram into the snapshot.
+// merge accumulates a live histogram into the snapshot. Count is the
+// total of the bucket loads, so it equals the sum of Buckets in every
+// snapshot, however many observes run beside the merge; Sum is loaded
+// after the buckets and so covers every value the buckets do (an observe
+// adds to its bucket first), at most a few in-flight values more.
 func (s *HistSnapshot) merge(h *Hist) {
-	// Count is loaded before the buckets: a concurrent observe between
-	// the two loads can only make the bucket total >= Count, never lose
-	// a recorded value from the buckets.
-	s.Count += h.count.Load()
-	s.Sum += h.sum.Load()
 	for i := range h.buckets {
-		s.Buckets[i] += h.buckets[i].Load()
+		n := h.buckets[i].Load()
+		s.Buckets[i] += n
+		s.Count += n
 	}
+	s.Sum += h.sum.Load()
 }
 
 // Quantile returns an upper bound of the q-quantile (q in [0,1]) of the

@@ -52,9 +52,9 @@ var histHelp = [NumHists]string{
 	HistDeliverLatency:  "Charged per-sink delivery cost.",
 	HistConsumeLatency:  "End-to-end one-way virtual latency observed at Consume.",
 	HistStageSend:       "Send-stage share of the one-way latency (Fig. 6).",
-	HistStageNetwork:    "Network-stage share of the one-way latency (Fig. 6).",
+	HistStageNetwork:    "Network-stage share of the one-way latency (Fig. 6), of messages charged for the stage.",
 	HistStageRecv:       "Receive-stage share of the one-way latency (Fig. 6).",
-	HistStageProcessing: "Processing-stage share of the one-way latency (Fig. 6).",
+	HistStageProcessing: "Processing-stage share of the one-way latency (Fig. 6), of messages charged for the stage.",
 	HistRTCDeliver:      "Charged cost of one run-to-completion delivery (RTC hop + per-sink cost).",
 }
 

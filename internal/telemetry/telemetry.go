@@ -1,11 +1,13 @@
 // Package telemetry is the runtime's always-on observability substrate
 // (DESIGN.md §8): per-poller, cache-line-padded counter/histogram shards
-// written with plain atomic stores on the hot path, merged into immutable
-// snapshots off it. The design goals, in order:
+// written with atomic adds on the hot path — locked read-modify-writes,
+// one per counter event and two per histogram sample, which is the cost
+// §8 counts per message — merged into immutable snapshots off it. The
+// design goals, in order:
 //
 //  1. Zero allocations and no locks on the publish path — every metric
 //     lives in a preallocated array inside a shard, so recording is an
-//     index computation plus an atomic add (the allocation-gate tests
+//     index computation plus the atomic adds (the allocation-gate tests
 //     TestSteadyStateZeroAlloc{,Core} cover the instrumented path).
 //  2. No cross-core cache-line bouncing in steady state — each polling
 //     thread owns one shard, client-side handles (sources, sinks) are

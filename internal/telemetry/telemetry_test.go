@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -113,6 +114,66 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 	if bucketTotal != h.Count {
 		t.Fatalf("bucket total %d != count %d", bucketTotal, h.Count)
+	}
+}
+
+// TestHistCountIsBucketTotal: a histogram stores no sample count — Count
+// is the total of the buckets a snapshot loaded — so it equals the sum of
+// Buckets in every snapshot, taken beside any number of running observes
+// (with a count word of its own, a snapshot between an observe's two adds
+// saw them differ). The final figures equal a serial recording of the
+// same values: TestHistQuantile's fixture, once per writer.
+func TestHistCountIsBucketTotal(t *testing.T) {
+	const writers = 4
+	tel := New(writers)
+	var ref Hist
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		for i := 1; i <= 1000; i++ {
+			ref.observe(int64(i) * 1000)
+		}
+		wg.Add(1)
+		go func(sh *Shard) {
+			defer wg.Done()
+			for i := 1; i <= 1000; i++ {
+				sh.Observe(HistConsumeLatency, int64(i)*1000)
+				if i%50 == 0 {
+					runtime.Gosched() // let the snapshots interleave on one core too
+				}
+			}
+		}(tel.Shard(w))
+	}
+	writersDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(writersDone)
+	}()
+	check := func(h *HistSnapshot) {
+		var total uint64
+		for _, b := range h.Buckets {
+			total += b
+		}
+		if h.Count != total {
+			t.Fatalf("snapshot Count = %d, bucket total = %d", h.Count, total)
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-writersDone:
+			running = false
+		default:
+		}
+		check(&tel.Snapshot().Hists[HistConsumeLatency])
+	}
+	got := tel.Snapshot().Hists[HistConsumeLatency]
+	var want HistSnapshot
+	want.merge(&ref)
+	if got != want {
+		t.Errorf("concurrent recording: count %d sum %d p50 %d max %d, serial: count %d sum %d p50 %d max %d",
+			got.Count, got.Sum, got.Quantile(0.5), got.Max(), want.Count, want.Sum, want.Quantile(0.5), want.Max())
+	}
+	if got.Count != writers*1000 || got.Mean() != 500_500 {
+		t.Errorf("count = %d, mean = %v, want %d and 500500", got.Count, got.Mean(), writers*1000)
 	}
 }
 
