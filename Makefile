@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test perfbench-test fuzz remote-smoke race vet lint lint-hotpath lint-concurrency lint-arch lint-bounded lint-pair lint-guard bench bench-baseline bench-compare bench-isolation metrics-smoke experiments demo examples loc help
+.PHONY: all test perfbench-test fuzz remote-smoke perf-smoke race vet lint lint-hotpath lint-concurrency lint-arch lint-bounded lint-pair lint-guard bench bench-isolation metrics-smoke experiments demo examples loc help
 
 all: vet test lint ## vet + test + lint (the CI gate)
 
@@ -23,6 +23,9 @@ remote-smoke: ## 5 s traced benchmark pass over the fabric; fails on a failed op
 	mkdir -p .bench_build
 	bash perfbench/run.sh --workload remote-dpdk --seed 1 --seconds 5 --trace 1 | tail -n 1 > .bench_build/remote-smoke.json
 	python3 -c 'import json, sys; d = json.load(open(".bench_build/remote-smoke.json")); a = d["metrics"]["allocs_per_msg"]["value"]; print("remote-smoke: failed =", d["failed"], "allocs_per_msg =", a); sys.exit(d["failed"] > 0 or a > 0.01)'
+
+perf-smoke: ## 3 s untraced pass of all four benchmark workloads; fails on a failed oracle or conservation check
+	bash perfbench/run.sh --seconds 3 --trace 0
 
 race: ## run the test suite under the race detector
 	$(GO) test -race ./...
@@ -53,12 +56,6 @@ lint-guard: ## prove every //insane:shared field's declared synchronization regi
 
 bench: ## run every benchmark
 	$(GO) test -bench=. -benchmem ./...
-
-bench-baseline: ## measure the hot-path suite and refresh BENCH_hotpath.json
-	$(GO) run ./cmd/insane-bench -hotpath BENCH_hotpath.json
-
-bench-compare: ## re-measure the hot-path suite; fail on >10% ns/op or any allocs/op regression
-	$(GO) run ./cmd/insane-bench -compare BENCH_hotpath.json
 
 bench-isolation: ## run the tenant timing-isolation scenario and refresh BENCH_isolation.json
 	$(GO) run ./cmd/insane-bench -isolation -isolation-out BENCH_isolation.json

@@ -176,8 +176,8 @@ func BenchmarkEmitConsumeLocal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// One deadline context reused for every iteration keeps the consume
-	// on the allocation-free pooled-timer path.
+	// One deadline context reused for every iteration: a fresh context
+	// per message would allocate inside the timed loop.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 	b.ReportAllocs()
@@ -225,15 +225,15 @@ func openFanout(tb testing.TB, node *insane.Node, fanout int, opts ...insane.Opt
 	return src, sinks
 }
 
-// fanoutRound is one message through the rig: GetBuffer → Emit → one
-// ConsumeContext per sink → one Release per sink. held is scratch, one
-// entry per sink.
-func fanoutRound(tb testing.TB, ctx context.Context, src *insane.Source, sinks []*insane.Sink, held []*insane.Message) {
-	buf, err := src.GetBuffer(64)
+// fanoutRound is one message of size payload bytes through the rig:
+// GetBuffer → Emit → one ConsumeContext per sink → one Release per sink.
+// held is scratch, one entry per sink.
+func fanoutRound(tb testing.TB, ctx context.Context, src *insane.Source, sinks []*insane.Sink, held []*insane.Message, size int) {
+	buf, err := src.GetBuffer(size)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := src.Emit(buf, 64); err != nil {
+	if _, err := src.Emit(buf, size); err != nil {
 		tb.Fatal(err)
 	}
 	for i, sink := range sinks {
@@ -270,7 +270,7 @@ func BenchmarkRTCFanout4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fanoutRound(b, ctx, src, sinks, held)
+		fanoutRound(b, ctx, src, sinks, held, 64)
 	}
 }
 

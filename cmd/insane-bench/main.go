@@ -7,8 +7,10 @@
 //	insane-bench -experiment fig7a
 //	insane-bench -list
 //	insane-bench -rounds 1000 -jobs 20000
-//	insane-bench -hotpath BENCH_hotpath.json   # hot-path baseline only
 //	insane-bench -isolation -isolation-out BENCH_isolation.json
+//
+// Wall-clock performance of the runtime itself is not measured here: that
+// is perfbench/ (BENCHMARK.json), run with `bash perfbench/run.sh`.
 package main
 
 import (
@@ -35,11 +37,6 @@ func run(args []string) error {
 		list       = fs.Bool("list", false, "list experiment ids and exit")
 		rounds     = fs.Int("rounds", 0, "ping-pong rounds for latency experiments (0 = default)")
 		jobs       = fs.Int("jobs", 0, "messages for simulated throughput runs (0 = default)")
-		hotpath    = fs.String("hotpath", "", "measure the hot-path suite and write this JSON baseline file")
-		hotIters   = fs.Int("hotpath-iters", 20000, "iterations per hot-path measurement")
-		throughput = fs.Bool("throughput", false, "measure multi-core throughput (pollers × streams) and print packets/sec")
-		compare    = fs.String("compare", "", "re-measure the hot-path suite and fail on regression against this baseline file")
-		tolerance  = fs.Float64("compare-tolerance", 0.10, "ns/op headroom for -compare (0.10 = +10%)")
 		isolation  = fs.Bool("isolation", false, "run the tenant timing-isolation scenario and fail if the TSN p99.9 exceeds -isolation-budget")
 		isoOut     = fs.String("isolation-out", "", "write the isolation results to this JSON baseline file")
 		isoMsgs    = fs.Int("isolation-msgs", 5000, "paced TSN messages per isolation scenario")
@@ -52,24 +49,8 @@ func run(args []string) error {
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))
 		return nil
 	}
-	if *compare != "" {
-		return runCompare(*compare, *hotIters, *tolerance)
-	}
 	if *isolation {
 		return runIsolation(*isoOut, *isoMsgs, *isoBudget)
-	}
-	if *throughput {
-		_, err := runThroughput(*hotIters)
-		return err
-	}
-	if *hotpath != "" {
-		if err := runHotpath(*hotpath, *hotIters); err != nil {
-			return err
-		}
-		// Baseline mode runs the experiments only when explicitly asked.
-		if *experiment == "all" {
-			return nil
-		}
 	}
 	cfg := experiments.RunConfig{Rounds: *rounds, Jobs: *jobs}
 

@@ -13,11 +13,14 @@ import (
 // dispatch → shared-memory delivery → Consume → Release — performs zero
 // heap allocations per message once the pools and topology snapshots are
 // warm. A regression here fails `go test ./...`, not just a human
-// reading benchstat. The run-to-completion subtests gate the synchronous
-// variant of the same path (Emit delivers on the calling goroutine,
-// DESIGN.md §11) at the same zero, to one sink and fanned out to four —
-// the repository benchmark's local-rtc-fanout shape, where one buffer
-// wrapper and four message wrappers cycle through their pools per op.
+// reading benchstat. The shapes are the queued path and its synchronous
+// variant (run to completion: Emit delivers on the calling goroutine,
+// DESIGN.md §11), each at a small and a large payload — two pool classes
+// — and fanned out to four sinks, where one buffer wrapper and four
+// message wrappers cycle through their pools per op and the fast path
+// sits exactly at its admission limit. The repository benchmark times
+// these paths (local-queued, local-rtc-fanout); this is the in-process
+// allocation count it cannot take.
 //
 // testing.AllocsPerRun counts process-wide mallocs (all goroutines), so
 // an allocation smuggled into the polling threads trips the gate too.
@@ -26,15 +29,22 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the gate measures the plain build")
 	}
-	t.Run("queued", func(t *testing.T) {
-		gateZeroAlloc(t, 1)
-	})
-	t.Run("run-to-completion", func(t *testing.T) {
-		gateZeroAlloc(t, 1, insane.WithRunToCompletion(true))
-	})
-	t.Run("run-to-completion 1 to 4 sinks", func(t *testing.T) {
-		gateZeroAlloc(t, 4, insane.WithRunToCompletion(true))
-	})
+	for _, shape := range []struct {
+		name         string
+		size, fanout int
+		rtc          bool
+	}{
+		{name: "queued", size: 64, fanout: 1},
+		{name: "queued 4KB", size: 4096, fanout: 1},
+		{name: "queued 1 to 4 sinks", size: 64, fanout: 4},
+		{name: "run-to-completion", size: 64, fanout: 1, rtc: true},
+		{name: "run-to-completion 4KB", size: 4096, fanout: 1, rtc: true},
+		{name: "run-to-completion 1 to 4 sinks", size: 64, fanout: 4, rtc: true},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			gateZeroAlloc(t, shape.size, shape.fanout, shape.rtc)
+		})
+	}
 }
 
 // TestSteadyStateZeroAllocRemote holds the cross-node path to the same
@@ -139,7 +149,9 @@ func TestSteadyStateZeroAllocRemote(t *testing.T) {
 	}
 }
 
-func gateZeroAlloc(t *testing.T, fanout int, opts ...insane.Option) {
+// gateZeroAlloc holds one shape — size-byte messages from one source to
+// fanout sinks, queued or run to completion — at 0 allocs/op.
+func gateZeroAlloc(t *testing.T, size, fanout int, rtc bool) {
 	cluster, err := insane.NewCluster(insane.ClusterOptions{
 		Nodes: []insane.NodeSpec{{Name: "a"}, {Name: "b"}},
 	})
@@ -147,18 +159,17 @@ func gateZeroAlloc(t *testing.T, fanout int, opts ...insane.Option) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cluster.Close) // after the session openFanout registers
-	src, sinks := openFanout(t, cluster.Node("a"), fanout, opts...)
+	src, sinks := openFanout(t, cluster.Node("a"), fanout, insane.WithRunToCompletion(rtc))
 
-	// One deadline context reused across every op keeps ConsumeContext on
-	// the pooled-timer path; a fresh context per op would allocate and
-	// fail the gate for the wrong reason.
+	// One deadline context reused across every op: a fresh context per op
+	// would allocate and fail the gate for the wrong reason.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 	held := make([]*insane.Message, fanout)
-	op := func() { fanoutRound(t, ctx, src, sinks, held) }
+	op := func() { fanoutRound(t, ctx, src, sinks, held, size) }
 
-	// Warm the wrapper pools, poller env caches, timer pool and topology
-	// snapshots: first messages pay one-time costs by design.
+	// Warm the wrapper pools, poller env caches and topology snapshots:
+	// first messages pay one-time costs by design.
 	for i := 0; i < 500; i++ {
 		op()
 	}
@@ -177,11 +188,7 @@ func gateZeroAlloc(t *testing.T, fanout int, opts ...insane.Option) {
 	if avg != 0 {
 		t.Fatalf("steady-state publish path allocates: %.2f allocs/op, want 0", avg)
 	}
-	var assembled insane.Options
-	for _, opt := range opts {
-		opt(&assembled)
-	}
-	if assembled.RunToCompletion {
+	if rtc {
 		// The gate must have measured the fast path, not a fallback.
 		s := cluster.Node("a").Stats()
 		if s.RTCDeliveries == 0 || s.RTCFallbacks != 0 {

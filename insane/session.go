@@ -415,40 +415,26 @@ func (k *Sink) ConsumeContext(ctx context.Context) (*Message, error) {
 }
 
 // await is ConsumeContext on an empty sink: it blocks until a delivery
-// lands in m.d or the context or a close ends the wait.
+// lands in m.d or the context or a close ends the wait. The context's Done
+// is the only signal handed down: a deadline context already owns a timer,
+// and the wait does not arm a second one beside it.
 //
 //insane:hotpath allow=block
 //insane:acquire resource=mem-slot on=nilerr
 func (k *Sink) await(ctx context.Context, m *Message) error {
-	var timeout time.Duration
-	if deadline, ok := ctx.Deadline(); ok {
-		timeout = time.Until(deadline)
-		if timeout <= 0 {
-			return ctxErr(ctx, context.DeadlineExceeded)
+	if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) <= 0 {
+		// Expired, even if the context's own timer has yet to fire and
+		// flip Err.
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		return context.DeadlineExceeded
 	}
-	err := k.h.Consume(&m.d, ctx.Done(), timeout)
-	if err == nil {
-		return nil
-	}
-	switch err {
-	case core.ErrTimeout:
-		return ctxErr(ctx, context.DeadlineExceeded)
-	case core.ErrCanceled:
-		return ctxErr(ctx, context.Canceled)
+	err := k.h.Consume(&m.d, ctx.Done())
+	if err == core.ErrCanceled {
+		return ctx.Err() // non-nil once Done is closed
 	}
 	return err
-}
-
-// ctxErr is the context's error for a wait the context ended. The timeout
-// is derived from the context's deadline, so running into it is the
-// context expiring even when the internal timer fires an instant before
-// ctx.Err() flips: ifUnset is returned then.
-func ctxErr(ctx context.Context, ifUnset error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return ifUnset
 }
 
 // filled publishes the delivery m.d now holds through the public fields.
@@ -505,7 +491,7 @@ func (k *Sink) dispatch(cb DataCallback) {
 		default:
 		}
 		m := messagePool.Get().(*Message)
-		if err := k.h.Consume(&m.d, k.stop, 0); err != nil {
+		if err := k.h.Consume(&m.d, k.stop); err != nil {
 			messagePool.Put(m)
 			return
 		}

@@ -3,7 +3,7 @@
 // tenant flooding the same node (DESIGN.md §12). The headline claim is
 // 802.1Qbv-style timing isolation — a noisy neighbour cannot move a TSN
 // tenant's p99.9 past its gate-cycle budget — and this file keeps that
-// claim regressable the same way BENCH_hotpath.json does for ns/op.
+// claim regressable.
 
 package bench
 
@@ -11,7 +11,29 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 )
+
+// BenchEnv records the machine the numbers were taken on, so a baseline
+// diff can tell a code regression from a hardware change.
+type BenchEnv struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// CurrentEnv captures the running process's environment metadata.
+func CurrentEnv() BenchEnv {
+	return BenchEnv{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
+}
 
 // IsolationResult is one isolation scenario: the TSN tenant's consume
 // latency quantiles (virtual time, which includes real gate waits) and

@@ -6,6 +6,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -42,7 +43,7 @@ func Summarize(samples []time.Duration) Summary {
 	}
 	std := time.Duration(0)
 	if len(s) > 1 {
-		std = time.Duration(sqrt(varAcc / float64(len(s)-1)))
+		std = time.Duration(math.Sqrt(varAcc / float64(len(s)-1)))
 	}
 	return Summary{
 		N:      len(s),
@@ -76,19 +77,6 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[lo] + time.Duration(frac*float64(sorted[hi]-sorted[lo]))
 }
 
-// sqrt is a dependency-free Newton iteration (avoids importing math for
-// one call site and keeps the package tiny).
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
 // Micros renders a duration as microseconds with two decimals, the unit
 // of the paper's latency figures.
 func Micros(d time.Duration) string {
@@ -105,7 +93,9 @@ type Table struct {
 // AddRow appends one row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// String renders the table.
+// String renders the table. A row may be wider than the header: the cells
+// past the last header column have no column to align to and are rendered
+// unpadded.
 func (t *Table) String() string {
 	var b strings.Builder
 	if t.Title != "" {
@@ -127,7 +117,11 @@ func (t *Table) String() string {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			if i < len(widths) {
+				fmt.Fprintf(&b, "%-*s", widths[i], c)
+			} else {
+				b.WriteString(c)
+			}
 		}
 		b.WriteByte('\n')
 	}

@@ -89,6 +89,15 @@ func TestTableRendering(t *testing.T) {
 	if !strings.HasPrefix(lines[3], "raw ") {
 		t.Errorf("row not padded: %q", lines[3])
 	}
+
+	// A row wider than the header used to index past the column widths
+	// and panic; its extra cells render unpadded after the aligned ones.
+	wide := Table{Header: []string{"a", "bb"}}
+	wide.AddRow("1", "2", "3", "4")
+	wide.AddRow("1")
+	if got, want := wide.String(), "a  bb\n-  --\n1  2   3  4\n1\n"; got != want {
+		t.Errorf("wide row rendered %q, want %q", got, want)
+	}
 }
 
 func TestChartRendering(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -110,6 +111,16 @@ func sendOn(t *testing.T, src *SourceHandle, payload []byte) uint32 {
 	return seq
 }
 
+// consumeWithin is a blocking Consume under a liveness guard: Consume has
+// no timeout of its own, so the guard is a deadline context's Done, and a
+// message that never arrives fails the caller with ErrCanceled after limit
+// instead of hanging the suite.
+func consumeWithin(k *SinkHandle, d *Delivery, limit time.Duration) error {
+	guard, cancel := context.WithTimeout(context.Background(), limit)
+	defer cancel()
+	return k.Consume(d, guard.Done())
+}
+
 // waitOutcome polls until the runtime has recorded the fate of an emitted
 // message.
 func waitOutcome(t *testing.T, src *SourceHandle, seq uint32) Outcome {
@@ -173,7 +184,7 @@ func TestSlowStreamRemoteDelivery(t *testing.T) {
 	sendOn(t, src, msg)
 
 	var d Delivery
-	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
+	if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Release(&d)
@@ -227,7 +238,7 @@ func TestFastStreamPingPongOverDPDK(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		sendOn(t, pingSrc, payload)
 		var req Delivery
-		if err := pingSink.Consume(&req, nil, 2*time.Second); err != nil {
+		if err := consumeWithin(pingSink, &req, 2*time.Second); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
 		// Echo: continue the request's virtual clock on the response.
@@ -244,7 +255,7 @@ func TestFastStreamPingPongOverDPDK(t *testing.T) {
 		pingSink.Release(&req)
 
 		var pong Delivery
-		if err := pongSink.Consume(&pong, nil, 2*time.Second); err != nil {
+		if err := consumeWithin(pongSink, &pong, 2*time.Second); err != nil {
 			t.Fatalf("round %d pong: %v", i, err)
 		}
 		rtts = append(rtts, pong.VTime.Duration())
@@ -268,7 +279,7 @@ func TestCoLocatedSharedMemoryDelivery(t *testing.T) {
 	msg := []byte("co-located zero-copy")
 	sendOn(t, src, msg)
 	var d Delivery
-	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
+	if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(d.Payload, msg) {
@@ -308,7 +319,7 @@ func TestMultiSinkFanoutSharesOneSlot(t *testing.T) {
 	deliveries := make([]Delivery, len(sinks))
 	for i, k := range sinks {
 		d := &deliveries[i]
-		if err := k.Consume(d, nil, 2*time.Second); err != nil {
+		if err := consumeWithin(k, d, 2*time.Second); err != nil {
 			t.Fatalf("sink %d: %v", i, err)
 		}
 		if !bytes.Equal(d.Payload, msg) {
@@ -351,10 +362,10 @@ func TestEmitOutcome(t *testing.T) {
 	}
 	// Drain so slots go back.
 	var d1 Delivery
-	_ = sinkLocal.Consume(&d1, nil, time.Second)
+	_ = consumeWithin(sinkLocal, &d1, time.Second)
 	sinkLocal.Release(&d1)
 	var d2 Delivery
-	_ = sinkRemote.Consume(&d2, nil, time.Second)
+	_ = consumeWithin(sinkRemote, &d2, time.Second)
 	sinkRemote.Release(&d2)
 }
 
@@ -396,7 +407,7 @@ func TestHeterogeneousDowngrade(t *testing.T) {
 	sendOn(t, src, msg)
 
 	var d Delivery
-	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
+	if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(d.Payload, msg) {
@@ -423,7 +434,7 @@ func TestTimeSensitiveStreamDelivers(t *testing.T) {
 	src, _ := stA.CreateSource(11)
 	sendOn(t, src, []byte("tsn"))
 	var d Delivery
-	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
+	if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	sink.Release(&d)
@@ -647,7 +658,7 @@ func TestSharedPollerMode(t *testing.T) {
 	src, _ := stA.CreateSource(8)
 	sendOn(t, src, []byte("shared poller"))
 	var d Delivery
-	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
+	if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	sink.Release(&d)

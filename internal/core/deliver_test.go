@@ -190,7 +190,7 @@ func TestDeliverSameFromEveryOrigin(t *testing.T) {
 			var recv [2]time.Duration
 			for i, k := range sinks {
 				var d Delivery
-				if err := k.Consume(&d, nil, 2*time.Second); err != nil {
+				if err := consumeWithin(k, &d, 2*time.Second); err != nil {
 					t.Fatalf("sink %d: %v", i, err)
 				}
 				if !bytes.Equal(d.Payload, payload) || d.Channel != channel {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -37,6 +38,9 @@ func TestSteadyStateZeroAllocCore(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// One guard for the whole run: a context per op would allocate.
+	guard, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
 	op := func() {
 		var b Buffer
 		if err := src.GetBuffer(&b, 64); err != nil {
@@ -47,7 +51,7 @@ func TestSteadyStateZeroAllocCore(t *testing.T) {
 			t.Fatal(err)
 		}
 		var d Delivery
-		if err := sink.Consume(&d, nil, time.Second); err != nil {
+		if err := sink.Consume(&d, guard.Done()); err != nil {
 			t.Fatal(err)
 		}
 		sink.Release(&d)

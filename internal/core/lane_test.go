@@ -135,7 +135,7 @@ func runConcurrentSources(t *testing.T, rt *Runtime, n int, check func(tag byte,
 	next := make(map[byte]uint32, n)
 	for i := 0; i < n*perSourceMsgs; i++ {
 		var d Delivery
-		if err := sink.Consume(&d, nil, 5*time.Second); err != nil {
+		if err := consumeWithin(sink, &d, 5*time.Second); err != nil {
 			t.Fatalf("consume %d of %d: %v", i, n*perSourceMsgs, err)
 		}
 		tag, seq := d.Payload[0], binary.LittleEndian.Uint32(d.Payload[1:])

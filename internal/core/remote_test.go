@@ -179,7 +179,7 @@ func TestPollersPerPluginOwnRxVectors(t *testing.T) {
 	payload := make([]byte, size)
 	consume := func() {
 		var m Delivery
-		if err := sink.Consume(&m, nil, 2*time.Second); err != nil {
+		if err := consumeWithin(sink, &m, 2*time.Second); err != nil {
 			t.Fatalf("consume: %v", err)
 		}
 		seq := binary.BigEndian.Uint32(m.Payload)

@@ -94,7 +94,7 @@ func TestRTCFallbackRemoteSubscriber(t *testing.T) {
 	sendOn(t, src, []byte("remote-too"))
 	for _, k := range []*SinkHandle{localSink, remoteSink} {
 		var d Delivery
-		if err := k.Consume(&d, nil, 2*time.Second); err != nil {
+		if err := consumeWithin(k, &d, 2*time.Second); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(d.Payload, []byte("remote-too")) {
@@ -130,7 +130,7 @@ func TestRTCFallbackWideFanout(t *testing.T) {
 	sendOn(t, src, []byte("wide"))
 	for i, k := range sinks {
 		var d Delivery
-		if err := k.Consume(&d, nil, 2*time.Second); err != nil {
+		if err := consumeWithin(k, &d, 2*time.Second); err != nil {
 			t.Fatalf("sink %d: %v", i, err)
 		}
 		k.Release(&d)
@@ -181,7 +181,7 @@ func TestRTCFallbackClosedGate(t *testing.T) {
 	}
 	clock.Set(timebase.VTime(150 * time.Microsecond))
 	var d Delivery
-	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
+	if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	sink.Release(&d)
@@ -224,7 +224,7 @@ func TestRTCFallbackFullSinkRing(t *testing.T) {
 	// Drain and confirm nothing was lost out of order.
 	for i := 0; i < rxRingDepth; i++ {
 		var d Delivery
-		if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
+		if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
 			t.Fatalf("drain %d: %v", i, err)
 		}
 		sink.Release(&d)

@@ -27,8 +27,6 @@ var (
 	ErrBackpressure = errors.New("core: TX ring full, retry")
 	// ErrNoData is returned by non-blocking consume on an empty sink.
 	ErrNoData = errors.New("core: no data available")
-	// ErrTimeout is returned by blocking consume when the deadline hits.
-	ErrTimeout = errors.New("core: consume timeout")
 	// ErrCanceled is returned by blocking consume when the cancel channel
 	// closes before data arrives; the public layer translates it to the
 	// caller's context error.

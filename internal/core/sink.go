@@ -5,7 +5,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -168,48 +167,17 @@ func (k *SinkHandle) TryConsume(d *Delivery) error {
 	return nil
 }
 
-// timerPool recycles the deadline timers of blocking Consumes, so a
-// request/reply loop does not allocate a timer (plus its channel) per
-// message.
-var timerPool sync.Pool
-
-// getTimer returns a timer firing after d.
-//
-//insane:acquire resource=timer
-func getTimer(d time.Duration) *time.Timer {
-	if t, ok := timerPool.Get().(*time.Timer); ok {
-		t.Reset(d)
-		return t
-	}
-	//lint:ignore insanevet/hotpathcheck timer-pool miss; steady state reuses parked timers
-	return time.NewTimer(d)
-}
-
-// putTimer parks a timer, draining a pending fire so the next Reset
-// starts clean.
-//
-//insane:release resource=timer
-func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
-}
-
-// Consume pops one delivery into d, waiting until one arrives, the timeout
-// elapses (ErrTimeout), cancel is closed (ErrCanceled) or the sink or its
-// session closes (ErrClosed) — consume_data with the blocking flag. A zero
-// timeout waits forever; a nil cancel channel never fires. The public
-// layer builds context-aware consumption on top of this without forcing a
-// context (and its allocations) onto the timeout-only path.
+// Consume pops one delivery into d, waiting until one arrives, cancel is
+// closed (ErrCanceled) or the sink or its session closes (ErrClosed) —
+// consume_data with the blocking flag. A nil cancel channel never fires.
+// There is no timeout of its own: the public layer passes a context's
+// Done, and a context with a deadline already owns the one timer the wait
+// needs.
 //
 //insane:hotpath allow=block
 //insane:acquire resource=mem-slot on=nilerr
-func (k *SinkHandle) Consume(d *Delivery, cancel <-chan struct{}, timeout time.Duration) error {
-	// Fast path: data is already queued — no timer needed.
+func (k *SinkHandle) Consume(d *Delivery, cancel <-chan struct{}) error {
+	// Fast path: data is already queued.
 	err := k.TryConsume(d)
 	if err == nil {
 		return nil
@@ -217,20 +185,12 @@ func (k *SinkHandle) Consume(d *Delivery, cancel <-chan struct{}, timeout time.D
 	if !errors.Is(err, ErrNoData) {
 		return err
 	}
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		t := getTimer(timeout)
-		defer putTimer(t)
-		deadline = t.C
-	}
-	//insane:bounded by=blocking-consume wait: exits on data, deadline, cancellation or close, not per-packet work
+	//insane:bounded by=blocking-consume wait: exits on data, cancellation or close, not per-packet work
 	for {
 		select {
 		case <-k.notify:
 		case <-k.done:
 			return ErrClosed
-		case <-deadline:
-			return ErrTimeout
 		case <-cancel:
 			return ErrCanceled
 		}

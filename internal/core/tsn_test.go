@@ -51,7 +51,7 @@ func TestTSNGateWaitAccountedInVTime(t *testing.T) {
 	// Open the gate: move the clock into the open window.
 	clock.Set(timebase.VTime(150 * time.Microsecond))
 	var d Delivery
-	if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
+	if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Release(&d)
@@ -76,7 +76,7 @@ func TestBestEffortUnaffectedByGates(t *testing.T) {
 	waitSubscribed(t, w.a, 22, 1)
 	src, _ := stA.CreateSource(22)
 	sendOn(t, src, []byte("best effort"))
-	if err := sink.Consume(new(Delivery), nil, 2*time.Second); err != nil {
+	if err := consumeWithin(sink, new(Delivery), 2*time.Second); err != nil {
 		t.Fatalf("best-effort delivery blocked: %v", err)
 	}
 }
@@ -154,7 +154,7 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 	for i, l := range lanes {
 		for m := 0; m < perSession; m++ {
 			var d Delivery
-			if err := l.sink.Consume(&d, nil, 2*time.Second); err != nil {
+			if err := consumeWithin(l.sink, &d, 2*time.Second); err != nil {
 				t.Fatalf("lane %d msg %d: %v", i, m, err)
 			}
 			if d.Payload[0] != byte(i) {
@@ -219,12 +219,12 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		var d Delivery
-		if err := sink.Consume(&d, nil, 2*time.Second); err != nil {
+		if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
 			t.Fatal(err)
 		}
 		sink.Release(&d)
 		var dl Delivery
-		if err := localSink.Consume(&dl, nil, 2*time.Second); err != nil {
+		if err := consumeWithin(localSink, &dl, 2*time.Second); err != nil {
 			t.Fatal(err)
 		}
 		localSink.Release(&dl)
@@ -281,7 +281,7 @@ func TestMultiPollerPerPlugin(t *testing.T) {
 	seen := make(map[byte]bool, n)
 	for i := 0; i < n; i++ {
 		var d Delivery
-		if err := sink.Consume(&d, nil, 5*time.Second); err != nil {
+		if err := consumeWithin(sink, &d, 5*time.Second); err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
 		seen[d.Payload[0]] = true

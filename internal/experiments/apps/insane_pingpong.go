@@ -48,8 +48,8 @@ func InsanePingPong(cluster *insane.Cluster, payload, rounds int, fast bool) []t
 	serverDone := make(chan struct{})
 	go func() {
 		defer close(serverDone)
-		// One reusable deadline context keeps the echo loop on the
-		// pooled-timer (allocation-free) consume path.
+		// One reusable deadline context keeps the echo loop
+		// allocation-free: a fresh context per round would allocate.
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 		defer cancel()
 		for i := 0; i < rounds; i++ {

@@ -1,9 +1,8 @@
 // Package paircheck implements the insanevet rule proving resource
 // balance: every acquisition of a named resource — a tenant TX token,
-// a mempool slot, a pooled envelope, a reusable timer — is matched by
-// a release or a transfer to another owner on every control-flow path
-// out of the function, including error returns, panics and defers
-// (DESIGN.md §13).
+// a mempool slot, a pooled envelope — is matched by a release or a
+// transfer to another owner on every control-flow path out of the
+// function, including error returns, panics and defers (DESIGN.md §13).
 //
 // Functions declare their effect in the doc comment:
 //
@@ -300,7 +299,7 @@ func exitPos(ret *ast.ReturnStmt, w *walker) token.Pos {
 }
 
 // classifyExit inspects the returned gate value of a conditional
-// acquirer: `return b, nil` is a success, `return nil, ErrTimeout` (a
+// acquirer: `return b, nil` is a success, `return nil, ErrCanceled` (a
 // package sentinel) or a fresh fmt.Errorf a failure, a plain variable
 // unknown.
 func (w *walker) classifyExit(ret *ast.ReturnStmt, cond directive.PairCond) exitClass {
