@@ -15,9 +15,10 @@ test: ## run the full test suite
 perfbench-test: ## run the repository benchmark's own unit tests (own module and build tag, outside ./...)
 	cd perfbench && $(GO) test -tags perfbench ./...
 
-fuzz: ## fuzz the decoders a peer's bytes reach, 10 s each, from the committed seed corpora
+fuzz: ## fuzz the decoders a peer's bytes reach and the endpoint behind them, 10 s each, from the committed seed corpora
 	$(GO) test -run '^$$' -fuzz FuzzDecodeUDP -fuzztime=10s ./internal/netstack
 	$(GO) test -run '^$$' -fuzz FuzzDecodeHeader -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzEndpointPoll -fuzztime=10s ./internal/datapath/plugins
 
 remote-smoke: ## 5 s traced benchmark pass over the fabric; fails on a failed operation or allocs_per_msg > 0.01
 	mkdir -p .bench_build
@@ -93,6 +94,8 @@ examples: ## run every example program
 	$(GO) run ./examples/camera-streaming
 	$(GO) run ./examples/tsn-control
 
-# Count the repository's lines of Go.
-loc: ## count lines of Go
-	@find . -name '*.go' | xargs wc -l | tail -1
+# Non-test, non-fixture lines of Go per package directory: the figure the
+# simplicity PRs in CHANGES.md quote.
+loc: ## count non-test, non-testdata lines of Go per package directory
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' | xargs wc -l | \
+	  awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k2

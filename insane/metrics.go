@@ -79,9 +79,8 @@ type Metrics struct {
 	// time. DroppedFabric counts frames this node's fabric ports lost
 	// (link loss or an unknown address on transmit, a full or closed
 	// queue on receive); DroppedRxAlloc counts frames that reached the
-	// node and were dropped before the runtime saw them — no free slot
-	// in the pools the port receives into, or (kernel UDP, RDMA) wrong
-	// port / no posted buffer.
+	// node and found no memory to land in — no free slot in the pools the
+	// port receives into, or (RDMA) no posted receive buffer.
 	DroppedFabric, DroppedRxAlloc uint64
 	// Consume side.
 	Consumes, ConsumeBytes uint64

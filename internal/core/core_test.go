@@ -539,54 +539,65 @@ func TestNoSinkDropsCounted(t *testing.T) {
 
 // TestMalformedRxDropsCounted injects frames the receive path must
 // discard — cut short, addressed to a UDP port the endpoint does not
-// own, carrying no INSANE header — straight onto the wire and checks that
-// each is counted as an rx_malformed_drop and its slot is back in the
-// pool. The frames reach a parked poller through the port's doorbell.
+// own, carrying no INSANE header — straight onto the wire of each
+// technology and checks that each is counted as an rx_malformed_drop,
+// whichever layer parses that plane's frames (the packet processing engine
+// on DPDK and XDP, the endpoint on kernel UDP and RDMA), that none is
+// filed as "no memory", and that its slot is back in the pool. The frames
+// reach a parked poller through the port's doorbell.
 func TestMalformedRxDropsCounted(t *testing.T) {
-	caps := datapath.Caps{DPDK: true}
-	w := buildWorld(t, caps, caps, nil)
-	from, to := w.a.cfg.Ports[model.TechDPDK], w.b.cfg.Ports[model.TechDPDK]
-	frameTo := func(port uint16, payload []byte) []byte {
-		buf := make([]byte, netstack.HeadersLen+len(payload))
-		copy(buf[netstack.HeadersLen:], payload)
-		n, err := netstack.EncodeUDP(buf, netstack.FrameMeta{
-			SrcMAC: from.MAC(), DstMAC: to.MAC(),
-			Src: netstack.Endpoint{IP: from.IP(), Port: TechPort(model.TechDPDK)},
-			Dst: netstack.Endpoint{IP: to.IP(), Port: port},
-		}, len(payload), netstack.JumboMTU)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return buf[:n]
-	}
-	var hdr [HeaderLen]byte
-	encodeHeader(hdr[:], header{kind: kindData, channel: 9})
-	frames := [][]byte{
-		frameTo(TechPort(model.TechDPDK), hdr[:])[:netstack.HeadersLen-4], // truncated
-		frameTo(TechPort(model.TechDPDK)+1, hdr[:]),                       // wrong UDP port
-		frameTo(TechPort(model.TechDPDK), []byte("not an INSANE header")), // bad header
-	}
+	caps := datapath.Caps{DPDK: true, XDP: true, RDMA: true}
+	for _, tech := range caps.List() {
+		t.Run(tech.String(), func(t *testing.T) {
+			w := buildWorld(t, caps, caps, nil)
+			from, to := w.a.cfg.Ports[tech], w.b.cfg.Ports[tech]
+			frameTo := func(port uint16, payload []byte) []byte {
+				buf := make([]byte, netstack.HeadersLen+len(payload))
+				copy(buf[netstack.HeadersLen:], payload)
+				n, err := netstack.EncodeUDP(buf, netstack.FrameMeta{
+					SrcMAC: from.MAC(), DstMAC: to.MAC(),
+					Src: netstack.Endpoint{IP: from.IP(), Port: TechPort(tech)},
+					Dst: netstack.Endpoint{IP: to.IP(), Port: port},
+				}, len(payload), netstack.JumboMTU)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return buf[:n]
+			}
+			var hdr [HeaderLen]byte
+			encodeHeader(hdr[:], header{kind: kindData, channel: 9})
+			frames := [][]byte{
+				frameTo(TechPort(tech), hdr[:])[:netstack.HeadersLen-4], // truncated
+				frameTo(TechPort(tech)+1, hdr[:]),                       // wrong UDP port
+				frameTo(TechPort(tech), []byte("not an INSANE header")), // bad header
+			}
 
-	free := fmt.Sprint(w.b.mm.FreeSlots())
-	for _, f := range frames {
-		if err := from.Transmit(f, 0, fabric.Breakdown{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The poller counts a drop, then releases its slot: wait for both.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		drops, got := w.b.tel.Counter(telemetry.CtrRxMalformedDrops), fmt.Sprint(w.b.mm.FreeSlots())
-		if drops == uint64(len(frames)) && got == free {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rx_malformed_drops = %d, want %d; free slots = %s, want %s", drops, len(frames), got, free)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if s := w.b.Stats(); s.RxMessages != 0 || s.NoSinkDrops != 0 {
-		t.Errorf("malformed frames reached dispatch: %+v", s)
+			free := fmt.Sprint(w.b.mm.FreeSlots())
+			for _, f := range frames {
+				if err := from.Transmit(f, 0, fabric.Breakdown{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The poller counts a drop, then releases its slot: wait for both.
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				snap, got := w.b.MetricsSnapshot(), fmt.Sprint(w.b.mm.FreeSlots())
+				drops := snap.Counters[telemetry.CtrRxMalformedDrops]
+				if drops == uint64(len(frames)) && got == free {
+					if snap.RxAllocDrops != 0 {
+						t.Errorf("rx_alloc_drops = %d: a malformed frame was filed as no-memory", snap.RxAllocDrops)
+					}
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("rx_malformed_drops = %d, want %d; free slots = %s, want %s", drops, len(frames), got, free)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			if s := w.b.Stats(); s.RxMessages != 0 || s.NoSinkDrops != 0 {
+				t.Errorf("malformed frames reached dispatch: %+v", s)
+			}
+		})
 	}
 }
 

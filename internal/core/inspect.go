@@ -20,7 +20,7 @@ func (r *Runtime) Inspect() string {
 		st := r.techs[tech]
 		es := st.ep.Stats()
 		fmt.Fprintf(&b, "    %-10s %s  tx=%d rx=%d drops=%d\n",
-			tech, st.local, es.TxPackets, es.RxPackets, es.Drops)
+			tech, st.local, es.TxPackets, es.RxPackets, es.Malformed+es.RNRDrops)
 	}
 
 	r.mu.RLock()

@@ -435,7 +435,7 @@ func (r *Runtime) sendToPeer(p *poller, st *techState, pkt *datapath.Packet, sub
 	return err
 }
 
-// pollRX drains one technology's receive path: poll the plugin, run the
+// pollRX drains one technology's receive path: poll the endpoint, run the
 // packet processing engine where needed, handle control messages, and
 // dispatch data to local sinks.
 func (r *Runtime) pollRX(p *poller, st *techState) int {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
-	"github.com/insane-mw/insane/internal/datapath/plugins"
 	"github.com/insane-mw/insane/internal/fabric"
 	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/model"
@@ -113,7 +112,7 @@ type techState struct {
 	// ep field itself is set once at construction; mu guards the
 	// endpoint object's state, not the pointer.
 	mu sync.Mutex
-	ep datapath.Endpoint //insane:guardedby immutable after=NewRuntime
+	ep *datapath.Endpoint //insane:guardedby immutable after=NewRuntime
 
 	// schedMu guards the schedulers when several pollers serve this
 	// plugin (§8's multi-threaded datapath): the WDRR/TAS pointers are
@@ -223,7 +222,7 @@ type poller struct {
 	// batch is the poller's scratch dequeue buffer (no per-iteration
 	// allocation on the hot path).
 	batch []*datapath.Packet //insane:guardedby confined owner=pollLoop
-	// rxPkts is the poller's own RX burst vector: the plugin's Poll fills
+	// rxPkts is the poller's own RX burst vector: the endpoint's Poll fills
 	// it under the endpoint lock and the poller processes it after letting
 	// go, so pollers sharing an endpoint never share a packet.
 	rxPkts []datapath.Packet //insane:guardedby confined owner=pollLoop
@@ -237,7 +236,7 @@ type poller struct {
 	// runtime-wide shared ring, so envelopes may migrate between pollers.
 	envs *mempool.Cache[*pktEnv] //insane:guardedby immutable after=NewRuntime
 	// sendPkt/sendVec are the scratch destination-specific packet copy
-	// and send vector for sendToPeer (plugin Sends are synchronous).
+	// and send vector for sendToPeer (Endpoint.Send is synchronous).
 	sendPkt datapath.Packet     //insane:guardedby confined owner=pollLoop
 	sendVec [1]*datapath.Packet //insane:guardedby confined owner=pollLoop
 	// shard is this poller's private telemetry slab; every hot-path
@@ -320,12 +319,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		if port == nil {
 			continue // capability advertised but no port wired: skip
 		}
-		plugin, err := plugins.ByTech(tech)
-		if err != nil {
-			return nil, err
-		}
 		local := netstack.Endpoint{IP: port.IP(), Port: TechPort(tech)}
-		ep, err := plugin.Open(datapath.Config{
+		ep, err := datapath.Open(tech, datapath.Config{
 			Port:     port,
 			Resolver: cfg.Resolver,
 			Local:    local,
@@ -355,7 +350,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 		r.techs[tech] = &techState{
 			tech:  tech,
-			info:  plugin.Info(),
+			info:  model.Info(tech),
 			local: local,
 			ep:    ep,
 			wdrr:  wdrr,
@@ -634,9 +629,13 @@ func (r *Runtime) MetricsSnapshot() *telemetry.Snapshot {
 		st.schedMu.Lock()
 		s.SchedQueueDepth += uint64(st.wdrr.Pending() + st.tas.Pending())
 		st.schedMu.Unlock()
-		ps := r.cfg.Ports[tech].Stats()
+		ps, es := r.cfg.Ports[tech].Stats(), st.ep.Stats()
 		s.FabricDrops += ps.Dropped
-		s.RxAllocDrops += ps.RxNoMem + st.ep.Stats().Drops
+		s.RxAllocDrops += ps.RxNoMem + es.RNRDrops
+		// One drop reason whatever plane the frame arrived on: what the
+		// self-demultiplexing endpoints refuse is what receiveOne refuses
+		// on the framed ones.
+		s.Counters[telemetry.CtrRxMalformedDrops] += es.Malformed
 	}
 	return s
 }

@@ -1,23 +1,26 @@
-// Package datapath defines the plugin interface (SPI) between the INSANE
-// runtime and the technology-specific datapaths (§5.3: "each plugin, one
-// per available network acceleration technique, must define a send and a
-// receive operation").
+// Package datapath is the boundary between the INSANE runtime and the
+// end-host networking technologies (§5.3: "each plugin, one per available
+// network acceleration technique, must define a send and a receive
+// operation").
 //
-// A plugin turns opaque middleware messages into technology frames on a
-// fabric port and back. Plugins for technologies that need a userspace
-// network stack (DPDK, XDP) exchange *framed* packets — the runtime's
-// packet processing engine builds/parses the Ethernet/IPv4/UDP headers —
-// while kernel UDP and RDMA plugins accept bare messages because the
-// kernel or the NIC implements the protocols.
+// In this reproduction every technology runs over the virtual fabric, so
+// the four datapaths are one Endpoint (endpoint.go) — one Send, one Poll —
+// configured by what the technologies really differ in: who builds the
+// frame, which calibrated costs a packet is charged, whether those
+// amortize over a burst, whether a receive may block, and how many
+// receives are posted. Technologies that need a userspace network stack
+// (DPDK, XDP) exchange *framed* packets — the runtime's packet processing
+// engine builds and parses the Ethernet/IPv4/UDP headers — while kernel
+// UDP and RDMA accept bare messages because the kernel or the NIC
+// implements the protocols.
 //
 // Every packet carries a virtual timestamp and a Fig. 6-style breakdown;
-// plugins charge their calibrated model costs as the packet crosses them
-// (see internal/model).
+// the endpoint charges the technology's calibrated model costs as the
+// packet crosses it (see internal/model).
 package datapath
 
 import (
 	"errors"
-	"time"
 
 	"github.com/insane-mw/insane/internal/fabric"
 	"github.com/insane-mw/insane/internal/mempool"
@@ -27,11 +30,11 @@ import (
 )
 
 // Headroom is the slot space reserved in front of every message so that
-// framing plugins can prepend protocol headers without copying, exactly
-// like mbuf headroom in DPDK.
+// protocol headers can be prepended without copying, exactly like mbuf
+// headroom in DPDK.
 const Headroom = netstack.HeadersLen
 
-// Errors shared by plugin implementations.
+// Errors returned by endpoints.
 var (
 	// ErrClosed is returned by operations on a closed endpoint.
 	ErrClosed = errors.New("datapath: endpoint closed")
@@ -44,7 +47,7 @@ var (
 	ErrTooLarge = errors.New("datapath: message exceeds MTU")
 )
 
-// Packet is the unit exchanged between the runtime and a plugin.
+// Packet is the unit exchanged between the runtime and an endpoint.
 type Packet struct {
 	// Slot backs Buf when the packet's memory comes from the runtime
 	// memory manager (NoSlot for transient buffers).
@@ -65,15 +68,15 @@ type Packet struct {
 	// Tenant is the emitting tenant's index in the runtime's tenant
 	// table (0 = the default tenant); the weighted deficit round-robin
 	// scheduler uses it to pick the tenant queue. Like Class it is pure
-	// scheduling metadata — plugins must not touch it.
+	// scheduling metadata — endpoints do not touch it.
 	Tenant uint16
 	// VTime is the accumulated virtual timestamp of the packet.
 	VTime timebase.VTime
 	// Breakdown accounts the virtual time by Fig. 6 stage.
 	Breakdown fabric.Breakdown
 	// Ctx is an opaque caller context that rides along the packet
-	// through schedulers and queues (like mbuf user metadata); plugins
-	// must not touch it.
+	// through schedulers and queues (like mbuf user metadata); endpoints
+	// do not touch it.
 	Ctx any
 }
 
@@ -82,8 +85,8 @@ func (p *Packet) Bytes() []byte { return p.Buf[p.Off : p.Off+p.Len] }
 
 // Charge adds a model component's latency cost to the packet's virtual
 // clock and breakdown, amortizing burstable work over burst packets. It
-// runs several times per packet on every plugin, so the component and the
-// testbed come by pointer.
+// runs several times per packet on every technology, so the component and
+// the testbed come by pointer.
 //
 //insane:hotpath
 func (p *Packet) Charge(c *model.Component, payload, burst int, tb *model.Testbed) {
@@ -124,7 +127,7 @@ type Config struct {
 	// model.DefaultBurst.
 	Burst int
 	// Blocking selects blocking receive semantics where the technology
-	// offers them (kernel UDP); busy-polling plugins ignore it.
+	// offers them (kernel UDP, XDP); busy-polling technologies ignore it.
 	Blocking bool
 }
 
@@ -136,53 +139,18 @@ func (c Config) EffectiveBurst() int {
 	return c.Burst
 }
 
-// Stats counts endpoint activity.
+// Stats counts endpoint activity. Every frame an endpoint takes off its
+// port is delivered or counted here under the reason it was dropped.
 type Stats struct {
 	TxPackets, RxPackets uint64
-	TxBytes, RxBytes     uint64
-	Drops                uint64 // demux misses, no posted receive buffer
-	EmptyPolls           uint64 // busy-poll iterations that found nothing
-}
-
-// Endpoint is an open datapath attachment.
-type Endpoint interface {
-	// Tech identifies the plugin technology.
-	Tech() model.Tech
-	// Send transmits a burst of packets to dst. It returns the number of
-	// packets accepted; the caller retains ownership of rejected ones.
-	// Every implementation is an //insane:hotpath root of its own.
-	//
-	//insane:hotpath
-	Send(pkts []*Packet, dst netstack.Endpoint) (int, error)
-	// Poll receives up to len(pkts) packets into pkts without blocking
-	// (burst-oriented plugins stop at Config.Burst) and returns how many
-	// it filled. Each sits in a slot of Config.Mem that the caller now
-	// owns. The vector is the caller's: one per polling thread.
-	//
-	//insane:hotpath
-	Poll(pkts []Packet) (int, error)
-	// WaitRecv blocks until at least one packet is available or the
-	// timeout elapses; busy-polling technologies return immediately.
-	WaitRecv(timeout time.Duration) error
-	// MTU returns the maximum message size the endpoint accepts.
-	MTU() int
-	// Stats returns a snapshot of endpoint counters.
-	Stats() Stats
-	// Close releases the endpoint, unregisters Config.Mem from the port
-	// and releases every frame still queued on it.
-	Close() error
-}
-
-// Plugin creates endpoints for one technology.
-type Plugin interface {
-	// Tech identifies the technology.
-	Tech() model.Tech
-	// Info returns the Table 1 capability record.
-	Info() model.TechInfo
-	// Available reports whether the host offers this technology.
-	Available(caps Caps) bool
-	// Open creates an endpoint.
-	Open(cfg Config) (Endpoint, error)
+	// Malformed counts frames a self-demultiplexing technology (kernel
+	// UDP, RDMA) could not parse or that were addressed to another UDP
+	// port; on the framed technologies the runtime's packet processing
+	// engine makes the same check and keeps the count.
+	Malformed uint64
+	// RNRDrops counts messages refused receiver-not-ready: they arrived
+	// while no receive buffer was posted (RDMA).
+	RNRDrops uint64
 }
 
 // Caps describes what a host's hardware/OS offers. Kernel networking is

@@ -22,8 +22,6 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
-	"github.com/insane-mw/insane/internal/datapath/dpdk"
-	"github.com/insane-mw/insane/internal/datapath/kernel"
 	"github.com/insane-mw/insane/internal/fabric"
 	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/model"
@@ -96,7 +94,7 @@ type LibOS struct {
 	cfg     Config
 	costs   model.LibCosts
 	mm      *mempool.Manager
-	ep      datapath.Endpoint
+	ep      *datapath.Endpoint
 
 	sockets map[QD]*socket
 	nextQD  QD
@@ -159,16 +157,11 @@ func (l *LibOS) Bind(qd QD, local netstack.Endpoint) error {
 			Blocking: l.cfg.Blocking,
 			Burst:    1, // Demikernel sends/receives one packet per time
 		}
-		var (
-			ep  datapath.Endpoint
-			err error
-		)
-		switch l.variant {
-		case Catnap:
-			ep, err = kernel.Plugin{}.Open(dcfg)
-		case Catnip:
-			ep, err = dpdk.Plugin{}.Open(dcfg)
+		tech := model.TechKernelUDP // Catnap
+		if l.variant == Catnip {
+			tech = model.TechDPDK
 		}
+		ep, err := datapath.Open(tech, dcfg)
 		if err != nil {
 			return err
 		}

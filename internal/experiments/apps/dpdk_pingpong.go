@@ -12,14 +12,14 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
-	"github.com/insane-mw/insane/internal/datapath/dpdk"
 	"github.com/insane-mw/insane/internal/mempool"
+	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/netstack"
 )
 
 // dpdkApp bundles the state a raw DPDK application must carry around.
 type dpdkApp struct {
-	port    datapath.Endpoint
+	port    *datapath.Endpoint
 	mem     *mempool.Manager
 	local   netstack.Endpoint
 	remote  netstack.Endpoint
@@ -36,7 +36,7 @@ func dpdkInit(env *Env, portA bool) *dpdkApp {
 	if portA {
 		app.mem = env.MemA
 		app.local, app.remote = env.AddrA, env.AddrB
-		ep, err := dpdk.Plugin{}.Open(datapath.Config{
+		ep, err := datapath.Open(model.TechDPDK, datapath.Config{
 			Port: env.PortA, Resolver: env.Net.Resolver(), Local: env.AddrA,
 			Mem: env.MemA, Testbed: env.Testbed,
 		})
@@ -47,7 +47,7 @@ func dpdkInit(env *Env, portA bool) *dpdkApp {
 	} else {
 		app.mem = env.MemB
 		app.local, app.remote = env.AddrB, env.AddrA
-		ep, err := dpdk.Plugin{}.Open(datapath.Config{
+		ep, err := datapath.Open(model.TechDPDK, datapath.Config{
 			Port: env.PortB, Resolver: env.Net.Resolver(), Local: env.AddrB,
 			Mem: env.MemB, Testbed: env.Testbed,
 		})

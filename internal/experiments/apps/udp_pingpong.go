@@ -9,15 +9,15 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
-	"github.com/insane-mw/insane/internal/datapath/kernel"
 	"github.com/insane-mw/insane/internal/mempool"
+	"github.com/insane-mw/insane/internal/model"
 )
 
 // UDPPingPong measures rounds round trips of payload bytes over plain
 // UDP sockets, blocking or busy-polling the receive side.
 func UDPPingPong(env *Env, payload, rounds int, blocking bool) []time.Duration {
 	// Socket setup, client side.
-	client, err := kernel.Plugin{}.Open(datapath.Config{
+	client, err := datapath.Open(model.TechKernelUDP, datapath.Config{
 		Port:     env.PortA,
 		Resolver: env.Net.Resolver(),
 		Local:    env.AddrA,
@@ -29,7 +29,7 @@ func UDPPingPong(env *Env, payload, rounds int, blocking bool) []time.Duration {
 	defer client.Close()
 
 	// Socket setup, server side.
-	server, err := kernel.Plugin{}.Open(datapath.Config{
+	server, err := datapath.Open(model.TechKernelUDP, datapath.Config{
 		Port:     env.PortB,
 		Resolver: env.Net.Resolver(),
 		Local:    env.AddrB,
@@ -99,7 +99,7 @@ func udpNewPacket(mm *mempool.Manager, payload []byte) *datapath.Packet {
 
 // udpReceiveOne spins (or blocks) until one datagram arrives in rx[0];
 // the caller owns its slot.
-func udpReceiveOne(sock datapath.Endpoint, blocking bool, rx []datapath.Packet) *datapath.Packet {
+func udpReceiveOne(sock *datapath.Endpoint, blocking bool, rx []datapath.Packet) *datapath.Packet {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if blocking {

@@ -123,8 +123,8 @@ func ParseBounded(text string) (*Bounded, bool) {
 // HotInterfaceMethods returns the interface methods declared in files
 // that carry //insane:hotpath. Such a method is a trusted boundary for
 // every hot-path rule: implementations are vetted where they are
-// defined (or deliberately exempt, like datapath plugins), so calls
-// through it are neither followed nor flagged as unknown.
+// defined, so calls through it are neither followed nor flagged as
+// unknown.
 func HotInterfaceMethods(files []*ast.File, info *types.Info) []*types.Func {
 	var out []*types.Func
 	for _, f := range files {

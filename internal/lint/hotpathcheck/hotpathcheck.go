@@ -17,8 +17,7 @@
 //
 // The same //insane:hotpath directive on an *interface method*
 // declares a trusted boundary: implementations are vetted where they
-// are defined (or deliberately exempt, like datapath plugins), so
-// calls through the method are not flagged as unknown.
+// are defined, so calls through the method are not flagged as unknown.
 //
 // A cold control-plane function reachable from a hot root is excluded
 // wholesale with:
@@ -123,7 +122,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	var roots []root
 
 	// Phase 1a: interface methods carrying //insane:hotpath are
-	// trusted boundaries (datapath.Endpoint.Send, timebase.Clock.Now).
+	// trusted boundaries (sched.Scheduler.Dequeue, timebase.Clock.Now).
 	// They are exported before any body is scanned, so a body in one
 	// file can call a trusted method declared in another.
 	for _, m := range directive.HotInterfaceMethods(pass.Files, pass.TypesInfo) {

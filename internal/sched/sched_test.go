@@ -226,7 +226,7 @@ func TestTASJitterBound(t *testing.T) {
 			now = next
 		}
 		// Find a protected-window instant at or after now.
-		for tas.gatesAt(now)&(1<<7) == 0 {
+		for !tas.GateOpenAt(7, now) {
 			now = tas.NextEvent(now)
 		}
 		if n := tas.Dequeue(dst[:1], now); n != 1 {

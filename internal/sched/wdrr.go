@@ -21,7 +21,6 @@ package sched
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
 	"github.com/insane-mw/insane/internal/timebase"
@@ -35,16 +34,9 @@ import (
 // O(1) amortized cost.
 const wdrrQuantumUnit = 16384
 
-// wdrrEntry is one queued packet with its enqueue time, so queue and
-// gate waits can be charged to the packet's virtual clock on release.
-type wdrrEntry struct {
-	pkt *datapath.Packet
-	at  timebase.VTime
-}
-
 // wdrrQueue is one tenant's FIFO plus its deficit counter state.
 type wdrrQueue struct {
-	q       []wdrrEntry
+	q       []queued
 	deficit int64
 	quantum int64
 }
@@ -57,10 +49,9 @@ type WDRR struct {
 	count  int
 	next   int // round-robin cursor
 
-	// gcl/cycle enable 802.1Qbv gate enforcement; a nil gcl leaves every
-	// gate permanently open (single-tenant compatibility mode).
-	gcl   GCL
-	cycle time.Duration
+	// clock enforces the 802.1Qbv gates; without a gate control list every
+	// gate is permanently open (single-tenant compatibility mode).
+	clock gateClock
 }
 
 var _ Scheduler = (*WDRR)(nil)
@@ -81,11 +72,10 @@ func NewWDRR(weights []int, gcl GCL) (*WDRR, error) {
 		w.queues[i].quantum = int64(wt) * wdrrQuantumUnit
 	}
 	if gcl != nil {
-		if err := gcl.Validate(); err != nil {
+		var err error
+		if w.clock, err = newGateClock(gcl); err != nil {
 			return nil, err
 		}
-		w.gcl = gcl
-		w.cycle = gcl.Cycle()
 	}
 	return w, nil
 }
@@ -108,25 +98,8 @@ func (w *WDRR) Enqueue(p *datapath.Packet, now timebase.VTime) {
 		ti = 0
 	}
 	//lint:ignore insanevet/hotpathcheck append growth is amortized; tenant queues reach steady-state capacity
-	w.queues[ti].q = append(w.queues[ti].q, wdrrEntry{pkt: p, at: now})
+	w.queues[ti].q = append(w.queues[ti].q, queued{pkt: p, at: now})
 	w.count++
-}
-
-// gatesAt returns the open-gate mask at virtual time now; with no gate
-// control list every gate is open.
-func (w *WDRR) gatesAt(now timebase.VTime) uint8 {
-	if w.gcl == nil {
-		return 0xFF
-	}
-	pos := time.Duration(now) % w.cycle
-	//insane:bounded by=one entry per gate-control-list slot, fixed at scheduler construction
-	for _, e := range w.gcl {
-		if pos < e.Duration {
-			return e.Gates
-		}
-		pos -= e.Duration
-	}
-	return 0 // unreachable: pos < cycle by construction
 }
 
 // cost is the deficit charge of releasing one packet: its byte length,
@@ -140,28 +113,17 @@ func cost(p *datapath.Packet) int64 {
 	return c
 }
 
-// gateOpen reports whether a packet's class gate is open under mask.
-//
-//insane:hotpath
-func gateOpen(mask uint8, class uint8) bool {
-	if class >= NumClasses {
-		class = NumClasses - 1
-	}
-	return mask&(1<<class) != 0
-}
-
 // Dequeue fills dst with eligible packets, visiting tenant queues round-
 // robin and releasing up to one quantum's worth of bytes per visit. A
 // released packet that waited (for its turn or its gate) carries the
-// wait as added virtual latency, charged to the Send stage like the
-// time-aware shaper does.
+// wait as added virtual latency, like the time-aware shaper's.
 //
 //insane:hotpath
 func (w *WDRR) Dequeue(dst []*datapath.Packet, now timebase.VTime) int {
 	if w.count == 0 || len(dst) == 0 {
 		return 0
 	}
-	gates := w.gatesAt(now)
+	gates := w.clock.gatesAt(now)
 	n := 0
 	idle := 0
 	//insane:bounded by=each visit either releases a packet (n < len(dst), the caller's burst) or advances idle (reset on release, capped at the tenant count)
@@ -178,7 +140,7 @@ func (w *WDRR) Dequeue(dst []*datapath.Packet, now timebase.VTime) int {
 			idle++
 			continue
 		}
-		if !gateOpen(gates, qu.q[0].pkt.Class) {
+		if gates&classBit(qu.q[0].pkt.Class) == 0 {
 			// Head-of-line gate closed: the whole queue waits (releasing
 			// later arrivals would break per-tenant FIFO). No quantum is
 			// added, so a gated tenant banks no credit either.
@@ -186,11 +148,11 @@ func (w *WDRR) Dequeue(dst []*datapath.Packet, now timebase.VTime) int {
 			continue
 		}
 		qu.deficit += qu.quantum
-		released := 0
+		take := 0
 		//insane:bounded by=released bytes bounded by the visit's deficit (one quantum over previous remainder); at most len(dst)-n packets
-		for len(qu.q) > 0 && n < len(dst) {
-			e := qu.q[0]
-			if !gateOpen(gates, e.pkt.Class) {
+		for take < len(qu.q) && n < len(dst) {
+			e := qu.q[take]
+			if gates&classBit(e.pkt.Class) == 0 {
 				break
 			}
 			c := cost(e.pkt)
@@ -198,27 +160,21 @@ func (w *WDRR) Dequeue(dst []*datapath.Packet, now timebase.VTime) int {
 				break
 			}
 			qu.deficit -= c
-			if wait := now.Sub(e.at); wait > 0 {
-				e.pkt.VTime = e.pkt.VTime.Add(wait)
-				e.pkt.Breakdown.Send += wait
-			}
-			dst[n] = e.pkt
+			dst[n] = e.release(now)
 			n++
-			released++
-			remaining := copy(qu.q, qu.q[1:])
-			qu.q[remaining] = wdrrEntry{}
-			qu.q = qu.q[:remaining]
-			w.count--
+			take++
 		}
-		if len(qu.q) == 0 {
-			qu.deficit = 0
-		}
-		if released > 0 {
+		if take > 0 {
+			qu.q = dropFront(qu.q, take)
+			w.count -= take
 			idle = 0
 		} else {
 			// Quantum >= max packet cost, so a zero-release visit means the
 			// burst buffer filled or the head's gate closed mid-queue.
 			idle++
+		}
+		if len(qu.q) == 0 {
+			qu.deficit = 0
 		}
 	}
 	return n
@@ -239,50 +195,20 @@ func (w *WDRR) PendingTenant(tenant int) int {
 // release queued packets, or zero when the queue is empty or some queued
 // head is already eligible.
 func (w *WDRR) NextEvent(now timebase.VTime) timebase.VTime {
-	if w.count == 0 || w.gcl == nil {
+	if w.count == 0 {
 		return 0
 	}
-	var queued uint8
+	var waiting uint8
 	//insane:bounded by=one entry per declared tenant, fixed at construction
 	for i := range w.queues {
 		if len(w.queues[i].q) > 0 {
-			cl := w.queues[i].q[0].pkt.Class
-			if cl >= NumClasses {
-				cl = NumClasses - 1
-			}
-			queued |= 1 << cl
+			waiting |= classBit(w.queues[i].q[0].pkt.Class)
 		}
 	}
-	if w.gatesAt(now)&queued != 0 {
-		return 0 // something is eligible right now
-	}
-	pos := time.Duration(now) % w.cycle
-	idx, off := w.entryAt(pos)
-	elapsed := w.gcl[idx].Duration - off
-	//insane:bounded by=one pass over the gate-control list, fixed at construction by Validate
-	for i := 1; i <= len(w.gcl); i++ {
-		e := w.gcl[(idx+i)%len(w.gcl)]
-		if e.Gates&queued != 0 {
-			return now.Add(elapsed)
-		}
-		elapsed += e.Duration
-	}
-	return 0 // no gate ever opens for queued classes (prevented by Validate)
-}
-
-// entryAt locates the GCL entry covering cycle position pos.
-func (w *WDRR) entryAt(pos time.Duration) (int, time.Duration) {
-	//insane:bounded by=one pass over the gate-control list, fixed at construction by Validate
-	for i, e := range w.gcl {
-		if pos < e.Duration {
-			return i, pos
-		}
-		pos -= e.Duration
-	}
-	return len(w.gcl) - 1, w.gcl[len(w.gcl)-1].Duration
+	return w.clock.nextOpening(now, waiting)
 }
 
 // String identifies the scheduler in Inspect output.
 func (w *WDRR) String() string {
-	return fmt.Sprintf("wdrr(%d tenants, gated=%v)", len(w.queues), w.gcl != nil)
+	return fmt.Sprintf("wdrr(%d tenants, gated=%v)", len(w.queues), w.clock.gcl != nil)
 }

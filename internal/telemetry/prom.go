@@ -139,7 +139,7 @@ func WriteProm(w io.Writer, nodes []NodeSnapshot) error {
 		func(s *Snapshot) uint64 { return s.SchedQueueDepth })
 	sampled("fabric_drops_total", "counter", "Frames lost by the node's fabric ports: link loss, unknown destination, full or closed receive queue.",
 		func(s *Snapshot) uint64 { return s.FabricDrops })
-	sampled("rx_alloc_drops_total", "counter", "Frames that reached the node and were dropped below the runtime: no free receive slot (or, kernel UDP and RDMA, wrong port or no posted buffer).",
+	sampled("rx_alloc_drops_total", "counter", "Frames that reached the node and found no memory to land in: no free receive slot, or (RDMA) no posted receive buffer.",
 		func(s *Snapshot) uint64 { return s.RxAllocDrops })
 
 	writeTenants(bw, nodes)

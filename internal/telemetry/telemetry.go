@@ -268,10 +268,10 @@ type Snapshot struct {
 	// FabricDrops counts frames the node's fabric ports lost: on a
 	// lossy link or to an unknown address when transmitting, on a full
 	// or closed receive queue when receiving. RxAllocDrops counts frames
-	// that reached the node and were dropped before the runtime saw
-	// them: no free slot in the pools the port receives into (counted by
-	// the port) — or, in the plugins that demultiplex themselves (kernel
-	// UDP, RDMA), a frame for another port or no posted receive buffer.
+	// that reached the node and found no memory to land in: no free slot
+	// in the pools the port receives into (counted by the port), or no
+	// posted receive buffer (RDMA receiver-not-ready, counted by the
+	// endpoint).
 	FabricDrops, RxAllocDrops uint64
 }
 
