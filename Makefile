@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test perfbench-test fuzz remote-smoke perf-smoke race vet lint lint-hotpath lint-concurrency lint-arch lint-bounded lint-pair lint-guard bench bench-isolation metrics-smoke experiments demo examples loc help
+.PHONY: all test perfbench-test fuzz remote-smoke perf-smoke race vet lint bench bench-isolation metrics-smoke experiments demo examples loc help
 
 all: vet test lint ## vet + test + lint (the CI gate)
 
@@ -34,26 +34,8 @@ race: ## run the test suite under the race detector
 vet: ## run go vet
 	$(GO) vet ./...
 
-lint: ## run the insanevet static-analysis suite (see README, "Static analysis")
+lint: ## run the insanevet static-analysis suite (see README, "Static analysis"; one rule: go run ./cmd/insanevet -run <rule> ./...)
 	$(GO) run ./cmd/insanevet ./...
-
-lint-hotpath: ## prove the //insane:hotpath call graph allocation- and block-free
-	$(GO) run ./cmd/insanevet -run hotpathcheck ./...
-
-lint-concurrency: ## prove goroutine lifecycles, the global lock graph, and sync usage
-	$(GO) run ./cmd/insanevet -run goroutinecheck,lockorder,syncmisuse ./...
-
-lint-arch: ## enforce the ARCH.layers layering fence (a stale spec entry fails the run)
-	$(GO) run ./cmd/insanevet -run archcheck ./...
-
-lint-bounded: ## prove every hot-path loop bounded or waived with //insane:bounded
-	$(GO) run ./cmd/insanevet -run boundedcheck ./...
-
-lint-pair: ## prove every resource acquire balanced by a release/transfer on all paths
-	$(GO) run ./cmd/insanevet -run paircheck ./...
-
-lint-guard: ## prove every //insane:shared field's declared synchronization regime
-	$(GO) run ./cmd/insanevet -run guardcheck ./...
 
 bench: ## run every benchmark
 	$(GO) test -bench=. -benchmem ./...

@@ -305,7 +305,8 @@ func (n *Node) Technologies() []string {
 }
 
 // Warnings returns the runtime's accumulated warnings (QoS fallbacks,
-// reclaimed sessions, ...).
+// reclaimed sessions, ...): a bounded number of distinct ones, then one
+// line counting the repeats and the rest.
 func (n *Node) Warnings() []string { return n.rt.Warnings() }
 
 // Stats is a snapshot of a node's runtime activity.

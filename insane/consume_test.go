@@ -241,7 +241,6 @@ func TestStageHistogramsSkipZeroCharge(t *testing.T) {
 				{"ConsumeLatency", m.ConsumeLatency.Count, total},
 				{"StageSend", m.StageSend.Count, total},
 				{"StageRecv", m.StageRecv.Count, total},
-				{"DeliverLatency", m.DeliverLatency.Count, total},
 				{"StageNetwork", m.StageNetwork.Count, 0},
 				{"StageProcessing", m.StageProcessing.Count, charged},
 			} {

@@ -98,16 +98,11 @@ type Metrics struct {
 	// charged processing — fewer than Consumes on co-located traffic —
 	// while the others count every consumed message.
 	SchedDwell      LatencyStats
-	DeliverLatency  LatencyStats
 	ConsumeLatency  LatencyStats
 	StageSend       LatencyStats
 	StageNetwork    LatencyStats
 	StageRecv       LatencyStats
 	StageProcessing LatencyStats
-
-	// RTCDeliver is the charged cost of a run-to-completion delivery
-	// (RTC hop plus per-sink delivery cost).
-	RTCDeliver LatencyStats
 
 	// Occupancy distributions.
 	TxRingOccupancy DistStats
@@ -210,13 +205,11 @@ func (n *Node) Metrics() Metrics {
 		PollerIdlePasses:     s.Counters[telemetry.CtrPollerIdlePasses],
 
 		SchedDwell:      latencyStats(&s.Hists[telemetry.HistSchedDwell]),
-		DeliverLatency:  latencyStats(&s.Hists[telemetry.HistDeliverLatency]),
 		ConsumeLatency:  latencyStats(&s.Hists[telemetry.HistConsumeLatency]),
 		StageSend:       latencyStats(&s.Hists[telemetry.HistStageSend]),
 		StageNetwork:    latencyStats(&s.Hists[telemetry.HistStageNetwork]),
 		StageRecv:       latencyStats(&s.Hists[telemetry.HistStageRecv]),
 		StageProcessing: latencyStats(&s.Hists[telemetry.HistStageProcessing]),
-		RTCDeliver:      latencyStats(&s.Hists[telemetry.HistRTCDeliver]),
 
 		TxRingOccupancy: distStats(&s.Hists[telemetry.HistTxRingOccupancy]),
 		DispatchBatch:   distStats(&s.Hists[telemetry.HistDispatchBatch]),

@@ -248,7 +248,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"insane_sched_dwell_seconds", "insane_deliver_latency_seconds",
+		"insane_sched_dwell_seconds",
 		"insane_consume_latency_seconds", "insane_stage_send_seconds",
 		"insane_stage_network_seconds", "insane_stage_recv_seconds",
 		"insane_stage_processing_seconds", "insane_txring_occupancy",

@@ -31,19 +31,16 @@ func TestDeliverAccounting(t *testing.T) {
 		name      string
 		sinks     int
 		full      []int // indices of sinks whose ring is full
-		msgNoTel  bool
-		sinkNoTel []int // indices of sinks that opted out of telemetry
-		observed  int   // deliver_latency observations expected
+		sinkNoTel []int // indices of sinks that opted out of telemetry: delivered to and woken like any other
 	}{
-		{name: "1 sink", sinks: 1, observed: 1},
+		{name: "1 sink", sinks: 1},
 		{name: "1 sink, full", sinks: 1, full: []int{0}},
-		{name: "2 sinks", sinks: 2, observed: 2},
-		{name: "2 sinks, second full", sinks: 2, full: []int{1}, observed: 1},
+		{name: "2 sinks", sinks: 2},
+		{name: "2 sinks, second full", sinks: 2, full: []int{1}},
 		{name: "2 sinks, both full", sinks: 2, full: []int{0, 1}},
-		{name: "4 sinks", sinks: 4, observed: 4},
-		{name: "4 sinks, two full", sinks: 4, full: []int{0, 2}, observed: 2},
-		{name: "4 sinks, message opted out", sinks: 4, msgNoTel: true},
-		{name: "4 sinks, one sink opted out", sinks: 4, sinkNoTel: []int{3}, observed: 3},
+		{name: "4 sinks", sinks: 4},
+		{name: "4 sinks, two full", sinks: 4, full: []int{0, 2}},
+		{name: "4 sinks, one sink opted out", sinks: 4, sinkNoTel: []int{3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,7 +89,7 @@ func TestDeliverAccounting(t *testing.T) {
 			caller := telemetry.New(1)
 			got := rt.deliver(caller.Shard(0), &Delivery{
 				Slot: slot, Payload: buf[MsgHeadroom : MsgHeadroom+8], Channel: 7,
-			}, sinks, tc.msgNoTel)
+			}, sinks)
 
 			want := tc.sinks - len(tc.full)
 			if got != want {
@@ -104,9 +101,6 @@ func TestDeliverAccounting(t *testing.T) {
 			}
 			if n := conn.ten.tel.Counter(telemetry.CtrRingFullDrops); n != drops {
 				t.Errorf("sink tenant ring_full_drops = %d, want %d", n, drops)
-			}
-			if n := caller.Snapshot().Hists[telemetry.HistDeliverLatency].Count; n != uint64(tc.observed) {
-				t.Errorf("deliver_latency observations = %d, want %d", n, tc.observed)
 			}
 			for i, k := range sinks {
 				if woken := len(k.notify) == 1; woken == isFull[i] {

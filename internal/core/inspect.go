@@ -24,33 +24,30 @@ func (r *Runtime) Inspect() string {
 	}
 
 	r.mu.RLock()
-	fmt.Fprintf(&b, "  sessions: %d\n", len(r.conns))
-	channels := make([]int, 0, len(r.sinks))
-	for ch := range r.sinks {
+	sessions, warned, suppressed := len(r.conns), len(r.warned), r.suppressed
+	r.mu.RUnlock()
+	fmt.Fprintf(&b, "  sessions: %d\n", sessions)
+
+	routes := r.view.Load().routes
+	channels := make([]int, 0, len(routes))
+	for ch := range routes {
 		channels = append(channels, int(ch))
 	}
 	sort.Ints(channels)
 	for _, ch := range channels {
-		fmt.Fprintf(&b, "    channel %d: %d local sinks\n", ch, len(r.sinks[uint32(ch)]))
-	}
-	r.mu.RUnlock()
-
-	r.subs.mu.RLock()
-	remotes := make([]int, 0, len(r.subs.byChannel))
-	for ch := range r.subs.byChannel {
-		remotes = append(remotes, int(ch))
-	}
-	sort.Ints(remotes)
-	for _, ch := range remotes {
-		m := r.subs.byChannel[uint32(ch)]
-		names := make([]string, 0, len(m))
-		for name, sub := range m {
-			names = append(names, fmt.Sprintf("%s(%s)", name, sub.tech))
+		route := routes[uint32(ch)]
+		if len(route.sinks) > 0 {
+			fmt.Fprintf(&b, "    channel %d: %d local sinks\n", ch, len(route.sinks))
 		}
-		sort.Strings(names)
-		fmt.Fprintf(&b, "    channel %d: remote subscribers %s\n", ch, strings.Join(names, ", "))
+		if len(route.hops) > 0 {
+			names := make([]string, len(route.hops))
+			for i, h := range route.hops {
+				names[i] = fmt.Sprintf("%s(%s)", h.peer.Name, h.tech)
+			}
+			sort.Strings(names)
+			fmt.Fprintf(&b, "    channel %d: remote subscribers %s\n", ch, strings.Join(names, ", "))
+		}
 	}
-	r.subs.mu.RUnlock()
 
 	free := r.mm.FreeSlots()
 	ms := r.mm.Stats()
@@ -61,8 +58,8 @@ func (r *Runtime) Inspect() string {
 	fmt.Fprintf(&b, "  traffic: tx=%d rx=%d local=%d nosink=%d ringfull=%d downgrades=%d\n",
 		s.TxMessages, s.RxMessages, s.LocalDeliveries, s.NoSinkDrops,
 		s.RingFullDrops, s.TechDowngrades)
-	if w := len(r.Warnings()); w > 0 {
-		fmt.Fprintf(&b, "  warnings: %d\n", w)
+	if warned > 0 {
+		fmt.Fprintf(&b, "  warnings: %d (%d more suppressed)\n", warned, suppressed)
 	}
 	return b.String()
 }

@@ -19,6 +19,10 @@ type txLane struct {
 	ring *ringbuf.MPMC[txToken] //insane:guardedby immutable after=newTxLane
 }
 
+// laneSet holds a session's lanes, indexed by technology; nil where the
+// session has no source.
+type laneSet [numTechs]*txLane
+
 func newTxLane() (*txLane, error) {
 	r, err := ringbuf.NewMPMC[txToken](txRingDepth)
 	if err != nil {
@@ -41,7 +45,7 @@ func (l *txLane) push(tok txToken) bool { return l.ring.TryPush(tok) }
 // pop drains one buffered token. It is the teardown-side counterpart of
 // push: the caller takes over the tenant TX charge and slot reference
 // the token carries. The runtime calls it only once no poller consumes
-// the lane — it drops the session from the poll list and waits out two
+// the lane — it publishes a view without the session and waits out two
 // poller passes before reclaiming — so a reclaimed token cannot also be
 // in a poller's burst buffer.
 //

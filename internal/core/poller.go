@@ -85,8 +85,8 @@ func (r *Runtime) pollLoop(p *poller) {
 		gated := false
 		var nextGate timebase.VTime
 		//insane:bounded by=one entry per registered technology, fixed at runtime construction
-		for i, st := range p.states {
-			work += r.drainTX(p, &p.snaps[i], st)
+		for _, st := range p.states {
+			work += r.drainTX(p, st)
 			work += r.pollRX(p, st)
 			st.schedMu.Lock()
 			if st.tas.Pending() > 0 || st.wdrr.Pending() > 0 {
@@ -163,56 +163,18 @@ func (p *poller) ring(why telemetry.CounterID) {
 	}
 }
 
-// txSnap is a poller's cached view of the TX lanes feeding one
-// technology. The lane set only changes when a session connects,
-// disconnects or lazily creates a lane, so the poller rebuilds it only
-// when the runtime's topology epoch moves — the steady-state drain pass
-// touches no locks and no maps (RCU-style read path, §5.3).
-type txSnap struct {
-	epoch uint64
-	lanes []*txLane
-}
-
-// refreshTxSnap rebuilds a poller's lane snapshot for one technology if
-// the conn topology changed since it was taken. The epoch is loaded
-// before the tables are read: a concurrent mutation either lands in this
-// rebuild or bumps the epoch past the one recorded here, forcing another
-// rebuild on the next pass.
-func (r *Runtime) refreshTxSnap(s *txSnap, tech model.Tech) {
-	epoch := r.topoEpoch.Load()
-	if epoch == s.epoch {
-		return
-	}
-	r.mu.RLock()
-	conns := r.connList
-	r.mu.RUnlock()
-	s.lanes = s.lanes[:0]
-	//insane:bounded by=topology-epoch rebuild: one entry per live client connection, off the steady-state path
-	for _, c := range conns {
-		c.mu.Lock()
-		l := c.lanes[tech]
-		c.mu.Unlock()
-		if l != nil {
-			//lint:ignore insanevet/hotpathcheck topology-epoch rebuild; the steady-state drain pass never reaches this
-			s.lanes = append(s.lanes, l)
-		}
-	}
-	s.epoch = epoch
-}
-
 // drainTX moves tokens from the session rings through the scheduler and
 // out of the datapath. Returns the number of packets processed.
-func (r *Runtime) drainTX(p *poller, snap *txSnap, st *techState) int {
+func (r *Runtime) drainTX(p *poller, st *techState) int {
 	// 1. Pull tokens from every session's ring for this technology, in
 	// bursts: one sequence-aware batch pop per ring visit instead of one
 	// CAS per token (opportunistic batching, §6.2). The clock is read
 	// once per pass: it stamps the scheduler-enqueue time of every token
 	// pulled below (dwell accounting) and gates the dequeue.
-	r.refreshTxSnap(snap, st.tech)
 	now := r.clock.Now()
 	pulled := 0
-	//insane:bounded by=one lane per live session in the epoch snapshot
-	for _, l := range snap.lanes {
+	//insane:bounded by=one lane per live session in the published view
+	for _, l := range r.view.Load().lanes[st.tech] {
 		// Lane occupancy, sampled before the drain: queue-depth visibility
 		// for the exporter without a per-token cost. Empty lanes are not
 		// recorded — an idle poller would otherwise bury the distribution
@@ -314,6 +276,7 @@ func (r *Runtime) enqueueToken(p *poller, st *techState, tok txToken, now timeba
 // the pass's clock reading, used to close the scheduler-dwell interval
 // opened by enqueueToken.
 func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet, now timebase.VTime) {
+	routes := r.view.Load().routes
 	//insane:bounded by=batch is the poller's dequeue buffer, sized to burst <= model.MaxBurst
 	for _, pkt := range batch {
 		env, ok := pkt.Ctx.(*pktEnv)
@@ -328,23 +291,23 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet, n
 		}
 
 		// Local sinks first: co-located source/sink pairs communicate
-		// through shared memory directly (§5.1). The snapshot slice is
-		// shared and read-only.
-		sinks := r.sinksFor(meta.channel)
+		// through shared memory directly (§5.1).
+		route := routes[meta.channel]
+		sinks := route.sinks
 		if len(sinks) > 0 {
 			_ = r.mm.AddRef(pkt.Slot, len(sinks))
 			msg := pktDelivery(pkt, meta.channel)
-			n := r.deliver(p.shard, &msg, sinks, meta.noTel)
+			n := r.deliver(p.shard, &msg, sinks)
 			p.shard.Add(telemetry.CtrLocalDeliveries, uint64(n))
 		}
 
-		// Remote peers that subscribed to the channel.
-		subs := r.subs.subscribers(meta.channel)
+		// Remote peers that subscribed to the channel, each over the plane
+		// resolved for this technology when its SUB was applied.
 		sent := 0
 		var sendErr error
 		//insane:bounded by=one entry per subscribed peer, fixed by the cluster configuration
-		for _, sub := range subs {
-			if err := r.sendToPeer(p, st, pkt, sub); err != nil {
+		for i := range route.hops {
+			if err := r.sendToPeer(p, pkt, &route.hops[i].via[st.tech]); err != nil {
 				sendErr = err
 				continue
 			}
@@ -371,30 +334,18 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet, n
 	}
 }
 
-// sendToPeer transmits one packet to one subscribed peer, choosing the
-// technology plane: the stream's own technology when the peer has it,
-// otherwise the technology the peer asked for in its subscription,
-// otherwise the kernel plane (counted as a downgrade).
-func (r *Runtime) sendToPeer(p *poller, st *techState, pkt *datapath.Packet, sub remoteSub) error {
-	target := st
-	if _, ok := sub.peer.Addrs[st.tech]; !ok {
-		// The peer cannot receive on this plane: honor its subscription
-		// technology if we have it, else fall back to kernel.
-		alt, ok := r.techs[sub.tech]
-		if !ok {
-			alt = r.techs[model.TechKernelUDP]
-		}
-		if _, ok := sub.peer.Addrs[alt.tech]; !ok {
-			alt = r.techs[model.TechKernelUDP]
-		}
-		target = alt
+// sendToPeer transmits one packet to one subscribed peer over the plane
+// its subscription resolved to (resolveHop). A send on a lower technology
+// than the stream's is counted as a downgrade; a peer with no usable plane
+// fails every send with the same error.
+func (r *Runtime) sendToPeer(p *poller, pkt *datapath.Packet, via *plane) error {
+	if via.downgraded {
 		p.shard.Inc(telemetry.CtrTechDowngrades)
 	}
-	ip, ok := sub.peer.Addrs[target.tech]
-	if !ok {
-		return errPeerUnreachable(sub.peer.Name)
+	if via.err != nil {
+		return via.err
 	}
-	dst := netstack.Endpoint{IP: ip, Port: TechPort(target.tech)}
+	target := via.target
 
 	// Per-peer packet copy: charges and framing are destination-specific
 	// while the slot bytes are shared (the wire copies on Transmit). The
@@ -409,17 +360,13 @@ func (r *Runtime) sendToPeer(p *poller, st *techState, pkt *datapath.Packet, sub
 		// Packet processing engine: frame in place using the slot
 		// headroom (§5.3).
 		out.Charge(&r.rc.NetstackTx, out.Len, 1, r.tb)
-		dstMAC, err := r.cfg.Resolver.Resolve(dst.IP)
-		if err != nil {
-			return err
-		}
 		frameLen, err := netstack.EncodeUDP(out.Buf, netstack.FrameMeta{
-			SrcMAC:       r.portMAC(target),
-			DstMAC:       dstMAC,
+			SrcMAC:       target.port.MAC(),
+			DstMAC:       via.dstMAC,
 			Src:          target.local,
-			Dst:          dst,
+			Dst:          via.dst,
 			TrafficClass: out.Class,
-		}, out.Len, r.portMTU(target))
+		}, out.Len, target.port.MTU())
 		if err != nil {
 			return err
 		}
@@ -431,7 +378,7 @@ func (r *Runtime) sendToPeer(p *poller, st *techState, pkt *datapath.Packet, sub
 	p.sendVec[0] = out
 	target.mu.Lock()
 	defer target.mu.Unlock()
-	_, err := target.ep.Send(p.sendVec[:], dst)
+	_, err := target.ep.Send(p.sendVec[:], via.dst)
 	return err
 }
 
@@ -490,7 +437,7 @@ func (r *Runtime) receiveOne(p *poller, st *techState, pkt *datapath.Packet) {
 	pkt.VTime = pkt.VTime.Add(touch)
 	pkt.Breakdown.Recv += touch
 
-	sinks := r.sinksFor(h.channel)
+	sinks := r.view.Load().routes[h.channel].sinks
 	if len(sinks) == 0 {
 		p.shard.Inc(telemetry.CtrNoSinkDrops)
 		_ = r.mm.Release(pkt.Slot)
@@ -500,54 +447,6 @@ func (r *Runtime) receiveOne(p *poller, st *techState, pkt *datapath.Packet) {
 	if len(sinks) > 1 {
 		_ = r.mm.AddRef(pkt.Slot, len(sinks)-1)
 	}
-	// The wire header does not carry the sender's telemetry opt-out; the
-	// sink's own decides.
 	msg := pktDelivery(pkt, h.channel)
-	r.deliver(p.shard, &msg, sinks, false)
-}
-
-// handleControl applies a SUB/UNSUB message from a peer.
-//
-//insane:coldpath control-plane SUB/UNSUB handling, off the data path
-func (r *Runtime) handleControl(h header, src netstack.IPv4) {
-	peer, ok := r.subs.peerByIP(src)
-	if !ok {
-		r.warnf("control message from unknown peer %s", src)
-		return
-	}
-	tech, err := techFromAux(h.aux)
-	if err != nil {
-		r.warnf("control message with bad tech from %s", peer.Name)
-		return
-	}
-	switch h.kind {
-	case kindSub:
-		r.subs.subscribe(h.channel, peer, tech)
-	case kindUnsub:
-		r.subs.unsubscribe(h.channel, peer)
-	}
-}
-
-// errPeerUnreachable builds a send error for a peer with no usable plane.
-//
-//insane:coldpath error construction for a peer that lost all planes
-func errPeerUnreachable(name string) error {
-	return &peerUnreachableError{name: name}
-}
-
-// peerUnreachableError reports a peer that cannot be reached on any plane.
-type peerUnreachableError struct{ name string }
-
-func (e *peerUnreachableError) Error() string {
-	return "core: peer " + e.name + " unreachable on any technology plane"
-}
-
-// portMAC returns the MAC of a technology's port.
-func (r *Runtime) portMAC(st *techState) netstack.MAC {
-	return r.cfg.Ports[st.tech].MAC()
-}
-
-// portMTU returns the MTU of a technology's port.
-func (r *Runtime) portMTU(st *techState) int {
-	return r.cfg.Ports[st.tech].MTU()
+	r.deliver(p.shard, &msg, sinks)
 }

@@ -36,11 +36,10 @@ const RTCMaxFanout = 4
 //insane:hotpath
 func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32) bool {
 	rt := s.stream.conn.rt
-	if len(rt.subs.subscribers(s.channel)) != 0 {
-		return false
-	}
-	sinks := rt.sinksFor(s.channel)
-	if len(sinks) == 0 || len(sinks) > RTCMaxFanout {
+	// Sinks and subscribers of the same instant: one view, one route.
+	route := rt.view.Load().routes[s.channel]
+	sinks := route.sinks
+	if len(route.hops) != 0 || len(sinks) == 0 || len(sinks) > RTCMaxFanout {
 		return false
 	}
 	if s.gate != nil && !s.gate.GateOpenAt(s.stream.opts.Class, rt.clock.Now()) {
@@ -72,15 +71,9 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32) bool {
 		Slot:      b.Slot,
 		Channel:   s.channel,
 	}
-	delivered := rt.deliver(s.shard, &msg, sinks, s.noTel)
+	delivered := rt.deliver(s.shard, &msg, sinks)
 	s.shard.Add(telemetry.CtrLocalDeliveries, uint64(delivered))
 	s.shard.Add(telemetry.CtrRTCDeliveries, uint64(delivered))
-	if !s.noTel {
-		//insane:bounded by=delivered <= len(sinks) <= RTCMaxFanout
-		for i := 0; i < delivered; i++ {
-			s.shard.Observe(telemetry.HistRTCDeliver, int64(hop+rt.deliveryCost(i)))
-		}
-	}
 	_ = rt.mm.Release(b.Slot)
 
 	s.recordOutcome(Outcome{Seq: seq, LocalSinks: len(sinks)})

@@ -105,6 +105,9 @@ type techState struct {
 	tech  model.Tech        //insane:guardedby immutable after=NewRuntime
 	info  model.TechInfo    //insane:guardedby immutable after=NewRuntime
 	local netstack.Endpoint //insane:guardedby immutable after=NewRuntime
+	// port is the technology's fabric NIC port: source MAC and MTU of the
+	// frames built for it, its share of the drop gauges, the RX doorbell.
+	port *fabric.Port //insane:guardedby immutable after=NewRuntime
 
 	// mu serializes endpoint access: pollers own their techs, but
 	// cross-technology sends (peer lacks the stream's tech) come from
@@ -155,9 +158,11 @@ type Runtime struct {
 	tb    *model.Testbed            //insane:guardedby immutable after=NewRuntime
 	mm    *mempool.Manager          //insane:guardedby immutable after=NewRuntime
 	rc    *model.RuntimeCosts       //insane:guardedby immutable after=NewRuntime
-	subs  *subTable                 //insane:guardedby immutable after=NewRuntime
 	techs map[model.Tech]*techState //insane:guardedby immutable after=NewRuntime
-	burst int                       //insane:guardedby immutable after=NewRuntime
+	// peerByIP resolves a control message's source address to the
+	// configured peer that owns it.
+	peerByIP map[netstack.IPv4]*Peer //insane:guardedby immutable after=NewRuntime
+	burst    int                     //insane:guardedby immutable after=NewRuntime
 	// deliverCost is the charged cost of delivering to the first sink of a
 	// fanout, to a further one, and to one past the cache knee (Fig. 8b).
 	// All three are constants of tb and rc, scaled once here rather than on
@@ -169,25 +174,20 @@ type Runtime struct {
 	tenants      []*tenant          //insane:guardedby immutable after=NewRuntime
 	tenantByName map[string]*tenant //insane:guardedby immutable after=NewRuntime
 
-	mu     sync.RWMutex
-	conns  map[mempool.Owner]*ClientConn //insane:guardedby mu=mu
-	sinks  map[uint32][]*SinkHandle      //insane:guardedby mu=mu
-	warned []string                      //insane:guardedby mu=mu
-	// connList is a cached snapshot of conns for the pollers' hot loop;
-	// rebuilt whenever a session connects or disconnects.
-	connList []*ClientConn //insane:guardedby mu=mu
+	// mu owns who is connected: the sessions (and, through them, their TX
+	// lanes), the local sinks and the remote subscribers of every channel.
+	// Every change to any of them ends in publishLocked.
+	mu    sync.RWMutex
+	conns map[mempool.Owner]*ClientConn //insane:guardedby mu=mu
+	sinks map[uint32][]*SinkHandle      //insane:guardedby mu=mu
+	subs  map[uint32][]hop              //insane:guardedby mu=mu
+	// warned keeps the first maxWarnings distinct warnings; suppressed
+	// counts the ones dropped since.
+	warned     []string //insane:guardedby mu=mu
+	suppressed uint64   //insane:guardedby mu=mu
 
-	// topoEpoch versions the (conn, tech)→TX-ring topology. It is bumped
-	// after every mutation (session connect/disconnect, lazy ring
-	// creation) so pollers rebuild their txSnap caches only when the
-	// topology actually moved, instead of locking c.mu per conn per pass.
-	topoEpoch atomic.Uint64 //insane:guardedby atomic
-
-	// sinkSnap is the immutable channel→sinks dispatch table the pollers
-	// read (RCU-style: registerSink/unregisterSink publish a fresh copy,
-	// readers never lock or copy). r.sinks under r.mu stays the mutable
-	// source of truth.
-	sinkSnap atomic.Pointer[map[uint32][]*SinkHandle] //insane:guardedby rcu=publishSinksLocked
+	// view is what the data path reads of all the above (view.go).
+	view atomic.Pointer[view] //insane:guardedby rcu=publishLocked
 
 	// envPool backs the pollers' packet-envelope free lists.
 	envPool *mempool.CachePool[*pktEnv] //insane:guardedby immutable after=NewRuntime
@@ -228,9 +228,6 @@ type poller struct {
 	rxPkts []datapath.Packet //insane:guardedby confined owner=pollLoop
 	// toks is the scratch buffer for batched TX-ring pops.
 	toks []txToken //insane:guardedby confined owner=pollLoop
-	// snaps caches the TX-ring topology per served techState (parallel
-	// to states), rebuilt only when the runtime's topoEpoch moves.
-	snaps []txSnap //insane:guardedby confined owner=pollLoop
 	// envs is this poller's private packet-envelope free list (DPDK's
 	// per-lcore mempool cache); spills and refills go through the
 	// runtime-wide shared ring, so envelopes may migrate between pollers.
@@ -293,11 +290,13 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		tb:    &tb,
 		mm:    mm,
 		rc:    &rc,
-		subs:  newSubTable(cfg.Peers),
 		techs: make(map[model.Tech]*techState),
 		burst: burst,
 		conns: make(map[mempool.Owner]*ClientConn),
 		sinks: make(map[uint32][]*SinkHandle),
+		subs:  make(map[uint32][]hop),
+
+		peerByIP: make(map[netstack.IPv4]*Peer),
 
 		tenants:      tenants,
 		tenantByName: byName,
@@ -308,7 +307,12 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		base + tb.Scale(model.ScaleRuntime, time.Duration(r.rc.PerExtraSinkNs)),
 		base + tb.Scale(model.ScaleRuntime, time.Duration(r.rc.PerExtraSinkSpillNs)),
 	}
-	r.publishSinksLocked()
+	for i := range cfg.Peers {
+		for _, ip := range cfg.Peers[i].Addrs {
+			r.peerByIP[ip] = &cfg.Peers[i]
+		}
+	}
+	r.publishLocked()
 	r.envPool, err = mempool.NewCachePool(envSharedCap, func() *pktEnv { return new(pktEnv) })
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -352,6 +356,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			tech:  tech,
 			info:  model.Info(tech),
 			local: local,
+			port:  port,
 			ep:    ep,
 			wdrr:  wdrr,
 			tas:   tas,
@@ -391,7 +396,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			batch:  make([]*datapath.Packet, burst),
 			rxPkts: make([]datapath.Packet, burst),
 			toks:   make([]txToken, burst),
-			snaps:  make([]txSnap, len(g)),
 			envs:   r.envPool.NewCache(envLocalCap),
 			shard:  r.tel.Shard(i),
 		}
@@ -403,8 +407,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	// Every source of work rings the pollers that serve it: Emit through
 	// the stream's techState, the fabric through the port's RX doorbell.
 	// Both are in place before the first poller runs.
-	for tech, st := range r.techs {
-		cfg.Ports[tech].SetRxDoorbell(st)
+	for _, st := range r.techs {
+		st.port.SetRxDoorbell(st)
 	}
 	for _, p := range r.pollers {
 		r.wg.Add(1)
@@ -487,25 +491,13 @@ func (r *Runtime) ConnectTenant(name string) (*ClientConn, error) {
 		rt:      r,
 		id:      mempool.Owner(r.nextConnID.Add(1)),
 		ten:     ten,
-		lanes:   make(map[model.Tech]*txLane),
 		streams: make(map[uint64]*StreamHandle),
 	}
 	r.mu.Lock()
 	r.conns[c.id] = c
-	r.rebuildConnListLocked()
-	r.topoEpoch.Add(1)
+	r.publishLocked()
 	r.mu.Unlock()
 	return c, nil
-}
-
-// rebuildConnListLocked refreshes the pollers' session snapshot; callers
-// hold r.mu.
-func (r *Runtime) rebuildConnListLocked() {
-	list := make([]*ClientConn, 0, len(r.conns))
-	for _, c := range r.conns {
-		list = append(list, c)
-	}
-	r.connList = list
 }
 
 // dropConn removes a closed session and reclaims its memory: first the
@@ -515,14 +507,14 @@ func (r *Runtime) rebuildConnListLocked() {
 func (r *Runtime) dropConn(c *ClientConn) {
 	r.mu.Lock()
 	delete(r.conns, c.id)
-	r.rebuildConnListLocked()
-	r.topoEpoch.Add(1)
+	lanes := c.lanes // final: lane refuses a session that left conns
+	r.publishLocked()
 	r.mu.Unlock()
-	// Pollers pick up the shrunk session list on their next pass; after
-	// two full passes none can still be draining this session's lanes,
-	// so what is left in them is popped from this goroutine.
-	c.waitPollerPasses(2, timebase.Wall().Add(50*time.Millisecond))
-	if n := r.reclaimLanes(c); n > 0 {
+	// Pollers load the view without the session's lanes on their next
+	// pass; after two full passes none can still be draining them, so what
+	// is left in them is popped from this goroutine.
+	r.waitPollerPasses(lanes, 2, timebase.Wall().Add(50*time.Millisecond))
+	if n := r.reclaimLanes(lanes); n > 0 {
 		r.tel.AssignShard().Add(telemetry.CtrTxReclaims, uint64(n))
 		r.warnf("session %d: reclaimed %d undrained TX tokens on detach", c.id, n)
 	}
@@ -534,16 +526,10 @@ func (r *Runtime) dropConn(c *ClientConn) {
 // reclaimLanes settles every TX token left in a detached session's
 // lanes — the balance the poller would have restored had it drained
 // them: uncharge the tenant's in-flight TX token and release the slot.
-func (r *Runtime) reclaimLanes(c *ClientConn) int {
-	c.mu.Lock()
-	lanes := make([]*txLane, 0, len(c.lanes))
-	for _, l := range c.lanes {
-		lanes = append(lanes, l)
-	}
-	c.mu.Unlock()
+func (r *Runtime) reclaimLanes(lanes laneSet) int {
 	n := 0
 	for _, l := range lanes {
-		for {
+		for l != nil {
 			tok, ok := l.pop()
 			if !ok {
 				break
@@ -561,15 +547,20 @@ func (r *Runtime) reclaimLanes(c *ClientConn) int {
 // SubscriberCount reports how many remote peers subscribed to a channel
 // (useful to avoid startup races in tests and examples).
 func (r *Runtime) SubscriberCount(channel uint32) int {
-	return r.subs.count(channel)
+	return len(r.view.Load().routes[channel].hops)
 }
 
 // Warnings returns the warnings accumulated so far (e.g. QoS fallback
-// decisions, §5.2).
+// decisions, §5.2): at most maxWarnings distinct ones, then one line
+// counting the rest.
 func (r *Runtime) Warnings() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return append([]string(nil), r.warned...)
+	out := append([]string(nil), r.warned...)
+	if r.suppressed > 0 {
+		out = append(out, fmt.Sprintf("%d further warnings suppressed (repeats, or past the first %d)", r.suppressed, maxWarnings))
+	}
+	return out
 }
 
 // Stats returns a snapshot of the runtime counters.
@@ -625,11 +616,11 @@ func (r *Runtime) MetricsSnapshot() *telemetry.Snapshot {
 		s.EnvCache.Drops += cs.Drops
 	}
 
-	for tech, st := range r.techs {
+	for _, st := range r.techs {
 		st.schedMu.Lock()
 		s.SchedQueueDepth += uint64(st.wdrr.Pending() + st.tas.Pending())
 		st.schedMu.Unlock()
-		ps, es := r.cfg.Ports[tech].Stats(), st.ep.Stats()
+		ps, es := st.port.Stats(), st.ep.Stats()
 		s.FabricDrops += ps.Dropped
 		s.RxAllocDrops += ps.RxNoMem + es.RNRDrops
 		// One drop reason whatever plane the frame arrived on: what the
@@ -648,8 +639,8 @@ func (r *Runtime) Close() error {
 	if !r.stopped.CompareAndSwap(false, true) {
 		return nil
 	}
-	for tech := range r.techs {
-		r.cfg.Ports[tech].SetRxDoorbell(nil)
+	for _, st := range r.techs {
+		st.port.SetRxDoorbell(nil)
 	}
 	for _, p := range r.pollers {
 		close(p.stop)
@@ -661,13 +652,27 @@ func (r *Runtime) Close() error {
 	return nil
 }
 
-// warnf records (and optionally logs) a warning.
+// maxWarnings bounds what warnf keeps: some warnings are caused by bytes
+// from outside (handleControl), and nothing a sender repeats may grow the
+// runtime's memory.
+const maxWarnings = 64
+
+// warnf records (and optionally logs) a warning: the first maxWarnings
+// distinct ones are kept and logged, the rest only counted.
 func (r *Runtime) warnf(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	r.mu.Lock()
-	r.warned = append(r.warned, msg)
+	keep := len(r.warned) < maxWarnings
+	for _, w := range r.warned {
+		keep = keep && w != msg
+	}
+	if keep {
+		r.warned = append(r.warned, msg)
+	} else {
+		r.suppressed++
+	}
 	r.mu.Unlock()
-	if r.cfg.Logf != nil {
+	if keep && r.cfg.Logf != nil {
 		r.cfg.Logf("insane[%s]: %s", r.name, msg)
 	}
 }
@@ -677,7 +682,7 @@ func (r *Runtime) warnf(format string, args ...any) {
 func (r *Runtime) registerSink(k *SinkHandle) error {
 	r.mu.Lock()
 	r.sinks[k.channel] = append(r.sinks[k.channel], k)
-	r.publishSinksLocked()
+	r.publishLocked()
 	r.mu.Unlock()
 	return r.broadcastControl(kindSub, k.channel, k.stream.tech)
 }
@@ -699,30 +704,11 @@ func (r *Runtime) unregisterSink(k *SinkHandle) {
 		r.sinks[k.channel] = list
 	}
 	last := len(list) == 0
-	r.publishSinksLocked()
+	r.publishLocked()
 	r.mu.Unlock()
 	if last && !r.stopped.Load() {
 		_ = r.broadcastControl(kindUnsub, k.channel, k.stream.tech)
 	}
-}
-
-// publishSinksLocked swaps in a fresh immutable copy of the dispatch
-// table; callers hold r.mu. Readers of the old snapshot keep a
-// consistent (if momentarily stale) view — the same grace-period
-// semantics the kernel's RCU gives its readers.
-func (r *Runtime) publishSinksLocked() {
-	m := make(map[uint32][]*SinkHandle, len(r.sinks))
-	for ch, list := range r.sinks {
-		m[ch] = append([]*SinkHandle(nil), list...)
-	}
-	r.sinkSnap.Store(&m)
-}
-
-// sinksFor returns the immutable sink list of a channel. Callers must
-// not mutate the returned slice: it is shared by every reader of the
-// current snapshot.
-func (r *Runtime) sinksFor(channel uint32) []*SinkHandle {
-	return (*r.sinkSnap.Load())[channel]
 }
 
 // broadcastControl sends a SUB/UNSUB message for a channel to every peer

@@ -51,8 +51,12 @@ type ClientConn struct {
 	// the default tenant: no quotas, no per-tenant telemetry).
 	ten *tenant //insane:guardedby immutable after=ConnectTenant
 
+	// lanes are the session's TX lanes, one per technology it has a source
+	// on. They are part of who is connected, so the runtime's lock owns
+	// them and every new one is published.
+	lanes laneSet //insane:guardedby mu=Runtime.mu
+
 	mu      sync.Mutex
-	lanes   map[model.Tech]*txLane   //insane:guardedby mu=mu
 	streams map[uint64]*StreamHandle //insane:guardedby mu=mu
 	closed  bool                     //insane:guardedby mu=mu
 }
@@ -72,12 +76,13 @@ func (c *ClientConn) Owner() mempool.Owner { return c.id }
 // polling threads of the given technology. Every source the session opens
 // on the technology shares it.
 func (c *ClientConn) lane(tech model.Tech) (*txLane, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
+	r := c.rt
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.conns[c.id] != c {
+		return nil, ErrClosed // detached: nothing would ever drain the lane
 	}
-	if l, ok := c.lanes[tech]; ok {
+	if l := c.lanes[tech]; l != nil {
 		return l, nil
 	}
 	l, err := newTxLane()
@@ -85,8 +90,7 @@ func (c *ClientConn) lane(tech model.Tech) (*txLane, error) {
 		return nil, err
 	}
 	c.lanes[tech] = l
-	// New lane: invalidate the pollers' cached TX topology.
-	c.rt.topoEpoch.Add(1)
+	r.publishLocked()
 	return l, nil
 }
 
@@ -167,41 +171,42 @@ func (c *ClientConn) flush(timeout time.Duration) {
 		return // no poller will ever drain; dropConn reclaims the lanes
 	}
 	deadline := timebase.Wall().Add(timeout)
+	c.rt.mu.RLock()
+	lanes := c.lanes
+	c.rt.mu.RUnlock()
 	for timebase.Wall().Before(deadline) {
-		c.mu.Lock()
 		empty := true
-		for tech, l := range c.lanes {
-			if l.ring.Len() > 0 {
+		for tech, l := range lanes {
+			if l != nil && l.ring.Len() > 0 {
 				empty = false
-				c.rt.techs[tech].ring(telemetry.CtrPollerWakesTX)
+				c.rt.techs[model.Tech(tech)].ring(telemetry.CtrPollerWakesTX)
 			}
 		}
-		c.mu.Unlock()
 		if empty {
 			break
 		}
 		time.Sleep(20 * time.Microsecond)
 	}
-	c.waitPollerPasses(2, deadline)
+	c.rt.waitPollerPasses(lanes, 2, deadline)
 }
 
 // waitPollerPasses blocks until every polling thread serving one of the
-// session's TX lanes — the only pollers that hold a view of them —
-// advances by at least n iterations (or the deadline passes), ringing
-// the ones still short: a parked poller makes no passes on its own.
-func (c *ClientConn) waitPollerPasses(n uint64, deadline time.Time) {
+// lanes — the only pollers that drain them — advances by at least n
+// iterations (or the deadline passes), ringing the ones still short: a
+// parked poller makes no passes on its own.
+func (r *Runtime) waitPollerPasses(lanes laneSet, n uint64, deadline time.Time) {
 	var pollers []*poller
-	c.mu.Lock()
-	for tech := range c.lanes {
-		pollers = append(pollers, c.rt.techs[tech].pollers...)
+	for tech, l := range lanes {
+		if l != nil {
+			pollers = append(pollers, r.techs[model.Tech(tech)].pollers...)
+		}
 	}
-	c.mu.Unlock()
 	start := make([]uint64, len(pollers))
 	for i, p := range pollers {
 		start[i] = p.loops.Load()
 	}
 	for timebase.Wall().Before(deadline) {
-		if c.rt.stopped.Load() {
+		if r.stopped.Load() {
 			return
 		}
 		done := true

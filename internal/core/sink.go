@@ -57,11 +57,10 @@ func pktDelivery(pkt *datapath.Packet, channel uint32) Delivery {
 // sink's ring or, when that ring is full, is released here and the drop
 // counted on the caller's shard and the sink tenant's. It returns how many
 // sinks took the message. msg is the caller's scratch: its clock is
-// rewritten per sink. noTel is the message's telemetry opt-out; a sink's
-// own opt-out counts as well.
+// rewritten per sink.
 //
 //insane:hotpath
-func (r *Runtime) deliver(shard *telemetry.Shard, msg *Delivery, sinks []*SinkHandle, noTel bool) int {
+func (r *Runtime) deliver(shard *telemetry.Shard, msg *Delivery, sinks []*SinkHandle) int {
 	delivered := 0
 	vtime, recv := msg.VTime, msg.Breakdown.Recv
 	//insane:bounded by=one entry per sink registered on the channel, fixed by the application
@@ -79,9 +78,6 @@ func (r *Runtime) deliver(shard *telemetry.Shard, msg *Delivery, sinks []*SinkHa
 			continue
 		}
 		delivered++
-		if !noTel && !k.noTel {
-			shard.Observe(telemetry.HistDeliverLatency, int64(d))
-		}
 		k.wake()
 	}
 	return delivered

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/netstack"
 )
@@ -18,104 +15,104 @@ type Peer struct {
 	Addrs map[model.Tech]netstack.IPv4
 }
 
-// remoteSub records that a peer hosts sinks for a channel, reachable via
-// a given technology (carried by the SUB control message).
-type remoteSub struct {
+// hop is one remote subscriber of a channel: the peer, the technology it
+// asked for in its SUB message, and — resolved once, when the SUB is
+// applied — the plane a message takes to it from each local technology.
+type hop struct {
 	peer *Peer
 	tech model.Tech
+	via  [numTechs]plane // indexed by the sending stream's technology
 }
 
-// subTable tracks which peers subscribed to which channels, and resolves
-// sender-side destinations. Safe for concurrent use: the control plane
-// updates it from polling threads while TX paths read it.
+// plane is everything sendToPeer needs to know about one destination.
+type plane struct {
+	target *techState
+	dst    netstack.Endpoint
+	dstMAC netstack.MAC // set where the target frames in user space
+	// downgraded: the peer lacks the stream's technology and the message
+	// leaves on a lower one; counted per send.
+	downgraded bool
+	// err fails every send: the peer has no address on any plane this host
+	// can use, or no MAC binding on the one chosen.
+	err error
+}
+
+// resolveHop chooses, for every local technology, the plane toward a peer
+// that subscribed with tech: the stream's own technology when the peer has
+// it, otherwise the one the peer asked for, otherwise the kernel plane.
+func (r *Runtime) resolveHop(peer *Peer, tech model.Tech) hop {
+	h := hop{peer: peer, tech: tech}
+	kernel := r.techs[model.TechKernelUDP]
+	for _, st := range r.techs {
+		pl := plane{target: st}
+		if _, ok := peer.Addrs[st.tech]; !ok {
+			pl.downgraded = true
+			if pl.target = r.techs[tech]; pl.target == nil {
+				pl.target = kernel
+			}
+			if _, ok := peer.Addrs[pl.target.tech]; !ok {
+				pl.target = kernel
+			}
+		}
+		ip, ok := peer.Addrs[pl.target.tech]
+		pl.dst = netstack.Endpoint{IP: ip, Port: TechPort(pl.target.tech)}
+		switch {
+		case !ok:
+			pl.err = &peerUnreachableError{name: peer.Name}
+		case pl.target.info.NeedsUserStack:
+			pl.dstMAC, pl.err = r.cfg.Resolver.Resolve(ip)
+		}
+		h.via[st.tech] = pl
+	}
+	return h
+}
+
+// peerUnreachableError reports a peer that cannot be reached on any plane.
+type peerUnreachableError struct{ name string }
+
+func (e *peerUnreachableError) Error() string {
+	return "core: peer " + e.name + " unreachable on any technology plane"
+}
+
+// handleControl applies a SUB/UNSUB message from a peer and publishes the
+// result. A datagram it cannot attribute changes nothing.
 //
-//insane:shared
-type subTable struct {
-	mu sync.RWMutex
-	// byChannel maps channel id → peer name → subscription.
-	byChannel map[uint32]map[string]remoteSub //insane:guardedby mu=mu
-	// byIP resolves a control message's source IP to its peer.
-	byIP map[netstack.IPv4]*Peer //insane:guardedby mu=mu
-	// snap is the immutable channel→subscriptions view the TX hot path
-	// reads; subscribe/unsubscribe publish a fresh copy so readers never
-	// lock, copy, or walk the nested maps per packet.
-	snap atomic.Pointer[map[uint32][]remoteSub] //insane:guardedby rcu=publishLocked
-}
-
-// newSubTable indexes the static peer set.
-func newSubTable(peers []Peer) *subTable {
-	t := &subTable{
-		byChannel: make(map[uint32]map[string]remoteSub),
-		byIP:      make(map[netstack.IPv4]*Peer),
-	}
-	for i := range peers {
-		p := &peers[i]
-		for _, ip := range p.Addrs {
-			t.byIP[ip] = p
-		}
-	}
-	t.publishLocked()
-	return t
-}
-
-// publishLocked rebuilds the read snapshot; callers hold t.mu (or own
-// the table exclusively, as in newSubTable).
-func (t *subTable) publishLocked() {
-	m := make(map[uint32][]remoteSub, len(t.byChannel))
-	for ch, peers := range t.byChannel {
-		list := make([]remoteSub, 0, len(peers))
-		for _, s := range peers {
-			list = append(list, s)
-		}
-		m[ch] = list
-	}
-	t.snap.Store(&m)
-}
-
-// peerByIP resolves the peer owning an address.
-func (t *subTable) peerByIP(ip netstack.IPv4) (*Peer, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	p, ok := t.byIP[ip]
-	return p, ok
-}
-
-// subscribe records a remote subscription.
-func (t *subTable) subscribe(channel uint32, peer *Peer, tech model.Tech) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m, ok := t.byChannel[channel]
+//insane:coldpath control-plane SUB/UNSUB handling, off the data path
+func (r *Runtime) handleControl(h header, src netstack.IPv4) {
+	peer, ok := r.peerByIP[src]
 	if !ok {
-		m = make(map[string]remoteSub)
-		t.byChannel[channel] = m
+		r.warnf("control message from unknown peer %s", src)
+		return
 	}
-	m[peer.Name] = remoteSub{peer: peer, tech: tech}
-	t.publishLocked()
-}
-
-// unsubscribe removes a remote subscription.
-func (t *subTable) unsubscribe(channel uint32, peer *Peer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if m, ok := t.byChannel[channel]; ok {
-		delete(m, peer.Name)
-		if len(m) == 0 {
-			delete(t.byChannel, channel)
+	tech, err := techFromAux(h.aux)
+	if err != nil {
+		r.warnf("control message with bad tech from %s", peer.Name)
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	hops := r.subs[h.channel]
+	at := -1
+	for i := range hops {
+		if hops[i].peer == peer {
+			at = i
+			break
 		}
 	}
-	t.publishLocked()
-}
-
-// subscribers returns the immutable subscription list of a channel.
-// Callers must not mutate the returned slice: it is shared by every
-// reader of the current snapshot.
-func (t *subTable) subscribers(channel uint32) []remoteSub {
-	return (*t.snap.Load())[channel]
-}
-
-// count returns how many peers subscribed to a channel.
-func (t *subTable) count(channel uint32) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.byChannel[channel])
+	switch {
+	case h.kind == kindSub && at >= 0:
+		hops[at] = r.resolveHop(peer, tech)
+	case h.kind == kindSub:
+		hops = append(hops, r.resolveHop(peer, tech))
+	case at < 0:
+		return // UNSUB for a subscription this runtime never had
+	default:
+		hops = append(hops[:at], hops[at+1:]...)
+	}
+	if len(hops) == 0 {
+		delete(r.subs, h.channel)
+	} else {
+		r.subs[h.channel] = hops
+	}
+	r.publishLocked()
 }

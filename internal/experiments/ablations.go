@@ -123,6 +123,13 @@ func AblationThreads(cfg RunConfig) (Report, error) {
 	}, nil
 }
 
+// egressQueue is what AblationTSN drives: the two queue operations the
+// time-aware shaper and the tenant scheduler have in common.
+type egressQueue interface {
+	Enqueue(p *datapath.Packet, now timebase.VTime)
+	Dequeue(dst []*datapath.Packet, now timebase.VTime) int
+}
+
 // AblationTSN drives the 802.1Qbv shaper against plain FIFO under bulk
 // cross traffic and reports the worst-case delay of the time-critical
 // class — the deterministic-behaviour property the TSN QoS buys (§5.3).
@@ -141,13 +148,17 @@ func AblationTSN(RunConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	fifo := sched.NewFIFO()
+	// One queue, no gates: the paper's default FIFO strategy.
+	fifo, err := sched.NewWDRR(nil, nil)
+	if err != nil {
+		return Report{}, err
+	}
 
 	type result struct {
 		worst, sum time.Duration
 		n          int
 	}
-	measure := func(s sched.Scheduler) result {
+	measure := func(s egressQueue) result {
 		var res result
 		dst := make([]*datapath.Packet, 1)
 		const cycleDur = 250 * time.Microsecond

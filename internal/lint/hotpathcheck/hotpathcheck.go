@@ -122,7 +122,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	var roots []root
 
 	// Phase 1a: interface methods carrying //insane:hotpath are
-	// trusted boundaries (sched.Scheduler.Dequeue, timebase.Clock.Now).
+	// trusted boundaries (timebase.Clock.Now, fabric.Doorbell.Ring).
 	// They are exported before any body is scanned, so a body in one
 	// file can call a trusted method declared in another.
 	for _, m := range directive.HotInterfaceMethods(pass.Files, pass.TypesInfo) {

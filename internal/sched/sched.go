@@ -1,7 +1,11 @@
-// Package sched implements INSANE's packet schedulers (§5.3): the default
-// FIFO strategy, which forwards packets "as soon as the user code emits
-// them", and a Time-Sensitive Networking scheduler implementing the IEEE
-// 802.1Qbv time-aware shaper for streams marked time-sensitive.
+// Package sched implements INSANE's packet schedulers (§5.3): the tenant
+// scheduler best-effort traffic goes through (WDRR, wdrr.go — with one
+// tenant and no gate list it is the paper's default FIFO strategy, which
+// forwards packets "as soon as the user code emits them") and a
+// Time-Sensitive Networking scheduler implementing the IEEE 802.1Qbv
+// time-aware shaper for streams marked time-sensitive (TAS). The runtime
+// holds one of each per technology, concretely; each is driven by one
+// polling thread at a time and is not safe for concurrent use on its own.
 //
 // The 802.1Qbv shaper divides time into a repeating cycle described by a
 // gate control list (GCL): each entry opens a subset of the eight traffic
@@ -21,64 +25,6 @@ import (
 
 // NumClasses is the number of 802.1Qbv traffic classes.
 const NumClasses = 8
-
-// Scheduler orders outgoing packets. Implementations are used by exactly
-// one polling thread and need not be safe for concurrent use (§5.3: each
-// datapath is driven by one thread).
-type Scheduler interface {
-	// Enqueue accepts a packet for transmission at virtual time now
-	// (used to account gate waits; FIFO ignores it).
-	//insane:hotpath
-	Enqueue(p *datapath.Packet, now timebase.VTime)
-	// Dequeue fills dst with packets eligible for transmission at
-	// virtual time now and returns how many were written.
-	//insane:hotpath
-	Dequeue(dst []*datapath.Packet, now timebase.VTime) int
-	// Pending returns the number of queued packets.
-	//insane:hotpath
-	Pending() int
-	// NextEvent returns the next virtual time at which more packets may
-	// become eligible (gate opening), or zero when nothing is queued or
-	// everything queued is already eligible.
-	//insane:hotpath
-	NextEvent(now timebase.VTime) timebase.VTime
-}
-
-// FIFO is the default scheduler: strict arrival order, always eligible.
-type FIFO struct {
-	q []*datapath.Packet
-}
-
-var _ Scheduler = (*FIFO)(nil)
-
-// NewFIFO returns an empty FIFO scheduler.
-func NewFIFO() *FIFO { return &FIFO{} }
-
-// Enqueue appends the packet.
-//
-//insane:hotpath
-//lint:ignore insanevet/hotpathcheck append growth is amortized; the queue reaches steady-state capacity
-func (f *FIFO) Enqueue(p *datapath.Packet, _ timebase.VTime) { f.q = append(f.q, p) }
-
-// Dequeue pops up to len(dst) packets in arrival order.
-//
-//insane:hotpath
-func (f *FIFO) Dequeue(dst []*datapath.Packet, _ timebase.VTime) int {
-	n := copy(dst, f.q)
-	remaining := copy(f.q, f.q[n:])
-	//insane:bounded by=zeroes the n entries just popped, n <= len(dst) (the caller's burst)
-	for i := remaining; i < len(f.q); i++ {
-		f.q[i] = nil
-	}
-	f.q = f.q[:remaining]
-	return n
-}
-
-// Pending returns the queue length.
-func (f *FIFO) Pending() int { return len(f.q) }
-
-// NextEvent always returns zero: FIFO packets are immediately eligible.
-func (f *FIFO) NextEvent(timebase.VTime) timebase.VTime { return 0 }
 
 // GCLEntry is one slice of the 802.1Qbv cycle.
 type GCLEntry struct {
@@ -244,8 +190,6 @@ type TAS struct {
 	queues [NumClasses][]queued
 	count  int
 }
-
-var _ Scheduler = (*TAS)(nil)
 
 // NewTAS returns a shaper driven by the given gate control list.
 func NewTAS(gcl GCL) (*TAS, error) {

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
@@ -11,55 +10,6 @@ import (
 
 func pkt(class uint8, vt timebase.VTime) *datapath.Packet {
 	return &datapath.Packet{Class: class, VTime: vt}
-}
-
-func TestFIFOOrder(t *testing.T) {
-	f := NewFIFO()
-	for i := 0; i < 5; i++ {
-		f.Enqueue(pkt(0, timebase.VTime(i)), 0)
-	}
-	if f.Pending() != 5 {
-		t.Fatalf("Pending = %d, want 5", f.Pending())
-	}
-	dst := make([]*datapath.Packet, 3)
-	if n := f.Dequeue(dst, 0); n != 3 {
-		t.Fatalf("Dequeue = %d, want 3", n)
-	}
-	for i, p := range dst {
-		if p.VTime != timebase.VTime(i) {
-			t.Errorf("dst[%d].VTime = %v, want %d", i, p.VTime, i)
-		}
-	}
-	if f.Pending() != 2 {
-		t.Errorf("Pending after partial dequeue = %d, want 2", f.Pending())
-	}
-	rest := make([]*datapath.Packet, 8)
-	if n := f.Dequeue(rest, 0); n != 2 {
-		t.Fatalf("final Dequeue = %d, want 2", n)
-	}
-	if f.NextEvent(0) != 0 {
-		t.Error("FIFO NextEvent must be 0")
-	}
-}
-
-func TestFIFOQuickConservation(t *testing.T) {
-	prop := func(sizes []uint8) bool {
-		f := NewFIFO()
-		total := 0
-		for _, s := range sizes {
-			n := int(s % 8)
-			for i := 0; i < n; i++ {
-				f.Enqueue(pkt(0, 0), 0)
-				total++
-			}
-			dst := make([]*datapath.Packet, int(s%5))
-			total -= f.Dequeue(dst, 0)
-		}
-		return f.Pending() == total
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestGCLValidate(t *testing.T) {
@@ -239,19 +189,6 @@ func TestTASJitterBound(t *testing.T) {
 		for tas.Pending() > 0 {
 			now = timebase.Max(now, tas.NextEvent(now))
 			tas.Dequeue(dst[:1], now)
-		}
-	}
-}
-
-func BenchmarkFIFOEnqueueDequeue(b *testing.B) {
-	f := NewFIFO()
-	dst := make([]*datapath.Packet, 32)
-	p := pkt(0, 0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.Enqueue(p, 0)
-		if i%32 == 31 {
-			f.Dequeue(dst, 0)
 		}
 	}
 }

@@ -54,8 +54,6 @@ type WDRR struct {
 	clock gateClock
 }
 
-var _ Scheduler = (*WDRR)(nil)
-
 // NewWDRR builds a scheduler with one queue per weight entry (weight
 // i serves tenant index i; entries < 1 are clamped to 1). An empty
 // weight list yields a single queue of weight 1 — plain FIFO. A non-nil

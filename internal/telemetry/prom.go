@@ -49,13 +49,11 @@ var histHelp = [NumHists]string{
 	HistSchedDwell:      "Time a packet spends queued in a scheduler before dispatch.",
 	HistTxRingOccupancy: "Session TX ring depth sampled at each drain pass.",
 	HistDispatchBatch:   "Packets per non-empty dispatch batch.",
-	HistDeliverLatency:  "Charged per-sink delivery cost.",
 	HistConsumeLatency:  "End-to-end one-way virtual latency observed at Consume.",
 	HistStageSend:       "Send-stage share of the one-way latency (Fig. 6).",
 	HistStageNetwork:    "Network-stage share of the one-way latency (Fig. 6), of messages charged for the stage.",
 	HistStageRecv:       "Receive-stage share of the one-way latency (Fig. 6).",
 	HistStageProcessing: "Processing-stage share of the one-way latency (Fig. 6), of messages charged for the stage.",
-	HistRTCDeliver:      "Charged cost of one run-to-completion delivery (RTC hop + per-sink cost).",
 }
 
 // CounterMetricName returns the full Prometheus series name of a counter.

@@ -142,8 +142,6 @@ const (
 	// HistDispatchBatch records the packet count of each non-empty
 	// dispatch batch (dimensionless).
 	HistDispatchBatch
-	// HistDeliverLatency records the charged per-sink delivery cost, ns.
-	HistDeliverLatency
 	// HistConsumeLatency records the end-to-end one-way virtual latency
 	// observed at Consume, ns.
 	HistConsumeLatency
@@ -153,9 +151,6 @@ const (
 	HistStageNetwork
 	HistStageRecv
 	HistStageProcessing
-	// HistRTCDeliver records the charged cost of one run-to-completion
-	// delivery (the RTC hop plus the per-sink delivery cost), ns.
-	HistRTCDeliver
 
 	// NumHists sizes the per-shard histogram array.
 	NumHists
@@ -166,13 +161,11 @@ var histNames = [NumHists]string{
 	HistSchedDwell:      "sched_dwell",
 	HistTxRingOccupancy: "txring_occupancy",
 	HistDispatchBatch:   "dispatch_batch",
-	HistDeliverLatency:  "deliver_latency",
 	HistConsumeLatency:  "consume_latency",
 	HistStageSend:       "stage_send",
 	HistStageNetwork:    "stage_network",
 	HistStageRecv:       "stage_recv",
 	HistStageProcessing: "stage_processing",
-	HistRTCDeliver:      "rtc_deliver",
 }
 
 // HistNameOf returns the stable exporter name of a histogram.
