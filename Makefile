@@ -31,8 +31,9 @@ perf-smoke: ## 3 s untraced pass of all four benchmark workloads; fails on a fai
 race: ## run the test suite under the race detector
 	$(GO) test -race ./...
 
-vet: ## run go vet
+vet: ## run go vet; fail on files gofmt would rewrite
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 lint: ## run the insanevet static-analysis suite (see README, "Static analysis"; one rule: go run ./cmd/insanevet -run <rule> ./...)
 	$(GO) run ./cmd/insanevet ./...
@@ -48,7 +49,7 @@ metrics-smoke: ## boot a 2-node cluster, scrape /metrics, check the required ser
 	@for series in insane_emits_total insane_consumes_total \
 	  insane_tx_messages_total insane_rx_messages_total \
 	  insane_consume_latency_seconds_bucket insane_sched_dwell_seconds_bucket \
-	  insane_stage_network_seconds_bucket insane_mempool_gets_total \
+	  insane_emit_pickup_seconds_bucket insane_mempool_gets_total \
 	  insane_mempool_free_slots insane_envcache_events_total \
 	  insane_emit_backpressure_total insane_sched_queue_depth \
 	  insane_rx_malformed_drops_total insane_fabric_drops_total \

@@ -155,8 +155,9 @@ func runIsolation(path string, msgs int, budget time.Duration) error {
 // TSN tenant paces class-7 time-sensitive messages through the default
 // 802.1Qbv schedule while (optionally) a best-effort tenant floods the
 // same node as fast as admission control lets it. The TSN tail comes
-// from the per-tenant consume-latency histogram in Node.Metrics(), i.e.
-// virtual time including the real wall-clock gate waits.
+// from the per-tenant consume-latency histogram in Node.Metrics(): wall
+// clock from Emit admission to Consume return, every message of the
+// time-sensitive stream — gate wait, poller and consumer wake included.
 func measureIsolation(name string, msgs int, flood bool, budget time.Duration) (bench.IsolationResult, error) {
 	cluster, err := insane.NewCluster(insane.ClusterOptions{
 		Nodes: []insane.NodeSpec{{Name: "bench"}},

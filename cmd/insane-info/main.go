@@ -23,7 +23,7 @@ func run(args []string) error {
 	var (
 		testbeds = fs.Bool("testbeds", false, "print only the testbed profiles")
 		qosTable = fs.Bool("qos", false, "print only the QoS mapping table")
-		metrics  = fs.Bool("metrics", false, "boot a 2-node cluster, run traffic, and print its Prometheus /metrics scrape")
+		metrics  = fs.Bool("metrics", false, "boot a 2-node cluster, run traffic, and print its Prometheus /metrics scrape (counters exact; _seconds histograms wall-clock, sampled 1-in-64, every message on time-sensitive streams)")
 		addr     = fs.String("metrics-addr", "127.0.0.1:0", "listen address for -metrics")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -53,10 +53,10 @@ func run() error {
 		fmt.Printf("  %-10s emits=%d consumes=%d tx=%d rx=%d local=%d backpressure=%d\n",
 			n.Name(), m.Emits, m.Consumes, m.TxMessages, m.RxMessages,
 			m.LocalDeliveries, m.EmitBackpressure)
-		if m.ConsumeLatency.Count > 0 {
-			fmt.Printf("  %-10s consume latency p50=%v p99=%v  stages p99: send=%v net=%v recv=%v proc=%v\n",
-				n.Name(), m.ConsumeLatency.P50, m.ConsumeLatency.P99,
-				m.StageSend.P99, m.StageNetwork.P99, m.StageRecv.P99, m.StageProcessing.P99)
+		if m.StageSend.Count+m.StageRecv.Count > 0 {
+			fmt.Printf("  %-10s sampled wall-clock p99: pickup=%v dwell=%v send=%v proc=%v recv=%v (samples: send=%d recv=%d)\n",
+				n.Name(), m.EmitPickup.P99, m.SchedDwell.P99, m.StageSend.P99,
+				m.StageProcessing.P99, m.StageRecv.P99, m.StageSend.Count, m.StageRecv.Count)
 		}
 	}
 

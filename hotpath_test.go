@@ -133,14 +133,18 @@ func TestSteadyStateZeroAllocRemote(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		op()
 	}
+	samples := cluster.Node("b").Metrics().StageRecv.Count
 	var avg float64
 	for attempt := 0; attempt < 2; attempt++ {
-		if avg = testing.AllocsPerRun(200, op); avg == 0 {
+		if avg = testing.AllocsPerRun(gateRuns, op); avg == 0 {
 			break
 		}
 	}
 	if avg != 0 {
 		t.Fatalf("steady-state remote path allocates: %.2f allocs/op, want 0", avg)
+	}
+	if got := cluster.Node("b").Metrics().StageRecv.Count - samples; got < 2 {
+		t.Errorf("the gate saw %d sampled messages cross the fabric, want >= 2", got)
 	}
 	for _, name := range []string{"a", "b"} {
 		if m := cluster.Node(name).Metrics(); m.TechDowngrades != 0 || m.RxMessages == 0 {
@@ -148,6 +152,11 @@ func TestSteadyStateZeroAllocRemote(t *testing.T) {
 		}
 	}
 }
+
+// gateRuns is the op count of one allocation measurement: more than two
+// sampling periods, so each run times sampled messages — clock reads and
+// histogram observations — as well as the 63 in 64 that skip both.
+const gateRuns = 200
 
 // gateZeroAlloc holds one shape — size-byte messages from one source to
 // fanout sinks, queued or run to completion — at 0 allocs/op.
@@ -178,15 +187,19 @@ func gateZeroAlloc(t *testing.T, size, fanout int, rtc bool) {
 	// process with the Go runtime itself (e.g. a background GC starting
 	// mid-run can allocate), so a single nonzero reading gets one
 	// re-check before it fails the build.
+	samples := cluster.Node("a").Metrics().StageRecv.Count
 	var avg float64
 	for attempt := 0; attempt < 2; attempt++ {
-		avg = testing.AllocsPerRun(200, op)
+		avg = testing.AllocsPerRun(gateRuns, op)
 		if avg == 0 {
 			break
 		}
 	}
 	if avg != 0 {
 		t.Fatalf("steady-state publish path allocates: %.2f allocs/op, want 0", avg)
+	}
+	if got := cluster.Node("a").Metrics().StageRecv.Count - samples; got < 2*uint64(fanout) {
+		t.Errorf("the gate saw %d consumed samples, want >= %d: a sampled message's clock reads and observations are inside it", got, 2*fanout)
 	}
 	if rtc {
 		// The gate must have measured the fast path, not a fallback.

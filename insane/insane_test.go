@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/insane"
+	"github.com/insane-mw/insane/internal/telemetry"
 )
 
 // twoNodes builds a two-node cluster where both nodes offer the given
@@ -38,6 +39,14 @@ func waitSubs(t *testing.T, n *insane.Node, channel, k int) {
 
 // consumeWithin pops one delivery with a deadline, the test-side idiom
 // for the context-aware consume call.
+// samplesOf is how many of one source's first n messages feed the latency
+// histograms: the first, then every 64th (DESIGN.md §8). Exact as long as
+// no Emit of the source was refused — a refused Emit consumes a sequence
+// number.
+func samplesOf(n int) uint64 {
+	return uint64((n + telemetry.SamplePeriod - 1) / telemetry.SamplePeriod)
+}
+
 func consumeWithin(k *insane.Sink, d time.Duration) (*insane.Message, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()

@@ -6,11 +6,14 @@ import (
 	"github.com/insane-mw/insane/internal/telemetry"
 )
 
-// LatencyStats summarizes one per-stage latency histogram of a node.
-// Quantiles are upper bounds from a log-linear histogram with at most
-// ~12% relative error per bucket.
+// LatencyStats summarizes one latency histogram of a node: wall-clock
+// intervals between two readings of the node's own clock, sampled 1-in-64
+// per source (every message on time-sensitive streams, none on a stream
+// created WithTelemetry(false)). Quantiles are upper bounds from a
+// log-linear histogram with at most ~12% relative error per bucket.
 type LatencyStats struct {
-	// Count is how many messages were observed.
+	// Count is how many samples were taken — not how many messages
+	// passed: rates come from the counters.
 	Count uint64
 	// Mean is the arithmetic mean latency.
 	Mean time.Duration
@@ -55,8 +58,10 @@ type EnvCacheMetrics struct {
 
 // Metrics is a typed snapshot of one node's runtime telemetry: every
 // pipeline-stage counter and latency histogram the runtime maintains,
-// aggregated over its per-poller shards. Prefer it over parsing the
-// Prometheus endpoint when consuming metrics programmatically.
+// aggregated over its per-poller shards. Counters are exact and count
+// every message; latency histograms are sampled (LatencyStats). Prefer it
+// over parsing the Prometheus endpoint when consuming metrics
+// programmatically.
 type Metrics struct {
 	// Node is the node name the snapshot was taken from.
 	Node string
@@ -92,15 +97,22 @@ type Metrics struct {
 	// now. PollerIdlePasses counts the passes that found no work.
 	PollerParks, PollerWakesTX, PollerWakesRX, PollerWakesGateTimer, PollerIdlePasses uint64
 
-	// Per-stage latency distributions (virtual time, Fig. 6). A stage a
-	// message was never charged for is not observed, so StageNetwork and
-	// StageProcessing count the messages that crossed a wire or were
-	// charged processing — fewer than Consumes on co-located traffic —
-	// while the others count every consumed message.
+	// Per-stage latency distributions: wall-clock, sampled (LatencyStats),
+	// each the interval between two boundaries a sampled message crosses
+	// on this node. EmitPickup is TX-lane push → pop by the poller (the
+	// doorbell and the poller's wake); SchedDwell is scheduler enqueue →
+	// dequeue; StageSend is Emit admission → pushed into a sink ring or
+	// the endpoint's Send returned; StageProcessing is the packet
+	// processing engine framing a message for a technology without its
+	// own network stack; StageRecv is sink-ring push (pick-up from the
+	// endpoint, for a message off the wire) → Consume return;
+	// ConsumeLatency is Emit admission → Consume return of co-located
+	// messages — the sum of their StageSend and StageRecv. No family
+	// spans two nodes: their clocks are not comparable.
+	EmitPickup      LatencyStats
 	SchedDwell      LatencyStats
 	ConsumeLatency  LatencyStats
 	StageSend       LatencyStats
-	StageNetwork    LatencyStats
 	StageRecv       LatencyStats
 	StageProcessing LatencyStats
 
@@ -138,8 +150,10 @@ type TenantMetrics struct {
 	// full sink rings.
 	DroppedBackpressure uint64
 
-	// ConsumeLatency is the end-to-end latency observed by this tenant's
-	// sinks (P999 is the timing-isolation figure of merit).
+	// ConsumeLatency is Emit admission → Consume return of the co-located
+	// messages this tenant's sinks consumed, sampled like the node's
+	// (every message of a time-sensitive stream; P999 is the
+	// timing-isolation figure of merit).
 	ConsumeLatency LatencyStats
 
 	// MemUsed/MemLimit are the slot budget gauges (limit 0 = unlimited).
@@ -204,10 +218,10 @@ func (n *Node) Metrics() Metrics {
 		PollerWakesGateTimer: s.Counters[telemetry.CtrPollerWakesGateTimer],
 		PollerIdlePasses:     s.Counters[telemetry.CtrPollerIdlePasses],
 
+		EmitPickup:      latencyStats(&s.Hists[telemetry.HistEmitPickup]),
 		SchedDwell:      latencyStats(&s.Hists[telemetry.HistSchedDwell]),
 		ConsumeLatency:  latencyStats(&s.Hists[telemetry.HistConsumeLatency]),
 		StageSend:       latencyStats(&s.Hists[telemetry.HistStageSend]),
-		StageNetwork:    latencyStats(&s.Hists[telemetry.HistStageNetwork]),
 		StageRecv:       latencyStats(&s.Hists[telemetry.HistStageRecv]),
 		StageProcessing: latencyStats(&s.Hists[telemetry.HistStageProcessing]),
 

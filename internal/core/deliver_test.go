@@ -13,11 +13,12 @@ import (
 )
 
 // TestSinkTokenSize pins the sink-ring element — the Delivery itself — at
-// 80 bytes: every crossing of a sink ring copies it once in and once out,
-// and every sink carries rxRingDepth of them.
+// 88 bytes, the two stamps of a sampled message included: every crossing
+// of a sink ring copies it once in and once out, and every sink carries
+// rxRingDepth of them.
 func TestSinkTokenSize(t *testing.T) {
-	if size := unsafe.Sizeof(Delivery{}); size > 80 {
-		t.Errorf("Delivery is %d bytes, want <= 80", size)
+	if size := unsafe.Sizeof(Delivery{}); size > 88 {
+		t.Errorf("Delivery is %d bytes, want <= 88", size)
 	}
 }
 
@@ -88,7 +89,7 @@ func TestDeliverAccounting(t *testing.T) {
 			}
 			caller := telemetry.New(1)
 			got := rt.deliver(caller.Shard(0), &Delivery{
-				Slot: slot, Payload: buf[MsgHeadroom : MsgHeadroom+8], Channel: 7,
+				Slot: slot, Payload: buf[MsgHeadroom : MsgHeadroom+8],
 			}, sinks)
 
 			want := tc.sinks - len(tc.full)
@@ -139,8 +140,8 @@ func TestDeliverAccounting(t *testing.T) {
 // TestDeliverSameFromEveryOrigin: a message reaches a channel's sinks by
 // one of three routes — a poller dispatching a queued Emit, the emitting
 // goroutine on a run-to-completion stream, a poller receiving it from a
-// peer — and all three end in the same routine, so payload, channel and
-// the per-sink delivery charge come out the same.
+// peer — and all three end in the same routine, so payload and the
+// per-sink delivery charge come out the same.
 func TestDeliverSameFromEveryOrigin(t *testing.T) {
 	const channel = 9
 	payload := []byte("same bytes, whatever the route")
@@ -187,8 +188,8 @@ func TestDeliverSameFromEveryOrigin(t *testing.T) {
 				if err := consumeWithin(k, &d, 2*time.Second); err != nil {
 					t.Fatalf("sink %d: %v", i, err)
 				}
-				if !bytes.Equal(d.Payload, payload) || d.Channel != channel {
-					t.Errorf("sink %d: payload %q on channel %d", i, d.Payload, d.Channel)
+				if !bytes.Equal(d.Payload, payload) {
+					t.Errorf("sink %d: payload %q", i, d.Payload)
 				}
 				recv[i] = d.Breakdown.Recv
 				k.Release(&d)

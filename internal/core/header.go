@@ -52,7 +52,7 @@ const (
 // header is the INSANE transport header.
 //
 // Layout (16 bytes): magic u16 | version u8 | kind u8 | channel u32 |
-// class u8 | aux u8 | seq u32 | reserved u16.
+// class u8 | aux u8 | seq u32 | flags u8 | reserved u8.
 type header struct {
 	kind    msgKind
 	channel uint32
@@ -63,7 +63,14 @@ type header struct {
 	aux uint8
 	// seq is the source-local sequence number of data messages.
 	seq uint32
+	// sampled carries the source's sampling decision to the receiving
+	// runtime, so both ends of a path time the same message (DESIGN.md §8).
+	sampled bool
 }
+
+// flagSampled is header.sampled on the wire. The other flag bits and the
+// reserved byte are written as zero and ignored when read.
+const flagSampled = 1 << 0
 
 // errBadHeader reports a malformed or foreign INSANE header.
 var errBadHeader = errors.New("core: bad INSANE header")
@@ -78,6 +85,9 @@ func encodeHeader(buf []byte, h header) {
 	buf[9] = h.aux
 	binary.BigEndian.PutUint32(buf[10:14], h.seq)
 	buf[14], buf[15] = 0, 0
+	if h.sampled {
+		buf[14] = flagSampled
+	}
 }
 
 // decodeHeader parses and validates an INSANE header. It returns the
@@ -105,6 +115,7 @@ func decodeHeader(buf []byte) (header, error) {
 		class:   buf[8],
 		aux:     buf[9],
 		seq:     binary.BigEndian.Uint32(buf[10:14]),
+		sampled: buf[14]&flagSampled != 0,
 	}, nil
 }
 

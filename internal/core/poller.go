@@ -35,15 +35,14 @@ type outMeta struct {
 	seq     uint32
 	channel uint32
 	timing  qos.Timing
-	// enqVT is the scheduler-enqueue timestamp on the runtime clock;
-	// dispatch turns it into the scheduler-dwell histogram sample.
-	enqVT timebase.VTime
 	// ten is the emitting session's tenant (nil = default): dispatch
 	// uncharges the in-flight TX token against it.
 	ten *tenant
-	// noTel opts the packet out of the latency histograms (stream-level
-	// WithTelemetry(false); counters still run).
-	noTel bool
+	// sampled, admitT: the token's. enqT is the runtime clock when the
+	// poller popped a sampled token and filed it with the scheduler: one
+	// reading closes emit_pickup and opens sched_dwell.
+	sampled      bool
+	admitT, enqT timebase.VTime
 }
 
 // pktEnv is the pooled envelope of an outgoing packet: the datapath
@@ -169,8 +168,8 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 	// 1. Pull tokens from every session's ring for this technology, in
 	// bursts: one sequence-aware batch pop per ring visit instead of one
 	// CAS per token (opportunistic batching, §6.2). The clock is read
-	// once per pass: it stamps the scheduler-enqueue time of every token
-	// pulled below (dwell accounting) and gates the dequeue.
+	// once per pass: it is the scheduler arrival time of every token
+	// pulled below and gates the dequeue.
 	now := r.clock.Now()
 	pulled := 0
 	//insane:bounded by=one lane per live session in the published view
@@ -215,7 +214,7 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 	p.shard.Observe(telemetry.HistDispatchBatch, int64(n))
 
 	// 3. Dispatch the released packets.
-	r.dispatch(p, st, batch[:n], now)
+	r.dispatch(p, st, batch[:n])
 	return pulled + n
 }
 
@@ -223,8 +222,7 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 // stream's scheduler, charging the scheduling cost. The packet envelope
 // comes from the poller's free list: ownership passes to the scheduler
 // and returns to a poller cache when dispatch recycles it. now is the
-// pass's clock reading; it stamps the dwell accounting and the TAS
-// arrival time.
+// pass's clock reading, the packet's arrival time at the shaper.
 func (r *Runtime) enqueueToken(p *poller, st *techState, tok txToken, now timebase.VTime) {
 	buf, err := r.mm.Buf(tok.slot)
 	if err != nil {
@@ -258,7 +256,11 @@ func (r *Runtime) enqueueToken(p *poller, st *techState, tok txToken, now timeba
 	}
 	env.meta = outMeta{
 		src: tok.src, seq: tok.seq, channel: tok.channel, timing: tok.timing,
-		enqVT: now, ten: tok.ten, noTel: tok.noTel,
+		ten: tok.ten, sampled: tok.sampled, admitT: tok.admitT,
+	}
+	if tok.sampled {
+		env.meta.enqT = r.clock.Now()
+		p.shard.Observe(telemetry.HistEmitPickup, int64(env.meta.enqT.Sub(tok.admitT)))
 	}
 	env.pkt.Charge(&r.rc.Sched, tok.msgLen, 1, r.tb)
 	p.shard.Inc(telemetry.CtrSchedEnqueues)
@@ -272,10 +274,8 @@ func (r *Runtime) enqueueToken(p *poller, st *techState, tok txToken, now timeba
 }
 
 // dispatch fans a batch of packets out to local sinks and remote peers,
-// records outcomes, and recycles the slots and packet envelopes. now is
-// the pass's clock reading, used to close the scheduler-dwell interval
-// opened by enqueueToken.
-func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet, now timebase.VTime) {
+// records outcomes, and recycles the slots and packet envelopes.
+func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet) {
 	routes := r.view.Load().routes
 	//insane:bounded by=batch is the poller's dequeue buffer, sized to burst <= model.MaxBurst
 	for _, pkt := range batch {
@@ -286,8 +286,8 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet, n
 		}
 		meta := &env.meta
 		p.shard.Inc(telemetry.CtrDispatches)
-		if !meta.noTel {
-			p.shard.Observe(telemetry.HistSchedDwell, int64(now.Sub(meta.enqVT)))
+		if meta.sampled {
+			p.shard.Observe(telemetry.HistSchedDwell, int64(r.clock.Now().Sub(meta.enqT)))
 		}
 
 		// Local sinks first: co-located source/sink pairs communicate
@@ -296,7 +296,11 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet, n
 		sinks := route.sinks
 		if len(sinks) > 0 {
 			_ = r.mm.AddRef(pkt.Slot, len(sinks))
-			msg := pktDelivery(pkt, meta.channel)
+			msg := pktDelivery(pkt)
+			if meta.sampled {
+				msg.stamps = stampsLocal
+				msg.admitT = meta.admitT
+			}
 			n := r.deliver(p.shard, &msg, sinks)
 			p.shard.Add(telemetry.CtrLocalDeliveries, uint64(n))
 		}
@@ -307,7 +311,7 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet, n
 		var sendErr error
 		//insane:bounded by=one entry per subscribed peer, fixed by the cluster configuration
 		for i := range route.hops {
-			if err := r.sendToPeer(p, pkt, &route.hops[i].via[st.tech]); err != nil {
+			if err := r.sendToPeer(p, pkt, &route.hops[i].via[st.tech], meta); err != nil {
 				sendErr = err
 				continue
 			}
@@ -337,8 +341,10 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet, n
 // sendToPeer transmits one packet to one subscribed peer over the plane
 // its subscription resolved to (resolveHop). A send on a lower technology
 // than the stream's is counted as a downgrade; a peer with no usable plane
-// fails every send with the same error.
-func (r *Runtime) sendToPeer(p *poller, pkt *datapath.Packet, via *plane) error {
+// fails every send with the same error. A sampled message times the packet
+// processing engine (stage_processing) and, once the endpoint has taken
+// it, closes stage_send.
+func (r *Runtime) sendToPeer(p *poller, pkt *datapath.Packet, via *plane, meta *outMeta) error {
 	if via.downgraded {
 		p.shard.Inc(telemetry.CtrTechDowngrades)
 	}
@@ -359,6 +365,10 @@ func (r *Runtime) sendToPeer(p *poller, pkt *datapath.Packet, via *plane) error 
 	if target.info.NeedsUserStack {
 		// Packet processing engine: frame in place using the slot
 		// headroom (§5.3).
+		var t0 timebase.VTime
+		if meta.sampled {
+			t0 = r.clock.Now()
+		}
 		out.Charge(&r.rc.NetstackTx, out.Len, 1, r.tb)
 		frameLen, err := netstack.EncodeUDP(out.Buf, netstack.FrameMeta{
 			SrcMAC:       target.port.MAC(),
@@ -373,12 +383,18 @@ func (r *Runtime) sendToPeer(p *poller, pkt *datapath.Packet, via *plane) error 
 		out.Off = 0
 		out.Len = frameLen
 		out.Framed = true
+		if meta.sampled {
+			p.shard.Observe(telemetry.HistStageProcessing, int64(r.clock.Now().Sub(t0)))
+		}
 	}
 
 	p.sendVec[0] = out
 	target.mu.Lock()
-	defer target.mu.Unlock()
 	_, err := target.ep.Send(p.sendVec[:], via.dst)
+	target.mu.Unlock()
+	if meta.sampled && err == nil {
+		p.shard.Observe(telemetry.HistStageSend, int64(r.clock.Now().Sub(meta.admitT)))
+	}
 	return err
 }
 
@@ -447,6 +463,12 @@ func (r *Runtime) receiveOne(p *poller, st *techState, pkt *datapath.Packet) {
 	if len(sinks) > 1 {
 		_ = r.mm.AddRef(pkt.Slot, len(sinks)-1)
 	}
-	msg := pktDelivery(pkt, h.channel)
+	msg := pktDelivery(pkt)
+	if h.sampled {
+		// The source sampled this message: it is timed from here on this
+		// runtime's clock, as it was up to Send on the sender's.
+		msg.stamps = stampsRemote
+		msg.pushT = r.clock.Now()
+	}
 	r.deliver(p.shard, &msg, sinks)
 }

@@ -34,7 +34,7 @@ const RTCMaxFanout = 4
 //     fallback deterministic for tests).
 //
 //insane:hotpath
-func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32) bool {
+func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32, sampled bool) bool {
 	rt := s.stream.conn.rt
 	// Sinks and subscribers of the same instant: one view, one route.
 	route := rt.view.Load().routes[s.channel]
@@ -69,7 +69,10 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32) bool {
 		VTime:     b.VTime.Add(hop),
 		Breakdown: bd,
 		Slot:      b.Slot,
-		Channel:   s.channel,
+	}
+	if sampled {
+		msg.stamps = stampsLocal
+		msg.admitT = rt.clock.Now()
 	}
 	delivered := rt.deliver(s.shard, &msg, sinks)
 	s.shard.Add(telemetry.CtrLocalDeliveries, uint64(delivered))

@@ -275,9 +275,10 @@ func TestSteadyStateZeroAllocRTC(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		op()
 	}
+	samples, _ := latencySamples(w.a)
 	var avg float64
 	for attempt := 0; attempt < 2; attempt++ {
-		avg = testing.AllocsPerRun(200, op)
+		avg = testing.AllocsPerRun(gateRuns, op)
 		if avg == 0 {
 			break
 		}
@@ -285,6 +286,7 @@ func TestSteadyStateZeroAllocRTC(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("RTC steady-state path allocates: %.2f allocs/op, want 0", avg)
 	}
+	sampledInsideGate(t, w.a, samples)
 	// Every measured emit must actually have taken the fast path.
 	if s := w.a.Stats(); s.RTCFallbacks != 0 {
 		t.Errorf("RTCFallbacks = %d during the gate, want 0", s.RTCFallbacks)

@@ -299,7 +299,6 @@ func (h *StreamHandle) CreateSource(channel uint32) (*SourceHandle, error) {
 		channel: channel,
 		lane:    lane,
 		shard:   h.conn.rt.tel.AssignShard(),
-		noTel:   h.opts.NoTelemetry,
 		rtc:     h.opts.RunToCompletion,
 		ten:     h.conn.ten,
 		st:      h.conn.rt.techs[h.tech],

@@ -33,20 +33,38 @@ type Delivery struct {
 	VTime timebase.VTime
 	// Breakdown splits VTime by Fig. 6 stage.
 	Breakdown fabric.Breakdown
-	Slot      mempool.SlotID
-	Channel   uint32
+	// admitT and pushT are the stamps of a sampled message, readings of
+	// the delivering runtime's clock: when Emit admitted it, and when it
+	// entered the sink ring — for a message off the wire, when it was
+	// picked up from the endpoint. stamps says which of them hold.
+	admitT, pushT timebase.VTime
+	Slot          mempool.SlotID
+	stamps        stampSet
 }
+
+// stampSet says which clock readings a message carries. The zero value is
+// the unsampled message, whose stamp fields are neither written nor read:
+// a clock that reads zero is a reading like any other.
+type stampSet uint8
+
+const (
+	// stampsLocal marks a sampled message admitted on this runtime:
+	// admitT and pushT hold.
+	stampsLocal stampSet = iota + 1
+	// stampsRemote marks a sampled message off the wire: pushT holds, and
+	// its admission was read from another runtime's clock.
+	stampsRemote
+)
 
 // pktDelivery is the delivery of a data packet: the payload view past the
 // INSANE header, on the packet's clock.
-func pktDelivery(pkt *datapath.Packet, channel uint32) Delivery {
+func pktDelivery(pkt *datapath.Packet) Delivery {
 	off := pkt.Off + HeaderLen
 	return Delivery{
 		Payload:   pkt.Buf[off : off+pkt.Len-HeaderLen],
 		VTime:     pkt.VTime,
 		Breakdown: pkt.Breakdown,
 		Slot:      pkt.Slot,
-		Channel:   channel,
 	}
 }
 
@@ -57,10 +75,15 @@ func pktDelivery(pkt *datapath.Packet, channel uint32) Delivery {
 // sink's ring or, when that ring is full, is released here and the drop
 // counted on the caller's shard and the sink tenant's. It returns how many
 // sinks took the message. msg is the caller's scratch: its clock is
-// rewritten per sink.
+// rewritten per sink. A sampled message admitted here closes stage_send on
+// the caller's shard and carries the reading on as its push stamp.
 //
 //insane:hotpath
 func (r *Runtime) deliver(shard *telemetry.Shard, msg *Delivery, sinks []*SinkHandle) int {
+	if msg.stamps == stampsLocal {
+		msg.pushT = r.clock.Now()
+		shard.Observe(telemetry.HistStageSend, int64(msg.pushT.Sub(msg.admitT)))
+	}
 	delivered := 0
 	vtime, recv := msg.VTime, msg.Breakdown.Recv
 	//insane:bounded by=one entry per sink registered on the channel, fixed by the application
@@ -109,7 +132,9 @@ type SinkHandle struct {
 	closed atomic.Bool   //insane:guardedby atomic
 	// shard is the telemetry stripe Consume records into.
 	shard *telemetry.Shard //insane:guardedby immutable after=CreateSink
-	noTel bool             //insane:guardedby immutable after=CreateSink
+	// noTel is the stream's telemetry opt-out: a sampled message consumed
+	// here closes no interval.
+	noTel bool //insane:guardedby immutable after=CreateSink
 	// ten is the consuming session's tenant (nil = default): Consume
 	// mirrors its counters and latency histogram into the tenant domain.
 	ten *tenant //insane:guardedby immutable after=CreateSink
@@ -123,12 +148,6 @@ func (k *SinkHandle) Available() int { return k.ring.Len() }
 
 // TryConsume pops one delivery into d without blocking (consume_data with
 // the non-blocking flag). On an error d is left as it was.
-//
-// A stage the message was never charged for is not observed: co-located
-// traffic has no network stage, and only a layered middleware charges
-// processing (AddProcessing), so recording their zeros would cost two
-// histogram samples per message and bury the distribution of the messages
-// that did cross a wire — the rule drainTX follows for empty lanes.
 //
 //insane:hotpath
 //insane:acquire resource=mem-slot on=nilerr
@@ -145,22 +164,28 @@ func (k *SinkHandle) TryConsume(d *Delivery) error {
 		ten.shard.Inc(telemetry.CtrConsumes)
 		ten.shard.Add(telemetry.CtrConsumeBytes, uint64(len(d.Payload)))
 	}
-	if !k.noTel {
-		bd := &d.Breakdown
-		k.shard.Observe(telemetry.HistConsumeLatency, int64(d.VTime))
-		k.shard.Observe(telemetry.HistStageSend, int64(bd.Send))
-		if bd.Network != 0 {
-			k.shard.Observe(telemetry.HistStageNetwork, int64(bd.Network))
-		}
-		k.shard.Observe(telemetry.HistStageRecv, int64(bd.Recv))
-		if bd.Processing != 0 {
-			k.shard.Observe(telemetry.HistStageProcessing, int64(bd.Processing))
-		}
-		if ten := k.ten; ten != nil {
-			ten.shard.Observe(telemetry.HistConsumeLatency, int64(d.VTime))
-		}
+	if d.stamps != 0 && !k.noTel {
+		k.closeStamps(d)
 	}
 	return nil
+}
+
+// closeStamps closes the intervals a sampled message has open when it
+// reaches the application: stage_recv from its push stamp and, for a
+// message admitted on this runtime's clock, consume_latency (mirrored
+// into the sink tenant's domain) from its admission stamp.
+//
+//insane:hotpath
+func (k *SinkHandle) closeStamps(d *Delivery) {
+	now := k.stream.conn.rt.clock.Now()
+	k.shard.Observe(telemetry.HistStageRecv, int64(now.Sub(d.pushT)))
+	if d.stamps == stampsLocal {
+		lat := int64(now.Sub(d.admitT))
+		k.shard.Observe(telemetry.HistConsumeLatency, lat)
+		if ten := k.ten; ten != nil {
+			ten.shard.Observe(telemetry.HistConsumeLatency, lat)
+		}
+	}
 }
 
 // Consume pops one delivery into d, waiting until one arrives, cancel is

@@ -19,21 +19,26 @@ import (
 // txToken travels from the client library to the runtime over the
 // per-technology TX rings: slot ids, never bytes (§5.3, Fig. 4).
 type txToken struct {
+	// The four narrow fields share two words: the token is copied into and
+	// out of a ring cell per message, and a lane holds txRingDepth of them.
 	slot    mempool.SlotID
-	msgLen  int // INSANE header + payload
 	channel uint32
-	class   uint8
-	timing  qos.Timing
 	seq     uint32
+	class   uint8
+	// sampled marks a message that feeds the latency histograms (samples);
+	// admitT is then the runtime clock when Emit admitted it and pushed the
+	// token: the reading that opens stage_send, consume_latency and
+	// emit_pickup. Unset and unread on every other message.
+	sampled bool
+	admitT  timebase.VTime
+	msgLen  int // INSANE header + payload
+	timing  qos.Timing
 	src     *SourceHandle
 	vtime   timebase.VTime
 	bd      fabric.Breakdown
 	// ten is the emitting session's tenant (nil = default): the poller
 	// uncharges the in-flight TX token and tags the packet with it.
 	ten *tenant
-	// noTel opts the message out of the latency histograms (stream-level
-	// telemetry opt-out; counters still run).
-	noTel bool
 }
 
 // Buffer is a zero-copy send buffer borrowed from the runtime memory
@@ -82,7 +87,6 @@ type SourceHandle struct {
 	// shard is the telemetry stripe Emit records into; assigned
 	// round-robin at creation so concurrent publishers spread out.
 	shard *telemetry.Shard //insane:guardedby immutable after=CreateSource
-	noTel bool             //insane:guardedby immutable after=CreateSource
 	// rtc opts Emit into the run-to-completion fast path (DESIGN.md §11).
 	rtc bool //insane:guardedby immutable after=CreateSource
 	// ten caches the session's tenant binding (nil = default tenant) so
@@ -146,6 +150,17 @@ func (s *SourceHandle) Abort(b *Buffer) {
 	}
 }
 
+// samples decides, once and at admission, whether the source's seq-th
+// message feeds the latency histograms (DESIGN.md §8): the first and then
+// every telemetry.SamplePeriod-th, every message of a time-sensitive
+// stream (few by nature, and their tail is what the timing guarantee is
+// stated against), none of a stream that opted out. The decision travels
+// with the message; no later boundary makes its own.
+func (s *SourceHandle) samples(seq uint32) bool {
+	st := s.stream
+	return !st.opts.NoTelemetry && (st.opts.Timing == qos.TimingSensitive || (seq-1)&(telemetry.SamplePeriod-1) == 0)
+}
+
 // Emit hands n payload bytes of the buffer to the runtime for
 // transmission (emit_data) and returns the sequence number usable with
 // Outcome. Ownership of the slot passes to the runtime and b is cleared;
@@ -162,8 +177,9 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 		return 0, ErrEmitRange
 	}
 	seq := s.seq.Add(1)
+	sampled := s.samples(seq)
 	if s.rtc {
-		if s.emitRTC(b, n, seq) {
+		if s.emitRTC(b, n, seq, sampled) {
 			return seq, nil
 		}
 		// A precondition failed (remote subscriber, fanout over budget,
@@ -185,6 +201,7 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 		channel: s.channel,
 		class:   st.opts.Class,
 		seq:     seq,
+		sampled: sampled,
 	})
 	tok := txToken{
 		slot:    b.Slot,
@@ -197,7 +214,10 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 		vtime:   b.VTime,
 		bd:      b.Breakdown,
 		ten:     s.ten,
-		noTel:   s.noTel,
+		sampled: sampled,
+	}
+	if sampled {
+		tok.admitT = s.stream.conn.rt.clock.Now()
 	}
 	// The IPC hop: the token crosses the client→runtime ring.
 	ipc := s.stream.conn.rt.rc.IPCTx

@@ -229,6 +229,9 @@ func TestStatsAccumulate(t *testing.T) {
 		}
 		localSink.Release(&dl)
 	}
+	// A's poller counts a send once the endpoint has returned, which B's
+	// consumer can beat to the message.
+	eventually(func() bool { return w.a.Stats().TxMessages >= n })
 	sa, sb := w.a.Stats(), w.b.Stats()
 	if sa.TxMessages != n {
 		t.Errorf("A TxMessages = %d, want %d", sa.TxMessages, n)

@@ -321,7 +321,7 @@ func (m *Manager) Release(id SlotID) error {
 // the ring cannot tell from full or empty. Taking that at face value
 // leaks every slot released, or fails every borrow, until the stalled
 // goroutine runs again. The two slow paths below compare against Len,
-// which counts claimed cells, and wait the stall out.
+// which counts the cells claimed at one instant, and wait the stall out.
 
 // pushFreeContended returns a slot index to the free ring after a failed
 // TryPush. The ring holds every index at most once and its capacity is at

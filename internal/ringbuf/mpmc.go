@@ -260,16 +260,24 @@ func (q *MPMC[T]) PopBatch(dst []T) int {
 	}
 }
 
-// Len returns a snapshot of the number of buffered elements.
+// Len returns the number of elements buffered — cells claimed by a push
+// and not yet claimed by a pop — at one instant of the call. head is read
+// on both sides of tail and the pair kept only if it did not move: head
+// only grows, so it then had that value when tail was read. Two
+// independent loads are not a snapshot: a caller descheduled between them
+// subtracts a head that has since run past its tail and reads a ring that
+// is nearly full as empty (the mempool's exhausted-class test did).
+//
+//insane:hotpath
 func (q *MPMC[T]) Len() int {
-	d := int64(q.tail.Load()) - int64(q.head.Load())
-	if d < 0 {
-		d = 0
+	//insane:bounded by=lock-free retry: head moved, so a consumer made progress
+	for {
+		head := q.head.Load()
+		tail := q.tail.Load()
+		if q.head.Load() == head {
+			return int(tail - head)
+		}
 	}
-	if d > int64(len(q.cells)) {
-		d = int64(len(q.cells))
-	}
-	return int(d)
 }
 
 // Cap returns the ring capacity.

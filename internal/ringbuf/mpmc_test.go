@@ -618,6 +618,65 @@ func BenchmarkMPMCPushPopWide(b *testing.B) {
 	}
 }
 
+// TestMPMCLenStaysInsideOccupancyBand: Len is the occupancy of one
+// instant. Each worker pops one element and pushes it back, so at every
+// instant at most one element per worker is out of a ring that started
+// with fill: the true occupancy never leaves [fill-workers, fill], and no
+// Len read beside them may either. A Len built from two unrelated loads
+// reads far below the band when its caller is preempted between them — as
+// far as empty, which is how the mempool saw an exhausted class with most
+// of it free.
+func TestMPMCLenStaysInsideOccupancyBand(t *testing.T) {
+	const (
+		workers = 4
+		fill    = 48
+		rounds  = 20000
+	)
+	q, err := NewMPMC[int](64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < fill; i++ {
+		q.TryPush(i)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				v, ok := q.TryPop()
+				for !ok { // a neighbour has claimed the cell and not yet published it
+					runtime.Gosched()
+					v, ok = q.TryPop()
+				}
+				for !q.TryPush(v) {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	reads := 0
+	for running := true; running; reads++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if n := q.Len(); n < fill-workers || n > fill {
+			t.Fatalf("read %d: Len = %d, outside the occupancy band [%d, %d]", reads, n, fill-workers, fill)
+		}
+		if reads%64 == 0 {
+			runtime.Gosched() // let the workers run on a small box
+		}
+	}
+	if n := q.Len(); n != fill {
+		t.Errorf("Len = %d after the workers stopped, want %d", n, fill)
+	}
+}
+
 func BenchmarkMPMCBatch16(b *testing.B) {
 	q, _ := NewMPMC[uint64](1024)
 	src := make([]uint64, 16)

@@ -4,8 +4,8 @@
 // nanoseconds to tens of seconds with bounded (~12%) relative error and
 // O(1) recording — one bit-scan plus two atomic adds (the bucket and the
 // sum), no allocation, no locks. This is what lets every pipeline stage
-// keep an always-on latency distribution without breaking the hot path's
-// 0 allocs/op discipline (DESIGN.md §8).
+// keep a latency distribution of its sampled messages without breaking
+// the hot path's 0 allocs/op discipline (DESIGN.md §8).
 
 package telemetry
 

@@ -44,16 +44,19 @@ var counterHelp = [NumCounters]string{
 	CtrPollerIdlePasses:     "Polling passes that found no work.",
 }
 
+// sampledHelp closes the help text of every latency family.
+var sampledHelp = fmt.Sprintf(" Wall-clock, sampled 1-in-%d (every message on time-sensitive streams); _count is samples, not messages: rates come from the counters.", SamplePeriod)
+
 // histHelp documents each histogram.
 var histHelp = [NumHists]string{
-	HistSchedDwell:      "Time a packet spends queued in a scheduler before dispatch.",
+	HistSchedDwell:      "Scheduler enqueue to dequeue." + sampledHelp,
 	HistTxRingOccupancy: "Session TX ring depth sampled at each drain pass.",
 	HistDispatchBatch:   "Packets per non-empty dispatch batch.",
-	HistConsumeLatency:  "End-to-end one-way virtual latency observed at Consume.",
-	HistStageSend:       "Send-stage share of the one-way latency (Fig. 6).",
-	HistStageNetwork:    "Network-stage share of the one-way latency (Fig. 6), of messages charged for the stage.",
-	HistStageRecv:       "Receive-stage share of the one-way latency (Fig. 6).",
-	HistStageProcessing: "Processing-stage share of the one-way latency (Fig. 6), of messages charged for the stage.",
+	HistConsumeLatency:  "Emit admission to Consume return, co-located messages only." + sampledHelp,
+	HistStageSend:       "Emit admission to hand-over: pushed into a sink ring, or the endpoint's Send returned." + sampledHelp,
+	HistStageRecv:       "Sink-ring push (pick-up from the endpoint for a message off the wire) to Consume return." + sampledHelp,
+	HistStageProcessing: "Packet processing engine framing a message for a technology without its own network stack." + sampledHelp,
+	HistEmitPickup:      "TX-lane push to pop by the poller: the doorbell and the poller's wake." + sampledHelp,
 }
 
 // CounterMetricName returns the full Prometheus series name of a counter.

@@ -125,6 +125,17 @@ func TestWritePromFormat(t *testing.T) {
 		prev = v
 	}
 
+	// Every latency family says what its _count counts; the families are
+	// the ones a stamp pair feeds.
+	for h := HistID(0); h < NumHists; h++ {
+		if sampled := strings.Contains(HistHelp(h), "sampled 1-in-64"); sampled != LatencyHist(h) {
+			t.Errorf("%s: help %q, latency family = %v", HistMetricName(h), HistHelp(h), LatencyHist(h))
+		}
+	}
+	if !strings.Contains(text, "# TYPE insane_emit_pickup_seconds histogram") || strings.Contains(text, "stage_network") {
+		t.Error("scrape must carry emit_pickup and no stage_network family")
+	}
+
 	// HELP/TYPE present exactly once per metric family.
 	for _, fam := range []string{"insane_emits_total", "insane_consume_latency_seconds", "insane_envcache_events_total"} {
 		if n := strings.Count(text, fmt.Sprintf("# TYPE %s ", fam)); n != 1 {

@@ -129,12 +129,22 @@ func NameOf(c CounterID) string { return counterNames[c] }
 
 // HistID enumerates the per-stage histograms. Latency histograms record
 // nanoseconds; size histograms record dimensionless quantities.
+//
+// Every latency family is the difference of two readings of one runtime's
+// clock, taken at the two boundaries it names, and is fed only by sampled
+// messages: one in SamplePeriod per source, every message of a
+// time-sensitive stream, none of a stream that opted out. Its sample
+// count is therefore not a message count — rates come from the counters.
 type HistID int
+
+// SamplePeriod is how many messages of one source share one latency
+// sample: the source's first message, then every SamplePeriod-th. A power
+// of two, so the admission test is a mask.
+const SamplePeriod = 64
 
 // Pipeline-stage histograms (the §6 per-stage breakdown, live).
 const (
-	// HistSchedDwell is the time a packet spends between scheduler
-	// enqueue and dispatch (runtime clock), ns.
+	// HistSchedDwell is scheduler enqueue → dequeue, ns.
 	HistSchedDwell HistID = iota
 	// HistTxRingOccupancy samples a session TX ring's depth at each
 	// drain pass (dimensionless).
@@ -142,15 +152,22 @@ const (
 	// HistDispatchBatch records the packet count of each non-empty
 	// dispatch batch (dimensionless).
 	HistDispatchBatch
-	// HistConsumeLatency records the end-to-end one-way virtual latency
-	// observed at Consume, ns.
+	// HistConsumeLatency is Emit admission → Consume return of co-located
+	// messages, ns (a message off the wire was admitted on another
+	// runtime's clock and is not recorded).
 	HistConsumeLatency
-	// HistStageSend/Network/Recv/Processing split HistConsumeLatency by
-	// Fig. 6 stage, ns.
+	// HistStageSend is Emit admission → handed to a sink ring or, for a
+	// remote subscriber, return of the endpoint's Send, ns.
 	HistStageSend
-	HistStageNetwork
+	// HistStageRecv is sink-ring push — for a message off the wire, its
+	// pick-up from the endpoint — → Consume return, ns.
 	HistStageRecv
+	// HistStageProcessing is the packet processing engine framing a
+	// message for a technology without a network stack of its own, ns.
 	HistStageProcessing
+	// HistEmitPickup is TX-lane push → pop by the poller, ns: the
+	// doorbell and the poller's wake.
+	HistEmitPickup
 
 	// NumHists sizes the per-shard histogram array.
 	NumHists
@@ -163,9 +180,9 @@ var histNames = [NumHists]string{
 	HistDispatchBatch:   "dispatch_batch",
 	HistConsumeLatency:  "consume_latency",
 	HistStageSend:       "stage_send",
-	HistStageNetwork:    "stage_network",
 	HistStageRecv:       "stage_recv",
 	HistStageProcessing: "stage_processing",
+	HistEmitPickup:      "emit_pickup",
 }
 
 // HistNameOf returns the stable exporter name of a histogram.

@@ -40,6 +40,7 @@ type Meta struct {
 type Handler func(payload []byte, meta Meta)
 
 // MoM is a decentralized publisher/subscriber endpoint.
+//
 //insane:shared
 type MoM struct {
 	sess   *insane.Session //insane:guardedby immutable after=New

@@ -56,6 +56,7 @@ func StreamChannel(name string) int {
 }
 
 // Server is the sender side (lnr_s_open_server).
+//
 //insane:shared
 type Server struct {
 	sess    *insane.Session //insane:guardedby immutable after=OpenServer
@@ -194,6 +195,7 @@ type Frame struct {
 }
 
 // Client is the receiver side (lnr_s_connect).
+//
 //insane:shared
 type Client struct {
 	sess   *insane.Session //insane:guardedby immutable after=Connect
