@@ -50,7 +50,7 @@ metrics-smoke: ## boot a 2-node cluster, scrape /metrics, check the required ser
 	  insane_tx_messages_total insane_rx_messages_total \
 	  insane_consume_latency_seconds_bucket insane_sched_dwell_seconds_bucket \
 	  insane_emit_pickup_seconds_bucket insane_mempool_gets_total \
-	  insane_mempool_free_slots insane_envcache_events_total \
+	  insane_mempool_free_slots \
 	  insane_emit_backpressure_total insane_sched_queue_depth \
 	  insane_rx_malformed_drops_total insane_fabric_drops_total \
 	  insane_rx_alloc_drops_total insane_poller_parks_total \

@@ -49,9 +49,11 @@ type MempoolMetrics struct {
 	Classes                  []MempoolClass
 }
 
-// EnvCacheMetrics reports the pollers' packet-envelope free lists
-// (hit/refill/miss/recycle/drop), the runtime-internal analogue of a
-// DPDK mempool cache.
+// EnvCacheMetrics reported the pollers' packet-envelope free lists.
+//
+// Deprecated: the runtime pools nothing between Emit and dispatch — a
+// queued message is its token — so every field is always zero. The type
+// stays only until the repository benchmark stops reading it.
 type EnvCacheMetrics struct {
 	Hits, Refills, Misses, Recycles, Drops uint64
 }
@@ -120,7 +122,8 @@ type Metrics struct {
 	TxRingOccupancy DistStats
 	DispatchBatch   DistStats
 
-	Mempool  MempoolMetrics
+	Mempool MempoolMetrics
+	// Deprecated: always zero, see EnvCacheMetrics.
 	EnvCache EnvCacheMetrics
 	// SchedQueueDepth is the packets parked in the schedulers at
 	// snapshot time.
@@ -232,13 +235,6 @@ func (n *Node) Metrics() Metrics {
 			Gets:     s.Mempool.Gets,
 			Failures: s.Mempool.Failures,
 			Releases: s.Mempool.Releases,
-		},
-		EnvCache: EnvCacheMetrics{
-			Hits:     s.EnvCache.Hits,
-			Refills:  s.EnvCache.Refills,
-			Misses:   s.EnvCache.Misses,
-			Recycles: s.EnvCache.Recycles,
-			Drops:    s.EnvCache.Drops,
 		},
 		SchedQueueDepth: s.SchedQueueDepth,
 	}

@@ -257,7 +257,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"insane_emits_total", "insane_consumes_total", "insane_tx_messages_total",
 		"insane_rx_messages_total", "insane_emit_backpressure_total",
 		"insane_mempool_gets_total", "insane_mempool_free_slots",
-		"insane_envcache_events_total", "insane_sched_queue_depth",
+		"insane_sched_queue_depth",
 	} {
 		if _, ok := series[want]; !ok {
 			t.Errorf("series %s missing from scrape", want)

@@ -22,6 +22,15 @@ func TestSinkTokenSize(t *testing.T) {
 	}
 }
 
+// TestTxTokenSize pins the TX token at 128 bytes: it is the one record of
+// a queued message, copied by value into the lane ring, the scheduler queue
+// and the poller's batch, and a lane holds txRingDepth of them.
+func TestTxTokenSize(t *testing.T) {
+	if size := unsafe.Sizeof(txToken{}); size > 128 {
+		t.Errorf("txToken is %d bytes, want <= 128", size)
+	}
+}
+
 // TestDeliverAccounting drives the one delivery routine directly: for
 // every fan-out and every pattern of full sink rings, each sink either
 // gets the token (and one wake) or has its reference released and its

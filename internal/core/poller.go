@@ -28,33 +28,6 @@ import (
 // long-closed gate) still sleep and leave the CPU alone.
 const gateSpinHorizon = time.Millisecond
 
-// outMeta rides along an outgoing packet to report its fate back to the
-// emitting source.
-type outMeta struct {
-	src     *SourceHandle
-	seq     uint32
-	channel uint32
-	timing  qos.Timing
-	// ten is the emitting session's tenant (nil = default): dispatch
-	// uncharges the in-flight TX token against it.
-	ten *tenant
-	// sampled, admitT: the token's. enqT is the runtime clock when the
-	// poller popped a sampled token and filed it with the scheduler: one
-	// reading closes emit_pickup and opens sched_dwell.
-	sampled      bool
-	admitT, enqT timebase.VTime
-}
-
-// pktEnv is the pooled envelope of an outgoing packet: the datapath
-// packet and its metadata travel together so one free-list recycle
-// covers both (the DPDK mbuf idiom — metadata lives in the buffer
-// descriptor, not in a companion allocation). The packet's Ctx points
-// back at the envelope so dispatch can recycle it.
-type pktEnv struct {
-	pkt  datapath.Packet
-	meta outMeta
-}
-
 // pollLoop is the body of one polling thread: poll while there is work;
 // on a pass without work arm the doorbell (parked), poll once more, and
 // only then block. A ringer publishes its work before it reads parked and
@@ -193,7 +166,7 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 			}
 			//insane:bounded by=n <= len(p.toks), the per-poller burst buffer (<= model.MaxBurst)
 			for i := 0; i < n; i++ {
-				r.enqueueToken(p, st, p.toks[i], now)
+				r.enqueueToken(p, st, &p.toks[i], now)
 			}
 			pulled += n
 		}
@@ -203,103 +176,97 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 	// time-aware shaper goes first: its packets carry the hard timing
 	// contract, so a burst never fills up with best-effort traffic while
 	// a gate-open TSN packet waits.
-	batch := p.batch
+	batch, waits := p.batch, p.waits
 	st.schedMu.Lock()
-	n := st.tas.Dequeue(batch, now)
-	n += st.wdrr.Dequeue(batch[n:], now)
+	n := st.tas.Dequeue(batch, waits, now)
+	n += st.wdrr.Dequeue(batch[n:], waits[n:], now)
 	st.schedMu.Unlock()
 	if n == 0 {
 		return pulled
 	}
 	p.shard.Observe(telemetry.HistDispatchBatch, int64(n))
 
-	// 3. Dispatch the released packets.
-	r.dispatch(p, st, batch[:n])
+	// 3. Dispatch the released messages.
+	r.dispatch(p, st, batch[:n], waits[:n])
 	return pulled + n
 }
 
-// enqueueToken converts a TX token into a packet and files it with the
-// stream's scheduler, charging the scheduling cost. The packet envelope
-// comes from the poller's free list: ownership passes to the scheduler
-// and returns to a poller cache when dispatch recycles it. now is the
-// pass's clock reading, the packet's arrival time at the shaper.
-func (r *Runtime) enqueueToken(p *poller, st *techState, tok txToken, now timebase.VTime) {
-	buf, err := r.mm.Buf(tok.slot)
-	if err != nil {
-		// The slot died between Emit and drain (its session was reclaimed);
-		// nothing to send. The tenant's TX token is done traveling either
-		// way, and the discard is counted like dropConn's reclaim of a
-		// token it finds still queued: same cause, other side of the race.
-		if tok.ten != nil {
-			tok.ten.unchargeTX()
-		}
-		p.shard.Inc(telemetry.CtrTxReclaims)
-		tok.src.recordOutcome(Outcome{Seq: tok.seq, Err: err})
-		return
-	}
-	var tenIdx uint16
-	if tok.ten != nil {
-		tenIdx = uint16(tok.ten.index)
-	}
-	env := p.envs.Get()
-	env.pkt = datapath.Packet{
-		Slot:      tok.slot,
-		Buf:       buf,
-		Off:       headroomOffset,
-		Len:       tok.msgLen,
-		Class:     tok.class,
-		Tenant:    tenIdx,
-		Src:       st.local,
-		VTime:     tok.vtime,
-		Breakdown: tok.bd,
-		Ctx:       env,
-	}
-	env.meta = outMeta{
-		src: tok.src, seq: tok.seq, channel: tok.channel, timing: tok.timing,
-		ten: tok.ten, sampled: tok.sampled, admitT: tok.admitT,
-	}
+// enqueueToken files a TX token with the stream's scheduler, charging the
+// scheduling cost. The token is the queued message: the scheduler holds it
+// by value until dispatch. now is the pass's clock reading, the message's
+// arrival time at the shaper.
+func (r *Runtime) enqueueToken(p *poller, st *techState, tok *txToken, now timebase.VTime) {
 	if tok.sampled {
-		env.meta.enqT = r.clock.Now()
-		p.shard.Observe(telemetry.HistEmitPickup, int64(env.meta.enqT.Sub(tok.admitT)))
+		tok.enqT = r.clock.Now()
+		p.shard.Observe(telemetry.HistEmitPickup, int64(tok.enqT.Sub(tok.admitT)))
 	}
-	env.pkt.Charge(&r.rc.Sched, tok.msgLen, 1, r.tb)
+	// The scheduling decision is a Send-stage cost, like the IPC hop.
+	d := r.rc.Sched.Latency(tok.msgLen, r.tb)
+	tok.vtime = tok.vtime.Add(d)
+	tok.bd.Send += d
 	p.shard.Inc(telemetry.CtrSchedEnqueues)
 	st.schedMu.Lock()
 	if tok.timing == qos.TimingSensitive {
-		st.tas.Enqueue(&env.pkt, now)
+		st.tas.Enqueue(*tok, tok.class, now)
 	} else {
-		st.wdrr.Enqueue(&env.pkt, now)
+		tenIdx := 0
+		if tok.ten != nil {
+			tenIdx = tok.ten.index
+		}
+		st.wdrr.Enqueue(*tok, tenIdx, tok.class, tok.msgLen, now)
 	}
 	st.schedMu.Unlock()
 }
 
-// dispatch fans a batch of packets out to local sinks and remote peers,
-// records outcomes, and recycles the slots and packet envelopes.
-func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet) {
+// dispatch fans a batch of released messages out to local sinks and remote
+// peers, records outcomes and settles each token: its slot reference and
+// its tenant's in-flight charge. waits[i] is what batch[i] waited in the
+// scheduler on the pass clock: virtual latency of the Send stage. This is
+// the one place an outgoing message's slot is looked up, so it is also
+// where a slot that died since Emit is found out.
+func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []time.Duration) {
 	routes := r.view.Load().routes
 	//insane:bounded by=batch is the poller's dequeue buffer, sized to burst <= model.MaxBurst
-	for _, pkt := range batch {
-		env, ok := pkt.Ctx.(*pktEnv)
-		if !ok {
-			_ = r.mm.Release(pkt.Slot)
+	for i := range batch {
+		tok := &batch[i]
+		route := routes[tok.channel]
+		sinks := route.sinks
+		buf, err := r.mm.Buf(tok.slot)
+		if err == nil && len(sinks) > 0 {
+			// One reference per local sink on top of the token's own.
+			err = r.mm.AddRef(tok.slot, len(sinks))
+		}
+		if err != nil {
+			// The slot is not live (it was released behind the runtime's
+			// back): nothing to send. The tenant's TX token is done
+			// traveling either way, and the discard is counted like
+			// dropConn's reclaim of a token it finds still queued.
+			if tok.ten != nil {
+				tok.ten.unchargeTX()
+			}
+			p.shard.Inc(telemetry.CtrTxReclaims)
+			tok.src.recordOutcome(Outcome{Seq: tok.seq, Err: err})
 			continue
 		}
-		meta := &env.meta
 		p.shard.Inc(telemetry.CtrDispatches)
-		if meta.sampled {
-			p.shard.Observe(telemetry.HistSchedDwell, int64(r.clock.Now().Sub(meta.enqT)))
+		if tok.sampled {
+			p.shard.Observe(telemetry.HistSchedDwell, int64(r.clock.Now().Sub(tok.enqT)))
 		}
+		tok.vtime = tok.vtime.Add(waits[i])
+		tok.bd.Send += waits[i]
 
 		// Local sinks first: co-located source/sink pairs communicate
 		// through shared memory directly (§5.1).
-		route := routes[meta.channel]
-		sinks := route.sinks
 		if len(sinks) > 0 {
-			_ = r.mm.AddRef(pkt.Slot, len(sinks))
-			msg := pktDelivery(pkt)
-			if meta.sampled {
+			msg := Delivery{
+				Payload:   buf[MsgHeadroom : headroomOffset+tok.msgLen],
+				VTime:     tok.vtime,
+				Breakdown: tok.bd,
+				Slot:      tok.slot,
+			}
+			if tok.sampled {
 				msg.stamps = stampsLocal
-				msg.admitT = meta.admitT
+				msg.admitT = tok.admitT
 			}
 			n := r.deliver(p.shard, &msg, sinks)
 			p.shard.Add(telemetry.CtrLocalDeliveries, uint64(n))
@@ -310,15 +277,15 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet) {
 		sent := 0
 		var sendErr error
 		//insane:bounded by=one entry per subscribed peer, fixed by the cluster configuration
-		for i := range route.hops {
-			if err := r.sendToPeer(p, pkt, &route.hops[i].via[st.tech], meta); err != nil {
+		for h := range route.hops {
+			if err := r.sendToPeer(p, st, tok, buf, &route.hops[h].via[st.tech]); err != nil {
 				sendErr = err
 				continue
 			}
 			sent++
 		}
-		meta.src.recordOutcome(Outcome{
-			Seq:         meta.seq,
+		tok.src.recordOutcome(Outcome{
+			Seq:         tok.seq,
 			LocalSinks:  len(sinks),
 			RemotePeers: sent,
 			Err:         sendErr,
@@ -328,23 +295,20 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet) {
 		}
 		// The message left the scheduler: its in-flight TX token returns
 		// to the emitting tenant.
-		if meta.ten != nil {
-			meta.ten.unchargeTX()
+		if tok.ten != nil {
+			tok.ten.unchargeTX()
 		}
-		_ = r.mm.Release(pkt.Slot)
-		env.pkt.Buf = nil
-		env.pkt.Ctx = nil
-		p.envs.Put(env)
+		_ = r.mm.Release(tok.slot)
 	}
 }
 
-// sendToPeer transmits one packet to one subscribed peer over the plane
+// sendToPeer transmits one message to one subscribed peer over the plane
 // its subscription resolved to (resolveHop). A send on a lower technology
 // than the stream's is counted as a downgrade; a peer with no usable plane
 // fails every send with the same error. A sampled message times the packet
 // processing engine (stage_processing) and, once the endpoint has taken
 // it, closes stage_send.
-func (r *Runtime) sendToPeer(p *poller, pkt *datapath.Packet, via *plane, meta *outMeta) error {
+func (r *Runtime) sendToPeer(p *poller, st *techState, tok *txToken, buf []byte, via *plane) error {
 	if via.downgraded {
 		p.shard.Inc(telemetry.CtrTechDowngrades)
 	}
@@ -353,20 +317,27 @@ func (r *Runtime) sendToPeer(p *poller, pkt *datapath.Packet, via *plane, meta *
 	}
 	target := via.target
 
-	// Per-peer packet copy: charges and framing are destination-specific
-	// while the slot bytes are shared (the wire copies on Transmit). The
-	// copy lives in the poller's scratch, not on the heap: every plugin
-	// Send is synchronous and the fabric copies frame bytes, so the
-	// scratch is free again when Send returns.
+	// Per-peer packet: charges and framing are destination-specific while
+	// the slot bytes are shared (the wire copies on Transmit). It lives in
+	// the poller's scratch, not on the heap: every endpoint Send is
+	// synchronous and the fabric copies frame bytes, so the scratch is free
+	// again when Send returns.
 	out := &p.sendPkt
-	*out = *pkt
-	out.Ctx = nil
+	*out = datapath.Packet{
+		Slot:      tok.slot,
+		Buf:       buf,
+		Off:       headroomOffset,
+		Len:       tok.msgLen,
+		Src:       st.local,
+		VTime:     tok.vtime,
+		Breakdown: tok.bd,
+	}
 
 	if target.info.NeedsUserStack {
 		// Packet processing engine: frame in place using the slot
 		// headroom (§5.3).
 		var t0 timebase.VTime
-		if meta.sampled {
+		if tok.sampled {
 			t0 = r.clock.Now()
 		}
 		out.Charge(&r.rc.NetstackTx, out.Len, 1, r.tb)
@@ -375,7 +346,7 @@ func (r *Runtime) sendToPeer(p *poller, pkt *datapath.Packet, via *plane, meta *
 			DstMAC:       via.dstMAC,
 			Src:          target.local,
 			Dst:          via.dst,
-			TrafficClass: out.Class,
+			TrafficClass: tok.class,
 		}, out.Len, target.port.MTU())
 		if err != nil {
 			return err
@@ -383,7 +354,7 @@ func (r *Runtime) sendToPeer(p *poller, pkt *datapath.Packet, via *plane, meta *
 		out.Off = 0
 		out.Len = frameLen
 		out.Framed = true
-		if meta.sampled {
+		if tok.sampled {
 			p.shard.Observe(telemetry.HistStageProcessing, int64(r.clock.Now().Sub(t0)))
 		}
 	}
@@ -392,8 +363,8 @@ func (r *Runtime) sendToPeer(p *poller, pkt *datapath.Packet, via *plane, meta *
 	target.mu.Lock()
 	_, err := target.ep.Send(p.sendVec[:], via.dst)
 	target.mu.Unlock()
-	if meta.sampled && err == nil {
-		p.shard.Observe(telemetry.HistStageSend, int64(r.clock.Now().Sub(meta.admitT)))
+	if tok.sampled && err == nil {
+		p.shard.Observe(telemetry.HistStageSend, int64(r.clock.Now().Sub(tok.admitT)))
 	}
 	return err
 }

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/telemetry"
 )
 
@@ -60,9 +61,11 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32, sampled bool) bool 
 	bd := b.Breakdown
 	bd.Send += hop
 
-	// One reference per sink on top of the emitter's own, released below.
-	// A consumer-side race may still fill a ring after the advisory check
-	// above; deliver drops and counts that delivery like any other.
+	// The slot is the runtime's from here (Emit), then one reference per
+	// sink on top of the emitter's own, released below. A consumer-side
+	// race may still fill a ring after the advisory check above; deliver
+	// drops and counts that delivery like any other.
+	rt.mm.SetOwner(b.Slot, mempool.NoOwner)
 	_ = rt.mm.AddRef(b.Slot, len(sinks))
 	msg := Delivery{
 		Payload:   b.Payload[:n],

@@ -122,8 +122,8 @@ type techState struct {
 	// construction-time constants, their queue state is what the lock
 	// protects.
 	schedMu sync.Mutex
-	wdrr    *sched.WDRR //insane:guardedby immutable after=NewRuntime
-	tas     *sched.TAS  //insane:guardedby immutable after=NewRuntime
+	wdrr    *sched.WDRR[txToken] //insane:guardedby immutable after=NewRuntime
+	tas     *sched.TAS[txToken]  //insane:guardedby immutable after=NewRuntime
 
 	// pollers are the polling threads that serve this technology, fixed
 	// at runtime construction: the ones a TX ring or the port's RX
@@ -189,9 +189,6 @@ type Runtime struct {
 	// view is what the data path reads of all the above (view.go).
 	view atomic.Pointer[view] //insane:guardedby rcu=publishLocked
 
-	// envPool backs the pollers' packet-envelope free lists.
-	envPool *mempool.CachePool[*pktEnv] //insane:guardedby immutable after=NewRuntime
-
 	nextConnID   atomic.Int32  //insane:guardedby atomic
 	nextStreamID atomic.Uint64 //insane:guardedby atomic
 
@@ -219,21 +216,20 @@ type poller struct {
 	// blocking on kick and cleared when it resumes; ringers skip the
 	// channel operation while it is clear (DESIGN.md, "Idle policy").
 	parked atomic.Bool //insane:guardedby atomic
-	// batch is the poller's scratch dequeue buffer (no per-iteration
-	// allocation on the hot path).
-	batch []*datapath.Packet //insane:guardedby confined owner=pollLoop
+	// batch is the poller's own dequeue vector: the schedulers copy the
+	// released tokens into it under the scheduler lock and the poller
+	// dispatches them after letting go. waits is its companion: what each
+	// waited in the scheduler.
+	batch []txToken       //insane:guardedby confined owner=pollLoop
+	waits []time.Duration //insane:guardedby confined owner=pollLoop
 	// rxPkts is the poller's own RX burst vector: the endpoint's Poll fills
 	// it under the endpoint lock and the poller processes it after letting
 	// go, so pollers sharing an endpoint never share a packet.
 	rxPkts []datapath.Packet //insane:guardedby confined owner=pollLoop
 	// toks is the scratch buffer for batched TX-ring pops.
 	toks []txToken //insane:guardedby confined owner=pollLoop
-	// envs is this poller's private packet-envelope free list (DPDK's
-	// per-lcore mempool cache); spills and refills go through the
-	// runtime-wide shared ring, so envelopes may migrate between pollers.
-	envs *mempool.Cache[*pktEnv] //insane:guardedby immutable after=NewRuntime
-	// sendPkt/sendVec are the scratch destination-specific packet copy
-	// and send vector for sendToPeer (Endpoint.Send is synchronous).
+	// sendPkt/sendVec are the scratch destination-specific packet and
+	// send vector for sendToPeer (Endpoint.Send is synchronous).
 	sendPkt datapath.Packet     //insane:guardedby confined owner=pollLoop
 	sendVec [1]*datapath.Packet //insane:guardedby confined owner=pollLoop
 	// shard is this poller's private telemetry slab; every hot-path
@@ -313,10 +309,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 	}
 	r.publishLocked()
-	r.envPool, err = mempool.NewCachePool(envSharedCap, func() *pktEnv { return new(pktEnv) })
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 
 	for _, tech := range cfg.Caps.List() {
 		port := cfg.Ports[tech]
@@ -335,7 +327,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: open %s: %w", tech, err)
 		}
-		tas, err := sched.NewTAS(gcl)
+		tas, err := sched.NewTAS[txToken](gcl)
 		if err != nil {
 			return nil, err
 		}
@@ -348,7 +340,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		if len(tenants) > 0 {
 			wdrrGCL = gcl
 		}
-		wdrr, err := sched.NewWDRR(tenantWeights(tenants), wdrrGCL)
+		wdrr, err := sched.NewWDRR[txToken](tenantWeights(tenants), wdrrGCL)
 		if err != nil {
 			return nil, err
 		}
@@ -393,10 +385,10 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			states: g,
 			kick:   make(chan telemetry.CounterID, 1),
 			stop:   make(chan struct{}),
-			batch:  make([]*datapath.Packet, burst),
+			batch:  make([]txToken, burst),
+			waits:  make([]time.Duration, burst),
 			rxPkts: make([]datapath.Packet, burst),
 			toks:   make([]txToken, burst),
-			envs:   r.envPool.NewCache(envLocalCap),
 			shard:  r.tel.Shard(i),
 		}
 		r.pollers = append(r.pollers, p)
@@ -421,15 +413,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 // clientTelemetryShards is how many extra telemetry shards back the
 // client-side handles (sources and sinks, striped round-robin).
 const clientTelemetryShards = 4
-
-// Envelope free-list sizing: the local cap absorbs a few bursts of
-// in-flight packets per poller; the shared ring rebalances envelopes
-// that were enqueued by one poller and recycled by another (§8's
-// multi-threaded datapath). Misses just hit the allocator.
-const (
-	envSharedCap = 1024
-	envLocalCap  = 256
-)
 
 // Name returns the runtime's configured name.
 func (r *Runtime) Name() string { return r.name }
@@ -586,8 +569,8 @@ func (r *Runtime) Stats() Stats {
 func (r *Runtime) Telemetry() *telemetry.Telemetry { return r.tel }
 
 // MetricsSnapshot merges every telemetry shard and samples the gauges
-// owned by other components (memory pools, envelope caches, scheduler
-// queues). It allocates and locks; call it from the control path only.
+// owned by other components (memory pools, scheduler queues). It allocates
+// and locks; call it from the control path only.
 func (r *Runtime) MetricsSnapshot() *telemetry.Snapshot {
 	s := r.tel.Snapshot()
 
@@ -606,15 +589,6 @@ func (r *Runtime) MetricsSnapshot() *telemetry.Snapshot {
 		mp.SlotSizes[i] = c.SlotSize
 	}
 	s.Mempool = mp
-
-	for _, p := range r.pollers {
-		cs := p.envs.Stats()
-		s.EnvCache.Hits += cs.Hits
-		s.EnvCache.Refills += cs.Refills
-		s.EnvCache.Misses += cs.Misses
-		s.EnvCache.Recycles += cs.Recycles
-		s.EnvCache.Drops += cs.Drops
-	}
 
 	for _, st := range r.techs {
 		st.schedMu.Lock()

@@ -337,12 +337,16 @@ func (h *StreamHandle) CreateSink(channel uint32) (*SinkHandle, error) {
 		ten:     h.conn.ten,
 	}
 	if err := h.conn.rt.registerSink(k); err != nil {
+		// The handle goes to nobody: take the sink back out of the view,
+		// withdraw it from the peers the announcement did reach, and let go
+		// of whatever was delivered to it meanwhile.
+		k.Close()
 		return nil, err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		h.conn.rt.unregisterSink(k)
+		k.Close()
 		return nil, ErrClosed
 	}
 	h.sinks = append(h.sinks, k)

@@ -17,10 +17,14 @@ import (
 )
 
 // txToken travels from the client library to the runtime over the
-// per-technology TX rings: slot ids, never bytes (§5.3, Fig. 4).
+// per-technology TX rings: slot ids, never bytes (§5.3, Fig. 4). It is the
+// one record of a queued message from Emit to dispatch — the lane ring, the
+// scheduler queue and the poller's batch all hold it by value, and nothing
+// is pooled or allocated between the two (TestTxTokenSize pins its size).
 type txToken struct {
 	// The four narrow fields share two words: the token is copied into and
-	// out of a ring cell per message, and a lane holds txRingDepth of them.
+	// out of a ring or queue cell three times per message, and a lane holds
+	// txRingDepth of them.
 	slot    mempool.SlotID
 	channel uint32
 	seq     uint32
@@ -28,16 +32,18 @@ type txToken struct {
 	// sampled marks a message that feeds the latency histograms (samples);
 	// admitT is then the runtime clock when Emit admitted it and pushed the
 	// token: the reading that opens stage_send, consume_latency and
-	// emit_pickup. Unset and unread on every other message.
-	sampled bool
-	admitT  timebase.VTime
-	msgLen  int // INSANE header + payload
-	timing  qos.Timing
-	src     *SourceHandle
-	vtime   timebase.VTime
-	bd      fabric.Breakdown
-	// ten is the emitting session's tenant (nil = default): the poller
-	// uncharges the in-flight TX token and tags the packet with it.
+	// emit_pickup; enqT is the clock when the poller popped the token and
+	// filed it with the scheduler: one reading closes emit_pickup and opens
+	// sched_dwell. Unset and unread on every other message.
+	sampled      bool
+	admitT, enqT timebase.VTime
+	msgLen       int // INSANE header + payload
+	timing       qos.Timing
+	src          *SourceHandle
+	vtime        timebase.VTime
+	bd           fabric.Breakdown
+	// ten is the emitting session's tenant (nil = default): it picks the
+	// WDRR queue, and dispatch uncharges the in-flight TX token against it.
 	ten *tenant
 }
 
@@ -97,7 +103,7 @@ type SourceHandle struct {
 	// gate is the stream technology's 802.1Qbv shaper, cached only for
 	// RTC time-sensitive sources so the admission check is one immutable
 	// read, no scheduler lock.
-	gate *sched.TAS //insane:guardedby immutable after=CreateSource
+	gate *sched.TAS[txToken] //insane:guardedby immutable after=CreateSource
 
 	mu       sync.Mutex
 	outcomes [outcomeWindow]Outcome //insane:guardedby mu=mu
@@ -163,9 +169,10 @@ func (s *SourceHandle) samples(seq uint32) bool {
 
 // Emit hands n payload bytes of the buffer to the runtime for
 // transmission (emit_data) and returns the sequence number usable with
-// Outcome. Ownership of the slot passes to the runtime and b is cleared;
-// on an error — ErrBackpressure above all — the caller keeps it and may
-// retry.
+// Outcome. The slot passes to the runtime — its reference and its owner:
+// an emitted message outlives the emitting session, whose Close reclaims
+// only what it borrowed and never emitted — and b is cleared; on an error,
+// ErrBackpressure above all, the caller keeps it and may retry.
 //
 //insane:hotpath
 //insane:transfer resource=mem-slot on=nilerr
@@ -224,8 +231,11 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 	d := s.stream.conn.rt.tb.Scale(ipc.Class, ipc.Fixed+ipc.Amort)
 	tok.vtime = tok.vtime.Add(d)
 	tok.bd.Send += d
+	mm := s.stream.conn.rt.mm
+	mm.SetOwner(b.Slot, mempool.NoOwner)
 	if !s.lane.push(tok) {
 		// Backpressure: the caller keeps buffer ownership and may retry.
+		mm.SetOwner(b.Slot, s.stream.conn.id)
 		if ten := s.ten; ten != nil {
 			ten.unchargeTX()
 			ten.shard.Inc(telemetry.CtrEmitBackpressure)

@@ -105,8 +105,8 @@ func buildTenants(specs []TenantSpec) ([]*tenant, map[string]*tenant, error) {
 	if len(specs) == 0 {
 		return nil, nil, nil
 	}
-	// Index 0 is reserved for the default tenant so Packet.Tenant zero
-	// values route to the default WDRR queue.
+	// Index 0 is reserved for the default tenant: a token with no tenant
+	// is filed under the default WDRR queue.
 	tenants := make([]*tenant, 0, len(specs)+1)
 	def := &tenant{name: "", index: 0, spec: TenantSpec{Weight: 1}}
 	tenants = append(tenants, def)

@@ -16,7 +16,10 @@
 //
 // Every packet carries a virtual timestamp and a Fig. 6-style breakdown;
 // the endpoint charges the technology's calibrated model costs as the
-// packet crosses it (see internal/model).
+// packet crosses it (see internal/model). The Packet is the unit exchanged
+// between the runtime and an endpoint and nothing more: what the runtime
+// needs to schedule or settle a message travels in the runtime's own
+// token, not here.
 package datapath
 
 import (
@@ -62,22 +65,10 @@ type Packet struct {
 	Framed bool
 	// Src and Dst address the flow at UDP granularity.
 	Src, Dst netstack.Endpoint
-	// Class is the traffic class (0-7) used by the TSN scheduler's gate
-	// control list; 0 is best effort.
-	Class uint8
-	// Tenant is the emitting tenant's index in the runtime's tenant
-	// table (0 = the default tenant); the weighted deficit round-robin
-	// scheduler uses it to pick the tenant queue. Like Class it is pure
-	// scheduling metadata — endpoints do not touch it.
-	Tenant uint16
 	// VTime is the accumulated virtual timestamp of the packet.
 	VTime timebase.VTime
 	// Breakdown accounts the virtual time by Fig. 6 stage.
 	Breakdown fabric.Breakdown
-	// Ctx is an opaque caller context that rides along the packet
-	// through schedulers and queues (like mbuf user metadata); endpoints
-	// do not touch it.
-	Ctx any
 }
 
 // Bytes returns the message (or frame) view of the packet.

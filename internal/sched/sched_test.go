@@ -4,13 +4,39 @@ import (
 	"testing"
 	"time"
 
-	"github.com/insane-mw/insane/internal/datapath"
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
-func pkt(class uint8, vt timebase.VTime) *datapath.Packet {
-	return &datapath.Packet{Class: class, VTime: vt}
+// item is the element the scheduler tests queue: what a runtime token
+// carries that a scheduler decision reads or shows up in.
+type item struct {
+	Tenant int
+	Class  uint8
+	Len    int
+	VTime  timebase.VTime
+	Send   time.Duration
 }
+
+func pkt(class uint8, vt timebase.VTime) item { return item{Class: class, VTime: vt} }
+
+// queue is the dequeue side both schedulers share.
+type queue interface {
+	Dequeue(dst []item, waits []time.Duration, now timebase.VTime) int
+}
+
+// dequeue drains q into dst and does with each reported wait what the
+// runtime does: added virtual latency, charged to the Send stage.
+func dequeue(q queue, dst []item, now timebase.VTime) int {
+	waits := make([]time.Duration, len(dst))
+	n := q.Dequeue(dst, waits, now)
+	for i := range dst[:n] {
+		dst[i].VTime = dst[i].VTime.Add(waits[i])
+		dst[i].Send += waits[i]
+	}
+	return n
+}
+
+func enqTAS(tas *TAS[item], p item, now timebase.VTime) { tas.Enqueue(p, p.Class, now) }
 
 func TestGCLValidate(t *testing.T) {
 	bad := []GCL{
@@ -42,16 +68,16 @@ func twoSliceGCL() GCL {
 }
 
 func TestTASGatesByClass(t *testing.T) {
-	tas, err := NewTAS(twoSliceGCL())
+	tas, err := NewTAS[item](twoSliceGCL())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tas.Enqueue(pkt(7, 0), 0)
-	tas.Enqueue(pkt(0, 0), 0)
-	dst := make([]*datapath.Packet, 4)
+	enqTAS(tas, pkt(7, 0), 0)
+	enqTAS(tas, pkt(0, 0), 0)
+	dst := make([]item, 4)
 
 	// During the protected window only class 7 leaves.
-	if n := tas.Dequeue(dst, timebase.VTime(10*time.Microsecond)); n != 1 {
+	if n := dequeue(tas, dst, timebase.VTime(10*time.Microsecond)); n != 1 {
 		t.Fatalf("protected window dequeue = %d, want 1", n)
 	}
 	if dst[0].Class != 7 {
@@ -61,7 +87,7 @@ func TestTASGatesByClass(t *testing.T) {
 		t.Errorf("pending = %d, want 1", tas.Pending())
 	}
 	// During the open window, class 0 leaves.
-	if n := tas.Dequeue(dst, timebase.VTime(150*time.Microsecond)); n != 1 {
+	if n := dequeue(tas, dst, timebase.VTime(150*time.Microsecond)); n != 1 {
 		t.Fatalf("open window dequeue = %d, want 1", n)
 	}
 	if dst[0].Class != 0 {
@@ -70,16 +96,16 @@ func TestTASGatesByClass(t *testing.T) {
 }
 
 func TestTASGateWaitShowsInVTime(t *testing.T) {
-	tas, err := NewTAS(twoSliceGCL())
+	tas, err := NewTAS[item](twoSliceGCL())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Class 0 packet emitted during the protected window at t=10µs.
 	emit := timebase.VTime(10 * time.Microsecond)
-	tas.Enqueue(pkt(0, emit), emit)
-	dst := make([]*datapath.Packet, 1)
+	enqTAS(tas, pkt(0, emit), emit)
+	dst := make([]item, 1)
 	now := timebase.VTime(120 * time.Microsecond)
-	if n := tas.Dequeue(dst, now); n != 1 {
+	if n := dequeue(tas, dst, now); n != 1 {
 		t.Fatal("packet not released in open window")
 	}
 	if dst[0].VTime != now {
@@ -88,15 +114,15 @@ func TestTASGateWaitShowsInVTime(t *testing.T) {
 }
 
 func TestTASStrictPriorityAmongOpenGates(t *testing.T) {
-	tas, err := NewTAS(GCL{{Duration: time.Millisecond, Gates: 0xFF}})
+	tas, err := NewTAS[item](GCL{{Duration: time.Millisecond, Gates: 0xFF}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tas.Enqueue(pkt(1, 0), 0)
-	tas.Enqueue(pkt(5, 0), 0)
-	tas.Enqueue(pkt(3, 0), 0)
-	dst := make([]*datapath.Packet, 3)
-	if n := tas.Dequeue(dst, 0); n != 3 {
+	enqTAS(tas, pkt(1, 0), 0)
+	enqTAS(tas, pkt(5, 0), 0)
+	enqTAS(tas, pkt(3, 0), 0)
+	dst := make([]item, 3)
+	if n := dequeue(tas, dst, 0); n != 3 {
 		t.Fatalf("dequeue = %d, want 3", n)
 	}
 	if dst[0].Class != 5 || dst[1].Class != 3 || dst[2].Class != 1 {
@@ -105,16 +131,16 @@ func TestTASStrictPriorityAmongOpenGates(t *testing.T) {
 }
 
 func TestTASClassClamping(t *testing.T) {
-	tas, _ := NewTAS(GCL{{Duration: time.Millisecond, Gates: 0x80}})
-	tas.Enqueue(pkt(200, 0), 0) // out of range → clamped to 7
-	dst := make([]*datapath.Packet, 1)
-	if n := tas.Dequeue(dst, 0); n != 1 {
+	tas, _ := NewTAS[item](GCL{{Duration: time.Millisecond, Gates: 0x80}})
+	enqTAS(tas, pkt(200, 0), 0) // out of range → clamped to 7
+	dst := make([]item, 1)
+	if n := dequeue(tas, dst, 0); n != 1 {
 		t.Fatal("clamped packet not dequeued under class-7 gate")
 	}
 }
 
 func TestTASNextEvent(t *testing.T) {
-	tas, err := NewTAS(twoSliceGCL())
+	tas, err := NewTAS[item](twoSliceGCL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +148,7 @@ func TestTASNextEvent(t *testing.T) {
 		t.Error("empty shaper: NextEvent must be 0")
 	}
 	// Class 0 queued during the protected window: the gate opens at 100µs.
-	tas.Enqueue(pkt(0, 0), 0)
+	enqTAS(tas, pkt(0, 0), 0)
 	now := timebase.VTime(30 * time.Microsecond)
 	want := timebase.VTime(100 * time.Microsecond)
 	if got := tas.NextEvent(now); got != want {
@@ -133,8 +159,8 @@ func TestTASNextEvent(t *testing.T) {
 		t.Errorf("NextEvent in open window = %v, want 0", got)
 	}
 	// Class 7 queued during the open window: opens at next cycle start.
-	tas2, _ := NewTAS(twoSliceGCL())
-	tas2.Enqueue(pkt(7, 0), 0)
+	tas2, _ := NewTAS[item](twoSliceGCL())
+	enqTAS(tas2, pkt(7, 0), 0)
 	got := tas2.NextEvent(timebase.VTime(150 * time.Microsecond))
 	if want := timebase.VTime(200 * time.Microsecond); got != want {
 		t.Errorf("NextEvent wrap = %v, want %v", got, want)
@@ -142,13 +168,13 @@ func TestTASNextEvent(t *testing.T) {
 }
 
 func TestTASFIFOWithinClass(t *testing.T) {
-	tas, _ := NewTAS(GCL{{Duration: time.Millisecond, Gates: 0xFF}})
+	tas, _ := NewTAS[item](GCL{{Duration: time.Millisecond, Gates: 0xFF}})
 	for i := 0; i < 4; i++ {
 		p := pkt(2, timebase.VTime(i))
-		tas.Enqueue(p, 0)
+		enqTAS(tas, p, 0)
 	}
-	dst := make([]*datapath.Packet, 4)
-	tas.Dequeue(dst, 0)
+	dst := make([]item, 4)
+	dequeue(tas, dst, 0)
 	for i, p := range dst {
 		if p.VTime != timebase.VTime(i) {
 			t.Errorf("within-class order broken at %d", i)
@@ -161,13 +187,13 @@ func TestTASFIFOWithinClass(t *testing.T) {
 // QoS is for).
 func TestTASJitterBound(t *testing.T) {
 	gcl := twoSliceGCL()
-	tas, _ := NewTAS(gcl)
-	dst := make([]*datapath.Packet, 1)
+	tas, _ := NewTAS[item](gcl)
+	dst := make([]item, 1)
 	for i := 0; i < 100; i++ {
 		emit := timebase.VTime(i) * timebase.VTime(7*time.Microsecond)
-		tas.Enqueue(pkt(7, emit), emit)
+		enqTAS(tas, pkt(7, emit), emit)
 		// Cross traffic.
-		tas.Enqueue(pkt(0, emit), emit)
+		enqTAS(tas, pkt(0, emit), emit)
 
 		// Drain class 7 at the next protected window.
 		next := tas.NextEvent(emit)
@@ -179,7 +205,7 @@ func TestTASJitterBound(t *testing.T) {
 		for !tas.GateOpenAt(7, now) {
 			now = tas.NextEvent(now)
 		}
-		if n := tas.Dequeue(dst[:1], now); n != 1 {
+		if n := dequeue(tas, dst[:1], now); n != 1 {
 			t.Fatalf("iteration %d: class 7 packet not released", i)
 		}
 		if wait := dst[0].VTime.Sub(emit); wait > gcl.Cycle() {
@@ -188,20 +214,115 @@ func TestTASJitterBound(t *testing.T) {
 		// Drain cross traffic.
 		for tas.Pending() > 0 {
 			now = timebase.Max(now, tas.NextEvent(now))
-			tas.Dequeue(dst[:1], now)
+			dequeue(tas, dst[:1], now)
 		}
 	}
 }
 
 func BenchmarkTASEnqueueDequeue(b *testing.B) {
-	tas, _ := NewTAS(DefaultGCL())
-	dst := make([]*datapath.Packet, 32)
+	tas, _ := NewTAS[item](DefaultGCL())
+	dst := make([]item, 32)
+	waits := make([]time.Duration, 32)
 	p := pkt(7, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tas.Enqueue(p, 0)
+		enqTAS(tas, p, 0)
 		if i%32 == 31 {
-			tas.Dequeue(dst, 0)
+			tas.Dequeue(dst, waits, 0)
 		}
+	}
+}
+
+// TestQueuesKeepOrderAcrossCompaction: the queues pop by head index and
+// compact the dead prefix now and then; through 10 k interleaved enqueues
+// and dequeues over a backlog that first grows deep and then drains —
+// several compactions and resets per queue — every class of the shaper and
+// every tenant of the deficit scheduler releases in arrival order, and
+// Pending counts what is queued.
+func TestQueuesKeepOrderAcrossCompaction(t *testing.T) {
+	const (
+		ops    = 10000
+		queues = 3
+	)
+	tas, _ := NewTAS[item](GCL{{Duration: time.Millisecond, Gates: 0xFF}})
+	wdrr, _ := NewWDRR[item]([]int{1, 2, 3}, nil)
+	for name, s := range map[string]struct {
+		enq     func(q int, p item)
+		q       queue
+		pending func() int
+		key     func(p item) int
+	}{
+		"tas": {
+			enq:     func(q int, p item) { p.Class = uint8(q); enqTAS(tas, p, 0) },
+			q:       tas,
+			pending: tas.Pending,
+			key:     func(p item) int { return int(p.Class) },
+		},
+		"wdrr": {
+			enq:     func(q int, p item) { p.Tenant = q; enqWDRR(wdrr, p, 0) },
+			q:       wdrr,
+			pending: wdrr.Pending,
+			key:     func(p item) int { return p.Tenant },
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var in, out [queues]int // serials handed in and seen back, per queue
+			queued, deepest := 0, 0
+			dst := make([]item, 32)
+			rnd := uint32(1)
+			next := func(n int) int { // xorshift: the same schedule every run
+				rnd ^= rnd << 13
+				rnd ^= rnd >> 17
+				rnd ^= rnd << 5
+				return int(rnd % uint32(n))
+			}
+			check := func(n int) {
+				t.Helper()
+				for _, p := range dst[:n] {
+					k := s.key(p)
+					if int(p.VTime) != out[k] {
+						t.Fatalf("queue %d released serial %d, want %d", k, p.VTime, out[k])
+					}
+					out[k]++
+				}
+				queued -= n
+				if s.pending() != queued {
+					t.Fatalf("Pending = %d, want %d", s.pending(), queued)
+				}
+			}
+			for op := 0; op < ops; op++ {
+				// Arrivals outrun the egress for the first half, then fall
+				// behind it: the backlog builds past any one compaction
+				// and drains to empty more than once.
+				arrivals, burst := 24, 2
+				if op >= ops/2 {
+					arrivals, burst = 8, len(dst)
+				}
+				if next(32) < arrivals {
+					k := next(queues)
+					s.enq(k, item{Len: 64 + next(1400), VTime: timebase.VTime(in[k])})
+					in[k]++
+					queued++
+					if queued > deepest {
+						deepest = queued
+					}
+				} else {
+					check(dequeue(s.q, dst[:1+next(burst)], 0))
+				}
+			}
+			if deepest < 1000 {
+				t.Fatalf("backlog peaked at %d: too shallow to force a compaction", deepest)
+			}
+			for queued > 0 {
+				n := dequeue(s.q, dst, 0)
+				if n == 0 {
+					t.Fatalf("%d queued and nothing released", queued)
+				}
+				check(n)
+			}
+			if in != out {
+				t.Errorf("handed in %v, got back %v", in, out)
+			}
+		})
 	}
 }

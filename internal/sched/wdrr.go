@@ -21,8 +21,8 @@ package sched
 
 import (
 	"fmt"
+	"time"
 
-	"github.com/insane-mw/insane/internal/datapath"
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
@@ -35,17 +35,18 @@ import (
 const wdrrQuantumUnit = 16384
 
 // wdrrQueue is one tenant's FIFO plus its deficit counter state.
-type wdrrQueue struct {
-	q       []queued
+type wdrrQueue[T any] struct {
+	fifo[T]
 	deficit int64
 	quantum int64
 }
 
 // WDRR is the weighted deficit round-robin tenant scheduler. Like the
-// other schedulers it is driven by one polling thread at a time
+// shaper it holds its elements by value, knows only what Enqueue is told
+// about them, and is driven by one polling thread at a time
 // (techState.schedMu serializes multi-poller access).
-type WDRR struct {
-	queues []wdrrQueue
+type WDRR[T any] struct {
+	queues []wdrrQueue[T]
 	count  int
 	next   int // round-robin cursor
 
@@ -58,11 +59,11 @@ type WDRR struct {
 // i serves tenant index i; entries < 1 are clamped to 1). An empty
 // weight list yields a single queue of weight 1 — plain FIFO. A non-nil
 // gcl arms gate enforcement for every class.
-func NewWDRR(weights []int, gcl GCL) (*WDRR, error) {
+func NewWDRR[T any](weights []int, gcl GCL) (*WDRR[T], error) {
 	if len(weights) == 0 {
 		weights = []int{1}
 	}
-	w := &WDRR{queues: make([]wdrrQueue, len(weights))}
+	w := &WDRR[T]{queues: make([]wdrrQueue[T], len(weights))}
 	for i, wt := range weights {
 		if wt < 1 {
 			wt = 1
@@ -79,45 +80,42 @@ func NewWDRR(weights []int, gcl GCL) (*WDRR, error) {
 }
 
 // Tenants returns the number of tenant queues.
-func (w *WDRR) Tenants() int { return len(w.queues) }
+func (w *WDRR[T]) Tenants() int { return len(w.queues) }
 
-// Enqueue files the packet under its tenant's queue, recording when it
-// arrived on the scheduler's clock. Unknown tenant indexes (a stale
-// packet after a reconfiguration) fall back to queue 0. The packet —
-// its slot and its pooled envelope — belongs to the scheduler until
-// Dequeue hands it to dispatch.
+// Enqueue files v — size bytes of traffic class class — under its
+// tenant's queue, recording when it arrived on the scheduler's clock.
+// Unknown tenant indexes (a stale packet after a reconfiguration) fall
+// back to queue 0. Whatever v carries — a memory slot, a tenant charge —
+// belongs to the scheduler until Dequeue hands it back.
 //
 //insane:hotpath
-//insane:transfer resource=pooled-obj
 //insane:transfer resource=mem-slot
-func (w *WDRR) Enqueue(p *datapath.Packet, now timebase.VTime) {
-	ti := int(p.Tenant)
-	if ti >= len(w.queues) {
-		ti = 0
+func (w *WDRR[T]) Enqueue(v T, tenant int, class uint8, size int, now timebase.VTime) {
+	if tenant < 0 || tenant >= len(w.queues) {
+		tenant = 0
 	}
-	//lint:ignore insanevet/hotpathcheck append growth is amortized; tenant queues reach steady-state capacity
-	w.queues[ti].q = append(w.queues[ti].q, queued{pkt: p, at: now})
+	w.queues[tenant].push(entry[T]{v: v, at: now, size: int32(size), class: class})
 	w.count++
 }
 
 // cost is the deficit charge of releasing one packet: its byte length,
 // floored at a minimum-frame cost so zero-length control packets still
 // consume bandwidth share.
-func cost(p *datapath.Packet) int64 {
-	c := int64(p.Len)
+func (e *entry[T]) cost() int64 {
+	c := int64(e.size)
 	if c < 64 {
 		c = 64
 	}
 	return c
 }
 
-// Dequeue fills dst with eligible packets, visiting tenant queues round-
-// robin and releasing up to one quantum's worth of bytes per visit. A
-// released packet that waited (for its turn or its gate) carries the
-// wait as added virtual latency, like the time-aware shaper's.
+// Dequeue fills dst with eligible elements, visiting tenant queues round-
+// robin and releasing up to one quantum's worth of bytes per visit.
+// waits[i] receives what dst[i] waited (for its turn or its gate), like
+// the time-aware shaper's; waits must be at least as long as dst.
 //
 //insane:hotpath
-func (w *WDRR) Dequeue(dst []*datapath.Packet, now timebase.VTime) int {
+func (w *WDRR[T]) Dequeue(dst []T, waits []time.Duration, now timebase.VTime) int {
 	if w.count == 0 || len(dst) == 0 {
 		return 0
 	}
@@ -131,14 +129,14 @@ func (w *WDRR) Dequeue(dst []*datapath.Packet, now timebase.VTime) int {
 		if w.next == len(w.queues) {
 			w.next = 0
 		}
-		if len(qu.q) == 0 {
+		if qu.len() == 0 {
 			// An empty queue carries no deficit into its next busy period
 			// (DRR: credit only accumulates while backlogged).
 			qu.deficit = 0
 			idle++
 			continue
 		}
-		if gates&classBit(qu.q[0].pkt.Class) == 0 {
+		if gates&classBit(qu.at(0).class) == 0 {
 			// Head-of-line gate closed: the whole queue waits (releasing
 			// later arrivals would break per-tenant FIFO). No quantum is
 			// added, so a gated tenant banks no credit either.
@@ -148,22 +146,22 @@ func (w *WDRR) Dequeue(dst []*datapath.Packet, now timebase.VTime) int {
 		qu.deficit += qu.quantum
 		take := 0
 		//insane:bounded by=released bytes bounded by the visit's deficit (one quantum over previous remainder); at most len(dst)-n packets
-		for take < len(qu.q) && n < len(dst) {
-			e := qu.q[take]
-			if gates&classBit(e.pkt.Class) == 0 {
+		for take < qu.len() && n < len(dst) {
+			e := qu.at(take)
+			if gates&classBit(e.class) == 0 {
 				break
 			}
-			c := cost(e.pkt)
+			c := e.cost()
 			if c > qu.deficit {
 				break
 			}
 			qu.deficit -= c
-			dst[n] = e.release(now)
+			waits[n] = qu.release(take, &dst[n], now)
 			n++
 			take++
 		}
 		if take > 0 {
-			qu.q = dropFront(qu.q, take)
+			qu.drop(take)
 			w.count -= take
 			idle = 0
 		} else {
@@ -171,42 +169,42 @@ func (w *WDRR) Dequeue(dst []*datapath.Packet, now timebase.VTime) int {
 			// burst buffer filled or the head's gate closed mid-queue.
 			idle++
 		}
-		if len(qu.q) == 0 {
+		if qu.len() == 0 {
 			qu.deficit = 0
 		}
 	}
 	return n
 }
 
-// Pending returns the total queued packets across tenants.
-func (w *WDRR) Pending() int { return w.count }
+// Pending returns the total queued elements across tenants.
+func (w *WDRR[T]) Pending() int { return w.count }
 
 // PendingTenant returns one tenant queue's depth (exporter gauge).
-func (w *WDRR) PendingTenant(tenant int) int {
+func (w *WDRR[T]) PendingTenant(tenant int) int {
 	if tenant < 0 || tenant >= len(w.queues) {
 		return 0
 	}
-	return len(w.queues[tenant].q)
+	return w.queues[tenant].len()
 }
 
 // NextEvent returns the virtual time of the next gate change that could
-// release queued packets, or zero when the queue is empty or some queued
+// release queued elements, or zero when the queue is empty or some queued
 // head is already eligible.
-func (w *WDRR) NextEvent(now timebase.VTime) timebase.VTime {
+func (w *WDRR[T]) NextEvent(now timebase.VTime) timebase.VTime {
 	if w.count == 0 {
 		return 0
 	}
 	var waiting uint8
 	//insane:bounded by=one entry per declared tenant, fixed at construction
 	for i := range w.queues {
-		if len(w.queues[i].q) > 0 {
-			waiting |= classBit(w.queues[i].q[0].pkt.Class)
+		if w.queues[i].len() > 0 {
+			waiting |= classBit(w.queues[i].at(0).class)
 		}
 	}
 	return w.clock.nextOpening(now, waiting)
 }
 
 // String identifies the scheduler in Inspect output.
-func (w *WDRR) String() string {
+func (w *WDRR[T]) String() string {
 	return fmt.Sprintf("wdrr(%d tenants, gated=%v)", len(w.queues), w.clock.gcl != nil)
 }

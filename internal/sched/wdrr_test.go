@@ -4,29 +4,32 @@ import (
 	"testing"
 	"time"
 
-	"github.com/insane-mw/insane/internal/datapath"
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
-func tpkt(tenant uint16, class uint8, size int) *datapath.Packet {
-	return &datapath.Packet{Tenant: tenant, Class: class, Len: size}
+func tpkt(tenant int, class uint8, size int) item {
+	return item{Tenant: tenant, Class: class, Len: size}
+}
+
+func enqWDRR(w *WDRR[item], p item, now timebase.VTime) {
+	w.Enqueue(p, p.Tenant, p.Class, p.Len, now)
 }
 
 func TestWDRRSingleTenantIsFIFO(t *testing.T) {
-	w, err := NewWDRR(nil, nil)
+	w, err := NewWDRR[item](nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		p := tpkt(0, 0, 100)
 		p.VTime = timebase.VTime(i)
-		w.Enqueue(p, 0)
+		enqWDRR(w, p, 0)
 	}
 	if w.Pending() != 5 {
 		t.Fatalf("Pending = %d, want 5", w.Pending())
 	}
-	dst := make([]*datapath.Packet, 3)
-	if n := w.Dequeue(dst, 0); n != 3 {
+	dst := make([]item, 3)
+	if n := dequeue(w, dst, 0); n != 3 {
 		t.Fatalf("Dequeue = %d, want 3", n)
 	}
 	for i, p := range dst {
@@ -34,8 +37,8 @@ func TestWDRRSingleTenantIsFIFO(t *testing.T) {
 			t.Errorf("dst[%d].VTime = %v, want %d", i, p.VTime, i)
 		}
 	}
-	rest := make([]*datapath.Packet, 8)
-	if n := w.Dequeue(rest, 0); n != 2 {
+	rest := make([]item, 8)
+	if n := dequeue(w, rest, 0); n != 2 {
 		t.Fatalf("final Dequeue = %d, want 2", n)
 	}
 	if w.NextEvent(0) != 0 {
@@ -46,22 +49,22 @@ func TestWDRRSingleTenantIsFIFO(t *testing.T) {
 // TestWDRRFairnessByWeight: two backlogged tenants with weights 1:3
 // must share a drain in a ~1:3 packet ratio (equal packet sizes).
 func TestWDRRFairnessByWeight(t *testing.T) {
-	w, err := NewWDRR([]int{1, 3}, nil)
+	w, err := NewWDRR[item]([]int{1, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const backlog = 400
 	for i := 0; i < backlog; i++ {
-		w.Enqueue(tpkt(0, 0, 1024), 0)
-		w.Enqueue(tpkt(1, 0, 1024), 0)
+		enqWDRR(w, tpkt(0, 0, 1024), 0)
+		enqWDRR(w, tpkt(1, 0, 1024), 0)
 	}
-	dst := make([]*datapath.Packet, 64)
+	dst := make([]item, 64)
 	counts := [2]int{}
 	// Drain half the total backlog so both tenants stay backlogged the
 	// whole time (fair share only holds while both compete).
 	drained := 0
 	for drained < backlog {
-		n := w.Dequeue(dst, 0)
+		n := dequeue(w, dst, 0)
 		if n == 0 {
 			t.Fatal("backlogged scheduler released nothing")
 		}
@@ -79,13 +82,13 @@ func TestWDRRFairnessByWeight(t *testing.T) {
 // TestWDRRNoStarvationUnderFlood: a flooding tenant cannot keep a
 // one-packet tenant out of a single burst.
 func TestWDRRNoStarvationUnderFlood(t *testing.T) {
-	w, _ := NewWDRR([]int{1, 1}, nil)
+	w, _ := NewWDRR[item]([]int{1, 1}, nil)
 	for i := 0; i < 1000; i++ {
-		w.Enqueue(tpkt(0, 0, 9000), 0)
+		enqWDRR(w, tpkt(0, 0, 9000), 0)
 	}
-	w.Enqueue(tpkt(1, 0, 100), 0)
-	dst := make([]*datapath.Packet, 8)
-	n := w.Dequeue(dst, 0)
+	enqWDRR(w, tpkt(1, 0, 100), 0)
+	dst := make([]item, 8)
+	n := dequeue(w, dst, 0)
 	found := false
 	for _, p := range dst[:n] {
 		if p.Tenant == 1 {
@@ -100,18 +103,18 @@ func TestWDRRNoStarvationUnderFlood(t *testing.T) {
 // TestWDRRGateHold: with a GCL, best-effort packets are held during the
 // protected window and the wait is charged to the packet's virtual time.
 func TestWDRRGateHold(t *testing.T) {
-	w, err := NewWDRR([]int{1, 1}, twoSliceGCL())
+	w, err := NewWDRR[item]([]int{1, 1}, twoSliceGCL())
 	if err != nil {
 		t.Fatal(err)
 	}
 	emit := timebase.VTime(10 * time.Microsecond)
 	p := tpkt(0, 0, 100)
 	p.VTime = emit
-	w.Enqueue(p, emit)
-	dst := make([]*datapath.Packet, 4)
+	enqWDRR(w, p, emit)
+	dst := make([]item, 4)
 
 	// Protected window: class-0 gate closed, nothing leaves.
-	if n := w.Dequeue(dst, timebase.VTime(20*time.Microsecond)); n != 0 {
+	if n := dequeue(w, dst, timebase.VTime(20*time.Microsecond)); n != 0 {
 		t.Fatalf("protected-window dequeue = %d, want 0", n)
 	}
 	// NextEvent points at the gate opening (100µs).
@@ -120,14 +123,14 @@ func TestWDRRGateHold(t *testing.T) {
 	}
 	// Open window: released, wait charged to VTime and the Send stage.
 	now := timebase.VTime(120 * time.Microsecond)
-	if n := w.Dequeue(dst, now); n != 1 {
+	if n := dequeue(w, dst, now); n != 1 {
 		t.Fatal("packet not released in open window")
 	}
 	if dst[0].VTime != now {
 		t.Errorf("vtime = %v, want %v (emit + gate wait)", dst[0].VTime, now)
 	}
-	if dst[0].Breakdown.Send != now.Sub(emit) {
-		t.Errorf("Send stage = %v, want %v", dst[0].Breakdown.Send, now.Sub(emit))
+	if dst[0].Send != now.Sub(emit) {
+		t.Errorf("Send stage = %v, want %v", dst[0].Send, now.Sub(emit))
 	}
 }
 
@@ -135,13 +138,13 @@ func TestWDRRGateHold(t *testing.T) {
 // is gated during the protected window, but tenant 1's class-7 packets
 // still flow.
 func TestWDRRGatedTenantDoesNotBlockOpenTenant(t *testing.T) {
-	w, _ := NewWDRR([]int{1, 1}, twoSliceGCL())
+	w, _ := NewWDRR[item]([]int{1, 1}, twoSliceGCL())
 	for i := 0; i < 10; i++ {
-		w.Enqueue(tpkt(0, 0, 500), 0)
+		enqWDRR(w, tpkt(0, 0, 500), 0)
 	}
-	w.Enqueue(tpkt(1, 7, 500), 0)
-	dst := make([]*datapath.Packet, 8)
-	n := w.Dequeue(dst, timebase.VTime(10*time.Microsecond))
+	enqWDRR(w, tpkt(1, 7, 500), 0)
+	dst := make([]item, 8)
+	n := dequeue(w, dst, timebase.VTime(10*time.Microsecond))
 	if n != 1 || dst[0].Tenant != 1 {
 		t.Fatalf("protected window released %d (first tenant %d), want exactly tenant 1's packet", n, dst[0].Tenant)
 	}
@@ -151,10 +154,10 @@ func TestWDRRGatedTenantDoesNotBlockOpenTenant(t *testing.T) {
 }
 
 func TestWDRRUnknownTenantFallsBack(t *testing.T) {
-	w, _ := NewWDRR([]int{1, 1}, nil)
-	w.Enqueue(tpkt(42, 0, 100), 0) // out-of-range tenant index → queue 0
-	dst := make([]*datapath.Packet, 1)
-	if n := w.Dequeue(dst, 0); n != 1 {
+	w, _ := NewWDRR[item]([]int{1, 1}, nil)
+	enqWDRR(w, tpkt(42, 0, 100), 0) // out-of-range tenant index → queue 0
+	dst := make([]item, 1)
+	if n := dequeue(w, dst, 0); n != 1 {
 		t.Fatal("out-of-range tenant packet lost")
 	}
 	if w.PendingTenant(0) != 0 {
@@ -163,9 +166,9 @@ func TestWDRRUnknownTenantFallsBack(t *testing.T) {
 }
 
 func TestWDRRPendingTenant(t *testing.T) {
-	w, _ := NewWDRR([]int{1, 2}, nil)
-	w.Enqueue(tpkt(1, 0, 100), 0)
-	w.Enqueue(tpkt(1, 0, 100), 0)
+	w, _ := NewWDRR[item]([]int{1, 2}, nil)
+	enqWDRR(w, tpkt(1, 0, 100), 0)
+	enqWDRR(w, tpkt(1, 0, 100), 0)
 	if got := w.PendingTenant(1); got != 2 {
 		t.Errorf("PendingTenant(1) = %d, want 2", got)
 	}
@@ -178,15 +181,16 @@ func TestWDRRPendingTenant(t *testing.T) {
 }
 
 func BenchmarkWDRREnqueueDequeue(b *testing.B) {
-	w, _ := NewWDRR([]int{4, 1}, nil)
-	dst := make([]*datapath.Packet, 32)
+	w, _ := NewWDRR[item]([]int{4, 1}, nil)
+	dst := make([]item, 32)
+	waits := make([]time.Duration, 32)
 	p := tpkt(0, 0, 512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Tenant = uint16(i & 1)
-		w.Enqueue(p, 0)
+		p.Tenant = i & 1
+		enqWDRR(w, p, 0)
 		if i%32 == 31 {
-			w.Dequeue(dst, 0)
+			w.Dequeue(dst, waits, 0)
 		}
 	}
 }

@@ -126,7 +126,6 @@ func WriteProm(w io.Writer, nodes []NodeSnapshot) error {
 	}
 
 	writeMempool(bw, nodes)
-	writeEnvCache(bw, nodes)
 
 	// Values sampled from their owners at snapshot time.
 	sampled := func(name, kind, help string, val func(*Snapshot) uint64) {
@@ -285,24 +284,6 @@ func writeMempool(bw *errWriter, nodes []NodeSnapshot) {
 		m := n.Snap.Mempool
 		for i, c := range m.CapSlots {
 			bw.printf("%s{node=%q,class=\"%d\"} %d\n", capName, n.Node, m.SlotSizes[i], c)
-		}
-	}
-}
-
-// writeEnvCache renders the packet-envelope free-list series.
-func writeEnvCache(bw *errWriter, nodes []NodeSnapshot) {
-	name := MetricPrefix + "envcache_events_total"
-	bw.printf("# HELP %s Packet-envelope free-list events by kind.\n# TYPE %s counter\n", name, name)
-	for _, n := range nodes {
-		e := n.Snap.EnvCache
-		for _, kv := range [...]struct {
-			k string
-			v uint64
-		}{
-			{"hit", e.Hits}, {"refill", e.Refills}, {"miss", e.Misses},
-			{"recycle", e.Recycles}, {"drop", e.Drops},
-		} {
-			bw.printf("%s{node=%q,event=%q} %d\n", name, n.Node, kv.k, kv.v)
 		}
 	}
 }

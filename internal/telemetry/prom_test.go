@@ -83,7 +83,6 @@ func TestWritePromFormat(t *testing.T) {
 		FreeSlots: []int{4000, 1000}, CapSlots: []int{4096, 1024},
 		SlotSizes: []int{2048, 9216},
 	}
-	snap.EnvCache = EnvCacheSnapshot{Hits: 90, Misses: 10}
 	empty := New(1).Snapshot()
 	empty.Mempool = snap.Mempool
 
@@ -137,7 +136,7 @@ func TestWritePromFormat(t *testing.T) {
 	}
 
 	// HELP/TYPE present exactly once per metric family.
-	for _, fam := range []string{"insane_emits_total", "insane_consume_latency_seconds", "insane_envcache_events_total"} {
+	for _, fam := range []string{"insane_emits_total", "insane_consume_latency_seconds", "insane_mempool_gets_total"} {
 		if n := strings.Count(text, fmt.Sprintf("# TYPE %s ", fam)); n != 1 {
 			t.Fatalf("TYPE for %s appears %d times, want 1", fam, n)
 		}

@@ -260,7 +260,7 @@ func (t *Telemetry) AssignShard() *Shard {
 }
 
 // Snapshot is a merged, immutable view of every shard, plus the
-// capacity gauges the runtime fills in (pool and cache state is owned
+// capacity gauges the runtime fills in (pool and scheduler state is owned
 // by other packages and sampled at snapshot time).
 type Snapshot struct {
 	Counters [NumCounters]uint64
@@ -268,8 +268,6 @@ type Snapshot struct {
 
 	// Mempool is the slot-pool activity sampled at snapshot time.
 	Mempool MempoolSnapshot
-	// EnvCache aggregates the pollers' packet-envelope free lists.
-	EnvCache EnvCacheSnapshot
 	// SchedQueueDepth is the total packets parked in the schedulers.
 	SchedQueueDepth uint64
 
@@ -293,11 +291,6 @@ type MempoolSnapshot struct {
 	FreeSlots, CapSlots []int
 	// SlotSizes lists the per-class slot sizes, smallest first.
 	SlotSizes []int
-}
-
-// EnvCacheSnapshot aggregates the per-poller envelope cache counters.
-type EnvCacheSnapshot struct {
-	Hits, Refills, Misses, Recycles, Drops uint64
 }
 
 // Snapshot merges all shards. It allocates and is intended for the
