@@ -78,8 +78,8 @@ type ClusterOptions struct {
 	Seed int64
 	// Tenants declares the cluster's tenants (DESIGN.md §12): every node
 	// gets the same tenant table, and sessions bind to one with
-	// InitSession(WithTenant(...)). An empty list runs every node in
-	// single-tenant mode with zero per-packet tenant overhead.
+	// InitSession(WithTenant(...)). With an empty list every session is
+	// the default tenant's: no quota, weight 1.
 	Tenants []TenantSpec
 	// Logf receives runtime warnings (optional).
 	Logf func(format string, args ...any)

@@ -129,8 +129,8 @@ type Metrics struct {
 	// snapshot time.
 	SchedQueueDepth uint64
 
-	// Tenants holds the per-tenant view for nodes with declared tenants
-	// (DESIGN.md §12); empty in single-tenant mode.
+	// Tenants holds each declared tenant's view of the node's telemetry
+	// (DESIGN.md §12); empty when none is declared.
 	Tenants []TenantMetrics
 }
 

@@ -22,20 +22,21 @@ func TestSinkTokenSize(t *testing.T) {
 	}
 }
 
-// TestTxTokenSize pins the TX token at 128 bytes: it is the one record of
+// TestTxTokenSize pins the TX token at 96 bytes: it is the one record of
 // a queued message, copied by value into the lane ring, the scheduler queue
 // and the poller's batch, and a lane holds txRingDepth of them.
 func TestTxTokenSize(t *testing.T) {
-	if size := unsafe.Sizeof(txToken{}); size > 128 {
-		t.Errorf("txToken is %d bytes, want <= 128", size)
+	if size := unsafe.Sizeof(txToken{}); size > 96 {
+		t.Errorf("txToken is %d bytes, want <= 96", size)
 	}
 }
 
 // TestDeliverAccounting drives the one delivery routine directly: for
 // every fan-out and every pattern of full sink rings, each sink either
 // gets the token (and one wake) or has its reference released and its
-// drop counted on the caller's shard and on its tenant's — and the slot
-// goes back to the pool exactly when the last holder lets go.
+// drop counted once, on its own shard and so in its tenant's view, never
+// on the caller's — and the slot goes back to the pool exactly when the
+// last holder lets go.
 func TestDeliverAccounting(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -106,11 +107,14 @@ func TestDeliverAccounting(t *testing.T) {
 				t.Errorf("deliver = %d, want %d", got, want)
 			}
 			drops := uint64(len(tc.full))
-			if n := caller.Counter(telemetry.CtrRingFullDrops); n != drops {
-				t.Errorf("caller ring_full_drops = %d, want %d", n, drops)
+			if n := caller.Counter(telemetry.CtrRingFullDrops); n != 0 {
+				t.Errorf("caller ring_full_drops = %d, want 0: the drop is the sink's", n)
 			}
-			if n := conn.ten.tel.Counter(telemetry.CtrRingFullDrops); n != drops {
+			if n := tenantView(rt, conn.ten).Counters[telemetry.CtrRingFullDrops]; n != drops {
 				t.Errorf("sink tenant ring_full_drops = %d, want %d", n, drops)
+			}
+			if n := rt.tel.Counter(telemetry.CtrRingFullDrops); n != drops {
+				t.Errorf("node ring_full_drops = %d, want %d", n, drops)
 			}
 			for i, k := range sinks {
 				if woken := len(k.notify) == 1; woken == isFull[i] {

@@ -154,17 +154,13 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 		if occ := l.ring.Len(); occ > 0 {
 			p.shard.Observe(telemetry.HistTxRingOccupancy, int64(occ))
 		}
-		//insane:bounded by=pulled strictly increases per iteration and r.burst <= model.MaxBurst
-		for pulled < r.burst {
-			want := r.burst - pulled
-			if want > len(p.toks) {
-				want = len(p.toks)
-			}
-			n := l.ring.PopBatch(p.toks[:want])
+		//insane:bounded by=pulled strictly increases per iteration up to the constant burst
+		for pulled < burst {
+			n := l.ring.PopBatch(p.toks[:burst-pulled])
 			if n == 0 {
 				break
 			}
-			//insane:bounded by=n <= len(p.toks), the per-poller burst buffer (<= model.MaxBurst)
+			//insane:bounded by=n <= len(p.toks), the per-poller burst buffer
 			for i := 0; i < n; i++ {
 				r.enqueueToken(p, st, &p.toks[i], now)
 			}
@@ -209,24 +205,21 @@ func (r *Runtime) enqueueToken(p *poller, st *techState, tok *txToken, now timeb
 	if tok.timing == qos.TimingSensitive {
 		st.tas.Enqueue(*tok, tok.class, now)
 	} else {
-		tenIdx := 0
-		if tok.ten != nil {
-			tenIdx = tok.ten.index
-		}
-		st.wdrr.Enqueue(*tok, tenIdx, tok.class, tok.msgLen, now)
+		st.wdrr.Enqueue(*tok, tok.src.ten.index, tok.class, tok.msgLen, now)
 	}
 	st.schedMu.Unlock()
 }
 
 // dispatch fans a batch of released messages out to local sinks and remote
-// peers, records outcomes and settles each token: its slot reference and
-// its tenant's in-flight charge. waits[i] is what batch[i] waited in the
-// scheduler on the pass clock: virtual latency of the Send stage. This is
-// the one place an outgoing message's slot is looked up, so it is also
-// where a slot that died since Emit is found out.
+// peers, records outcomes and settles each token: its slot reference, its
+// tenant's in-flight charge and its source's count of queued messages.
+// waits[i] is what batch[i] waited in the scheduler on the pass clock:
+// virtual latency of the Send stage. This is the one place an outgoing
+// message's slot is looked up, so it is also where a slot that died since
+// Emit is found out.
 func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []time.Duration) {
 	routes := r.view.Load().routes
-	//insane:bounded by=batch is the poller's dequeue buffer, sized to burst <= model.MaxBurst
+	//insane:bounded by=batch is the poller's dequeue buffer, burst long
 	for i := range batch {
 		tok := &batch[i]
 		route := routes[tok.channel]
@@ -238,12 +231,10 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []ti
 		}
 		if err != nil {
 			// The slot is not live (it was released behind the runtime's
-			// back): nothing to send. The tenant's TX token is done
-			// traveling either way, and the discard is counted like
-			// dropConn's reclaim of a token it finds still queued.
-			if tok.ten != nil {
-				tok.ten.unchargeTX()
-			}
+			// back): nothing to send. The token is done traveling either
+			// way, and the discard is counted like dropConn's reclaim of a
+			// token it finds still queued.
+			tok.settle()
 			p.shard.Inc(telemetry.CtrTxReclaims)
 			tok.src.recordOutcome(Outcome{Seq: tok.seq, Err: err})
 			continue
@@ -293,11 +284,8 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []ti
 		if sent > 0 {
 			p.shard.Add(telemetry.CtrTxMessages, uint64(sent))
 		}
-		// The message left the scheduler: its in-flight TX token returns
-		// to the emitting tenant.
-		if tok.ten != nil {
-			tok.ten.unchargeTX()
-		}
+		// The message left the scheduler and is where it was going.
+		tok.settle()
 		_ = r.mm.Release(tok.slot)
 	}
 }

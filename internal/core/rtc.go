@@ -32,10 +32,17 @@ const RTCMaxFanout = 4
 //     which is the TAS queue's job);
 //   - no sink ring is full (the queued path is where backpressure
 //     and drop accounting live; checking up front also makes the
-//     fallback deterministic for tests).
+//     fallback deterministic for tests);
+//   - no earlier message of this source is still on the queued path (a
+//     fallback waiting in the lane, the scheduler or behind a gate):
+//     delivering now would overtake it, and per-source FIFO holds whether
+//     or not a stream opts into RTC.
 //
 //insane:hotpath
 func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32, sampled bool) bool {
+	if s.queued.Load() != 0 {
+		return false
+	}
 	rt := s.stream.conn.rt
 	// Sinks and subscribers of the same instant: one view, one route.
 	route := rt.view.Load().routes[s.channel]
@@ -85,12 +92,6 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32, sampled bool) bool 
 	s.recordOutcome(Outcome{Seq: seq, LocalSinks: len(sinks)})
 	s.shard.Inc(telemetry.CtrEmits)
 	s.shard.Add(telemetry.CtrEmitBytes, uint64(n))
-	// RTC deliveries never queue, so they bypass the TX token quota, but
-	// the tenant's emit counters must still see them.
-	if ten := s.ten; ten != nil {
-		ten.shard.Inc(telemetry.CtrEmits)
-		ten.shard.Add(telemetry.CtrEmitBytes, uint64(n))
-	}
 	// Ownership of the slot moved to the sinks; the buffer is dead to the
 	// caller (same contract as the queued Emit).
 	*b = Buffer{}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
+	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/qos"
 	"github.com/insane-mw/insane/internal/sched"
 	"github.com/insane-mw/insane/internal/timebase"
@@ -228,6 +229,116 @@ func TestRTCFallbackFullSinkRing(t *testing.T) {
 			t.Fatalf("drain %d: %v", i, err)
 		}
 		sink.Release(&d)
+	}
+}
+
+// TestRTCKeepsSourceOrderAcrossFallback: a message that fell back to the
+// queued path is still on its way — in the lane, or held by the shaper —
+// when the condition that sent it there clears. The source's next Emit must
+// not run to completion past it: it queues behind, both arrive in the order
+// they were emitted, and once the queued path has settled them the fast
+// path engages again. The test owns the poller's passes, so "still on its
+// way" is a fact, not a race.
+func TestRTCKeepsSourceOrderAcrossFallback(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts qos.Options
+		// block makes the next Emit fall back, unblock clears the condition
+		// while that Emit's message is still queued.
+		block, unblock func(t *testing.T, clock *timebase.SimClock, src *SourceHandle, sink *SinkHandle)
+		// ahead is how many messages sit in the sink ring before "first".
+		ahead int
+	}{
+		{
+			name: "closed gate",
+			opts: qos.Options{Timing: qos.TimingSensitive, Class: 0, RunToCompletion: true},
+			block: func(_ *testing.T, clock *timebase.SimClock, _ *SourceHandle, _ *SinkHandle) {
+				clock.Set(timebase.VTime(10 * time.Microsecond)) // class 7 only
+			},
+			unblock: func(_ *testing.T, clock *timebase.SimClock, _ *SourceHandle, _ *SinkHandle) {
+				clock.Set(timebase.VTime(150 * time.Microsecond)) // class 0 open
+			},
+		},
+		{
+			name: "full sink ring",
+			opts: rtcOpts,
+			block: func(t *testing.T, _ *timebase.SimClock, src *SourceHandle, _ *SinkHandle) {
+				for i := 0; i < rxRingDepth; i++ {
+					sendOn(t, src, []byte("fill"))
+				}
+			},
+			unblock: func(t *testing.T, _ *timebase.SimClock, _ *SourceHandle, sink *SinkHandle) {
+				for i := 0; i < 2; i++ { // room for "first" and "second"
+					var d Delivery
+					if err := sink.TryConsume(&d); err != nil {
+						t.Fatal(err)
+					}
+					sink.Release(&d)
+				}
+			},
+			ahead: rxRingDepth - 2,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := &timebase.SimClock{}
+			w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
+				c.Clock = clock
+				c.GCL = sched.GCL{
+					{Duration: 100 * time.Microsecond, Gates: 1 << 7},
+					{Duration: 100 * time.Microsecond, Gates: 0x7F},
+				}
+			})
+			rt := w.a
+			conn, _ := rt.Connect()
+			stream, err := conn.OpenStream(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink, _ := stream.CreateSink(38)
+			src, _ := stream.CreateSource(38)
+			haltPollers(rt)
+			st := rt.techs[model.TechKernelUDP]
+			pass := func() { rt.drainTX(st.pollers[0], st) }
+			clock.Set(timebase.VTime(150 * time.Microsecond))
+
+			tc.block(t, clock, src, sink)
+			sendOn(t, src, []byte("first"))
+			if s := rt.Stats(); s.RTCFallbacks != 1 {
+				t.Fatalf("first: RTCFallbacks = %d, want 1", s.RTCFallbacks)
+			}
+			tc.unblock(t, clock, src, sink)
+			sendOn(t, src, []byte("second"))
+			pass()
+			pass()
+
+			for i := 0; i < tc.ahead; i++ {
+				var d Delivery
+				if err := sink.TryConsume(&d); err != nil {
+					t.Fatal(err)
+				}
+				sink.Release(&d)
+			}
+			for _, want := range []string{"first", "second"} {
+				var d Delivery
+				if err := sink.TryConsume(&d); err != nil {
+					t.Fatalf("%q: %v", want, err)
+				}
+				if string(d.Payload) != want {
+					t.Errorf("consumed %q, want %q: per-source order broken", d.Payload, want)
+				}
+				sink.Release(&d)
+			}
+
+			// Both settled: nothing of this source is queued any more.
+			if n := src.queued.Load(); n != 0 {
+				t.Errorf("queued = %d after both were dispatched, want 0", n)
+			}
+			before := rt.Stats().RTCDeliveries
+			sendOn(t, src, []byte("third"))
+			if got := rt.Stats().RTCDeliveries - before; got != 1 {
+				t.Errorf("third: RTCDeliveries moved by %d, want 1 (the fast path never re-engaged)", got)
+			}
+		})
 	}
 }
 

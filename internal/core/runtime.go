@@ -17,6 +17,10 @@ import (
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
+// burst caps the messages a poller moves per pass and direction, and sizes
+// its vectors.
+const burst = model.DefaultBurst
+
 // UDPPortBase is the base UDP port of runtime endpoints; each technology
 // listens on UDPPortBase + tech id, so heterogeneous peers can address
 // each other's planes deterministically.
@@ -49,8 +53,8 @@ type Config struct {
 	// (default sched.DefaultGCL).
 	GCL sched.GCL
 	// Tenants declares the runtime's tenants (DESIGN.md §12). Sessions
-	// bind to one via ConnectTenant; an empty list runs the runtime in
-	// single-tenant mode with zero per-packet tenant overhead.
+	// bind to one via ConnectTenant; with an empty list every session is
+	// the default tenant's.
 	Tenants []TenantSpec
 	// SharedPoller runs every datapath plugin on a single polling
 	// thread (lowest resource usage); the default dedicates one thread
@@ -64,9 +68,6 @@ type Config struct {
 	// processing and sink delivery proceed in parallel. Ignored when
 	// SharedPoller is set.
 	PollersPerPlugin int
-	// Burst caps the packets moved per polling iteration
-	// (default model.DefaultBurst).
-	Burst int
 	// Logf receives warnings and diagnostics; nil keeps them only in
 	// Warnings().
 	Logf func(format string, args ...any)
@@ -162,15 +163,14 @@ type Runtime struct {
 	// peerByIP resolves a control message's source address to the
 	// configured peer that owns it.
 	peerByIP map[netstack.IPv4]*Peer //insane:guardedby immutable after=NewRuntime
-	burst    int                     //insane:guardedby immutable after=NewRuntime
 	// deliverCost is the charged cost of delivering to the first sink of a
 	// fanout, to a further one, and to one past the cache knee (Fig. 8b).
 	// All three are constants of tb and rc, scaled once here rather than on
 	// every delivery: deliver runs per message and per sink on every path.
 	deliverCost [3]time.Duration //insane:guardedby immutable after=NewRuntime
 
-	// tenants is the immutable tenant registry (index 0 = the implicit
-	// default tenant); nil in single-tenant mode.
+	// tenants is the immutable tenant registry: index 0 (and the empty
+	// name) is the default tenant, the declared ones follow.
 	tenants      []*tenant          //insane:guardedby immutable after=NewRuntime
 	tenantByName map[string]*tenant //insane:guardedby immutable after=NewRuntime
 
@@ -192,10 +192,9 @@ type Runtime struct {
 	nextConnID   atomic.Int32  //insane:guardedby atomic
 	nextStreamID atomic.Uint64 //insane:guardedby atomic
 
-	// tel is the runtime's telemetry domain: one shard per polling
-	// thread plus a client-side stripe (DESIGN.md §8). Every activity
-	// counter the runtime used to keep ad hoc lives here now, so Stats,
-	// Inspect and the Prometheus exporter read one substrate.
+	// tel is the node's one telemetry domain (DESIGN.md §8): a shard per
+	// polling thread, then each tenant's. Stats, Inspect, the Prometheus
+	// exporter and the per-tenant views all read it.
 	tel *telemetry.Telemetry //insane:guardedby immutable after=NewRuntime
 
 	pollers []*poller   //insane:guardedby immutable after=NewRuntime
@@ -262,13 +261,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if gcl == nil {
 		gcl = sched.DefaultGCL()
 	}
-	burst := cfg.Burst
-	if burst <= 0 {
-		burst = model.DefaultBurst
-	}
-	if burst > model.MaxBurst {
-		burst = model.MaxBurst
-	}
 	mm, err := mempool.NewManager(cfg.Mem)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -287,7 +279,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		mm:    mm,
 		rc:    &rc,
 		techs: make(map[model.Tech]*techState),
-		burst: burst,
 		conns: make(map[mempool.Owner]*ClientConn),
 		sinks: make(map[uint32][]*SinkHandle),
 		subs:  make(map[uint32][]hop),
@@ -322,7 +313,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			Local:    local,
 			Mem:      mm,
 			Testbed:  tb,
-			Burst:    burst,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: open %s: %w", tech, err)
@@ -333,11 +323,11 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 		// Best-effort traffic goes through the WDRR tenant scheduler. Gate
 		// awareness (holding best-effort packets through protected windows)
-		// is armed only in multi-tenant mode: it is the timing-isolation
-		// guarantee of §12, and single-tenant runtimes should not pay the
-		// default GCL's protected-window latency on plain traffic.
+		// is armed only when a tenant is declared: it is the timing-isolation
+		// guarantee of §12, and a runtime with nobody to isolate should not
+		// pay the default GCL's protected-window latency on plain traffic.
 		var wdrrGCL sched.GCL
-		if len(tenants) > 0 {
+		if len(tenants) > 1 {
 			wdrrGCL = gcl
 		}
 		wdrr, err := sched.NewWDRR[txToken](tenantWeights(tenants), wdrrGCL)
@@ -378,8 +368,20 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 	}
 	// One telemetry shard per polling thread (hot-path writers stay on
-	// private cache lines) plus a stripe for client-side handles.
-	r.tel = telemetry.New(len(groups) + clientTelemetryShards)
+	// private cache lines, and no client handle is ever given one), then
+	// each tenant's, in registry order.
+	next := len(groups)
+	for _, t := range tenants {
+		next += len(t.shards)
+	}
+	r.tel = telemetry.New(next)
+	next = len(groups)
+	for _, t := range tenants {
+		for i := range t.shards {
+			t.shards[i] = r.tel.Shard(next)
+			next++
+		}
+	}
 	for i, g := range groups {
 		p := &poller{
 			states: g,
@@ -410,18 +412,11 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	return r, nil
 }
 
-// clientTelemetryShards is how many extra telemetry shards back the
-// client-side handles (sources and sinks, striped round-robin).
-const clientTelemetryShards = 4
-
 // Name returns the runtime's configured name.
 func (r *Runtime) Name() string { return r.name }
 
 // Mem exposes the runtime memory manager (used by tests and benchmarks).
 func (r *Runtime) Mem() *mempool.Manager { return r.mm }
-
-// Testbed returns the cost environment the runtime runs in.
-func (r *Runtime) Testbed() model.Testbed { return *r.tb }
 
 // EffectiveCaps reports the technologies with an open endpoint.
 func (r *Runtime) EffectiveCaps() datapath.Caps {
@@ -462,13 +457,9 @@ func (r *Runtime) ConnectTenant(name string) (*ClientConn, error) {
 	if r.stopped.Load() {
 		return nil, ErrClosed
 	}
-	var ten *tenant
-	if name != "" {
-		t, ok := r.tenantByName[name]
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
-		}
-		ten = t
+	ten, ok := r.tenantByName[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
 	}
 	c := &ClientConn{
 		rt:      r,
@@ -498,7 +489,7 @@ func (r *Runtime) dropConn(c *ClientConn) {
 	// is left in them is popped from this goroutine.
 	r.waitPollerPasses(lanes, 2, timebase.Wall().Add(50*time.Millisecond))
 	if n := r.reclaimLanes(lanes); n > 0 {
-		r.tel.AssignShard().Add(telemetry.CtrTxReclaims, uint64(n))
+		c.ten.shards[0].Add(telemetry.CtrTxReclaims, uint64(n))
 		r.warnf("session %d: reclaimed %d undrained TX tokens on detach", c.id, n)
 	}
 	if n := r.mm.ReleaseOwner(c.id); n > 0 {
@@ -508,7 +499,7 @@ func (r *Runtime) dropConn(c *ClientConn) {
 
 // reclaimLanes settles every TX token left in a detached session's
 // lanes — the balance the poller would have restored had it drained
-// them: uncharge the tenant's in-flight TX token and release the slot.
+// them: settle the token and release the slot.
 func (r *Runtime) reclaimLanes(lanes laneSet) int {
 	n := 0
 	for _, l := range lanes {
@@ -517,9 +508,7 @@ func (r *Runtime) reclaimLanes(lanes laneSet) int {
 			if !ok {
 				break
 			}
-			if tok.ten != nil {
-				tok.ten.unchargeTX()
-			}
+			tok.settle()
 			r.mm.Release(tok.slot)
 			n++
 		}

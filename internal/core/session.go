@@ -47,8 +47,7 @@ var (
 type ClientConn struct {
 	rt *Runtime      //insane:guardedby immutable after=ConnectTenant
 	id mempool.Owner //insane:guardedby immutable after=ConnectTenant
-	// ten is the session's tenant binding, fixed at ConnectTenant (nil =
-	// the default tenant: no quotas, no per-tenant telemetry).
+	// ten is the session's tenant binding, fixed at ConnectTenant.
 	ten *tenant //insane:guardedby immutable after=ConnectTenant
 
 	// lanes are the session's TX lanes, one per technology it has a source
@@ -62,15 +61,7 @@ type ClientConn struct {
 }
 
 // Tenant returns the session's tenant name ("" for the default tenant).
-func (c *ClientConn) Tenant() string {
-	if c.ten == nil {
-		return ""
-	}
-	return c.ten.name
-}
-
-// Owner returns the session's memory-pool owner id.
-func (c *ClientConn) Owner() mempool.Owner { return c.id }
+func (c *ClientConn) Tenant() string { return c.ten.name }
 
 // lane returns (creating if needed) the session's TX lane toward the
 // polling threads of the given technology. Every source the session opens
@@ -110,7 +101,7 @@ func (c *ClientConn) OpenStream(opts qos.Options) (*StreamHandle, error) {
 	// Tenant class ceiling: a tenant may not claim a higher 802.1Qbv
 	// class than declared for it — clamp and warn, mirroring the QoS
 	// mapper's fallback idiom rather than failing the stream.
-	if t := c.ten; t != nil && t.spec.MaxClass != 0 && opts.Class > t.spec.MaxClass {
+	if t := c.ten; t.spec.MaxClass != 0 && opts.Class > t.spec.MaxClass {
 		c.rt.warnf("stream: tenant %q requested class %d above its ceiling %d; clamping", t.name, opts.Class, t.spec.MaxClass)
 		opts.Class = t.spec.MaxClass
 	}
@@ -246,9 +237,6 @@ func (h *StreamHandle) Tech() model.Tech { return h.tech }
 // hint (the user-visible warning of §5.2).
 func (h *StreamHandle) FellBack() bool { return h.fellBack }
 
-// Options returns the stream's QoS options.
-func (h *StreamHandle) Options() qos.Options { return h.opts }
-
 // Close closes the stream and everything opened within it.
 func (h *StreamHandle) Close() { h.close(true) }
 
@@ -298,7 +286,7 @@ func (h *StreamHandle) CreateSource(channel uint32) (*SourceHandle, error) {
 		stream:  h,
 		channel: channel,
 		lane:    lane,
-		shard:   h.conn.rt.tel.AssignShard(),
+		shard:   h.conn.ten.assignShard(),
 		rtc:     h.opts.RunToCompletion,
 		ten:     h.conn.ten,
 		st:      h.conn.rt.techs[h.tech],
@@ -332,9 +320,8 @@ func (h *StreamHandle) CreateSink(channel uint32) (*SinkHandle, error) {
 		ring:    ring,
 		notify:  make(chan struct{}, 1),
 		done:    make(chan struct{}),
-		shard:   h.conn.rt.tel.AssignShard(),
+		shard:   h.conn.ten.assignShard(),
 		noTel:   h.opts.NoTelemetry,
-		ten:     h.conn.ten,
 	}
 	if err := h.conn.rt.registerSink(k); err != nil {
 		// The handle goes to nobody: take the sink back out of the view,

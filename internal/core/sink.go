@@ -73,8 +73,8 @@ func pktDelivery(pkt *datapath.Packet) Delivery {
 // remote receive, run-to-completion Emit). The caller holds one slot
 // reference per sink: each either travels with the delivery into the
 // sink's ring or, when that ring is full, is released here and the drop
-// counted on the caller's shard and the sink tenant's. It returns how many
-// sinks took the message. msg is the caller's scratch: its clock is
+// counted once, on the shard of the sink that refused it. It returns how
+// many sinks took the message. msg is the caller's scratch: its clock is
 // rewritten per sink. A sampled message admitted here closes stage_send on
 // the caller's shard and carries the reading on as its push stamp.
 //
@@ -94,10 +94,7 @@ func (r *Runtime) deliver(shard *telemetry.Shard, msg *Delivery, sinks []*SinkHa
 		msg.Breakdown.Recv = recv + d
 		if !k.ring.TryPushFrom(msg) {
 			_ = r.mm.Release(msg.Slot)
-			shard.Inc(telemetry.CtrRingFullDrops)
-			if k.ten != nil {
-				k.ten.shard.Inc(telemetry.CtrRingFullDrops)
-			}
+			k.shard.Inc(telemetry.CtrRingFullDrops)
 			continue
 		}
 		delivered++
@@ -130,14 +127,12 @@ type SinkHandle struct {
 	// Consume blocked on the sink sees (notify is 1-deep and wakes one).
 	done   chan struct{} //insane:guardedby immutable after=CreateSink
 	closed atomic.Bool   //insane:guardedby atomic
-	// shard is the telemetry stripe Consume records into.
+	// shard is the one telemetry shard Consume records into, and deliver
+	// a drop on this sink's full ring: one of the session tenant's.
 	shard *telemetry.Shard //insane:guardedby immutable after=CreateSink
 	// noTel is the stream's telemetry opt-out: a sampled message consumed
 	// here closes no interval.
 	noTel bool //insane:guardedby immutable after=CreateSink
-	// ten is the consuming session's tenant (nil = default): Consume
-	// mirrors its counters and latency histogram into the tenant domain.
-	ten *tenant //insane:guardedby immutable after=CreateSink
 }
 
 // Channel returns the sink's channel id.
@@ -160,10 +155,6 @@ func (k *SinkHandle) TryConsume(d *Delivery) error {
 	}
 	k.shard.Inc(telemetry.CtrConsumes)
 	k.shard.Add(telemetry.CtrConsumeBytes, uint64(len(d.Payload)))
-	if ten := k.ten; ten != nil {
-		ten.shard.Inc(telemetry.CtrConsumes)
-		ten.shard.Add(telemetry.CtrConsumeBytes, uint64(len(d.Payload)))
-	}
 	if d.stamps != 0 && !k.noTel {
 		k.closeStamps(d)
 	}
@@ -172,19 +163,15 @@ func (k *SinkHandle) TryConsume(d *Delivery) error {
 
 // closeStamps closes the intervals a sampled message has open when it
 // reaches the application: stage_recv from its push stamp and, for a
-// message admitted on this runtime's clock, consume_latency (mirrored
-// into the sink tenant's domain) from its admission stamp.
+// message admitted on this runtime's clock, consume_latency from its
+// admission stamp.
 //
 //insane:hotpath
 func (k *SinkHandle) closeStamps(d *Delivery) {
 	now := k.stream.conn.rt.clock.Now()
 	k.shard.Observe(telemetry.HistStageRecv, int64(now.Sub(d.pushT)))
 	if d.stamps == stampsLocal {
-		lat := int64(now.Sub(d.admitT))
-		k.shard.Observe(telemetry.HistConsumeLatency, lat)
-		if ten := k.ten; ten != nil {
-			ten.shard.Observe(telemetry.HistConsumeLatency, lat)
-		}
+		k.shard.Observe(telemetry.HistConsumeLatency, int64(now.Sub(d.admitT)))
 	}
 }
 

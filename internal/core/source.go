@@ -39,12 +39,26 @@ type txToken struct {
 	admitT, enqT timebase.VTime
 	msgLen       int // INSANE header + payload
 	timing       qos.Timing
-	src          *SourceHandle
-	vtime        timebase.VTime
-	bd           fabric.Breakdown
-	// ten is the emitting session's tenant (nil = default): it picks the
-	// WDRR queue, and dispatch uncharges the in-flight TX token against it.
-	ten *tenant
+	// src is the emitting source; its tenant picks the WDRR queue and holds
+	// the in-flight charge settle returns.
+	src   *SourceHandle
+	vtime timebase.VTime
+	bd    fabric.Breakdown
+}
+
+// settle ends a queued message's journey, wherever it ends — refused by a
+// full lane, dispatched, found dead at dispatch, or reclaimed from a
+// detached session's lane: the tenant's in-flight TX charge returns, and an
+// RTC source has one message fewer that a run-to-completion Emit could
+// overtake.
+//
+//insane:hotpath
+//insane:release resource=tenant-tx
+func (tok *txToken) settle() {
+	tok.src.ten.unchargeTX()
+	if tok.src.rtc {
+		tok.src.queued.Add(-1)
+	}
 }
 
 // Buffer is a zero-copy send buffer borrowed from the runtime memory
@@ -90,13 +104,18 @@ type SourceHandle struct {
 	lane    *txLane       //insane:guardedby immutable after=CreateSource
 	seq     atomic.Uint32 //insane:guardedby atomic
 	closed  atomic.Bool   //insane:guardedby atomic
-	// shard is the telemetry stripe Emit records into; assigned
-	// round-robin at creation so concurrent publishers spread out.
+	// shard is the one telemetry shard Emit records into: one of the
+	// tenant's, assigned at creation so concurrent publishers spread out.
 	shard *telemetry.Shard //insane:guardedby immutable after=CreateSource
 	// rtc opts Emit into the run-to-completion fast path (DESIGN.md §11).
 	rtc bool //insane:guardedby immutable after=CreateSource
-	// ten caches the session's tenant binding (nil = default tenant) so
-	// the Emit/GetBuffer quota checks skip a pointer chase.
+	// queued counts an RTC source's messages that took the queued path and
+	// have not settled yet (txToken.settle). While it is non-zero emitRTC
+	// refuses: delivering now would overtake them. Untouched, and unread,
+	// on a source without RTC.
+	queued atomic.Int32 //insane:guardedby atomic
+	// ten caches the session's tenant binding so the Emit/GetBuffer quota
+	// checks skip a pointer chase.
 	ten *tenant //insane:guardedby immutable after=CreateSource
 	// st is the stream technology's state: Emit rings its pollers.
 	st *techState //insane:guardedby immutable after=CreateSource
@@ -124,14 +143,9 @@ func (s *SourceHandle) GetBuffer(b *Buffer, size int) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	var budget *mempool.Budget
-	if s.ten != nil {
-		budget = s.ten.budget
-	}
-	slot, buf, err := s.stream.conn.rt.mm.GetBudget(MsgHeadroom+size, s.stream.conn.id, budget)
+	slot, buf, err := s.stream.conn.rt.mm.GetBudget(MsgHeadroom+size, s.stream.conn.id, s.ten.budget)
 	if err != nil {
-		if s.ten != nil && errors.Is(err, mempool.ErrQuota) {
-			s.ten.shard.Inc(telemetry.CtrTenantQuotaRejects)
+		if errors.Is(err, mempool.ErrQuota) {
 			s.shard.Inc(telemetry.CtrTenantQuotaRejects)
 		}
 		return err
@@ -190,17 +204,21 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 			return seq, nil
 		}
 		// A precondition failed (remote subscriber, fanout over budget,
-		// closed TSN gate, or a full sink ring): queued path below.
+		// closed TSN gate, a full sink ring, or an earlier fallback still
+		// on its way): queued path below, counted in until it settles.
 		s.shard.Inc(telemetry.CtrRTCFallbacks)
+		s.queued.Add(1)
 	}
 	st := s.stream
 	// Tenant admission: the queued path holds a TX token from here until
 	// the poller dispatches (or drops) the message; a tenant at its
 	// in-flight cap is rejected before touching the ring. RTC deliveries
 	// above never queue, so they bypass the token quota by design.
-	if ten := s.ten; ten != nil && !ten.chargeTX() {
-		ten.shard.Inc(telemetry.CtrTenantQuotaRejects)
+	if !s.ten.chargeTX() {
 		s.shard.Inc(telemetry.CtrTenantQuotaRejects)
+		if s.rtc {
+			s.queued.Add(-1)
+		}
 		return 0, ErrTenantQuota
 	}
 	encodeHeader(b.buf[headroomOffset:], header{
@@ -220,7 +238,6 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 		src:     s,
 		vtime:   b.VTime,
 		bd:      b.Breakdown,
-		ten:     s.ten,
 		sampled: sampled,
 	}
 	if sampled {
@@ -236,10 +253,7 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 	if !s.lane.push(tok) {
 		// Backpressure: the caller keeps buffer ownership and may retry.
 		mm.SetOwner(b.Slot, s.stream.conn.id)
-		if ten := s.ten; ten != nil {
-			ten.unchargeTX()
-			ten.shard.Inc(telemetry.CtrEmitBackpressure)
-		}
+		tok.settle()
 		s.shard.Inc(telemetry.CtrEmitBackpressure)
 		return 0, ErrBackpressure
 	}
@@ -248,10 +262,6 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 	*b = Buffer{}
 	s.shard.Inc(telemetry.CtrEmits)
 	s.shard.Add(telemetry.CtrEmitBytes, uint64(n))
-	if ten := s.ten; ten != nil {
-		ten.shard.Inc(telemetry.CtrEmits)
-		ten.shard.Add(telemetry.CtrEmitBytes, uint64(n))
-	}
 	s.st.ring(telemetry.CtrPollerWakesTX)
 	return seq, nil
 }

@@ -1,14 +1,15 @@
 // Tenant registry: the runtime half of multi-tenant QoS isolation
-// (DESIGN.md §12). A tenant is a declared principal with its own WDRR
-// weight, mempool slot budget, in-flight TX token cap, QoS class
-// ceiling, and telemetry domain. Sessions bind to a tenant at
+// (DESIGN.md §12). A tenant is a principal with its own WDRR weight,
+// mempool slot budget, in-flight TX token cap, QoS class ceiling, and its
+// slice of the node's telemetry shards. Sessions bind to a tenant at
 // ConnectTenant; every quota decision afterwards is a couple of atomic
 // operations against the session's cached *tenant — the registry itself
 // is immutable after NewRuntime.
 //
-// The default tenant (empty name) is deliberately nil everywhere: a
-// single-tenant runtime carries zero per-packet tenant overhead, which
-// is what keeps the steady-state allocation and latency gates unchanged.
+// The default tenant (empty name) is a tenant like any other, at index 0 of
+// every registry: no budget, no caps, weight 1. Its quota calls return on
+// their first compare, so a runtime that declares no tenant pays a
+// predictable branch per call and nothing else.
 
 package core
 
@@ -52,8 +53,8 @@ type TenantSpec struct {
 	MaxClass uint8
 }
 
-// tenant is the runtime-internal record of one declared tenant. All
-// fields except inflight are immutable after construction.
+// tenant is the runtime-internal record of one tenant. All fields except
+// inflight and nextShard are immutable after construction.
 //
 //insane:shared
 type tenant struct {
@@ -62,16 +63,31 @@ type tenant struct {
 	// spec is the declared tenant configuration.
 	spec TenantSpec //insane:guardedby immutable after=buildTenants
 
-	// budget partitions the mempool (nil only for the default tenant;
-	// declared tenants always carry one so occupancy gauges work).
+	// budget partitions the mempool (nil only for the default tenant, which
+	// mempool reads as "uncapped"; declared tenants always carry one so
+	// occupancy gauges work).
 	budget *mempool.Budget //insane:guardedby immutable after=buildTenants
 	// inflight counts emitted-but-not-dispatched TX tokens against
 	// spec.TxTokens.
 	inflight atomic.Int64 //insane:guardedby atomic
-	// tel/shard are the tenant's private telemetry domain: one shard is
-	// enough because only client goroutines of this tenant write to it.
-	tel   *telemetry.Telemetry //insane:guardedby immutable after=buildTenants
-	shard *telemetry.Shard     //insane:guardedby immutable after=buildTenants
+	// shards are the tenant's slice of the node's telemetry domain: every
+	// source and sink of its sessions records into one of them and nothing
+	// else does, so merging them is the tenant's view (TenantSnapshots). The
+	// default tenant stripes its handles over clientTelemetryShards, a
+	// declared tenant has one.
+	shards    []*telemetry.Shard //insane:guardedby immutable after=NewRuntime
+	nextShard atomic.Uint32      //insane:guardedby atomic
+}
+
+// clientTelemetryShards is how many telemetry shards back the default
+// tenant's handles (sources and sinks, striped round-robin).
+const clientTelemetryShards = 4
+
+// assignShard hands out the tenant's shards round-robin; a source or sink
+// calls it once at creation, so concurrent client goroutines spread over
+// the tenant's shards instead of hammering one line.
+func (t *tenant) assignShard() *telemetry.Shard {
+	return t.shards[int(t.nextShard.Add(1))%len(t.shards)]
 }
 
 // chargeTX reserves one in-flight TX token, reporting false at the cap.
@@ -100,17 +116,13 @@ func (t *tenant) unchargeTX() {
 	}
 }
 
-// buildTenants validates the declared specs and constructs the registry.
+// buildTenants validates the declared specs and constructs the registry:
+// the default tenant at index 0 (and under the empty name), then the
+// declared ones in order. NewRuntime binds the telemetry shards.
 func buildTenants(specs []TenantSpec) ([]*tenant, map[string]*tenant, error) {
-	if len(specs) == 0 {
-		return nil, nil, nil
-	}
-	// Index 0 is reserved for the default tenant: a token with no tenant
-	// is filed under the default WDRR queue.
-	tenants := make([]*tenant, 0, len(specs)+1)
-	def := &tenant{name: "", index: 0, spec: TenantSpec{Weight: 1}}
-	tenants = append(tenants, def)
-	byName := make(map[string]*tenant, len(specs))
+	def := &tenant{spec: TenantSpec{Weight: 1}, shards: make([]*telemetry.Shard, clientTelemetryShards)}
+	tenants := append(make([]*tenant, 0, len(specs)+1), def)
+	byName := map[string]*tenant{"": def}
 	for _, sp := range specs {
 		if sp.Name == "" {
 			return nil, nil, errors.New("core: tenant name must be non-empty")
@@ -126,9 +138,8 @@ func buildTenants(specs []TenantSpec) ([]*tenant, map[string]*tenant, error) {
 			index:  len(tenants),
 			spec:   sp,
 			budget: mempool.NewBudget(sp.MemSlots),
-			tel:    telemetry.New(1),
+			shards: make([]*telemetry.Shard, 1),
 		}
-		t.shard = t.tel.Shard(0)
 		byName[sp.Name] = t
 		tenants = append(tenants, t)
 	}
@@ -136,11 +147,8 @@ func buildTenants(specs []TenantSpec) ([]*tenant, map[string]*tenant, error) {
 }
 
 // tenantWeights returns the WDRR weight vector, index-aligned with the
-// registry (nil when no tenants are declared → single-queue WDRR).
+// registry.
 func tenantWeights(tenants []*tenant) []int {
-	if len(tenants) == 0 {
-		return nil
-	}
 	w := make([]int, len(tenants))
 	for i, t := range tenants {
 		w[i] = t.spec.Weight
@@ -148,35 +156,21 @@ func tenantWeights(tenants []*tenant) []int {
 	return w
 }
 
-// TenantSnapshots samples every declared tenant's telemetry and quota
-// gauges (control path; empty in single-tenant mode).
+// TenantSnapshots samples every declared tenant's view of the node's
+// telemetry and its quota gauges (control path; empty when none is
+// declared: the default tenant has no exported view of its own).
 func (r *Runtime) TenantSnapshots() []telemetry.TenantSnapshot {
-	if len(r.tenants) <= 1 {
-		return nil
-	}
-	out := make([]telemetry.TenantSnapshot, 0, len(r.tenants)-1)
-	for _, t := range r.tenants[1:] { // skip the default tenant
+	var out []telemetry.TenantSnapshot
+	for _, t := range r.tenants[1:] {
 		out = append(out, telemetry.TenantSnapshot{
 			Tenant:        t.name,
 			Weight:        t.spec.Weight,
-			Snap:          t.tel.Snapshot(),
+			Snap:          r.tel.SnapshotOf(t.shards...),
 			MemUsed:       t.budget.Used(),
 			MemLimit:      t.budget.Limit(),
 			Inflight:      t.inflight.Load(),
 			InflightLimit: int64(t.spec.TxTokens),
 		})
-	}
-	return out
-}
-
-// TenantNames lists the declared tenant names (Inspect, tests).
-func (r *Runtime) TenantNames() []string {
-	if len(r.tenants) <= 1 {
-		return nil
-	}
-	out := make([]string, 0, len(r.tenants)-1)
-	for _, t := range r.tenants[1:] {
-		out = append(out, t.name)
 	}
 	return out
 }

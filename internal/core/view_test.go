@@ -58,7 +58,9 @@ func emitRetrying(src *SourceHandle, payload []byte) error {
 // and close in a loop — every step of which republishes the view the
 // steady streams' pollers are reading. Afterwards every steady message is a
 // consume or a reason-coded drop, pools and tenant charges are back at
-// baseline, and no goroutine is left. Run it under -race.
+// baseline, every client-side counter summed over the tenants (the default
+// included) is the node's figure, and no goroutine is left. Run it under
+// -race.
 func TestViewChurnUnderTraffic(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	caps := datapath.Caps{DPDK: true}
@@ -223,6 +225,13 @@ func TestViewChurnUnderTraffic(t *testing.T) {
 		ten := rt.tenantByName["acme"]
 		if in, used := ten.inflight.Load(), ten.budget.Used(); in != 0 || used != 0 {
 			t.Errorf("%s: tenant acme holds %d TX tokens and %d slots after its sessions closed", rt.name, in, used)
+		}
+		// Per tenant: what the handles of all those sessions counted is in
+		// exactly one tenant's view, and acme's churn is in acme's.
+		wantTenantsSumToNode(t, rt)
+		if v := tenantView(rt, ten); v.Counters[telemetry.CtrEmits] == 0 || v.Counters[telemetry.CtrEmits] != v.Counters[telemetry.CtrConsumes] {
+			t.Errorf("%s: tenant acme's view holds %d emits and %d consumes of its one-sink churn rounds",
+				rt.name, v.Counters[telemetry.CtrEmits], v.Counters[telemetry.CtrConsumes])
 		}
 		// The last UNSUBs are still on their way when Close returns.
 		empty := func() bool {

@@ -41,9 +41,6 @@ const Headroom = netstack.HeadersLen
 var (
 	// ErrClosed is returned by operations on a closed endpoint.
 	ErrClosed = errors.New("datapath: endpoint closed")
-	// ErrUnavailable is returned when a technology is not present on the
-	// host (the QoS mapper then falls back, §5.2).
-	ErrUnavailable = errors.New("datapath: technology unavailable on this host")
 	// ErrTooLarge is returned when a message exceeds the path MTU; INSANE
 	// does not fragment (§8: end-to-end zero copy), callers must use
 	// jumbo-frame slots or application-level fragmentation.

@@ -104,11 +104,10 @@ type Endpoint struct {
 	tx, rx []model.Component
 	// scratch is where an encapsulating endpoint builds its frames.
 	scratch []byte
-	// backlog holds the frames a blocking WaitRecv took off the port ahead
-	// of the Poll that processes them: a port's queue cannot be waited on
-	// without taking its head.
-	backlog []fabric.Frame
-	closed  atomic.Bool
+	// bell is the doorbell a blocking endpoint arms on its port and
+	// WaitRecv sleeps on; nil where WaitRecv returns at once.
+	bell   fabric.Bell
+	closed atomic.Bool
 
 	txPackets, rxPackets atomic.Uint64
 	malformed, rnrDrops  atomic.Uint64
@@ -145,6 +144,10 @@ func Open(tech model.Tech, cfg Config) (*Endpoint, error) {
 		})
 	}
 	cfg.Port.SetRxMemory(cfg.Mem)
+	if cfg.Blocking && row.canBlock {
+		e.bell = make(fabric.Bell, 1)
+		cfg.Port.SetRxDoorbell(e.bell)
+	}
 	return e, nil
 }
 
@@ -209,7 +212,7 @@ func (e *Endpoint) Send(pkts []*Packet, dst netstack.Endpoint) (int, error) {
 	}
 	tb := &e.cfg.Testbed
 	mtu := e.cfg.Port.MTU()
-	//insane:bounded by=pkts is one TX burst of the caller, <= model.MaxBurst
+	//insane:bounded by=pkts is one TX burst of the caller
 	for i, p := range pkts {
 		if p.Framed != e.framed {
 			if e.framed {
@@ -276,7 +279,7 @@ func (e *Endpoint) Poll(pkts []Packet) (int, error) {
 	n := 0
 	//insane:bounded by=every iteration consumes one queued frame; the RX queue holds at most fabric's rxQueueDepth and n stops at len(pkts)
 	for n < len(pkts) {
-		frame, ok := e.next()
+		frame, ok := e.cfg.Port.TryRecv()
 		if !ok {
 			break
 		}
@@ -340,49 +343,28 @@ func (e *Endpoint) Poll(pkts []Packet) (int, error) {
 	return n, nil
 }
 
-// next takes the next frame to process: one WaitRecv set aside, else the
-// head of the port's RX queue. The caller owns the frame's slot.
-//
-//insane:hotpath
-//insane:acquire resource=mem-slot on=true
-func (e *Endpoint) next() (fabric.Frame, bool) {
-	if len(e.backlog) > 0 {
-		frame := e.backlog[0]
-		e.backlog = e.backlog[1:]
-		return frame, true
-	}
-	return e.cfg.Port.TryRecv()
-}
-
-// WaitRecv blocks until at least one packet is available or the timeout
-// elapses, where Config.Blocking asks for it and the technology can (a
-// blocking socket, poll(2) on an AF_XDP socket); everywhere else it
-// returns at once. The frame it takes off the port is kept for the next
-// Poll.
+// WaitRecv blocks until at least one frame is queued on the port or the
+// timeout elapses (zero: no deadline), where Config.Blocking asks for it
+// and the technology can (a blocking socket, poll(2) on an AF_XDP socket);
+// everywhere else it returns at once. It sleeps on the port's doorbell and
+// takes nothing: the frame stays queued for the next Poll.
 func (e *Endpoint) WaitRecv(timeout time.Duration) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	if !e.cfg.Blocking || !e.row.canBlock {
+	if e.bell == nil {
 		return nil
 	}
-	frame, err := e.cfg.Port.Recv(timeout)
-	if err != nil {
-		return err
-	}
-	e.backlog = append(e.backlog, frame)
-	return nil
+	return e.bell.Wait(e.cfg.Port, timeout)
 }
 
-// Close releases the endpoint: the frames it set aside go back to the
-// pools, and unregistering Config.Mem from the port releases every frame
-// still queued there.
+// Close releases the endpoint: unregistering Config.Mem from the port
+// releases every frame still queued there.
 func (e *Endpoint) Close() error {
 	if e.closed.CompareAndSwap(false, true) {
-		for _, f := range e.backlog {
-			_ = e.cfg.Mem.Release(f.Slot) // a received frame holds exactly the reference the port took
+		if e.bell != nil {
+			e.cfg.Port.SetRxDoorbell(nil)
 		}
-		e.backlog = nil
 		e.cfg.Port.SetRxMemory(nil)
 	}
 	return nil

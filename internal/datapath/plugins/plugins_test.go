@@ -450,42 +450,6 @@ func TestTechLatencyOrderingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestXDPBlockingWaitRecv exercises AF_XDP's poll(2)-style blocking wait:
-// the frame consumed during the wait must surface in the next Poll.
-func TestXDPBlockingWaitRecv(t *testing.T) {
-	r := newRig(t, model.TechXDP, true)
-	msg := []byte("xdp blocking")
-	if _, err := r.a.Send([]*datapath.Packet{frameFor(t, r, msg)}, r.epB); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.b.WaitRecv(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	pkts := r.poll(t, r.b, 4)
-	if len(pkts) != 1 {
-		t.Fatalf("polled %d packets after blocking wait, want 1", len(pkts))
-	}
-	_, payload, err := netstack.DecodeUDP(pkts[0].Bytes())
-	if err != nil || !bytes.Equal(payload, msg) {
-		t.Errorf("payload = %q, %v", payload, err)
-	}
-}
-
-// TestNonBlockingWaitRecvIsNoop: with Blocking unset, WaitRecv must not
-// consume anything.
-func TestNonBlockingWaitRecvIsNoop(t *testing.T) {
-	r := newRig(t, model.TechKernelUDP, false)
-	if _, err := r.a.Send([]*datapath.Packet{makePacket([]byte("x"))}, r.epB); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.b.WaitRecv(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.pollOne(t, r.b); string(got.Bytes()) != "x" {
-		t.Errorf("payload = %q", got.Bytes())
-	}
-}
-
 // TestSendToUnresolvableIP: destinations outside the static ARP table
 // must fail cleanly on address-carrying plugins.
 func TestSendToUnresolvableIP(t *testing.T) {

@@ -48,14 +48,6 @@ func (b Breakdown) Total() time.Duration {
 	return b.Send + b.Network + b.Recv + b.Processing
 }
 
-// Add accumulates another breakdown into b.
-func (b *Breakdown) Add(o Breakdown) {
-	b.Send += o.Send
-	b.Network += o.Network
-	b.Recv += o.Recv
-	b.Processing += o.Processing
-}
-
 // Frame is one received Ethernet frame, with its virtual-time annotations.
 type Frame struct {
 	// Data is the raw frame (Ethernet headers included). The fabric
@@ -154,10 +146,11 @@ type SwitchParams struct {
 	Latency time.Duration
 }
 
-// PortStats counts per-port activity.
+// PortStats counts per-port activity on the receive side and the losses;
+// what was transmitted is the sending endpoint's to count (datapath.Stats).
 type PortStats struct {
-	TxFrames, RxFrames uint64
-	TxBytes, RxBytes   uint64
+	// RxFrames counts frames queued for the receiver.
+	RxFrames uint64
 	// Dropped counts frames lost on the wire, to an unknown address, on a
 	// full RX queue, or queued on a port that was then closed or had its
 	// receive memory unregistered.
@@ -197,9 +190,8 @@ type Port struct {
 	net  *Network      //insane:guardedby immutable after=AddHost
 	name string        //insane:guardedby immutable after=AddHost
 
-	rx     chan rxDesc   //insane:guardedby immutable after=AddHost
-	down   chan struct{} //insane:guardedby immutable after=AddHost
-	closed atomic.Bool   //insane:guardedby atomic
+	rx     chan rxDesc //insane:guardedby immutable after=AddHost
+	closed atomic.Bool //insane:guardedby atomic
 
 	// rxMem is the registered receive memory (nil = none: frames land in
 	// heap buffers). deliver loads it once per frame and checks it again
@@ -220,9 +212,7 @@ type Port struct {
 	mu  sync.Mutex
 	rng *rand.Rand //insane:guardedby mu=mu
 
-	txFrames, rxFrames atomic.Uint64 //insane:guardedby atomic
-	txBytes, rxBytes   atomic.Uint64 //insane:guardedby atomic
-	dropped, rxNoMem   atomic.Uint64 //insane:guardedby atomic
+	rxFrames, dropped, rxNoMem atomic.Uint64 //insane:guardedby atomic
 }
 
 // SetRxDoorbell arms the port's receive doorbell; nil disarms it. Frames
@@ -262,22 +252,10 @@ func (p *Port) MTU() int {
 	return att.link.mtu()
 }
 
-// Rate returns the line rate of the attached link.
-func (p *Port) Rate() timebase.Rate {
-	att := p.att.Load()
-	if att == nil {
-		return 0
-	}
-	return att.link.Rate
-}
-
 // Stats returns a snapshot of the port counters.
 func (p *Port) Stats() PortStats {
 	return PortStats{
-		TxFrames: p.txFrames.Load(),
 		RxFrames: p.rxFrames.Load(),
-		TxBytes:  p.txBytes.Load(),
-		RxBytes:  p.rxBytes.Load(),
 		Dropped:  p.dropped.Load(),
 		RxNoMem:  p.rxNoMem.Load(),
 	}
@@ -300,9 +278,6 @@ func (p *Port) Transmit(data []byte, vt timebase.VTime, bd Breakdown) error {
 	if att == nil {
 		return ErrNotAttached
 	}
-
-	p.txFrames.Add(1)
-	p.txBytes.Add(uint64(len(data)))
 
 	// Wire model: serialization of frame + preamble/IFG, then
 	// propagation, optionally perturbed by seeded jitter.
@@ -374,7 +349,6 @@ func (p *Port) deliver(data []byte, vt timebase.VTime, bd Breakdown) {
 		return
 	}
 	p.rxFrames.Add(1)
-	p.rxBytes.Add(uint64(len(data)))
 	// SetRxMemory or Close may have drained the queue between the load of
 	// rxMem and the enqueue, leaving this frame's slot stranded: drain
 	// again. Both sides store before they drain and this side queues
@@ -439,38 +413,57 @@ func (p *Port) TryRecv() (Frame, bool) {
 	}
 }
 
-// Recv blocks until a frame arrives, the timeout elapses, or the port
-// closes. A zero timeout blocks indefinitely. The caller owns the frame's
-// slot.
+// Bell is the Doorbell of a receiver that sleeps until traffic arrives
+// instead of polling (a blocking socket, poll(2) on an AF_XDP socket): one
+// buffered signal, set for every frame the port queues. A set bell says a
+// frame arrived since the last wait, not that one is still queued.
+type Bell chan struct{}
+
+// Ring sets the bell; it never blocks.
 //
-//insane:acquire resource=mem-slot on=nilerr
-func (p *Port) Recv(timeout time.Duration) (Frame, error) {
-	if p.closed.Load() {
-		return Frame{}, ErrPortClosed
+//insane:hotpath
+func (b Bell) Ring() {
+	select {
+	case b <- struct{}{}:
+	default:
 	}
+}
+
+// Wait blocks until at least one frame is queued on p, whose armed doorbell
+// b is, or the timeout elapses (zero: no deadline); a closed port fails it
+// with ErrPortClosed. It takes nothing: the frame stays queued for the next
+// TryRecv. The fabric queues a frame before it rings, so a queue read as
+// empty is followed by a ring; a ring left over from a frame already taken
+// costs one more look.
+func (b Bell) Wait(p *Port, timeout time.Duration) error {
 	var expired <-chan time.Time
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
 		defer t.Stop()
 		expired = t.C
 	}
-	select {
-	case d := <-p.rx:
-		return d.frame(), nil
-	case <-p.down:
-		return Frame{}, ErrPortClosed
-	case <-expired:
-		return Frame{}, fmt.Errorf("fabric: recv timeout after %v", timeout)
+	for {
+		if p.closed.Load() {
+			return ErrPortClosed
+		}
+		if len(p.rx) > 0 {
+			return nil
+		}
+		select {
+		case <-b:
+		case <-expired:
+			return fmt.Errorf("fabric: no frame within %v", timeout)
+		}
 	}
 }
 
 // Close detaches the port: queued frames are dropped and their slots
 // released, and the receive memory is unregistered. The queue itself stays
 // open — a peer may be about to send on it — and deliver drops on the
-// closed flag instead.
+// closed flag instead. Nothing rings for it: a receiver asleep on the
+// doorbell is the port's owner, who is the one closing it.
 func (p *Port) Close() {
 	if p.closed.CompareAndSwap(false, true) {
-		close(p.down)
 		p.SetRxMemory(nil)
 	}
 }
@@ -568,7 +561,6 @@ func (n *Network) AddHost(name string, ip netstack.IPv4) (*Port, error) {
 		net:  n,
 		name: name,
 		rx:   make(chan rxDesc, rxQueueDepth),
-		down: make(chan struct{}),
 	}
 	n.ports[name] = p
 	n.resolver.Add(ip, mac)

@@ -27,6 +27,15 @@ func buildFrame(t *testing.T, src, dst *Port, payload []byte) []byte {
 	return buf[:n]
 }
 
+// recvNow takes the frame a Transmit that has returned left on the port: the
+// fabric delivers on the transmitting goroutine.
+func recvNow(p *Port) (Frame, error) {
+	if f, ok := p.TryRecv(); ok {
+		return f, nil
+	}
+	return Frame{}, errors.New("no frame queued")
+}
+
 func twoHostsDirect(t *testing.T, link LinkParams) (*Network, *Port, *Port) {
 	t.Helper()
 	n := New(1)
@@ -51,7 +60,7 @@ func TestDirectDelivery(t *testing.T) {
 	if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := b.Recv(time.Second)
+	f, err := recvNow(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +84,7 @@ func TestWireCopyIsolation(t *testing.T) {
 	for i := range frame {
 		frame[i] = 0
 	}
-	f, err := b.Recv(time.Second)
+	f, err := recvNow(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +105,7 @@ func TestVirtualTimeAdvance(t *testing.T) {
 	if err := a.Transmit(frame, start, Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := b.Recv(time.Second)
+	f, err := recvNow(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +135,7 @@ func TestSwitchForwardingAndLatency(t *testing.T) {
 	if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := b.Recv(time.Second)
+	f, err := recvNow(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestSwitchBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []*Port{b, c} {
-		if _, err := p.Recv(time.Second); err != nil {
+		if _, err := recvNow(p); err != nil {
 			t.Errorf("broadcast not delivered to %s: %v", p.MAC(), err)
 		}
 	}
@@ -242,20 +251,44 @@ func TestPortLifecycleErrors(t *testing.T) {
 	if err := a.Transmit([]byte("x"), 0, Breakdown{}); !errors.Is(err, ErrPortClosed) {
 		t.Errorf("closed transmit err = %v", err)
 	}
-	if _, err := a.Recv(time.Millisecond); !errors.Is(err, ErrPortClosed) {
-		t.Errorf("closed recv err = %v", err)
+	if err := make(Bell, 1).Wait(a, time.Millisecond); !errors.Is(err, ErrPortClosed) {
+		t.Errorf("closed wait err = %v", err)
 	}
 	a.Close() // idempotent
 }
 
+// TestRecvTimeout: a receiver asleep on the port's doorbell wakes with the
+// frame that arrives and not on a ring left over from one already taken,
+// gives up at its timeout, and takes nothing — the frame is TryRecv's.
 func TestRecvTimeout(t *testing.T) {
-	_, a, _ := twoHostsDirect(t, DefaultLink)
+	_, a, b := twoHostsDirect(t, DefaultLink)
+	bell := make(Bell, 1)
+	b.SetRxDoorbell(bell)
+	frame := buildFrame(t, a, b, []byte("x"))
+	if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recvNow(b); err != nil { // taken without a wait: its ring stays set
+		t.Fatal(err)
+	}
 	start := time.Now()
-	if _, err := a.Recv(10 * time.Millisecond); err == nil {
-		t.Error("want timeout error")
+	if err := bell.Wait(b, 10*time.Millisecond); err == nil {
+		t.Error("want timeout error on an empty port with a stale ring")
 	}
 	if time.Since(start) < 10*time.Millisecond {
-		t.Error("Recv returned before timeout")
+		t.Error("Wait returned before timeout")
+	}
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+			t.Error(err)
+		}
+	}()
+	if err := bell.Wait(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recvNow(b); err != nil {
+		t.Errorf("the frame that ended the wait is not on the port: %v", err)
 	}
 }
 
@@ -272,13 +305,7 @@ func TestResolverPopulated(t *testing.T) {
 }
 
 func TestBreakdownAccumulation(t *testing.T) {
-	var b Breakdown
-	b.Add(Breakdown{Send: 1, Network: 2, Recv: 3, Processing: 4})
-	b.Add(Breakdown{Send: 10, Network: 20, Recv: 30, Processing: 40})
-	want := Breakdown{Send: 11, Network: 22, Recv: 33, Processing: 44}
-	if b != want {
-		t.Errorf("breakdown = %+v, want %+v", b, want)
-	}
+	b := Breakdown{Send: 11, Network: 22, Recv: 33, Processing: 44}
 	if b.Total() != 110 {
 		t.Errorf("total = %v, want 110", b.Total())
 	}
@@ -295,7 +322,7 @@ func TestJitterSpreadsWireLatency(t *testing.T) {
 		if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
-		f, err := b.Recv(time.Second)
+		f, err := recvNow(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +359,7 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 			if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
-			f, err := b.Recv(time.Second)
+			f, err := recvNow(b)
 			if err != nil {
 				t.Fatal(err)
 			}

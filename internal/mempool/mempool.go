@@ -104,8 +104,6 @@ const NoOwner Owner = 0
 type slotState struct {
 	refs  atomic.Int32 //insane:guardedby atomic
 	owner atomic.Int32 //insane:guardedby atomic
-	// gen increments on every recycle, detecting stale-id release bugs.
-	gen atomic.Uint32 //insane:guardedby atomic
 	// budget is the tenant budget the slot is charged against, nil for
 	// unbudgeted borrows. Atomic for two reasons: the guardcheck regime
 	// proof cannot see the free-ring ownership argument that made a plain
@@ -247,15 +245,6 @@ func (m *Manager) Buf(id SlotID) ([]byte, error) {
 	return p.slotBuf(idx), nil
 }
 
-// SlotSize returns the capacity of the slot identified by id.
-func (m *Manager) SlotSize(id SlotID) (int, error) {
-	p, _, err := m.locate(id)
-	if err != nil {
-		return 0, err
-	}
-	return p.slotSize, nil
-}
-
 // AddRef raises the reference count of a borrowed slot by n (multi-sink
 // delivery takes one reference per sink before handing out the slot id).
 //
@@ -316,7 +305,6 @@ func (m *Manager) Release(id SlotID) error {
 			b.Uncharge()
 		}
 		st.owner.Store(int32(NoOwner))
-		st.gen.Add(1)
 		m.releases.Add(1)
 		if !p.free.TryPush(uint32(idx)) && !p.pushFreeContended(uint32(idx)) {
 			//lint:ignore insanevet/hotpathcheck cold error path, never taken steady-state
@@ -385,7 +373,6 @@ func (m *Manager) ReleaseOwner(owner Owner) int {
 					b.Uncharge()
 				}
 				st.owner.Store(int32(NoOwner))
-				st.gen.Add(1)
 				m.releases.Add(1)
 				if !p.free.TryPush(uint32(idx)) {
 					p.pushFreeContended(uint32(idx))

@@ -57,9 +57,6 @@ func TestGetPicksSmallestFittingClass(t *testing.T) {
 	if len(buf) != 128 {
 		t.Errorf("small request buf len = %d, want 128", len(buf))
 	}
-	if sz, _ := m.SlotSize(id); sz != 128 {
-		t.Errorf("SlotSize = %d, want 128", sz)
-	}
 
 	id2, buf2, err := m.Get(500, 1)
 	if err != nil {

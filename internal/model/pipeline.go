@@ -63,14 +63,10 @@ func (s System) Batching() bool {
 }
 
 // DefaultBurst is the burst size used by batching systems; it matches the
-// DPDK conventional burst of 32 descriptors.
+// DPDK conventional burst of 32 descriptors. The runtime's pollers move
+// exactly this many messages per pass, so every per-pass batch loop has a
+// compile-time bound (the //insane:bounded waivers in internal/core cite it).
 const DefaultBurst = 32
-
-// MaxBurst caps any configured burst size. The runtime clamps
-// Config.Burst against it, so every per-pass batch loop in the poller
-// has a hard compile-time bound (the //insane:bounded waivers in
-// internal/core cite this constant).
-const MaxBurst = 512
 
 // FrameOverhead is the Ethernet+IPv4+UDP encapsulation added to every
 // payload (netstack.HeadersLen; duplicated here to keep model a leaf

@@ -51,7 +51,7 @@ type WDRR[T any] struct {
 	next   int // round-robin cursor
 
 	// clock enforces the 802.1Qbv gates; without a gate control list every
-	// gate is permanently open (single-tenant compatibility mode).
+	// gate is permanently open (no tenant declared: nobody to isolate).
 	clock gateClock
 }
 
@@ -78,9 +78,6 @@ func NewWDRR[T any](weights []int, gcl GCL) (*WDRR[T], error) {
 	}
 	return w, nil
 }
-
-// Tenants returns the number of tenant queues.
-func (w *WDRR[T]) Tenants() int { return len(w.queues) }
 
 // Enqueue files v — size bytes of traffic class class — under its
 // tenant's queue, recording when it arrived on the scheduler's clock.

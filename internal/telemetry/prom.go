@@ -15,75 +15,31 @@ import (
 // MetricPrefix namespaces every exported series.
 const MetricPrefix = "insane_"
 
-// counterHelp documents each counter for # HELP lines and the DESIGN.md
-// reference table.
-var counterHelp = [NumCounters]string{
-	CtrEmits:              "Messages admitted by Emit into a session TX ring.",
-	CtrEmitBytes:          "Payload bytes admitted by Emit.",
-	CtrEmitBackpressure:   "Emit attempts rejected because the TX ring was full.",
-	CtrSchedEnqueues:      "Packets filed with a per-technology scheduler.",
-	CtrDispatches:         "Packets dispatched out of the schedulers.",
-	CtrTxMessages:         "Data messages sent to remote peers (per-peer sends).",
-	CtrRxMessages:         "Data messages received from the network.",
-	CtrLocalDeliveries:    "Shared-memory deliveries to co-located sinks.",
-	CtrNoSinkDrops:        "Received messages dropped for lack of a subscribed sink.",
-	CtrRingFullDrops:      "Deliveries dropped on full sink rings (backpressure).",
-	CtrTechDowngrades:     "Remote sends forced below the stream's mapped technology.",
-	CtrConsumes:           "Deliveries handed to the application by Consume.",
-	CtrConsumeBytes:       "Payload bytes handed to the application by Consume.",
-	CtrRTCDeliveries:      "Local deliveries made synchronously by the run-to-completion fast path.",
-	CtrRTCFallbacks:       "Emits on RTC-enabled streams that fell back to the queued path.",
-	CtrTenantQuotaRejects: "Admissions refused by a tenant quota (slot budget or TX token cap).",
-	CtrTxReclaims:         "TX tokens reclaimed undrained from the lanes of a detaching session.",
-
-	CtrRxMalformedDrops:     "Received frames dropped as malformed (netstack decode error, wrong UDP port, bad INSANE header).",
-	CtrPollerParks:          "Times a polling thread found no work twice in a row and went to sleep.",
-	CtrPollerWakesTX:        "Polling-thread sleeps ended by a TX ring (Emit, session flush or detach).",
-	CtrPollerWakesRX:        "Polling-thread sleeps ended by the RX doorbell of a fabric port.",
-	CtrPollerWakesGateTimer: "Polling-thread sleeps ended by the timer toward a far 802.1Qbv gate.",
-	CtrPollerIdlePasses:     "Polling passes that found no work.",
-}
-
-// sampledHelp closes the help text of every latency family.
-var sampledHelp = fmt.Sprintf(" Wall-clock, sampled 1-in-%d (every message on time-sensitive streams); _count is samples, not messages: rates come from the counters.", SamplePeriod)
-
-// histHelp documents each histogram.
-var histHelp = [NumHists]string{
-	HistSchedDwell:      "Scheduler enqueue to dequeue." + sampledHelp,
-	HistTxRingOccupancy: "Session TX ring depth sampled at each drain pass.",
-	HistDispatchBatch:   "Packets per non-empty dispatch batch.",
-	HistConsumeLatency:  "Emit admission to Consume return, co-located messages only." + sampledHelp,
-	HistStageSend:       "Emit admission to hand-over: pushed into a sink ring, or the endpoint's Send returned." + sampledHelp,
-	HistStageRecv:       "Sink-ring push (pick-up from the endpoint for a message off the wire) to Consume return." + sampledHelp,
-	HistStageProcessing: "Packet processing engine framing a message for a technology without its own network stack." + sampledHelp,
-	HistEmitPickup:      "TX-lane push to pop by the poller: the doorbell and the poller's wake." + sampledHelp,
-}
-
 // CounterMetricName returns the full Prometheus series name of a counter.
 func CounterMetricName(c CounterID) string {
-	return MetricPrefix + counterNames[c] + "_total"
+	return MetricPrefix + counterTable[c].name + "_total"
 }
 
 // HistMetricName returns the full Prometheus series name of a histogram.
 func HistMetricName(h HistID) string {
 	if LatencyHist(h) {
-		return MetricPrefix + histNames[h] + "_seconds"
+		return MetricPrefix + histTable[h].name + "_seconds"
 	}
-	return MetricPrefix + histNames[h]
+	return MetricPrefix + histTable[h].name
 }
 
 // CounterHelp returns the # HELP text of a counter.
-func CounterHelp(c CounterID) string { return counterHelp[c] }
+func CounterHelp(c CounterID) string { return counterTable[c].help }
 
 // HistHelp returns the # HELP text of a histogram.
-func HistHelp(h HistID) string { return histHelp[h] }
+func HistHelp(h HistID) string { return histTable[h].help }
 
 // NodeSnapshot pairs a node name with its merged snapshot for export.
 type NodeSnapshot struct {
 	Node string
 	Snap *Snapshot
-	// Tenants carries the node's per-tenant domains; empty when the node
-	// declares no tenants (single-tenant mode exports nothing extra).
+	// Tenants carries each declared tenant's view of the node's shards;
+	// empty when the node declares none (nothing extra is exported).
 	Tenants []TenantSnapshot
 }
 
@@ -94,7 +50,7 @@ type TenantSnapshot struct {
 	Tenant string
 	// Weight is the tenant's WDRR share.
 	Weight int
-	// Snap merges the tenant's private shard set.
+	// Snap merges the tenant's shards of the node's domain.
 	Snap *Snapshot
 	// MemUsed/MemLimit are the mempool slot budget gauges (limit 0 =
 	// unlimited).
@@ -111,7 +67,7 @@ func WriteProm(w io.Writer, nodes []NodeSnapshot) error {
 
 	for c := CounterID(0); c < NumCounters; c++ {
 		name := CounterMetricName(c)
-		bw.printf("# HELP %s %s\n# TYPE %s counter\n", name, counterHelp[c], name)
+		bw.printf("# HELP %s %s\n# TYPE %s counter\n", name, counterTable[c].help, name)
 		for _, n := range nodes {
 			bw.printf("%s{node=%q} %d\n", name, n.Node, n.Snap.Counters[c])
 		}
@@ -119,7 +75,7 @@ func WriteProm(w io.Writer, nodes []NodeSnapshot) error {
 
 	for h := HistID(0); h < NumHists; h++ {
 		name := HistMetricName(h)
-		bw.printf("# HELP %s %s\n# TYPE %s histogram\n", name, histHelp[h], name)
+		bw.printf("# HELP %s %s\n# TYPE %s histogram\n", name, histTable[h].help, name)
 		for _, n := range nodes {
 			writeHist(bw, name, nodeLabel(n.Node), &n.Snap.Hists[h], LatencyHist(h))
 		}
@@ -170,8 +126,8 @@ func writeTenants(bw *errWriter, nodes []NodeSnapshot) {
 	}
 
 	for _, c := range tenantCounters {
-		name := MetricPrefix + "tenant_" + counterNames[c] + "_total"
-		bw.printf("# HELP %s Per-tenant: %s\n# TYPE %s counter\n", name, counterHelp[c], name)
+		name := MetricPrefix + "tenant_" + counterTable[c].name + "_total"
+		bw.printf("# HELP %s Per-tenant: %s\n# TYPE %s counter\n", name, counterTable[c].help, name)
 		for _, n := range nodes {
 			for _, ts := range n.Tenants {
 				bw.printf("%s{node=%q,tenant=%q} %d\n", name, n.Node, ts.Tenant, ts.Snap.Counters[c])
@@ -179,8 +135,8 @@ func writeTenants(bw *errWriter, nodes []NodeSnapshot) {
 		}
 	}
 
-	hname := MetricPrefix + "tenant_" + histNames[HistConsumeLatency] + "_seconds"
-	bw.printf("# HELP %s Per-tenant: %s\n# TYPE %s histogram\n", hname, histHelp[HistConsumeLatency], hname)
+	hname := MetricPrefix + "tenant_" + histTable[HistConsumeLatency].name + "_seconds"
+	bw.printf("# HELP %s Per-tenant: %s\n# TYPE %s histogram\n", hname, histTable[HistConsumeLatency].help, hname)
 	for _, n := range nodes {
 		for _, ts := range n.Tenants {
 			writeHist(bw, hname, tenantLabels(n.Node, ts.Tenant), &ts.Snap.Hists[HistConsumeLatency], true)

@@ -10,17 +10,22 @@
 //     index computation plus the atomic adds (the allocation-gate tests
 //     TestSteadyStateZeroAlloc{,Core} cover the instrumented path).
 //  2. No cross-core cache-line bouncing in steady state — each polling
-//     thread owns one shard, client-side handles (sources, sinks) are
-//     striped round-robin over a small set of extra shards, and shards
-//     are padded so two writers never share a line.
-//  3. Cheap reads at any time — Snapshot() sums the shards; readers
-//     never stall writers.
+//     thread owns one shard no client handle ever writes, client-side
+//     handles (sources, sinks) write the shards of their tenant, and
+//     shards are padded so two writers never share a line.
+//  3. Cheap reads at any time — Snapshot() sums the shards, SnapshotOf a
+//     tenant's; readers never stall writers.
+//  4. Every event is counted once, on one shard: a tenant's numbers are
+//     a view of the node's, not a second set kept in step.
 package telemetry
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
-// CounterID enumerates the hot-path event counters. Keep NameOf and the
-// DESIGN.md §8 reference table in sync when adding one.
+// CounterID enumerates the hot-path event counters. A new one is declared
+// here and in counterTable; keep the DESIGN.md §8 reference table in sync.
 type CounterID int
 
 // Hot-path counters.
@@ -96,36 +101,37 @@ const (
 	NumCounters
 )
 
-// counterNames are the stable identifiers used by exporters.
-var counterNames = [NumCounters]string{
-	CtrEmits:              "emits",
-	CtrEmitBytes:          "emit_bytes",
-	CtrEmitBackpressure:   "emit_backpressure",
-	CtrSchedEnqueues:      "sched_enqueues",
-	CtrDispatches:         "dispatches",
-	CtrTxMessages:         "tx_messages",
-	CtrRxMessages:         "rx_messages",
-	CtrLocalDeliveries:    "local_deliveries",
-	CtrNoSinkDrops:        "drops_no_sink",
-	CtrRingFullDrops:      "drops_ring_full",
-	CtrTechDowngrades:     "tech_downgrades",
-	CtrConsumes:           "consumes",
-	CtrConsumeBytes:       "consume_bytes",
-	CtrRTCDeliveries:      "rtc_deliveries",
-	CtrRTCFallbacks:       "rtc_fallbacks",
-	CtrTenantQuotaRejects: "tenant_quota_rejects",
-	CtrTxReclaims:         "tx_reclaims",
+// counterTable declares each counter once: the stable identifier exporters
+// use and the # HELP text (also the DESIGN.md §8 reference table).
+var counterTable = [NumCounters]struct{ name, help string }{
+	CtrEmits:              {"emits", "Messages admitted by Emit into a session TX ring."},
+	CtrEmitBytes:          {"emit_bytes", "Payload bytes admitted by Emit."},
+	CtrEmitBackpressure:   {"emit_backpressure", "Emit attempts rejected because the TX ring was full."},
+	CtrSchedEnqueues:      {"sched_enqueues", "Packets filed with a per-technology scheduler."},
+	CtrDispatches:         {"dispatches", "Packets dispatched out of the schedulers."},
+	CtrTxMessages:         {"tx_messages", "Data messages sent to remote peers (per-peer sends)."},
+	CtrRxMessages:         {"rx_messages", "Data messages received from the network."},
+	CtrLocalDeliveries:    {"local_deliveries", "Shared-memory deliveries to co-located sinks."},
+	CtrNoSinkDrops:        {"drops_no_sink", "Received messages dropped for lack of a subscribed sink."},
+	CtrRingFullDrops:      {"drops_ring_full", "Deliveries dropped on full sink rings (backpressure)."},
+	CtrTechDowngrades:     {"tech_downgrades", "Remote sends forced below the stream's mapped technology."},
+	CtrConsumes:           {"consumes", "Deliveries handed to the application by Consume."},
+	CtrConsumeBytes:       {"consume_bytes", "Payload bytes handed to the application by Consume."},
+	CtrRTCDeliveries:      {"rtc_deliveries", "Local deliveries made synchronously by the run-to-completion fast path."},
+	CtrRTCFallbacks:       {"rtc_fallbacks", "Emits on RTC-enabled streams that fell back to the queued path."},
+	CtrTenantQuotaRejects: {"tenant_quota_rejects", "Admissions refused by a tenant quota (slot budget or TX token cap)."},
+	CtrTxReclaims:         {"tx_reclaims", "TX tokens reclaimed undrained from the lanes of a detaching session."},
 
-	CtrRxMalformedDrops:     "rx_malformed_drops",
-	CtrPollerParks:          "poller_parks",
-	CtrPollerWakesTX:        "poller_wakes_tx",
-	CtrPollerWakesRX:        "poller_wakes_rx",
-	CtrPollerWakesGateTimer: "poller_wakes_gate_timer",
-	CtrPollerIdlePasses:     "poller_idle_passes",
+	CtrRxMalformedDrops:     {"rx_malformed_drops", "Received frames dropped as malformed (netstack decode error, wrong UDP port, bad INSANE header)."},
+	CtrPollerParks:          {"poller_parks", "Times a polling thread found no work twice in a row and went to sleep."},
+	CtrPollerWakesTX:        {"poller_wakes_tx", "Polling-thread sleeps ended by a TX ring (Emit, session flush or detach)."},
+	CtrPollerWakesRX:        {"poller_wakes_rx", "Polling-thread sleeps ended by the RX doorbell of a fabric port."},
+	CtrPollerWakesGateTimer: {"poller_wakes_gate_timer", "Polling-thread sleeps ended by the timer toward a far 802.1Qbv gate."},
+	CtrPollerIdlePasses:     {"poller_idle_passes", "Polling passes that found no work."},
 }
 
 // NameOf returns the stable exporter name of a counter.
-func NameOf(c CounterID) string { return counterNames[c] }
+func NameOf(c CounterID) string { return counterTable[c].name }
 
 // HistID enumerates the per-stage histograms. Latency histograms record
 // nanoseconds; size histograms record dimensionless quantities.
@@ -173,20 +179,23 @@ const (
 	NumHists
 )
 
-// histNames are the stable identifiers used by exporters.
-var histNames = [NumHists]string{
-	HistSchedDwell:      "sched_dwell",
-	HistTxRingOccupancy: "txring_occupancy",
-	HistDispatchBatch:   "dispatch_batch",
-	HistConsumeLatency:  "consume_latency",
-	HistStageSend:       "stage_send",
-	HistStageRecv:       "stage_recv",
-	HistStageProcessing: "stage_processing",
-	HistEmitPickup:      "emit_pickup",
+// sampledHelp closes the help text of every latency family.
+var sampledHelp = fmt.Sprintf(" Wall-clock, sampled 1-in-%d (every message on time-sensitive streams); _count is samples, not messages: rates come from the counters.", SamplePeriod)
+
+// histTable declares each histogram once, like counterTable.
+var histTable = [NumHists]struct{ name, help string }{
+	HistSchedDwell:      {"sched_dwell", "Scheduler enqueue to dequeue." + sampledHelp},
+	HistTxRingOccupancy: {"txring_occupancy", "Session TX ring depth sampled at each drain pass."},
+	HistDispatchBatch:   {"dispatch_batch", "Packets per non-empty dispatch batch."},
+	HistConsumeLatency:  {"consume_latency", "Emit admission to Consume return, co-located messages only." + sampledHelp},
+	HistStageSend:       {"stage_send", "Emit admission to hand-over: pushed into a sink ring, or the endpoint's Send returned." + sampledHelp},
+	HistStageRecv:       {"stage_recv", "Sink-ring push (pick-up from the endpoint for a message off the wire) to Consume return." + sampledHelp},
+	HistStageProcessing: {"stage_processing", "Packet processing engine framing a message for a technology without its own network stack." + sampledHelp},
+	HistEmitPickup:      {"emit_pickup", "TX-lane push to pop by the poller: the doorbell and the poller's wake." + sampledHelp},
 }
 
 // HistNameOf returns the stable exporter name of a histogram.
-func HistNameOf(h HistID) string { return histNames[h] }
+func HistNameOf(h HistID) string { return histTable[h].name }
 
 // LatencyHist reports whether a histogram records nanoseconds (true) or
 // a dimensionless size (false); exporters use it to pick units.
@@ -227,16 +236,17 @@ func (s *Shard) Add(c CounterID, n uint64) { s.counters[c].Add(n) }
 //insane:hotpath
 func (s *Shard) Observe(h HistID, v int64) { s.hists[h].observe(v) }
 
-// Telemetry owns the shard set of one runtime.
+// Telemetry owns the shard set of one runtime: the only telemetry domain
+// of the node. Whoever builds it decides which shard is whose — the runtime
+// gives one to each polling thread and partitions the rest by tenant — so
+// a view of part of the node (a tenant) is SnapshotOf some of its shards.
 //
 //insane:shared
 type Telemetry struct {
-	shards []*Shard      //insane:guardedby immutable after=New
-	next   atomic.Uint32 //insane:guardedby atomic
+	shards []*Shard //insane:guardedby immutable after=New
 }
 
-// New creates a telemetry domain with n shards (at least 1): typically
-// one per polling thread plus a few for client-side handles.
+// New creates a telemetry domain with n shards (at least 1).
 func New(n int) *Telemetry {
 	if n < 1 {
 		n = 1
@@ -248,16 +258,9 @@ func New(n int) *Telemetry {
 	return t
 }
 
-// Shard returns shard i (i < the n given to New); pollers bind their
-// shard once at startup.
+// Shard returns shard i (i < the n given to New); every writer binds its
+// shard once, when it is created.
 func (t *Telemetry) Shard(i int) *Shard { return t.shards[i] }
-
-// AssignShard hands out shards round-robin; sources and sinks call it
-// once at creation so concurrent client goroutines spread over the
-// shard set instead of hammering one line.
-func (t *Telemetry) AssignShard() *Shard {
-	return t.shards[int(t.next.Add(1))%len(t.shards)]
-}
 
 // Snapshot is a merged, immutable view of every shard, plus the
 // capacity gauges the runtime fills in (pool and scheduler state is owned
@@ -293,11 +296,12 @@ type MempoolSnapshot struct {
 	SlotSizes []int
 }
 
-// Snapshot merges all shards. It allocates and is intended for the
-// control path (exporters, Inspect, tests), never the data path.
-func (t *Telemetry) Snapshot() *Snapshot {
+// SnapshotOf merges the given shards of the domain. It allocates and is
+// intended for the control path (exporters, Inspect, tests), never the data
+// path.
+func (t *Telemetry) SnapshotOf(shards ...*Shard) *Snapshot {
 	s := &Snapshot{}
-	for _, sh := range t.shards {
+	for _, sh := range shards {
 		for c := range s.Counters {
 			s.Counters[c] += sh.counters[c].Load()
 		}
@@ -307,6 +311,9 @@ func (t *Telemetry) Snapshot() *Snapshot {
 	}
 	return s
 }
+
+// Snapshot merges all shards: the node's figures.
+func (t *Telemetry) Snapshot() *Snapshot { return t.SnapshotOf(t.shards...) }
 
 // Counter returns one merged counter value without building a full
 // snapshot (cheap enough for polling in tests).

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,6 +29,20 @@ const fragHeaderLen = 16
 // MaxFragPayload is the data carried per fragment: sized so that a
 // fragment plus its headers fits one jumbo frame slot.
 const MaxFragPayload = 8900
+
+// maxFrameLen is the largest frame a server sends and a client assembles.
+const maxFrameLen = 1 << 30
+
+// maxPending bounds the frames a client keeps under reassembly. A server
+// sends its frames one after the other, so more than a handful pending
+// means the older ones lost a fragment and will never complete.
+const maxPending = 16
+
+// fragCount is how many fragments carry a frame of total bytes: the
+// server's rule, which the client holds every fragment to.
+func fragCount(total int) int {
+	return max(1, (total+MaxFragPayload-1)/MaxFragPayload)
+}
 
 // Errors of the streaming framework.
 var (
@@ -98,15 +113,12 @@ func (s *Server) SendFrame(frame []byte) (int, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	if len(frame) > 1<<30 {
+	if len(frame) > maxFrameLen {
 		return 0, ErrFrameTooLarge
 	}
 	s.frameID++
 	id := s.frameID
-	count := (len(frame) + MaxFragPayload - 1) / MaxFragPayload
-	if count == 0 {
-		count = 1
-	}
+	count := fragCount(len(frame))
 	for idx := 0; idx < count; idx++ {
 		lo := idx * MaxFragPayload
 		hi := lo + MaxFragPayload
@@ -202,9 +214,12 @@ type Client struct {
 	stream *insane.Stream  //insane:guardedby immutable after=Connect
 	sink   *insane.Sink    //insane:guardedby immutable after=Connect
 
-	mu       sync.Mutex
-	building map[uint32]*assembly //insane:guardedby mu=mu
-	ready    []Frame              //insane:guardedby mu=mu
+	mu sync.Mutex
+	// building holds the frames under reassembly, oldest first and at most
+	// maxPending of them: the oldest is evicted, and counted in dropped,
+	// to make room for a new one.
+	building []*assembly //insane:guardedby mu=mu
+	ready    []Frame     //insane:guardedby mu=mu
 	// notify is created once in Connect and only ever sent to / received
 	// from afterwards (channel ops are internally synchronized), so it is
 	// deliberately not under mu: Receive blocks on it after unlocking.
@@ -213,8 +228,11 @@ type Client struct {
 	closed  bool          //insane:guardedby mu=mu
 }
 
-// assembly is a frame being reassembled.
+// assembly is a frame being reassembled: len(data) and len(seen) are the
+// total and count of the fragment that opened it, which every later
+// fragment of the frame must repeat.
 type assembly struct {
+	id      uint32
 	data    []byte
 	seen    []bool
 	missing int
@@ -234,10 +252,9 @@ func Connect(node *insane.Node, name string, opts insane.Options) (*Client, erro
 		return nil, err
 	}
 	c := &Client{
-		sess:     sess,
-		stream:   stream,
-		building: make(map[uint32]*assembly),
-		notify:   make(chan struct{}, 1),
+		sess:   sess,
+		stream: stream,
+		notify: make(chan struct{}, 1),
 	}
 	sink, err := stream.CreateSink(StreamChannel(name), c.onFragment)
 	if err != nil {
@@ -249,18 +266,26 @@ func Connect(node *insane.Node, name string, opts insane.Options) (*Client, erro
 }
 
 // onFragment integrates one received fragment, completing frames as the
-// last fragment lands. The payload copy below is the reassembly copy the
-// paper identifies as unavoidable without RDMA (§8).
+// last fragment lands. The four header words are a peer's bytes: a fragment
+// is used only if they agree with each other by the server's own rule
+// (fragCount, every chunk full but the last) and with the assembly the
+// fragment joins, so nothing below indexes or allocates by an unchecked
+// word. The payload copy is the reassembly copy the paper identifies as
+// unavoidable without RDMA (§8).
 func (c *Client) onFragment(m *insane.Message) {
 	if len(m.Payload) < fragHeaderLen {
 		return
 	}
 	id := binary.BigEndian.Uint32(m.Payload[0:4])
-	idx := int(binary.BigEndian.Uint32(m.Payload[4:8]))
-	count := int(binary.BigEndian.Uint32(m.Payload[8:12]))
-	total := int(binary.BigEndian.Uint32(m.Payload[12:16]))
+	idx := binary.BigEndian.Uint32(m.Payload[4:8])
+	count := binary.BigEndian.Uint32(m.Payload[8:12])
+	total := binary.BigEndian.Uint32(m.Payload[12:16])
 	chunk := m.Payload[fragHeaderLen:]
-	if count <= 0 || idx < 0 || idx >= count || total < 0 || total > 1<<30 {
+	if total > maxFrameLen || int(count) != fragCount(int(total)) || idx >= count {
+		return
+	}
+	lo := int(idx) * MaxFragPayload
+	if want := min(MaxFragPayload, int(total)-lo); len(chunk) != want {
 		return
 	}
 
@@ -269,17 +294,20 @@ func (c *Client) onFragment(m *insane.Message) {
 	if c.closed {
 		return
 	}
-	asm, ok := c.building[id]
-	if !ok {
-		asm = &assembly{data: make([]byte, total), seen: make([]bool, count), missing: count}
-		c.building[id] = asm
+	at := slices.IndexFunc(c.building, func(a *assembly) bool { return a.id == id })
+	if at < 0 {
+		if len(c.building) == maxPending {
+			c.building = slices.Delete(c.building, 0, 1)
+			c.dropped++
+		}
+		at = len(c.building)
+		c.building = append(c.building, &assembly{
+			id: id, data: make([]byte, total), seen: make([]bool, count), missing: int(count),
+		})
 	}
-	if asm.seen[idx] {
-		return // duplicate
-	}
-	lo := idx * MaxFragPayload
-	if lo+len(chunk) > len(asm.data) {
-		return // inconsistent fragment
+	asm := c.building[at]
+	if len(asm.data) != int(total) || asm.seen[idx] {
+		return // another frame's header under this id, or a duplicate
 	}
 	copy(asm.data[lo:], chunk)
 	asm.seen[idx] = true
@@ -291,13 +319,13 @@ func (c *Client) onFragment(m *insane.Message) {
 	if asm.missing > 0 {
 		return
 	}
-	delete(c.building, id)
+	c.building = slices.Delete(c.building, at, at+1)
 	c.ready = append(c.ready, Frame{
 		ID:        id,
 		Data:      asm.data,
 		Latency:   asm.latency,
 		Stages:    asm.stages,
-		Fragments: count,
+		Fragments: len(asm.seen),
 	})
 	select {
 	case c.notify <- struct{}{}:
@@ -330,11 +358,12 @@ func (c *Client) NextFrame(timeout time.Duration) (Frame, error) {
 	}
 }
 
-// Pending reports frames currently under reassembly (diagnostics).
-func (c *Client) Pending() int {
+// Dropped reports how many frames were given up incomplete: evicted, oldest
+// first, when a new frame needed their place under reassembly.
+func (c *Client) Dropped() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.building)
+	return c.dropped
 }
 
 // Close shuts the client down.
