@@ -52,32 +52,7 @@ func (r *Runtime) pollLoop(p *poller) {
 			return
 		default:
 		}
-		p.loops.Add(1)
-		work := 0
-		gated := false
-		var nextGate timebase.VTime
-		//insane:bounded by=one entry per registered technology, fixed at runtime construction
-		for _, st := range p.states {
-			work += r.drainTX(p, st)
-			work += r.pollRX(p, st)
-			st.schedMu.Lock()
-			if st.tas.Pending() > 0 || st.wdrr.Pending() > 0 {
-				gated = true
-				// Earliest gate opening across both schedulers; zero
-				// means something queued is already eligible.
-				gateNow := r.clock.Now()
-				if e := st.tas.NextEvent(gateNow); e != 0 && (nextGate == 0 || e.Before(nextGate)) {
-					nextGate = e
-				}
-				if e := st.wdrr.NextEvent(gateNow); e != 0 && (nextGate == 0 || e.Before(nextGate)) {
-					nextGate = e
-				}
-			}
-			st.schedMu.Unlock()
-		}
-		if work == 0 {
-			p.shard.Inc(telemetry.CtrPollerIdlePasses)
-		}
+		work, gated, nextGate := r.pass(p)
 		// Packets waiting for their 802.1Qbv gate bound the sleep. Timer
 		// wakeups are too coarse to hit a gate window reliably: spin to a
 		// near edge, sleep toward a far one.
@@ -120,6 +95,43 @@ func (r *Runtime) pollLoop(p *poller) {
 	}
 }
 
+// pass is one polling iteration over the poller's technologies: drain the
+// TX lanes through the schedulers, poll the port, and look at what the
+// schedulers still hold. It reports the messages moved, whether tokens are
+// held, and the earliest gate opening that would release one (zero: one is
+// already eligible). A pass that finds no work reads the view, each lane's
+// length, each occupancy word and each port's queue length, and nothing
+// else: no clock, no scheduler lock, no endpoint lock (DESIGN.md §15).
+func (r *Runtime) pass(p *poller) (work int, gated bool, nextGate timebase.VTime) {
+	p.loops.Add(1)
+	//insane:bounded by=one entry per registered technology, fixed at runtime construction
+	for _, st := range p.states {
+		work += r.drainTX(p, st)
+		work += r.pollRX(p, st)
+		if st.queued.Load() == 0 {
+			continue
+		}
+		st.schedMu.Lock()
+		if st.tas.Pending() > 0 || st.wdrr.Pending() > 0 {
+			gated = true
+			// Earliest gate opening across both schedulers; zero
+			// means something queued is already eligible.
+			gateNow := r.clock.Now()
+			if e := st.tas.NextEvent(gateNow); e != 0 && (nextGate == 0 || e.Before(nextGate)) {
+				nextGate = e
+			}
+			if e := st.wdrr.NextEvent(gateNow); e != 0 && (nextGate == 0 || e.Before(nextGate)) {
+				nextGate = e
+			}
+		}
+		st.schedMu.Unlock()
+	}
+	if work == 0 {
+		p.shard.Inc(telemetry.CtrPollerIdlePasses)
+	}
+	return work, gated, nextGate
+}
+
 // ring wakes the poller if it is parked, or armed to park; a running
 // poller costs the ringer one atomic load. why is the wake counter the
 // poller records.
@@ -140,10 +152,8 @@ func (p *poller) ring(why telemetry.CounterID) {
 func (r *Runtime) drainTX(p *poller, st *techState) int {
 	// 1. Pull tokens from every session's ring for this technology, in
 	// bursts: one sequence-aware batch pop per ring visit instead of one
-	// CAS per token (opportunistic batching, §6.2). The clock is read
-	// once per pass: it is the scheduler arrival time of every token
-	// pulled below and gates the dequeue.
-	now := r.clock.Now()
+	// CAS per token (opportunistic batching, §6.2). An empty lane costs
+	// its length and nothing else.
 	pulled := 0
 	//insane:bounded by=one lane per live session in the published view
 	for _, l := range r.view.Load().lanes[st.tech] {
@@ -151,24 +161,35 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 		// for the exporter without a per-token cost. Empty lanes are not
 		// recorded — an idle poller would otherwise bury the distribution
 		// under zeros.
-		if occ := l.ring.Len(); occ > 0 {
-			p.shard.Observe(telemetry.HistTxRingOccupancy, int64(occ))
+		occ := l.ring.Len()
+		if occ == 0 {
+			continue
 		}
+		p.shard.Observe(telemetry.HistTxRingOccupancy, int64(occ))
 		//insane:bounded by=pulled strictly increases per iteration up to the constant burst
 		for pulled < burst {
-			n := l.ring.PopBatch(p.toks[:burst-pulled])
+			n := l.ring.PopBatch(p.toks[pulled:burst])
 			if n == 0 {
 				break
-			}
-			//insane:bounded by=n <= len(p.toks), the per-poller burst buffer
-			for i := 0; i < n; i++ {
-				r.enqueueToken(p, st, &p.toks[i], now)
 			}
 			pulled += n
 		}
 	}
+	// Nothing pulled and nothing held: no clock, no scheduler lock.
+	if pulled == 0 && st.queued.Load() == 0 {
+		return 0
+	}
 
-	// 2. Dequeue what the schedulers release at the current time. The
+	// 2. File the pulled tokens with the schedulers. The clock is read
+	// once per pass: it is the scheduler arrival time of every token and
+	// gates the dequeue.
+	now := r.clock.Now()
+	//insane:bounded by=pulled <= burst, the per-poller burst buffer
+	for i := 0; i < pulled; i++ {
+		r.enqueueToken(p, st, &p.toks[i], now)
+	}
+
+	// 3. Dequeue what the schedulers release at the current time. The
 	// time-aware shaper goes first: its packets carry the hard timing
 	// contract, so a burst never fills up with best-effort traffic while
 	// a gate-open TSN packet waits.
@@ -176,13 +197,16 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 	st.schedMu.Lock()
 	n := st.tas.Dequeue(batch, waits, now)
 	n += st.wdrr.Dequeue(batch[n:], waits[n:], now)
+	if n > 0 {
+		st.queued.Add(-int64(n))
+	}
 	st.schedMu.Unlock()
 	if n == 0 {
 		return pulled
 	}
 	p.shard.Observe(telemetry.HistDispatchBatch, int64(n))
 
-	// 3. Dispatch the released messages.
+	// 4. Dispatch the released messages.
 	r.dispatch(p, st, batch[:n], waits[:n])
 	return pulled + n
 }
@@ -207,6 +231,7 @@ func (r *Runtime) enqueueToken(p *poller, st *techState, tok *txToken, now timeb
 	} else {
 		st.wdrr.Enqueue(*tok, tok.src.ten.index, tok.class, tok.msgLen, now)
 	}
+	st.queued.Add(1)
 	st.schedMu.Unlock()
 }
 
@@ -359,8 +384,12 @@ func (r *Runtime) sendToPeer(p *poller, st *techState, tok *txToken, buf []byte,
 
 // pollRX drains one technology's receive path: poll the endpoint, run the
 // packet processing engine where needed, handle control messages, and
-// dispatch data to local sinks.
+// dispatch data to local sinks. An empty port costs the length of its RX
+// queue: the endpoint lock is taken only when a frame waits.
 func (r *Runtime) pollRX(p *poller, st *techState) int {
+	if st.port.Queued() == 0 {
+		return 0
+	}
 	st.mu.Lock()
 	n, err := st.ep.Poll(p.rxPkts)
 	st.mu.Unlock()

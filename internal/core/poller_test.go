@@ -1,0 +1,160 @@
+package core
+
+import (
+	"fmt"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/insane-mw/insane/internal/datapath"
+	"github.com/insane-mw/insane/internal/qos"
+	"github.com/insane-mw/insane/internal/sched"
+	"github.com/insane-mw/insane/internal/telemetry"
+	"github.com/insane-mw/insane/internal/timebase"
+)
+
+// countingClock is a SimClock that counts its readings.
+type countingClock struct {
+	timebase.SimClock
+	reads atomic.Uint64
+}
+
+func (c *countingClock) Now() timebase.VTime {
+	c.reads.Add(1)
+	return c.SimClock.Now()
+}
+
+// schedHeld returns a technology's occupancy word and, under the scheduler
+// lock, the tokens its schedulers report holding.
+func schedHeld(st *techState) (word int64, pending int) {
+	st.schedMu.Lock()
+	defer st.schedMu.Unlock()
+	return st.queued.Load(), st.tas.Pending() + st.wdrr.Pending()
+}
+
+// TestIdlePassReadsOnlyQueueHeads: a poller pass that finds no work reads
+// the queue heads and nothing else — no clock, no scheduler lock, no
+// endpoint lock — while a token held behind a closed 802.1Qbv
+// gate still makes every pass report the gate and its opening, and leaves
+// once the gate opens. The runtime has a lane, a local sink and a remote
+// subscriber, so every queue a pass looks at exists.
+func TestIdlePassReadsOnlyQueueHeads(t *testing.T) {
+	const us = time.Microsecond
+	clock := &countingClock{}
+	w := buildWorld(t, datapath.Caps{DPDK: true}, datapath.Caps{DPDK: true}, func(c *Config) {
+		if c.Name == "nodeA" {
+			c.Clock = clock
+		}
+		c.GCL = sched.GCL{
+			{Duration: 100 * us, Gates: 1 << 7}, // class 7 only
+			{Duration: 100 * us, Gates: 0x7F},   // the rest
+		}
+	})
+	rt := w.a
+	// Unsampled, so that the message itself reads no clock on its way.
+	opts := qos.Options{Datapath: qos.DatapathFast, Timing: qos.TimingSensitive, Class: 7, NoTelemetry: true}
+	const ch = 70
+	connB, _ := w.b.Connect()
+	stB, err := connB.OpenStream(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := stB.CreateSink(ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSubscribed(t, rt, ch, 1)
+	conn, _ := rt.Connect()
+	stream, err := conn.OpenStream(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := stream.CreateSink(ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := stream.CreateSource(ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	haltPollers(rt)
+	st := rt.techs[stream.Tech()]
+	p := st.pollers[0]
+
+	// Nothing queued anywhere: 100 passes of every poller are 100 idle
+	// passes each, not one clock reading, and not one lock — the test
+	// holds every endpoint and scheduler lock while they run, so a pass
+	// that took one would never return.
+	idle := func(what string) {
+		t.Helper()
+		reads, passes := clock.reads.Load(), rt.tel.Counter(telemetry.CtrPollerIdlePasses)
+		for _, st := range rt.techs {
+			st.mu.Lock()
+			st.schedMu.Lock()
+		}
+		done := make(chan error, 1)
+		go func() {
+			for i := 0; i < 100; i++ {
+				for _, q := range rt.pollers {
+					if work, gated, _ := rt.pass(q); work != 0 || gated {
+						done <- fmt.Errorf("pass %d found work %d, gated %v", i, work, gated)
+						return
+					}
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			for _, st := range rt.techs {
+				st.schedMu.Unlock()
+				st.mu.Unlock()
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: an idle pass is waiting for an endpoint or scheduler lock", what)
+		}
+		if got := clock.reads.Load() - reads; got != 0 {
+			t.Errorf("%s: 100 idle passes read the clock %d times", what, got)
+		}
+		want := 100 * uint64(len(rt.pollers))
+		if got := rt.tel.Counter(telemetry.CtrPollerIdlePasses) - passes; got != want {
+			t.Errorf("%s: poller_idle_passes moved by %d, want %d", what, got, want)
+		}
+	}
+	idle("before the message")
+
+	// Inside the window that closes class 7: the first pass files the
+	// message with the shaper, the second finds nothing but the held token.
+	// Both report the gate and when it opens.
+	clock.Set(timebase.VTime(150 * us))
+	sendOn(t, src, []byte("gated"))
+	for i, want := range []int{1, 0} {
+		work, gated, next := rt.pass(p)
+		if work != want || !gated || next != timebase.VTime(200*us) {
+			t.Fatalf("gated pass %d: work %d, gated %v, next gate %v; want %d, true, 200µs", i, work, gated, next, want)
+		}
+	}
+	if word, pending := schedHeld(st); word != 1 || pending != 1 {
+		t.Fatalf("with one message held: occupancy word %d, schedulers hold %d", word, pending)
+	}
+
+	// The gate opens: the message leaves, to both sinks.
+	clock.Set(timebase.VTime(200 * us))
+	if work, gated, _ := rt.pass(p); work != 1 || gated {
+		t.Fatalf("pass at the gate opening: work %d, gated %v; want 1, false", work, gated)
+	}
+	for _, k := range []*SinkHandle{local, remote} {
+		var d Delivery
+		if err := consumeWithin(k, &d, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		k.Release(&d)
+	}
+	if word, pending := schedHeld(st); word != 0 || pending != 0 {
+		t.Errorf("after the release: occupancy word %d, schedulers hold %d", word, pending)
+	}
+	idle("after the message")
+}

@@ -125,6 +125,12 @@ type techState struct {
 	schedMu sync.Mutex
 	wdrr    *sched.WDRR[txToken] //insane:guardedby immutable after=NewRuntime
 	tas     *sched.TAS[txToken]  //insane:guardedby immutable after=NewRuntime
+	// queued is the schedulers' occupancy word: the tokens inside tas and
+	// wdrr. It moves only under schedMu — +1 beside each Enqueue, −n with
+	// each Dequeue — and the schedulers never drop a token, so it is exact.
+	// Pollers read it without the lock: zero means there is nothing to
+	// dequeue and no gate to wait for (DESIGN.md §15).
+	queued atomic.Int64 //insane:guardedby atomic
 
 	// pollers are the polling threads that serve this technology, fixed
 	// at runtime construction: the ones a TX ring or the port's RX
@@ -580,9 +586,7 @@ func (r *Runtime) MetricsSnapshot() *telemetry.Snapshot {
 	s.Mempool = mp
 
 	for _, st := range r.techs {
-		st.schedMu.Lock()
-		s.SchedQueueDepth += uint64(st.wdrr.Pending() + st.tas.Pending())
-		st.schedMu.Unlock()
+		s.SchedQueueDepth += uint64(st.queued.Load())
 		ps, es := st.port.Stats(), st.ep.Stats()
 		s.FabricDrops += ps.Dropped
 		s.RxAllocDrops += ps.RxNoMem + es.RNRDrops

@@ -56,16 +56,18 @@ func emitRetrying(src *SourceHandle, payload []byte) error {
 // stream flowing while other goroutines, on both nodes and under two
 // tenants, connect, open streams, create sources and sinks, emit, consume
 // and close in a loop — every step of which republishes the view the
-// steady streams' pollers are reading. Afterwards every steady message is a
-// consume or a reason-coded drop, pools and tenant charges are back at
-// baseline, every client-side counter summed over the tenants (the default
-// included) is the node's figure, and no goroutine is left. Run it under
-// -race.
+// steady streams' pollers are reading, two per technology. Afterwards every
+// steady message is a consume or a reason-coded drop, each technology's
+// occupancy word is what its schedulers hold (nothing), pools and tenant
+// charges are back at baseline, every client-side counter summed over the
+// tenants (the default included) is the node's figure, and no goroutine is
+// left. Run it under -race.
 func TestViewChurnUnderTraffic(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	caps := datapath.Caps{DPDK: true}
 	w := buildWorld(t, caps, caps, func(c *Config) {
 		c.Tenants = []TenantSpec{{Name: "acme", TxTokens: 16, MemSlots: 64}}
+		c.PollersPerPlugin = 2
 	})
 	freeA, freeB := fmt.Sprint(w.a.mm.FreeSlots()), fmt.Sprint(w.b.mm.FreeSlots())
 
@@ -207,6 +209,13 @@ func TestViewChurnUnderTraffic(t *testing.T) {
 	consumers.Wait()
 	if owed != settled {
 		t.Errorf("local and remote streams owe %v deliveries, settled %v", owed, settled)
+	}
+	for _, rt := range []*Runtime{w.a, w.b} {
+		for tech, st := range rt.techs {
+			if word, pending := schedHeld(st); word != int64(pending) || pending != 0 {
+				t.Errorf("%s %s at quiescence: occupancy word %d, schedulers hold %d", rt.name, tech, word, pending)
+			}
+		}
 	}
 	t.Logf("%d local and %d remote emits under %d churn rounds", emitted[0].Load(), emitted[1].Load(), rounds.Load())
 	if emitted[0].Load() == 0 || emitted[1].Load() == 0 || rounds.Load() < 3 {

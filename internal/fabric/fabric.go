@@ -413,6 +413,14 @@ func (p *Port) TryRecv() (Frame, bool) {
 	}
 }
 
+// Queued reports how many received frames wait in the port's RX queue. It
+// takes nothing and locks nothing: a poller reads it to skip an empty
+// port. The fabric queues a frame before it rings, so a queue read as
+// empty after the doorbell was armed is followed by a ring.
+//
+//insane:hotpath
+func (p *Port) Queued() int { return len(p.rx) }
+
 // Bell is the Doorbell of a receiver that sleeps until traffic arrives
 // instead of polling (a blocking socket, poll(2) on an AF_XDP socket): one
 // buffered signal, set for every frame the port queues. A set bell says a
@@ -446,7 +454,7 @@ func (b Bell) Wait(p *Port, timeout time.Duration) error {
 		if p.closed.Load() {
 			return ErrPortClosed
 		}
-		if len(p.rx) > 0 {
+		if p.Queued() > 0 {
 			return nil
 		}
 		select {
