@@ -13,6 +13,7 @@ import (
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/netstack"
 	"github.com/insane-mw/insane/internal/qos"
+	"github.com/insane-mw/insane/internal/sched"
 	"github.com/insane-mw/insane/internal/telemetry"
 )
 
@@ -77,6 +78,13 @@ func buildWorld(t *testing.T, capsA, capsB datapath.Caps, tune func(*Config)) *w
 	}
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return &world{net: net, a: a, b: b}
+}
+
+// testGCL is the gate control list of the gate tests: a 100 µs window for
+// class 7 alone, then 100 µs for the rest.
+var testGCL = sched.GCL{
+	{Duration: 100 * time.Microsecond, Gates: 1 << 7}, // class 7 only
+	{Duration: 100 * time.Microsecond, Gates: 0x7F},   // the rest
 }
 
 // fullCaps has every acceleration technology.

@@ -96,35 +96,33 @@ func (r *Runtime) pollLoop(p *poller) {
 }
 
 // pass is one polling iteration over the poller's technologies: drain the
-// TX lanes through the schedulers, poll the port, and look at what the
-// schedulers still hold. It reports the messages moved, whether tokens are
-// held, and the earliest gate opening that would release one (zero: one is
-// already eligible). A pass that finds no work reads the view, each lane's
-// length, each occupancy word and each port's queue length, and nothing
-// else: no clock, no scheduler lock, no endpoint lock (DESIGN.md §15).
+// TX lanes through the egress schedulers, poll the port, and look at what
+// the schedulers still hold. It reports the messages moved, whether tokens
+// are held, and the earliest gate opening that would release one (zero: one
+// is already eligible). A pass that finds no work reads the view, each
+// lane's length, each scheduler's count and each port's queue length, and
+// nothing else: no clock, no scheduler lock, no endpoint lock (DESIGN.md
+// §15).
 func (r *Runtime) pass(p *poller) (work int, gated bool, nextGate timebase.VTime) {
 	p.loops.Add(1)
 	//insane:bounded by=one entry per registered technology, fixed at runtime construction
 	for _, st := range p.states {
 		work += r.drainTX(p, st)
 		work += r.pollRX(p, st)
-		if st.queued.Load() == 0 {
+		if st.egress.Pending() == 0 {
 			continue
 		}
+		// Earliest gate opening across the technologies; zero, from any of
+		// them, means something held is already eligible. Another poller of
+		// the technology may have emptied it since the count was read: its
+		// NextEvent is zero then, and the cost is one more pass.
 		st.schedMu.Lock()
-		if st.tas.Pending() > 0 || st.wdrr.Pending() > 0 {
-			gated = true
-			// Earliest gate opening across both schedulers; zero
-			// means something queued is already eligible.
-			gateNow := r.clock.Now()
-			if e := st.tas.NextEvent(gateNow); e != 0 && (nextGate == 0 || e.Before(nextGate)) {
-				nextGate = e
-			}
-			if e := st.wdrr.NextEvent(gateNow); e != 0 && (nextGate == 0 || e.Before(nextGate)) {
-				nextGate = e
-			}
-		}
+		e := st.egress.NextEvent(r.clock.Now())
 		st.schedMu.Unlock()
+		if !gated || (nextGate != 0 && (e == 0 || e.Before(nextGate))) {
+			nextGate = e
+		}
+		gated = true
 	}
 	if work == 0 {
 		p.shard.Inc(telemetry.CtrPollerIdlePasses)
@@ -147,8 +145,8 @@ func (p *poller) ring(why telemetry.CounterID) {
 	}
 }
 
-// drainTX moves tokens from the session rings through the scheduler and
-// out of the datapath. Returns the number of packets processed.
+// drainTX moves tokens from the session rings through the egress scheduler
+// and out of the datapath. Returns the number of packets processed.
 func (r *Runtime) drainTX(p *poller, st *techState) int {
 	// 1. Pull tokens from every session's ring for this technology, in
 	// bursts: one sequence-aware batch pop per ring visit instead of one
@@ -176,63 +174,51 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 		}
 	}
 	// Nothing pulled and nothing held: no clock, no scheduler lock.
-	if pulled == 0 && st.queued.Load() == 0 {
+	if pulled == 0 && st.egress.Pending() == 0 {
 		return 0
 	}
 
-	// 2. File the pulled tokens with the schedulers. The clock is read
-	// once per pass: it is the scheduler arrival time of every token and
-	// gates the dequeue.
+	// 2. Charge the pulled tokens, then file them with the scheduler and
+	// dequeue what it releases at the current time, in one schedMu section.
+	// The clock is read once per pass: it is the scheduler arrival time of
+	// every token and gates the dequeue.
 	now := r.clock.Now()
 	//insane:bounded by=pulled <= burst, the per-poller burst buffer
 	for i := 0; i < pulled; i++ {
-		r.enqueueToken(p, st, &p.toks[i], now)
+		r.chargeToken(p, &p.toks[i])
 	}
-
-	// 3. Dequeue what the schedulers release at the current time. The
-	// time-aware shaper goes first: its packets carry the hard timing
-	// contract, so a burst never fills up with best-effort traffic while
-	// a gate-open TSN packet waits.
 	batch, waits := p.batch, p.waits
 	st.schedMu.Lock()
-	n := st.tas.Dequeue(batch, waits, now)
-	n += st.wdrr.Dequeue(batch[n:], waits[n:], now)
-	if n > 0 {
-		st.queued.Add(-int64(n))
+	//insane:bounded by=pulled <= burst, the per-poller burst buffer
+	for i := 0; i < pulled; i++ {
+		tok := &p.toks[i]
+		st.egress.Enqueue(*tok, tok.timing == qos.TimingSensitive, tok.src.ten.index, tok.class, tok.msgLen, now)
 	}
+	n := st.egress.Dequeue(batch, waits, now)
 	st.schedMu.Unlock()
 	if n == 0 {
 		return pulled
 	}
 	p.shard.Observe(telemetry.HistDispatchBatch, int64(n))
 
-	// 4. Dispatch the released messages.
+	// 3. Dispatch the released messages.
 	r.dispatch(p, st, batch[:n], waits[:n])
 	return pulled + n
 }
 
-// enqueueToken files a TX token with the stream's scheduler, charging the
-// scheduling cost. The token is the queued message: the scheduler holds it
-// by value until dispatch. now is the pass's clock reading, the message's
-// arrival time at the shaper.
-func (r *Runtime) enqueueToken(p *poller, st *techState, tok *txToken, now timebase.VTime) {
+// chargeToken charges a pulled TX token the scheduling decision, a
+// Send-stage cost like the IPC hop, and stamps a sampled one's pickup.
+// drainTX then files it with the scheduler, which holds it by value until
+// dispatch.
+func (r *Runtime) chargeToken(p *poller, tok *txToken) {
 	if tok.sampled {
 		tok.enqT = r.clock.Now()
 		p.shard.Observe(telemetry.HistEmitPickup, int64(tok.enqT.Sub(tok.admitT)))
 	}
-	// The scheduling decision is a Send-stage cost, like the IPC hop.
 	d := r.rc.Sched.Latency(tok.msgLen, r.tb)
 	tok.vtime = tok.vtime.Add(d)
 	tok.bd.Send += d
 	p.shard.Inc(telemetry.CtrSchedEnqueues)
-	st.schedMu.Lock()
-	if tok.timing == qos.TimingSensitive {
-		st.tas.Enqueue(*tok, tok.class, now)
-	} else {
-		st.wdrr.Enqueue(*tok, tok.src.ten.index, tok.class, tok.msgLen, now)
-	}
-	st.queued.Add(1)
-	st.schedMu.Unlock()
 }
 
 // dispatch fans a batch of released messages out to local sinks and remote

@@ -8,7 +8,6 @@ import (
 
 	"github.com/insane-mw/insane/internal/datapath"
 	"github.com/insane-mw/insane/internal/qos"
-	"github.com/insane-mw/insane/internal/sched"
 	"github.com/insane-mw/insane/internal/telemetry"
 	"github.com/insane-mw/insane/internal/timebase"
 )
@@ -24,14 +23,6 @@ func (c *countingClock) Now() timebase.VTime {
 	return c.SimClock.Now()
 }
 
-// schedHeld returns a technology's occupancy word and, under the scheduler
-// lock, the tokens its schedulers report holding.
-func schedHeld(st *techState) (word int64, pending int) {
-	st.schedMu.Lock()
-	defer st.schedMu.Unlock()
-	return st.queued.Load(), st.tas.Pending() + st.wdrr.Pending()
-}
-
 // TestIdlePassReadsOnlyQueueHeads: a poller pass that finds no work reads
 // the queue heads and nothing else — no clock, no scheduler lock, no
 // endpoint lock — while a token held behind a closed 802.1Qbv
@@ -45,10 +36,7 @@ func TestIdlePassReadsOnlyQueueHeads(t *testing.T) {
 		if c.Name == "nodeA" {
 			c.Clock = clock
 		}
-		c.GCL = sched.GCL{
-			{Duration: 100 * us, Gates: 1 << 7}, // class 7 only
-			{Duration: 100 * us, Gates: 0x7F},   // the rest
-		}
+		c.GCL = testGCL
 	})
 	rt := w.a
 	// Unsampled, so that the message itself reads no clock on its way.
@@ -137,8 +125,8 @@ func TestIdlePassReadsOnlyQueueHeads(t *testing.T) {
 			t.Fatalf("gated pass %d: work %d, gated %v, next gate %v; want %d, true, 200µs", i, work, gated, next, want)
 		}
 	}
-	if word, pending := schedHeld(st); word != 1 || pending != 1 {
-		t.Fatalf("with one message held: occupancy word %d, schedulers hold %d", word, pending)
+	if held := st.egress.Pending(); held != 1 {
+		t.Fatalf("with one message held: the scheduler holds %d", held)
 	}
 
 	// The gate opens: the message leaves, to both sinks.
@@ -153,8 +141,8 @@ func TestIdlePassReadsOnlyQueueHeads(t *testing.T) {
 		}
 		k.Release(&d)
 	}
-	if word, pending := schedHeld(st); word != 0 || pending != 0 {
-		t.Errorf("after the release: occupancy word %d, schedulers hold %d", word, pending)
+	if held := st.egress.Pending(); held != 0 {
+		t.Errorf("after the release: the scheduler holds %d", held)
 	}
 	idle("after the message")
 }

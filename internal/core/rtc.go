@@ -29,7 +29,7 @@ const RTCMaxFanout = 4
 //   - at least one and at most RTCMaxFanout local sinks;
 //   - for time-sensitive streams, the 802.1Qbv gate of the stream's
 //     class is open right now (a closed gate means the packet must wait,
-//     which is the TAS queue's job);
+//     which is the shaper's job);
 //   - no sink ring is full (the queued path is where backpressure
 //     and drop accounting live; checking up front also makes the
 //     fallback deterministic for tests);

@@ -8,7 +8,6 @@ import (
 	"github.com/insane-mw/insane/internal/datapath"
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/qos"
-	"github.com/insane-mw/insane/internal/sched"
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
@@ -150,13 +149,9 @@ func TestRTCFallbackWideFanout(t *testing.T) {
 // the time-aware shaper until the gate opens.
 func TestRTCFallbackClosedGate(t *testing.T) {
 	clock := &timebase.SimClock{}
-	gcl := sched.GCL{
-		{Duration: 100 * time.Microsecond, Gates: 1 << 7}, // class 7 only
-		{Duration: 100 * time.Microsecond, Gates: 0x7F},   // the rest
-	}
 	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
 		c.Clock = clock
-		c.GCL = gcl
+		c.GCL = testGCL
 	})
 	conn, _ := w.a.Connect()
 	st, err := conn.OpenStream(qos.Options{
@@ -167,6 +162,8 @@ func TestRTCFallbackClosedGate(t *testing.T) {
 	}
 	sink, _ := st.CreateSink(35)
 	src, _ := st.CreateSource(35)
+	haltPollers(w.a)
+	p := w.a.techs[st.Tech()].pollers[0]
 
 	// Pin the clock inside the class-7-only window: class 0 is gated.
 	clock.Set(timebase.VTime(10 * time.Microsecond))
@@ -175,14 +172,23 @@ func TestRTCFallbackClosedGate(t *testing.T) {
 		t.Errorf("closed gate: RTCFallbacks=%d RTCDeliveries=%d, want 1/0",
 			s.RTCFallbacks, s.RTCDeliveries)
 	}
-	// The shaper must hold the packet while the gate stays closed.
-	time.Sleep(20 * time.Millisecond)
-	if err := sink.TryConsume(new(Delivery)); err == nil {
+	// The shaper holds the packet while the gate stays closed: the first
+	// pass files it, the second finds it held; both point at the opening.
+	for i, want := range []int{1, 0} {
+		work, gated, next := w.a.pass(p)
+		if work != want || !gated || next != timebase.VTime(100*time.Microsecond) {
+			t.Fatalf("gated pass %d: work %d, gated %v, next gate %v; want %d, true, 100µs", i, work, gated, next, want)
+		}
+	}
+	var d Delivery
+	if err := sink.TryConsume(&d); err == nil {
 		t.Fatal("packet leaked through a closed gate")
 	}
 	clock.Set(timebase.VTime(150 * time.Microsecond))
-	var d Delivery
-	if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
+	if work, gated, _ := w.a.pass(p); work != 1 || gated {
+		t.Fatalf("pass in the open window: work %d, gated %v; want 1, false", work, gated)
+	}
+	if err := sink.TryConsume(&d); err != nil {
 		t.Fatal(err)
 	}
 	sink.Release(&d)
@@ -283,10 +289,7 @@ func TestRTCKeepsSourceOrderAcrossFallback(t *testing.T) {
 			clock := &timebase.SimClock{}
 			w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
 				c.Clock = clock
-				c.GCL = sched.GCL{
-					{Duration: 100 * time.Microsecond, Gates: 1 << 7},
-					{Duration: 100 * time.Microsecond, Gates: 0x7F},
-				}
+				c.GCL = testGCL
 			})
 			rt := w.a
 			conn, _ := rt.Connect()

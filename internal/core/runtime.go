@@ -99,7 +99,7 @@ type Stats struct {
 	Endpoint map[model.Tech]datapath.Stats
 }
 
-// techState binds one technology's endpoint with its schedulers.
+// techState binds one technology's endpoint with its egress scheduler.
 //
 //insane:shared
 type techState struct {
@@ -118,19 +118,13 @@ type techState struct {
 	mu sync.Mutex
 	ep *datapath.Endpoint //insane:guardedby immutable after=NewRuntime
 
-	// schedMu guards the schedulers when several pollers serve this
-	// plugin (§8's multi-threaded datapath): the WDRR/TAS pointers are
-	// construction-time constants, their queue state is what the lock
-	// protects.
+	// schedMu guards the egress scheduler when several pollers serve this
+	// plugin (§8's multi-threaded datapath): the pointer is a
+	// construction-time constant, its queue state is what the lock
+	// protects. Its Pending count is read without the lock: zero means there
+	// is nothing to dequeue and no gate to wait for (DESIGN.md §15).
 	schedMu sync.Mutex
-	wdrr    *sched.WDRR[txToken] //insane:guardedby immutable after=NewRuntime
-	tas     *sched.TAS[txToken]  //insane:guardedby immutable after=NewRuntime
-	// queued is the schedulers' occupancy word: the tokens inside tas and
-	// wdrr. It moves only under schedMu — +1 beside each Enqueue, −n with
-	// each Dequeue — and the schedulers never drop a token, so it is exact.
-	// Pollers read it without the lock: zero means there is nothing to
-	// dequeue and no gate to wait for (DESIGN.md §15).
-	queued atomic.Int64 //insane:guardedby atomic
+	egress  *sched.Egress[txToken] //insane:guardedby immutable after=NewRuntime
 
 	// pollers are the polling threads that serve this technology, fixed
 	// at runtime construction: the ones a TX ring or the port's RX
@@ -221,7 +215,7 @@ type poller struct {
 	// blocking on kick and cleared when it resumes; ringers skip the
 	// channel operation while it is clear (DESIGN.md, "Idle policy").
 	parked atomic.Bool //insane:guardedby atomic
-	// batch is the poller's own dequeue vector: the schedulers copy the
+	// batch is the poller's own dequeue vector: the scheduler copies the
 	// released tokens into it under the scheduler lock and the poller
 	// dispatches them after letting go. waits is its companion: what each
 	// waited in the scheduler.
@@ -323,31 +317,17 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: open %s: %w", tech, err)
 		}
-		tas, err := sched.NewTAS[txToken](gcl)
-		if err != nil {
-			return nil, err
-		}
-		// Best-effort traffic goes through the WDRR tenant scheduler. Gate
-		// awareness (holding best-effort packets through protected windows)
-		// is armed only when a tenant is declared: it is the timing-isolation
-		// guarantee of §12, and a runtime with nobody to isolate should not
-		// pay the default GCL's protected-window latency on plain traffic.
-		var wdrrGCL sched.GCL
-		if len(tenants) > 1 {
-			wdrrGCL = gcl
-		}
-		wdrr, err := sched.NewWDRR[txToken](tenantWeights(tenants), wdrrGCL)
+		egress, err := sched.NewEgress[txToken](gcl, tenantWeights(tenants))
 		if err != nil {
 			return nil, err
 		}
 		r.techs[tech] = &techState{
-			tech:  tech,
-			info:  model.Info(tech),
-			local: local,
-			port:  port,
-			ep:    ep,
-			wdrr:  wdrr,
-			tas:   tas,
+			tech:   tech,
+			info:   model.Info(tech),
+			local:  local,
+			port:   port,
+			ep:     ep,
+			egress: egress,
 		}
 	}
 
@@ -586,7 +566,7 @@ func (r *Runtime) MetricsSnapshot() *telemetry.Snapshot {
 	s.Mempool = mp
 
 	for _, st := range r.techs {
-		s.SchedQueueDepth += uint64(st.queued.Load())
+		s.SchedQueueDepth += uint64(st.egress.Pending())
 		ps, es := st.port.Stats(), st.ep.Stats()
 		s.FabricDrops += ps.Dropped
 		s.RxAllocDrops += ps.RxNoMem + es.RNRDrops

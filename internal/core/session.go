@@ -292,9 +292,9 @@ func (h *StreamHandle) CreateSource(channel uint32) (*SourceHandle, error) {
 		st:      h.conn.rt.techs[h.tech],
 	}
 	if s.rtc && h.opts.Timing == qos.TimingSensitive {
-		// Cache the stream technology's time-aware shaper so the RTC
+		// Cache the stream technology's egress scheduler so the RTC
 		// admission check can test the 802.1Qbv gate lock-free.
-		s.gate = s.st.tas
+		s.gate = s.st.egress
 	}
 	h.sources = append(h.sources, s)
 	return s, nil

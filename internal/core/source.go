@@ -119,10 +119,10 @@ type SourceHandle struct {
 	ten *tenant //insane:guardedby immutable after=CreateSource
 	// st is the stream technology's state: Emit rings its pollers.
 	st *techState //insane:guardedby immutable after=CreateSource
-	// gate is the stream technology's 802.1Qbv shaper, cached only for
-	// RTC time-sensitive sources so the admission check is one immutable
-	// read, no scheduler lock.
-	gate *sched.TAS[txToken] //insane:guardedby immutable after=CreateSource
+	// gate is the stream technology's egress scheduler, cached only for
+	// RTC time-sensitive sources so the 802.1Qbv admission check is one
+	// immutable read, no scheduler lock.
+	gate *sched.Egress[txToken] //insane:guardedby immutable after=CreateSource
 
 	mu       sync.Mutex
 	outcomes [outcomeWindow]Outcome //insane:guardedby mu=mu

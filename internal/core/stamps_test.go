@@ -7,7 +7,6 @@ import (
 	"github.com/insane-mw/insane/internal/datapath"
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/qos"
-	"github.com/insane-mw/insane/internal/sched"
 	"github.com/insane-mw/insane/internal/telemetry"
 	"github.com/insane-mw/insane/internal/timebase"
 )
@@ -120,10 +119,7 @@ func TestStampsSumToEndToEnd(t *testing.T) {
 			clock := &timebase.SimClock{}
 			w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
 				c.Clock = clock
-				c.GCL = sched.GCL{
-					{Duration: 100 * us, Gates: 1 << 7},
-					{Duration: 100 * us, Gates: 0x7F},
-				}
+				c.GCL = testGCL
 			})
 			rt := w.a
 			conn, _ := rt.Connect()

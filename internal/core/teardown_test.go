@@ -9,7 +9,6 @@ import (
 	"github.com/insane-mw/insane/internal/datapath"
 	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/qos"
-	"github.com/insane-mw/insane/internal/sched"
 	"github.com/insane-mw/insane/internal/telemetry"
 	"github.com/insane-mw/insane/internal/timebase"
 )
@@ -107,10 +106,7 @@ func TestGatedMessageSurvivesSessionClose(t *testing.T) {
 	clock := &timebase.SimClock{}
 	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
 		c.Clock = clock
-		c.GCL = sched.GCL{
-			{Duration: 100 * time.Microsecond, Gates: 1 << 7}, // class 7 only
-			{Duration: 100 * time.Microsecond, Gates: 0x7F},   // the rest
-		}
+		c.GCL = testGCL
 	})
 	baseline := totalFree(w.a)
 	opts := qos.Options{Timing: qos.TimingSensitive, Class: 0} // gated class
@@ -129,12 +125,7 @@ func TestGatedMessageSurvivesSessionClose(t *testing.T) {
 	clock.Set(timebase.VTime(10 * time.Microsecond))
 	seq := sendOn(t, src, []byte("gated"))
 	st := w.a.techs[stP.Tech()]
-	parked := func() bool {
-		st.schedMu.Lock()
-		defer st.schedMu.Unlock()
-		return st.tas.Pending() == 1
-	}
-	if !eventually(parked) {
+	if !eventually(func() bool { return st.egress.Pending() == 1 }) {
 		t.Fatal("message never reached the shaper")
 	}
 	if err := prod.Close(); err != nil {

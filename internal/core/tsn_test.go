@@ -7,7 +7,6 @@ import (
 	"github.com/insane-mw/insane/internal/datapath"
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/qos"
-	"github.com/insane-mw/insane/internal/sched"
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
@@ -16,13 +15,9 @@ import (
 // wait surfaces in the delivery's virtual latency once the gate opens.
 func TestTSNGateWaitAccountedInVTime(t *testing.T) {
 	clock := &timebase.SimClock{}
-	gcl := sched.GCL{
-		{Duration: 100 * time.Microsecond, Gates: 1 << 7}, // class 7 only
-		{Duration: 100 * time.Microsecond, Gates: 0x7F},   // the rest
-	}
 	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
 		c.Clock = clock
-		c.GCL = gcl
+		c.GCL = testGCL
 	})
 
 	connA, _ := w.a.Connect()
@@ -36,20 +31,33 @@ func TestTSNGateWaitAccountedInVTime(t *testing.T) {
 	sink, _ := stB.CreateSink(21)
 	waitSubscribed(t, w.a, 21, 1)
 	src, _ := stA.CreateSource(21)
+	haltPollers(w.a)
+	st := w.a.techs[stA.Tech()]
+	p := st.pollers[0]
 
-	// Pin the clock inside the protected window: class 0 is gated.
+	// Pin the clock inside the protected window: class 0 is gated. The
+	// first pass files the message with the shaper, the second finds it
+	// held; both point at the opening, and nothing leaves.
 	clock.Set(timebase.VTime(10 * time.Microsecond))
 	sendOn(t, src, []byte("gated"))
-
-	// Give the poller time to pull the token into the shaper; the gate
-	// stays closed so nothing must be delivered.
-	time.Sleep(20 * time.Millisecond)
+	for i, want := range []int{1, 0} {
+		work, gated, next := w.a.pass(p)
+		if work != want || !gated || next != timebase.VTime(100*time.Microsecond) {
+			t.Fatalf("gated pass %d: work %d, gated %v, next gate %v; want %d, true, 100µs", i, work, gated, next, want)
+		}
+	}
+	if held := st.egress.Pending(); held != 1 {
+		t.Fatalf("inside the window the scheduler holds %d, want 1", held)
+	}
 	if err := sink.TryConsume(new(Delivery)); err == nil {
 		t.Fatal("packet leaked through a closed gate")
 	}
 
-	// Open the gate: move the clock into the open window.
+	// Open the gate: move the clock into the open window. One pass sends.
 	clock.Set(timebase.VTime(150 * time.Microsecond))
+	if work, gated, _ := w.a.pass(p); work != 1 || gated {
+		t.Fatalf("pass in the open window: work %d, gated %v; want 1, false", work, gated)
+	}
 	var d Delivery
 	if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
 		t.Fatal(err)
@@ -173,11 +181,7 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 // dropping silently.
 func TestBackpressureSurfaceToEmitter(t *testing.T) {
 	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, nil)
-	// Stop the pollers so the ring cannot drain.
-	for _, p := range w.a.pollers {
-		close(p.stop)
-	}
-	w.a.wg.Wait()
+	haltPollers(w.a) // the ring cannot drain
 
 	conn, _ := w.a.Connect()
 	st, _ := conn.OpenStream(qos.Options{})
@@ -197,7 +201,6 @@ func TestBackpressureSurfaceToEmitter(t *testing.T) {
 	if !sawBackpressure {
 		t.Error("full TX ring never reported ErrBackpressure")
 	}
-	w.a.stopped.Store(true) // avoid double close in cleanup
 }
 
 // TestStatsAccumulate sanity-checks the runtime counters across a small

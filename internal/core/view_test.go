@@ -58,7 +58,7 @@ func emitRetrying(src *SourceHandle, payload []byte) error {
 // and close in a loop — every step of which republishes the view the
 // steady streams' pollers are reading, two per technology. Afterwards every
 // steady message is a consume or a reason-coded drop, each technology's
-// occupancy word is what its schedulers hold (nothing), pools and tenant
+// scheduler holds nothing, pools and tenant
 // charges are back at baseline, every client-side counter summed over the
 // tenants (the default included) is the node's figure, and no goroutine is
 // left. Run it under -race.
@@ -212,8 +212,8 @@ func TestViewChurnUnderTraffic(t *testing.T) {
 	}
 	for _, rt := range []*Runtime{w.a, w.b} {
 		for tech, st := range rt.techs {
-			if word, pending := schedHeld(st); word != int64(pending) || pending != 0 {
-				t.Errorf("%s %s at quiescence: occupancy word %d, schedulers hold %d", rt.name, tech, word, pending)
+			if held := st.egress.Pending(); held != 0 {
+				t.Errorf("%s %s at quiescence: the scheduler holds %d", rt.name, tech, held)
 			}
 		}
 	}

@@ -137,14 +137,15 @@ func AblationTSN(RunConfig) (Report, error) {
 		{Duration: 50 * time.Microsecond, Gates: 1 << 7},
 		{Duration: 200 * time.Microsecond, Gates: 0x7F},
 	}
-	// The queued element is its traffic class: all the experiment needs
-	// back from a scheduler, which reports the wait itself.
-	tas, err := sched.NewTAS[uint8](gcl)
+	// The shaper's arm is fed time-sensitive traffic; the FIFO arm is fed
+	// best effort of the one tenant, the paper's default FIFO strategy. The
+	// queued element is its traffic class: all the experiment needs back, as
+	// the scheduler reports the wait itself.
+	tas, err := sched.NewEgress[uint8](gcl, nil)
 	if err != nil {
 		return Report{}, err
 	}
-	// One queue, no gates: the paper's default FIFO strategy.
-	fifo, err := sched.NewWDRR[uint8](nil, nil)
+	fifo, err := sched.NewEgress[uint8](gcl, nil)
 	if err != nil {
 		return Report{}, err
 	}
@@ -153,12 +154,7 @@ func AblationTSN(RunConfig) (Report, error) {
 		worst, sum time.Duration
 		n          int
 	}
-	// measure drives the two queue operations the time-aware shaper and the
-	// tenant scheduler have in common.
-	measure := func(
-		enqueue func(class uint8, now timebase.VTime),
-		dequeue func(dst []uint8, waits []time.Duration, now timebase.VTime) int,
-	) result {
+	measure := func(egress *sched.Egress[uint8], timeSensitive bool) result {
 		var res result
 		dst := make([]uint8, 1)
 		waits := make([]time.Duration, 1)
@@ -166,17 +162,17 @@ func AblationTSN(RunConfig) (Report, error) {
 		for cycle := 0; cycle < 40; cycle++ {
 			base := timebase.VTime(cycle) * timebase.VTime(cycleDur)
 			for i := 0; i < 300; i++ {
-				enqueue(0, base)
+				egress.Enqueue(0, timeSensitive, 0, 0, 0, base)
 			}
 			critAt := base.Add(10 * time.Microsecond)
 			injected := false
 			for step := 0; step < 250; step++ {
 				now := base.Add(time.Duration(step) * time.Microsecond)
 				if !injected && step >= 10 {
-					enqueue(7, critAt)
+					egress.Enqueue(7, timeSensitive, 0, 7, 0, critAt)
 					injected = true
 				}
-				if dequeue(dst, waits, now) != 1 {
+				if egress.Dequeue(dst, waits, now) != 1 {
 					continue
 				}
 				if dst[0] == 7 {
@@ -191,8 +187,8 @@ func AblationTSN(RunConfig) (Report, error) {
 		}
 		return res
 	}
-	tasRes := measure(func(class uint8, now timebase.VTime) { tas.Enqueue(class, class, now) }, tas.Dequeue)
-	fifoRes := measure(func(class uint8, now timebase.VTime) { fifo.Enqueue(class, 0, class, 0, now) }, fifo.Dequeue)
+	tasRes := measure(tas, true)
+	fifoRes := measure(fifo, false)
 
 	t := bench.Table{
 		Title:  "802.1Qbv time-aware shaper vs FIFO under bulk cross traffic",

@@ -1,18 +1,18 @@
-// Package sched implements INSANE's packet schedulers (§5.3): the tenant
-// scheduler best-effort traffic goes through (WDRR, wdrr.go — with one
-// tenant and no gate list it is the paper's default FIFO strategy, which
-// forwards packets "as soon as the user code emits them") and a
-// Time-Sensitive Networking scheduler implementing the IEEE 802.1Qbv
-// time-aware shaper for streams marked time-sensitive (TAS). The runtime
-// holds one of each per technology, concretely; each is driven by one
-// polling thread at a time and is not safe for concurrent use on its own.
+// Package sched implements INSANE's packet scheduler (§5.3): one egress
+// scheduler per technology, Egress, in two tiers. Streams marked
+// time-sensitive go through the IEEE 802.1Qbv time-aware shaper; best-effort
+// traffic goes through a weighted deficit round-robin between tenants
+// (wdrr.go), which with one tenant is the paper's default FIFO strategy and
+// forwards packets "as soon as the user code emits them". The shaper is
+// served first. An Egress is driven by one polling thread at a time and is
+// not safe for concurrent use, except for Pending and GateOpenAt.
 //
-// Both are generic over what they queue and hold it by value: Enqueue is
-// told the traffic class (and, for WDRR, the tenant index and byte length)
-// and Dequeue copies the released elements into the caller's vector, with
-// how long each waited beside it. The schedulers never look inside an
-// element, so the package knows nothing of the datapath's packet or the
-// runtime's token.
+// It is generic over what it queues and holds it by value: Enqueue is told
+// the element's timing, tenant index, traffic class and byte length, and
+// Dequeue copies the released elements into the caller's vector, with how
+// long each waited beside it. The scheduler never looks inside an element,
+// so the package knows nothing of the datapath's packet or the runtime's
+// token.
 //
 // The 802.1Qbv shaper divides time into a repeating cycle described by a
 // gate control list (GCL): each entry opens a subset of the eight traffic
@@ -24,6 +24,7 @@ package sched
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/insane-mw/insane/internal/timebase"
@@ -84,9 +85,7 @@ func DefaultGCL() GCL {
 }
 
 // gateClock tells the time on one gate control list: which gates are open
-// at an instant, and when a set of classes next gets one. The shaper and
-// the tenant scheduler each hold one. The zero value has no list and keeps
-// every gate open for ever.
+// at an instant, and when a set of classes next gets one.
 type gateClock struct {
 	gcl   GCL
 	cycle time.Duration // gcl.Cycle(), summed once
@@ -116,19 +115,14 @@ func (g *gateClock) entryAt(now timebase.VTime) (int, time.Duration) {
 
 // gatesAt returns the open-gate mask at virtual time now.
 func (g *gateClock) gatesAt(now timebase.VTime) uint8 {
-	if g.gcl == nil {
-		return 0xFF
-	}
 	idx, _ := g.entryAt(now)
 	return g.gcl[idx].Gates
 }
 
 // nextOpening returns the virtual time of the next gate change that opens
-// one of classes, or zero when one of them is open at now already.
+// one of classes, or zero when one of them is open at now already (or
+// classes is empty).
 func (g *gateClock) nextOpening(now timebase.VTime, classes uint8) timebase.VTime {
-	if g.gcl == nil {
-		return 0
-	}
 	idx, off := g.entryAt(now)
 	if g.gcl[idx].Gates&classes != 0 {
 		return 0 // something is eligible right now
@@ -221,99 +215,164 @@ func (f *fifo[T]) drop(take int) {
 	}
 }
 
-// TAS is the IEEE 802.1Qbv time-aware shaper: one FIFO queue per traffic
-// class, gated by the cycle position, with strict priority (highest class
-// first) among simultaneously open gates. It holds its elements by value
-// and knows nothing of them beyond the class handed in at Enqueue.
-type TAS[T any] struct {
-	clock  gateClock
-	queues [NumClasses]fifo[T]
-	count  int
+// Egress is one technology's egress scheduler. Time-sensitive elements go to
+// the 802.1Qbv shaper: one FIFO per traffic class, gated by the cycle
+// position, strict priority (highest class first) among open gates.
+// Best-effort elements go to one FIFO per tenant, served by weighted deficit
+// round-robin. Dequeue serves the shaper first, so a burst never fills up
+// with best-effort traffic while a gate-open time-sensitive element waits.
+//
+// Best-effort heads are gated by the same list exactly when there is more
+// than one tenant queue: holding them through the protected windows is the
+// timing isolation between tenants (DESIGN.md §12), and with one tenant
+// there is nobody to isolate, so plain traffic does not pay the protected
+// windows' latency.
+type Egress[T any] struct {
+	clock gateClock
+	// classes are the shaper's queues; shaped counts what they hold.
+	classes [NumClasses]fifo[T]
+	shaped  int
+	// tenants are the round-robin's queues, one per tenant; next is its
+	// cursor.
+	tenants []wdrrQueue[T]
+	next    int
+	// count is every element held, in both tiers. It moves only inside
+	// Enqueue and Dequeue, so under the caller's lock, and is read without
+	// it: zero means there is nothing to dequeue and no gate to wait for.
+	count atomic.Int64
 }
 
-// NewTAS returns a shaper driven by the given gate control list.
-func NewTAS[T any](gcl GCL) (*TAS[T], error) {
+// NewEgress returns an egress scheduler driven by the gate control list gcl,
+// with one best-effort queue per weight entry (weight i serves tenant index
+// i; entries below 1 count as 1). No weights is one tenant of weight 1:
+// plain FIFO.
+func NewEgress[T any](gcl GCL, weights []int) (*Egress[T], error) {
 	clock, err := newGateClock(gcl)
 	if err != nil {
 		return nil, err
 	}
-	return &TAS[T]{clock: clock}, nil
+	if len(weights) == 0 {
+		weights = []int{1}
+	}
+	e := &Egress[T]{clock: clock, tenants: make([]wdrrQueue[T], len(weights))}
+	for i, wt := range weights {
+		e.tenants[i].quantum = int64(max(wt, 1)) * wdrrQuantumUnit
+	}
+	return e, nil
 }
 
-// Enqueue files v under its traffic class, recording when it arrived on
-// the scheduler's clock. Whatever v carries — a memory slot, a tenant
-// charge — belongs to the scheduler until Dequeue hands it back.
+// Enqueue files v — size bytes of traffic class class from tenant index
+// tenant — with the shaper when timeSensitive, else with its tenant's queue,
+// recording when it arrived on the scheduler's clock. Classes above the
+// highest share its queue; an unknown tenant index (a stale element after a
+// reconfiguration) falls back to queue 0. Whatever v carries — a memory
+// slot, a tenant charge — belongs to the scheduler until Dequeue hands it
+// back.
 //
 //insane:hotpath
 //insane:transfer resource=mem-slot
-func (t *TAS[T]) Enqueue(v T, class uint8, now timebase.VTime) {
-	if class >= NumClasses {
-		class = NumClasses - 1
+func (e *Egress[T]) Enqueue(v T, timeSensitive bool, tenant int, class uint8, size int, now timebase.VTime) {
+	en := entry[T]{v: v, at: now, size: int32(size), class: class}
+	if timeSensitive {
+		e.classes[min(class, NumClasses-1)].push(en)
+		e.shaped++
+	} else {
+		if tenant < 0 || tenant >= len(e.tenants) {
+			tenant = 0
+		}
+		e.tenants[tenant].push(en)
 	}
-	t.queues[class].push(entry[T]{v: v, at: now})
-	t.count++
+	e.count.Add(1)
 }
 
 // GateOpenAt reports whether a traffic class's gate is open at virtual
 // time now. Unlike the queue operations it is safe to call concurrently
-// with a poller using the shaper: it reads only the gate control list and
-// cycle length, both immutable after construction. The run-to-completion
-// fast path uses it to honor 802.1Qbv windows without taking the
-// scheduler lock.
+// with a poller using the scheduler: it reads only the gate control list
+// and cycle length, both immutable after construction. The
+// run-to-completion fast path uses it to honor 802.1Qbv windows without
+// taking the scheduler lock.
 //
 //insane:hotpath
-func (t *TAS[T]) GateOpenAt(class uint8, now timebase.VTime) bool {
-	return t.clock.gatesAt(now)&classBit(class) != 0
+func (e *Egress[T]) GateOpenAt(class uint8, now timebase.VTime) bool {
+	return e.clock.gatesAt(now)&classBit(class) != 0
 }
 
-// Dequeue drains eligible elements into dst: only classes whose gate is
-// open at now, highest class first. waits[i] receives what dst[i] waited
-// for its gate (now minus its enqueue time, both on the scheduler's
-// clock): added virtual latency the caller charges to the Send stage.
-// waits must be at least as long as dst.
+// Dequeue fills dst with the elements eligible at now: gate-open shaper
+// classes first, by strict priority, then the tenant round-robin fills the
+// room left. waits[i] receives what dst[i] waited for its gate or its turn
+// (now minus its enqueue time, both on the scheduler's clock): added
+// virtual latency the caller charges to the Send stage. waits must be at
+// least as long as dst.
 //
 //insane:hotpath
-func (t *TAS[T]) Dequeue(dst []T, waits []time.Duration, now timebase.VTime) int {
-	if t.count == 0 || len(dst) == 0 {
+func (e *Egress[T]) Dequeue(dst []T, waits []time.Duration, now timebase.VTime) int {
+	held := int(e.count.Load())
+	if held == 0 || len(dst) == 0 {
 		return 0
 	}
-	gates := t.clock.gatesAt(now)
+	var gates uint8
+	if e.shaped > 0 || len(e.tenants) > 1 {
+		gates = e.clock.gatesAt(now)
+	}
+	n := e.dequeueShaper(dst, waits, gates, now)
+	if len(e.tenants) == 1 {
+		gates = 0xFF // best effort is gated only between tenants
+	}
+	n += e.dequeueTenants(dst[n:], waits[n:], gates, held-n-e.shaped, now)
+	if n > 0 {
+		e.count.Add(-int64(n))
+	}
+	return n
+}
+
+// dequeueShaper releases shaper elements into dst: only classes open in
+// gates, highest class first.
+//
+//insane:hotpath
+func (e *Egress[T]) dequeueShaper(dst []T, waits []time.Duration, gates uint8, now timebase.VTime) int {
 	n := 0
-	for class := NumClasses - 1; class >= 0 && n < len(dst); class-- {
+	for class := NumClasses - 1; class >= 0 && n < len(dst) && e.shaped > 0; class-- {
 		if gates&(1<<uint(class)) == 0 {
 			continue
 		}
-		q := &t.queues[class]
-		take := q.len()
-		if take > len(dst)-n {
-			take = len(dst) - n
-		}
+		q := &e.classes[class]
+		take := min(q.len(), len(dst)-n)
 		//insane:bounded by=take <= len(dst)-n, the caller's burst buffer
 		for i := 0; i < take; i++ {
 			waits[n] = q.release(i, &dst[n], now)
 			n++
 		}
 		q.drop(take)
-		t.count -= take
+		e.shaped -= take
 	}
 	return n
 }
 
-// Pending returns the total queued elements across classes.
-func (t *TAS[T]) Pending() int { return t.count }
+// Pending returns the elements held in both tiers. Unlike the queue
+// operations it may be read concurrently with a poller using the scheduler.
+func (e *Egress[T]) Pending() int { return int(e.count.Load()) }
 
-// NextEvent returns the virtual time of the next gate change that could
-// release queued elements, or zero when the queue is empty or some queued
-// class is already open.
-func (t *TAS[T]) NextEvent(now timebase.VTime) timebase.VTime {
-	if t.count == 0 {
-		return 0
-	}
+// NextEvent returns zero when some held head is eligible at now (or nothing
+// is held), and otherwise the virtual time of the earliest gate opening that
+// releases one.
+func (e *Egress[T]) NextEvent(now timebase.VTime) timebase.VTime {
 	var waiting uint8
-	for class := range t.queues {
-		if t.queues[class].len() > 0 {
-			waiting |= 1 << uint(class)
+	if e.shaped > 0 {
+		for class := range e.classes {
+			if e.classes[class].len() > 0 {
+				waiting |= 1 << uint(class)
+			}
 		}
 	}
-	return t.clock.nextOpening(now, waiting)
+	//insane:bounded by=one entry per declared tenant, fixed at construction
+	for i := range e.tenants {
+		if e.tenants[i].len() == 0 {
+			continue
+		}
+		if len(e.tenants) == 1 {
+			return 0 // an ungated head is always eligible
+		}
+		waiting |= classBit(e.tenants[i].at(0).class)
+	}
+	return e.clock.nextOpening(now, waiting)
 }

@@ -10,6 +10,7 @@ import (
 // item is the element the scheduler tests queue: what a runtime token
 // carries that a scheduler decision reads or shows up in.
 type item struct {
+	TS     bool // time-sensitive: the shaper's
 	Tenant int
 	Class  uint8
 	Len    int
@@ -17,26 +18,38 @@ type item struct {
 	Send   time.Duration
 }
 
-func pkt(class uint8, vt timebase.VTime) item { return item{Class: class, VTime: vt} }
+// pkt is a time-sensitive item of a class.
+func pkt(class uint8, vt timebase.VTime) item { return item{TS: true, Class: class, VTime: vt} }
 
-// queue is the dequeue side both schedulers share.
-type queue interface {
-	Dequeue(dst []item, waits []time.Duration, now timebase.VTime) int
+// allOpen keeps every gate open: the shaper without a protected window.
+var allOpen = GCL{{Duration: time.Millisecond, Gates: 0xFF}}
+
+// newEgress is NewEgress for a test: an invalid list fails it.
+func newEgress(t testing.TB, gcl GCL, weights ...int) *Egress[item] {
+	t.Helper()
+	e, err := NewEgress[item](gcl, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
-// dequeue drains q into dst and does with each reported wait what the
+// enqueue files p with e, told what the runtime tells it of a token.
+func enqueue(e *Egress[item], p item, now timebase.VTime) {
+	e.Enqueue(p, p.TS, p.Tenant, p.Class, p.Len, now)
+}
+
+// dequeue drains e into dst and does with each reported wait what the
 // runtime does: added virtual latency, charged to the Send stage.
-func dequeue(q queue, dst []item, now timebase.VTime) int {
+func dequeue(e *Egress[item], dst []item, now timebase.VTime) int {
 	waits := make([]time.Duration, len(dst))
-	n := q.Dequeue(dst, waits, now)
+	n := e.Dequeue(dst, waits, now)
 	for i := range dst[:n] {
 		dst[i].VTime = dst[i].VTime.Add(waits[i])
 		dst[i].Send += waits[i]
 	}
 	return n
 }
-
-func enqTAS(tas *TAS[item], p item, now timebase.VTime) { tas.Enqueue(p, p.Class, now) }
 
 func TestGCLValidate(t *testing.T) {
 	bad := []GCL{
@@ -68,12 +81,9 @@ func twoSliceGCL() GCL {
 }
 
 func TestTASGatesByClass(t *testing.T) {
-	tas, err := NewTAS[item](twoSliceGCL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	enqTAS(tas, pkt(7, 0), 0)
-	enqTAS(tas, pkt(0, 0), 0)
+	tas := newEgress(t, twoSliceGCL())
+	enqueue(tas, pkt(7, 0), 0)
+	enqueue(tas, pkt(0, 0), 0)
 	dst := make([]item, 4)
 
 	// During the protected window only class 7 leaves.
@@ -96,13 +106,10 @@ func TestTASGatesByClass(t *testing.T) {
 }
 
 func TestTASGateWaitShowsInVTime(t *testing.T) {
-	tas, err := NewTAS[item](twoSliceGCL())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tas := newEgress(t, twoSliceGCL())
 	// Class 0 packet emitted during the protected window at t=10µs.
 	emit := timebase.VTime(10 * time.Microsecond)
-	enqTAS(tas, pkt(0, emit), emit)
+	enqueue(tas, pkt(0, emit), emit)
 	dst := make([]item, 1)
 	now := timebase.VTime(120 * time.Microsecond)
 	if n := dequeue(tas, dst, now); n != 1 {
@@ -114,13 +121,10 @@ func TestTASGateWaitShowsInVTime(t *testing.T) {
 }
 
 func TestTASStrictPriorityAmongOpenGates(t *testing.T) {
-	tas, err := NewTAS[item](GCL{{Duration: time.Millisecond, Gates: 0xFF}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	enqTAS(tas, pkt(1, 0), 0)
-	enqTAS(tas, pkt(5, 0), 0)
-	enqTAS(tas, pkt(3, 0), 0)
+	tas := newEgress(t, allOpen)
+	enqueue(tas, pkt(1, 0), 0)
+	enqueue(tas, pkt(5, 0), 0)
+	enqueue(tas, pkt(3, 0), 0)
 	dst := make([]item, 3)
 	if n := dequeue(tas, dst, 0); n != 3 {
 		t.Fatalf("dequeue = %d, want 3", n)
@@ -131,8 +135,8 @@ func TestTASStrictPriorityAmongOpenGates(t *testing.T) {
 }
 
 func TestTASClassClamping(t *testing.T) {
-	tas, _ := NewTAS[item](GCL{{Duration: time.Millisecond, Gates: 0x80}})
-	enqTAS(tas, pkt(200, 0), 0) // out of range → clamped to 7
+	tas := newEgress(t, GCL{{Duration: time.Millisecond, Gates: 0x80}})
+	enqueue(tas, pkt(200, 0), 0) // out of range → clamped to 7
 	dst := make([]item, 1)
 	if n := dequeue(tas, dst, 0); n != 1 {
 		t.Fatal("clamped packet not dequeued under class-7 gate")
@@ -140,15 +144,12 @@ func TestTASClassClamping(t *testing.T) {
 }
 
 func TestTASNextEvent(t *testing.T) {
-	tas, err := NewTAS[item](twoSliceGCL())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tas := newEgress(t, twoSliceGCL())
 	if tas.NextEvent(0) != 0 {
 		t.Error("empty shaper: NextEvent must be 0")
 	}
 	// Class 0 queued during the protected window: the gate opens at 100µs.
-	enqTAS(tas, pkt(0, 0), 0)
+	enqueue(tas, pkt(0, 0), 0)
 	now := timebase.VTime(30 * time.Microsecond)
 	want := timebase.VTime(100 * time.Microsecond)
 	if got := tas.NextEvent(now); got != want {
@@ -159,8 +160,8 @@ func TestTASNextEvent(t *testing.T) {
 		t.Errorf("NextEvent in open window = %v, want 0", got)
 	}
 	// Class 7 queued during the open window: opens at next cycle start.
-	tas2, _ := NewTAS[item](twoSliceGCL())
-	enqTAS(tas2, pkt(7, 0), 0)
+	tas2 := newEgress(t, twoSliceGCL())
+	enqueue(tas2, pkt(7, 0), 0)
 	got := tas2.NextEvent(timebase.VTime(150 * time.Microsecond))
 	if want := timebase.VTime(200 * time.Microsecond); got != want {
 		t.Errorf("NextEvent wrap = %v, want %v", got, want)
@@ -168,10 +169,10 @@ func TestTASNextEvent(t *testing.T) {
 }
 
 func TestTASFIFOWithinClass(t *testing.T) {
-	tas, _ := NewTAS[item](GCL{{Duration: time.Millisecond, Gates: 0xFF}})
+	tas := newEgress(t, allOpen)
 	for i := 0; i < 4; i++ {
 		p := pkt(2, timebase.VTime(i))
-		enqTAS(tas, p, 0)
+		enqueue(tas, p, 0)
 	}
 	dst := make([]item, 4)
 	dequeue(tas, dst, 0)
@@ -187,13 +188,13 @@ func TestTASFIFOWithinClass(t *testing.T) {
 // QoS is for).
 func TestTASJitterBound(t *testing.T) {
 	gcl := twoSliceGCL()
-	tas, _ := NewTAS[item](gcl)
+	tas := newEgress(t, gcl)
 	dst := make([]item, 1)
 	for i := 0; i < 100; i++ {
 		emit := timebase.VTime(i) * timebase.VTime(7*time.Microsecond)
-		enqTAS(tas, pkt(7, emit), emit)
+		enqueue(tas, pkt(7, emit), emit)
 		// Cross traffic.
-		enqTAS(tas, pkt(0, emit), emit)
+		enqueue(tas, pkt(0, emit), emit)
 
 		// Drain class 7 at the next protected window.
 		next := tas.NextEvent(emit)
@@ -220,13 +221,13 @@ func TestTASJitterBound(t *testing.T) {
 }
 
 func BenchmarkTASEnqueueDequeue(b *testing.B) {
-	tas, _ := NewTAS[item](DefaultGCL())
+	tas := newEgress(b, DefaultGCL())
 	dst := make([]item, 32)
 	waits := make([]time.Duration, 32)
 	p := pkt(7, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		enqTAS(tas, p, 0)
+		enqueue(tas, p, 0)
 		if i%32 == 31 {
 			tas.Dequeue(dst, waits, 0)
 		}
@@ -237,32 +238,27 @@ func BenchmarkTASEnqueueDequeue(b *testing.B) {
 // compact the dead prefix now and then; through 10 k interleaved enqueues
 // and dequeues over a backlog that first grows deep and then drains —
 // several compactions and resets per queue — every class of the shaper and
-// every tenant of the deficit scheduler releases in arrival order, and
-// Pending counts what is queued.
+// every tenant of the round-robin releases in arrival order, and Pending
+// counts what is queued.
 func TestQueuesKeepOrderAcrossCompaction(t *testing.T) {
 	const (
 		ops    = 10000
 		queues = 3
 	)
-	tas, _ := NewTAS[item](GCL{{Duration: time.Millisecond, Gates: 0xFF}})
-	wdrr, _ := NewWDRR[item]([]int{1, 2, 3}, nil)
 	for name, s := range map[string]struct {
-		enq     func(q int, p item)
-		q       queue
-		pending func() int
-		key     func(p item) int
+		e   *Egress[item]
+		set func(p *item, q int) // files p in queue q
+		key func(p item) int
 	}{
 		"tas": {
-			enq:     func(q int, p item) { p.Class = uint8(q); enqTAS(tas, p, 0) },
-			q:       tas,
-			pending: tas.Pending,
-			key:     func(p item) int { return int(p.Class) },
+			e:   newEgress(t, allOpen),
+			set: func(p *item, q int) { p.TS, p.Class = true, uint8(q) },
+			key: func(p item) int { return int(p.Class) },
 		},
 		"wdrr": {
-			enq:     func(q int, p item) { p.Tenant = q; enqWDRR(wdrr, p, 0) },
-			q:       wdrr,
-			pending: wdrr.Pending,
-			key:     func(p item) int { return p.Tenant },
+			e:   newEgress(t, allOpen, 1, 2, 3),
+			set: func(p *item, q int) { p.Tenant = q },
+			key: func(p item) int { return p.Tenant },
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -286,8 +282,8 @@ func TestQueuesKeepOrderAcrossCompaction(t *testing.T) {
 					out[k]++
 				}
 				queued -= n
-				if s.pending() != queued {
-					t.Fatalf("Pending = %d, want %d", s.pending(), queued)
+				if s.e.Pending() != queued {
+					t.Fatalf("Pending = %d, want %d", s.e.Pending(), queued)
 				}
 			}
 			for op := 0; op < ops; op++ {
@@ -300,21 +296,23 @@ func TestQueuesKeepOrderAcrossCompaction(t *testing.T) {
 				}
 				if next(32) < arrivals {
 					k := next(queues)
-					s.enq(k, item{Len: 64 + next(1400), VTime: timebase.VTime(in[k])})
+					p := item{Len: 64 + next(1400), VTime: timebase.VTime(in[k])}
+					s.set(&p, k)
+					enqueue(s.e, p, 0)
 					in[k]++
 					queued++
 					if queued > deepest {
 						deepest = queued
 					}
 				} else {
-					check(dequeue(s.q, dst[:1+next(burst)], 0))
+					check(dequeue(s.e, dst[:1+next(burst)], 0))
 				}
 			}
 			if deepest < 1000 {
 				t.Fatalf("backlog peaked at %d: too shallow to force a compaction", deepest)
 			}
 			for queued > 0 {
-				n := dequeue(s.q, dst, 0)
+				n := dequeue(s.e, dst, 0)
 				if n == 0 {
 					t.Fatalf("%d queued and nothing released", queued)
 				}
@@ -324,5 +322,60 @@ func TestQueuesKeepOrderAcrossCompaction(t *testing.T) {
 				t.Errorf("handed in %v, got back %v", in, out)
 			}
 		})
+	}
+}
+
+// TestEgressShaperGoesFirst: the order between the two tiers. A burst
+// smaller than the backlog fills with gate-open time-sensitive entries before
+// any best-effort one, whatever arrived first; best effort is held through a
+// protected window only when there are two tenants or more; and NextEvent is
+// zero while a best-effort head is eligible, even with a shaper class waiting
+// for a later opening.
+func TestEgressShaperGoesFirst(t *testing.T) {
+	protected := timebase.VTime(10 * time.Microsecond) // class 7 only
+	opening := timebase.VTime(100 * time.Microsecond)  // the rest
+
+	// One tenant: best effort is never gated.
+	e := newEgress(t, twoSliceGCL())
+	for i := 0; i < 4; i++ {
+		enqueue(e, item{Len: 64 + i}, 0) // the length is the serial
+	}
+	enqueue(e, pkt(0, 0), 0) // gated until the opening
+	enqueue(e, pkt(7, 0), 0)
+	enqueue(e, pkt(7, 0), 0)
+	if got := e.NextEvent(protected); got != 0 {
+		t.Errorf("NextEvent with best effort eligible = %v, want 0", got)
+	}
+	dst := make([]item, 3)
+	if n := dequeue(e, dst, protected); n != 3 || !dst[0].TS || !dst[1].TS || dst[2].TS {
+		t.Fatalf("burst of 3 = %d %+v, want the two class-7 entries, then best effort", n, dst[:n])
+	}
+	rest := make([]item, 8)
+	if n := dequeue(e, rest, protected); n != 3 {
+		t.Fatalf("second burst = %d, want the 3 best-effort entries left", n)
+	}
+	for i, p := range append(dst[2:], rest[:3]...) {
+		if p.TS || p.Len != 64+i {
+			t.Errorf("best effort %d = %+v, want length %d", i, p, 64+i)
+		}
+	}
+	if got := e.Pending(); got != 1 {
+		t.Errorf("Pending = %d, want the gated class-0 entry", got)
+	}
+	if got := e.NextEvent(protected); got != opening {
+		t.Errorf("NextEvent with only the shaper waiting = %v, want %v", got, opening)
+	}
+
+	// Two tenants: the protected window holds best effort too.
+	e = newEgress(t, twoSliceGCL(), 1, 1)
+	enqueue(e, item{Tenant: 1, Len: 64}, 0)
+	if n := dequeue(e, rest, protected); n != 0 {
+		t.Fatalf("two tenants, protected window: released %d, want 0", n)
+	}
+	if got := e.NextEvent(protected); got != opening {
+		t.Errorf("two tenants: NextEvent = %v, want %v", got, opening)
+	}
+	if n := dequeue(e, rest, opening); n != 1 {
+		t.Fatalf("two tenants, open window: released %d, want 1", n)
 	}
 }

@@ -7,23 +7,17 @@ import (
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
+// tpkt is a best-effort item of a tenant.
 func tpkt(tenant int, class uint8, size int) item {
 	return item{Tenant: tenant, Class: class, Len: size}
 }
 
-func enqWDRR(w *WDRR[item], p item, now timebase.VTime) {
-	w.Enqueue(p, p.Tenant, p.Class, p.Len, now)
-}
-
 func TestWDRRSingleTenantIsFIFO(t *testing.T) {
-	w, err := NewWDRR[item](nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newEgress(t, allOpen)
 	for i := 0; i < 5; i++ {
 		p := tpkt(0, 0, 100)
 		p.VTime = timebase.VTime(i)
-		enqWDRR(w, p, 0)
+		enqueue(w, p, 0)
 	}
 	if w.Pending() != 5 {
 		t.Fatalf("Pending = %d, want 5", w.Pending())
@@ -42,21 +36,18 @@ func TestWDRRSingleTenantIsFIFO(t *testing.T) {
 		t.Fatalf("final Dequeue = %d, want 2", n)
 	}
 	if w.NextEvent(0) != 0 {
-		t.Error("ungated WDRR NextEvent must be 0")
+		t.Error("single-tenant NextEvent must be 0")
 	}
 }
 
 // TestWDRRFairnessByWeight: two backlogged tenants with weights 1:3
 // must share a drain in a ~1:3 packet ratio (equal packet sizes).
 func TestWDRRFairnessByWeight(t *testing.T) {
-	w, err := NewWDRR[item]([]int{1, 3}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newEgress(t, allOpen, 1, 3)
 	const backlog = 400
 	for i := 0; i < backlog; i++ {
-		enqWDRR(w, tpkt(0, 0, 1024), 0)
-		enqWDRR(w, tpkt(1, 0, 1024), 0)
+		enqueue(w, tpkt(0, 0, 1024), 0)
+		enqueue(w, tpkt(1, 0, 1024), 0)
 	}
 	dst := make([]item, 64)
 	counts := [2]int{}
@@ -82,11 +73,11 @@ func TestWDRRFairnessByWeight(t *testing.T) {
 // TestWDRRNoStarvationUnderFlood: a flooding tenant cannot keep a
 // one-packet tenant out of a single burst.
 func TestWDRRNoStarvationUnderFlood(t *testing.T) {
-	w, _ := NewWDRR[item]([]int{1, 1}, nil)
+	w := newEgress(t, allOpen, 1, 1)
 	for i := 0; i < 1000; i++ {
-		enqWDRR(w, tpkt(0, 0, 9000), 0)
+		enqueue(w, tpkt(0, 0, 9000), 0)
 	}
-	enqWDRR(w, tpkt(1, 0, 100), 0)
+	enqueue(w, tpkt(1, 0, 100), 0)
 	dst := make([]item, 8)
 	n := dequeue(w, dst, 0)
 	found := false
@@ -103,14 +94,11 @@ func TestWDRRNoStarvationUnderFlood(t *testing.T) {
 // TestWDRRGateHold: with a GCL, best-effort packets are held during the
 // protected window and the wait is charged to the packet's virtual time.
 func TestWDRRGateHold(t *testing.T) {
-	w, err := NewWDRR[item]([]int{1, 1}, twoSliceGCL())
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newEgress(t, twoSliceGCL(), 1, 1)
 	emit := timebase.VTime(10 * time.Microsecond)
 	p := tpkt(0, 0, 100)
 	p.VTime = emit
-	enqWDRR(w, p, emit)
+	enqueue(w, p, emit)
 	dst := make([]item, 4)
 
 	// Protected window: class-0 gate closed, nothing leaves.
@@ -138,11 +126,11 @@ func TestWDRRGateHold(t *testing.T) {
 // is gated during the protected window, but tenant 1's class-7 packets
 // still flow.
 func TestWDRRGatedTenantDoesNotBlockOpenTenant(t *testing.T) {
-	w, _ := NewWDRR[item]([]int{1, 1}, twoSliceGCL())
+	w := newEgress(t, twoSliceGCL(), 1, 1)
 	for i := 0; i < 10; i++ {
-		enqWDRR(w, tpkt(0, 0, 500), 0)
+		enqueue(w, tpkt(0, 0, 500), 0)
 	}
-	enqWDRR(w, tpkt(1, 7, 500), 0)
+	enqueue(w, tpkt(1, 7, 500), 0)
 	dst := make([]item, 8)
 	n := dequeue(w, dst, timebase.VTime(10*time.Microsecond))
 	if n != 1 || dst[0].Tenant != 1 {
@@ -154,41 +142,26 @@ func TestWDRRGatedTenantDoesNotBlockOpenTenant(t *testing.T) {
 }
 
 func TestWDRRUnknownTenantFallsBack(t *testing.T) {
-	w, _ := NewWDRR[item]([]int{1, 1}, nil)
-	enqWDRR(w, tpkt(42, 0, 100), 0) // out-of-range tenant index → queue 0
+	w := newEgress(t, allOpen, 1, 1)
+	enqueue(w, tpkt(42, 0, 100), 0) // out-of-range tenant index → queue 0
 	dst := make([]item, 1)
 	if n := dequeue(w, dst, 0); n != 1 {
 		t.Fatal("out-of-range tenant packet lost")
 	}
-	if w.PendingTenant(0) != 0 {
+	if w.Pending() != 0 {
 		t.Error("fallback queue not drained")
 	}
 }
 
-func TestWDRRPendingTenant(t *testing.T) {
-	w, _ := NewWDRR[item]([]int{1, 2}, nil)
-	enqWDRR(w, tpkt(1, 0, 100), 0)
-	enqWDRR(w, tpkt(1, 0, 100), 0)
-	if got := w.PendingTenant(1); got != 2 {
-		t.Errorf("PendingTenant(1) = %d, want 2", got)
-	}
-	if got := w.PendingTenant(0); got != 0 {
-		t.Errorf("PendingTenant(0) = %d, want 0", got)
-	}
-	if got := w.PendingTenant(99); got != 0 {
-		t.Errorf("PendingTenant(99) = %d, want 0", got)
-	}
-}
-
 func BenchmarkWDRREnqueueDequeue(b *testing.B) {
-	w, _ := NewWDRR[item]([]int{4, 1}, nil)
+	w := newEgress(b, allOpen, 4, 1)
 	dst := make([]item, 32)
 	waits := make([]time.Duration, 32)
 	p := tpkt(0, 0, 512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Tenant = i & 1
-		enqWDRR(w, p, 0)
+		enqueue(w, p, 0)
 		if i%32 == 31 {
 			w.Dequeue(dst, waits, 0)
 		}
