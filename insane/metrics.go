@@ -37,8 +37,11 @@ type MempoolClass struct {
 	// SlotSize is the usable bytes per slot.
 	SlotSize int
 	// Capacity and Free are the configured and currently free slot
-	// counts.
-	Capacity, Free int
+	// counts. Committed counts the slots whose memory is allocated: a
+	// class commits chunks of slots as traffic first needs them and keeps
+	// them, so it is the most the class has held at once, rounded up to a
+	// chunk.
+	Capacity, Free, Committed int
 }
 
 // MempoolMetrics reports the memory manager's activity: Gets/Failures
@@ -240,9 +243,10 @@ func (n *Node) Metrics() Metrics {
 	}
 	for i, size := range s.Mempool.SlotSizes {
 		m.Mempool.Classes = append(m.Mempool.Classes, MempoolClass{
-			SlotSize: size,
-			Capacity: s.Mempool.CapSlots[i],
-			Free:     s.Mempool.FreeSlots[i],
+			SlotSize:  size,
+			Capacity:  s.Mempool.CapSlots[i],
+			Free:      s.Mempool.FreeSlots[i],
+			Committed: s.Mempool.CommittedSlots[i],
 		})
 	}
 	for _, ts := range n.rt.TenantSnapshots() {

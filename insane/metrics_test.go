@@ -696,3 +696,62 @@ func TestDropAccountingBelowRuntime(t *testing.T) {
 		}
 	})
 }
+
+// TestMetricsCommittedFollowsTraffic: a node commits pool memory as its
+// traffic needs it and keeps it. A fresh node has committed nothing; a
+// burst of small messages commits a few chunks of the small class only;
+// closing the session frees every slot and keeps what was committed.
+func TestMetricsCommittedFollowsTraffic(t *testing.T) {
+	c, sess, st := oneNode(t)
+	node := c.Node("edge-1")
+	classes := func() []insane.MempoolClass { return node.Metrics().Mempool.Classes }
+	for _, cl := range classes() {
+		if cl.Committed != 0 {
+			t.Fatalf("fresh node: class %d committed %d slots, want 0", cl.SlotSize, cl.Committed)
+		}
+	}
+
+	const burst = 256
+	sink, err := st.CreateSink(4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := st.CreateSource(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	for i := 0; i < burst; i++ {
+		send(t, src, payload)
+	}
+	waitQueued(t, sink, burst)
+	for i := 0; i < burst; i++ {
+		m, err := consumeWithin(sink, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink.Release(m)
+	}
+	after := classes()
+	if len(after) != 2 || after[0].SlotSize != 2048 || after[1].SlotSize != 9216 {
+		t.Fatalf("classes = %+v, want the 2048 and 9216 defaults", after)
+	}
+	if cl := after[0]; cl.Committed == 0 || cl.Committed > 384 {
+		t.Errorf("after %d x 64 B: class 2048 committed %d of %d slots, want 1..384", burst, cl.Committed, cl.Capacity)
+	}
+	if cl := after[1]; cl.Committed != 0 {
+		t.Errorf("after %d x 64 B: class 9216 committed %d slots, want 0", burst, cl.Committed)
+	}
+
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, cl := range classes() {
+		if cl.Free != cl.Capacity {
+			t.Errorf("after Close: class %d free %d, want capacity %d", cl.SlotSize, cl.Free, cl.Capacity)
+		}
+		if cl.Committed != after[i].Committed {
+			t.Errorf("after Close: class %d committed %d, want %d (committed memory is kept)", cl.SlotSize, cl.Committed, after[i].Committed)
+		}
+	}
+}

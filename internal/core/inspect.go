@@ -49,10 +49,9 @@ func (r *Runtime) Inspect() string {
 		}
 	}
 
-	free := r.mm.FreeSlots()
 	ms := r.mm.Stats()
-	fmt.Fprintf(&b, "  memory pools: free=%v gets=%d releases=%d failures=%d\n",
-		free, ms.Gets, ms.Releases, ms.Failures)
+	fmt.Fprintf(&b, "  memory pools: free=%v committed=%v gets=%d releases=%d failures=%d\n",
+		r.mm.FreeSlots(), r.mm.CommittedSlots(), ms.Gets, ms.Releases, ms.Failures)
 
 	s := r.Stats()
 	fmt.Fprintf(&b, "  traffic: tx=%d rx=%d local=%d nosink=%d ringfull=%d downgrades=%d\n",

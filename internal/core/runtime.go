@@ -552,12 +552,13 @@ func (r *Runtime) MetricsSnapshot() *telemetry.Snapshot {
 	ms := r.mm.Stats()
 	classes := r.mm.Classes()
 	mp := telemetry.MempoolSnapshot{
-		Gets:      ms.Gets,
-		Failures:  ms.Failures,
-		Releases:  ms.Releases,
-		FreeSlots: r.mm.FreeSlots(),
-		CapSlots:  make([]int, len(classes)),
-		SlotSizes: make([]int, len(classes)),
+		Gets:           ms.Gets,
+		Failures:       ms.Failures,
+		Releases:       ms.Releases,
+		FreeSlots:      r.mm.FreeSlots(),
+		CapSlots:       make([]int, len(classes)),
+		CommittedSlots: r.mm.CommittedSlots(),
+		SlotSizes:      make([]int, len(classes)),
 	}
 	for i, c := range classes {
 		mp.CapSlots[i] = c.Slots

@@ -394,6 +394,12 @@ func TestRTCSeesOneView(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		sink.Release(&d)
+		// A queued message reaches the local sink before its remote send
+		// returns; the next step's Emit may not find it still in flight
+		// (that fallback keeps source order and is not the one tested).
+		if !eventually(func() bool { return src.queued.Load() == 0 }) {
+			t.Fatalf("%s: the message never left the queued path", what)
+		}
 		if s := w.a.Stats(); s.RTCDeliveries != rtc || s.RTCFallbacks != fallbacks {
 			t.Fatalf("%s: %d run-to-completion deliveries and %d fallbacks, want %d and %d",
 				what, s.RTCDeliveries, s.RTCFallbacks, rtc, fallbacks)

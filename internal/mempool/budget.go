@@ -4,7 +4,7 @@
 // slot fully recycles, so one tenant exhausting its quota cannot starve
 // the shared pools for everyone else. Charging is a single atomic add —
 // the partitioning is pure accounting, the backing memory stays one
-// contiguous pool per size class.
+// shared pool per size class.
 package mempool
 
 import (

@@ -30,6 +30,10 @@ func TestBudgetCapsBorrows(t *testing.T) {
 	if _, _, err := m.GetBudget(64, 1, b); !errors.Is(err, ErrQuota) {
 		t.Fatalf("third borrow: got %v, want ErrQuota", err)
 	}
+	// The tenant refused the borrow, not the pools.
+	if f := m.Stats().Failures; f != 0 {
+		t.Fatalf("Failures = %d after a quota refusal, want 0", f)
+	}
 	if got := b.Used(); got != 2 {
 		t.Fatalf("Used = %d, want 2", got)
 	}

@@ -10,9 +10,16 @@
 // to multiple local sinks (Fig. 8b) without copies.
 //
 // In the C prototype the pool is a shared-memory segment registered with the
-// NIC for DMA; here it is a contiguous Go byte slice shared by the runtime
-// and the (in-process) client library, which preserves the programming model
-// and the slot-id protocol exactly.
+// NIC for DMA; here it is Go byte slices shared by the runtime and the
+// (in-process) client library, which preserves the programming model and
+// the slot-id protocol exactly.
+//
+// A class reserves its slot ids, states and free ring for every slot at
+// startup, but commits its bytes as traffic needs them: one chunk of
+// chunkSlots slots, allocated the first time the class runs out of
+// committed free slots and kept for the manager's lifetime. The first
+// borrow past a class's committed slots therefore allocates; the steady
+// state, which recycles committed slots, allocates nothing.
 package mempool
 
 import (
@@ -20,6 +27,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"github.com/insane-mw/insane/internal/ringbuf"
@@ -113,14 +121,26 @@ type slotState struct {
 	budget atomic.Pointer[Budget] //insane:guardedby atomic
 }
 
-// pool is one size class: a contiguous backing area plus slot bookkeeping.
+// chunkSlots is how many slots one commit of a class allocates: 128 KiB
+// in the 2 KB class, 576 KiB in the 9 KB class.
+const chunkSlots = 64
+
+// pool is one size class: slot bookkeeping sized for every slot, and the
+// backing bytes in chunks of chunkSlots slots, committed on demand. The
+// free ring holds committed slots only.
 //
 //insane:shared
 type pool struct {
 	slotSize int                   //insane:guardedby immutable after=NewManager
-	backing  []byte                //insane:guardedby immutable after=NewManager
 	states   []slotState           //insane:guardedby immutable after=NewManager
 	free     *ringbuf.MPMC[uint32] //insane:guardedby immutable after=NewManager
+	// chunks[c] backs slots [c*chunkSlots, (c+1)*chunkSlots); nil until
+	// grow commits it.
+	chunks []atomic.Pointer[[]byte] //insane:guardedby immutable after=NewManager
+	// committed counts the slots whose chunk is allocated; only grow
+	// raises it, under growMu.
+	committed atomic.Int32 //insane:guardedby atomic
+	growMu    sync.Mutex
 }
 
 // Manager owns the memory pools and the borrow/release protocol.
@@ -136,8 +156,10 @@ type Manager struct {
 	releases atomic.Uint64 //insane:guardedby atomic
 }
 
-// NewManager reserves the configured pools up front (no allocation happens
-// afterwards on the data path).
+// NewManager reserves the configured pools' slot ids and bookkeeping up
+// front and commits no slot bytes: a class allocates one chunk the first
+// time a borrow finds its committed slots all in use, and nothing once
+// traffic recycles the slots it has committed.
 func NewManager(cfg Config) (*Manager, error) {
 	classes := cfg.Classes
 	if len(classes) == 0 {
@@ -162,18 +184,12 @@ func NewManager(cfg Config) (*Manager, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mempool: %w", err)
 		}
-		p := &pool{
+		m.pools = append(m.pools, &pool{
 			slotSize: c.SlotSize,
-			backing:  make([]byte, c.SlotSize*c.Slots),
 			states:   make([]slotState, c.Slots),
 			free:     free,
-		}
-		for i := 0; i < c.Slots; i++ {
-			if !p.free.TryPush(uint32(i)) {
-				return nil, fmt.Errorf("mempool: free ring underprovisioned")
-			}
-		}
-		m.pools = append(m.pools, p)
+			chunks:   make([]atomic.Pointer[[]byte], (c.Slots+chunkSlots-1)/chunkSlots),
+		})
 	}
 	return m, nil
 }
@@ -197,8 +213,7 @@ func (m *Manager) Get(size int, owner Owner) (SlotID, []byte, error) {
 //insane:acquire resource=mem-slot on=nilerr
 func (m *Manager) GetBudget(size int, owner Owner, b *Budget) (SlotID, []byte, error) {
 	if b != nil && !b.TryCharge() {
-		m.fails.Add(1)
-		return NoSlot, nil, ErrQuota
+		return NoSlot, nil, ErrQuota // the tenant's refusal, not the pools'
 	}
 	//insane:bounded by=one entry per slot-size class, fixed at manager construction
 	for pi, p := range m.pools {
@@ -208,7 +223,9 @@ func (m *Manager) GetBudget(size int, owner Owner, b *Budget) (SlotID, []byte, e
 		idx, ok := p.free.TryPop()
 		if !ok {
 			if idx, ok = p.popFreeContended(); !ok {
-				continue // class exhausted; try a larger one
+				if idx, ok = p.grow(); !ok {
+					continue // class exhausted; try a larger one
+				}
 			}
 		}
 		st := &p.states[idx]
@@ -352,6 +369,35 @@ func (p *pool) popFreeContended() (uint32, bool) {
 	return 0, false
 }
 
+// grow takes a slot for a borrower that found the class's free ring
+// empty: a slot another borrower committed while this one waited for
+// growMu, or else the first slot of the next uncommitted chunk, whose
+// other slots go to the free ring. false means every chunk is committed
+// and every slot borrowed. The chunk's pointer and the committed count
+// are published before its slots, so a popped slot always has its bytes
+// and FreeSlots never reads above capacity.
+//
+//insane:coldpath the class's committed slots are all borrowed: at most one chunk allocation per chunkSlots slots, for the manager's lifetime
+func (p *pool) grow() (uint32, bool) {
+	p.growMu.Lock()
+	defer p.growMu.Unlock()
+	if idx, ok := p.popFreeContended(); ok {
+		return idx, true
+	}
+	first := int(p.committed.Load())
+	if first == len(p.states) {
+		return 0, false
+	}
+	n := min(chunkSlots, len(p.states)-first)
+	chunk := make([]byte, n*p.slotSize)
+	p.chunks[first/chunkSlots].Store(&chunk)
+	p.committed.Store(int32(first + n))
+	for i := first + 1; i < first+n; i++ {
+		p.pushFreeContended(uint32(i)) // the ring has room for every slot
+	}
+	return uint32(first), true
+}
+
 // ReleaseOwner force-releases every slot currently borrowed by owner,
 // returning how many were reclaimed. The runtime calls this when a client
 // session detaches (the migration / crash path): what the session borrowed
@@ -385,11 +431,26 @@ func (m *Manager) ReleaseOwner(owner Owner) int {
 }
 
 // FreeSlots reports the currently free slot count per class, smallest
-// class first.
+// class first: the class's capacity less its borrowed slots, committed or
+// not.
 func (m *Manager) FreeSlots() []int {
 	out := make([]int, len(m.pools))
 	for i, p := range m.pools {
-		out[i] = p.free.Len()
+		// The ring before the count: grow raises the count before it
+		// pushes, so a pushed slot seen here is never counted twice.
+		free := p.free.Len()
+		out[i] = free + len(p.states) - int(p.committed.Load())
+	}
+	return out
+}
+
+// CommittedSlots reports, per class and smallest class first, how many
+// slots have their bytes allocated. It only grows: a class commits a chunk
+// when it runs out of committed free slots and keeps it.
+func (m *Manager) CommittedSlots() []int {
+	out := make([]int, len(m.pools))
+	for i, p := range m.pools {
+		out[i] = int(p.committed.Load())
 	}
 	return out
 }
@@ -442,7 +503,10 @@ func (m *Manager) locate(id SlotID) (*pool, int, error) {
 	return p, idx, nil
 }
 
+// slotBuf returns a committed slot's bytes; a slot with refs > 0, or one
+// just popped from the free ring, is committed.
 func (p *pool) slotBuf(idx int) []byte {
-	off := idx * p.slotSize
-	return p.backing[off : off+p.slotSize : off+p.slotSize]
+	chunk := *p.chunks[idx/chunkSlots].Load()
+	off := idx % chunkSlots * p.slotSize
+	return chunk[off : off+p.slotSize : off+p.slotSize]
 }

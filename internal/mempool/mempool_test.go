@@ -1,6 +1,7 @@
 package mempool
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -137,6 +138,41 @@ func TestSlotBuffersDoNotOverlap(t *testing.T) {
 			t.Fatalf("slot %v byte %d clobbered", id2, i)
 		}
 	}
+
+	// The last slot of one chunk and the first of the next live in
+	// different allocations: fill every slot of two chunks, then check.
+	m, err := NewManager(Config{Classes: []ClassConfig{{SlotSize: 128, Slots: 2 * chunkSlots}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := make(map[SlotID][]byte)
+	for i := 0; i < 2*chunkSlots; i++ {
+		id, buf, err := m.Get(128, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range buf {
+			buf[j] = byte(id.index())
+		}
+		bufs[id] = buf
+	}
+	for _, idx := range []int{chunkSlots - 1, chunkSlots} {
+		id := makeSlotID(0, idx)
+		buf, err := m.Buf(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &buf[0] != &bufs[id][0] {
+			t.Fatalf("Buf(%v) is not the buffer Get returned", id)
+		}
+	}
+	for id, buf := range bufs {
+		for j, v := range buf {
+			if v != byte(id.index()) {
+				t.Fatalf("slot %v byte %d clobbered", id, j)
+			}
+		}
+	}
 }
 
 func TestReleaseLifecycle(t *testing.T) {
@@ -195,6 +231,172 @@ func TestBadSlotIDs(t *testing.T) {
 		if _, err := m.Buf(id); err == nil {
 			t.Errorf("Buf(%v): want error", id)
 		}
+	}
+
+	// A valid id whose chunk was never committed is a slot not in use.
+	m, err := NewManager(Config{Classes: []ClassConfig{{SlotSize: 128, Slots: 2 * chunkSlots}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Get(64, 1); err != nil {
+		t.Fatal(err)
+	}
+	id := makeSlotID(0, chunkSlots)
+	if err := m.Release(id); !errors.Is(err, ErrBadSlot) {
+		t.Errorf("Release(%v) in an uncommitted chunk: err = %v, want ErrBadSlot", id, err)
+	}
+	if _, err := m.Buf(id); !errors.Is(err, ErrBadSlot) {
+		t.Errorf("Buf(%v) in an uncommitted chunk: err = %v, want ErrBadSlot", id, err)
+	}
+	if err := m.AddRef(id, 1); !errors.Is(err, ErrBadSlot) {
+		t.Errorf("AddRef(%v) in an uncommitted chunk: err = %v, want ErrBadSlot", id, err)
+	}
+	if got := m.CommittedSlots()[0]; got != chunkSlots {
+		t.Errorf("committed = %d after rejecting an uncommitted id, want %d", got, chunkSlots)
+	}
+}
+
+// TestPoolCommitsOnDemand: a class allocates its bytes one chunk at a time,
+// the first time its committed slots are all borrowed, and keeps them;
+// what a borrower sees — free counts, overflow, exhaustion — is what a
+// fully committed class would show.
+func TestPoolCommitsOnDemand(t *testing.T) {
+	const small, large = 2*chunkSlots + 8, chunkSlots
+	m, err := NewManager(Config{Classes: []ClassConfig{
+		{SlotSize: 128, Slots: small},
+		{SlotSize: 1024, Slots: large},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []SlotID
+	check := func(step string, committed0, committed1 int) {
+		t.Helper()
+		borrowed := [2]int{}
+		for _, id := range live {
+			borrowed[id.pool()]++
+		}
+		if got := m.CommittedSlots(); got[0] != committed0 || got[1] != committed1 {
+			t.Fatalf("%s: committed = %v, want [%d %d]", step, got, committed0, committed1)
+		}
+		if got := m.FreeSlots(); got[0] != small-borrowed[0] || got[1] != large-borrowed[1] {
+			t.Fatalf("%s: free = %v, want [%d %d]", step, got, small-borrowed[0], large-borrowed[1])
+		}
+	}
+	get := func(size int) []byte {
+		t.Helper()
+		id, buf, err := m.Get(size, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, id)
+		return buf
+	}
+
+	check("fresh", 0, 0)
+	get(64)
+	check("first borrow", chunkSlots, 0)
+	for len(live) < chunkSlots+1 {
+		get(64)
+	}
+	check("chunkSlots+1 borrows", 2*chunkSlots, 0)
+	for len(live) < small {
+		get(64)
+		check("filling the small class", min(small, (len(live)+chunkSlots-1)/chunkSlots*chunkSlots), 0)
+	}
+	check("small class full", small, 0)
+	// The small class is full: the next small request overflows into the
+	// large class, which commits its first chunk.
+	if buf := get(64); len(buf) != 1024 {
+		t.Errorf("overflow buf len = %d, want 1024", len(buf))
+	}
+	check("overflow", small, chunkSlots)
+	for len(live) < small+large {
+		get(64)
+	}
+	if _, _, err := m.Get(64, 1); !errors.Is(err, ErrExhausted) {
+		t.Errorf("exhausted Get err = %v, want ErrExhausted", err)
+	}
+	if _, _, err := m.Get(4096, 1); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("Get(4096) err = %v, want ErrTooLarge", err)
+	}
+	check("both classes full", small, large)
+
+	for len(live) > 0 {
+		id := live[len(live)-1]
+		live = live[:len(live)-1]
+		if err := m.Release(id); err != nil {
+			t.Fatal(err)
+		}
+		check("releasing", small, large)
+	}
+}
+
+// TestConcurrentGrowth: borrowers racing on an empty manager commit every
+// chunk exactly once and never hand a slot, or its bytes, to two of them.
+func TestConcurrentGrowth(t *testing.T) {
+	const slots = 8*chunkSlots + 5
+	m, err := NewManager(Config{Classes: []ClassConfig{{SlotSize: 64, Slots: slots}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type borrow struct {
+		id  SlotID
+		buf []byte
+		tag uint32
+	}
+	got := make([][]borrow, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				id, buf, err := m.Get(64, Owner(g+1))
+				if errors.Is(err, ErrExhausted) {
+					return
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tag := uint32(g)<<24 | uint32(n)
+				for i := 0; i+4 <= len(buf); i += 4 {
+					binary.LittleEndian.PutUint32(buf[i:], tag)
+				}
+				got[g] = append(got[g], borrow{id, buf, tag})
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	seen := make(map[SlotID]bool, slots)
+	for _, bs := range got {
+		for _, b := range bs {
+			if seen[b.id] {
+				t.Fatalf("slot %v borrowed twice", b.id)
+			}
+			seen[b.id] = true
+			for i := 0; i+4 <= len(b.buf); i += 4 {
+				if v := binary.LittleEndian.Uint32(b.buf[i:]); v != b.tag {
+					t.Fatalf("slot %v byte %d: %#x, want %#x", b.id, i, v, b.tag)
+				}
+			}
+		}
+	}
+	if len(seen) != slots {
+		t.Fatalf("borrowed %d slots to exhaustion, want %d", len(seen), slots)
+	}
+	if c := m.CommittedSlots()[0]; c != slots {
+		t.Fatalf("committed = %d, want %d", c, slots)
+	}
+	for id := range seen {
+		if err := m.Release(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if free := m.FreeSlots()[0]; free != slots {
+		t.Fatalf("free = %d after releasing everything, want %d", free, slots)
 	}
 }
 

@@ -242,6 +242,14 @@ func writeMempool(bw *errWriter, nodes []NodeSnapshot) {
 			bw.printf("%s{node=%q,class=\"%d\"} %d\n", capName, n.Node, m.SlotSizes[i], c)
 		}
 	}
+	committed := MetricPrefix + "mempool_committed_slots"
+	bw.printf("# HELP %s Slots per size class whose memory is allocated.\n# TYPE %s gauge\n", committed, committed)
+	for _, n := range nodes {
+		m := n.Snap.Mempool
+		for i, c := range m.CommittedSlots {
+			bw.printf("%s{node=%q,class=\"%d\"} %d\n", committed, n.Node, m.SlotSizes[i], c)
+		}
+	}
 }
 
 // errWriter folds write errors so the render body stays linear.

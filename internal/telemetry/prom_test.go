@@ -81,7 +81,7 @@ func TestWritePromFormat(t *testing.T) {
 	snap.Mempool = MempoolSnapshot{
 		Gets: 100, Releases: 100,
 		FreeSlots: []int{4000, 1000}, CapSlots: []int{4096, 1024},
-		SlotSizes: []int{2048, 9216},
+		CommittedSlots: []int{128, 0}, SlotSizes: []int{2048, 9216},
 	}
 	empty := New(1).Snapshot()
 	empty.Mempool = snap.Mempool
@@ -107,6 +107,12 @@ func TestWritePromFormat(t *testing.T) {
 	}
 	if got := samples[`insane_mempool_free_slots{node="a",class="2048"}`]; got != 4000 {
 		t.Fatalf("free slots = %v, want 4000", got)
+	}
+	if got, ok := samples[`insane_mempool_committed_slots{node="a",class="9216"}`]; !ok || got != 0 {
+		t.Fatalf("committed slots = %v (present %v), want 0", got, ok)
+	}
+	if got := samples[`insane_mempool_committed_slots{node="b",class="2048"}`]; got != 128 {
+		t.Fatalf("committed slots = %v, want 128", got)
 	}
 
 	// Cumulative bucket counts never decrease with growing le.

@@ -290,8 +290,9 @@ type Snapshot struct {
 // free-slot gauges.
 type MempoolSnapshot struct {
 	Gets, Failures, Releases uint64
-	// FreeSlots and CapSlots are per size class, smallest first.
-	FreeSlots, CapSlots []int
+	// FreeSlots, CapSlots and CommittedSlots (slots whose bytes are
+	// allocated) are per size class, smallest first.
+	FreeSlots, CapSlots, CommittedSlots []int
 	// SlotSizes lists the per-class slot sizes, smallest first.
 	SlotSizes []int
 }
