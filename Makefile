@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test perfbench-test fuzz remote-smoke perf-smoke race vet lint bench bench-isolation metrics-smoke experiments demo examples loc help
+.PHONY: all test perfbench-test fuzz remote-smoke perf-smoke race race-soak vet lint bench bench-isolation metrics-smoke experiments demo examples loc help
 
 all: vet test lint ## vet + test + lint (the CI gate)
 
@@ -31,6 +31,12 @@ perf-smoke: ## 3 s untraced pass of all four benchmark workloads; fails on a fai
 
 race: ## run the test suite under the race detector
 	$(GO) test -race ./...
+
+race-soak: ## COUNT=n RUN='A|B' PKG=./p/: the tests RUN selects in PKG, n times under -race; fails first if an alternative of RUN names no test
+	@for alt in $$(echo '$(RUN)' | tr '|' ' '); do \
+	  $(GO) test -list "$$alt" $(PKG) | grep -q '^Test' || { echo "race-soak: '$$alt' matches no test in $(PKG)"; exit 1; }; \
+	done
+	$(GO) test -race -count=$(COUNT) -run '$(RUN)' $(PKG)
 
 vet: ## run go vet; fail on files gofmt would rewrite
 	$(GO) vet ./...

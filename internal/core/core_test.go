@@ -27,6 +27,13 @@ type world struct {
 // per technology per host, direct links between matching planes.
 func buildWorld(t *testing.T, capsA, capsB datapath.Caps, tune func(*Config)) *world {
 	t.Helper()
+	return wireWorld(t, capsA, capsB, tune, NewRuntime)
+}
+
+// wireWorld is buildWorld with the runtime constructor as a parameter: the
+// stepped world (stepper_test.go) builds its runtimes without starting them.
+func wireWorld(t *testing.T, capsA, capsB datapath.Caps, tune func(*Config), open func(Config) (*Runtime, error)) *world {
+	t.Helper()
 	net := fabric.New(42)
 	mkPorts := func(host byte, caps datapath.Caps) map[model.Tech]*fabric.Port {
 		ports := make(map[model.Tech]*fabric.Port)
@@ -68,11 +75,11 @@ func buildWorld(t *testing.T, capsA, capsB datapath.Caps, tune func(*Config)) *w
 		tune(&cfgA)
 		tune(&cfgB)
 	}
-	a, err := NewRuntime(cfgA)
+	a, err := open(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRuntime(cfgB)
+	b, err := open(cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +150,19 @@ func waitOutcome(t *testing.T, src *SourceHandle, seq uint32) Outcome {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
+}
+
+// eventually polls cond until it holds or two seconds have passed, and
+// reports whether it held. What a poller counts or closes after it has
+// handed a message on, the message's consumer can beat it to.
+func eventually(cond func() bool) bool {
+	for deadline := time.Now().Add(2 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return true
 }
 
 // totalFree sums the free slots over every pool class.
@@ -275,7 +295,7 @@ func TestFastStreamPingPongOverDPDK(t *testing.T) {
 }
 
 func TestCoLocatedSharedMemoryDelivery(t *testing.T) {
-	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, nil)
+	w := newStepped(t, datapath.Caps{}, datapath.Caps{}, nil)
 	conn, _ := w.a.Connect()
 	st, _ := conn.OpenStream(qos.Options{})
 	sink, _ := st.CreateSink(5)
@@ -283,8 +303,9 @@ func TestCoLocatedSharedMemoryDelivery(t *testing.T) {
 
 	msg := []byte("co-located zero-copy")
 	sendOn(t, src, msg)
+	w.Settle()
 	var d Delivery
-	if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
+	if err := sink.TryConsume(&d); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(d.Payload, msg) {
@@ -295,8 +316,8 @@ func TestCoLocatedSharedMemoryDelivery(t *testing.T) {
 	if got := w.a.Stats().TxMessages; got != 0 {
 		t.Errorf("co-located delivery hit the wire: %d data messages", got)
 	}
-	if !eventually(func() bool { return w.a.Stats().LocalDeliveries == 1 }) {
-		t.Errorf("LocalDeliveries = %d, want 1", w.a.Stats().LocalDeliveries)
+	if got := w.a.Stats().LocalDeliveries; got != 1 {
+		t.Errorf("LocalDeliveries = %d, want 1", got)
 	}
 	// Local delivery is ns-scale: IPC + sched + delivery only.
 	if d.VTime.Duration() > 2*time.Microsecond {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,17 +12,6 @@ import (
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
-// countingClock is a SimClock that counts its readings.
-type countingClock struct {
-	timebase.SimClock
-	reads atomic.Uint64
-}
-
-func (c *countingClock) Now() timebase.VTime {
-	c.reads.Add(1)
-	return c.SimClock.Now()
-}
-
 // TestIdlePassReadsOnlyQueueHeads: a poller pass that finds no work reads
 // the queue heads and nothing else — no clock, no scheduler lock, no
 // endpoint lock — while a token held behind a closed 802.1Qbv
@@ -31,13 +20,7 @@ func (c *countingClock) Now() timebase.VTime {
 // subscriber, so every queue a pass looks at exists.
 func TestIdlePassReadsOnlyQueueHeads(t *testing.T) {
 	const us = time.Microsecond
-	clock := &countingClock{}
-	w := buildWorld(t, datapath.Caps{DPDK: true}, datapath.Caps{DPDK: true}, func(c *Config) {
-		if c.Name == "nodeA" {
-			c.Clock = clock
-		}
-		c.GCL = testGCL
-	})
+	w := newStepped(t, datapath.Caps{DPDK: true}, datapath.Caps{DPDK: true}, func(c *Config) { c.GCL = testGCL })
 	rt := w.a
 	// Unsampled, so that the message itself reads no clock on its way.
 	opts := qos.Options{Datapath: qos.DatapathFast, Timing: qos.TimingSensitive, Class: 7, NoTelemetry: true}
@@ -51,7 +34,6 @@ func TestIdlePassReadsOnlyQueueHeads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitSubscribed(t, rt, ch, 1)
 	conn, _ := rt.Connect()
 	stream, err := conn.OpenStream(opts)
 	if err != nil {
@@ -65,9 +47,10 @@ func TestIdlePassReadsOnlyQueueHeads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	haltPollers(rt)
+	w.Settle() // the SUBs
 	st := rt.techs[stream.Tech()]
-	p := st.pollers[0]
+	// One poller per plugin, in Table 1 order.
+	p := slices.Index(rt.Techs(), stream.Tech())
 
 	// Nothing queued anywhere: 100 passes of every poller are 100 idle
 	// passes each, not one clock reading, and not one lock — the test
@@ -75,7 +58,7 @@ func TestIdlePassReadsOnlyQueueHeads(t *testing.T) {
 	// that took one would never return.
 	idle := func(what string) {
 		t.Helper()
-		reads, passes := clock.reads.Load(), rt.tel.Counter(telemetry.CtrPollerIdlePasses)
+		reads, passes := w.reads.Load(), rt.tel.Counter(telemetry.CtrPollerIdlePasses)
 		for _, st := range rt.techs {
 			st.mu.Lock()
 			st.schedMu.Lock()
@@ -83,8 +66,8 @@ func TestIdlePassReadsOnlyQueueHeads(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			for i := 0; i < 100; i++ {
-				for _, q := range rt.pollers {
-					if work, gated, _ := rt.pass(q); work != 0 || gated {
+				for q := range rt.pollers {
+					if work, gated, _ := w.Step(rt, q); work != 0 || gated {
 						done <- fmt.Errorf("pass %d found work %d, gated %v", i, work, gated)
 						return
 					}
@@ -104,7 +87,7 @@ func TestIdlePassReadsOnlyQueueHeads(t *testing.T) {
 		case <-time.After(2 * time.Second):
 			t.Fatalf("%s: an idle pass is waiting for an endpoint or scheduler lock", what)
 		}
-		if got := clock.reads.Load() - reads; got != 0 {
+		if got := w.reads.Load() - reads; got != 0 {
 			t.Errorf("%s: 100 idle passes read the clock %d times", what, got)
 		}
 		want := 100 * uint64(len(rt.pollers))
@@ -117,10 +100,10 @@ func TestIdlePassReadsOnlyQueueHeads(t *testing.T) {
 	// Inside the window that closes class 7: the first pass files the
 	// message with the shaper, the second finds nothing but the held token.
 	// Both report the gate and when it opens.
-	clock.Set(timebase.VTime(150 * us))
+	w.Set(timebase.VTime(150 * us))
 	sendOn(t, src, []byte("gated"))
 	for i, want := range []int{1, 0} {
-		work, gated, next := rt.pass(p)
+		work, gated, next := w.Step(rt, p)
 		if work != want || !gated || next != timebase.VTime(200*us) {
 			t.Fatalf("gated pass %d: work %d, gated %v, next gate %v; want %d, true, 200µs", i, work, gated, next, want)
 		}
@@ -130,13 +113,14 @@ func TestIdlePassReadsOnlyQueueHeads(t *testing.T) {
 	}
 
 	// The gate opens: the message leaves, to both sinks.
-	clock.Set(timebase.VTime(200 * us))
-	if work, gated, _ := rt.pass(p); work != 1 || gated {
+	w.Set(timebase.VTime(200 * us))
+	if work, gated, _ := w.Step(rt, p); work != 1 || gated {
 		t.Fatalf("pass at the gate opening: work %d, gated %v; want 1, false", work, gated)
 	}
+	w.Settle() // node B picks the remote copy up
 	for _, k := range []*SinkHandle{local, remote} {
 		var d Delivery
-		if err := consumeWithin(k, &d, 2*time.Second); err != nil {
+		if err := k.TryConsume(&d); err != nil {
 			t.Fatal(err)
 		}
 		k.Release(&d)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
-	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/qos"
 	"github.com/insane-mw/insane/internal/timebase"
 )
@@ -148,11 +147,7 @@ func TestRTCFallbackWideFanout(t *testing.T) {
 // gate is closed must not deliver synchronously — the packet belongs in
 // the time-aware shaper until the gate opens.
 func TestRTCFallbackClosedGate(t *testing.T) {
-	clock := &timebase.SimClock{}
-	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
-		c.Clock = clock
-		c.GCL = testGCL
-	})
+	w := newStepped(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) { c.GCL = testGCL })
 	conn, _ := w.a.Connect()
 	st, err := conn.OpenStream(qos.Options{
 		Timing: qos.TimingSensitive, Class: 0, RunToCompletion: true,
@@ -162,11 +157,9 @@ func TestRTCFallbackClosedGate(t *testing.T) {
 	}
 	sink, _ := st.CreateSink(35)
 	src, _ := st.CreateSource(35)
-	haltPollers(w.a)
-	p := w.a.techs[st.Tech()].pollers[0]
 
 	// Pin the clock inside the class-7-only window: class 0 is gated.
-	clock.Set(timebase.VTime(10 * time.Microsecond))
+	w.Set(timebase.VTime(10 * time.Microsecond))
 	sendOn(t, src, []byte("gated"))
 	if s := w.a.Stats(); s.RTCFallbacks != 1 || s.RTCDeliveries != 0 {
 		t.Errorf("closed gate: RTCFallbacks=%d RTCDeliveries=%d, want 1/0",
@@ -175,7 +168,7 @@ func TestRTCFallbackClosedGate(t *testing.T) {
 	// The shaper holds the packet while the gate stays closed: the first
 	// pass files it, the second finds it held; both point at the opening.
 	for i, want := range []int{1, 0} {
-		work, gated, next := w.a.pass(p)
+		work, gated, next := w.Step(w.a, 0)
 		if work != want || !gated || next != timebase.VTime(100*time.Microsecond) {
 			t.Fatalf("gated pass %d: work %d, gated %v, next gate %v; want %d, true, 100µs", i, work, gated, next, want)
 		}
@@ -184,8 +177,8 @@ func TestRTCFallbackClosedGate(t *testing.T) {
 	if err := sink.TryConsume(&d); err == nil {
 		t.Fatal("packet leaked through a closed gate")
 	}
-	clock.Set(timebase.VTime(150 * time.Microsecond))
-	if work, gated, _ := w.a.pass(p); work != 1 || gated {
+	w.Set(timebase.VTime(150 * time.Microsecond))
+	if work, gated, _ := w.Step(w.a, 0); work != 1 || gated {
 		t.Fatalf("pass in the open window: work %d, gated %v; want 1, false", work, gated)
 	}
 	if err := sink.TryConsume(&d); err != nil {
@@ -243,37 +236,37 @@ func TestRTCFallbackFullSinkRing(t *testing.T) {
 // when the condition that sent it there clears. The source's next Emit must
 // not run to completion past it: it queues behind, both arrive in the order
 // they were emitted, and once the queued path has settled them the fast
-// path engages again. The test owns the poller's passes, so "still on its
-// way" is a fact, not a race.
+// path engages again. On a stepped world no pass runs until the test
+// settles it, so "still on its way" is a fact, not a race.
 func TestRTCKeepsSourceOrderAcrossFallback(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts qos.Options
 		// block makes the next Emit fall back, unblock clears the condition
 		// while that Emit's message is still queued.
-		block, unblock func(t *testing.T, clock *timebase.SimClock, src *SourceHandle, sink *SinkHandle)
+		block, unblock func(t *testing.T, w *stepped, src *SourceHandle, sink *SinkHandle)
 		// ahead is how many messages sit in the sink ring before "first".
 		ahead int
 	}{
 		{
 			name: "closed gate",
 			opts: qos.Options{Timing: qos.TimingSensitive, Class: 0, RunToCompletion: true},
-			block: func(_ *testing.T, clock *timebase.SimClock, _ *SourceHandle, _ *SinkHandle) {
-				clock.Set(timebase.VTime(10 * time.Microsecond)) // class 7 only
+			block: func(_ *testing.T, w *stepped, _ *SourceHandle, _ *SinkHandle) {
+				w.Set(timebase.VTime(10 * time.Microsecond)) // class 7 only
 			},
-			unblock: func(_ *testing.T, clock *timebase.SimClock, _ *SourceHandle, _ *SinkHandle) {
-				clock.Set(timebase.VTime(150 * time.Microsecond)) // class 0 open
+			unblock: func(_ *testing.T, w *stepped, _ *SourceHandle, _ *SinkHandle) {
+				w.Set(timebase.VTime(150 * time.Microsecond)) // class 0 open
 			},
 		},
 		{
 			name: "full sink ring",
 			opts: rtcOpts,
-			block: func(t *testing.T, _ *timebase.SimClock, src *SourceHandle, _ *SinkHandle) {
+			block: func(t *testing.T, _ *stepped, src *SourceHandle, _ *SinkHandle) {
 				for i := 0; i < rxRingDepth; i++ {
 					sendOn(t, src, []byte("fill"))
 				}
 			},
-			unblock: func(t *testing.T, _ *timebase.SimClock, _ *SourceHandle, sink *SinkHandle) {
+			unblock: func(t *testing.T, _ *stepped, _ *SourceHandle, sink *SinkHandle) {
 				for i := 0; i < 2; i++ { // room for "first" and "second"
 					var d Delivery
 					if err := sink.TryConsume(&d); err != nil {
@@ -286,11 +279,7 @@ func TestRTCKeepsSourceOrderAcrossFallback(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clock := &timebase.SimClock{}
-			w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
-				c.Clock = clock
-				c.GCL = testGCL
-			})
+			w := newStepped(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) { c.GCL = testGCL })
 			rt := w.a
 			conn, _ := rt.Connect()
 			stream, err := conn.OpenStream(tc.opts)
@@ -299,20 +288,16 @@ func TestRTCKeepsSourceOrderAcrossFallback(t *testing.T) {
 			}
 			sink, _ := stream.CreateSink(38)
 			src, _ := stream.CreateSource(38)
-			haltPollers(rt)
-			st := rt.techs[model.TechKernelUDP]
-			pass := func() { rt.drainTX(st.pollers[0], st) }
-			clock.Set(timebase.VTime(150 * time.Microsecond))
+			w.Set(timebase.VTime(150 * time.Microsecond))
 
-			tc.block(t, clock, src, sink)
+			tc.block(t, w, src, sink)
 			sendOn(t, src, []byte("first"))
 			if s := rt.Stats(); s.RTCFallbacks != 1 {
 				t.Fatalf("first: RTCFallbacks = %d, want 1", s.RTCFallbacks)
 			}
-			tc.unblock(t, clock, src, sink)
+			tc.unblock(t, w, src, sink)
 			sendOn(t, src, []byte("second"))
-			pass()
-			pass()
+			w.Settle()
 
 			for i := 0; i < tc.ahead; i++ {
 				var d Delivery

@@ -103,12 +103,12 @@ type Stats struct {
 //
 //insane:shared
 type techState struct {
-	tech  model.Tech        //insane:guardedby immutable after=NewRuntime
-	info  model.TechInfo    //insane:guardedby immutable after=NewRuntime
-	local netstack.Endpoint //insane:guardedby immutable after=NewRuntime
+	tech  model.Tech        //insane:guardedby immutable after=newRuntime
+	info  model.TechInfo    //insane:guardedby immutable after=newRuntime
+	local netstack.Endpoint //insane:guardedby immutable after=newRuntime
 	// port is the technology's fabric NIC port: source MAC and MTU of the
 	// frames built for it, its share of the drop gauges, the RX doorbell.
-	port *fabric.Port //insane:guardedby immutable after=NewRuntime
+	port *fabric.Port //insane:guardedby immutable after=newRuntime
 
 	// mu serializes endpoint access: pollers own their techs, but
 	// cross-technology sends (peer lacks the stream's tech) come from
@@ -116,7 +116,7 @@ type techState struct {
 	// ep field itself is set once at construction; mu guards the
 	// endpoint object's state, not the pointer.
 	mu sync.Mutex
-	ep *datapath.Endpoint //insane:guardedby immutable after=NewRuntime
+	ep *datapath.Endpoint //insane:guardedby immutable after=newRuntime
 
 	// schedMu guards the egress scheduler when several pollers serve this
 	// plugin (§8's multi-threaded datapath): the pointer is a
@@ -124,12 +124,12 @@ type techState struct {
 	// protects. Its Pending count is read without the lock: zero means there
 	// is nothing to dequeue and no gate to wait for (DESIGN.md §15).
 	schedMu sync.Mutex
-	egress  *sched.Egress[txToken] //insane:guardedby immutable after=NewRuntime
+	egress  *sched.Egress[txToken] //insane:guardedby immutable after=newRuntime
 
 	// pollers are the polling threads that serve this technology, fixed
 	// at runtime construction: the ones a TX ring or the port's RX
 	// doorbell has to wake.
-	pollers []*poller //insane:guardedby immutable after=NewRuntime
+	pollers []*poller //insane:guardedby immutable after=newRuntime
 }
 
 // ring wakes the technology's parked pollers; why is the wake counter
@@ -153,26 +153,26 @@ func (st *techState) Ring() { st.ring(telemetry.CtrPollerWakesRX) }
 //
 //insane:shared
 type Runtime struct {
-	cfg   Config                    //insane:guardedby immutable after=NewRuntime
-	name  string                    //insane:guardedby immutable after=NewRuntime
-	clock timebase.Clock            //insane:guardedby immutable after=NewRuntime
-	tb    *model.Testbed            //insane:guardedby immutable after=NewRuntime
-	mm    *mempool.Manager          //insane:guardedby immutable after=NewRuntime
-	rc    *model.RuntimeCosts       //insane:guardedby immutable after=NewRuntime
-	techs map[model.Tech]*techState //insane:guardedby immutable after=NewRuntime
+	cfg   Config                    //insane:guardedby immutable after=newRuntime
+	name  string                    //insane:guardedby immutable after=newRuntime
+	clock timebase.Clock            //insane:guardedby immutable after=newRuntime
+	tb    *model.Testbed            //insane:guardedby immutable after=newRuntime
+	mm    *mempool.Manager          //insane:guardedby immutable after=newRuntime
+	rc    *model.RuntimeCosts       //insane:guardedby immutable after=newRuntime
+	techs map[model.Tech]*techState //insane:guardedby immutable after=newRuntime
 	// peerByIP resolves a control message's source address to the
 	// configured peer that owns it.
-	peerByIP map[netstack.IPv4]*Peer //insane:guardedby immutable after=NewRuntime
+	peerByIP map[netstack.IPv4]*Peer //insane:guardedby immutable after=newRuntime
 	// deliverCost is the charged cost of delivering to the first sink of a
 	// fanout, to a further one, and to one past the cache knee (Fig. 8b).
 	// All three are constants of tb and rc, scaled once here rather than on
 	// every delivery: deliver runs per message and per sink on every path.
-	deliverCost [3]time.Duration //insane:guardedby immutable after=NewRuntime
+	deliverCost [3]time.Duration //insane:guardedby immutable after=newRuntime
 
 	// tenants is the immutable tenant registry: index 0 (and the empty
 	// name) is the default tenant, the declared ones follow.
-	tenants      []*tenant          //insane:guardedby immutable after=NewRuntime
-	tenantByName map[string]*tenant //insane:guardedby immutable after=NewRuntime
+	tenants      []*tenant          //insane:guardedby immutable after=newRuntime
+	tenantByName map[string]*tenant //insane:guardedby immutable after=newRuntime
 
 	// mu owns who is connected: the sessions (and, through them, their TX
 	// lanes), the local sinks and the remote subscribers of every channel.
@@ -195,9 +195,9 @@ type Runtime struct {
 	// tel is the node's one telemetry domain (DESIGN.md §8): a shard per
 	// polling thread, then each tenant's. Stats, Inspect, the Prometheus
 	// exporter and the per-tenant views all read it.
-	tel *telemetry.Telemetry //insane:guardedby immutable after=NewRuntime
+	tel *telemetry.Telemetry //insane:guardedby immutable after=newRuntime
 
-	pollers []*poller   //insane:guardedby immutable after=NewRuntime
+	pollers []*poller   //insane:guardedby immutable after=newRuntime
 	stopped atomic.Bool //insane:guardedby atomic
 	wg      sync.WaitGroup
 }
@@ -206,11 +206,11 @@ type Runtime struct {
 //
 //insane:shared
 type poller struct {
-	states []*techState //insane:guardedby immutable after=NewRuntime
+	states []*techState //insane:guardedby immutable after=newRuntime
 	// kick is the poller's doorbell: one buffered slot carrying the wake
 	// counter of whoever rang first.
-	kick chan telemetry.CounterID //insane:guardedby immutable after=NewRuntime
-	stop chan struct{}            //insane:guardedby immutable after=NewRuntime
+	kick chan telemetry.CounterID //insane:guardedby immutable after=newRuntime
+	stop chan struct{}            //insane:guardedby immutable after=newRuntime
 	// parked is set by pollLoop before the last pass it runs ahead of
 	// blocking on kick and cleared when it resumes; ringers skip the
 	// channel operation while it is clear (DESIGN.md, "Idle policy").
@@ -234,7 +234,7 @@ type poller struct {
 	// shard is this poller's private telemetry slab; every hot-path
 	// counter bump and histogram observation lands here, so steady-state
 	// recording never bounces a cache line between pollers.
-	shard *telemetry.Shard //insane:guardedby immutable after=NewRuntime
+	shard *telemetry.Shard //insane:guardedby immutable after=newRuntime
 	// loops counts polling iterations; session close uses it to wait for
 	// full passes so in-flight tokens drain before slots are reclaimed.
 	loops atomic.Uint64 //insane:guardedby atomic
@@ -243,6 +243,15 @@ type poller struct {
 // NewRuntime opens the endpoints for every available technology and
 // starts the polling threads.
 func NewRuntime(cfg Config) (*Runtime, error) {
+	r, err := newRuntime(cfg)
+	if err == nil {
+		r.start()
+	}
+	return r, err
+}
+
+// newRuntime builds a runtime whose polling threads are not running yet.
+func newRuntime(cfg Config) (*Runtime, error) {
 	if cfg.Ports[model.TechKernelUDP] == nil {
 		return nil, errors.New("core: a kernel UDP port is mandatory")
 	}
@@ -331,24 +340,20 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 	}
 
-	// Thread mapping (§5.3): one polling thread per datapath plugin by
-	// default, a single shared thread when resource consumption is
-	// paramount, or several threads per plugin for receive-side
+	// Thread mapping (§5.3), in Table 1 order so that poller i and its
+	// shard are the same on every run: one polling thread per datapath
+	// plugin by default, a single shared thread when resource consumption
+	// is paramount, or several threads per plugin for receive-side
 	// parallelism (§8).
-	var groups [][]*techState
-	if cfg.SharedPoller {
-		all := make([]*techState, 0, len(r.techs))
-		for _, st := range r.techs {
-			all = append(all, st)
-		}
-		groups = [][]*techState{all}
-	} else {
-		per := cfg.PollersPerPlugin
-		if per < 1 {
-			per = 1
-		}
-		for _, st := range r.techs {
-			for i := 0; i < per; i++ {
+	var all []*techState
+	for _, tech := range r.Techs() {
+		all = append(all, r.techs[tech])
+	}
+	groups := [][]*techState{all}
+	if !cfg.SharedPoller {
+		groups = nil
+		for _, st := range all {
+			for i := 0; i < max(cfg.PollersPerPlugin, 1); i++ {
 				groups = append(groups, []*techState{st})
 			}
 		}
@@ -390,12 +395,16 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	for _, st := range r.techs {
 		st.port.SetRxDoorbell(st)
 	}
+	return r, nil
+}
+
+// start launches the polling threads.
+func (r *Runtime) start() {
 	for _, p := range r.pollers {
 		r.wg.Add(1)
 		//insane:goroutine owner=Runtime stop=Close
 		go r.pollLoop(p)
 	}
-	return r, nil
 }
 
 // Name returns the runtime's configured name.

@@ -11,19 +11,6 @@ import (
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
-// haltPollers stops the runtime's polling threads and leaves their state to
-// the test, which then runs the passes itself: with an injected SimClock,
-// every boundary a message crosses is crossed at a time the test chose.
-func haltPollers(r *Runtime) {
-	for _, p := range r.pollers {
-		close(p.stop)
-	}
-	r.wg.Wait()
-	for _, p := range r.pollers {
-		p.stop = make(chan struct{}) // Runtime.Close closes it once more
-	}
-}
-
 // latencySamples returns Count and Sum of every `_seconds` family.
 func latencySamples(r *Runtime) (count, sum [telemetry.NumHists]uint64) {
 	s := r.tel.Snapshot()
@@ -35,36 +22,11 @@ func latencySamples(r *Runtime) (count, sum [telemetry.NumHists]uint64) {
 	return count, sum
 }
 
-// eventually polls cond until it holds or two seconds have passed, and
-// reports whether it held. What a poller counts or closes after it has
-// handed a message on, the message's consumer can beat it to.
-func eventually(cond func() bool) bool {
-	for deadline := time.Now().Add(2 * time.Second); !cond(); {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	return true
-}
-
-// roundTrip emits one message and consumes it from every sink.
-func roundTrip(t *testing.T, src *SourceHandle, sinks ...*SinkHandle) {
-	t.Helper()
-	sendOn(t, src, []byte("stamped"))
-	for _, k := range sinks {
-		var d Delivery
-		if err := consumeWithin(k, &d, 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		k.Release(&d)
-	}
-}
-
 // TestStampsSumToEndToEnd: every latency family holds differences of two
-// readings of the runtime's clock and nothing else. The test owns the
-// clock and the poller's passes, dials an interval in between each pair of
-// boundaries, and finds exactly those intervals in the families — with
+// readings of the runtime's clock and nothing else. On a stepped world the
+// test owns the clock and the poller's passes, dials an interval in between
+// each pair of boundaries, and finds exactly those intervals in the
+// families — with
 // stage_send + stage_recv = consume_latency, and with a first reading of
 // zero being a reading, not "unsampled".
 func TestStampsSumToEndToEnd(t *testing.T) {
@@ -116,11 +78,7 @@ func TestStampsSumToEndToEnd(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clock := &timebase.SimClock{}
-			w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
-				c.Clock = clock
-				c.GCL = testGCL
-			})
+			w := newStepped(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) { c.GCL = testGCL })
 			rt := w.a
 			conn, _ := rt.Connect()
 			stream, err := conn.OpenStream(tc.opts)
@@ -135,17 +93,13 @@ func TestStampsSumToEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			haltPollers(rt)
-			st := rt.techs[model.TechKernelUDP]
-			pass := func() { rt.drainTX(st.pollers[0], st) }
-
-			clock.Set(timebase.VTime(tc.at[0]))
+			w.Set(timebase.VTime(tc.at[0]))
 			sendOn(t, src, []byte("stamped")) // seq 1: sampled on any stream
-			clock.Set(timebase.VTime(tc.at[1]))
-			pass()
-			clock.Set(timebase.VTime(tc.at[2]))
-			pass()
-			clock.Set(timebase.VTime(tc.at[3]))
+			w.Set(timebase.VTime(tc.at[1]))
+			w.Step(rt, 0)
+			w.Set(timebase.VTime(tc.at[2]))
+			w.Step(rt, 0)
+			w.Set(timebase.VTime(tc.at[3]))
 			var d Delivery
 			if err := sink.TryConsume(&d); err != nil {
 				t.Fatal(err)
@@ -200,7 +154,7 @@ func TestUnsampledMessageObservesNothing(t *testing.T) {
 		{name: "time-sensitive", opts: qos.Options{Timing: qos.TimingSensitive, Class: 7}, fed: queuedFamilies, every: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, nil)
+			w := newStepped(t, datapath.Caps{}, datapath.Caps{}, nil)
 			rt := w.a
 			conn, _ := rt.Connect()
 			stream, err := conn.OpenStream(tc.opts)
@@ -224,10 +178,8 @@ func TestUnsampledMessageObservesNothing(t *testing.T) {
 					ctrBefore[i] = rt.tel.Counter(c)
 				}
 				for i := uint64(0); i < n; i++ {
-					roundTrip(t, src, sink)
+					w.roundTrip(src, sink)
 				}
-				// The poller counts a delivery after the push that hands it on.
-				eventually(func() bool { return rt.tel.Counter(telemetry.CtrLocalDeliveries)-ctrBefore[1] >= n })
 				after, _ := latencySamples(rt)
 				for h := telemetry.HistID(0); h < telemetry.NumHists; h++ {
 					want := before[h]
@@ -271,7 +223,7 @@ var (
 // and neither times its unsampled neighbours. No family is fed with an
 // interval that starts on one runtime's clock and ends on the other's.
 func TestSampledBitCrossesFabric(t *testing.T) {
-	w := buildWorld(t, datapath.Caps{DPDK: true}, datapath.Caps{DPDK: true}, nil)
+	w := newStepped(t, datapath.Caps{DPDK: true}, datapath.Caps{DPDK: true}, nil)
 	connA, _ := w.a.Connect()
 	connB, _ := w.b.Connect()
 	fast := qos.Options{Datapath: qos.DatapathFast}
@@ -284,7 +236,7 @@ func TestSampledBitCrossesFabric(t *testing.T) {
 	}
 	stB, _ := connB.OpenStream(fast)
 	sink, _ := stB.CreateSink(8)
-	waitSubscribed(t, w.a, 8, 1)
+	w.Settle() // the SUB
 	src, _ := stA.CreateSource(8)
 
 	// DPDK has no network stack of its own: the sender's packet processing
@@ -297,8 +249,7 @@ func TestSampledBitCrossesFabric(t *testing.T) {
 		for _, h := range fed {
 			want[h] = sampled
 		}
-		var count [telemetry.NumHists]uint64
-		if !eventually(func() bool { count, _ = latencySamples(rt); return count == want }) {
+		if count, _ := latencySamples(rt); count != want {
 			t.Errorf("%s, %s: samples per family %v, want %v", what, rt.Name(), count, want)
 		}
 	}
@@ -312,7 +263,7 @@ func TestSampledBitCrossesFabric(t *testing.T) {
 		{"message 65", 1, 2},
 	} {
 		for i := 0; i < step.messages; i++ {
-			roundTrip(t, src, sink)
+			w.roundTrip(src, sink)
 		}
 		check(step.what, w.a, sender, step.sampled)
 		check(step.what, w.b, receiver, step.sampled)

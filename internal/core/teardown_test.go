@@ -155,7 +155,7 @@ func TestGatedMessageSurvivesSessionClose(t *testing.T) {
 // table, not in the published view, where the next Emit would pin its slot
 // in a ring nobody can consume or close.
 func TestCreateSinkFailureLeavesNoSink(t *testing.T) {
-	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
+	w := newStepped(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
 		c.Mem = mempool.Config{Classes: []mempool.ClassConfig{{SlotSize: 2048, Slots: 2}}}
 	})
 	conn, _ := w.a.Connect()
@@ -191,10 +191,11 @@ func TestCreateSinkFailureLeavesNoSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o := waitOutcome(t, src, seq); o.LocalSinks != 0 {
-		t.Errorf("outcome = %+v, want no local sink", o)
+	w.Settle()
+	if o, ok := src.Outcome(seq); !ok || o.LocalSinks != 0 {
+		t.Errorf("outcome = %+v (recorded: %v), want no local sink", o, ok)
 	}
-	if !eventually(func() bool { return totalFree(w.a) == 2 }) {
-		t.Errorf("free slots = %d, want 2: the emitted slot is pinned", totalFree(w.a))
+	if free := totalFree(w.a); free != 2 {
+		t.Errorf("free slots = %d, want 2: the emitted slot is pinned", free)
 	}
 }

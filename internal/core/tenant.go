@@ -75,7 +75,7 @@ type tenant struct {
 	// else does, so merging them is the tenant's view (TenantSnapshots). The
 	// default tenant stripes its handles over clientTelemetryShards, a
 	// declared tenant has one.
-	shards    []*telemetry.Shard //insane:guardedby immutable after=NewRuntime
+	shards    []*telemetry.Shard //insane:guardedby immutable after=newRuntime
 	nextShard atomic.Uint32      //insane:guardedby atomic
 }
 

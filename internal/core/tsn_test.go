@@ -14,11 +14,7 @@ import (
 // SimClock pinned inside the closed-gate region and verifies the gate
 // wait surfaces in the delivery's virtual latency once the gate opens.
 func TestTSNGateWaitAccountedInVTime(t *testing.T) {
-	clock := &timebase.SimClock{}
-	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
-		c.Clock = clock
-		c.GCL = testGCL
-	})
+	w := newStepped(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) { c.GCL = testGCL })
 
 	connA, _ := w.a.Connect()
 	connB, _ := w.b.Connect()
@@ -29,19 +25,17 @@ func TestTSNGateWaitAccountedInVTime(t *testing.T) {
 	}
 	stB, _ := connB.OpenStream(opts)
 	sink, _ := stB.CreateSink(21)
-	waitSubscribed(t, w.a, 21, 1)
+	w.Settle() // the SUB
 	src, _ := stA.CreateSource(21)
-	haltPollers(w.a)
 	st := w.a.techs[stA.Tech()]
-	p := st.pollers[0]
 
 	// Pin the clock inside the protected window: class 0 is gated. The
 	// first pass files the message with the shaper, the second finds it
 	// held; both point at the opening, and nothing leaves.
-	clock.Set(timebase.VTime(10 * time.Microsecond))
+	w.Set(timebase.VTime(10 * time.Microsecond))
 	sendOn(t, src, []byte("gated"))
 	for i, want := range []int{1, 0} {
-		work, gated, next := w.a.pass(p)
+		work, gated, next := w.Step(w.a, 0)
 		if work != want || !gated || next != timebase.VTime(100*time.Microsecond) {
 			t.Fatalf("gated pass %d: work %d, gated %v, next gate %v; want %d, true, 100µs", i, work, gated, next, want)
 		}
@@ -54,12 +48,13 @@ func TestTSNGateWaitAccountedInVTime(t *testing.T) {
 	}
 
 	// Open the gate: move the clock into the open window. One pass sends.
-	clock.Set(timebase.VTime(150 * time.Microsecond))
-	if work, gated, _ := w.a.pass(p); work != 1 || gated {
+	w.Set(timebase.VTime(150 * time.Microsecond))
+	if work, gated, _ := w.Step(w.a, 0); work != 1 || gated {
 		t.Fatalf("pass in the open window: work %d, gated %v; want 1, false", work, gated)
 	}
+	w.Settle() // node B picks it up
 	var d Delivery
-	if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
+	if err := sink.TryConsume(&d); err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Release(&d)
@@ -176,12 +171,11 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 	}
 }
 
-// TestBackpressureSurfaceToEmitter fills the TX ring of a stopped-world
-// session and checks Emit reports ErrBackpressure instead of blocking or
+// TestBackpressureSurfaceToEmitter fills the TX ring of a session no pass
+// drains and checks Emit reports ErrBackpressure instead of blocking or
 // dropping silently.
 func TestBackpressureSurfaceToEmitter(t *testing.T) {
-	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, nil)
-	haltPollers(w.a) // the ring cannot drain
+	w := newStepped(t, datapath.Caps{}, datapath.Caps{}, nil)
 
 	conn, _ := w.a.Connect()
 	st, _ := conn.OpenStream(qos.Options{})
@@ -206,35 +200,30 @@ func TestBackpressureSurfaceToEmitter(t *testing.T) {
 // TestStatsAccumulate sanity-checks the runtime counters across a small
 // workload.
 func TestStatsAccumulate(t *testing.T) {
-	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, nil)
+	w := newStepped(t, datapath.Caps{}, datapath.Caps{}, nil)
 	connA, _ := w.a.Connect()
 	connB, _ := w.b.Connect()
 	stA, _ := connA.OpenStream(qos.Options{})
 	stB, _ := connB.OpenStream(qos.Options{})
 	sink, _ := stB.CreateSink(31)
 	localSink, _ := stA.CreateSink(31)
-	waitSubscribed(t, w.a, 31, 1)
+	w.Settle() // the SUB
 	src, _ := stA.CreateSource(31)
 
 	const n = 10
 	for i := 0; i < n; i++ {
 		sendOn(t, src, []byte{byte(i)})
 	}
+	w.Settle()
 	for i := 0; i < n; i++ {
-		var d Delivery
-		if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
-			t.Fatal(err)
+		for _, k := range []*SinkHandle{sink, localSink} {
+			var d Delivery
+			if err := k.TryConsume(&d); err != nil {
+				t.Fatal(err)
+			}
+			k.Release(&d)
 		}
-		sink.Release(&d)
-		var dl Delivery
-		if err := consumeWithin(localSink, &dl, 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		localSink.Release(&dl)
 	}
-	// A's poller counts a send once the endpoint has returned, which B's
-	// consumer can beat to the message.
-	eventually(func() bool { return w.a.Stats().TxMessages >= n })
 	sa, sb := w.a.Stats(), w.b.Stats()
 	if sa.TxMessages != n {
 		t.Errorf("A TxMessages = %d, want %d", sa.TxMessages, n)
@@ -325,10 +314,11 @@ func TestPortFailureSurfacesInOutcome(t *testing.T) {
 
 // TestInspectReportsState smoke-tests the operator view.
 func TestInspectReportsState(t *testing.T) {
-	w := buildWorld(t, datapath.Caps{DPDK: true}, datapath.Caps{}, nil)
+	w := newStepped(t, datapath.Caps{DPDK: true}, datapath.Caps{}, nil)
 	conn, _ := w.a.Connect()
 	st, _ := conn.OpenStream(qos.Options{})
 	st.CreateSink(71)
+	w.Settle() // the SUB
 	out := w.a.Inspect()
 	for _, want := range []string{"runtime \"nodeA\"", "kernel-udp", "dpdk", "sessions: 1", "channel 71", "memory pools"} {
 		if !wantSubstring(out, want) {
@@ -336,12 +326,7 @@ func TestInspectReportsState(t *testing.T) {
 		}
 	}
 	// The peer learned the subscription and reports it.
-	waitSubscribed(t, w.b, 0, 0) // no-op warmup
-	deadline := time.Now().Add(2 * time.Second)
-	for !wantSubstring(w.b.Inspect(), "remote subscribers nodeA") {
-		if time.Now().After(deadline) {
-			t.Fatalf("peer Inspect missing remote subscription:\n%s", w.b.Inspect())
-		}
-		time.Sleep(time.Millisecond)
+	if out := w.b.Inspect(); !wantSubstring(out, "remote subscribers nodeA") {
+		t.Errorf("peer Inspect missing remote subscription:\n%s", out)
 	}
 }

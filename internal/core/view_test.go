@@ -381,25 +381,14 @@ func TestHopResolvedAtSubscribe(t *testing.T) {
 // view, so a remote SUB flips the run-to-completion path to the queued one
 // exactly at the publish, and the UNSUB flips it back.
 func TestRTCSeesOneView(t *testing.T) {
-	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, nil)
+	w := newStepped(t, datapath.Caps{}, datapath.Caps{}, nil)
 	conn, _ := w.a.Connect()
 	st, _ := conn.OpenStream(rtcOpts)
 	sink, _ := st.CreateSink(40)
 	src, _ := st.CreateSource(40)
 	step := func(what string, rtc, fallbacks uint64) {
 		t.Helper()
-		sendOn(t, src, []byte(what))
-		var d Delivery
-		if err := consumeWithin(sink, &d, 2*time.Second); err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		sink.Release(&d)
-		// A queued message reaches the local sink before its remote send
-		// returns; the next step's Emit may not find it still in flight
-		// (that fallback keeps source order and is not the one tested).
-		if !eventually(func() bool { return src.queued.Load() == 0 }) {
-			t.Fatalf("%s: the message never left the queued path", what)
-		}
+		w.roundTrip(src, sink)
 		if s := w.a.Stats(); s.RTCDeliveries != rtc || s.RTCFallbacks != fallbacks {
 			t.Fatalf("%s: %d run-to-completion deliveries and %d fallbacks, want %d and %d",
 				what, s.RTCDeliveries, s.RTCFallbacks, rtc, fallbacks)
