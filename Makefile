@@ -63,6 +63,7 @@ metrics-smoke: ## boot a 2-node cluster, scrape /metrics, check the required ser
 	  insane_rx_alloc_drops_total insane_poller_parks_total \
 	  insane_poller_wakes_tx_total insane_poller_wakes_rx_total \
 	  insane_poller_wakes_gate_timer_total insane_poller_idle_passes_total \
+	  insane_consume_parks_total \
 	  insane_tenant_emits_total insane_tenant_consumes_total \
 	  insane_tenant_weight insane_tenant_mem_slots_used \
 	  insane_tenant_tx_inflight insane_tenant_consume_latency_seconds_bucket; do \

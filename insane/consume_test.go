@@ -182,6 +182,100 @@ func TestBlockedConsumeReturnsOnSessionClose(t *testing.T) {
 	}
 }
 
+// TestBlockedConsumeReturnsOnCloseOrCancelInYield closes the sink, or
+// cancels the context, right after ConsumeContext starts on an empty sink,
+// without waiting for it to block: the close or the cancel lands before the
+// call, inside the yields Consume runs before it blocks, or in the wait
+// itself, and in each case the call returns ErrClosed or the context's
+// error.
+func TestBlockedConsumeReturnsOnCloseOrCancelInYield(t *testing.T) {
+	const rounds = 200
+	for _, closeSink := range []bool{true, false} {
+		c, _, st := oneNode(t)
+		for i := 0; i < rounds; i++ {
+			sink, err := st.CreateSink(5, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			errc := make(chan error, 1)
+			go func() {
+				m, err := sink.ConsumeContext(ctx)
+				if err == nil {
+					sink.Release(m)
+				}
+				errc <- err
+			}()
+			want := context.Canceled
+			if closeSink {
+				want = insane.ErrClosed
+				sink.Close()
+			} else {
+				cancel()
+			}
+			select {
+			case err := <-errc:
+				if !errors.Is(err, want) {
+					t.Fatalf("round %d: ConsumeContext returned %v, want %v", i, err, want)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("round %d: ConsumeContext still blocked 2 s after the close or cancel", i)
+			}
+			cancel()
+			sink.Close()
+		}
+		c.Close()
+	}
+}
+
+// TestConsumeParksCountsBlockedWaits: consume_parks counts the waits in
+// which a blocking Consume went to sleep, and nothing else — not a Consume
+// that found its message queued, and not the yields before the one park of
+// a wait on an empty sink.
+func TestConsumeParksCountsBlockedWaits(t *testing.T) {
+	c, _, st := oneNode(t)
+	n := c.Node("edge-1")
+	sink, err := st.CreateSink(6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := st.CreateSource(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queued = 10
+	for i := 0; i < queued; i++ {
+		send(t, src, []byte("queued"))
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for sink.Available() < queued {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d messages queued after 2 s", sink.Available(), queued)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	parks := n.Metrics().ConsumeParks
+	for i := 0; i < queued; i++ {
+		m, err := sink.ConsumeContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink.Release(m)
+	}
+	if got := n.Metrics().ConsumeParks - parks; got != 0 {
+		t.Errorf("%d queued messages consumed with %d parks, want 0", queued, got)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := sink.ConsumeContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("ConsumeContext on an empty sink = %v, want the deadline", err)
+	}
+	if got := n.Metrics().ConsumeParks - parks; got != 1 {
+		t.Errorf("one wait on an empty sink counted %d parks, want 1", got)
+	}
+}
+
 // TestStageHistogramsSkipZeroCharge: a charge is not a sample. The latency
 // histograms hold intervals between clock readings of sampled messages and
 // nothing else, so virtual time a message was charged for — processing

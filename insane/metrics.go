@@ -92,14 +92,17 @@ type Metrics struct {
 	// node and found no memory to land in — no free slot in the pools the
 	// port receives into, or (RDMA) no posted receive buffer.
 	DroppedFabric, DroppedRxAlloc uint64
-	// Consume side.
-	Consumes, ConsumeBytes uint64
+	// Consume side. ConsumeParks counts the blocking Consumes that found
+	// their sink still empty after their yields and went to sleep; a
+	// Consume that found its message while yielding is not one.
+	Consumes, ConsumeBytes, ConsumeParks uint64
 	// Poller health (DESIGN.md, "Idle policy"), summed over the node's
-	// polling threads. A poller parks after two passes in a row without
-	// work and every park ends in exactly one wake — a TX ring, the RX
-	// doorbell of its port, or the timer toward a far 802.1Qbv gate — so
-	// PollerParks minus the three wakes is the number of pollers asleep
-	// now. PollerIdlePasses counts the passes that found no work.
+	// polling threads. A poller parks after its hand-off yields and two
+	// more passes in a row without work, and every park ends in exactly
+	// one wake — a TX ring, the RX doorbell of its port, or the timer
+	// toward a far 802.1Qbv gate — so PollerParks minus the three wakes
+	// is the number of pollers asleep now. PollerIdlePasses counts the
+	// passes that found no work.
 	PollerParks, PollerWakesTX, PollerWakesRX, PollerWakesGateTimer, PollerIdlePasses uint64
 
 	// Per-stage latency distributions: wall-clock, sampled (LatencyStats),
@@ -217,6 +220,7 @@ func (n *Node) Metrics() Metrics {
 		DroppedRxAlloc:      s.RxAllocDrops,
 		Consumes:            s.Counters[telemetry.CtrConsumes],
 		ConsumeBytes:        s.Counters[telemetry.CtrConsumeBytes],
+		ConsumeParks:        s.Counters[telemetry.CtrConsumeParks],
 
 		PollerParks:          s.Counters[telemetry.CtrPollerParks],
 		PollerWakesTX:        s.Counters[telemetry.CtrPollerWakesTX],

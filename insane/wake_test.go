@@ -124,3 +124,52 @@ func pingParked(t *testing.T, spec insane.NodeSpec, pings int) {
 	t.Logf("%d pings, worst RTT %v; sending node: %d parks, wakes tx=%d rx=%d gate=%d, %d idle passes", pings, worst,
 		m.PollerParks, m.PollerWakesTX, m.PollerWakesRX, m.PollerWakesGateTimer, m.PollerIdlePasses)
 }
+
+// TestLocalPingWakesParked is pingParked's co-located sibling: one node, a
+// queued stream, and every ping emitted with all of the node's pollers
+// parked. The poller that serves the stream yields and re-polls after each
+// delivery before it arms and parks (DESIGN.md §15), and the consumer
+// yields before it blocks, so this is the lost-wake test of that order:
+// only the Emit's ring can move the ping, and a lost one fails it at
+// 50 ms.
+func TestLocalPingWakesParked(t *testing.T) {
+	const pings, limit = 2000, 50 * time.Millisecond
+	c, _, st := oneNode(t)
+	n := c.Node("edge-1")
+	pollers := uint64(len(n.Technologies()))
+	sink, err := st.CreateSink(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := st.CreateSource(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var worst time.Duration
+	for i := 0; i < pings; i++ {
+		parkBy := time.Now().Add(limit)
+		for asleep(n) != pollers {
+			if time.Now().After(parkBy) {
+				t.Fatalf("ping %d: %d of %d idle pollers parked", i, asleep(n), pollers)
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+		start := time.Now()
+		send(t, src, []byte("ping"))
+		msg, err := consumeWithin(sink, limit)
+		if err != nil {
+			t.Fatalf("ping %d: not delivered within %v (a lost wake?): %v", i, limit, err)
+		}
+		worst = max(worst, time.Since(start))
+		sink.Release(msg)
+	}
+	// Every ping found the stream's poller asleep: only the Emit's ring can
+	// have woken it.
+	m := n.Metrics()
+	if m.PollerWakesTX < pings {
+		t.Errorf("poller_wakes_tx = %d, want >= %d pings", m.PollerWakesTX, pings)
+	}
+	t.Logf("%d pings, worst %v: %d poller parks, wakes tx=%d rx=%d gate=%d, %d idle passes, %d consume parks", pings, worst,
+		m.PollerParks, m.PollerWakesTX, m.PollerWakesRX, m.PollerWakesGateTimer, m.PollerIdlePasses, m.ConsumeParks)
+}

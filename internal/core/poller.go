@@ -28,11 +28,21 @@ import (
 // long-closed gate) still sleep and leave the CPU alone.
 const gateSpinHorizon = time.Millisecond
 
+// handoffYields is how many times a poller whose pass moved work, and a
+// consumer that found its sink empty, give up the processor and look again
+// before they block. A goroutine woken by a channel send runs next on the
+// waker's processor, so a yield hands the processor to the consumer the
+// dispatch just woke; its next Emit then finds the poller not yet parked and
+// needs no kick. It is a yield, not a spin: 2 is the measured value
+// (DESIGN.md §15), and a longer linger cost more CPU than it saved.
+const handoffYields = 2
+
 // pollLoop is the body of one polling thread: poll while there is work;
-// on a pass without work arm the doorbell (parked), poll once more, and
-// only then block. A ringer publishes its work before it reads parked and
-// the poller sets parked before it polls, so either the ringer sees the
-// flag and kicks, or the re-poll sees the work: no wake is lost.
+// after the work runs out, yield and re-poll up to handoffYields times,
+// then arm the doorbell (parked), poll once more, and only then block. A
+// ringer publishes its work before it reads parked and the poller sets
+// parked before it polls, so either the ringer sees the flag and kicks, or
+// the re-poll sees the work: no wake is lost.
 //
 //insane:hotpath allow=block
 func (r *Runtime) pollLoop(p *poller) {
@@ -45,6 +55,9 @@ func (r *Runtime) pollLoop(p *poller) {
 		<-timer.C
 	}
 	defer timer.Stop()
+	// linger is the yields left before the poller arms its doorbell: reset
+	// by every pass that moves work, spent by the empty passes after it.
+	linger := 0
 	//insane:bounded by=poller event loop: lives for the runtime, each iteration is one bounded pass
 	for {
 		select {
@@ -60,11 +73,17 @@ func (r *Runtime) pollLoop(p *poller) {
 		if gated && nextGate != 0 {
 			gateWait = nextGate.Sub(r.clock.Now())
 		}
-		if work > 0 || (gated && gateWait <= gateSpinHorizon) {
+		if work > 0 {
+			linger = handoffYields
+		}
+		if linger > 0 || (gated && gateWait <= gateSpinHorizon) {
 			if p.parked.Load() {
 				p.parked.Store(false)
 			}
 			if work == 0 {
+				// Yield and re-poll: to the consumer the last dispatch woke,
+				// or toward a near gate edge.
+				linger = max(linger-1, 0)
 				runtime.Gosched()
 			}
 			continue

@@ -5,6 +5,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -178,36 +179,41 @@ func (k *SinkHandle) closeStamps(d *Delivery) {
 // Consume pops one delivery into d, waiting until one arrives, cancel is
 // closed (ErrCanceled) or the sink or its session closes (ErrClosed) —
 // consume_data with the blocking flag. A nil cancel channel never fires.
-// There is no timeout of its own: the public layer passes a context's
-// Done, and a context with a deadline already owns the one timer the wait
-// needs.
+// An empty sink is tried again after each of handoffYields yields before
+// Consume blocks: the poller about to deliver may be waiting for this
+// processor. There is no timeout of its own: the public layer passes a
+// context's Done, and a context with a deadline already owns the one timer
+// the wait needs.
 //
 //insane:hotpath allow=block
 //insane:acquire resource=mem-slot on=nilerr
 func (k *SinkHandle) Consume(d *Delivery, cancel <-chan struct{}) error {
-	// Fast path: data is already queued.
-	err := k.TryConsume(d)
-	if err == nil {
-		return nil
-	}
-	if !errors.Is(err, ErrNoData) {
-		return err
-	}
 	//insane:bounded by=blocking-consume wait: exits on data, cancellation or close, not per-packet work
-	for {
-		select {
-		case <-k.notify:
-		case <-k.done:
-			return ErrClosed
-		case <-cancel:
-			return ErrCanceled
-		}
+	for tries := 0; ; tries++ {
 		err := k.TryConsume(d)
 		if err == nil {
 			return nil
 		}
 		if !errors.Is(err, ErrNoData) {
 			return err
+		}
+		if tries < handoffYields {
+			runtime.Gosched()
+			continue
+		}
+		// A wake already in the slot is taken without blocking: only a
+		// wait that finds it empty is a park.
+		select {
+		case <-k.notify:
+		default:
+			k.shard.Inc(telemetry.CtrConsumeParks)
+			select {
+			case <-k.notify:
+			case <-k.done:
+				return ErrClosed
+			case <-cancel:
+				return ErrCanceled
+			}
 		}
 	}
 }

@@ -159,63 +159,6 @@ func (r *rig) pollOne(t *testing.T, ep *datapath.Endpoint) *datapath.Packet {
 	return nil
 }
 
-func TestKernelRoundTrip(t *testing.T) {
-	r := newRig(t, model.TechKernelUDP, false)
-	msg := []byte("kernel path message")
-	if n, err := r.a.Send([]*datapath.Packet{makePacket(msg)}, r.epB); err != nil || n != 1 {
-		t.Fatalf("Send = %d,%v", n, err)
-	}
-	got := r.pollOne(t, r.b)
-	if !bytes.Equal(got.Bytes(), msg) {
-		t.Errorf("payload = %q, want %q", got.Bytes(), msg)
-	}
-	if got.Src != r.epA || got.Dst != r.epB {
-		t.Errorf("addressing = %v→%v, want %v→%v", got.Src, got.Dst, r.epA, r.epB)
-	}
-	// Kernel path must charge µs-scale one-way latency (≈6.3 µs at 64B).
-	oneWay := got.VTime.Duration()
-	if oneWay < 5*time.Microsecond || oneWay > 8*time.Microsecond {
-		t.Errorf("kernel one-way vtime = %v, want ≈6.3µs", oneWay)
-	}
-	if got.Breakdown.Total() != oneWay {
-		t.Errorf("breakdown total %v != vtime %v", got.Breakdown.Total(), oneWay)
-	}
-}
-
-func TestKernelBlockingChargesWakeup(t *testing.T) {
-	nb := newRig(t, model.TechKernelUDP, false)
-	bl := newRig(t, model.TechKernelUDP, true)
-	msg := []byte{1, 2, 3, 4}
-	if _, err := nb.a.Send([]*datapath.Packet{makePacket(msg)}, nb.epB); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bl.a.Send([]*datapath.Packet{makePacket(msg)}, bl.epB); err != nil {
-		t.Fatal(err)
-	}
-	if err := bl.b.WaitRecv(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	fast := nb.pollOne(t, nb.b).VTime
-	slow := bl.pollOne(t, bl.b).VTime
-	if delta := slow.Sub(fast); delta != model.BlockingWakeup() {
-		t.Errorf("blocking wakeup delta = %v, want %v", delta, model.BlockingWakeup())
-	}
-}
-
-func TestKernelRejectsOversizedAndFramed(t *testing.T) {
-	r := newRig(t, model.TechKernelUDP, false)
-	big := makePacket(make([]byte, r.a.MTU()+1))
-	big.Buf = make([]byte, datapath.Headroom+r.a.MTU()+1)
-	if _, err := r.a.Send([]*datapath.Packet{big}, r.epB); !errors.Is(err, datapath.ErrTooLarge) {
-		t.Errorf("oversize err = %v, want ErrTooLarge", err)
-	}
-	fp := makePacket([]byte("x"))
-	fp.Framed = true
-	if _, err := r.a.Send([]*datapath.Packet{fp}, r.epB); err == nil {
-		t.Error("framed packet accepted on kernel path")
-	}
-}
-
 func TestDPDKRoundTripFramed(t *testing.T) {
 	r := newRig(t, model.TechDPDK, false)
 	msg := []byte("dpdk burst message")

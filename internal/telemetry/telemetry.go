@@ -93,9 +93,13 @@ const (
 	// a far 802.1Qbv gate opening.
 	CtrPollerWakesGateTimer
 	// CtrPollerIdlePasses counts polling passes that found no work (the
-	// arm and re-poll passes before a park, and the spin toward a near
-	// gate).
+	// hand-off yields, the arm and re-poll passes before a park, and the
+	// spin toward a near gate).
 	CtrPollerIdlePasses
+	// CtrConsumeParks counts the times a blocking Consume found its sink
+	// empty after its yields and blocked (DESIGN.md, "Idle policy"); a
+	// wake already waiting for it is not a park.
+	CtrConsumeParks
 
 	// NumCounters sizes the per-shard counter array.
 	NumCounters
@@ -128,6 +132,7 @@ var counterTable = [NumCounters]struct{ name, help string }{
 	CtrPollerWakesRX:        {"poller_wakes_rx", "Polling-thread sleeps ended by the RX doorbell of a fabric port."},
 	CtrPollerWakesGateTimer: {"poller_wakes_gate_timer", "Polling-thread sleeps ended by the timer toward a far 802.1Qbv gate."},
 	CtrPollerIdlePasses:     {"poller_idle_passes", "Polling passes that found no work."},
+	CtrConsumeParks:         {"consume_parks", "Times a blocking Consume found its sink empty after its yields and blocked."},
 }
 
 // NameOf returns the stable exporter name of a counter.
