@@ -15,6 +15,7 @@ import (
 	"github.com/insane-mw/insane/internal/qos"
 	"github.com/insane-mw/insane/internal/sched"
 	"github.com/insane-mw/insane/internal/telemetry"
+	"github.com/insane-mw/insane/internal/timebase"
 )
 
 // world is a two-node test topology with one runtime per node.
@@ -600,7 +601,7 @@ func TestMalformedRxDropsCounted(t *testing.T) {
 
 			free := fmt.Sprint(w.b.mm.FreeSlots())
 			for _, f := range frames {
-				if err := from.Transmit(f, 0, fabric.Breakdown{}); err != nil {
+				if err := from.Transmit(f, 0, timebase.Breakdown{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -642,7 +643,7 @@ func TestClosedRuntimeIsNeverRung(t *testing.T) {
 		default:
 		}
 	}
-	if err := from.Transmit(make([]byte, netstack.HeadersLen), 0, fabric.Breakdown{}); err != nil {
+	if err := from.Transmit(make([]byte, netstack.HeadersLen), 0, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range w.b.pollers {

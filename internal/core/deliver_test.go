@@ -10,6 +10,7 @@ import (
 	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/qos"
 	"github.com/insane-mw/insane/internal/telemetry"
+	"github.com/insane-mw/insane/internal/timebase"
 )
 
 // TestSinkTokenSize pins the sink-ring element — the Delivery itself — at
@@ -22,12 +23,13 @@ func TestSinkTokenSize(t *testing.T) {
 	}
 }
 
-// TestTxTokenSize pins the TX token at 96 bytes: it is the one record of
+// TestTxTokenSize pins the TX token at 40 bytes: it is the one record of
 // a queued message, copied by value into the lane ring, the scheduler queue
-// and the poller's batch, and a lane holds txRingDepth of them.
+// and the poller's batch, and a lane holds txRingDepth of them. The
+// message's clock is in its slot's header, not here.
 func TestTxTokenSize(t *testing.T) {
-	if size := unsafe.Sizeof(txToken{}); size > 96 {
-		t.Errorf("txToken is %d bytes, want <= 96", size)
+	if size := unsafe.Sizeof(txToken{}); size > 40 {
+		t.Errorf("txToken is %d bytes, want <= 40", size)
 	}
 }
 
@@ -255,6 +257,81 @@ func TestDrainedTokenOfDeadSlotIsCounted(t *testing.T) {
 	}
 	if got := w.a.tel.Counter(telemetry.CtrTxReclaims); got != 1 {
 		t.Errorf("tx_reclaims = %d, want 1", got)
+	}
+	if got := conn.ten.inflight.Load(); got != 0 {
+		t.Errorf("tenant inflight = %d, want 0", got)
+	}
+}
+
+// TestDispatchSkipsReborrowedSlot: a queued token whose slot was released
+// behind the runtime's back and then borrowed by another source is found
+// out at dispatch like a free one. It is counted under tx_reclaims and its
+// outcome carries the slot error, and the new borrower's header is left as
+// the borrower wrote it: the poller reads and charges a header only once
+// it has proven the slot still the runtime's.
+func TestDispatchSkipsReborrowedSlot(t *testing.T) {
+	w := newStepped(t, datapath.Caps{}, datapath.Caps{}, nil)
+	conn, _ := w.a.Connect()
+	st, _ := conn.OpenStream(qos.Options{})
+	src, err := st.CreateSource(36)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _ := w.a.Connect()
+	otherSt, _ := other.OpenStream(qos.Options{})
+	thief, err := otherSt.CreateSource(37)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var b Buffer
+	if err := src.GetBuffer(&b, 16); err != nil {
+		t.Fatal(err)
+	}
+	slot := b.Slot
+	seq, err := src.Emit(&b, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := w.a.Mem()
+	if err := mm.Release(slot); err != nil {
+		t.Fatal(err)
+	}
+	// The free ring is FIFO: borrow until the released slot comes round.
+	var held []Buffer
+	defer func() {
+		for i := range held {
+			thief.Abort(&held[i])
+		}
+	}()
+	for {
+		var c Buffer
+		if err := thief.GetBuffer(&c, 16); err != nil {
+			t.Fatalf("slot %v never came back: %v", slot, err)
+		}
+		held = append(held, c)
+		if c.Slot == slot {
+			break
+		}
+	}
+	mine := mempool.Header{
+		VTime:     12345,
+		Breakdown: timebase.Breakdown{Send: 1, Network: 2, Recv: 3, Processing: 4},
+		AdmitT:    6,
+	}
+	*mm.Header(slot) = mine
+	reclaims := w.a.tel.Counter(telemetry.CtrTxReclaims)
+
+	w.Settle()
+
+	if got := w.a.tel.Counter(telemetry.CtrTxReclaims) - reclaims; got != 1 {
+		t.Errorf("tx_reclaims moved by %d, want 1", got)
+	}
+	if o, ok := src.Outcome(seq); !ok || o.Err == nil {
+		t.Errorf("outcome = %+v (recorded %v), want the slot error", o, ok)
+	}
+	if got := *mm.Header(slot); got != mine {
+		t.Errorf("new borrower's header = %+v, want %+v untouched", got, mine)
 	}
 	if got := conn.ten.inflight.Load(); got != 0 {
 		t.Errorf("tenant inflight = %d, want 0", got)

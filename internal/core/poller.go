@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
+	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/netstack"
 	"github.com/insane-mw/insane/internal/qos"
@@ -197,21 +198,28 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 		return 0
 	}
 
-	// 2. Charge the pulled tokens, then file them with the scheduler and
-	// dequeue what it releases at the current time, in one schedMu section.
-	// The clock is read once per pass: it is the scheduler arrival time of
-	// every token and gates the dequeue.
+	// 2. Stamp a sampled token's pickup, then file the pulled tokens with
+	// the scheduler and dequeue what it releases at the current time, in
+	// one schedMu section. The clock is read once per pass: it is the
+	// scheduler arrival time of every token and gates the dequeue. No slot
+	// header is touched here: dispatch does, once it has proven the slot
+	// live.
 	now := r.clock.Now()
 	//insane:bounded by=pulled <= burst, the per-poller burst buffer
 	for i := 0; i < pulled; i++ {
-		r.chargeToken(p, &p.toks[i])
+		if p.toks[i].sampled {
+			p.toks[i].enqT = r.clock.Now()
+		}
+	}
+	if pulled > 0 {
+		p.shard.Add(telemetry.CtrSchedEnqueues, uint64(pulled))
 	}
 	batch, waits := p.batch, p.waits
 	st.schedMu.Lock()
 	//insane:bounded by=pulled <= burst, the per-poller burst buffer
 	for i := 0; i < pulled; i++ {
 		tok := &p.toks[i]
-		st.egress.Enqueue(*tok, tok.timing == qos.TimingSensitive, tok.src.ten.index, tok.class, tok.msgLen, now)
+		st.egress.Enqueue(*tok, tok.timing == qos.TimingSensitive, tok.src.ten.index, tok.class, int(tok.msgLen), now)
 	}
 	n := st.egress.Dequeue(batch, waits, now)
 	st.schedMu.Unlock()
@@ -225,28 +233,14 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 	return pulled + n
 }
 
-// chargeToken charges a pulled TX token the scheduling decision, a
-// Send-stage cost like the IPC hop, and stamps a sampled one's pickup.
-// drainTX then files it with the scheduler, which holds it by value until
-// dispatch.
-func (r *Runtime) chargeToken(p *poller, tok *txToken) {
-	if tok.sampled {
-		tok.enqT = r.clock.Now()
-		p.shard.Observe(telemetry.HistEmitPickup, int64(tok.enqT.Sub(tok.admitT)))
-	}
-	d := r.rc.Sched.Latency(tok.msgLen, r.tb)
-	tok.vtime = tok.vtime.Add(d)
-	tok.bd.Send += d
-	p.shard.Inc(telemetry.CtrSchedEnqueues)
-}
-
 // dispatch fans a batch of released messages out to local sinks and remote
 // peers, records outcomes and settles each token: its slot reference, its
 // tenant's in-flight charge and its source's count of queued messages.
 // waits[i] is what batch[i] waited in the scheduler on the pass clock:
 // virtual latency of the Send stage. This is the one place an outgoing
 // message's slot is looked up, so it is also where a slot that died since
-// Emit is found out.
+// Emit — released, or released and borrowed again by another session — is
+// found out, before its header is read or written.
 func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []time.Duration) {
 	routes := r.view.Load().routes
 	//insane:bounded by=batch is the poller's dequeue buffer, burst long
@@ -254,40 +248,47 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []ti
 		tok := &batch[i]
 		route := routes[tok.channel]
 		sinks := route.sinks
-		buf, err := r.mm.Buf(tok.slot)
+		buf, err := r.mm.Buf(tok.slot, mempool.NoOwner)
 		if err == nil && len(sinks) > 0 {
 			// One reference per local sink on top of the token's own.
 			err = r.mm.AddRef(tok.slot, len(sinks))
 		}
 		if err != nil {
-			// The slot is not live (it was released behind the runtime's
-			// back): nothing to send. The token is done traveling either
-			// way, and the discard is counted like dropConn's reclaim of a
-			// token it finds still queued.
+			// The slot is not the runtime's (it was released behind the
+			// runtime's back, and may be another session's by now):
+			// nothing to send, and its header is not ours to touch. The
+			// token is done traveling either way, and the discard is
+			// counted like dropConn's reclaim of a token it finds still
+			// queued.
 			tok.settle()
 			p.shard.Inc(telemetry.CtrTxReclaims)
 			tok.src.recordOutcome(Outcome{Seq: tok.seq, Err: err})
 			continue
 		}
 		p.shard.Inc(telemetry.CtrDispatches)
+		h := r.mm.Header(tok.slot)
 		if tok.sampled {
+			p.shard.Observe(telemetry.HistEmitPickup, int64(tok.enqT.Sub(h.AdmitT)))
 			p.shard.Observe(telemetry.HistSchedDwell, int64(r.clock.Now().Sub(tok.enqT)))
 		}
-		tok.vtime = tok.vtime.Add(waits[i])
-		tok.bd.Send += waits[i]
+		// The queued path's Send-stage charges, like the IPC hop: the
+		// scheduling decision and the wait behind it.
+		d := r.rc.Sched.Latency(int(tok.msgLen), r.tb) + waits[i]
+		h.VTime = h.VTime.Add(d)
+		h.Breakdown.Send += d
 
 		// Local sinks first: co-located source/sink pairs communicate
 		// through shared memory directly (§5.1).
 		if len(sinks) > 0 {
 			msg := Delivery{
 				Payload:   buf[MsgHeadroom : headroomOffset+tok.msgLen],
-				VTime:     tok.vtime,
-				Breakdown: tok.bd,
+				VTime:     h.VTime,
+				Breakdown: h.Breakdown,
 				Slot:      tok.slot,
 			}
 			if tok.sampled {
 				msg.stamps = stampsLocal
-				msg.admitT = tok.admitT
+				msg.admitT = h.AdmitT
 			}
 			n := r.deliver(p.shard, &msg, sinks)
 			p.shard.Add(telemetry.CtrLocalDeliveries, uint64(n))
@@ -298,8 +299,8 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []ti
 		sent := 0
 		var sendErr error
 		//insane:bounded by=one entry per subscribed peer, fixed by the cluster configuration
-		for h := range route.hops {
-			if err := r.sendToPeer(p, st, tok, buf, &route.hops[h].via[st.tech]); err != nil {
+		for hop := range route.hops {
+			if err := r.sendToPeer(p, st, tok, h, buf, &route.hops[hop].via[st.tech]); err != nil {
 				sendErr = err
 				continue
 			}
@@ -323,10 +324,11 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []ti
 // sendToPeer transmits one message to one subscribed peer over the plane
 // its subscription resolved to (resolveHop). A send on a lower technology
 // than the stream's is counted as a downgrade; a peer with no usable plane
-// fails every send with the same error. A sampled message times the packet
+// fails every send with the same error. h is the message's header, read
+// for the clock the packet starts from. A sampled message times the packet
 // processing engine (stage_processing) and, once the endpoint has taken
 // it, closes stage_send.
-func (r *Runtime) sendToPeer(p *poller, st *techState, tok *txToken, buf []byte, via *plane) error {
+func (r *Runtime) sendToPeer(p *poller, st *techState, tok *txToken, h *mempool.Header, buf []byte, via *plane) error {
 	if via.downgraded {
 		p.shard.Inc(telemetry.CtrTechDowngrades)
 	}
@@ -345,10 +347,10 @@ func (r *Runtime) sendToPeer(p *poller, st *techState, tok *txToken, buf []byte,
 		Slot:      tok.slot,
 		Buf:       buf,
 		Off:       headroomOffset,
-		Len:       tok.msgLen,
+		Len:       int(tok.msgLen),
 		Src:       st.local,
-		VTime:     tok.vtime,
-		Breakdown: tok.bd,
+		VTime:     h.VTime,
+		Breakdown: h.Breakdown,
 	}
 
 	if target.info.NeedsUserStack {
@@ -382,7 +384,7 @@ func (r *Runtime) sendToPeer(p *poller, st *techState, tok *txToken, buf []byte,
 	_, err := target.ep.Send(p.sendVec[:], via.dst)
 	target.mu.Unlock()
 	if tok.sampled && err == nil {
-		p.shard.Observe(telemetry.HistStageSend, int64(r.clock.Now().Sub(tok.admitT)))
+		p.shard.Observe(telemetry.HistStageSend, int64(r.clock.Now().Sub(h.AdmitT)))
 	}
 	return err
 }

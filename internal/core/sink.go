@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
-	"github.com/insane-mw/insane/internal/fabric"
 	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/ringbuf"
 	"github.com/insane-mw/insane/internal/telemetry"
@@ -33,7 +32,7 @@ type Delivery struct {
 	// VTime is the accumulated one-way virtual latency of the message.
 	VTime timebase.VTime
 	// Breakdown splits VTime by Fig. 6 stage.
-	Breakdown fabric.Breakdown
+	Breakdown timebase.Breakdown
 	// admitT and pushT are the stamps of a sampled message, readings of
 	// the delivering runtime's clock: when Emit admitted it, and when it
 	// entered the sink ring — for a message off the wire, when it was

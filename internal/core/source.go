@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/insane-mw/insane/internal/fabric"
 	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/qos"
 	"github.com/insane-mw/insane/internal/sched"
@@ -21,29 +20,29 @@ import (
 // one record of a queued message from Emit to dispatch — the lane ring, the
 // scheduler queue and the poller's batch all hold it by value, and nothing
 // is pooled or allocated between the two (TestTxTokenSize pins its size).
+// The message's virtual clock and admission stamp are not in it: they live
+// in the slot's mempool.Header, written by Emit and read by dispatch once
+// the slot is proven live.
 type txToken struct {
-	// The four narrow fields share two words: the token is copied into and
-	// out of a ring or queue cell three times per message, and a lane holds
+	// The narrow fields share three words: the token is copied into and out
+	// of a ring or queue cell three times per message, and a lane holds
 	// txRingDepth of them.
 	slot    mempool.SlotID
 	channel uint32
 	seq     uint32
+	msgLen  int32 // INSANE header + payload
 	class   uint8
+	timing  qos.Timing
 	// sampled marks a message that feeds the latency histograms (samples);
-	// admitT is then the runtime clock when Emit admitted it and pushed the
-	// token: the reading that opens stage_send, consume_latency and
-	// emit_pickup; enqT is the clock when the poller popped the token and
-	// filed it with the scheduler: one reading closes emit_pickup and opens
-	// sched_dwell. Unset and unread on every other message.
-	sampled      bool
-	admitT, enqT timebase.VTime
-	msgLen       int // INSANE header + payload
-	timing       qos.Timing
+	// enqT is then the clock when the poller popped the token and filed it
+	// with the scheduler: one reading closes emit_pickup (opened by the
+	// header's AdmitT) and opens sched_dwell. Unset and unread on every
+	// other message.
+	sampled bool
+	enqT    timebase.VTime
 	// src is the emitting source; its tenant picks the WDRR queue and holds
 	// the in-flight charge settle returns.
-	src   *SourceHandle
-	vtime timebase.VTime
-	bd    fabric.Breakdown
+	src *SourceHandle
 }
 
 // settle ends a queued message's journey, wherever it ends — refused by a
@@ -76,7 +75,7 @@ type Buffer struct {
 	// request's VTime here so round-trip accounting accumulates.
 	VTime timebase.VTime
 	// Breakdown seeds the packet's stage accounting, like VTime.
-	Breakdown fabric.Breakdown
+	Breakdown timebase.Breakdown
 
 	buf []byte
 }
@@ -230,25 +229,27 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 	})
 	tok := txToken{
 		slot:    b.Slot,
-		msgLen:  HeaderLen + n,
+		msgLen:  int32(HeaderLen + n),
 		channel: s.channel,
 		class:   st.opts.Class,
 		timing:  st.opts.Timing,
 		seq:     seq,
 		src:     s,
-		vtime:   b.VTime,
-		bd:      b.Breakdown,
 		sampled: sampled,
 	}
+	// The message's clock goes into its slot's header, charged the IPC
+	// hop: the token crosses the client→runtime ring.
+	rt := s.stream.conn.rt
+	mm := rt.mm
+	h := mm.Header(b.Slot)
+	ipc := rt.rc.IPCTx
+	d := rt.tb.Scale(ipc.Class, ipc.Fixed+ipc.Amort)
+	h.VTime = b.VTime.Add(d)
+	h.Breakdown = b.Breakdown
+	h.Breakdown.Send += d
 	if sampled {
-		tok.admitT = s.stream.conn.rt.clock.Now()
+		h.AdmitT = rt.clock.Now()
 	}
-	// The IPC hop: the token crosses the client→runtime ring.
-	ipc := s.stream.conn.rt.rc.IPCTx
-	d := s.stream.conn.rt.tb.Scale(ipc.Class, ipc.Fixed+ipc.Amort)
-	tok.vtime = tok.vtime.Add(d)
-	tok.bd.Send += d
-	mm := s.stream.conn.rt.mm
 	mm.SetOwner(b.Slot, mempool.NoOwner)
 	if !s.lane.push(tok) {
 		// Backpressure: the caller keeps buffer ownership and may retry.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
-	"github.com/insane-mw/insane/internal/fabric"
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/qos"
 	"github.com/insane-mw/insane/internal/telemetry"
@@ -164,7 +163,7 @@ type replay struct {
 type delivered struct {
 	payload   string
 	vtime     timebase.VTime
-	breakdown fabric.Breakdown
+	breakdown timebase.Breakdown
 }
 
 // replayScript runs one fixed script on a fresh stepped world with every

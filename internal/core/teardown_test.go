@@ -16,7 +16,7 @@ import (
 // wantLive fails the test unless d's slot is borrowed and d reads payload.
 func wantLive(t *testing.T, rt *Runtime, d *Delivery, payload string) {
 	t.Helper()
-	if _, err := rt.mm.Buf(d.Slot); err != nil {
+	if _, err := rt.mm.Buf(d.Slot, mempool.NoOwner); err != nil {
 		t.Errorf("%q: slot of a delivered message is not live: %v", payload, err)
 	}
 	if !bytes.Equal(d.Payload, []byte(payload)) {

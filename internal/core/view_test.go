@@ -11,12 +11,12 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
-	"github.com/insane-mw/insane/internal/fabric"
 	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/netstack"
 	"github.com/insane-mw/insane/internal/qos"
 	"github.com/insane-mw/insane/internal/telemetry"
+	"github.com/insane-mw/insane/internal/timebase"
 )
 
 // kernelIP is the address a runtime's control messages come from.
@@ -423,7 +423,7 @@ func TestControlFloodIsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := from.Transmit(buf[:n], 0, fabric.Breakdown{}); err != nil {
+		if err := from.Transmit(buf[:n], 0, timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -65,7 +65,7 @@ type Packet struct {
 	// VTime is the accumulated virtual timestamp of the packet.
 	VTime timebase.VTime
 	// Breakdown accounts the virtual time by Fig. 6 stage.
-	Breakdown fabric.Breakdown
+	Breakdown timebase.Breakdown
 }
 
 // Bytes returns the message (or frame) view of the packet.

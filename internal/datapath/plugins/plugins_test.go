@@ -15,6 +15,7 @@ import (
 	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/netstack"
+	"github.com/insane-mw/insane/internal/timebase"
 )
 
 // rig is a two-host test fixture with one open endpoint per side.
@@ -159,39 +160,6 @@ func (r *rig) pollOne(t *testing.T, ep *datapath.Endpoint) *datapath.Packet {
 	return nil
 }
 
-func TestDPDKRoundTripFramed(t *testing.T) {
-	r := newRig(t, model.TechDPDK, false)
-	msg := []byte("dpdk burst message")
-	// Discover MACs through a resolver-independent route: send via the
-	// plugin requires pre-framed packets, built as the engine would.
-	f := frameFor(t, r, msg)
-	if n, err := r.a.Send([]*datapath.Packet{f}, r.epB); err != nil || n != 1 {
-		t.Fatalf("Send = %d,%v", n, err)
-	}
-	got := r.pollOne(t, r.b)
-	if !got.Framed {
-		t.Fatal("DPDK must deliver framed packets")
-	}
-	meta, payload, err := netstack.DecodeUDP(got.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(payload, msg) {
-		t.Errorf("payload = %q, want %q", payload, msg)
-	}
-	if meta.Src != r.epA || meta.Dst != r.epB {
-		t.Errorf("addressing = %v→%v", meta.Src, meta.Dst)
-	}
-	// DPDK one-way ≈ 1.2-1.5 µs for the plugin-charged parts (no runtime).
-	oneWay := got.VTime.Duration()
-	if oneWay < 800*time.Nanosecond || oneWay > 2500*time.Nanosecond {
-		t.Errorf("dpdk one-way vtime = %v, want ≈1.7µs", oneWay)
-	}
-	if r.b.Stats().RxPackets != 1 || r.a.Stats().TxPackets != 1 {
-		t.Error("stats not counted")
-	}
-}
-
 // message builds a packet carrying payload from rig A to rig B in the form
 // the rig's technology takes: framed for DPDK and XDP, bare otherwise.
 func (r *rig) message(t testing.TB, payload []byte) *datapath.Packet {
@@ -210,45 +178,6 @@ func frameFor(t testing.TB, r *rig, payload []byte) *datapath.Packet {
 	srcMAC := netstack.MAC{0x02, 0, 0, 0, 0, 1}
 	dstMAC := netstack.MAC{0x02, 0, 0, 0, 0, 2}
 	return frame(t, payload, r.epA, r.epB, srcMAC, dstMAC)
-}
-
-func TestDPDKRejectsUnframed(t *testing.T) {
-	r := newRig(t, model.TechDPDK, false)
-	if _, err := r.a.Send([]*datapath.Packet{makePacket([]byte("x"))}, r.epB); err == nil {
-		t.Error("unframed packet accepted on DPDK path")
-	}
-}
-
-func TestDPDKBurstAmortizesDoorbell(t *testing.T) {
-	single := newRig(t, model.TechDPDK, false)
-	burst := newRig(t, model.TechDPDK, false)
-	msg := make([]byte, 64)
-
-	if _, err := single.a.Send([]*datapath.Packet{frameFor(t, single, msg)}, single.epB); err != nil {
-		t.Fatal(err)
-	}
-	soloVT := single.pollOne(t, single.b).VTime
-
-	pkts := make([]*datapath.Packet, 16)
-	for i := range pkts {
-		pkts[i] = frameFor(t, burst, msg)
-	}
-	if n, err := burst.a.Send(pkts, burst.epB); err != nil || n != 16 {
-		t.Fatalf("burst send = %d,%v", n, err)
-	}
-	// Drain the whole burst; per-packet charged time must be lower than
-	// the single-packet case thanks to doorbell amortization.
-	var got []datapath.Packet
-	deadline := time.Now().Add(2 * time.Second)
-	for len(got) < 16 && time.Now().Before(deadline) {
-		got = append(got, burst.poll(t, burst.b, 16)...)
-	}
-	if len(got) != 16 {
-		t.Fatalf("received %d of 16", len(got))
-	}
-	if got[0].VTime >= soloVT {
-		t.Errorf("burst packet vtime %v not below single-packet %v", got[0].VTime, soloVT)
-	}
 }
 
 func TestXDPRoundTrip(t *testing.T) {
@@ -459,7 +388,7 @@ func TestChargesMatchProfile(t *testing.T) {
 		if len(got) != c.burst {
 			t.Fatalf("%v: polled %d of a burst of %d", c.tech, len(got), c.burst)
 		}
-		want := fabric.Breakdown{Send: c.send, Network: c.network, Recv: c.recv, Processing: c.processing}
+		want := timebase.Breakdown{Send: c.send, Network: c.network, Recv: c.recv, Processing: c.processing}
 		for i := range got {
 			if got[i].VTime.Duration() != c.vtime || got[i].Breakdown != want {
 				t.Errorf("%v blocking=%v %d B, packet %d of %d: vtime %d ns %+v, want %d ns %+v",
@@ -488,7 +417,7 @@ func FuzzEndpointPoll(f *testing.F) {
 		for _, r := range rigs {
 			tech := r.tech
 			port, before := r.portB.Stats(), r.b.Stats()
-			if err := r.portA.Transmit(wire, 0, fabric.Breakdown{}); err != nil {
+			if err := r.portA.Transmit(wire, 0, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 			// A frame larger than the largest slot never reaches the queue.

@@ -58,9 +58,7 @@ func newPair(t *testing.T, tech model.Tech, blocking bool) *pair {
 	return p
 }
 
-// send transmits one message a → b in the form the technology takes: a
-// frame built by the caller where the packet processing engine would, the
-// bare message elsewhere.
+// send transmits one message a → b.
 func (p *pair) send(t *testing.T, msg []byte) {
 	t.Helper()
 	if err := p.trySend(msg); err != nil {
@@ -69,6 +67,18 @@ func (p *pair) send(t *testing.T, msg []byte) {
 }
 
 func (p *pair) trySend(msg []byte) error {
+	pkt, err := p.packet(msg)
+	if err != nil {
+		return err
+	}
+	_, err = p.a.Send([]*Packet{pkt}, p.epB)
+	return err
+}
+
+// packet builds a message a → b in the form the technology takes: a frame
+// built by the caller where the packet processing engine would, the bare
+// message elsewhere.
+func (p *pair) packet(msg []byte) (*Packet, error) {
 	pkt := &Packet{Buf: make([]byte, Headroom+len(msg)), Off: Headroom, Len: len(msg)}
 	copy(pkt.Buf[Headroom:], msg)
 	if p.a.framed {
@@ -76,12 +86,11 @@ func (p *pair) trySend(msg []byte) error {
 			SrcMAC: p.a.cfg.Port.MAC(), DstMAC: p.portB.MAC(), Src: p.epA, Dst: p.epB,
 		}, len(msg), netstack.JumboMTU)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pkt.Off, pkt.Len, pkt.Framed = 0, n, true
 	}
-	_, err := p.a.Send([]*Packet{pkt}, p.epB)
-	return err
+	return pkt, nil
 }
 
 // pollB polls b once and returns the payloads it got, releasing the slots.

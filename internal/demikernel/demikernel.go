@@ -71,7 +71,7 @@ type Result struct {
 	// VTime is the accumulated virtual latency of the datagram.
 	VTime timebase.VTime
 	// Breakdown splits VTime by pipeline stage.
-	Breakdown fabric.Breakdown
+	Breakdown timebase.Breakdown
 }
 
 // Config configures a library OS instance.
@@ -185,12 +185,12 @@ func (l *LibOS) Connect(qd QD, remote netstack.Endpoint) error {
 // Push sends payload to the queue's connected destination. The libOS
 // overhead is charged on the pushing side; there is no batching.
 func (l *LibOS) Push(qd QD, payload []byte) error {
-	return l.PushAt(qd, payload, 0, fabric.Breakdown{})
+	return l.PushAt(qd, payload, 0, timebase.Breakdown{})
 }
 
 // PushAt sends payload seeding the packet's virtual clock (echo servers
 // continue the request's clock for RTT accounting).
-func (l *LibOS) PushAt(qd QD, payload []byte, at timebase.VTime, bd fabric.Breakdown) error {
+func (l *LibOS) PushAt(qd QD, payload []byte, at timebase.VTime, bd timebase.Breakdown) error {
 	s, ok := l.sockets[qd]
 	if !ok {
 		return ErrBadQD

@@ -33,21 +33,6 @@ var (
 	ErrNotAttached = errors.New("fabric: port not attached to a link")
 )
 
-// Breakdown accumulates where a frame's virtual time went, mirroring the
-// stage split of the paper's Fig. 6 (send / network / receive / data
-// processing).
-type Breakdown struct {
-	Send       time.Duration // sender-side CPU (app, runtime, driver)
-	Network    time.Duration // serialization + propagation + switch
-	Recv       time.Duration // receiver-side CPU (driver, runtime)
-	Processing time.Duration // protocol/data processing (netstack etc.)
-}
-
-// Total returns the sum of all stages.
-func (b Breakdown) Total() time.Duration {
-	return b.Send + b.Network + b.Recv + b.Processing
-}
-
 // Frame is one received Ethernet frame, with its virtual-time annotations.
 type Frame struct {
 	// Data is the raw frame (Ethernet headers included). The fabric
@@ -63,12 +48,13 @@ type Frame struct {
 	// receiving NIC.
 	VTime timebase.VTime
 	// Breakdown accounts for where the virtual time was spent.
-	Breakdown Breakdown
+	Breakdown timebase.Breakdown
 }
 
 // rxDesc is one entry of a port's receive queue: where the wire copy of
-// the frame landed, and its annotations. It is deliberately no larger
-// than 64 bytes — every port carries rxQueueDepth of them.
+// the frame landed. Every port carries rxQueueDepth of them, so it holds a
+// slot id and a length and nothing else (TestRxDescriptorSize): the
+// frame's virtual clock is in the slot's mempool.Header.
 type rxDesc struct {
 	// mm and slot locate a frame received into registered memory: the
 	// first n bytes of the slot. mm is nil for a heap frame.
@@ -76,9 +62,14 @@ type rxDesc struct {
 	slot mempool.SlotID
 	n    uint32
 	// heap holds the frame of a port without registered memory.
-	heap *[]byte
-	vt   timebase.VTime
-	bd   Breakdown
+	heap *heapFrame
+}
+
+// heapFrame is the wire copy of a frame that arrived on a port without
+// registered memory, with the clock a slot's header would hold.
+type heapFrame struct {
+	data []byte
+	hdr  mempool.Header
 }
 
 // release gives the descriptor's slot back to the memory it came from.
@@ -95,14 +86,12 @@ func (d *rxDesc) release() {
 //
 //insane:hotpath
 func (d *rxDesc) frame() Frame {
-	f := Frame{Slot: d.slot, VTime: d.vt, Breakdown: d.bd}
 	if d.mm == nil {
-		f.Data = *d.heap
-		return f
+		return Frame{Data: d.heap.data, VTime: d.heap.hdr.VTime, Breakdown: d.heap.hdr.Breakdown}
 	}
-	buf, _ := d.mm.Buf(d.slot) // a queued slot holds the reference deliver took: Buf cannot fail
-	f.Data = buf[:d.n]
-	return f
+	buf, _ := d.mm.Buf(d.slot, mempool.NoOwner) // a queued slot holds the reference deliver took: Buf cannot fail
+	h := d.mm.Header(d.slot)
+	return Frame{Data: buf[:d.n], Slot: d.slot, VTime: h.VTime, Breakdown: h.Breakdown}
 }
 
 // LinkParams models one link.
@@ -270,7 +259,7 @@ func (p *Port) Stats() PortStats {
 // is dropped, which matches the best-effort semantics of the paper (§5.2).
 //
 //insane:hotpath
-func (p *Port) Transmit(data []byte, vt timebase.VTime, bd Breakdown) error {
+func (p *Port) Transmit(data []byte, vt timebase.VTime, bd timebase.Breakdown) error {
 	if p.closed.Load() {
 		return ErrPortClosed
 	}
@@ -319,21 +308,22 @@ func (p *Port) perturb(link *LinkParams, wire time.Duration) (time.Duration, boo
 
 // deliver is the receiving half of the wire: it copies the frame into a
 // slot of the port's registered memory (a heap buffer if none is
-// registered), queues the descriptor and rings the armed doorbell. A
-// frame the port cannot take — closed, no free slot, RX queue full (the
-// receiver cannot keep up: the paper's Fig. 8b regime) — is dropped and
-// counted, and its slot goes back.
+// registered) and the frame's clock into the slot's header, queues the
+// descriptor and rings the armed doorbell. A frame the port cannot take —
+// closed, no free slot, RX queue full (the receiver cannot keep up: the
+// paper's Fig. 8b regime) — is dropped and counted, and its slot goes
+// back.
 //
 //insane:hotpath
-func (p *Port) deliver(data []byte, vt timebase.VTime, bd Breakdown) {
+func (p *Port) deliver(data []byte, vt timebase.VTime, bd timebase.Breakdown) {
 	if p.closed.Load() {
 		p.dropped.Add(1)
 		return
 	}
-	d := rxDesc{n: uint32(len(data)), vt: vt, bd: bd}
+	d := rxDesc{n: uint32(len(data))}
 	mm := p.rxMem.Load()
 	if mm == nil {
-		d.heap = heapCopy(data)
+		d.heap = heapCopy(data, vt, bd)
 	} else {
 		slot, buf, err := mm.Get(len(data), mempool.NoOwner)
 		if err != nil {
@@ -341,6 +331,7 @@ func (p *Port) deliver(data []byte, vt timebase.VTime, bd Breakdown) {
 			return
 		}
 		copy(buf, data)
+		*mm.Header(slot) = mempool.Header{VTime: vt, Breakdown: bd}
 		d.mm, d.slot = mm, slot
 	}
 	if !p.enqueue(d) {
@@ -365,9 +356,11 @@ func (p *Port) deliver(data []byte, vt timebase.VTime, bd Breakdown) {
 // heapCopy is the wire copy of a port nobody registered memory on.
 //
 //insane:coldpath raw fabric use only: every datapath endpoint registers its memory manager
-func heapCopy(data []byte) *[]byte {
-	b := append(make([]byte, 0, len(data)), data...)
-	return &b
+func heapCopy(data []byte, vt timebase.VTime, bd timebase.Breakdown) *heapFrame {
+	return &heapFrame{
+		data: append(make([]byte, 0, len(data)), data...),
+		hdr:  mempool.Header{VTime: vt, Breakdown: bd},
+	}
 }
 
 // enqueue appends one descriptor to the RX queue without blocking; false
@@ -513,7 +506,7 @@ func (s *Switch) learn(p *Port) {
 // broadcast is copied once into each destination port's memory.
 //
 //insane:hotpath
-func (s *Switch) forward(from *Port, data []byte, vt timebase.VTime, bd Breakdown) {
+func (s *Switch) forward(from *Port, data []byte, vt timebase.VTime, bd timebase.Breakdown) {
 	vt = vt.Add(s.params.Latency)
 	bd.Network += s.params.Latency
 

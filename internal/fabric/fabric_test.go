@@ -57,7 +57,7 @@ func TestDirectDelivery(t *testing.T) {
 	_, a, b := twoHostsDirect(t, DefaultLink)
 	payload := []byte("ping")
 	frame := buildFrame(t, a, b, payload)
-	if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+	if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := recvNow(b)
@@ -76,7 +76,7 @@ func TestDirectDelivery(t *testing.T) {
 func TestWireCopyIsolation(t *testing.T) {
 	_, a, b := twoHostsDirect(t, DefaultLink)
 	frame := buildFrame(t, a, b, []byte("orig"))
-	if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+	if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	// Mutating the sender's buffer after Transmit must not affect the
@@ -102,7 +102,7 @@ func TestVirtualTimeAdvance(t *testing.T) {
 	_, a, b := twoHostsDirect(t, link)
 	frame := buildFrame(t, a, b, make([]byte, 958)) // frame 1000B
 	start := timebase.VTime(1000)
-	if err := a.Transmit(frame, start, Breakdown{}); err != nil {
+	if err := a.Transmit(frame, start, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := recvNow(b)
@@ -132,7 +132,7 @@ func TestSwitchForwardingAndLatency(t *testing.T) {
 		}
 	}
 	frame := buildFrame(t, a, b, []byte("x"))
-	if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+	if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := recvNow(b)
@@ -170,7 +170,7 @@ func TestSwitchBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Transmit(buf[:fl], 0, Breakdown{}); err != nil {
+	if err := a.Transmit(buf[:fl], 0, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []*Port{b, c} {
@@ -191,7 +191,7 @@ func TestLossInjectionDeterministic(t *testing.T) {
 	const total = 1000
 	for i := 0; i < total; i++ {
 		frame := buildFrame(t, a, b, []byte{byte(i)})
-		if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+		if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestRxQueueOverflowDrops(t *testing.T) {
 	_, a, b := twoHostsDirect(t, DefaultLink)
 	frame := buildFrame(t, a, b, []byte("x"))
 	for i := 0; i < rxQueueDepth+100; i++ {
-		if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+		if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +234,7 @@ func TestRxQueueOverflowDrops(t *testing.T) {
 func TestPortLifecycleErrors(t *testing.T) {
 	n := New(1)
 	a, _ := n.AddHost("a", netstack.IPv4{10, 0, 0, 1})
-	if err := a.Transmit([]byte("x"), 0, Breakdown{}); !errors.Is(err, ErrNotAttached) {
+	if err := a.Transmit([]byte("x"), 0, timebase.Breakdown{}); !errors.Is(err, ErrNotAttached) {
 		t.Errorf("unattached transmit err = %v", err)
 	}
 	b, _ := n.AddHost("b", netstack.IPv4{10, 0, 0, 2})
@@ -248,7 +248,7 @@ func TestPortLifecycleErrors(t *testing.T) {
 		t.Error("duplicate host: want error")
 	}
 	a.Close()
-	if err := a.Transmit([]byte("x"), 0, Breakdown{}); !errors.Is(err, ErrPortClosed) {
+	if err := a.Transmit([]byte("x"), 0, timebase.Breakdown{}); !errors.Is(err, ErrPortClosed) {
 		t.Errorf("closed transmit err = %v", err)
 	}
 	if err := make(Bell, 1).Wait(a, time.Millisecond); !errors.Is(err, ErrPortClosed) {
@@ -265,7 +265,7 @@ func TestRecvTimeout(t *testing.T) {
 	bell := make(Bell, 1)
 	b.SetRxDoorbell(bell)
 	frame := buildFrame(t, a, b, []byte("x"))
-	if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+	if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := recvNow(b); err != nil { // taken without a wait: its ring stays set
@@ -280,7 +280,7 @@ func TestRecvTimeout(t *testing.T) {
 	}
 	go func() {
 		time.Sleep(5 * time.Millisecond)
-		if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+		if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -305,7 +305,7 @@ func TestResolverPopulated(t *testing.T) {
 }
 
 func TestBreakdownAccumulation(t *testing.T) {
-	b := Breakdown{Send: 11, Network: 22, Recv: 33, Processing: 44}
+	b := timebase.Breakdown{Send: 11, Network: 22, Recv: 33, Processing: 44}
 	if b.Total() != 110 {
 		t.Errorf("total = %v, want 110", b.Total())
 	}
@@ -319,7 +319,7 @@ func TestJitterSpreadsWireLatency(t *testing.T) {
 	seen := map[time.Duration]bool{}
 	var minW, maxW time.Duration
 	for i := 0; i < 200; i++ {
-		if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+		if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 		f, err := recvNow(b)
@@ -356,7 +356,7 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 		frame := buildFrame(t, a, b, []byte("d"))
 		var out []time.Duration
 		for i := 0; i < 20; i++ {
-			if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 			f, err := recvNow(b)
@@ -396,7 +396,7 @@ func TestSwitchUnknownUnicastDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Transmit(buf[:fl], 0, Breakdown{}); err != nil {
+	if err := a.Transmit(buf[:fl], 0, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := b.TryRecv(); ok {
@@ -425,7 +425,7 @@ func TestRxDoorbell(t *testing.T) {
 		b.SetRxDoorbell(&bell)
 		frame := buildFrame(t, a, b, []byte("x"))
 		for i := 0; i < 10; i++ {
-			if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -439,7 +439,7 @@ func TestRxDoorbell(t *testing.T) {
 		b.SetRxDoorbell(&bell)
 		frame := buildFrame(t, a, b, []byte("x"))
 		for i := 0; i < rxQueueDepth+100; i++ {
-			if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -454,7 +454,7 @@ func TestRxDoorbell(t *testing.T) {
 		frame := buildFrame(t, a, b, []byte("x"))
 		const total = 1000
 		for i := 0; i < total; i++ {
-			if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -468,7 +468,7 @@ func TestRxDoorbell(t *testing.T) {
 		var bell countingBell
 		b.SetRxDoorbell(&bell)
 		b.Close()
-		if err := a.Transmit(buildFrame(t, a, b, []byte("x")), 0, Breakdown{}); err != nil {
+		if err := a.Transmit(buildFrame(t, a, b, []byte("x")), 0, timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 		if bell.rings != 0 || b.Stats().Dropped != 1 {
@@ -480,7 +480,7 @@ func TestRxDoorbell(t *testing.T) {
 		var bell countingBell
 		b.SetRxDoorbell(&bell)
 		b.SetRxDoorbell(nil)
-		if err := a.Transmit(buildFrame(t, a, b, []byte("x")), 0, Breakdown{}); err != nil {
+		if err := a.Transmit(buildFrame(t, a, b, []byte("x")), 0, timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 		if bell.rings != 0 || b.Stats().RxFrames != 1 {

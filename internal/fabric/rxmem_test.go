@@ -9,6 +9,7 @@ import (
 
 	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/netstack"
+	"github.com/insane-mw/insane/internal/timebase"
 )
 
 // newMem returns a one-class manager of the given slot count.
@@ -29,11 +30,12 @@ func wantFree(t *testing.T, mm *mempool.Manager, free int) {
 	}
 }
 
-// TestRxDescriptorSize pins the RX queue entry at one cache line: every
-// port carries rxQueueDepth of them.
+// TestRxDescriptorSize pins the RX queue entry at 24 bytes, a slot id, a
+// length and the cold heap-frame pointer: every port carries rxQueueDepth
+// of them, and the frame's clock is in the slot's header.
 func TestRxDescriptorSize(t *testing.T) {
-	if size := unsafe.Sizeof(rxDesc{}); size > 64 {
-		t.Errorf("rxDesc is %d bytes, want <= 64", size)
+	if size := unsafe.Sizeof(rxDesc{}); size > 24 {
+		t.Errorf("rxDesc is %d bytes, want <= 24", size)
 	}
 }
 
@@ -45,7 +47,7 @@ func TestReceiveIntoRegisteredMemory(t *testing.T) {
 	mm := newMem(t, 8)
 	b.SetRxMemory(mm)
 	frame := buildFrame(t, a, b, []byte("registered"))
-	if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+	if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	wantFree(t, mm, 7)
@@ -56,7 +58,7 @@ func TestReceiveIntoRegisteredMemory(t *testing.T) {
 	if f.Slot == mempool.NoSlot || !bytes.Equal(f.Data, frame) || cap(f.Data) != 2048 {
 		t.Fatalf("frame = slot %v, %d bytes (cap %d), want a slot holding the %d frame bytes (cap 2048)", f.Slot, len(f.Data), cap(f.Data), len(frame))
 	}
-	buf, err := mm.Buf(f.Slot)
+	buf, err := mm.Buf(f.Slot, mempool.NoOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +74,56 @@ func TestReceiveIntoRegisteredMemory(t *testing.T) {
 	}
 }
 
+// TestClockCrossesThePort: a frame's virtual clock and Fig. 6 split arrive
+// through Transmit and TryRecv as they were sent, plus the wire, on a port
+// with registered memory (where the clock rides in the receiving slot's
+// header) and on a heap port. Three frames queue before any is taken, so
+// each descriptor must lead back to its own clock.
+func TestClockCrossesThePort(t *testing.T) {
+	const prop = 700 * time.Nanosecond
+	for _, registered := range []bool{true, false} {
+		_, a, b := twoHostsDirect(t, LinkParams{PropDelay: prop})
+		mm := newMem(t, 8)
+		if registered {
+			b.SetRxMemory(mm)
+		}
+		frame := buildFrame(t, a, b, []byte("clock"))
+		sent := func(i int) (timebase.VTime, timebase.Breakdown) {
+			d := time.Duration(i+1) * time.Microsecond
+			return timebase.VTime(10 * d), timebase.Breakdown{Send: d, Network: 2 * d, Recv: 3 * d, Processing: 4 * d}
+		}
+		for i := 0; i < 3; i++ {
+			vt, bd := sent(i)
+			if err := a.Transmit(frame, vt, bd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			f, ok := b.TryRecv()
+			if !ok {
+				t.Fatalf("registered=%v: frame %d missing", registered, i)
+			}
+			vt, bd := sent(i)
+			bd.Network += prop
+			if f.VTime != vt.Add(prop) || f.Breakdown != bd {
+				t.Errorf("registered=%v, frame %d: clock %v %+v, want %v %+v", registered, i, f.VTime, f.Breakdown, vt.Add(prop), bd)
+			}
+			if (f.Slot != mempool.NoSlot) != registered {
+				t.Fatalf("registered=%v: frame in slot %v", registered, f.Slot)
+			}
+			if registered {
+				if h := mm.Header(f.Slot); h.VTime != f.VTime || h.Breakdown != f.Breakdown {
+					t.Errorf("frame %d: slot header %+v, want the frame's clock", i, *h)
+				}
+				if err := mm.Release(f.Slot); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		wantFree(t, mm, 8)
+	}
+}
+
 // TestRxSlotConservation drives every arm on which deliver, or the queue it
 // feeds, gives up a frame: each must count the drop where it belongs and
 // give the slot back.
@@ -82,7 +134,7 @@ func TestRxSlotConservation(t *testing.T) {
 		b.SetRxMemory(mm)
 		frame := buildFrame(t, a, b, []byte("x"))
 		for i := 0; i < rxQueueDepth+100; i++ {
-			if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -101,7 +153,7 @@ func TestRxSlotConservation(t *testing.T) {
 		b.SetRxDoorbell(&bell)
 		frame := buildFrame(t, a, b, []byte("x"))
 		for i := 0; i < 20; i++ {
-			if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -125,7 +177,7 @@ func TestRxSlotConservation(t *testing.T) {
 		b.SetRxMemory(mm)
 		frame := buildFrame(t, a, b, []byte("x"))
 		for i := 0; i < 5; i++ {
-			if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -134,7 +186,7 @@ func TestRxSlotConservation(t *testing.T) {
 		wantFree(t, mm, 8)
 		// A peer that keeps transmitting takes nothing from the closed side.
 		for i := 0; i < 5; i++ {
-			if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -152,7 +204,7 @@ func TestRxSlotConservation(t *testing.T) {
 		b.SetRxMemory(mm)
 		frame := buildFrame(t, a, b, []byte("x"))
 		for i := 0; i < 5; i++ {
-			if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -163,7 +215,7 @@ func TestRxSlotConservation(t *testing.T) {
 		}
 		// The port is open and nobody's memory is registered: it receives
 		// into the heap again.
-		if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+		if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 		f, ok := b.TryRecv()
@@ -198,7 +250,7 @@ func TestRxSlotConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ports[0].Transmit(buf[:fl], 0, Breakdown{}); err != nil {
+		if err := ports[0].Transmit(buf[:fl], 0, timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 		wantFree(t, mems[0], 4) // the sender hears nothing
@@ -208,7 +260,7 @@ func TestRxSlotConservation(t *testing.T) {
 			if !ok || !bytes.Equal(f.Data, buf[:fl]) {
 				t.Fatalf("port %d: broadcast frame = %v, %v", i, f.Data, ok)
 			}
-			own, err := mems[i].Buf(f.Slot)
+			own, err := mems[i].Buf(f.Slot, mempool.NoOwner)
 			if err != nil || &own[0] != &f.Data[0] {
 				t.Errorf("port %d: broadcast frame does not sit in a slot of its own memory (%v)", i, err)
 			}
@@ -221,7 +273,7 @@ func TestRxSlotConservation(t *testing.T) {
 	t.Run("registering drops the heap frames queued before", func(t *testing.T) {
 		_, a, b := twoHostsDirect(t, DefaultLink)
 		frame := buildFrame(t, a, b, []byte("x"))
-		if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+		if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 		mm := newMem(t, 8)
@@ -261,7 +313,7 @@ func TestCloseWhileTransmitting(t *testing.T) {
 							return
 						default:
 						}
-						if err := a.Transmit(frame, 0, Breakdown{}); err != nil {
+						if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 							t.Error(err)
 							return
 						}

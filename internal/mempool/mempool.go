@@ -14,10 +14,15 @@
 // (in-process) client library, which preserves the programming model and
 // the slot-id protocol exactly.
 //
+// Every slot has a fixed Header beside its bytes: the message's virtual
+// clock. Per-packet metadata lives with the packet, as in a VPP buffer, so
+// the descriptors that cross threads by value — the TX token, the fabric's
+// RX descriptor — carry a slot id and a length and nothing else.
+//
 // A class reserves its slot ids, states and free ring for every slot at
-// startup, but commits its bytes as traffic needs them: one chunk of
-// chunkSlots slots, allocated the first time the class runs out of
-// committed free slots and kept for the manager's lifetime. The first
+// startup, but commits its bytes and headers as traffic needs them: one
+// chunk of chunkSlots slots, allocated the first time the class runs out
+// of committed free slots and kept for the manager's lifetime. The first
 // borrow past a class's committed slots therefore allocates; the steady
 // state, which recycles committed slots, allocates nothing.
 package mempool
@@ -31,6 +36,7 @@ import (
 	"sync/atomic"
 
 	"github.com/insane-mw/insane/internal/ringbuf"
+	"github.com/insane-mw/insane/internal/timebase"
 )
 
 // Errors returned by the manager.
@@ -121,13 +127,34 @@ type slotState struct {
 	budget atomic.Pointer[Budget] //insane:guardedby atomic
 }
 
+// Header is the per-message metadata a slot carries beside its bytes: the
+// virtual clock of the message it holds. Whoever holds the slot's
+// reference writes and reads it; a borrow does not clear it.
+type Header struct {
+	// VTime is the message's accumulated virtual timestamp.
+	VTime timebase.VTime
+	// Breakdown splits VTime by Fig. 6 stage.
+	Breakdown timebase.Breakdown
+	// AdmitT is the runtime clock when Emit admitted a sampled message:
+	// the reading its emit_pickup, stage_send and consume_latency spans
+	// open with. Unset and unread on every other message.
+	AdmitT timebase.VTime
+}
+
 // chunkSlots is how many slots one commit of a class allocates: 128 KiB
-// in the 2 KB class, 576 KiB in the 9 KB class.
+// in the 2 KB class, 576 KiB in the 9 KB class, plus chunkSlots headers.
 const chunkSlots = 64
 
+// chunk is one commit of a class: chunkSlots slots' headers and bytes,
+// allocated together.
+type chunk struct {
+	hdrs  [chunkSlots]Header
+	bytes []byte
+}
+
 // pool is one size class: slot bookkeeping sized for every slot, and the
-// backing bytes in chunks of chunkSlots slots, committed on demand. The
-// free ring holds committed slots only.
+// headers and backing bytes in chunks of chunkSlots slots, committed on
+// demand. The free ring holds committed slots only.
 //
 //insane:shared
 type pool struct {
@@ -136,7 +163,7 @@ type pool struct {
 	free     *ringbuf.MPMC[uint32] //insane:guardedby immutable after=NewManager
 	// chunks[c] backs slots [c*chunkSlots, (c+1)*chunkSlots); nil until
 	// grow commits it.
-	chunks []atomic.Pointer[[]byte] //insane:guardedby immutable after=NewManager
+	chunks []atomic.Pointer[chunk] //insane:guardedby immutable after=NewManager
 	// committed counts the slots whose chunk is allocated; only grow
 	// raises it, under growMu.
 	committed atomic.Int32 //insane:guardedby atomic
@@ -188,7 +215,7 @@ func NewManager(cfg Config) (*Manager, error) {
 			slotSize: c.SlotSize,
 			states:   make([]slotState, c.Slots),
 			free:     free,
-			chunks:   make([]atomic.Pointer[[]byte], (c.Slots+chunkSlots-1)/chunkSlots),
+			chunks:   make([]atomic.Pointer[chunk], (c.Slots+chunkSlots-1)/chunkSlots),
 		})
 	}
 	return m, nil
@@ -247,19 +274,35 @@ func (m *Manager) GetBudget(size int, owner Owner, b *Budget) (SlotID, []byte, e
 	return NoSlot, nil, ErrExhausted
 }
 
-// Buf returns the full buffer of a borrowed slot.
+// Buf returns the full buffer of a slot that is borrowed and held by
+// owner, the session the caller expects it to be: a slot that was
+// released, and maybe borrowed again by someone else since, fails with
+// ErrBadSlot. The runtime proves an emitted message's slot still its own
+// (NoOwner) with it before it touches the slot's header.
 //
 //insane:hotpath
-func (m *Manager) Buf(id SlotID) ([]byte, error) {
+func (m *Manager) Buf(id SlotID, owner Owner) ([]byte, error) {
 	p, idx, err := m.locate(id)
 	if err != nil {
 		return nil, err
 	}
-	if p.states[idx].refs.Load() <= 0 {
+	st := &p.states[idx]
+	if st.refs.Load() <= 0 || Owner(st.owner.Load()) != owner {
 		//lint:ignore insanevet/hotpathcheck cold error path, never taken steady-state
 		return nil, fmt.Errorf("%w: %v", ErrBadSlot, id)
 	}
 	return p.slotBuf(idx), nil
+}
+
+// Header returns the header of a slot the caller holds a reference to. It
+// checks nothing and allocates nothing: the pointer is valid while the
+// reference is, and a slot the caller does not hold may be another
+// borrower's by now.
+//
+//insane:hotpath
+func (m *Manager) Header(id SlotID) *Header {
+	idx := id.index()
+	return &m.pools[id.pool()].chunks[idx/chunkSlots].Load().hdrs[idx%chunkSlots]
 }
 
 // AddRef raises the reference count of a borrowed slot by n (multi-sink
@@ -373,9 +416,10 @@ func (p *pool) popFreeContended() (uint32, bool) {
 // empty: a slot another borrower committed while this one waited for
 // growMu, or else the first slot of the next uncommitted chunk, whose
 // other slots go to the free ring. false means every chunk is committed
-// and every slot borrowed. The chunk's pointer and the committed count
-// are published before its slots, so a popped slot always has its bytes
-// and FreeSlots never reads above capacity.
+// and every slot borrowed. The chunk — headers and bytes in one
+// allocation — and the committed count are published before its slots,
+// so a popped slot always has both and FreeSlots never reads above
+// capacity.
 //
 //insane:coldpath the class's committed slots are all borrowed: at most one chunk allocation per chunkSlots slots, for the manager's lifetime
 func (p *pool) grow() (uint32, bool) {
@@ -389,8 +433,7 @@ func (p *pool) grow() (uint32, bool) {
 		return 0, false
 	}
 	n := min(chunkSlots, len(p.states)-first)
-	chunk := make([]byte, n*p.slotSize)
-	p.chunks[first/chunkSlots].Store(&chunk)
+	p.chunks[first/chunkSlots].Store(&chunk{bytes: make([]byte, n*p.slotSize)})
 	p.committed.Store(int32(first + n))
 	for i := first + 1; i < first+n; i++ {
 		p.pushFreeContended(uint32(i)) // the ring has room for every slot
@@ -506,7 +549,7 @@ func (m *Manager) locate(id SlotID) (*pool, int, error) {
 // slotBuf returns a committed slot's bytes; a slot with refs > 0, or one
 // just popped from the free ring, is committed.
 func (p *pool) slotBuf(idx int) []byte {
-	chunk := *p.chunks[idx/chunkSlots].Load()
+	b := p.chunks[idx/chunkSlots].Load().bytes
 	off := idx % chunkSlots * p.slotSize
-	return chunk[off : off+p.slotSize : off+p.slotSize]
+	return b[off : off+p.slotSize : off+p.slotSize]
 }

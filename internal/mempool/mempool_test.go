@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"github.com/insane-mw/insane/internal/timebase"
 )
 
 func newTestManager(t *testing.T) *Manager {
@@ -158,7 +161,7 @@ func TestSlotBuffersDoNotOverlap(t *testing.T) {
 	}
 	for _, idx := range []int{chunkSlots - 1, chunkSlots} {
 		id := makeSlotID(0, idx)
-		buf, err := m.Buf(id)
+		buf, err := m.Buf(id, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,8 +190,35 @@ func TestReleaseLifecycle(t *testing.T) {
 	if err := m.Release(id); err == nil {
 		t.Error("double release: want error, got nil")
 	}
-	if _, err := m.Buf(id); err == nil {
+	if _, err := m.Buf(id, 7); err == nil {
 		t.Error("Buf after release: want error, got nil")
+	}
+}
+
+// TestBufChecksOwner: Buf hands out a slot's buffer only while the slot is
+// borrowed and held by the owner asked about, so a slot released and
+// borrowed again by someone else fails it like a free one.
+func TestBufChecksOwner(t *testing.T) {
+	m := newTestManager(t)
+	id, buf, err := m.Get(64, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.Buf(id, 7); err != nil || &got[0] != &buf[0] {
+		t.Errorf("Buf(owner 7) = %v, want the borrowed buffer", err)
+	}
+	if _, err := m.Buf(id, NoOwner); !errors.Is(err, ErrBadSlot) {
+		t.Errorf("Buf(another owner) = %v, want ErrBadSlot", err)
+	}
+	m.SetOwner(id, NoOwner)
+	if _, err := m.Buf(id, NoOwner); err != nil {
+		t.Errorf("Buf after SetOwner = %v", err)
+	}
+	if err := m.Release(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Buf(id, NoOwner); !errors.Is(err, ErrBadSlot) {
+		t.Errorf("Buf of a free slot = %v, want ErrBadSlot", err)
 	}
 }
 
@@ -228,7 +258,7 @@ func TestBadSlotIDs(t *testing.T) {
 		if err := m.Release(id); err == nil {
 			t.Errorf("Release(%v): want error", id)
 		}
-		if _, err := m.Buf(id); err == nil {
+		if _, err := m.Buf(id, NoOwner); err == nil {
 			t.Errorf("Buf(%v): want error", id)
 		}
 	}
@@ -245,7 +275,7 @@ func TestBadSlotIDs(t *testing.T) {
 	if err := m.Release(id); !errors.Is(err, ErrBadSlot) {
 		t.Errorf("Release(%v) in an uncommitted chunk: err = %v, want ErrBadSlot", id, err)
 	}
-	if _, err := m.Buf(id); !errors.Is(err, ErrBadSlot) {
+	if _, err := m.Buf(id, 1); !errors.Is(err, ErrBadSlot) {
 		t.Errorf("Buf(%v) in an uncommitted chunk: err = %v, want ErrBadSlot", id, err)
 	}
 	if err := m.AddRef(id, 1); !errors.Is(err, ErrBadSlot) {
@@ -333,8 +363,18 @@ func TestPoolCommitsOnDemand(t *testing.T) {
 }
 
 // TestConcurrentGrowth: borrowers racing on an empty manager commit every
-// chunk exactly once and never hand a slot, or its bytes, to two of them.
+// chunk exactly once and never hand a slot, its bytes or its header, to two
+// of them.
 func TestConcurrentGrowth(t *testing.T) {
+	// tagHeader fills every header field from a borrower's tag.
+	tagHeader := func(tag uint32) Header {
+		v := time.Duration(tag)
+		return Header{
+			VTime:     timebase.VTime(v),
+			Breakdown: timebase.Breakdown{Send: v + 1, Network: v + 2, Recv: v + 3, Processing: v + 4},
+			AdmitT:    timebase.VTime(v + 5),
+		}
+	}
 	const slots = 8*chunkSlots + 5
 	m, err := NewManager(Config{Classes: []ClassConfig{{SlotSize: 64, Slots: slots}}})
 	if err != nil {
@@ -364,6 +404,7 @@ func TestConcurrentGrowth(t *testing.T) {
 				for i := 0; i+4 <= len(buf); i += 4 {
 					binary.LittleEndian.PutUint32(buf[i:], tag)
 				}
+				*m.Header(id) = tagHeader(tag)
 				got[g] = append(got[g], borrow{id, buf, tag})
 			}
 		}(g)
@@ -381,6 +422,9 @@ func TestConcurrentGrowth(t *testing.T) {
 				if v := binary.LittleEndian.Uint32(b.buf[i:]); v != b.tag {
 					t.Fatalf("slot %v byte %d: %#x, want %#x", b.id, i, v, b.tag)
 				}
+			}
+			if h := *m.Header(b.id); h != tagHeader(b.tag) {
+				t.Fatalf("slot %v header %+v, want %+v", b.id, h, tagHeader(b.tag))
 			}
 		}
 	}
@@ -424,7 +468,7 @@ func TestReleaseOwner(t *testing.T) {
 		t.Errorf("ReleaseOwner(NoOwner) reclaimed %d, want 0", n)
 	}
 	// Other owner's slot still live.
-	if _, err := m.Buf(other); err != nil {
+	if _, err := m.Buf(other, 43); err != nil {
 		t.Errorf("other owner's slot was reclaimed: %v", err)
 	}
 	// Reclaimed slots usable again.

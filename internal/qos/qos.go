@@ -68,8 +68,8 @@ func (r Resources) String() string {
 }
 
 // Timing is the time-sensitiveness policy selecting the packet scheduling
-// strategy for the stream's packets.
-type Timing int
+// strategy for the stream's packets. One byte: the TX token carries it.
+type Timing uint8
 
 // Time-sensitiveness levels.
 const (

@@ -95,7 +95,7 @@ type Sample struct {
 	Latency time.Duration
 	// VTime and Breakdown allow echo benchmarks to continue the clock.
 	VTime     timebase.VTime
-	Breakdown fabric.Breakdown
+	Breakdown timebase.Breakdown
 }
 
 // Config configures a participant.
@@ -159,11 +159,11 @@ func TopicID(topic string) uint32 {
 
 // Publish serializes and sends one sample on a topic to all peers.
 func (p *Participant) Publish(topic string, payload []byte) error {
-	return p.PublishAt(topic, payload, 0, fabric.Breakdown{})
+	return p.PublishAt(topic, payload, 0, timebase.Breakdown{})
 }
 
 // PublishAt publishes a sample with a seeded virtual clock (for echoes).
-func (p *Participant) PublishAt(topic string, payload []byte, at timebase.VTime, bd fabric.Breakdown) error {
+func (p *Participant) PublishAt(topic string, payload []byte, at timebase.VTime, bd timebase.Breakdown) error {
 	msgLen := rtpsHeaderLen + len(payload)
 	slot, buf, err := p.mm.Get(datapath.Headroom+msgLen, mempool.NoOwner)
 	if err != nil {

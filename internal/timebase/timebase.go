@@ -39,6 +39,21 @@ func (t VTime) Duration() time.Duration { return time.Duration(t) }
 // String formats the timestamp as a duration since the epoch.
 func (t VTime) String() string { return time.Duration(t).String() }
 
+// Breakdown accumulates where a message's virtual time went, mirroring the
+// stage split of the paper's Fig. 6 (send / network / receive / data
+// processing). It travels beside the VTime it splits.
+type Breakdown struct {
+	Send       time.Duration // sender-side CPU (app, runtime, driver)
+	Network    time.Duration // serialization + propagation + switch
+	Recv       time.Duration // receiver-side CPU (driver, runtime)
+	Processing time.Duration // protocol/data processing (netstack etc.)
+}
+
+// Total returns the sum of all stages.
+func (b Breakdown) Total() time.Duration {
+	return b.Send + b.Network + b.Recv + b.Processing
+}
+
 // Max returns the later of a and b.
 func Max(a, b VTime) VTime {
 	if a > b {
