@@ -266,13 +266,18 @@ func TestDrainedTokenOfDeadSlotIsCounted(t *testing.T) {
 // TestDispatchSkipsReborrowedSlot: a queued token whose slot was released
 // behind the runtime's back and then borrowed by another source is found
 // out at dispatch like a free one. It is counted under tx_reclaims and its
-// outcome carries the slot error, and the new borrower's header is left as
-// the borrower wrote it: the poller reads and charges a header only once
-// it has proven the slot still the runtime's.
+// outcome carries the slot error, the channel's sink gets nothing, and the
+// new borrower's header and references are left as the borrower made them:
+// the poller reads and charges a header, or hands a reference to a sink,
+// only once it has proven the slot still the runtime's.
 func TestDispatchSkipsReborrowedSlot(t *testing.T) {
 	w := newStepped(t, datapath.Caps{}, datapath.Caps{}, nil)
 	conn, _ := w.a.Connect()
 	st, _ := conn.OpenStream(qos.Options{})
+	sink, err := st.CreateSink(36)
+	if err != nil {
+		t.Fatal(err)
+	}
 	src, err := st.CreateSource(36)
 	if err != nil {
 		t.Fatal(err)
@@ -332,6 +337,12 @@ func TestDispatchSkipsReborrowedSlot(t *testing.T) {
 	}
 	if got := *mm.Header(slot); got != mine {
 		t.Errorf("new borrower's header = %+v, want %+v untouched", got, mine)
+	}
+	if n := sink.Available(); n != 0 {
+		t.Errorf("sink holds %d deliveries of a dead slot, want 0", n)
+	}
+	if _, err := mm.Buf(slot, other.id); err != nil {
+		t.Errorf("new borrower's slot: %v", err)
 	}
 	if got := conn.ten.inflight.Load(); got != 0 {
 		t.Errorf("tenant inflight = %d, want 0", got)

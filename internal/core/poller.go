@@ -241,17 +241,29 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 // message's slot is looked up, so it is also where a slot that died since
 // Emit — released, or released and borrowed again by another session — is
 // found out, before its header is read or written.
+//
+// The token's slot reference is handed over, not taken and dropped: with no
+// remote peer it becomes the first local sink's, and the slot is not
+// touched again once deliver has it. With a peer the token keeps it across
+// the sends and releases it after them.
 func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []time.Duration) {
 	routes := r.view.Load().routes
+	dispatched, delivered := 0, 0
 	//insane:bounded by=batch is the poller's dequeue buffer, burst long
 	for i := range batch {
 		tok := &batch[i]
 		route := routes[tok.channel]
 		sinks := route.sinks
+		// One reference per local sink: the token's own is the first
+		// sink's when it hands it over.
+		handover := len(route.hops) == 0 && len(sinks) > 0
+		refs := len(sinks)
+		if handover {
+			refs--
+		}
 		buf, err := r.mm.Buf(tok.slot, mempool.NoOwner)
-		if err == nil && len(sinks) > 0 {
-			// One reference per local sink on top of the token's own.
-			err = r.mm.AddRef(tok.slot, len(sinks))
+		if err == nil && refs > 0 {
+			err = r.mm.AddRef(tok.slot, refs)
 		}
 		if err != nil {
 			// The slot is not the runtime's (it was released behind the
@@ -265,7 +277,7 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []ti
 			tok.src.recordOutcome(Outcome{Seq: tok.seq, Err: err})
 			continue
 		}
-		p.shard.Inc(telemetry.CtrDispatches)
+		dispatched++
 		h := r.mm.Header(tok.slot)
 		if tok.sampled {
 			p.shard.Observe(telemetry.HistEmitPickup, int64(tok.enqT.Sub(h.AdmitT)))
@@ -290,8 +302,7 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []ti
 				msg.stamps = stampsLocal
 				msg.admitT = h.AdmitT
 			}
-			n := r.deliver(p.shard, &msg, sinks)
-			p.shard.Add(telemetry.CtrLocalDeliveries, uint64(n))
+			delivered += r.deliver(p.shard, &msg, sinks)
 		}
 
 		// Remote peers that subscribed to the channel, each over the plane
@@ -317,7 +328,15 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []ti
 		}
 		// The message left the scheduler and is where it was going.
 		tok.settle()
-		_ = r.mm.Release(tok.slot)
+		if !handover {
+			_ = r.mm.Release(tok.slot)
+		}
+	}
+	if dispatched > 0 {
+		p.shard.Add(telemetry.CtrDispatches, uint64(dispatched))
+	}
+	if delivered > 0 {
+		p.shard.Add(telemetry.CtrLocalDeliveries, uint64(delivered))
 	}
 }
 

@@ -68,12 +68,15 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32, sampled bool) bool 
 	bd := b.Breakdown
 	bd.Send += hop
 
-	// The slot is the runtime's from here (Emit), then one reference per
-	// sink on top of the emitter's own, released below. A consumer-side
-	// race may still fill a ring after the advisory check above; deliver
-	// drops and counts that delivery like any other.
+	// The slot is the runtime's from here (Emit), and one reference per
+	// sink: the emitter's own is handed to the first, so nothing here
+	// touches the slot once deliver has it. A consumer-side race may still
+	// fill a ring after the advisory check above; deliver drops and counts
+	// that delivery like any other.
 	rt.mm.SetOwner(b.Slot, mempool.NoOwner)
-	_ = rt.mm.AddRef(b.Slot, len(sinks))
+	if len(sinks) > 1 {
+		_ = rt.mm.AddRef(b.Slot, len(sinks)-1)
+	}
 	msg := Delivery{
 		Payload:   b.Payload[:n],
 		VTime:     b.VTime.Add(hop),
@@ -87,7 +90,6 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32, sampled bool) bool 
 	delivered := rt.deliver(s.shard, &msg, sinks)
 	s.shard.Add(telemetry.CtrLocalDeliveries, uint64(delivered))
 	s.shard.Add(telemetry.CtrRTCDeliveries, uint64(delivered))
-	_ = rt.mm.Release(b.Slot)
 
 	s.recordOutcome(Outcome{Seq: seq, LocalSinks: len(sinks)})
 	s.shard.Inc(telemetry.CtrEmits)

@@ -283,13 +283,14 @@ func (h *StreamHandle) CreateSource(channel uint32) (*SourceHandle, error) {
 		return nil, err
 	}
 	s := &SourceHandle{
-		stream:  h,
-		channel: channel,
-		lane:    lane,
-		shard:   h.conn.ten.assignShard(),
-		rtc:     h.opts.RunToCompletion,
-		ten:     h.conn.ten,
-		st:      h.conn.rt.techs[h.tech],
+		stream:   h,
+		channel:  channel,
+		lane:     lane,
+		shard:    h.conn.ten.assignShard(),
+		rtc:      h.opts.RunToCompletion,
+		ten:      h.conn.ten,
+		st:       h.conn.rt.techs[h.tech],
+		outcomes: make([]outcomeEntry, outcomeWindow),
 	}
 	if s.rtc && h.opts.Timing == qos.TimingSensitive {
 		// Cache the stream technology's egress scheduler so the RTC

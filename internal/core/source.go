@@ -5,7 +5,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"github.com/insane-mw/insane/internal/mempool"
@@ -91,8 +90,40 @@ type Outcome struct {
 	Err error
 }
 
-// outcomeWindow is how many past outcomes a source retains.
+// outcomeWindow is how many past outcomes a source retains: 16 KB of
+// outcomeEntry.
 const outcomeWindow = 1024
+
+// outcomeEntry is one outcome of a source's window, published without a
+// lock. word packs the message's seq (high 32 bits), a recorded bit, a
+// failed bit and the two fan-out counts, 15 bits each and saturating; it is
+// what a reader loads. err holds the error of a failed message beside its
+// seq, so a reader that found seq's word takes the error only if it is
+// seq's, never the next occupant's.
+//
+//insane:shared
+type outcomeEntry struct {
+	word atomic.Uint64              //insane:guardedby atomic
+	err  atomic.Pointer[outcomeErr] //insane:guardedby atomic
+}
+
+// outcomeErr is a failed message's error and the seq it belongs to.
+type outcomeErr struct {
+	seq uint32
+	err error
+}
+
+// The outcome word below the seq.
+const (
+	outcomeRecorded  = 1 << 31
+	outcomeFailed    = 1 << 30
+	outcomeCountBits = 15
+	// outcomeCountMax is where a fan-out count saturates.
+	outcomeCountMax = 1<<outcomeCountBits - 1
+)
+
+// outcomeCount is n in its outcome-word field, saturated.
+func outcomeCount(n int) uint64 { return uint64(min(max(n, 0), outcomeCountMax)) }
 
 // SourceHandle is a data producer on one channel (create_source).
 //
@@ -123,9 +154,9 @@ type SourceHandle struct {
 	// immutable read, no scheduler lock.
 	gate *sched.Egress[txToken] //insane:guardedby immutable after=CreateSource
 
-	mu       sync.Mutex
-	outcomes [outcomeWindow]Outcome //insane:guardedby mu=mu
-	haveOut  [outcomeWindow]bool    //insane:guardedby mu=mu
+	// outcomes holds the fate of the last outcomeWindow messages, indexed
+	// by seq: one atomic store records one (recordOutcome).
+	outcomes []outcomeEntry //insane:guardedby immutable after=CreateSource
 }
 
 // Channel returns the source's channel id.
@@ -270,26 +301,53 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 // headroomOffset is where the INSANE header starts inside a slot.
 const headroomOffset = MsgHeadroom - HeaderLen
 
-// recordOutcome stores the fate of an emitted message.
+// recordOutcome stores the fate of an emitted message, evicting the
+// outcome outcomeWindow messages older: one store of the entry's word. The
+// error goes in first, and only when there is one or the entry still holds
+// an older one, so a reader of the word finds it there.
+//
+//insane:hotpath
 func (s *SourceHandle) recordOutcome(o Outcome) {
-	//lint:ignore insanevet/hotpathcheck outcome-window lock; bounded array write, never held across I/O
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := int(o.Seq) % outcomeWindow
-	s.outcomes[idx] = o
-	s.haveOut[idx] = true
+	e := &s.outcomes[o.Seq%outcomeWindow]
+	w := uint64(o.Seq)<<32 | outcomeRecorded | outcomeCount(o.LocalSinks)<<outcomeCountBits | outcomeCount(o.RemotePeers)
+	if o.Err != nil {
+		w |= outcomeFailed
+		e.recordErr(o.Seq, o.Err)
+	} else if e.err.Load() != nil {
+		e.err.Store(nil)
+	}
+	e.word.Store(w)
+}
+
+// recordErr stores a failed message's error in its outcome entry.
+//
+//insane:coldpath a message failed: the error record is allocated per failure
+func (e *outcomeEntry) recordErr(seq uint32, err error) {
+	e.err.Store(&outcomeErr{seq: seq, err: err})
 }
 
 // Outcome retrieves the result of a past Emit, if still retained
-// (check_emit_outcome).
+// (check_emit_outcome). Fan-out counts above outcomeCountMax read as
+// outcomeCountMax.
 func (s *SourceHandle) Outcome(seq uint32) (Outcome, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := int(seq) % outcomeWindow
-	if !s.haveOut[idx] || s.outcomes[idx].Seq != seq {
+	e := &s.outcomes[seq%outcomeWindow]
+	w := e.word.Load()
+	if w&outcomeRecorded == 0 || uint32(w>>32) != seq {
 		return Outcome{}, false
 	}
-	return s.outcomes[idx], true
+	o := Outcome{
+		Seq:         seq,
+		LocalSinks:  int(w >> outcomeCountBits & outcomeCountMax),
+		RemotePeers: int(w & outcomeCountMax),
+	}
+	if w&outcomeFailed != 0 {
+		rec := e.err.Load()
+		if rec == nil || rec.seq != seq {
+			return Outcome{}, false // evicted while read
+		}
+		o.Err = rec.err
+	}
+	return o, true
 }
 
 // Close closes the source (close_source).

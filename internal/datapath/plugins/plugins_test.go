@@ -201,61 +201,6 @@ func TestXDPRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRDMARoundTrip(t *testing.T) {
-	r := newRig(t, model.TechRDMA, false)
-	msg := []byte("rdma two-sided send")
-	if _, err := r.a.Send([]*datapath.Packet{makePacket(msg)}, r.epB); err != nil {
-		t.Fatal(err)
-	}
-	got := r.pollOne(t, r.b)
-	if !bytes.Equal(got.Bytes(), msg) {
-		t.Errorf("payload = %q, want %q", got.Bytes(), msg)
-	}
-	// RDMA one-way ≈ 1.46 µs: fastest of all technologies.
-	oneWay := got.VTime.Duration()
-	if oneWay < 1200*time.Nanosecond || oneWay > 1800*time.Nanosecond {
-		t.Errorf("rdma one-way vtime = %v, want ≈1.46µs", oneWay)
-	}
-}
-
-func TestRDMARejectsFramed(t *testing.T) {
-	r := newRig(t, model.TechRDMA, false)
-	f := frameFor(t, r, []byte("x"))
-	if _, err := r.a.Send([]*datapath.Packet{f}, r.epB); err == nil {
-		t.Error("framed packet accepted on RDMA path")
-	}
-}
-
-// TestRDMAReceiverNotReady drops messages beyond the posted receive depth
-// within one completion poll.
-func TestRDMAReceiverNotReady(t *testing.T) {
-	const extra = 6
-	r := newRig(t, model.TechRDMA, false)
-	for i := 0; i < datapath.DefaultRecvDepth+extra; i++ {
-		if _, err := r.a.Send([]*datapath.Packet{makePacket([]byte{byte(i)})}, r.epB); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(r.poll(t, r.b, datapath.DefaultRecvDepth+extra)); n != datapath.DefaultRecvDepth {
-		t.Fatalf("reaped %d completions, want %d (depth)", n, datapath.DefaultRecvDepth)
-	}
-	if s := r.b.Stats(); s.RNRDrops != extra || s.Malformed != 0 {
-		t.Errorf("RNR drops = %d, malformed = %d, want %d and 0", s.RNRDrops, s.Malformed, extra)
-	}
-	// The refused messages gave their slots back on the spot; the reaped
-	// ones are the caller's.
-	if free, want := r.mmB.FreeSlots()[0], r.mmB.Classes()[0].Slots-datapath.DefaultRecvDepth; free != want {
-		t.Errorf("%d small slots free with %d completions held, want %d", free, datapath.DefaultRecvDepth, want)
-	}
-	// The buffers were re-posted: the next poll reaps again.
-	if _, err := r.a.Send([]*datapath.Packet{makePacket([]byte("again"))}, r.epB); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(r.poll(t, r.b, 4)); n != 1 {
-		t.Errorf("reaped %d completions after the re-post, want 1", n)
-	}
-}
-
 func TestClosedEndpointErrors(t *testing.T) {
 	for _, tech := range []model.Tech{model.TechKernelUDP, model.TechDPDK, model.TechXDP, model.TechRDMA} {
 		t.Run(tech.String(), func(t *testing.T) {

@@ -12,6 +12,10 @@ import (
 	"github.com/insane-mw/insane/internal/netstack"
 )
 
+// pairSlots is the size of each pair host's pool: room for a full RDMA
+// receive queue and then some.
+const pairSlots = 2 * DefaultRecvDepth
+
 // pair is two hosts on a direct link with one endpoint of tech each; b is
 // the side the tests wait and poll on.
 type pair struct {
@@ -33,7 +37,7 @@ func newPair(t *testing.T, tech model.Tech, blocking bool) *pair {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mm, err := mempool.NewManager(mempool.Config{Classes: []mempool.ClassConfig{{SlotSize: 2048, Slots: 16}}})
+		mm, err := mempool.NewManager(mempool.Config{Classes: []mempool.ClassConfig{{SlotSize: 2048, Slots: pairSlots}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,8 +47,8 @@ func newPair(t *testing.T, tech model.Tech, blocking bool) *pair {
 		}
 		t.Cleanup(func() {
 			ep.Close()
-			if free := mm.FreeSlots()[0]; free != 16 {
-				t.Errorf("host %s: %d of 16 slots free after the endpoint closed", name, free)
+			if free := mm.FreeSlots()[0]; free != pairSlots {
+				t.Errorf("host %s: %d of %d slots free after the endpoint closed", name, free, pairSlots)
 			}
 		})
 		return ep, port, mm

@@ -116,16 +116,36 @@ const NoOwner Owner = 0
 //
 //insane:shared
 type slotState struct {
-	refs  atomic.Int32 //insane:guardedby atomic
-	owner atomic.Int32 //insane:guardedby atomic
+	// word is the slot's reference count and owner in one word (see
+	// packState): Buf checks it with one load, a borrow publishes it with
+	// one store, and AddRef, SetOwner and Release change it with one CAS.
+	// Zero is a free slot.
+	word atomic.Uint64 //insane:guardedby atomic
 	// budget is the tenant budget the slot is charged against, nil for
-	// unbudgeted borrows. Atomic for two reasons: the guardcheck regime
-	// proof cannot see the free-ring ownership argument that made a plain
-	// pointer borderline-safe, and the Swap in the release paths makes
-	// the uncharge exactly-once even if a final Release races a
-	// crash-reclaiming ReleaseOwner.
+	// unbudgeted borrows and for every free slot: a borrow writes it, when
+	// it has one, before it publishes word, and only the release whose CAS
+	// takes the count to zero clears it, before the slot goes back to the
+	// free ring. Atomic because a final Release and a crash-reclaiming
+	// ReleaseOwner on another goroutine both read it.
 	budget atomic.Pointer[Budget] //insane:guardedby atomic
 }
+
+// charge records the budget a borrow was charged against, before the
+// borrow publishes the state word; the release that frees the slot
+// uncharges it (pool.recycle).
+//
+//insane:transfer resource=tenant-mem
+func (st *slotState) charge(b *Budget) { st.budget.Store(b) }
+
+// packState is a slot's state word: the owner in the high half, the
+// reference count in the low half.
+func packState(refs uint32, owner Owner) uint64 {
+	return uint64(uint32(owner))<<32 | uint64(refs)
+}
+
+// stateRefs and stateOwner unpack a state word.
+func stateRefs(w uint64) uint32 { return uint32(w) }
+func stateOwner(w uint64) Owner { return Owner(int32(w >> 32)) }
 
 // Header is the per-message metadata a slot carries beside its bytes: the
 // virtual clock of the message it holds. Whoever holds the slot's
@@ -177,10 +197,9 @@ type pool struct {
 type Manager struct {
 	pools []*pool //insane:guardedby immutable after=NewManager
 
-	// stats
-	gets     atomic.Uint64 //insane:guardedby atomic
-	fails    atomic.Uint64 //insane:guardedby atomic
-	releases atomic.Uint64 //insane:guardedby atomic
+	// fails counts refused borrows. Borrows and releases are not counted
+	// here: Stats derives them from the free rings (DESIGN.md §8).
+	fails atomic.Uint64 //insane:guardedby atomic
 }
 
 // NewManager reserves the configured pools' slot ids and bookkeeping up
@@ -256,10 +275,10 @@ func (m *Manager) GetBudget(size int, owner Owner, b *Budget) (SlotID, []byte, e
 			}
 		}
 		st := &p.states[idx]
-		st.refs.Store(1)
-		st.owner.Store(int32(owner))
-		st.budget.Store(b)
-		m.gets.Add(1)
+		if b != nil {
+			st.charge(b) // a free slot's budget is nil already
+		}
+		st.word.Store(packState(1, owner))
 		id := makeSlotID(pi, int(idx))
 		return id, p.slotBuf(int(idx)), nil
 	}
@@ -286,8 +305,8 @@ func (m *Manager) Buf(id SlotID, owner Owner) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &p.states[idx]
-	if st.refs.Load() <= 0 || Owner(st.owner.Load()) != owner {
+	w := p.states[idx].word.Load()
+	if stateRefs(w) == 0 || stateOwner(w) != owner {
 		//lint:ignore insanevet/hotpathcheck cold error path, never taken steady-state
 		return nil, fmt.Errorf("%w: %v", ErrBadSlot, id)
 	}
@@ -321,30 +340,40 @@ func (m *Manager) AddRef(id SlotID, n int) error {
 	st := &p.states[idx]
 	//insane:bounded by=lock-free CAS retry: a failed swap means another referencer made progress
 	for {
-		cur := st.refs.Load()
-		if cur <= 0 {
+		w := st.word.Load()
+		if stateRefs(w) == 0 {
 			//lint:ignore insanevet/hotpathcheck cold error path, never taken steady-state
 			return fmt.Errorf("%w: %v", ErrBadSlot, id)
 		}
-		if st.refs.CompareAndSwap(cur, cur+int32(n)) {
+		if st.word.CompareAndSwap(w, w+uint64(n)) {
 			return nil
 		}
 	}
 }
 
-// SetOwner changes the session ReleaseOwner reclaims a borrowed slot for.
-// The runtime takes an emitted slot over with NoOwner, and hands it back
-// when the message could not be queued after all.
+// SetOwner changes the session ReleaseOwner reclaims a borrowed slot for;
+// a free slot stays free. The runtime takes an emitted slot over with
+// NoOwner, and hands it back when the message could not be queued after
+// all.
 //
 //insane:hotpath
 func (m *Manager) SetOwner(id SlotID, owner Owner) {
-	if p, idx, err := m.locate(id); err == nil {
-		p.states[idx].owner.Store(int32(owner))
+	p, idx, err := m.locate(id)
+	if err != nil {
+		return
+	}
+	st := &p.states[idx]
+	//insane:bounded by=lock-free CAS retry: a failed swap means another referencer made progress
+	for {
+		w := st.word.Load()
+		if stateRefs(w) == 0 || st.word.CompareAndSwap(w, packState(stateRefs(w), owner)) {
+			return
+		}
 	}
 }
 
-// Release drops one reference; when the count reaches zero the slot returns
-// to its pool's free ring.
+// Release drops one reference; the release that drops the last one clears
+// the owner in the same step and returns the slot to its pool's free ring.
 //
 //insane:hotpath
 //insane:release resource=mem-slot
@@ -354,24 +383,42 @@ func (m *Manager) Release(id SlotID) error {
 		return err
 	}
 	st := &p.states[idx]
-	n := st.refs.Add(-1)
-	if n < 0 {
-		st.refs.Add(1) // undo; report misuse
-		//lint:ignore insanevet/hotpathcheck cold error path, never taken steady-state
-		return fmt.Errorf("%w: double release of %v", ErrBadSlot, id)
-	}
-	if n == 0 {
-		if b := st.budget.Swap(nil); b != nil {
-			b.Uncharge()
+	//insane:bounded by=lock-free CAS retry: a failed swap means another referencer made progress
+	for {
+		w := st.word.Load()
+		next := w - 1
+		switch stateRefs(w) {
+		case 0:
+			//lint:ignore insanevet/hotpathcheck cold error path, never taken steady-state
+			return fmt.Errorf("%w: double release of %v", ErrBadSlot, id)
+		case 1:
+			next = 0 // free: no references, no owner
 		}
-		st.owner.Store(int32(NoOwner))
-		m.releases.Add(1)
-		if !p.free.TryPush(uint32(idx)) && !p.pushFreeContended(uint32(idx)) {
+		if !st.word.CompareAndSwap(w, next) {
+			continue
+		}
+		if next == 0 && !p.recycle(idx) {
 			//lint:ignore insanevet/hotpathcheck cold error path, never taken steady-state
 			return fmt.Errorf("mempool: free ring overflow for %v", id)
 		}
+		return nil
 	}
-	return nil
+}
+
+// recycle finishes the release of a slot whose state word the caller's CAS
+// took to zero: only that caller gets here, once per borrow. The budget is
+// uncharged and cleared before the slot is back on the free ring, where the
+// next borrower finds it nil. False means the ring was full: a slot was
+// released twice.
+//
+//insane:hotpath
+func (p *pool) recycle(idx int) bool {
+	if p.states[idx].budget.Load() != nil {
+		if b := p.states[idx].budget.Swap(nil); b != nil {
+			b.Uncharge()
+		}
+	}
+	return p.free.TryPush(uint32(idx)) || p.pushFreeContended(uint32(idx))
 }
 
 // The free ring is a Vyukov MPMC ring: a TryPush or TryPop that fails may
@@ -453,20 +500,19 @@ func (m *Manager) ReleaseOwner(owner Owner) int {
 	for _, p := range m.pools {
 		for idx := range p.states {
 			st := &p.states[idx]
-			if Owner(st.owner.Load()) != owner {
-				continue
-			}
-			// Drop all outstanding references at once.
-			if refs := st.refs.Swap(0); refs > 0 {
-				if b := st.budget.Swap(nil); b != nil {
-					b.Uncharge()
+			// Drop all outstanding references at once. A failed CAS means
+			// a reference moved, not that the slot changed hands: look
+			// again rather than skip it.
+			for {
+				w := st.word.Load()
+				if stateRefs(w) == 0 || stateOwner(w) != owner {
+					break
 				}
-				st.owner.Store(int32(NoOwner))
-				m.releases.Add(1)
-				if !p.free.TryPush(uint32(idx)) {
-					p.pushFreeContended(uint32(idx))
+				if st.word.CompareAndSwap(w, 0) {
+					p.recycle(idx)
+					reclaimed++
+					break
 				}
-				reclaimed++
 			}
 		}
 	}
@@ -523,13 +569,23 @@ type Stats struct {
 	Releases uint64 // slots fully recycled
 }
 
-// Stats returns a snapshot of cumulative counters.
+// Stats returns a snapshot of cumulative counters. Borrows and releases
+// are derived, not counted: every borrow pops a slot off its class's free
+// ring but one per chunk, which grow hands straight to its borrower, and
+// every final release pushes one, beside the slots grow pushes when it
+// commits a chunk. Holding growMu keeps a chunk's commit and its pushes
+// together in the figures.
 func (m *Manager) Stats() Stats {
-	return Stats{
-		Gets:     m.gets.Load(),
-		Failures: m.fails.Load(),
-		Releases: m.releases.Load(),
+	s := Stats{Failures: m.fails.Load()}
+	for _, p := range m.pools {
+		p.growMu.Lock()
+		committed := uint64(p.committed.Load())
+		chunks := (committed + chunkSlots - 1) / chunkSlots
+		s.Gets += p.free.Popped() + chunks
+		s.Releases += p.free.Pushed() - (committed - chunks)
+		p.growMu.Unlock()
 	}
+	return s
 }
 
 func (m *Manager) locate(id SlotID) (*pool, int, error) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -618,6 +619,197 @@ func TestConcurrentReleaseAndReleaseOwnerUnchargesOnce(t *testing.T) {
 		wg.Wait()
 		if used := b.Used(); used != 0 {
 			t.Fatalf("round %d: budget used = %d after full release, want 0 (negative means a double uncharge)", round, used)
+		}
+	}
+}
+
+// TestStatsDerivedCounts: Gets and Releases are derived from the free
+// rings, not counted; they must still equal a count kept beside the calls,
+// across chunk growth, overflow into a larger class, exhaustion,
+// multi-reference slots, ReleaseOwner and concurrent borrowers.
+func TestStatsDerivedCounts(t *testing.T) {
+	const small, large = 2*chunkSlots + 3, 6
+	m, err := NewManager(Config{Classes: []ClassConfig{
+		{SlotSize: 64, Slots: small},
+		{SlotSize: 512, Slots: large},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gets, releases, fails uint64
+	check := func(step string) {
+		t.Helper()
+		want := Stats{Gets: gets, Failures: fails, Releases: releases}
+		if got := m.Stats(); got != want {
+			t.Fatalf("%s: Stats = %+v, want %+v", step, got, want)
+		}
+	}
+	check("fresh")
+
+	// Borrow everything: three chunks of the small class, then overflow
+	// into the large one, then exhaustion.
+	var live []SlotID
+	for {
+		id, _, err := m.Get(32, Owner(1+len(live)%2))
+		if errors.Is(err, ErrExhausted) {
+			fails++
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		gets++
+		live = append(live, id)
+	}
+	if len(live) != small+large {
+		t.Fatalf("borrowed %d slots, want %d", len(live), small+large)
+	}
+	if _, _, err := m.Get(4096, 1); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Get(4096) = %v, want ErrTooLarge", err)
+	}
+	fails++
+	check("exhausted")
+
+	// A slot with three references recycles once, on the last release.
+	if err := m.AddRef(live[0], 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := m.Release(live[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	releases++
+	if err := m.Release(live[0]); err == nil {
+		t.Fatal("fourth release of a three-reference slot accepted")
+	}
+	check("multi-reference release")
+
+	// ReleaseOwner recycles owner 2's slots, one release each.
+	n := m.ReleaseOwner(2)
+	if n != (small+large)/2 {
+		t.Fatalf("ReleaseOwner reclaimed %d, want %d", n, (small+large)/2)
+	}
+	releases += uint64(n)
+	check("ReleaseOwner")
+	for _, id := range live[1:] {
+		if _, err := m.Buf(id, 1); err != nil {
+			continue // reclaimed above
+		}
+		if err := m.Release(id); err != nil {
+			t.Fatal(err)
+		}
+		releases++
+	}
+	check("all released")
+
+	// Concurrent borrowers on the recycled slots.
+	var cGets, cFails atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(owner Owner) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				id, _, err := m.Get(32, owner)
+				if err != nil {
+					cFails.Add(1)
+					continue
+				}
+				cGets.Add(1)
+				if err := m.Release(id); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(Owner(g + 1))
+	}
+	wg.Wait()
+	gets += cGets.Load()
+	releases += cGets.Load()
+	fails += cFails.Load()
+	check("concurrent borrowers")
+}
+
+// TestSlotStateRaces races every operation on a slot's state word — AddRef,
+// Release, SetOwner, Buf and a crash-reclaiming ReleaseOwner — over shared
+// slots, budgeted and not. Each round one owner crashes: its slots see
+// references come and go but never their borrower's release, so only
+// ReleaseOwner can recycle them, and it must not skip one whose CAS lost to
+// a reference. Whatever the interleaving, each slot recycles once, its
+// budget is uncharged exactly once, and every free slot is left with no
+// budget and a zero state word for the next borrower.
+func TestSlotStateRaces(t *testing.T) {
+	const slots, rounds = 24, 100
+	m, err := NewManager(Config{Classes: []ClassConfig{{SlotSize: 64, Slots: slots}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgets := []*Budget{NewBudget(0), NewBudget(0), nil} // owners 1, 2, 3
+	for round := 0; round < rounds; round++ {
+		type borrowed struct {
+			id    SlotID
+			owner Owner
+		}
+		var held []borrowed
+		for i := 0; i < slots; i++ {
+			owner := Owner(1 + i%3)
+			id, _, err := m.GetBudget(32, owner, budgets[owner-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, borrowed{id, owner})
+		}
+		crashed := Owner(1 + round%3)
+		var reclaimed int
+		var wg sync.WaitGroup
+		for _, h := range held {
+			wg.Add(1)
+			go func(h borrowed) {
+				defer wg.Done()
+				for i := 0; i < 8; i++ {
+					if m.AddRef(h.id, 1) == nil {
+						m.SetOwner(h.id, h.owner)
+						_ = m.Release(h.id)
+					}
+				}
+				if h.owner != crashed {
+					_ = m.Release(h.id)
+				}
+			}(h)
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			reclaimed = m.ReleaseOwner(crashed)
+		}()
+		go func() {
+			defer wg.Done()
+			for _, h := range held {
+				_, _ = m.Buf(h.id, h.owner)
+			}
+		}()
+		wg.Wait()
+
+		if reclaimed != slots/3 {
+			t.Fatalf("round %d: ReleaseOwner reclaimed %d slots of owner %d, want %d", round, reclaimed, crashed, slots/3)
+		}
+		for i, b := range budgets[:2] {
+			if used := b.Used(); used != 0 {
+				t.Fatalf("round %d: owner %d budget used = %d, want 0 (negative: uncharged twice)", round, i+1, used)
+			}
+		}
+		if free := m.FreeSlots()[0]; free != slots {
+			t.Fatalf("round %d: %d of %d slots free", round, free, slots)
+		}
+		p := m.pools[0]
+		for i := range p.states[:p.committed.Load()] {
+			if w, b := p.states[i].word.Load(), p.states[i].budget.Load(); w != 0 || b != nil {
+				t.Fatalf("round %d: free slot %d has state %#x, budget %p", round, i, w, b)
+			}
+		}
+		if s := m.Stats(); s.Gets != s.Releases || s.Gets != uint64((round+1)*slots) {
+			t.Fatalf("round %d: Stats = %+v, want %d gets and releases", round, s, (round+1)*slots)
 		}
 	}
 }

@@ -282,3 +282,13 @@ func (q *MPMC[T]) Len() int {
 
 // Cap returns the ring capacity.
 func (q *MPMC[T]) Cap() int { return len(q.cells) }
+
+// Popped returns how many elements pops have claimed since the ring was
+// built: the head position. A pop counts from its claim, before it has
+// read the cell.
+func (q *MPMC[T]) Popped() uint64 { return q.head.Load() }
+
+// Pushed returns how many elements pushes have claimed since the ring was
+// built: the tail position. A push counts from its claim, before it has
+// published the cell.
+func (q *MPMC[T]) Pushed() uint64 { return q.tail.Load() }
