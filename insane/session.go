@@ -151,8 +151,10 @@ func (n *Node) InitSession(opts ...SessionOption) (*Session, error) {
 func (s *Session) Tenant() TenantID { return TenantID(s.conn.Tenant()) }
 
 // Close ends the session: every stream, source and sink opened through it
-// is closed and all borrowed memory returns to the runtime. Close is
-// idempotent — repeated calls return nil without re-flushing.
+// is closed and all borrowed memory returns to the runtime. Messages
+// already emitted are still delivered; Close does not wait for them. Call
+// it after the session's own GetBuffer and Emit calls have returned.
+// Close is idempotent — repeated calls return nil.
 func (s *Session) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil

@@ -459,10 +459,12 @@ func TestTenantQuotaBalanceAfterChurn(t *testing.T) {
 		}
 		// Error injection 2: emit into the 2-token in-flight cap; retry
 		// quota/backpressure rejections, aborting only on real errors.
+		var tokens []uint32
 		for _, b := range held[3:] {
 			for {
-				_, err := src.Emit(b, 64)
+				tok, err := src.Emit(b, 64)
 				if err == nil {
+					tokens = append(tokens, tok)
 					break
 				}
 				if !errors.Is(err, insane.ErrTenantQuota) && !errors.Is(err, insane.ErrBackpressure) {
@@ -484,6 +486,21 @@ func TestTenantQuotaBalanceAfterChurn(t *testing.T) {
 				t.Fatalf("round %d: consume %d: %v", round, i, err)
 			}
 			sink.Release(m)
+		}
+		// An emitted message holds its slot until it is delivered: wait for
+		// every outcome, so what Close settles is queued in the sink ring
+		// and the next round finds the whole budget free.
+		for _, tok := range tokens {
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if _, ok := src.EmitOutcome(tok); ok {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("round %d: no outcome for token %d", round, tok)
+				}
+				runtime.Gosched()
+			}
 		}
 		if err := sess.Close(); err != nil {
 			t.Fatalf("round %d: Close = %v", round, err)

@@ -23,6 +23,16 @@ type txLane struct {
 // session has no source.
 type laneSet [numTechs]*txLane
 
+// held reports whether a lane holds a token.
+func (ls *laneSet) held() bool {
+	for _, l := range ls {
+		if l != nil && l.ring.Len() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func newTxLane() (*txLane, error) {
 	r, err := ringbuf.NewMPMC[txToken](txRingDepth)
 	if err != nil {
@@ -44,10 +54,8 @@ func (l *txLane) push(tok txToken) bool { return l.ring.TryPush(tok) }
 
 // pop drains one buffered token. It is the teardown-side counterpart of
 // push: the caller takes over the tenant TX charge and slot reference
-// the token carries. The runtime calls it only once no poller consumes
-// the lane — it publishes a view without the session and waits out two
-// poller passes before reclaiming — so a reclaimed token cannot also be
-// in a poller's burst buffer.
+// the token carries. Only a stopped runtime reclaims (reclaimLanes); a
+// poller finishing its last pass pops the same ring, and pops are exclusive.
 //
 //insane:acquire resource=tenant-tx on=true
 //insane:acquire resource=mem-slot on=true

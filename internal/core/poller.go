@@ -122,9 +122,8 @@ func (r *Runtime) pollLoop(p *poller) {
 // is already eligible). A pass that finds no work reads the view, each
 // lane's length, each scheduler's count and each port's queue length, and
 // nothing else: no clock, no scheduler lock, no endpoint lock (DESIGN.md
-// §15).
+// §15). While the view carries a closed session's lanes it retires them.
 func (r *Runtime) pass(p *poller) (work int, gated bool, nextGate timebase.VTime) {
-	p.loops.Add(1)
 	//insane:bounded by=one entry per registered technology, fixed at runtime construction
 	for _, st := range p.states {
 		work += r.drainTX(p, st)
@@ -146,6 +145,9 @@ func (r *Runtime) pass(p *poller) (work int, gated bool, nextGate timebase.VTime
 	}
 	if work == 0 {
 		p.shard.Inc(telemetry.CtrPollerIdlePasses)
+	}
+	if r.view.Load().draining {
+		r.retireDrained()
 	}
 	return work, gated, nextGate
 }
@@ -173,7 +175,7 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 	// CAS per token (opportunistic batching, §6.2). An empty lane costs
 	// its length and nothing else.
 	pulled := 0
-	//insane:bounded by=one lane per live session in the published view
+	//insane:bounded by=one lane per session in the published view, live or draining
 	for _, l := range r.view.Load().lanes[st.tech] {
 		// Lane occupancy, sampled before the drain: queue-depth visibility
 		// for the exporter without a per-token cost. Empty lanes are not
@@ -408,29 +410,40 @@ func (r *Runtime) sendToPeer(p *poller, st *techState, tok *txToken, h *mempool.
 	return err
 }
 
-// pollRX drains one technology's receive path: poll the endpoint, run the
-// packet processing engine where needed, handle control messages, and
-// dispatch data to local sinks. An empty port costs the length of its RX
-// queue: the endpoint lock is taken only when a frame waits.
+// pollRX drains one technology's receive path in two halves: takeRX under
+// the endpoint lock, then deliverRX after it. An empty port costs the length
+// of its RX queue: the endpoint lock is taken only when a frame waits.
 func (r *Runtime) pollRX(p *poller, st *techState) int {
 	if st.port.Queued() == 0 {
 		return 0
 	}
+	n := r.takeRX(p, st)
+	r.deliverRX(p, n)
+	return n
+}
+
+// takeRX polls the endpoint into p.rxPkts and, still under st.mu, admits
+// each packet (admitRX) into p.rxHdrs: st.mu serializes the polls, so SUB
+// and UNSUB apply in arrival order however many pollers share the endpoint.
+// It returns the packets polled.
+func (r *Runtime) takeRX(p *poller, st *techState) int {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	n, err := st.ep.Poll(p.rxPkts)
-	st.mu.Unlock()
 	if err != nil {
 		return 0
 	}
 	//insane:bounded by=n <= len(p.rxPkts), the per-poller RX vector of one burst
 	for i := 0; i < n; i++ {
-		r.receiveOne(p, st, &p.rxPkts[i])
+		p.rxHdrs[i] = r.admitRX(p, st, &p.rxPkts[i])
 	}
 	return n
 }
 
-// receiveOne processes one inbound packet.
-func (r *Runtime) receiveOne(p *poller, st *techState, pkt *datapath.Packet) {
+// admitRX decodes one inbound packet, which it releases unless it is data:
+// a malformed one is counted and a control message applied. It returns the
+// packet's header, or the zero header when the packet is done with.
+func (r *Runtime) admitRX(p *poller, st *techState, pkt *datapath.Packet) header {
 	if pkt.Framed {
 		// Packet processing engine, receive side.
 		pkt.Charge(&r.rc.NetstackRx, pkt.Len, 1, r.tb)
@@ -438,7 +451,7 @@ func (r *Runtime) receiveOne(p *poller, st *techState, pkt *datapath.Packet) {
 		if err != nil || meta.Dst.Port != st.local.Port {
 			p.shard.Inc(telemetry.CtrRxMalformedDrops)
 			_ = r.mm.Release(pkt.Slot)
-			return
+			return header{}
 		}
 		pkt.Src, pkt.Dst = meta.Src, meta.Dst
 		pkt.Off += netstack.HeadersLen
@@ -450,17 +463,29 @@ func (r *Runtime) receiveOne(p *poller, st *techState, pkt *datapath.Packet) {
 	if err != nil {
 		p.shard.Inc(telemetry.CtrRxMalformedDrops)
 		_ = r.mm.Release(pkt.Slot)
-		return
+		return header{}
 	}
-
-	switch h.kind {
-	case kindSub, kindUnsub:
+	if h.kind != kindData {
 		r.handleControl(h, pkt.Src.IP)
 		_ = r.mm.Release(pkt.Slot)
-		return
-	case kindData:
-		// fallthrough below
+		return header{}
 	}
+	return h
+}
+
+// deliverRX hands the data messages takeRX kept in the first n packets of
+// p.rxPkts to their channels' local sinks.
+func (r *Runtime) deliverRX(p *poller, n int) {
+	//insane:bounded by=n <= len(p.rxPkts), the per-poller RX vector of one burst
+	for i := 0; i < n; i++ {
+		if h := &p.rxHdrs[i]; h.kind == kindData {
+			r.receiveData(p, &p.rxPkts[i], h)
+		}
+	}
+}
+
+// receiveData delivers one inbound data message.
+func (r *Runtime) receiveData(p *poller, pkt *datapath.Packet, h *header) {
 	p.shard.Inc(telemetry.CtrRxMessages)
 	// DMA/PCIe byte-touch cost of the runtime receive path.
 	touch := r.tb.Scale(model.ScaleRuntime, time.Duration(r.rc.RxDMATouchNs*float64(pkt.Len)))

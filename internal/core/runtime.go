@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,10 +178,14 @@ type Runtime struct {
 	// mu owns who is connected: the sessions (and, through them, their TX
 	// lanes), the local sinks and the remote subscribers of every channel.
 	// Every change to any of them ends in publishLocked.
-	mu    sync.RWMutex
-	conns map[mempool.Owner]*ClientConn //insane:guardedby mu=mu
-	sinks map[uint32][]*SinkHandle      //insane:guardedby mu=mu
-	subs  map[uint32][]hop              //insane:guardedby mu=mu
+	mu sync.RWMutex
+	// conns are the sessions in connect order, which is the order every
+	// view lists their lanes in, so a stepped run replays.
+	conns []*ClientConn //insane:guardedby mu=mu
+	// draining holds closed sessions whose lanes the pollers still drain.
+	draining []*ClientConn            //insane:guardedby mu=mu
+	sinks    map[uint32][]*SinkHandle //insane:guardedby mu=mu
+	subs     map[uint32][]hop         //insane:guardedby mu=mu
 	// warned keeps the first maxWarnings distinct warnings; suppressed
 	// counts the ones dropped since.
 	warned     []string //insane:guardedby mu=mu
@@ -222,9 +227,11 @@ type poller struct {
 	batch []txToken       //insane:guardedby confined owner=pollLoop
 	waits []time.Duration //insane:guardedby confined owner=pollLoop
 	// rxPkts is the poller's own RX burst vector: the endpoint's Poll fills
-	// it under the endpoint lock and the poller processes it after letting
-	// go, so pollers sharing an endpoint never share a packet.
+	// it under the endpoint lock and the poller delivers it after letting
+	// go, so pollers sharing an endpoint never share a packet. rxHdrs holds
+	// each packet's INSANE header, decoded under the lock (takeRX).
 	rxPkts []datapath.Packet //insane:guardedby confined owner=pollLoop
+	rxHdrs []header          //insane:guardedby confined owner=pollLoop
 	// toks is the scratch buffer for batched TX-ring pops.
 	toks []txToken //insane:guardedby confined owner=pollLoop
 	// sendPkt/sendVec are the scratch destination-specific packet and
@@ -235,9 +242,6 @@ type poller struct {
 	// counter bump and histogram observation lands here, so steady-state
 	// recording never bounces a cache line between pollers.
 	shard *telemetry.Shard //insane:guardedby immutable after=newRuntime
-	// loops counts polling iterations; session close uses it to wait for
-	// full passes so in-flight tokens drain before slots are reclaimed.
-	loops atomic.Uint64 //insane:guardedby atomic
 }
 
 // NewRuntime opens the endpoints for every available technology and
@@ -288,7 +292,6 @@ func newRuntime(cfg Config) (*Runtime, error) {
 		mm:    mm,
 		rc:    &rc,
 		techs: make(map[model.Tech]*techState),
-		conns: make(map[mempool.Owner]*ClientConn),
 		sinks: make(map[uint32][]*SinkHandle),
 		subs:  make(map[uint32][]hop),
 
@@ -381,6 +384,7 @@ func newRuntime(cfg Config) (*Runtime, error) {
 			batch:  make([]txToken, burst),
 			waits:  make([]time.Duration, burst),
 			rxPkts: make([]datapath.Packet, burst),
+			rxHdrs: make([]header, burst),
 			toks:   make([]txToken, burst),
 			shard:  r.tel.Shard(i),
 		}
@@ -463,38 +467,46 @@ func (r *Runtime) ConnectTenant(name string) (*ClientConn, error) {
 		streams: make(map[uint64]*StreamHandle),
 	}
 	r.mu.Lock()
-	r.conns[c.id] = c
+	r.conns = append(r.conns, c)
 	r.publishLocked()
 	r.mu.Unlock()
 	return c, nil
 }
 
-// dropConn removes a closed session and reclaims its memory: first the
-// TX tokens still queued in the session's lanes (each carries a tenant
-// in-flight charge and a slot reference the poller would have settled),
-// then any slot the session still owns.
+// dropConn takes a closed session out of the runtime without waiting. A
+// session whose lanes hold tokens moves to the draining list, its lanes stay
+// in the view until a pass finds them empty (retireDrained), and their
+// pollers are rung: one may have emptied them and parked before this view
+// was published. A stopped runtime reclaims them at once, deciding under
+// r.mu like Close. Then any slot the session still owns is released.
 func (r *Runtime) dropConn(c *ClientConn) {
 	r.mu.Lock()
-	delete(r.conns, c.id)
+	r.conns = slices.DeleteFunc(r.conns, func(x *ClientConn) bool { return x == c })
+	reclaimed, held := 0, false
+	if r.stopped.Load() {
+		reclaimed = r.reclaimLanes(c.lanes)
+	} else if held = c.lanes.held(); held {
+		r.draining = append(r.draining, c)
+	}
 	lanes := c.lanes // final: lane refuses a session that left conns
 	r.publishLocked()
 	r.mu.Unlock()
-	// Pollers load the view without the session's lanes on their next
-	// pass; after two full passes none can still be draining them, so what
-	// is left in them is popped from this goroutine.
-	r.waitPollerPasses(lanes, 2, timebase.Wall().Add(50*time.Millisecond))
-	if n := r.reclaimLanes(lanes); n > 0 {
-		c.ten.shards[0].Add(telemetry.CtrTxReclaims, uint64(n))
-		r.warnf("session %d: reclaimed %d undrained TX tokens on detach", c.id, n)
+	for tech, l := range lanes {
+		if held && l != nil {
+			r.techs[model.Tech(tech)].ring(telemetry.CtrPollerWakesTX)
+		}
+	}
+	if reclaimed > 0 {
+		r.warnf("session %d: reclaimed %d undrained TX tokens on detach", c.id, reclaimed)
 	}
 	if n := r.mm.ReleaseOwner(c.id); n > 0 {
 		r.warnf("session %d: reclaimed %d leaked slots on detach", c.id, n)
 	}
 }
 
-// reclaimLanes settles every TX token left in a detached session's
-// lanes — the balance the poller would have restored had it drained
-// them: settle the token and release the slot.
+// reclaimLanes settles every TX token left in lanes no poller will drain —
+// the balance the poller would have restored: settle the token, release
+// the slot, and count the reclaim on the token's tenant.
 func (r *Runtime) reclaimLanes(lanes laneSet) int {
 	n := 0
 	for _, l := range lanes {
@@ -505,6 +517,7 @@ func (r *Runtime) reclaimLanes(lanes laneSet) int {
 			}
 			tok.settle()
 			r.mm.Release(tok.slot)
+			tok.src.ten.shards[0].Inc(telemetry.CtrTxReclaims)
 			n++
 		}
 	}
@@ -581,17 +594,18 @@ func (r *Runtime) MetricsSnapshot() *telemetry.Snapshot {
 		s.FabricDrops += ps.Dropped
 		s.RxAllocDrops += ps.RxNoMem + es.RNRDrops
 		// One drop reason whatever plane the frame arrived on: what the
-		// self-demultiplexing endpoints refuse is what receiveOne refuses
+		// self-demultiplexing endpoints refuse is what admitRX refuses
 		// on the framed ones.
 		s.Counters[telemetry.CtrRxMalformedDrops] += es.Malformed
 	}
 	return s
 }
 
-// Close stops the polling threads and releases the endpoints. Closing an
-// endpoint unregisters the pools from its port and releases the frames
-// still queued there, so when Close returns a peer that keeps transmitting
-// takes nothing from this runtime's memory.
+// Close stops the polling threads, reclaims what closed sessions left in
+// their lanes, and releases the endpoints. Closing an endpoint unregisters
+// the pools from its port and releases the frames still queued there, so
+// when Close returns a peer that keeps transmitting takes nothing from this
+// runtime's memory.
 func (r *Runtime) Close() error {
 	if !r.stopped.CompareAndSwap(false, true) {
 		return nil
@@ -603,6 +617,9 @@ func (r *Runtime) Close() error {
 		close(p.stop)
 	}
 	r.wg.Wait()
+	if n := r.retireDrained(); n > 0 {
+		r.warnf("reclaimed %d undrained TX tokens of closed sessions", n)
+	}
 	for _, st := range r.techs {
 		_ = st.ep.Close()
 	}

@@ -6,15 +6,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"time"
 
 	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/qos"
 	"github.com/insane-mw/insane/internal/ringbuf"
-	"github.com/insane-mw/insane/internal/telemetry"
-	"github.com/insane-mw/insane/internal/timebase"
 )
 
 // Client-facing errors.
@@ -70,7 +68,7 @@ func (c *ClientConn) lane(tech model.Tech) (*txLane, error) {
 	r := c.rt
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.conns[c.id] != c {
+	if !slices.Contains(r.conns, c) {
 		return nil, ErrClosed // detached: nothing would ever drain the lane
 	}
 	if l := c.lanes[tech]; l != nil {
@@ -129,11 +127,12 @@ func (c *ClientConn) OpenStream(opts qos.Options) (*StreamHandle, error) {
 	return h, nil
 }
 
-// Close tears the session down gracefully: pending emissions are flushed,
-// all streams close, and any slot still borrowed by the session is
-// reclaimed (the crash/migration backstop).
+// Close tears the session down without waiting: all streams close, the
+// pollers still deliver what its lanes hold (dropConn), and any slot it
+// still borrows is reclaimed (the crash/migration backstop). Close must come
+// after the session's own GetBuffer and Emit calls have returned: the
+// single-owner rule CreateSource states.
 func (c *ClientConn) Close() error {
-	c.flush(200 * time.Millisecond)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -152,66 +151,6 @@ func (c *ClientConn) Close() error {
 	}
 	c.rt.dropConn(c)
 	return nil
-}
-
-// flush waits (bounded) until the session's TX rings are drained and
-// every polling thread serving them has completed two further passes, so
-// emitted messages leave before the session's slots are reclaimed.
-func (c *ClientConn) flush(timeout time.Duration) {
-	if c.rt.stopped.Load() {
-		return // no poller will ever drain; dropConn reclaims the lanes
-	}
-	deadline := timebase.Wall().Add(timeout)
-	c.rt.mu.RLock()
-	lanes := c.lanes
-	c.rt.mu.RUnlock()
-	for timebase.Wall().Before(deadline) {
-		empty := true
-		for tech, l := range lanes {
-			if l != nil && l.ring.Len() > 0 {
-				empty = false
-				c.rt.techs[model.Tech(tech)].ring(telemetry.CtrPollerWakesTX)
-			}
-		}
-		if empty {
-			break
-		}
-		time.Sleep(20 * time.Microsecond)
-	}
-	c.rt.waitPollerPasses(lanes, 2, deadline)
-}
-
-// waitPollerPasses blocks until every polling thread serving one of the
-// lanes — the only pollers that drain them — advances by at least n
-// iterations (or the deadline passes), ringing the ones still short: a
-// parked poller makes no passes on its own.
-func (r *Runtime) waitPollerPasses(lanes laneSet, n uint64, deadline time.Time) {
-	var pollers []*poller
-	for tech, l := range lanes {
-		if l != nil {
-			pollers = append(pollers, r.techs[model.Tech(tech)].pollers...)
-		}
-	}
-	start := make([]uint64, len(pollers))
-	for i, p := range pollers {
-		start[i] = p.loops.Load()
-	}
-	for timebase.Wall().Before(deadline) {
-		if r.stopped.Load() {
-			return
-		}
-		done := true
-		for i, p := range pollers {
-			if p.loops.Load() < start[i]+n {
-				done = false
-				p.ring(telemetry.CtrPollerWakesTX)
-			}
-		}
-		if done {
-			return
-		}
-		time.Sleep(20 * time.Microsecond)
-	}
 }
 
 // StreamHandle is an open stream: a QoS contract mapped to a technology.

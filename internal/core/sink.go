@@ -98,6 +98,13 @@ func (r *Runtime) deliver(shard *telemetry.Shard, msg *Delivery, sinks []*SinkHa
 			continue
 		}
 		delivered++
+		if k.closed.Load() {
+			// The sink closed after the caller loaded its view, and its
+			// Close may have drained the ring before this push: drain it
+			// again. Pops are exclusive, so each slot is released once.
+			k.drain()
+			continue
+		}
 		k.wake()
 	}
 	return delivered
@@ -236,11 +243,20 @@ func (k *SinkHandle) Close() {
 	if k.closed.CompareAndSwap(false, true) {
 		close(k.done)
 		k.stream.conn.rt.unregisterSink(k)
-		// Drain anything still queued so slots return to the pool.
-		var d Delivery
-		for k.ring.TryPopInto(&d) {
-			_ = k.stream.conn.rt.mm.Release(d.Slot)
-		}
+		k.drain()
+	}
+}
+
+// drain releases every delivery queued in a closed sink's ring, so the
+// slots return to the pool. Close calls it, and so does a deliver that
+// pushed into the ring after Close set closed.
+//
+//insane:hotpath
+func (k *SinkHandle) drain() {
+	var d Delivery
+	//insane:bounded by=the sink ring's fixed capacity, rxRingDepth
+	for k.ring.TryPopInto(&d) {
+		_ = k.stream.conn.rt.mm.Release(d.Slot)
 	}
 }
 

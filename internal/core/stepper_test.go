@@ -20,9 +20,7 @@ import (
 // happens where the test says, so a stepped test waits for nothing and
 // replays exactly. Set and Advance move the clock.
 //
-// A stepped test does not close a session: ClientConn.Close waits for
-// passes of the pollers serving its lanes, which only the test runs. A test
-// that checks a race with running pollers stays on buildWorld.
+// A test that checks a race with running pollers stays on buildWorld.
 type stepped struct {
 	*world
 	*countingClock
@@ -169,7 +167,9 @@ type delivered struct {
 // replayScript runs one fixed script on a fresh stepped world with every
 // technology: a gated class-0 time-sensitive stream and a best-effort
 // stream, each with a local and a remote sink, emitting while the clock
-// walks toward the gate edge and across it.
+// walks toward the gate edge and across it. A third session on node A
+// emits on the best-effort channel too and is closed mid-traffic, its last
+// message still in its lane.
 func replayScript(t *testing.T) replay {
 	const us = time.Microsecond
 	const perStream = 8
@@ -194,6 +194,10 @@ func replayScript(t *testing.T) replay {
 		src, _ := stA.CreateSource(ch)
 		flows = append(flows, &flow{src: src, sinks: []*SinkHandle{local, remote}})
 	}
+	connC, _ := w.a.Connect()
+	stC, _ := connC.OpenStream(qos.Options{})
+	late, _ := stC.CreateSource(91)
+	var lateSeqs []uint32
 	w.Settle() // the SUBs
 
 	var run replay
@@ -215,6 +219,14 @@ func replayScript(t *testing.T) replay {
 		for i, f := range flows {
 			f.seqs = append(f.seqs, sendOn(t, f.src, []byte(fmt.Sprintf("stream %d, message %d", i, m))))
 		}
+		if m < perStream/2 {
+			lateSeqs = append(lateSeqs, sendOn(t, late, []byte(fmt.Sprintf("closed session, message %d", m))))
+		}
+		if m == perStream/2-1 {
+			if err := connC.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		w.Advance(7 * us)
 		w.Settle()
 		consume()
@@ -223,9 +235,10 @@ func replayScript(t *testing.T) replay {
 	w.Settle()
 	consume()
 
-	if want := 2 * perStream * 2; len(run.deliveries) != want {
+	if want := (2*perStream + perStream/2) * 2; len(run.deliveries) != want {
 		t.Fatalf("%d deliveries, want %d", len(run.deliveries), want)
 	}
+	flows = append(flows, &flow{src: late, seqs: lateSeqs})
 	for _, f := range flows {
 		for _, seq := range f.seqs {
 			o, ok := f.src.Outcome(seq)

@@ -456,3 +456,31 @@ func TestControlFloodIsBounded(t *testing.T) {
 		t.Errorf("%d fabric and %d rx-alloc drops: part of the flood never reached handleControl", s.FabricDrops, s.RxAllocDrops)
 	}
 }
+
+// TestControlAppliedInArrivalOrder: node B's two kernel pollers take a
+// peer's SUB and then its UNSUB for one channel in consecutive polls, and
+// the second poller's delivery half runs before the first's. Control is
+// applied under the endpoint lock, in the order the polls took it, so the
+// subscription is gone either way.
+func TestControlAppliedInArrivalOrder(t *testing.T) {
+	w := newStepped(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) { c.PollersPerPlugin = 2 })
+	st := w.b.techs[model.TechKernelUDP]
+	first, second := w.b.pollers[0], w.b.pollers[1]
+	conn, _ := w.a.Connect()
+	stream, _ := conn.OpenStream(qos.Options{})
+	sink, err := stream.CreateSink(66) // the SUB
+	if err != nil {
+		t.Fatal(err)
+	}
+	took := w.b.takeRX(first, st)
+	sink.Close() // the UNSUB
+	tookToo := w.b.takeRX(second, st)
+	if took != 1 || tookToo != 1 {
+		t.Fatalf("the polls took %d and %d frames, want one each", took, tookToo)
+	}
+	w.b.deliverRX(second, tookToo)
+	w.b.deliverRX(first, took)
+	if hops := w.b.view.Load().routes[66].hops; len(hops) != 0 {
+		t.Errorf("after SUB then UNSUB node B still sends channel 66 to %d peers", len(hops))
+	}
+}

@@ -69,9 +69,10 @@ const (
 	// (mempool slot budget or in-flight TX token cap, DESIGN.md §12).
 	CtrTenantQuotaRejects
 	// CtrTxReclaims counts TX tokens that were charged and queued but never
-	// sent because their session went away: reclaimed from its lanes at
-	// detach (slot released, tenant uncharged, DESIGN.md §13), or drained
-	// by a poller after the slot was already reclaimed.
+	// sent: reclaimed from a closed session's lanes because the runtime
+	// stopped before its pollers drained them (slot released, tenant
+	// uncharged, DESIGN.md §13), or drained by a poller after the slot was
+	// already reclaimed.
 	CtrTxReclaims
 	// CtrRxMalformedDrops counts received frames discarded before dispatch
 	// because they could not be parsed or were not addressed to the
@@ -83,8 +84,8 @@ const (
 	// three wakes below, so parks minus wakes is the number of pollers
 	// asleep right now.
 	CtrPollerParks
-	// CtrPollerWakesTX counts parks ended by a TX ring (Emit, session
-	// flush or detach).
+	// CtrPollerWakesTX counts parks ended by a TX ring (Emit, or a closed
+	// session leaving tokens in its lanes).
 	CtrPollerWakesTX
 	// CtrPollerWakesRX counts parks ended by the RX doorbell of a fabric
 	// port.
@@ -124,11 +125,11 @@ var counterTable = [NumCounters]struct{ name, help string }{
 	CtrRTCDeliveries:      {"rtc_deliveries", "Local deliveries made synchronously by the run-to-completion fast path."},
 	CtrRTCFallbacks:       {"rtc_fallbacks", "Emits on RTC-enabled streams that fell back to the queued path."},
 	CtrTenantQuotaRejects: {"tenant_quota_rejects", "Admissions refused by a tenant quota (slot budget or TX token cap)."},
-	CtrTxReclaims:         {"tx_reclaims", "TX tokens reclaimed undrained from the lanes of a detaching session."},
+	CtrTxReclaims:         {"tx_reclaims", "TX tokens reclaimed undrained from a closed session's lanes by a stopped runtime."},
 
 	CtrRxMalformedDrops:     {"rx_malformed_drops", "Received frames dropped as malformed (netstack decode error, wrong UDP port, bad INSANE header)."},
 	CtrPollerParks:          {"poller_parks", "Times a polling thread found no work twice in a row and went to sleep."},
-	CtrPollerWakesTX:        {"poller_wakes_tx", "Polling-thread sleeps ended by a TX ring (Emit, session flush or detach)."},
+	CtrPollerWakesTX:        {"poller_wakes_tx", "Polling-thread sleeps ended by a TX ring (Emit, or a closed session leaving tokens in its lanes)."},
 	CtrPollerWakesRX:        {"poller_wakes_rx", "Polling-thread sleeps ended by the RX doorbell of a fabric port."},
 	CtrPollerWakesGateTimer: {"poller_wakes_gate_timer", "Polling-thread sleeps ended by the timer toward a far 802.1Qbv gate."},
 	CtrPollerIdlePasses:     {"poller_idle_passes", "Polling passes that found no work."},

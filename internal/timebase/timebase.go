@@ -114,8 +114,8 @@ func (c *SimClock) Advance(d time.Duration) VTime {
 // timebase rule forbids direct time.Now/time.Since there so that every
 // clock access is either virtual (through a Clock) or routed through
 // this auditable escape hatch. Use it only for genuine wall-clock
-// deadlines — session flush bounds, poller-pass waits — never for
-// latency accounting, which must stay in virtual time.
+// deadlines, never for latency accounting, which must stay in virtual
+// time.
 func Wall() time.Time { return time.Now() }
 
 // WallSince returns the wall-clock duration elapsed since t, the
