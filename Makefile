@@ -18,7 +18,7 @@ perfbench-test: ## run the repository benchmark's own unit tests (own module and
 fuzz: ## fuzz the decoders a peer's bytes reach, the endpoint behind them and the streaming reassembly above them, 10 s each, from the committed seed corpora
 	$(GO) test -run '^$$' -fuzz FuzzDecodeUDP -fuzztime=10s ./internal/netstack
 	$(GO) test -run '^$$' -fuzz FuzzDecodeHeader -fuzztime=10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzEndpointPoll -fuzztime=10s ./internal/datapath/plugins
+	$(GO) test -run '^$$' -fuzz FuzzEndpointPoll -fuzztime=10s ./internal/datapath
 	$(GO) test -run '^$$' -fuzz FuzzOnFragment -fuzztime=10s ./lunar/streaming
 
 remote-smoke: ## 5 s traced benchmark pass over the fabric; fails on a failed operation or allocs_per_msg > 0.01

@@ -17,8 +17,14 @@ import (
 	"github.com/insane-mw/insane/lunar/streaming"
 )
 
-// frameCount is how many frames the camera produces.
-const frameCount = 5
+// frameCount is how many frames the camera produces, one every
+// frameInterval (30 fps). A frame is 699 jumbo fragments: sent back to
+// back, five of them would outrun the receiver's jumbo pool, whose drops
+// are best effort by design (§5.2).
+const (
+	frameCount    = 5
+	frameInterval = time.Second / 30
+)
 
 func main() {
 	if err := run(); err != nil {
@@ -26,10 +32,12 @@ func main() {
 	}
 }
 
-// camera produces synthetic raw RGB frames (Full HD: 6.22 MB, Table 4).
+// camera produces synthetic raw RGB frames (Full HD: 6.22 MB, Table 4)
+// at its frame rate.
 type camera struct {
 	produced int
 	frame    []byte
+	next     time.Time
 }
 
 func newCamera() *camera {
@@ -40,8 +48,14 @@ func newCamera() *camera {
 	return &camera{frame: f}
 }
 
-// GetFrame returns the next captured frame (get_frame in the paper).
+// GetFrame returns the next captured frame (get_frame in the paper),
+// waiting for the camera to capture it.
 func (c *camera) GetFrame() ([]byte, error) {
+	if c.next.IsZero() {
+		c.next = time.Now()
+	}
+	time.Sleep(time.Until(c.next))
+	c.next = c.next.Add(frameInterval)
 	c.produced++
 	return c.frame, nil
 }
@@ -96,5 +110,7 @@ func run() error {
 	elapsed := time.Since(start)
 	fmt.Printf("\nmoved %d full-HD frames (%.1f MB) through the middleware in %v wall time\n",
 		frameCount, float64(frameCount)*6.22, elapsed.Round(time.Millisecond))
+	fmt.Printf("fragments dropped for lack of receive memory: %d\n",
+		cluster.Node("analysis-node").Metrics().DroppedRxAlloc)
 	return <-errc
 }

@@ -148,6 +148,34 @@ func TestCloseUnderInboundTraffic(t *testing.T) {
 	}
 }
 
+// TestClosedRuntimeTakesNothing: a peer that keeps sending to a closed
+// runtime fills nothing. More frames than an RX queue holds arrive after
+// Close: none is queued, every one is counted as dropped on the port, and
+// the closed runtime's pools stay whole.
+func TestClosedRuntimeTakesNothing(t *testing.T) {
+	const flood = 5000 // more than the 4096 frames a port's RX queue holds
+	caps := datapath.Caps{DPDK: true}
+	w := buildWorld(t, caps, caps, nil)
+	from, to := w.a.cfg.Ports[model.TechDPDK], w.b.cfg.Ports[model.TechDPDK]
+	free := fmt.Sprint(w.b.mm.FreeSlots())
+	frame := dataFrame(t, from, to, 79, 8192)
+	if err := w.b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dropped := to.Stats().Dropped
+	for i := 0; i < flood; i++ {
+		if err := from.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, d := to.Queued(), to.Stats().Dropped-dropped; n != 0 || d != flood {
+		t.Errorf("closed runtime's port: %d frames queued, %d dropped, want 0 and %d", n, d, flood)
+	}
+	if got := fmt.Sprint(w.b.mm.FreeSlots()); got != free {
+		t.Errorf("free slots = %s after the flood, want %s", got, free)
+	}
+}
+
 // TestPollersPerPluginOwnRxVectors runs the remote path with two pollers
 // on the receiving DPDK endpoint: each fills and processes its own packet
 // vector, so every message arrives exactly once and intact, and under

@@ -602,10 +602,10 @@ func (r *Runtime) MetricsSnapshot() *telemetry.Snapshot {
 }
 
 // Close stops the polling threads, reclaims what closed sessions left in
-// their lanes, and releases the endpoints. Closing an endpoint unregisters
-// the pools from its port and releases the frames still queued there, so
-// when Close returns a peer that keeps transmitting takes nothing from this
-// runtime's memory.
+// their lanes, and releases the endpoints. Closing an endpoint closes its
+// port and releases the frames still queued there, so when Close returns a
+// peer that keeps transmitting takes nothing from this runtime's memory: its
+// frames are dropped and counted.
 func (r *Runtime) Close() error {
 	if !r.stopped.CompareAndSwap(false, true) {
 		return nil

@@ -107,7 +107,7 @@ type Config struct {
 	// Mem is the memory manager the endpoint receives into: Open
 	// registers it with Port (the stand-in for registering the pools with
 	// the NIC for DMA), so every received packet already sits in one of
-	// its slots, and Close unregisters it.
+	// its slots, until Close closes the port.
 	Mem *mempool.Manager
 	// Testbed selects the cost scaling environment.
 	Testbed model.Testbed

@@ -116,6 +116,7 @@ type Endpoint struct {
 // Open attaches technology tech to cfg.Port and registers cfg.Mem with
 // the port as the memory it receives into (the stand-in for registering
 // the pools with the NIC, binding the UMEM, or posting receive buffers).
+// A port registers memory once, so it carries one endpoint in its life.
 func Open(tech model.Tech, cfg Config) (*Endpoint, error) {
 	row, ok := techRows[tech]
 	if !ok {
@@ -143,7 +144,9 @@ func Open(tech model.Tech, cfg Config) (*Endpoint, error) {
 			Class: model.ScaleKernel, LatencyOnly: model.BlockingWakeup(),
 		})
 	}
-	cfg.Port.SetRxMemory(cfg.Mem)
+	if err := cfg.Port.SetRxMemory(cfg.Mem); err != nil {
+		return nil, fmt.Errorf("datapath: open %v: %w", tech, err)
+	}
 	if cfg.Blocking && row.canBlock {
 		e.bell = make(fabric.Bell, 1)
 		cfg.Port.SetRxDoorbell(e.bell)
@@ -358,14 +361,15 @@ func (e *Endpoint) WaitRecv(timeout time.Duration) error {
 	return e.bell.Wait(e.cfg.Port, timeout)
 }
 
-// Close releases the endpoint: unregistering Config.Mem from the port
-// releases every frame still queued there.
+// Close releases the endpoint and closes its port: every frame still
+// queued there goes back to Config.Mem, and a peer that keeps transmitting
+// takes nothing from it.
 func (e *Endpoint) Close() error {
 	if e.closed.CompareAndSwap(false, true) {
 		if e.bell != nil {
 			e.cfg.Port.SetRxDoorbell(nil)
 		}
-		e.cfg.Port.SetRxMemory(nil)
+		e.cfg.Port.Close()
 	}
 	return nil
 }

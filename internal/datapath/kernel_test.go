@@ -16,31 +16,6 @@ func packetOf(payload []byte) *Packet {
 	return &Packet{Buf: buf, Off: Headroom, Len: len(payload)}
 }
 
-// pollOne polls b until it returns a packet, or fails the test after 2 s.
-// The packet's slot is released when the test ends, before the pair's
-// pools are checked.
-func (p *pair) pollOne(t *testing.T) *Packet {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		var pkts [1]Packet
-		n, err := p.b.Poll(pkts[:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 1 {
-			t.Cleanup(func() {
-				if err := p.mmB.Release(pkts[0].Slot); err != nil {
-					t.Errorf("release of a polled packet: %v", err)
-				}
-			})
-			return &pkts[0]
-		}
-	}
-	t.Fatal("no packet received before deadline")
-	return nil
-}
-
 func TestKernelRoundTrip(t *testing.T) {
 	p := newPair(t, model.TechKernelUDP, false)
 	msg := []byte("kernel path message")

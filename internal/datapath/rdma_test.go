@@ -63,7 +63,7 @@ func TestRDMAReceiverNotReady(t *testing.T) {
 	if s := p.b.Stats(); s.RNRDrops != extra || s.Malformed != 0 {
 		t.Errorf("RNR drops = %d, malformed = %d, want %d and 0", s.RNRDrops, s.Malformed, extra)
 	}
-	if free, want := p.mmB.FreeSlots()[0], pairSlots-n; free != want {
+	if free, want := p.mmB.FreeSlots()[0], pairPools.Classes[0].Slots-n; free != want {
 		t.Errorf("%d slots free with %d completions held, want %d", free, n, want)
 	}
 	if s := p.mmB.Stats(); s.Gets-s.Releases != uint64(n) {

@@ -12,20 +12,23 @@ import (
 	"github.com/insane-mw/insane/internal/netstack"
 )
 
-// pairSlots is the size of each pair host's pool: room for a full RDMA
-// receive queue and then some.
-const pairSlots = 2 * DefaultRecvDepth
+// pairPools are each pair host's pool classes: room for a full RDMA
+// receive queue and then some, and for a burst of jumbo frames.
+var pairPools = mempool.Config{Classes: []mempool.ClassConfig{
+	{SlotSize: 2048, Slots: 2 * DefaultRecvDepth},
+	{SlotSize: 9216, Slots: 64},
+}}
 
 // pair is two hosts on a direct link with one endpoint of tech each; b is
 // the side the tests wait and poll on.
 type pair struct {
-	a, b     *Endpoint
-	epA, epB netstack.Endpoint
-	portB    *fabric.Port
-	mmB      *mempool.Manager
+	a, b         *Endpoint
+	epA, epB     netstack.Endpoint
+	portA, portB *fabric.Port
+	mmA, mmB     *mempool.Manager
 }
 
-func newPair(t *testing.T, tech model.Tech, blocking bool) *pair {
+func newPair(t testing.TB, tech model.Tech, blocking bool) *pair {
 	t.Helper()
 	net := fabric.New(7)
 	p := &pair{
@@ -37,7 +40,7 @@ func newPair(t *testing.T, tech model.Tech, blocking bool) *pair {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mm, err := mempool.NewManager(mempool.Config{Classes: []mempool.ClassConfig{{SlotSize: 2048, Slots: pairSlots}}})
+		mm, err := mempool.NewManager(pairPools)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,21 +48,69 @@ func newPair(t *testing.T, tech model.Tech, blocking bool) *pair {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() {
-			ep.Close()
-			if free := mm.FreeSlots()[0]; free != pairSlots {
-				t.Errorf("host %s: %d of %d slots free after the endpoint closed", name, free, pairSlots)
-			}
-		})
 		return ep, port, mm
 	}
-	var portA *fabric.Port
-	p.a, portA, _ = open("a", p.epA)
+	p.a, p.portA, p.mmA = open("a", p.epA)
 	p.b, p.portB, p.mmB = open("b", p.epB)
-	if err := net.ConnectDirect(portA, p.portB, fabric.DefaultLink); err != nil {
+	if err := net.ConnectDirect(p.portA, p.portB, fabric.DefaultLink); err != nil {
 		t.Fatal(err)
 	}
+	// Cleanups run last-in first-out, so this one runs after every release
+	// a test registers: with both endpoints closed, whatever a port still
+	// queued is back too.
+	t.Cleanup(func() {
+		p.a.Close()
+		p.b.Close()
+		p.poolsWhole(t, "after the endpoints closed")
+	})
 	return p
+}
+
+// poolsWhole checks that every slot of every class of both hosts is back
+// in its pool.
+func (p *pair) poolsWhole(t testing.TB, when string) {
+	t.Helper()
+	for i, mm := range []*mempool.Manager{p.mmA, p.mmB} {
+		for class, free := range mm.FreeSlots() {
+			if want := mm.Classes()[class].Slots; free != want {
+				t.Errorf("host %c: %d of %d slots of class %d free %s", 'a'+i, free, want, class, when)
+			}
+		}
+	}
+}
+
+// poll polls b once for up to max packets. The packets' slots are released
+// when the test ends, before the pair's pools are checked.
+func (p *pair) poll(t *testing.T, max int) []Packet {
+	t.Helper()
+	pkts := make([]Packet, max)
+	n, err := p.b.Poll(pkts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pkts[:n] {
+		slot := pkts[i].Slot
+		t.Cleanup(func() {
+			if err := p.mmB.Release(slot); err != nil {
+				t.Errorf("release of a polled packet: %v", err)
+			}
+		})
+	}
+	return pkts[:n]
+}
+
+// pollOne polls b until it returns a packet, or fails the test after 2 s.
+// The packet's slot is released as poll's are.
+func (p *pair) pollOne(t *testing.T) *Packet {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if pkts := p.poll(t, 1); len(pkts) == 1 {
+			return &pkts[0]
+		}
+	}
+	t.Fatal("no packet received before deadline")
+	return nil
 }
 
 // send transmits one message a → b.

@@ -35,14 +35,11 @@ var (
 
 // Frame is one received Ethernet frame, with its virtual-time annotations.
 type Frame struct {
-	// Data is the raw frame (Ethernet headers included). The fabric
-	// copies at the wire, so the receiver owns it. On a port with
-	// registered receive memory it starts at offset 0 of Slot and
-	// cap(Data) is the slot's size; otherwise it is a heap buffer.
+	// Data is the raw frame (Ethernet headers included), copied at the
+	// wire to offset 0 of Slot; cap(Data) is the slot's size.
 	Data []byte
-	// Slot is the slot of the port's receive memory that holds Data
-	// (mempool.NoSlot on a port without registered memory). The receiver
-	// releases it.
+	// Slot is the slot of the port's receive memory that holds Data. The
+	// receiver releases it.
 	Slot mempool.SlotID
 	// VTime is the virtual time at which the frame arrived at the
 	// receiving NIC.
@@ -51,46 +48,30 @@ type Frame struct {
 	Breakdown timebase.Breakdown
 }
 
-// rxDesc is one entry of a port's receive queue: where the wire copy of
-// the frame landed. Every port carries rxQueueDepth of them, so it holds a
-// slot id and a length and nothing else (TestRxDescriptorSize): the
-// frame's virtual clock is in the slot's mempool.Header.
+// rxDesc is one entry of a port's receive queue: the frame is the first n
+// bytes of slot, in the port's receive memory. Every port carries
+// rxQueueDepth of them, so it holds nothing else (TestRxDescriptorSize):
+// the frame's virtual clock is in the slot's mempool.Header.
 type rxDesc struct {
-	// mm and slot locate a frame received into registered memory: the
-	// first n bytes of the slot. mm is nil for a heap frame.
-	mm   *mempool.Manager
 	slot mempool.SlotID
 	n    uint32
-	// heap holds the frame of a port without registered memory.
-	heap *heapFrame
 }
 
-// heapFrame is the wire copy of a frame that arrived on a port without
-// registered memory, with the clock a slot's header would hold.
-type heapFrame struct {
-	data []byte
-	hdr  mempool.Header
-}
-
-// release gives the descriptor's slot back to the memory it came from.
+// release gives a descriptor's slot back to the port's receive memory.
 //
 //insane:hotpath
 //insane:release resource=mem-slot
-func (d *rxDesc) release() {
-	if d.mm != nil {
-		_ = d.mm.Release(d.slot) // the slot was borrowed by deliver and never shared: Release cannot fail
-	}
+func (p *Port) release(d rxDesc) {
+	_ = p.rxMem.Load().Release(d.slot) // the slot was borrowed by deliver and never shared: Release cannot fail
 }
 
 // frame turns a dequeued descriptor into the Frame handed to the receiver.
 //
 //insane:hotpath
-func (d *rxDesc) frame() Frame {
-	if d.mm == nil {
-		return Frame{Data: d.heap.data, VTime: d.heap.hdr.VTime, Breakdown: d.heap.hdr.Breakdown}
-	}
-	buf, _ := d.mm.Buf(d.slot, mempool.NoOwner) // a queued slot holds the reference deliver took: Buf cannot fail
-	h := d.mm.Header(d.slot)
+func (p *Port) frame(d rxDesc) Frame {
+	mm := p.rxMem.Load()
+	buf, _ := mm.Buf(d.slot, mempool.NoOwner) // a queued slot holds the reference deliver took: Buf cannot fail
+	h := mm.Header(d.slot)
 	return Frame{Data: buf[:d.n], Slot: d.slot, VTime: h.VTime, Breakdown: h.Breakdown}
 }
 
@@ -140,9 +121,9 @@ type SwitchParams struct {
 type PortStats struct {
 	// RxFrames counts frames queued for the receiver.
 	RxFrames uint64
-	// Dropped counts frames lost on the wire, to an unknown address, on a
-	// full RX queue, or queued on a port that was then closed or had its
-	// receive memory unregistered.
+	// Dropped counts frames lost on the wire, to an unknown address, to a
+	// port with no receive memory, on a full RX queue, or queued on a port
+	// that was then closed.
 	Dropped uint64
 	// RxNoMem counts frames that arrived while the registered receive
 	// memory had no free slot for them.
@@ -182,10 +163,8 @@ type Port struct {
 	rx     chan rxDesc //insane:guardedby immutable after=AddHost
 	closed atomic.Bool //insane:guardedby atomic
 
-	// rxMem is the registered receive memory (nil = none: frames land in
-	// heap buffers). deliver loads it once per frame and checks it again
-	// after queueing, so a frame that raced with SetRxMemory or Close is
-	// released by whichever of the two sides drains last.
+	// rxMem is the registered receive memory, stored once by SetRxMemory
+	// (nil = none: the port drops what arrives).
 	rxMem atomic.Pointer[mempool.Manager] //insane:guardedby atomic
 
 	// rxBell is the armed receive doorbell (nil = polled only). deliver
@@ -216,14 +195,13 @@ func (p *Port) SetRxDoorbell(d Doorbell) {
 
 // SetRxMemory registers mm as the port's receive memory — the region a
 // NIC DMAs into: from now on the wire copy of every arriving frame lands
-// in a slot of mm, which the receiver owns and releases. nil unregisters.
-// Frames queued under the previous registration are released and counted
-// as dropped, so once SetRxMemory(nil) returns the port holds no slot and
-// a peer that keeps transmitting takes none. The port's owner calls it,
-// and not while it is receiving.
-func (p *Port) SetRxMemory(mm *mempool.Manager) {
-	p.rxMem.Store(mm)
-	p.drainRx()
+// in a slot of mm, which the receiver owns and releases. A port registers
+// once, and keeps the registration until Close; a second call fails.
+func (p *Port) SetRxMemory(mm *mempool.Manager) error {
+	if mm == nil || !p.rxMem.CompareAndSwap(nil, mm) {
+		return fmt.Errorf("fabric: port %q: receive memory is registered once", p.name)
+	}
+	return nil
 }
 
 // MAC returns the port's Ethernet address.
@@ -307,59 +285,43 @@ func (p *Port) perturb(link *LinkParams, wire time.Duration) (time.Duration, boo
 }
 
 // deliver is the receiving half of the wire: it copies the frame into a
-// slot of the port's registered memory (a heap buffer if none is
-// registered) and the frame's clock into the slot's header, queues the
-// descriptor and rings the armed doorbell. A frame the port cannot take —
-// closed, no free slot, RX queue full (the receiver cannot keep up: the
-// paper's Fig. 8b regime) — is dropped and counted, and its slot goes
-// back.
+// slot of the port's registered memory and the frame's clock into the
+// slot's header, queues the descriptor and rings the armed doorbell. A
+// frame the port cannot take — closed, no memory registered, no free
+// slot, RX queue full (the receiver cannot keep up: the paper's Fig. 8b
+// regime) — is dropped and counted, and its slot goes back.
 //
 //insane:hotpath
 func (p *Port) deliver(data []byte, vt timebase.VTime, bd timebase.Breakdown) {
-	if p.closed.Load() {
+	mm := p.rxMem.Load()
+	if mm == nil || p.closed.Load() {
 		p.dropped.Add(1)
 		return
 	}
-	d := rxDesc{n: uint32(len(data))}
-	mm := p.rxMem.Load()
-	if mm == nil {
-		d.heap = heapCopy(data, vt, bd)
-	} else {
-		slot, buf, err := mm.Get(len(data), mempool.NoOwner)
-		if err != nil {
-			p.rxNoMem.Add(1)
-			return
-		}
-		copy(buf, data)
-		*mm.Header(slot) = mempool.Header{VTime: vt, Breakdown: bd}
-		d.mm, d.slot = mm, slot
+	slot, buf, err := mm.Get(len(data), mempool.NoOwner)
+	if err != nil {
+		p.rxNoMem.Add(1)
+		return
 	}
+	copy(buf, data)
+	*mm.Header(slot) = mempool.Header{VTime: vt, Breakdown: bd}
+	d := rxDesc{slot: slot, n: uint32(len(data))}
 	if !p.enqueue(d) {
 		p.dropped.Add(1)
-		d.release()
+		p.release(d)
 		return
 	}
 	p.rxFrames.Add(1)
-	// SetRxMemory or Close may have drained the queue between the load of
-	// rxMem and the enqueue, leaving this frame's slot stranded: drain
-	// again. Both sides store before they drain and this side queues
-	// before it re-reads, so one of the two drains sees the frame.
-	if p.rxMem.Load() != mm || p.closed.Load() {
+	// Close may have drained the queue between the check of closed and
+	// the enqueue, leaving this frame's slot stranded: drain again. Close
+	// stores before it drains and this side queues before it re-reads, so
+	// one of the two drains sees the frame.
+	if p.closed.Load() {
 		p.drainRx()
 		return
 	}
 	if bell := p.rxBell.Load(); bell != nil {
 		(*bell).Ring()
-	}
-}
-
-// heapCopy is the wire copy of a port nobody registered memory on.
-//
-//insane:coldpath raw fabric use only: every datapath endpoint registers its memory manager
-func heapCopy(data []byte, vt timebase.VTime, bd timebase.Breakdown) *heapFrame {
-	return &heapFrame{
-		data: append(make([]byte, 0, len(data)), data...),
-		hdr:  mempool.Header{VTime: vt, Breakdown: bd},
 	}
 }
 
@@ -379,12 +341,12 @@ func (p *Port) enqueue(d rxDesc) bool {
 
 // drainRx releases every queued frame and counts it as dropped.
 //
-//insane:coldpath teardown and re-registration only
+//insane:coldpath teardown only
 func (p *Port) drainRx() {
 	for {
 		select {
 		case d := <-p.rx:
-			d.release()
+			p.release(d)
 			p.dropped.Add(1)
 		default:
 			return
@@ -400,7 +362,7 @@ func (p *Port) drainRx() {
 func (p *Port) TryRecv() (Frame, bool) {
 	select {
 	case d := <-p.rx:
-		return d.frame(), true
+		return p.frame(d), true
 	default:
 		return Frame{}, false
 	}
@@ -459,13 +421,14 @@ func (b Bell) Wait(p *Port, timeout time.Duration) error {
 }
 
 // Close detaches the port: queued frames are dropped and their slots
-// released, and the receive memory is unregistered. The queue itself stays
-// open — a peer may be about to send on it — and deliver drops on the
-// closed flag instead. Nothing rings for it: a receiver asleep on the
-// doorbell is the port's owner, who is the one closing it.
+// released, and from then on a frame that arrives is dropped and takes
+// nothing. The queue itself stays open — a peer may be about to send on
+// it — and deliver drops on the closed flag instead. Nothing rings for
+// it: a receiver asleep on the doorbell is the port's owner, who is the
+// one closing it.
 func (p *Port) Close() {
 	if p.closed.CompareAndSwap(false, true) {
-		p.SetRxMemory(nil)
+		p.drainRx()
 	}
 }
 

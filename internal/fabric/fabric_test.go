@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/insane-mw/insane/internal/mempool"
 	"github.com/insane-mw/insane/internal/netstack"
 	"github.com/insane-mw/insane/internal/timebase"
 )
@@ -36,21 +37,37 @@ func recvNow(p *Port) (Frame, error) {
 	return Frame{}, errors.New("no frame queued")
 }
 
+// twoHostsDirect wires hosts a and b back to back, each receiving into a
+// memory of its own with more slots than the RX queue holds: what a flood
+// drops is the full queue's.
 func twoHostsDirect(t *testing.T, link LinkParams) (*Network, *Port, *Port) {
 	t.Helper()
+	return twoHostsOn(t, link, newMem(t, 2*rxQueueDepth))
+}
+
+// twoHostsOn is twoHostsDirect with b receiving into mm.
+func twoHostsOn(t *testing.T, link LinkParams, mm *mempool.Manager) (*Network, *Port, *Port) {
+	t.Helper()
 	n := New(1)
-	a, err := n.AddHost("a", netstack.IPv4{10, 0, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := n.AddHost("b", netstack.IPv4{10, 0, 0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := addHost(t, n, "a", netstack.IPv4{10, 0, 0, 1}, newMem(t, 2*rxQueueDepth))
+	b := addHost(t, n, "b", netstack.IPv4{10, 0, 0, 2}, mm)
 	if err := n.ConnectDirect(a, b, link); err != nil {
 		t.Fatal(err)
 	}
 	return n, a, b
+}
+
+// addHost adds a host whose port receives into mm.
+func addHost(t *testing.T, n *Network, name string, ip netstack.IPv4, mm *mempool.Manager) *Port {
+	t.Helper()
+	p, err := n.AddHost(name, ip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetRxMemory(mm); err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestDirectDelivery(t *testing.T) {
@@ -121,9 +138,9 @@ func TestVirtualTimeAdvance(t *testing.T) {
 
 func TestSwitchForwardingAndLatency(t *testing.T) {
 	n := New(1)
-	a, _ := n.AddHost("a", netstack.IPv4{10, 0, 0, 1})
-	b, _ := n.AddHost("b", netstack.IPv4{10, 0, 0, 2})
-	c, _ := n.AddHost("c", netstack.IPv4{10, 0, 0, 3})
+	a := addHost(t, n, "a", netstack.IPv4{10, 0, 0, 1}, newMem(t, 8))
+	b := addHost(t, n, "b", netstack.IPv4{10, 0, 0, 2}, newMem(t, 8))
+	c := addHost(t, n, "c", netstack.IPv4{10, 0, 0, 3}, newMem(t, 8))
 	sw := n.AddSwitch("tor", SwitchParams{Latency: 1700 * time.Nanosecond})
 	link := LinkParams{Rate: 100 * timebase.Gbps, PropDelay: 100 * time.Nanosecond}
 	for _, p := range []*Port{a, b, c} {
@@ -151,9 +168,9 @@ func TestSwitchForwardingAndLatency(t *testing.T) {
 
 func TestSwitchBroadcast(t *testing.T) {
 	n := New(1)
-	a, _ := n.AddHost("a", netstack.IPv4{10, 0, 0, 1})
-	b, _ := n.AddHost("b", netstack.IPv4{10, 0, 0, 2})
-	c, _ := n.AddHost("c", netstack.IPv4{10, 0, 0, 3})
+	a := addHost(t, n, "a", netstack.IPv4{10, 0, 0, 1}, newMem(t, 8))
+	b := addHost(t, n, "b", netstack.IPv4{10, 0, 0, 2}, newMem(t, 8))
+	c := addHost(t, n, "c", netstack.IPv4{10, 0, 0, 3}, newMem(t, 8))
 	sw := n.AddSwitch("tor", SwitchParams{})
 	for _, p := range []*Port{a, b, c} {
 		if err := n.ConnectToSwitch(p, sw, LinkParams{}); err != nil {
@@ -243,6 +260,23 @@ func TestPortLifecycleErrors(t *testing.T) {
 	}
 	if err := n.ConnectDirect(a, b, DefaultLink); err == nil {
 		t.Error("double connect: want error")
+	}
+	// A port with no receive memory drops what arrives and takes nothing.
+	if err := a.Transmit(buildFrame(t, a, b, []byte("x")), 0, timebase.Breakdown{}); err != nil {
+		t.Fatal(err)
+	}
+	if s := b.Stats(); s.Dropped != 1 || s.RxFrames != 0 || b.Queued() != 0 {
+		t.Errorf("stats = %+v, queued = %d, want one drop and nothing queued", s, b.Queued())
+	}
+	// Memory is registered once.
+	if err := b.SetRxMemory(nil); err == nil {
+		t.Error("registering no memory: want error")
+	}
+	if err := b.SetRxMemory(newMem(t, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetRxMemory(newMem(t, 8)); err == nil {
+		t.Error("second registration: want error")
 	}
 	if _, err := n.AddHost("a", netstack.IPv4{10, 0, 0, 9}); err == nil {
 		t.Error("duplicate host: want error")
@@ -377,8 +411,8 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 
 func TestSwitchUnknownUnicastDropped(t *testing.T) {
 	n := New(1)
-	a, _ := n.AddHost("a", netstack.IPv4{10, 0, 0, 1})
-	b, _ := n.AddHost("b", netstack.IPv4{10, 0, 0, 2})
+	a := addHost(t, n, "a", netstack.IPv4{10, 0, 0, 1}, newMem(t, 8))
+	b := addHost(t, n, "b", netstack.IPv4{10, 0, 0, 2}, newMem(t, 8))
 	sw := n.AddSwitch("tor", SwitchParams{})
 	for _, p := range []*Port{a, b} {
 		if err := n.ConnectToSwitch(p, sw, LinkParams{}); err != nil {

@@ -30,12 +30,12 @@ func wantFree(t *testing.T, mm *mempool.Manager, free int) {
 	}
 }
 
-// TestRxDescriptorSize pins the RX queue entry at 24 bytes, a slot id, a
-// length and the cold heap-frame pointer: every port carries rxQueueDepth
-// of them, and the frame's clock is in the slot's header.
+// TestRxDescriptorSize pins the RX queue entry at 8 bytes, a slot id and a
+// length: every port carries rxQueueDepth of them, and the frame's clock
+// is in the slot's header.
 func TestRxDescriptorSize(t *testing.T) {
-	if size := unsafe.Sizeof(rxDesc{}); size > 24 {
-		t.Errorf("rxDesc is %d bytes, want <= 24", size)
+	if size := unsafe.Sizeof(rxDesc{}); size > 8 {
+		t.Errorf("rxDesc is %d bytes, want <= 8", size)
 	}
 }
 
@@ -43,9 +43,8 @@ func TestRxDescriptorSize(t *testing.T) {
 // offset 0 of a slot of the receiving port's memory, the receiver owns
 // that slot, and nothing is taken from the sender's side.
 func TestReceiveIntoRegisteredMemory(t *testing.T) {
-	_, a, b := twoHostsDirect(t, DefaultLink)
 	mm := newMem(t, 8)
-	b.SetRxMemory(mm)
+	_, a, b := twoHostsOn(t, DefaultLink, mm)
 	frame := buildFrame(t, a, b, []byte("registered"))
 	if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
@@ -75,53 +74,42 @@ func TestReceiveIntoRegisteredMemory(t *testing.T) {
 }
 
 // TestClockCrossesThePort: a frame's virtual clock and Fig. 6 split arrive
-// through Transmit and TryRecv as they were sent, plus the wire, on a port
-// with registered memory (where the clock rides in the receiving slot's
-// header) and on a heap port. Three frames queue before any is taken, so
+// through Transmit and TryRecv as they were sent, plus the wire, riding in
+// the receiving slot's header. Three frames queue before any is taken, so
 // each descriptor must lead back to its own clock.
 func TestClockCrossesThePort(t *testing.T) {
 	const prop = 700 * time.Nanosecond
-	for _, registered := range []bool{true, false} {
-		_, a, b := twoHostsDirect(t, LinkParams{PropDelay: prop})
-		mm := newMem(t, 8)
-		if registered {
-			b.SetRxMemory(mm)
-		}
-		frame := buildFrame(t, a, b, []byte("clock"))
-		sent := func(i int) (timebase.VTime, timebase.Breakdown) {
-			d := time.Duration(i+1) * time.Microsecond
-			return timebase.VTime(10 * d), timebase.Breakdown{Send: d, Network: 2 * d, Recv: 3 * d, Processing: 4 * d}
-		}
-		for i := 0; i < 3; i++ {
-			vt, bd := sent(i)
-			if err := a.Transmit(frame, vt, bd); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 3; i++ {
-			f, ok := b.TryRecv()
-			if !ok {
-				t.Fatalf("registered=%v: frame %d missing", registered, i)
-			}
-			vt, bd := sent(i)
-			bd.Network += prop
-			if f.VTime != vt.Add(prop) || f.Breakdown != bd {
-				t.Errorf("registered=%v, frame %d: clock %v %+v, want %v %+v", registered, i, f.VTime, f.Breakdown, vt.Add(prop), bd)
-			}
-			if (f.Slot != mempool.NoSlot) != registered {
-				t.Fatalf("registered=%v: frame in slot %v", registered, f.Slot)
-			}
-			if registered {
-				if h := mm.Header(f.Slot); h.VTime != f.VTime || h.Breakdown != f.Breakdown {
-					t.Errorf("frame %d: slot header %+v, want the frame's clock", i, *h)
-				}
-				if err := mm.Release(f.Slot); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		wantFree(t, mm, 8)
+	mm := newMem(t, 8)
+	_, a, b := twoHostsOn(t, LinkParams{PropDelay: prop}, mm)
+	frame := buildFrame(t, a, b, []byte("clock"))
+	sent := func(i int) (timebase.VTime, timebase.Breakdown) {
+		d := time.Duration(i+1) * time.Microsecond
+		return timebase.VTime(10 * d), timebase.Breakdown{Send: d, Network: 2 * d, Recv: 3 * d, Processing: 4 * d}
 	}
+	for i := 0; i < 3; i++ {
+		vt, bd := sent(i)
+		if err := a.Transmit(frame, vt, bd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		f, ok := b.TryRecv()
+		if !ok {
+			t.Fatalf("frame %d missing", i)
+		}
+		vt, bd := sent(i)
+		bd.Network += prop
+		if f.VTime != vt.Add(prop) || f.Breakdown != bd {
+			t.Errorf("frame %d: clock %v %+v, want %v %+v", i, f.VTime, f.Breakdown, vt.Add(prop), bd)
+		}
+		if h := mm.Header(f.Slot); h.VTime != f.VTime || h.Breakdown != f.Breakdown {
+			t.Errorf("frame %d: slot header %+v, want the frame's clock", i, *h)
+		}
+		if err := mm.Release(f.Slot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantFree(t, mm, 8)
 }
 
 // TestRxSlotConservation drives every arm on which deliver, or the queue it
@@ -129,9 +117,8 @@ func TestClockCrossesThePort(t *testing.T) {
 // give the slot back.
 func TestRxSlotConservation(t *testing.T) {
 	t.Run("rx queue full", func(t *testing.T) {
-		_, a, b := twoHostsDirect(t, DefaultLink)
 		mm := newMem(t, rxQueueDepth+200)
-		b.SetRxMemory(mm)
+		_, a, b := twoHostsOn(t, DefaultLink, mm)
 		frame := buildFrame(t, a, b, []byte("x"))
 		for i := 0; i < rxQueueDepth+100; i++ {
 			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
@@ -142,13 +129,12 @@ func TestRxSlotConservation(t *testing.T) {
 			t.Errorf("stats = %+v, want 100 dropped on the full queue, none for lack of memory", s)
 		}
 		wantFree(t, mm, 200)
-		b.SetRxMemory(nil)
+		b.Close()
 		wantFree(t, mm, rxQueueDepth+200)
 	})
 	t.Run("pool exhausted", func(t *testing.T) {
-		_, a, b := twoHostsDirect(t, DefaultLink)
 		mm := newMem(t, 8)
-		b.SetRxMemory(mm)
+		_, a, b := twoHostsOn(t, DefaultLink, mm)
 		var bell countingBell
 		b.SetRxDoorbell(&bell)
 		frame := buildFrame(t, a, b, []byte("x"))
@@ -172,9 +158,8 @@ func TestRxSlotConservation(t *testing.T) {
 		wantFree(t, mm, 8)
 	})
 	t.Run("port closed with frames queued", func(t *testing.T) {
-		_, a, b := twoHostsDirect(t, DefaultLink)
 		mm := newMem(t, 8)
-		b.SetRxMemory(mm)
+		_, a, b := twoHostsOn(t, DefaultLink, mm)
 		frame := buildFrame(t, a, b, []byte("x"))
 		for i := 0; i < 5; i++ {
 			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
@@ -198,32 +183,6 @@ func TestRxSlotConservation(t *testing.T) {
 			t.Error("closed port still hands out a frame")
 		}
 	})
-	t.Run("memory unregistered with frames queued", func(t *testing.T) {
-		_, a, b := twoHostsDirect(t, DefaultLink)
-		mm := newMem(t, 8)
-		b.SetRxMemory(mm)
-		frame := buildFrame(t, a, b, []byte("x"))
-		for i := 0; i < 5; i++ {
-			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		b.SetRxMemory(nil)
-		wantFree(t, mm, 8)
-		if got := b.Stats().Dropped; got != 5 {
-			t.Errorf("dropped = %d, want the 5 queued frames", got)
-		}
-		// The port is open and nobody's memory is registered: it receives
-		// into the heap again.
-		if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
-			t.Fatal(err)
-		}
-		f, ok := b.TryRecv()
-		if !ok || f.Slot != mempool.NoSlot || !bytes.Equal(f.Data, frame) {
-			t.Errorf("after unregistering: frame = %+v, %v; want a heap copy", f, ok)
-		}
-		wantFree(t, mm, 8)
-	})
 	t.Run("switch broadcast takes one slot per destination port", func(t *testing.T) {
 		n := New(1)
 		sw := n.AddSwitch("tor", SwitchParams{})
@@ -238,7 +197,9 @@ func TestRxSlotConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			mems[i] = newMem(t, 4)
-			p.SetRxMemory(mems[i])
+			if err := p.SetRxMemory(mems[i]); err != nil {
+				t.Fatal(err)
+			}
 			ports[i] = p
 		}
 		buf := make([]byte, netstack.HeadersLen+1)
@@ -270,77 +231,58 @@ func TestRxSlotConservation(t *testing.T) {
 			wantFree(t, mems[i], 4)
 		}
 	})
-	t.Run("registering drops the heap frames queued before", func(t *testing.T) {
-		_, a, b := twoHostsDirect(t, DefaultLink)
-		frame := buildFrame(t, a, b, []byte("x"))
-		if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
-			t.Fatal(err)
-		}
-		mm := newMem(t, 8)
-		b.SetRxMemory(mm)
-		if _, ok := b.TryRecv(); ok || b.Stats().Dropped != 1 {
-			t.Errorf("heap frame survived registration (dropped = %d)", b.Stats().Dropped)
-		}
-		wantFree(t, mm, 8)
-	})
 }
 
 // TestCloseWhileTransmitting is the regression test for the send on a
 // closed queue: one goroutine transmits flat out while the peer port
-// closes, or its owner unregisters the receive memory. No panic, and once
-// the transmitter has stopped every slot is back — whichever side drained
-// last took the frame that raced. Run it under -race.
+// closes. No panic, and once the transmitter has stopped every slot is
+// back — whichever side drained last took the frame that raced. Run it
+// under -race.
 func TestCloseWhileTransmitting(t *testing.T) {
-	for name, shut := range map[string]func(*Port){
-		"port close":        (*Port).Close,
-		"memory unregister": func(p *Port) { p.SetRxMemory(nil) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			for round := 0; round < 50; round++ {
-				_, a, b := twoHostsDirect(t, DefaultLink)
-				mm := newMem(t, 64)
-				b.SetRxMemory(mm)
-				frame := buildFrame(t, a, b, []byte("flat out"))
-				stop := make(chan struct{})
-				sent := make(chan struct{})
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
-							t.Error(err)
-							return
-						}
-						if i == 32 {
-							close(sent)
-						}
+	t.Run("port close", func(t *testing.T) {
+		for round := 0; round < 50; round++ {
+			mm := newMem(t, 64)
+			_, a, b := twoHostsOn(t, DefaultLink, mm)
+			frame := buildFrame(t, a, b, []byte("flat out"))
+			stop := make(chan struct{})
+			sent := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
 					}
-				}()
-				<-sent
-				// Keep the queue moving so the transmitter is taking slots,
-				// not only failing on an exhausted pool, when the port shuts.
-				for i := 0; i < 16; i++ {
-					if f, ok := b.TryRecv(); ok {
-						if err := mm.Release(f.Slot); err != nil {
-							t.Fatal(err)
-						}
+					if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+						t.Error(err)
+						return
+					}
+					if i == 32 {
+						close(sent)
 					}
 				}
-				shut(b)
-				time.Sleep(50 * time.Microsecond)
-				close(stop)
-				wg.Wait()
-				wantFree(t, mm, 64)
-				if t.Failed() {
-					return
+			}()
+			<-sent
+			// Keep the queue moving so the transmitter is taking slots,
+			// not only failing on an exhausted pool, when the port shuts.
+			for i := 0; i < 16; i++ {
+				if f, ok := b.TryRecv(); ok {
+					if err := mm.Release(f.Slot); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-		})
-	}
+			b.Close()
+			time.Sleep(50 * time.Microsecond)
+			close(stop)
+			wg.Wait()
+			wantFree(t, mm, 64)
+			if t.Failed() {
+				return
+			}
+		}
+	})
 }
