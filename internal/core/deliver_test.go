@@ -8,18 +8,43 @@ import (
 
 	"github.com/insane-mw/insane/internal/datapath"
 	"github.com/insane-mw/insane/internal/mempool"
+	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/qos"
 	"github.com/insane-mw/insane/internal/telemetry"
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
-// TestSinkTokenSize pins the sink-ring element — the Delivery itself — at
-// 88 bytes, the two stamps of a sampled message included: every crossing
-// of a sink ring copies it once in and once out, and every sink carries
-// rxRingDepth of them.
+// TestSinkTokenSize pins the Delivery a consume fills at 72 bytes: the
+// public insane.Message embeds it, and a sink ring carries none of it —
+// the payload view, clock and slot are rebuilt from the descriptor and
+// the slot's header.
 func TestSinkTokenSize(t *testing.T) {
-	if size := unsafe.Sizeof(Delivery{}); size > 88 {
-		t.Errorf("Delivery is %d bytes, want <= 88", size)
+	if size := unsafe.Sizeof(Delivery{}); size > 72 {
+		t.Errorf("Delivery is %d bytes, want <= 72", size)
+	}
+}
+
+// TestSinkDescSize pins the sink-ring element at 8 bytes: a slot id and a
+// cost index. A sink's ring of rxRingDepth of them, each in a 16 B cell
+// beside its sequence word, is 16 KB.
+func TestSinkDescSize(t *testing.T) {
+	if size := unsafe.Sizeof(sinkDesc{}); size > 8 {
+		t.Errorf("sinkDesc is %d bytes, want <= 8", size)
+	}
+}
+
+// fillRing fills a sink's ring with descriptors of no slot and returns
+// what empties it again: call that before the sink closes, which would
+// release whatever is queued.
+func fillRing(k *SinkHandle) (empty func()) {
+	for k.ring.TryPush(sinkDesc{slot: mempool.NoSlot}) {
+	}
+	return func() {
+		for {
+			if _, ok := k.ring.TryPop(); !ok {
+				return
+			}
+		}
 	}
 }
 
@@ -76,33 +101,23 @@ func TestDeliverAccounting(t *testing.T) {
 				sinks[i].noTel = true
 			}
 			isFull := make(map[int]bool)
-			filler := Delivery{Slot: mempool.NoSlot}
 			for _, i := range tc.full {
 				isFull[i] = true
-				for sinks[i].ring.TryPushFrom(&filler) {
-				}
+				defer fillRing(sinks[i])()
 			}
-			// The fillers carry no slot: drop them before the sinks close,
-			// which would release whatever is queued.
-			defer func() {
-				for _, i := range tc.full {
-					for sinks[i].ring.TryPopInto(&filler) {
-					}
-				}
-			}()
 
 			baseline := totalFree(rt)
-			slot, buf, err := rt.mm.Get(MsgHeadroom+8, conn.id)
+			slot, _, err := rt.mm.Get(MsgHeadroom+8, conn.id)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := rt.mm.AddRef(slot, tc.sinks); err != nil {
 				t.Fatal(err)
 			}
+			h := rt.mm.Header(slot)
+			h.Len, h.Stamps = 8, 0
 			caller := telemetry.New(1)
-			got := rt.deliver(caller.Shard(0), &Delivery{
-				Slot: slot, Payload: buf[MsgHeadroom : MsgHeadroom+8],
-			}, sinks)
+			got := rt.deliver(caller.Shard(0), slot, h, sinks)
 
 			want := tc.sinks - len(tc.full)
 			if got != want {
@@ -136,12 +151,11 @@ func TestDeliverAccounting(t *testing.T) {
 				if free := totalFree(rt); free != baseline-1 {
 					t.Fatalf("before sink %d released: %d free slots, want %d (reference over-released)", i, free, baseline-1)
 				}
-				var tok Delivery
-				ok := k.ring.TryPopInto(&tok)
-				if !ok || tok.Slot != slot || tok.Breakdown.Recv != rt.deliveryCost(i) {
-					t.Fatalf("sink %d: token %+v ok=%v, want slot %v charged %v", i, tok, ok, slot, rt.deliveryCost(i))
+				desc, ok := k.ring.TryPop()
+				if !ok || desc.slot != slot || desc.cost != rt.costIndex(i) {
+					t.Fatalf("sink %d: descriptor %+v ok=%v, want slot %v cost %d", i, desc, ok, slot, rt.costIndex(i))
 				}
-				if err := rt.mm.Release(tok.Slot); err != nil {
+				if err := rt.mm.Release(desc.slot); err != nil {
 					t.Fatalf("sink %d reference: %v", i, err)
 				}
 			}
@@ -155,8 +169,10 @@ func TestDeliverAccounting(t *testing.T) {
 // TestDeliverSameFromEveryOrigin: a message reaches a channel's sinks by
 // one of three routes — a poller dispatching a queued Emit, the emitting
 // goroutine on a run-to-completion stream, a poller receiving it from a
-// peer — and all three end in the same routine, so payload and the
-// per-sink delivery charge come out the same.
+// peer over an unframed (kernel UDP) or a framed (DPDK) endpoint — and all
+// of them end in the same routine, so the payload comes out the same, at
+// MsgHeadroom in its slot with its own length, and so does the per-sink
+// delivery charge.
 func TestDeliverSameFromEveryOrigin(t *testing.T) {
 	const channel = 9
 	payload := []byte("same bytes, whatever the route")
@@ -164,14 +180,18 @@ func TestDeliverSameFromEveryOrigin(t *testing.T) {
 		name   string
 		opts   qos.Options
 		remote bool
+		caps   datapath.Caps
+		tech   model.Tech
 	}{
 		{name: "queued local"},
 		{name: "run to completion", opts: rtcOpts},
-		{name: "remote RX", remote: true},
+		{name: "remote RX", remote: true, tech: model.TechKernelUDP},
+		{name: "remote RX, DPDK", remote: true, caps: datapath.Caps{DPDK: true},
+			opts: qos.Options{Datapath: qos.DatapathFast}, tech: model.TechDPDK},
 	}
 	for _, o := range origins {
 		t.Run(o.name, func(t *testing.T) {
-			w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, nil)
+			w := buildWorld(t, o.caps, o.caps, nil)
 			rxRT, txRT := w.a, w.a
 			if o.remote {
 				txRT = w.b
@@ -190,6 +210,9 @@ func TestDeliverSameFromEveryOrigin(t *testing.T) {
 				waitSubscribed(t, txRT, channel, 1)
 				txConn, _ := txRT.Connect()
 				txStream, _ = txConn.OpenStream(o.opts)
+				if got := txStream.Tech(); got != o.tech {
+					t.Fatalf("sending stream on %v, want %v", got, o.tech)
+				}
 			}
 			src, err := txStream.CreateSource(channel)
 			if err != nil {
@@ -204,7 +227,10 @@ func TestDeliverSameFromEveryOrigin(t *testing.T) {
 					t.Fatalf("sink %d: %v", i, err)
 				}
 				if !bytes.Equal(d.Payload, payload) {
-					t.Errorf("sink %d: payload %q", i, d.Payload)
+					t.Errorf("sink %d: payload %q (%d B), want %q (%d B)", i, d.Payload, len(d.Payload), payload, len(payload))
+				}
+				if _, buf := rxRT.mm.Held(d.Slot); len(d.Payload) == 0 || &d.Payload[0] != &buf[MsgHeadroom] {
+					t.Errorf("sink %d: payload not at MsgHeadroom of slot %v", i, d.Slot)
 				}
 				recv[i] = d.Breakdown.Recv
 				k.Release(&d)
@@ -212,11 +238,93 @@ func TestDeliverSameFromEveryOrigin(t *testing.T) {
 			// What precedes delivery differs by route (a remote message has
 			// paid for the receive path already); the delivery charge on top
 			// of it may not.
-			if got, want := recv[1]-recv[0], rxRT.deliveryCost(1)-rxRT.deliveryCost(0); got != want {
+			if got, want := recv[1]-recv[0], rxRT.deliverCost[rxRT.costIndex(1)]-rxRT.deliverCost[0]; got != want {
 				t.Errorf("second sink charged %v over the first, want %v", got, want)
 			}
-			if !o.remote && recv[0] != rxRT.deliveryCost(0) {
-				t.Errorf("first sink Recv = %v, want the delivery cost %v", recv[0], rxRT.deliveryCost(0))
+			if !o.remote && recv[0] != rxRT.deliverCost[0] {
+				t.Errorf("first sink Recv = %v, want the delivery cost %v", recv[0], rxRT.deliverCost[0])
+			}
+		})
+	}
+}
+
+// TestReusedSlotCarriesNothingStale: a borrow does not clear a slot's
+// header, so every route that fills one for a delivery writes each field a
+// consume reads back. On pools of one slot, a sampled 64 B message and
+// then an unsampled 8 B one pass through the same slot: the second
+// consume reads 8 B and closes no interval.
+func TestReusedSlotCarriesNothingStale(t *testing.T) {
+	const channel = 11
+	for _, o := range []struct {
+		name   string
+		opts   qos.Options
+		remote bool
+	}{
+		{name: "queued local"},
+		{name: "run to completion", opts: rtcOpts},
+		{name: "remote RX", remote: true},
+	} {
+		t.Run(o.name, func(t *testing.T) {
+			w := newStepped(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
+				c.Mem = mempool.Config{Classes: []mempool.ClassConfig{{SlotSize: 2048, Slots: 1}}}
+			})
+			rxRT, txRT := w.a, w.a
+			if o.remote {
+				txRT = w.b
+			}
+			rxConn, _ := rxRT.Connect()
+			rxStream, _ := rxConn.OpenStream(o.opts)
+			sink, err := rxStream.CreateSink(channel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Settle() // the SUB
+			txStream := rxStream
+			if o.remote {
+				txConn, _ := txRT.Connect()
+				txStream, _ = txConn.OpenStream(o.opts)
+			}
+			src, err := txStream.CreateSource(channel)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			slot := mempool.NoSlot
+			for i, size := range []int{64, 8} { // seq 1 is sampled, seq 2 is not
+				payload := bytes.Repeat([]byte{byte(i + 1)}, size)
+				before, _ := latencySamples(rxRT)
+				sendOn(t, src, payload)
+				w.Settle()
+				var d Delivery
+				if err := sink.TryConsume(&d); err != nil {
+					t.Fatalf("message %d: %v", i+1, err)
+				}
+				after, _ := latencySamples(rxRT)
+				if i == 0 {
+					slot = d.Slot
+				} else if d.Slot != slot {
+					t.Fatalf("message 2 in %v, message 1 in %v: the slot was not reused", d.Slot, slot)
+				}
+				if !bytes.Equal(d.Payload, payload) {
+					t.Errorf("message %d: payload %v (%d B), want %d B of %d", i+1, d.Payload, len(d.Payload), size, i+1)
+				}
+				wantRecv, wantE2E := uint64(0), uint64(0)
+				if i == 0 {
+					wantRecv = 1
+					if !o.remote {
+						wantE2E = 1
+					}
+				}
+				if got := after[telemetry.HistStageRecv] - before[telemetry.HistStageRecv]; got != wantRecv {
+					t.Errorf("message %d closed stage_recv %d times, want %d", i+1, got, wantRecv)
+				}
+				if got := after[telemetry.HistConsumeLatency] - before[telemetry.HistConsumeLatency]; got != wantE2E {
+					t.Errorf("message %d closed consume_latency %d times, want %d", i+1, got, wantE2E)
+				}
+				sink.Release(&d)
+			}
+			if n := rxRT.tel.Counter(telemetry.CtrRTCDeliveries); o.opts.RunToCompletion && n != 2 {
+				t.Errorf("rtc_deliveries = %d, want 2: a message fell back to the queued path", n)
 			}
 		})
 	}

@@ -71,16 +71,7 @@ func TestReferencesHandedOver(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.full >= 0 {
-				// Fillers carry no slot: drop them before the sinks close,
-				// which releases whatever is queued.
-				filler := Delivery{Slot: mempool.NoSlot}
-				k := sinks[tc.full]
-				for k.ring.TryPushFrom(&filler) {
-				}
-				defer func() {
-					for k.ring.TryPopInto(&filler) {
-					}
-				}()
+				defer fillRing(sinks[tc.full])()
 			}
 
 			mm := w.a.Mem()

@@ -294,17 +294,12 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []ti
 		// Local sinks first: co-located source/sink pairs communicate
 		// through shared memory directly (§5.1).
 		if len(sinks) > 0 {
-			msg := Delivery{
-				Payload:   buf[MsgHeadroom : headroomOffset+tok.msgLen],
-				VTime:     h.VTime,
-				Breakdown: h.Breakdown,
-				Slot:      tok.slot,
-			}
+			h.Len = uint32(tok.msgLen - HeaderLen)
+			h.Stamps = 0
 			if tok.sampled {
-				msg.stamps = stampsLocal
-				msg.admitT = h.AdmitT
+				h.Stamps = uint8(stampsLocal)
 			}
-			delivered += r.deliver(p.shard, &msg, sinks)
+			delivered += r.deliver(p.shard, tok.slot, h, sinks)
 		}
 
 		// Remote peers that subscribed to the channel, each over the plane
@@ -502,12 +497,17 @@ func (r *Runtime) receiveData(p *poller, pkt *datapath.Packet, h *header) {
 	if len(sinks) > 1 {
 		_ = r.mm.AddRef(pkt.Slot, len(sinks)-1)
 	}
-	msg := pktDelivery(pkt)
+	// The payload follows the INSANE header, at MsgHeadroom like every
+	// message's: the frame landed at offset 0 of its slot.
+	hdr := r.mm.Header(pkt.Slot)
+	hdr.VTime = pkt.VTime
+	hdr.Breakdown = pkt.Breakdown
+	hdr.Len = uint32(pkt.Len - HeaderLen)
+	hdr.Stamps = 0
 	if h.sampled {
 		// The source sampled this message: it is timed from here on this
 		// runtime's clock, as it was up to Send on the sender's.
-		msg.stamps = stampsRemote
-		msg.pushT = r.clock.Now()
+		hdr.Stamps = uint8(stampsRemote)
 	}
-	r.deliver(p.shard, &msg, sinks)
+	r.deliver(p.shard, pkt.Slot, hdr, sinks)
 }

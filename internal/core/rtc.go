@@ -62,8 +62,8 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32, sampled bool) bool 
 
 	// Commit. The RTC hop replaces the queued path's IPC+scheduler
 	// charges; the per-sink delivery cost is deliver's, the same on every
-	// path. The header is never encoded — the delivery carries the payload
-	// view directly.
+	// path. The INSANE header is never encoded: the payload already sits at
+	// MsgHeadroom, where a consume reads it.
 	hop := rt.tb.Scale(rt.rc.RTCDeliver.Class, rt.rc.RTCDeliver.Fixed+rt.rc.RTCDeliver.Amort)
 	bd := b.Breakdown
 	bd.Send += hop
@@ -77,17 +77,16 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32, sampled bool) bool 
 	if len(sinks) > 1 {
 		_ = rt.mm.AddRef(b.Slot, len(sinks)-1)
 	}
-	msg := Delivery{
-		Payload:   b.Payload[:n],
-		VTime:     b.VTime.Add(hop),
-		Breakdown: bd,
-		Slot:      b.Slot,
-	}
+	h := rt.mm.Header(b.Slot)
+	h.VTime = b.VTime.Add(hop)
+	h.Breakdown = bd
+	h.Len = uint32(n)
+	h.Stamps = 0
 	if sampled {
-		msg.stamps = stampsLocal
-		msg.admitT = rt.clock.Now()
+		h.Stamps = uint8(stampsLocal)
+		h.AdmitT = rt.clock.Now()
 	}
-	delivered := rt.deliver(s.shard, &msg, sinks)
+	delivered := rt.deliver(s.shard, b.Slot, h, sinks)
 	s.shard.Add(telemetry.CtrLocalDeliveries, uint64(delivered))
 	s.shard.Add(telemetry.CtrRTCDeliveries, uint64(delivered))
 

@@ -166,8 +166,9 @@ type Runtime struct {
 	peerByIP map[netstack.IPv4]*Peer //insane:guardedby immutable after=newRuntime
 	// deliverCost is the charged cost of delivering to the first sink of a
 	// fanout, to a further one, and to one past the cache knee (Fig. 8b).
-	// All three are constants of tb and rc, scaled once here rather than on
-	// every delivery: deliver runs per message and per sink on every path.
+	// All three are constants of tb and rc, scaled once here and copied
+	// into every sink at CreateSink: a sink-ring descriptor carries only
+	// the index (costIndex), and a consume adds the cost it names.
 	deliverCost [3]time.Duration //insane:guardedby immutable after=newRuntime
 
 	// tenants is the immutable tenant registry: index 0 (and the empty

@@ -250,7 +250,7 @@ func (h *StreamHandle) CreateSink(channel uint32) (*SinkHandle, error) {
 	}
 	h.mu.Unlock()
 
-	ring, err := ringbuf.NewMPMC[Delivery](rxRingDepth)
+	ring, err := ringbuf.NewMPMC[sinkDesc](rxRingDepth)
 	if err != nil {
 		return nil, err
 	}
@@ -260,6 +260,8 @@ func (h *StreamHandle) CreateSink(channel uint32) (*SinkHandle, error) {
 		ring:    ring,
 		notify:  make(chan struct{}, 1),
 		done:    make(chan struct{}),
+		mm:      h.conn.rt.mm,
+		costs:   h.conn.rt.deliverCost,
 		shard:   h.conn.ten.assignShard(),
 		noTel:   h.opts.NoTelemetry,
 	}

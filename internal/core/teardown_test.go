@@ -346,12 +346,13 @@ func TestSinkClosedUnderStaleView(t *testing.T) {
 	sinks := w.a.view.Load().routes[65].sinks
 	sink.Close()
 
-	slot, buf, err := w.a.mm.Get(MsgHeadroom+8, mempool.NoOwner)
+	slot, _, err := w.a.mm.Get(MsgHeadroom+8, mempool.NoOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := Delivery{Payload: buf[MsgHeadroom : MsgHeadroom+8], Slot: slot}
-	w.a.deliver(w.a.pollers[0].shard, &msg, sinks)
+	h := w.a.mm.Header(slot)
+	h.Len, h.Stamps = 8, 0
+	w.a.deliver(w.a.pollers[0].shard, slot, h, sinks)
 	w.Settle() // the UNSUB
 	if got := totalFree(w.a); got != baseline {
 		t.Errorf("free slots = %d, want %d: a delivery into the closed sink pins its slot", got, baseline)

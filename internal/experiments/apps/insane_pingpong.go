@@ -21,6 +21,11 @@ func InsanePingPong(cluster *insane.Cluster, payload, rounds int, fast bool) []t
 	}
 	const pingCh, pongCh = 1001, 1002
 
+	// Calls on one cluster reuse the channels: return only once the peers
+	// dropped this call's subscriptions, or the next call's wait can see a
+	// stale one and send its first ping to nobody when the UNSUB lands.
+	defer waitSubscribers(cluster.Nodes()[0], pingCh, 0)
+	defer waitSubscribers(cluster.Nodes()[1], pongCh, 0)
 	sessA, err := cluster.Nodes()[0].InitSession()
 	check(err, "session A")
 	defer sessA.Close()
@@ -37,8 +42,8 @@ func InsanePingPong(cluster *insane.Cluster, payload, rounds int, fast bool) []t
 	check(err, "ping sink")
 	pongSink, err := streamA.CreateSink(pongCh, nil)
 	check(err, "pong sink")
-	waitSubscribed(cluster.Nodes()[0], pingCh)
-	waitSubscribed(cluster.Nodes()[1], pongCh)
+	waitSubscribers(cluster.Nodes()[0], pingCh, 1)
+	waitSubscribers(cluster.Nodes()[1], pongCh, 1)
 	pingSrc, err := streamA.CreateSource(pingCh)
 	check(err, "ping source")
 	pongSrc, err := streamB.CreateSource(pongCh)
@@ -96,10 +101,11 @@ func InsanePingPong(cluster *insane.Cluster, payload, rounds int, fast bool) []t
 	return rtts
 }
 
-// waitSubscribed spins until the node learned one remote subscriber.
-func waitSubscribed(n *insane.Node, channel int) {
+// waitSubscribers spins until the node counts want remote subscribers on
+// the channel.
+func waitSubscribers(n *insane.Node, channel, want int) {
 	deadline := time.Now().Add(2 * time.Second)
-	for n.SubscriberCount(channel) == 0 && time.Now().Before(deadline) {
+	for n.SubscriberCount(channel) != want && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
 	}
 }

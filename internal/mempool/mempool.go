@@ -15,9 +15,10 @@
 // the slot-id protocol exactly.
 //
 // Every slot has a fixed Header beside its bytes: the message's virtual
-// clock. Per-packet metadata lives with the packet, as in a VPP buffer, so
-// the descriptors that cross threads by value — the TX token, the fabric's
-// RX descriptor — carry a slot id and a length and nothing else.
+// clock, its length and its stamps. Per-packet metadata lives with the
+// packet, as in a VPP buffer, so the descriptors that cross threads by
+// value — the TX token, the fabric's RX descriptor, a sink-ring element —
+// carry a slot id and a few bytes more and nothing else.
 //
 // A class reserves its slot ids, states and free ring for every slot at
 // startup, but commits its bytes and headers as traffic needs them: one
@@ -148,8 +149,12 @@ func stateRefs(w uint64) uint32 { return uint32(w) }
 func stateOwner(w uint64) Owner { return Owner(int32(w >> 32)) }
 
 // Header is the per-message metadata a slot carries beside its bytes: the
-// virtual clock of the message it holds. Whoever holds the slot's
-// reference writes and reads it; a borrow does not clear it.
+// virtual clock of the message it holds, and what every sink of a delivery
+// shares — its payload length, which stamps it carries and when it entered
+// the sink rings. Whoever holds the slot's reference writes and reads it; a
+// borrow does not clear it, so a writer sets every field its readers use.
+// It is one cache line, and a chunk's header array starts on a line
+// boundary (TestHeaderIsOneLine).
 type Header struct {
 	// VTime is the message's accumulated virtual timestamp.
 	VTime timebase.VTime
@@ -159,16 +164,28 @@ type Header struct {
 	// the reading its emit_pickup, stage_send and consume_latency spans
 	// open with. Unset and unread on every other message.
 	AdmitT timebase.VTime
+	// PushT is the runtime clock when a sampled message entered its sink
+	// rings, or was picked up off the wire: the reading its stage_recv
+	// span opens with. Unset and unread on every other message.
+	PushT timebase.VTime
+	// Len is the length of the delivered payload.
+	Len uint32
+	// Stamps says which of AdmitT and PushT hold; zero for an unsampled
+	// message. The runtime gives the values their meaning.
+	Stamps uint8
 }
 
 // chunkSlots is how many slots one commit of a class allocates: 128 KiB
 // in the 2 KB class, 576 KiB in the 9 KB class, plus chunkSlots headers.
 const chunkSlots = 64
 
-// chunk is one commit of a class: chunkSlots slots' headers and bytes,
-// allocated together.
+// chunk is one commit of a class: chunkSlots slots' headers and bytes. The
+// headers are an allocation of their own with no pointers in it, so the
+// array starts on a cache line: the allocator puts a pointerful object
+// over 512 B 8 B into its first line, behind a type header, which would
+// split 48 of every 64 headers across two lines.
 type chunk struct {
-	hdrs  [chunkSlots]Header
+	hdrs  *[chunkSlots]Header
 	bytes []byte
 }
 
@@ -324,6 +341,17 @@ func (m *Manager) Header(id SlotID) *Header {
 	return &m.pools[id.pool()].chunks[idx/chunkSlots].Load().hdrs[idx%chunkSlots]
 }
 
+// Held returns the header and the full buffer of a slot the caller holds a
+// reference to, with one chunk lookup. Like Header it checks nothing.
+//
+//insane:hotpath
+func (m *Manager) Held(id SlotID) (*Header, []byte) {
+	p, idx := m.pools[id.pool()], id.index()
+	c := p.chunks[idx/chunkSlots].Load()
+	off := idx % chunkSlots * p.slotSize
+	return &c.hdrs[idx%chunkSlots], c.bytes[off : off+p.slotSize : off+p.slotSize]
+}
+
 // AddRef raises the reference count of a borrowed slot by n (multi-sink
 // delivery takes one reference per sink before handing out the slot id).
 //
@@ -463,10 +491,9 @@ func (p *pool) popFreeContended() (uint32, bool) {
 // empty: a slot another borrower committed while this one waited for
 // growMu, or else the first slot of the next uncommitted chunk, whose
 // other slots go to the free ring. false means every chunk is committed
-// and every slot borrowed. The chunk — headers and bytes in one
-// allocation — and the committed count are published before its slots,
-// so a popped slot always has both and FreeSlots never reads above
-// capacity.
+// and every slot borrowed. The chunk — its headers and its bytes — and
+// the committed count are published before its slots, so a popped slot
+// always has both and FreeSlots never reads above capacity.
 //
 //insane:coldpath the class's committed slots are all borrowed: at most one chunk allocation per chunkSlots slots, for the manager's lifetime
 func (p *pool) grow() (uint32, bool) {
@@ -480,7 +507,10 @@ func (p *pool) grow() (uint32, bool) {
 		return 0, false
 	}
 	n := min(chunkSlots, len(p.states)-first)
-	p.chunks[first/chunkSlots].Store(&chunk{bytes: make([]byte, n*p.slotSize)})
+	p.chunks[first/chunkSlots].Store(&chunk{
+		hdrs:  new([chunkSlots]Header),
+		bytes: make([]byte, n*p.slotSize),
+	})
 	p.committed.Store(int32(first + n))
 	for i := first + 1; i < first+n; i++ {
 		p.pushFreeContended(uint32(i)) // the ring has room for every slot

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"github.com/insane-mw/insane/internal/timebase"
 )
@@ -223,6 +224,52 @@ func TestBufChecksOwner(t *testing.T) {
 	}
 }
 
+// TestHeaderIsOneLine pins a slot's header at one 64 B cache line, and
+// every committed chunk's header array on a line boundary in both default
+// classes, so no header spans two lines. Held returns the slot's own
+// header and bytes.
+func TestHeaderIsOneLine(t *testing.T) {
+	if size := unsafe.Sizeof(Header{}); size != 64 {
+		t.Errorf("Header is %d bytes, want 64", size)
+	}
+	m, err := NewManager(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []SlotID
+	defer func() {
+		for _, id := range held {
+			_ = m.Release(id)
+		}
+	}()
+	// Three chunks of each class: the first slot of a chunk goes to its
+	// borrower, the rest to the free ring.
+	for _, c := range DefaultClasses {
+		for i := 0; i < 2*chunkSlots+1; i++ {
+			id, buf, err := m.Get(c.SlotSize, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, id)
+			h, got := m.Held(id)
+			if h != m.Header(id) || &got[0] != &buf[0] || len(got) != len(buf) || cap(got) != cap(buf) {
+				t.Fatalf("Held(%v) is not the slot's header and bytes", id)
+			}
+		}
+	}
+	for pi, p := range m.pools {
+		committed := int(p.committed.Load())
+		if committed != 3*chunkSlots {
+			t.Fatalf("class %d: %d slots committed, want %d", pi, committed, 3*chunkSlots)
+		}
+		for c := 0; c < committed/chunkSlots; c++ {
+			if addr := uintptr(unsafe.Pointer(p.chunks[c].Load().hdrs)); addr%64 != 0 {
+				t.Errorf("class %d chunk %d: header array at %#x, %d B into a line", pi, c, addr, addr%64)
+			}
+		}
+	}
+}
+
 func TestAddRefMultiSink(t *testing.T) {
 	m := newTestManager(t)
 	id, _, err := m.Get(64, 1)
@@ -374,6 +421,9 @@ func TestConcurrentGrowth(t *testing.T) {
 			VTime:     timebase.VTime(v),
 			Breakdown: timebase.Breakdown{Send: v + 1, Network: v + 2, Recv: v + 3, Processing: v + 4},
 			AdmitT:    timebase.VTime(v + 5),
+			PushT:     timebase.VTime(v + 6),
+			Len:       tag,
+			Stamps:    uint8(tag),
 		}
 	}
 	const slots = 8*chunkSlots + 5

@@ -106,64 +106,6 @@ func (q *MPMC[T]) TryPop() (T, bool) {
 	}
 }
 
-// TryPushFrom is TryPush for an element wider than a few words: the value
-// is copied once, from *src into the ring cell, where TryPush copies it
-// into the call and again into the cell. It repeats TryPush's claim loop
-// instead of sharing it: behind a shared helper the word-sized rings (the
-// mempool free ring) pay a second, non-inlined call per operation.
-//
-//insane:hotpath
-func (q *MPMC[T]) TryPushFrom(src *T) bool {
-	pos := q.tail.Load()
-	//insane:bounded by=lock-free CAS retry: a failed claim means another producer made progress
-	for {
-		cell := &q.cells[pos&q.mask]
-		seq := cell.seq.Load()
-		switch {
-		case seq == pos:
-			if q.tail.CompareAndSwap(pos, pos+1) {
-				cell.val = *src
-				cell.seq.Store(pos + 1) // publish
-				return true
-			}
-			pos = q.tail.Load()
-		case seq < pos:
-			return false // full
-		default:
-			pos = q.tail.Load()
-		}
-	}
-}
-
-// TryPopInto is TryPop for an element wider than a few words: the oldest
-// element is copied once, from the ring cell into *dst. On an empty ring
-// it reports false and leaves *dst alone.
-//
-//insane:hotpath
-func (q *MPMC[T]) TryPopInto(dst *T) bool {
-	var zero T
-	pos := q.head.Load()
-	//insane:bounded by=lock-free CAS retry: a failed claim means another consumer made progress
-	for {
-		cell := &q.cells[pos&q.mask]
-		seq := cell.seq.Load()
-		switch {
-		case seq == pos+1:
-			if q.head.CompareAndSwap(pos, pos+1) {
-				*dst = cell.val
-				cell.val = zero
-				cell.seq.Store(pos + q.mask + 1) // free for next lap
-				return true
-			}
-			pos = q.head.Load()
-		case seq <= pos:
-			return false // empty
-		default:
-			pos = q.head.Load()
-		}
-	}
-}
-
 // PushBatch appends up to len(src) elements and returns how many were
 // accepted. The claim is sequence-aware: the producer first counts how
 // many consecutive cells starting at the current tail are free (seq ==

@@ -3,7 +3,6 @@ package ringbuf
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -473,148 +472,12 @@ func TestMPMCBatchMixedWithSingle(t *testing.T) {
 	}
 }
 
-// wide is an element of the sink rings' shape: several words, with a
-// pointer in it. Every field repeats the same value, so a torn copy shows.
-type wide struct {
-	p          []byte
-	a, b, c, d uint64
-}
-
-func wideOf(v uint64) wide { return wide{a: v, b: v, c: v, d: v} }
-
-func (w wide) intact() bool { return w.a == w.b && w.b == w.c && w.c == w.d }
-
-// TestMPMCPointerForms: TryPushFrom and TryPopInto keep the order and the
-// bounds of the by-value forms and mix with them and with the batch forms
-// on one ring; a pop from an empty ring leaves its destination alone, and
-// a popped cell is cleared so the ring does not pin what it pointed to.
-func TestMPMCPointerForms(t *testing.T) {
-	q, err := NewMPMC[wide](4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lap := uint64(0); lap < 3; lap++ {
-		// Fill through all three push forms, overflow, drain through all
-		// three pop forms.
-		w := wideOf(4 * lap)
-		w.p = []byte("pinned")
-		if !q.TryPushFrom(&w) {
-			t.Fatalf("lap %d: TryPushFrom into an empty ring failed", lap)
-		}
-		if !q.TryPush(wideOf(4*lap + 1)) {
-			t.Fatalf("lap %d: TryPush failed", lap)
-		}
-		if n := q.PushBatch([]wide{wideOf(4*lap + 2), wideOf(4*lap + 3)}); n != 2 {
-			t.Fatalf("lap %d: PushBatch = %d, want 2", lap, n)
-		}
-		w = wideOf(99)
-		if q.TryPushFrom(&w) {
-			t.Fatalf("lap %d: TryPushFrom into a full ring succeeded", lap)
-		}
-		var got [4]wide
-		if !q.TryPopInto(&got[0]) {
-			t.Fatalf("lap %d: TryPopInto from a full ring failed", lap)
-		}
-		if cell := &q.cells[(4*lap)&q.mask]; cell.val.p != nil || cell.val.a != 0 {
-			t.Errorf("lap %d: popped cell still holds %+v", lap, cell.val)
-		}
-		var ok bool
-		if got[1], ok = q.TryPop(); !ok {
-			t.Fatalf("lap %d: TryPop failed", lap)
-		}
-		if n := q.PopBatch(got[2:]); n != 2 {
-			t.Fatalf("lap %d: PopBatch = %d, want 2", lap, n)
-		}
-		for i, g := range got {
-			if g.a != 4*lap+uint64(i) || !g.intact() {
-				t.Errorf("lap %d: element %d = %+v", lap, i, g)
-			}
-		}
-		if string(got[0].p) != "pinned" {
-			t.Errorf("lap %d: pointer field = %q", lap, got[0].p)
-		}
-		keep := wideOf(7)
-		if q.TryPopInto(&keep) || keep.a != 7 || !keep.intact() {
-			t.Errorf("lap %d: TryPopInto on an empty ring = true or wrote %+v", lap, keep)
-		}
-	}
-}
-
-// TestMPMCPointerFormsConcurrentExactlyOnce: producers on TryPushFrom and
-// consumers on TryPopInto lose, duplicate and tear nothing.
-func TestMPMCPointerFormsConcurrentExactlyOnce(t *testing.T) {
-	const (
-		producers = 4
-		consumers = 4
-		perProd   = 2_000
-	)
-	q, err := NewMPMC[wide](64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prodWG, consWG sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		prodWG.Add(1)
-		go func(p int) {
-			defer prodWG.Done()
-			for i := 0; i < perProd; i++ {
-				w := wideOf(uint64(p*perProd + i))
-				for !q.TryPushFrom(&w) {
-					runtime.Gosched()
-				}
-			}
-		}(p)
-	}
-	var popped atomic.Int64
-	seen := make([]atomic.Int32, producers*perProd)
-	for c := 0; c < consumers; c++ {
-		consWG.Add(1)
-		go func() {
-			defer consWG.Done()
-			var w wide
-			for popped.Load() < producers*perProd {
-				if !q.TryPopInto(&w) {
-					runtime.Gosched()
-					continue
-				}
-				popped.Add(1)
-				if !w.intact() || w.a >= producers*perProd {
-					t.Errorf("torn or foreign element %+v", w)
-					continue
-				}
-				seen[w.a].Add(1)
-			}
-		}()
-	}
-	prodWG.Wait()
-	consWG.Wait()
-	for v := range seen {
-		if n := seen[v].Load(); n != 1 {
-			t.Fatalf("value %d seen %d times", v, n)
-		}
-	}
-}
-
 func BenchmarkMPMCPushPop(b *testing.B) {
 	q, _ := NewMPMC[uint64](1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.TryPush(uint64(i))
 		q.TryPop()
-	}
-}
-
-// BenchmarkMPMCPushPopWide is the sink ring's crossing: an 80-byte element
-// pushed from and popped into caller-owned memory.
-func BenchmarkMPMCPushPopWide(b *testing.B) {
-	type elem [10]uint64
-	q, _ := NewMPMC[elem](1024)
-	var e elem
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e[0] = uint64(i)
-		q.TryPushFrom(&e)
-		q.TryPopInto(&e)
 	}
 }
 

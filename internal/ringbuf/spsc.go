@@ -14,10 +14,8 @@
 //   - MPMC: a Vyukov-style bounded multi-producer/multi-consumer ring,
 //     used everywhere: TX lanes, sink RX rings (fed by pollers and
 //     run-to-completion emitters alike), and the memory manager's
-//     free-slot list. Word-sized elements (slot ids) use the by-value
-//     TryPush/TryPop; the sink rings, whose element is an 80-byte
-//     delivery, use TryPushFrom/TryPopInto, which copy once between the
-//     caller's memory and the ring cell.
+//     free-slot list. Every element is a few words at most — a slot id, a
+//     TX token, a sink descriptor — and crosses by value.
 //
 // Both are fixed capacity (a power of two), never allocate after
 // construction, and never block: full/empty conditions are reported to the
