@@ -85,8 +85,11 @@ examples: ## run every example program
 	$(GO) run ./examples/camera-streaming
 	$(GO) run ./examples/tsn-control
 
-# Non-test, non-fixture lines of Go per package directory: the figure the
+# Non-test, non-fixture lines of Go per package directory, then the total
+# outside perfbench/ and internal/lint's share of it: the figures the
 # simplicity PRs in CHANGES.md quote.
-loc: ## count non-test, non-testdata lines of Go per package directory
+loc: ## count non-test, non-testdata lines of Go per package directory, and the total outside perfbench/
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' | xargs wc -l | \
-	  awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k2
+	  awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k2 | \
+	  awk '{ print } $$2 !~ /^\.\/perfbench(\/|$$)/ { t += $$1 } $$2 ~ /^\.\/internal\/lint(\/|$$)/ { l += $$1 } \
+	    END { printf "%7d  total outside ./perfbench\n%7d  of which ./internal/lint\n", t, l }'

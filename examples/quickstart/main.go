@@ -90,9 +90,9 @@ func run() error {
 	}
 	fmt.Printf("received %q on channel %d\n", msg.Payload, msg.Channel)
 	fmt.Printf("one-way virtual latency: %v\n", msg.Latency)
-	send, network, recv, processing := msg.Breakdown()
+	st := msg.Stages()
 	fmt.Printf("  breakdown: send=%v network=%v recv=%v processing=%v\n",
-		send, network, recv, processing)
+		st.Send, st.Network, st.Recv, st.Processing)
 	sink.Release(msg)
 	return nil
 }

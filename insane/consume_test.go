@@ -318,8 +318,8 @@ func TestStageHistogramsSkipZeroCharge(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, network, _, processing := m.Breakdown(); network != 0 || (processing != 0) != (i >= plain) {
-					t.Fatalf("message %d: network %v, processing %v", i, network, processing)
+				if st := m.Stages(); st.Network != 0 || (st.Processing != 0) != (i >= plain) {
+					t.Fatalf("message %d: network %v, processing %v", i, st.Network, st.Processing)
 				}
 				sink.Release(m)
 			}

@@ -133,8 +133,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if got.Latency <= 0 {
 		t.Error("latency not accounted")
 	}
-	s, n, r, p := got.Breakdown()
-	if s+n+r+p != got.Latency {
+	if st := got.Stages(); st.Send+st.Network+st.Recv+st.Processing != got.Latency {
 		t.Error("breakdown does not sum to latency")
 	}
 	sink.Release(got)

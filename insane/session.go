@@ -284,7 +284,6 @@ func (s *Source) Abort(b *Buffer) {
 // message's virtual clock; layered middleware (e.g. Lunar MoM) uses it to
 // account its own overhead in the latency figures.
 func (b *Buffer) AddProcessing(d time.Duration) {
-	b.inner.VTime = b.inner.VTime.Add(d)
 	b.inner.Breakdown.Processing += d
 }
 
@@ -292,7 +291,6 @@ func (b *Buffer) AddProcessing(d time.Duration) {
 // so latency accounting accumulates across an echo (used by the
 // ping-pong benchmarks).
 func (b *Buffer) ContinueFrom(m *Message) {
-	b.inner.VTime = m.d.VTime
 	b.inner.Breakdown = m.d.Breakdown
 }
 
@@ -343,15 +341,10 @@ type Message struct {
 	Payload []byte
 	// Channel is the channel the message arrived on.
 	Channel int
-	// Latency is the accumulated one-way virtual latency.
+	// Latency is the accumulated one-way virtual latency: the sum of
+	// Stages.
 	Latency time.Duration
 	d       core.Delivery
-}
-
-// Breakdown splits the message latency into the Fig. 6 stages.
-func (m *Message) Breakdown() (send, network, recv, processing time.Duration) {
-	bd := m.d.Breakdown
-	return bd.Send, bd.Network, bd.Recv, bd.Processing
 }
 
 // Stages is a message latency split by pipeline stage (Fig. 6): sender
@@ -443,7 +436,7 @@ func (k *Sink) await(ctx context.Context, m *Message) error {
 func (k *Sink) filled(m *Message) *Message {
 	m.Payload = m.d.Payload
 	m.Channel = k.Channel()
-	m.Latency = m.d.VTime.Duration()
+	m.Latency = m.d.Breakdown.Total()
 	return m
 }
 

@@ -221,8 +221,8 @@ func TestSlowStreamRemoteDelivery(t *testing.T) {
 		t.Errorf("payload = %q, want %q", d.Payload, msg)
 	}
 	// Kernel one-way with runtime overhead ≈ 6.8 µs at this size.
-	if d.VTime.Duration() < 5*time.Microsecond || d.VTime.Duration() > 9*time.Microsecond {
-		t.Errorf("one-way vtime = %v, want ≈6.8µs", d.VTime)
+	if vt := d.Breakdown.Total(); vt < 5*time.Microsecond || vt > 9*time.Microsecond {
+		t.Errorf("one-way vtime = %v, want ≈6.8µs", vt)
 	}
 }
 
@@ -273,7 +273,6 @@ func TestFastStreamPingPongOverDPDK(t *testing.T) {
 			t.Fatal(err)
 		}
 		copy(resp.Payload, req.Payload)
-		resp.VTime = req.VTime
 		resp.Breakdown = req.Breakdown
 		if _, err := pongSrc.Emit(&resp, len(req.Payload)); err != nil {
 			t.Fatal(err)
@@ -284,7 +283,7 @@ func TestFastStreamPingPongOverDPDK(t *testing.T) {
 		if err := consumeWithin(pongSink, &pong, 2*time.Second); err != nil {
 			t.Fatalf("round %d pong: %v", i, err)
 		}
-		rtts = append(rtts, pong.VTime.Duration())
+		rtts = append(rtts, pong.Breakdown.Total())
 		pongSink.Release(&pong)
 	}
 	// INSANE fast RTT ≈ 4.95 µs (64 B, local testbed).
@@ -321,8 +320,8 @@ func TestCoLocatedSharedMemoryDelivery(t *testing.T) {
 		t.Errorf("LocalDeliveries = %d, want 1", got)
 	}
 	// Local delivery is ns-scale: IPC + sched + delivery only.
-	if d.VTime.Duration() > 2*time.Microsecond {
-		t.Errorf("local delivery vtime = %v, want sub-2µs", d.VTime)
+	if vt := d.Breakdown.Total(); vt > 2*time.Microsecond {
+		t.Errorf("local delivery vtime = %v, want sub-2µs", vt)
 	}
 	sink.Release(&d)
 }
@@ -601,7 +600,7 @@ func TestMalformedRxDropsCounted(t *testing.T) {
 
 			free := fmt.Sprint(w.b.mm.FreeSlots())
 			for _, f := range frames {
-				if err := from.Transmit(f, 0, timebase.Breakdown{}); err != nil {
+				if err := from.Transmit(f, timebase.Breakdown{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -644,7 +643,7 @@ func TestClosedRuntimeIsNeverRung(t *testing.T) {
 		default:
 		}
 	}
-	if err := from.Transmit(make([]byte, netstack.HeadersLen), 0, timebase.Breakdown{}); err != nil {
+	if err := from.Transmit(make([]byte, netstack.HeadersLen), timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range w.b.pollers {

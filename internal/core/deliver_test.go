@@ -14,13 +14,13 @@ import (
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
-// TestSinkTokenSize pins the Delivery a consume fills at 72 bytes: the
+// TestSinkTokenSize pins the Delivery a consume fills at 64 bytes: the
 // public insane.Message embeds it, and a sink ring carries none of it —
 // the payload view, clock and slot are rebuilt from the descriptor and
 // the slot's header.
 func TestSinkTokenSize(t *testing.T) {
-	if size := unsafe.Sizeof(Delivery{}); size > 72 {
-		t.Errorf("Delivery is %d bytes, want <= 72", size)
+	if size := unsafe.Sizeof(Delivery{}); size > 64 {
+		t.Errorf("Delivery is %d bytes, want <= 64", size)
 	}
 }
 
@@ -428,7 +428,6 @@ func TestDispatchSkipsReborrowedSlot(t *testing.T) {
 		}
 	}
 	mine := mempool.Header{
-		VTime:     12345,
 		Breakdown: timebase.Breakdown{Send: 1, Network: 2, Recv: 3, Processing: 4},
 		AdmitT:    6,
 	}

@@ -2,8 +2,9 @@
 // that centralizes host networking and offers it as a service to local
 // applications. It contains the four architectural components of Fig. 3 —
 // memory manager (internal/mempool), packet scheduler (internal/sched),
-// polling threads, and datapath plugins (internal/datapath/...) — plus the
-// session/stream/channel bookkeeping behind the client library API.
+// polling threads, and datapath plugins (one configurable endpoint,
+// internal/datapath) — plus the session/stream/channel bookkeeping behind
+// the client library API.
 //
 // The client library and the runtime communicate exclusively by exchanging
 // memory-slot tokens over lock-free rings (internal/ringbuf), mirroring the

@@ -287,9 +287,7 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []txToken, waits []ti
 		}
 		// The queued path's Send-stage charges, like the IPC hop: the
 		// scheduling decision and the wait behind it.
-		d := r.rc.Sched.Latency(int(tok.msgLen), r.tb) + waits[i]
-		h.VTime = h.VTime.Add(d)
-		h.Breakdown.Send += d
+		h.Breakdown.Send += r.rc.Sched.Latency(int(tok.msgLen), r.tb) + waits[i]
 
 		// Local sinks first: co-located source/sink pairs communicate
 		// through shared memory directly (§5.1).
@@ -365,7 +363,6 @@ func (r *Runtime) sendToPeer(p *poller, st *techState, tok *txToken, h *mempool.
 		Off:       headroomOffset,
 		Len:       int(tok.msgLen),
 		Src:       st.local,
-		VTime:     h.VTime,
 		Breakdown: h.Breakdown,
 	}
 
@@ -483,9 +480,7 @@ func (r *Runtime) deliverRX(p *poller, n int) {
 func (r *Runtime) receiveData(p *poller, pkt *datapath.Packet, h *header) {
 	p.shard.Inc(telemetry.CtrRxMessages)
 	// DMA/PCIe byte-touch cost of the runtime receive path.
-	touch := r.tb.Scale(model.ScaleRuntime, time.Duration(r.rc.RxDMATouchNs*float64(pkt.Len)))
-	pkt.VTime = pkt.VTime.Add(touch)
-	pkt.Breakdown.Recv += touch
+	pkt.Breakdown.Recv += r.tb.Scale(model.ScaleRuntime, time.Duration(r.rc.RxDMATouchNs*float64(pkt.Len)))
 
 	sinks := r.view.Load().routes[h.channel].sinks
 	if len(sinks) == 0 {
@@ -500,7 +495,6 @@ func (r *Runtime) receiveData(p *poller, pkt *datapath.Packet, h *header) {
 	// The payload follows the INSANE header, at MsgHeadroom like every
 	// message's: the frame landed at offset 0 of its slot.
 	hdr := r.mm.Header(pkt.Slot)
-	hdr.VTime = pkt.VTime
 	hdr.Breakdown = pkt.Breakdown
 	hdr.Len = uint32(pkt.Len - HeaderLen)
 	hdr.Stamps = 0

@@ -67,7 +67,7 @@ func TestStalledReceiverPinsBoundedSlots(t *testing.T) {
 	st := w.b.techs[model.TechDPDK]
 	st.mu.Lock() // the poller blocks in pollRX: a stalled receiver
 	for i := 0; i < flood; i++ {
-		if err := from.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+		if err := from.Transmit(frame, timebase.Breakdown{}); err != nil {
 			st.mu.Unlock()
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestCloseUnderInboundTraffic(t *testing.T) {
 					return
 				default:
 				}
-				if err := from.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+				if err := from.Transmit(frame, timebase.Breakdown{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -137,7 +137,7 @@ func TestCloseUnderInboundTraffic(t *testing.T) {
 		}
 		gets := w.b.mm.Stats().Gets
 		for i := 0; i < 100; i++ {
-			if err := from.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+			if err := from.Transmit(frame, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -164,7 +164,7 @@ func TestClosedRuntimeTakesNothing(t *testing.T) {
 	}
 	dropped := to.Stats().Dropped
 	for i := 0; i < flood; i++ {
-		if err := from.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+		if err := from.Transmit(frame, timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -65,8 +65,6 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32, sampled bool) bool 
 	// path. The INSANE header is never encoded: the payload already sits at
 	// MsgHeadroom, where a consume reads it.
 	hop := rt.tb.Scale(rt.rc.RTCDeliver.Class, rt.rc.RTCDeliver.Fixed+rt.rc.RTCDeliver.Amort)
-	bd := b.Breakdown
-	bd.Send += hop
 
 	// The slot is the runtime's from here (Emit), and one reference per
 	// sink: the emitter's own is handed to the first, so nothing here
@@ -78,8 +76,8 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32, sampled bool) bool 
 		_ = rt.mm.AddRef(b.Slot, len(sinks)-1)
 	}
 	h := rt.mm.Header(b.Slot)
-	h.VTime = b.VTime.Add(hop)
-	h.Breakdown = bd
+	h.Breakdown = b.Breakdown
+	h.Breakdown.Send += hop
 	h.Len = uint32(n)
 	h.Stamps = 0
 	if sampled {

@@ -35,7 +35,7 @@ func TestRTCDeliversSynchronously(t *testing.T) {
 	if !bytes.Equal(d.Payload, []byte("sync")) {
 		t.Errorf("payload = %q, want %q", d.Payload, "sync")
 	}
-	if d.VTime.Duration() <= 0 {
+	if d.Breakdown.Total() <= 0 {
 		t.Error("RTC delivery carries no virtual-time charge")
 	}
 	sink.Release(&d)

@@ -96,8 +96,6 @@ type Stats struct {
 	// TechDowngrades counts remote sends that used a technology below
 	// the stream's mapping because the peer lacks it.
 	TechDowngrades uint64
-	// Endpoint holds per-technology endpoint statistics.
-	Endpoint map[model.Tech]datapath.Stats
 }
 
 // techState binds one technology's endpoint with its egress scheduler.
@@ -546,7 +544,7 @@ func (r *Runtime) Warnings() []string {
 
 // Stats returns a snapshot of the runtime counters.
 func (r *Runtime) Stats() Stats {
-	s := Stats{
+	return Stats{
 		TxMessages:      r.tel.Counter(telemetry.CtrTxMessages),
 		RxMessages:      r.tel.Counter(telemetry.CtrRxMessages),
 		LocalDeliveries: r.tel.Counter(telemetry.CtrLocalDeliveries),
@@ -555,12 +553,7 @@ func (r *Runtime) Stats() Stats {
 		RTCDeliveries:   r.tel.Counter(telemetry.CtrRTCDeliveries),
 		RTCFallbacks:    r.tel.Counter(telemetry.CtrRTCFallbacks),
 		TechDowngrades:  r.tel.Counter(telemetry.CtrTechDowngrades),
-		Endpoint:        make(map[model.Tech]datapath.Stats, len(r.techs)),
 	}
-	for t, st := range r.techs {
-		s.Endpoint[t] = st.ep.Stats()
-	}
-	return s
 }
 
 // Telemetry exposes the runtime's telemetry domain (exporters, tests).

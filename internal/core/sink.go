@@ -24,9 +24,8 @@ const rxRingDepth = 1024
 type Delivery struct {
 	// Payload is the read-only view of the message in its slot.
 	Payload []byte
-	// VTime is the accumulated one-way virtual latency of the message.
-	VTime timebase.VTime
-	// Breakdown splits VTime by Fig. 6 stage.
+	// Breakdown is the message's one-way virtual latency, split by Fig. 6
+	// stage; its Total is the latency.
 	Breakdown timebase.Breakdown
 	Slot      mempool.SlotID
 }
@@ -158,7 +157,6 @@ func (k *SinkHandle) TryConsume(d *Delivery) error {
 	h, buf := k.mm.Held(desc.slot)
 	cost := k.costs[desc.cost]
 	d.Payload = buf[MsgHeadroom : MsgHeadroom+int(h.Len)]
-	d.VTime = h.VTime.Add(cost)
 	d.Breakdown = h.Breakdown
 	d.Breakdown.Recv += cost
 	d.Slot = desc.slot

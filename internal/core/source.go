@@ -70,10 +70,9 @@ type Buffer struct {
 	Slot mempool.SlotID
 	// Payload is the writable application area of the slot.
 	Payload []byte
-	// VTime seeds the packet's virtual clock; an echo server copies the
-	// request's VTime here so round-trip accounting accumulates.
-	VTime timebase.VTime
-	// Breakdown seeds the packet's stage accounting, like VTime.
+	// Breakdown seeds the packet's virtual clock, split by Fig. 6 stage;
+	// an echo server copies the request's here so round-trip accounting
+	// accumulates.
 	Breakdown timebase.Breakdown
 
 	buf []byte
@@ -275,7 +274,6 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 	h := mm.Header(b.Slot)
 	ipc := rt.rc.IPCTx
 	d := rt.tb.Scale(ipc.Class, ipc.Fixed+ipc.Amort)
-	h.VTime = b.VTime.Add(d)
 	h.Breakdown = b.Breakdown
 	h.Breakdown.Send += d
 	if sampled {

@@ -160,7 +160,6 @@ type replay struct {
 // delivered is a consumed message without its slot.
 type delivered struct {
 	payload   string
-	vtime     timebase.VTime
 	breakdown timebase.Breakdown
 }
 
@@ -206,7 +205,7 @@ func replayScript(t *testing.T) replay {
 			for _, k := range f.sinks {
 				var d Delivery
 				for k.TryConsume(&d) == nil {
-					run.deliveries = append(run.deliveries, delivered{string(d.Payload), d.VTime, d.Breakdown})
+					run.deliveries = append(run.deliveries, delivered{string(d.Payload), d.Breakdown})
 					k.Release(&d)
 				}
 			}

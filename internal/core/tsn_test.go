@@ -59,8 +59,8 @@ func TestTSNGateWaitAccountedInVTime(t *testing.T) {
 	}
 	defer sink.Release(&d)
 	// The delivery must account ≥ the 140µs spent waiting for the gate.
-	if d.VTime.Duration() < 140*time.Microsecond {
-		t.Errorf("delivery vtime = %v, want ≥140µs of gate wait", d.VTime)
+	if vt := d.Breakdown.Total(); vt < 140*time.Microsecond {
+		t.Errorf("delivery vtime = %v, want ≥140µs of gate wait", vt)
 	}
 }
 
@@ -234,8 +234,8 @@ func TestStatsAccumulate(t *testing.T) {
 	if sb.RxMessages != n {
 		t.Errorf("B RxMessages = %d, want %d", sb.RxMessages, n)
 	}
-	if ep, ok := sb.Endpoint[model.TechKernelUDP]; !ok || ep.RxPackets < n {
-		t.Errorf("B endpoint stats missing: %+v", sb.Endpoint)
+	if ep := w.b.techs[model.TechKernelUDP].ep.Stats(); ep.RxPackets < n {
+		t.Errorf("B endpoint stats missing: %+v", ep)
 	}
 }
 

@@ -371,7 +371,7 @@ func TestHopResolvedAtSubscribe(t *testing.T) {
 			t.Fatal(err)
 		}
 		sink.Release(&d)
-		if rx := w.b.Stats().Endpoint[model.TechXDP].RxPackets; rx != 1 {
+		if rx := w.b.techs[model.TechXDP].ep.Stats().RxPackets; rx != 1 {
 			t.Errorf("peer's xdp endpoint received %d packets, want the 1 message", rx)
 		}
 	})
@@ -423,7 +423,7 @@ func TestControlFloodIsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := from.Transmit(buf[:n], 0, timebase.Breakdown{}); err != nil {
+		if err := from.Transmit(buf[:n], timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 	}

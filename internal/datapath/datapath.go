@@ -14,12 +14,12 @@
 // UDP and RDMA accept bare messages because the kernel or the NIC
 // implements the protocols.
 //
-// Every packet carries a virtual timestamp and a Fig. 6-style breakdown;
-// the endpoint charges the technology's calibrated model costs as the
-// packet crosses it (see internal/model). The Packet is the unit exchanged
-// between the runtime and an endpoint and nothing more: what the runtime
-// needs to schedule or settle a message travels in the runtime's own
-// token, not here.
+// Every packet carries a virtual clock, a Fig. 6-style breakdown whose
+// Total is the latency so far; the endpoint charges the technology's
+// calibrated model costs to its stages as the packet crosses it (see
+// internal/model). The Packet is the unit exchanged between the runtime
+// and an endpoint and nothing more: what the runtime needs to schedule or
+// settle a message travels in the runtime's own token, not here.
 package datapath
 
 import (
@@ -49,8 +49,7 @@ var (
 
 // Packet is the unit exchanged between the runtime and an endpoint.
 type Packet struct {
-	// Slot backs Buf when the packet's memory comes from the runtime
-	// memory manager (NoSlot for transient buffers).
+	// Slot is the slot of the runtime memory manager that backs Buf.
 	Slot mempool.SlotID
 	// Buf is the full backing buffer; the message occupies
 	// Buf[Off : Off+Len].
@@ -62,19 +61,18 @@ type Packet struct {
 	Framed bool
 	// Src and Dst address the flow at UDP granularity.
 	Src, Dst netstack.Endpoint
-	// VTime is the accumulated virtual timestamp of the packet.
-	VTime timebase.VTime
-	// Breakdown accounts the virtual time by Fig. 6 stage.
+	// Breakdown is the packet's virtual clock, split by Fig. 6 stage; its
+	// Total is the latency accumulated so far.
 	Breakdown timebase.Breakdown
 }
 
 // Bytes returns the message (or frame) view of the packet.
 func (p *Packet) Bytes() []byte { return p.Buf[p.Off : p.Off+p.Len] }
 
-// Charge adds a model component's latency cost to the packet's virtual
-// clock and breakdown, amortizing burstable work over burst packets. It
-// runs several times per packet on every technology, so the component and
-// the testbed come by pointer.
+// Charge adds a model component's latency cost to the stage of the
+// packet's virtual clock that the component's category names, amortizing
+// burstable work over burst packets. It runs several times per packet on
+// every technology, so the component and the testbed come by pointer.
 //
 //insane:hotpath
 func (p *Packet) Charge(c *model.Component, payload, burst int, tb *model.Testbed) {
@@ -83,7 +81,6 @@ func (p *Packet) Charge(c *model.Component, payload, burst int, tb *model.Testbe
 		return
 	}
 	d := c.Occupancy(payload, burst, tb) + tb.Scale(c.Class, c.LatencyOnly)
-	p.VTime = p.VTime.Add(d)
 	switch c.Category {
 	case model.CatSend:
 		p.Breakdown.Send += d

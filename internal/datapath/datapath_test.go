@@ -25,15 +25,9 @@ func TestChargeCategories(t *testing.T) {
 	p.Charge(mk(model.CatNetwork), 0, 1, &model.Local)
 	p.Charge(mk(model.CatRecv), 0, 1, &model.Local)
 	p.Charge(mk(model.CatProcessing), 0, 1, &model.Local)
-	if p.VTime.Duration() != 400 {
-		t.Errorf("vtime = %v, want 400ns", p.VTime)
-	}
 	bd := p.Breakdown
 	if bd.Send != 100 || bd.Network != 100 || bd.Recv != 100 || bd.Processing != 100 {
 		t.Errorf("breakdown = %+v", bd)
-	}
-	if bd.Total() != p.VTime.Duration() {
-		t.Error("breakdown does not sum to vtime")
 	}
 }
 
@@ -43,11 +37,11 @@ func TestChargeAmortization(t *testing.T) {
 	single.Charge(c, 0, 1, &model.Local)
 	burst := &Packet{}
 	burst.Charge(c, 0, 32, &model.Local)
-	if single.VTime.Duration() != 420 {
-		t.Errorf("single charge = %v, want 420ns", single.VTime)
+	if got := single.Breakdown.Total(); got != 420 {
+		t.Errorf("single charge = %v, want 420ns", got)
 	}
-	if burst.VTime.Duration() != 110 {
-		t.Errorf("burst charge = %v, want 110ns", burst.VTime)
+	if got := burst.Breakdown.Total(); got != 110 {
+		t.Errorf("burst charge = %v, want 110ns", got)
 	}
 }
 
@@ -55,7 +49,7 @@ func TestChargeOccupancyOnlySkipsLatency(t *testing.T) {
 	c := &model.Component{Name: "reap", Category: model.CatSend, Amort: 400, OccupancyOnly: true}
 	p := &Packet{}
 	p.Charge(c, 0, 1, &model.Local)
-	if p.VTime != 0 || p.Breakdown.Total() != 0 {
+	if p.Breakdown.Total() != 0 {
 		t.Error("occupancy-only work charged to the latency clock")
 	}
 }
@@ -65,8 +59,8 @@ func TestChargeLatencyOnlyWaits(t *testing.T) {
 	p := &Packet{}
 	p.Charge(c, 0, 32, &model.Cloud) // burst must not amortize waits
 	want := time.Duration(1600)      // 1000 × 1.6 kernel scale
-	if p.VTime.Duration() != want {
-		t.Errorf("wait charge = %v, want %v", p.VTime, want)
+	if got := p.Breakdown.Total(); got != want {
+		t.Errorf("wait charge = %v, want %v", got, want)
 	}
 }
 

@@ -23,9 +23,8 @@ func TestDPDKRoundTripFramed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sentVT := timebase.VTime(5 * time.Microsecond)
 	sentBD := timebase.Breakdown{Send: time.Microsecond, Processing: 4 * time.Microsecond}
-	pkt.VTime, pkt.Breakdown = sentVT, sentBD
+	pkt.Breakdown = sentBD
 	if n, err := p.a.Send([]*Packet{pkt}, p.epB); err != nil || n != 1 {
 		t.Fatalf("Send = %d,%v", n, err)
 	}
@@ -47,8 +46,8 @@ func TestDPDKRoundTripFramed(t *testing.T) {
 	wantBD.Send += 700
 	wantBD.Network += 460
 	wantBD.Recv += 563
-	if got.VTime != sentVT.Add(1723) || got.Breakdown != wantBD {
-		t.Errorf("clock = %v %+v, want %v %+v", got.VTime, got.Breakdown, sentVT.Add(1723), wantBD)
+	if got.Breakdown != wantBD || got.Breakdown.Total() != 5*time.Microsecond+1723 {
+		t.Errorf("clock = %v %+v, want %v %+v", got.Breakdown.Total(), got.Breakdown, 5*time.Microsecond+1723, wantBD)
 	}
 	if p.b.Stats().RxPackets != 1 || p.a.Stats().TxPackets != 1 {
 		t.Error("stats not counted")
@@ -70,7 +69,7 @@ func TestDPDKBurstAmortizesDoorbell(t *testing.T) {
 	msg := make([]byte, 64)
 
 	single.send(t, msg)
-	soloVT := single.pollOne(t).VTime
+	soloVT := single.pollOne(t).Breakdown.Total()
 
 	pkts := make([]*Packet, 16)
 	for i := range pkts {
@@ -103,7 +102,7 @@ func TestDPDKBurstAmortizesDoorbell(t *testing.T) {
 	if n != len(got) {
 		t.Fatalf("received %d of %d", n, len(got))
 	}
-	if got[0].VTime >= soloVT {
-		t.Errorf("burst packet vtime %v not below single-packet %v", got[0].VTime, soloVT)
+	if got[0].Breakdown.Total() >= soloVT {
+		t.Errorf("burst packet vtime %v not below single-packet %v", got[0].Breakdown.Total(), soloVT)
 	}
 }

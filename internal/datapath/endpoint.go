@@ -248,7 +248,7 @@ func (e *Endpoint) Send(pkts []*Packet, dst netstack.Endpoint) (int, error) {
 		for j := range e.tx {
 			p.Charge(&e.tx[j], payload, burst, tb)
 		}
-		if err := e.cfg.Port.Transmit(wire, p.VTime, p.Breakdown); err != nil {
+		if err := e.cfg.Port.Transmit(wire, p.Breakdown); err != nil {
 			//lint:ignore insanevet/hotpathcheck cold error path: the port was closed or never attached
 			return i, fmt.Errorf("%v: %w", e.tech, err)
 		}
@@ -317,7 +317,6 @@ func (e *Endpoint) Poll(pkts []Packet) (int, error) {
 			Framed:    e.framed,
 			Src:       src,
 			Dst:       dst,
-			VTime:     frame.VTime,
 			Breakdown: frame.Breakdown,
 		}
 		n++

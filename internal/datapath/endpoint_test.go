@@ -35,7 +35,7 @@ func TestXDPRoundTrip(t *testing.T) {
 		t.Errorf("payload = %q, want %q", payload, msg)
 	}
 	// XDP sits between DPDK (~1.7µs) and kernel (~6.3µs) one-way.
-	oneWay := got.VTime.Duration()
+	oneWay := got.Breakdown.Total()
 	if oneWay < 1700*time.Nanosecond || oneWay > 5*time.Microsecond {
 		t.Errorf("xdp one-way vtime = %v, want between DPDK and kernel", oneWay)
 	}
@@ -94,7 +94,7 @@ func TestTechLatencyOrderingEndToEnd(t *testing.T) {
 	oneWay := func(tech model.Tech) time.Duration {
 		p := newPair(t, tech, false)
 		p.send(t, make([]byte, 64))
-		return p.pollOne(t).VTime.Duration()
+		return p.pollOne(t).Breakdown.Total()
 	}
 	rdmaT := oneWay(model.TechRDMA)
 	dpdkT := oneWay(model.TechDPDK)
@@ -130,7 +130,7 @@ func TestChargesMatchProfile(t *testing.T) {
 		tech           model.Tech
 		blocking       bool
 		payload, burst int
-		// Integer nanoseconds: the packet's VTime, then its Breakdown.
+		// Integer nanoseconds: the packet's latency, then its Breakdown.
 		vtime, send, network, recv, processing time.Duration
 	}{
 		{model.TechKernelUDP, false, 64, 1, 6292, 600, 460, 3400, 1832},
@@ -173,9 +173,9 @@ func TestChargesMatchProfile(t *testing.T) {
 		}
 		want := timebase.Breakdown{Send: c.send, Network: c.network, Recv: c.recv, Processing: c.processing}
 		for i := range got {
-			if got[i].VTime.Duration() != c.vtime || got[i].Breakdown != want {
+			if got[i].Breakdown.Total() != c.vtime || got[i].Breakdown != want {
 				t.Errorf("%v blocking=%v %d B, packet %d of %d: vtime %d ns %+v, want %d ns %+v",
-					c.tech, c.blocking, c.payload, i, c.burst, got[i].VTime.Duration(), got[i].Breakdown, c.vtime, want)
+					c.tech, c.blocking, c.payload, i, c.burst, got[i].Breakdown.Total(), got[i].Breakdown, c.vtime, want)
 				break
 			}
 		}
@@ -202,7 +202,7 @@ func FuzzEndpointPoll(f *testing.F) {
 		for _, p := range pairs {
 			tech := p.b.tech
 			port, before := p.portB.Stats(), p.b.Stats()
-			if err := p.portA.Transmit(wire, 0, timebase.Breakdown{}); err != nil {
+			if err := p.portA.Transmit(wire, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 			// A frame larger than the largest slot never reaches the queue.

@@ -30,12 +30,28 @@ func TestKernelRoundTrip(t *testing.T) {
 		t.Errorf("addressing = %v→%v, want %v→%v", got.Src, got.Dst, p.epA, p.epB)
 	}
 	// Kernel path must charge µs-scale one-way latency (≈6.3 µs at 64B).
-	oneWay := got.VTime.Duration()
+	oneWay := got.Breakdown.Total()
 	if oneWay < 5*time.Microsecond || oneWay > 8*time.Microsecond {
 		t.Errorf("kernel one-way vtime = %v, want ≈6.3µs", oneWay)
 	}
-	if got.Breakdown.Total() != oneWay {
-		t.Errorf("breakdown total %v != vtime %v", got.Breakdown.Total(), oneWay)
+}
+
+// TestEndpointCostsHaveCategories: every component an endpoint charges,
+// the blocking socket's rx-wakeup included, names one of the four Fig. 6
+// stages; Charge adds a cost with any other category to no stage, so it
+// would be lost from the packet's clock.
+func TestEndpointCostsHaveCategories(t *testing.T) {
+	for _, tech := range []model.Tech{model.TechKernelUDP, model.TechXDP, model.TechDPDK, model.TechRDMA} {
+		for _, blocking := range []bool{false, true} {
+			e := newPair(t, tech, blocking).b
+			for _, path := range [][]model.Component{e.tx, e.rx} {
+				for _, c := range path {
+					if c.Category < model.CatSend || c.Category > model.CatProcessing {
+						t.Errorf("%v blocking=%v: %q has category %d", tech, blocking, c.Name, c.Category)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -52,9 +68,9 @@ func TestKernelBlockingChargesWakeup(t *testing.T) {
 	if err := bl.b.WaitRecv(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	fast := nb.pollOne(t).VTime
-	slow := bl.pollOne(t).VTime
-	if delta := slow.Sub(fast); delta != model.BlockingWakeup() {
+	fast := nb.pollOne(t).Breakdown.Total()
+	slow := bl.pollOne(t).Breakdown.Total()
+	if delta := slow - fast; delta != model.BlockingWakeup() {
 		t.Errorf("blocking wakeup delta = %v, want %v", delta, model.BlockingWakeup())
 	}
 }

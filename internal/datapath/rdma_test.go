@@ -19,7 +19,7 @@ func TestRDMARoundTrip(t *testing.T) {
 		t.Errorf("payload = %q, want %q", got.Bytes(), msg)
 	}
 	// RDMA one-way ≈ 1.46 µs: fastest of all technologies.
-	oneWay := got.VTime.Duration()
+	oneWay := got.Breakdown.Total()
 	if oneWay < 1200*time.Nanosecond || oneWay > 1800*time.Nanosecond {
 		t.Errorf("rdma one-way vtime = %v, want ≈1.46µs", oneWay)
 	}

@@ -68,9 +68,8 @@ type Result struct {
 	Payload []byte
 	// From is the sender address.
 	From netstack.Endpoint
-	// VTime is the accumulated virtual latency of the datagram.
-	VTime timebase.VTime
-	// Breakdown splits VTime by pipeline stage.
+	// Breakdown is the datagram's accumulated virtual latency, split by
+	// pipeline stage.
 	Breakdown timebase.Breakdown
 }
 
@@ -185,12 +184,12 @@ func (l *LibOS) Connect(qd QD, remote netstack.Endpoint) error {
 // Push sends payload to the queue's connected destination. The libOS
 // overhead is charged on the pushing side; there is no batching.
 func (l *LibOS) Push(qd QD, payload []byte) error {
-	return l.PushAt(qd, payload, 0, timebase.Breakdown{})
+	return l.PushAt(qd, payload, timebase.Breakdown{})
 }
 
-// PushAt sends payload seeding the packet's virtual clock (echo servers
-// continue the request's clock for RTT accounting).
-func (l *LibOS) PushAt(qd QD, payload []byte, at timebase.VTime, bd timebase.Breakdown) error {
+// PushAt sends payload seeding the packet's virtual clock with bd (echo
+// servers continue the request's clock for RTT accounting).
+func (l *LibOS) PushAt(qd QD, payload []byte, bd timebase.Breakdown) error {
 	s, ok := l.sockets[qd]
 	if !ok {
 		return ErrBadQD
@@ -207,7 +206,7 @@ func (l *LibOS) PushAt(qd QD, payload []byte, at timebase.VTime, bd timebase.Bre
 	pkt := &datapath.Packet{
 		Slot: slot, Buf: buf,
 		Off: datapath.Headroom, Len: len(payload),
-		Src: s.local, VTime: at, Breakdown: bd,
+		Src: s.local, Breakdown: bd,
 	}
 	pkt.Charge(&l.costs.PerSide, len(payload), 1, &l.cfg.Testbed)
 
@@ -283,7 +282,6 @@ func (l *LibOS) complete(pkt *datapath.Packet) (Result, error) {
 	out := Result{
 		Payload:   append([]byte(nil), payloadView...),
 		From:      from,
-		VTime:     pkt.VTime,
 		Breakdown: pkt.Breakdown,
 	}
 	return out, nil

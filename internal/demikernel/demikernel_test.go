@@ -67,8 +67,8 @@ func TestCatnapRoundTrip(t *testing.T) {
 		t.Errorf("payload = %q, want %q", res.Payload, msg)
 	}
 	// Catnap one-way ≈ kernel one-way + 540 ns lib ≈ 6.83 µs.
-	if res.VTime.Duration() < 6*time.Microsecond || res.VTime.Duration() > 8*time.Microsecond {
-		t.Errorf("catnap one-way = %v, want ≈6.8µs", res.VTime)
+	if res.Breakdown.Total() < 6*time.Microsecond || res.Breakdown.Total() > 8*time.Microsecond {
+		t.Errorf("catnap one-way = %v, want ≈6.8µs", res.Breakdown.Total())
 	}
 }
 
@@ -89,8 +89,8 @@ func TestCatnipRoundTrip(t *testing.T) {
 		t.Error("payload mismatch")
 	}
 	// Catnip one-way ≈ raw DPDK 1.72 µs + 410 ns lib = 2.13 µs.
-	if res.VTime.Duration() < 1900*time.Nanosecond || res.VTime.Duration() > 2400*time.Nanosecond {
-		t.Errorf("catnip one-way = %v, want ≈2.13µs", res.VTime)
+	if res.Breakdown.Total() < 1900*time.Nanosecond || res.Breakdown.Total() > 2400*time.Nanosecond {
+		t.Errorf("catnip one-way = %v, want ≈2.13µs", res.Breakdown.Total())
 	}
 }
 
@@ -116,14 +116,14 @@ func TestPingPongRTTMatchesFig7(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := lb.PushAt(qb, req.Payload, req.VTime, req.Breakdown); err != nil {
+			if err := lb.PushAt(qb, req.Payload, req.Breakdown); err != nil {
 				t.Fatal(err)
 			}
 			pong, err := la.Pop(qa, 2*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rtt := pong.VTime.Duration()
+			rtt := pong.Breakdown.Total()
 			lo := time.Duration(float64(c.want) * 0.95)
 			hi := time.Duration(float64(c.want) * 1.05)
 			if rtt < lo || rtt > hi {

@@ -157,7 +157,7 @@ func DPDKPingPong(env *Env, payload, rounds int) []time.Duration {
 				return
 			}
 			echo := server.buildFrame(reqPayload)
-			echo.VTime, echo.Breakdown = req.VTime, req.Breakdown
+			echo.Breakdown = req.Breakdown
 			server.mem.Release(req.Slot)
 			if !server.txOne(echo) {
 				return
@@ -177,7 +177,7 @@ func DPDKPingPong(env *Env, payload, rounds int) []time.Duration {
 		if pong == nil {
 			break
 		}
-		rtts = append(rtts, pong.VTime.Duration())
+		rtts = append(rtts, pong.Breakdown.Total())
 		client.mem.Release(pong.Slot)
 	}
 	<-serverDone

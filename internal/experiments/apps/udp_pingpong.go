@@ -53,7 +53,7 @@ func UDPPingPong(env *Env, payload, rounds int, blocking bool) []time.Duration {
 			}
 			echo := udpNewPacket(env.MemB, req.Bytes())
 
-			echo.VTime, echo.Breakdown = req.VTime, req.Breakdown
+			echo.Breakdown = req.Breakdown
 			_, err := server.Send([]*datapath.Packet{echo}, env.AddrA)
 			env.MemB.Release(echo.Slot)
 			env.MemB.Release(req.Slot)
@@ -78,7 +78,7 @@ func UDPPingPong(env *Env, payload, rounds int, blocking bool) []time.Duration {
 		if pong == nil {
 			break
 		}
-		rtts = append(rtts, pong.VTime.Duration())
+		rtts = append(rtts, pong.Breakdown.Total())
 		env.MemA.Release(pong.Slot)
 	}
 	<-serverDone

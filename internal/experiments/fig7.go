@@ -59,7 +59,7 @@ func demikernelPingPong(v demikernel.Variant, tb model.Testbed, payload, rounds 
 				done <- err
 				return
 			}
-			if err := server.PushAt(sqd, req.Payload, req.VTime, req.Breakdown); err != nil {
+			if err := server.PushAt(sqd, req.Payload, req.Breakdown); err != nil {
 				done <- err
 				return
 			}
@@ -77,7 +77,7 @@ func demikernelPingPong(v demikernel.Variant, tb model.Testbed, payload, rounds 
 		if err != nil {
 			return nil, err
 		}
-		rtts = append(rtts, pong.VTime.Duration())
+		rtts = append(rtts, pong.Breakdown.Total())
 	}
 	if err := <-done; err != nil {
 		return nil, err

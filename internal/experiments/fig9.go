@@ -100,10 +100,10 @@ func refsysPingPong(f refsys.Flavor, payload, rounds int) ([]time.Duration, erro
 	rtts := make([]time.Duration, 0, rounds)
 	var lastRTT time.Duration
 	env.b.Subscribe("ping", func(s refsys.Sample) {
-		_ = env.b.PublishAt("pong", s.Payload, s.VTime, s.Breakdown)
+		_ = env.b.PublishAt("pong", s.Payload, s.Breakdown)
 	})
 	env.a.Subscribe("pong", func(s refsys.Sample) {
-		lastRTT = s.Latency
+		lastRTT = s.Breakdown.Total()
 	})
 
 	msg := make([]byte, payload)

@@ -5,10 +5,11 @@
 //
 // The fabric really moves bytes between in-process "hosts", so all
 // functional middleware behaviour (delivery, dispatch, loss, backpressure)
-// is exercised for real. In parallel, every frame carries a virtual
-// timestamp that the fabric advances by the modeled serialization time,
-// propagation delay and switch latency, so experiments can report
-// deterministic µs-scale latencies (see internal/timebase).
+// is exercised for real. In parallel, every frame carries a virtual clock
+// (a timebase.Breakdown) whose Network stage the fabric advances by the
+// modeled serialization time, propagation delay and switch latency, so
+// experiments can report deterministic µs-scale latencies (see
+// internal/timebase).
 package fabric
 
 import (
@@ -33,7 +34,7 @@ var (
 	ErrNotAttached = errors.New("fabric: port not attached to a link")
 )
 
-// Frame is one received Ethernet frame, with its virtual-time annotations.
+// Frame is one received Ethernet frame, with its virtual clock.
 type Frame struct {
 	// Data is the raw frame (Ethernet headers included), copied at the
 	// wire to offset 0 of Slot; cap(Data) is the slot's size.
@@ -41,10 +42,8 @@ type Frame struct {
 	// Slot is the slot of the port's receive memory that holds Data. The
 	// receiver releases it.
 	Slot mempool.SlotID
-	// VTime is the virtual time at which the frame arrived at the
-	// receiving NIC.
-	VTime timebase.VTime
-	// Breakdown accounts for where the virtual time was spent.
+	// Breakdown is the frame's virtual clock on arrival at the receiving
+	// NIC, split by Fig. 6 stage.
 	Breakdown timebase.Breakdown
 }
 
@@ -72,7 +71,7 @@ func (p *Port) frame(d rxDesc) Frame {
 	mm := p.rxMem.Load()
 	buf, _ := mm.Buf(d.slot, mempool.NoOwner) // a queued slot holds the reference deliver took: Buf cannot fail
 	h := mm.Header(d.slot)
-	return Frame{Data: buf[:d.n], Slot: d.slot, VTime: h.VTime, Breakdown: h.Breakdown}
+	return Frame{Data: buf[:d.n], Slot: d.slot, Breakdown: h.Breakdown}
 }
 
 // LinkParams models one link.
@@ -232,12 +231,12 @@ func (p *Port) Stats() PortStats {
 // copies it (the "wire") into the receiving port's memory before it
 // returns, so the caller may reuse its buffer immediately — this is where
 // a real NIC would DMA out of the registered memory region and the peer's
-// NIC into its own. vt is the virtual time at which the frame hits the
-// wire. Transmission never blocks: if the receiver has no room the frame
-// is dropped, which matches the best-effort semantics of the paper (§5.2).
+// NIC into its own. bd is the frame's virtual clock as it hits the wire.
+// Transmission never blocks: if the receiver has no room the frame is
+// dropped, which matches the best-effort semantics of the paper (§5.2).
 //
 //insane:hotpath
-func (p *Port) Transmit(data []byte, vt timebase.VTime, bd timebase.Breakdown) error {
+func (p *Port) Transmit(data []byte, bd timebase.Breakdown) error {
 	if p.closed.Load() {
 		return ErrPortClosed
 	}
@@ -256,14 +255,13 @@ func (p *Port) Transmit(data []byte, vt timebase.VTime, bd timebase.Breakdown) e
 			return nil // silently lost, like a real wire
 		}
 	}
-	vt = vt.Add(wire)
 	bd.Network += wire
 
 	if att.sw != nil {
-		att.sw.forward(p, data, vt, bd)
+		att.sw.forward(p, data, bd)
 		return nil
 	}
-	att.peer.deliver(data, vt, bd)
+	att.peer.deliver(data, bd)
 	return nil
 }
 
@@ -292,7 +290,7 @@ func (p *Port) perturb(link *LinkParams, wire time.Duration) (time.Duration, boo
 // regime) — is dropped and counted, and its slot goes back.
 //
 //insane:hotpath
-func (p *Port) deliver(data []byte, vt timebase.VTime, bd timebase.Breakdown) {
+func (p *Port) deliver(data []byte, bd timebase.Breakdown) {
 	mm := p.rxMem.Load()
 	if mm == nil || p.closed.Load() {
 		p.dropped.Add(1)
@@ -304,7 +302,7 @@ func (p *Port) deliver(data []byte, vt timebase.VTime, bd timebase.Breakdown) {
 		return
 	}
 	copy(buf, data)
-	*mm.Header(slot) = mempool.Header{VTime: vt, Breakdown: bd}
+	*mm.Header(slot) = mempool.Header{Breakdown: bd}
 	d := rxDesc{slot: slot, n: uint32(len(data))}
 	if !p.enqueue(d) {
 		p.dropped.Add(1)
@@ -469,8 +467,7 @@ func (s *Switch) learn(p *Port) {
 // broadcast is copied once into each destination port's memory.
 //
 //insane:hotpath
-func (s *Switch) forward(from *Port, data []byte, vt timebase.VTime, bd timebase.Breakdown) {
-	vt = vt.Add(s.params.Latency)
+func (s *Switch) forward(from *Port, data []byte, bd timebase.Breakdown) {
 	bd.Network += s.params.Latency
 
 	dst := netstack.MAC(data[0:6])
@@ -479,13 +476,13 @@ func (s *Switch) forward(from *Port, data []byte, vt timebase.VTime, bd timebase
 		//insane:bounded by=one entry per port attached to the switch
 		for _, p := range fdb {
 			if p != from {
-				p.deliver(data, vt, bd)
+				p.deliver(data, bd)
 			}
 		}
 		return
 	}
 	if p, ok := fdb[dst]; ok && p != from {
-		p.deliver(data, vt, bd)
+		p.deliver(data, bd)
 		return
 	}
 	from.dropped.Add(1) // unknown unicast: count against sender

@@ -74,7 +74,7 @@ func TestDirectDelivery(t *testing.T) {
 	_, a, b := twoHostsDirect(t, DefaultLink)
 	payload := []byte("ping")
 	frame := buildFrame(t, a, b, payload)
-	if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+	if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := recvNow(b)
@@ -93,7 +93,7 @@ func TestDirectDelivery(t *testing.T) {
 func TestWireCopyIsolation(t *testing.T) {
 	_, a, b := twoHostsDirect(t, DefaultLink)
 	frame := buildFrame(t, a, b, []byte("orig"))
-	if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+	if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	// Mutating the sender's buffer after Transmit must not affect the
@@ -118,8 +118,8 @@ func TestVirtualTimeAdvance(t *testing.T) {
 	link := LinkParams{Rate: 100 * timebase.Gbps, PropDelay: 450 * time.Nanosecond}
 	_, a, b := twoHostsDirect(t, link)
 	frame := buildFrame(t, a, b, make([]byte, 958)) // frame 1000B
-	start := timebase.VTime(1000)
-	if err := a.Transmit(frame, start, timebase.Breakdown{}); err != nil {
+	start := timebase.Breakdown{Send: 1000}
+	if err := a.Transmit(frame, start); err != nil {
 		t.Fatal(err)
 	}
 	f, err := recvNow(b)
@@ -128,7 +128,7 @@ func TestVirtualTimeAdvance(t *testing.T) {
 	}
 	// serialization: (1000+24)*8 bits / 100e9 = 81.92 ns → 81 ns truncated
 	wantWire := link.Rate.Transmission(len(frame)+netstack.WireOverhead) + link.PropDelay
-	if got := f.VTime.Sub(start); got != wantWire {
+	if got := f.Breakdown.Total() - start.Total(); got != wantWire {
 		t.Errorf("wire time = %v, want %v", got, wantWire)
 	}
 	if f.Breakdown.Network != wantWire {
@@ -149,7 +149,7 @@ func TestSwitchForwardingAndLatency(t *testing.T) {
 		}
 	}
 	frame := buildFrame(t, a, b, []byte("x"))
-	if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+	if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := recvNow(b)
@@ -157,7 +157,7 @@ func TestSwitchForwardingAndLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantWire := link.Rate.Transmission(len(frame)+netstack.WireOverhead) + link.PropDelay + 1700*time.Nanosecond
-	if got := time.Duration(f.VTime); got != wantWire {
+	if got := f.Breakdown.Total(); got != wantWire {
 		t.Errorf("switched wire time = %v, want %v", got, wantWire)
 	}
 	// c must not receive the unicast frame.
@@ -187,7 +187,7 @@ func TestSwitchBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Transmit(buf[:fl], 0, timebase.Breakdown{}); err != nil {
+	if err := a.Transmit(buf[:fl], timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []*Port{b, c} {
@@ -208,7 +208,7 @@ func TestLossInjectionDeterministic(t *testing.T) {
 	const total = 1000
 	for i := 0; i < total; i++ {
 		frame := buildFrame(t, a, b, []byte{byte(i)})
-		if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+		if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestRxQueueOverflowDrops(t *testing.T) {
 	_, a, b := twoHostsDirect(t, DefaultLink)
 	frame := buildFrame(t, a, b, []byte("x"))
 	for i := 0; i < rxQueueDepth+100; i++ {
-		if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+		if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestRxQueueOverflowDrops(t *testing.T) {
 func TestPortLifecycleErrors(t *testing.T) {
 	n := New(1)
 	a, _ := n.AddHost("a", netstack.IPv4{10, 0, 0, 1})
-	if err := a.Transmit([]byte("x"), 0, timebase.Breakdown{}); !errors.Is(err, ErrNotAttached) {
+	if err := a.Transmit([]byte("x"), timebase.Breakdown{}); !errors.Is(err, ErrNotAttached) {
 		t.Errorf("unattached transmit err = %v", err)
 	}
 	b, _ := n.AddHost("b", netstack.IPv4{10, 0, 0, 2})
@@ -262,7 +262,7 @@ func TestPortLifecycleErrors(t *testing.T) {
 		t.Error("double connect: want error")
 	}
 	// A port with no receive memory drops what arrives and takes nothing.
-	if err := a.Transmit(buildFrame(t, a, b, []byte("x")), 0, timebase.Breakdown{}); err != nil {
+	if err := a.Transmit(buildFrame(t, a, b, []byte("x")), timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	if s := b.Stats(); s.Dropped != 1 || s.RxFrames != 0 || b.Queued() != 0 {
@@ -282,7 +282,7 @@ func TestPortLifecycleErrors(t *testing.T) {
 		t.Error("duplicate host: want error")
 	}
 	a.Close()
-	if err := a.Transmit([]byte("x"), 0, timebase.Breakdown{}); !errors.Is(err, ErrPortClosed) {
+	if err := a.Transmit([]byte("x"), timebase.Breakdown{}); !errors.Is(err, ErrPortClosed) {
 		t.Errorf("closed transmit err = %v", err)
 	}
 	if err := make(Bell, 1).Wait(a, time.Millisecond); !errors.Is(err, ErrPortClosed) {
@@ -299,7 +299,7 @@ func TestRecvTimeout(t *testing.T) {
 	bell := make(Bell, 1)
 	b.SetRxDoorbell(bell)
 	frame := buildFrame(t, a, b, []byte("x"))
-	if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+	if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := recvNow(b); err != nil { // taken without a wait: its ring stays set
@@ -314,7 +314,7 @@ func TestRecvTimeout(t *testing.T) {
 	}
 	go func() {
 		time.Sleep(5 * time.Millisecond)
-		if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+		if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -353,7 +353,7 @@ func TestJitterSpreadsWireLatency(t *testing.T) {
 	seen := map[time.Duration]bool{}
 	var minW, maxW time.Duration
 	for i := 0; i < 200; i++ {
-		if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+		if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 		f, err := recvNow(b)
@@ -390,7 +390,7 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 		frame := buildFrame(t, a, b, []byte("d"))
 		var out []time.Duration
 		for i := 0; i < 20; i++ {
-			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+			if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 			f, err := recvNow(b)
@@ -430,7 +430,7 @@ func TestSwitchUnknownUnicastDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Transmit(buf[:fl], 0, timebase.Breakdown{}); err != nil {
+	if err := a.Transmit(buf[:fl], timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := b.TryRecv(); ok {
@@ -459,7 +459,7 @@ func TestRxDoorbell(t *testing.T) {
 		b.SetRxDoorbell(&bell)
 		frame := buildFrame(t, a, b, []byte("x"))
 		for i := 0; i < 10; i++ {
-			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+			if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -473,7 +473,7 @@ func TestRxDoorbell(t *testing.T) {
 		b.SetRxDoorbell(&bell)
 		frame := buildFrame(t, a, b, []byte("x"))
 		for i := 0; i < rxQueueDepth+100; i++ {
-			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+			if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -488,7 +488,7 @@ func TestRxDoorbell(t *testing.T) {
 		frame := buildFrame(t, a, b, []byte("x"))
 		const total = 1000
 		for i := 0; i < total; i++ {
-			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+			if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -502,7 +502,7 @@ func TestRxDoorbell(t *testing.T) {
 		var bell countingBell
 		b.SetRxDoorbell(&bell)
 		b.Close()
-		if err := a.Transmit(buildFrame(t, a, b, []byte("x")), 0, timebase.Breakdown{}); err != nil {
+		if err := a.Transmit(buildFrame(t, a, b, []byte("x")), timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 		if bell.rings != 0 || b.Stats().Dropped != 1 {
@@ -514,7 +514,7 @@ func TestRxDoorbell(t *testing.T) {
 		var bell countingBell
 		b.SetRxDoorbell(&bell)
 		b.SetRxDoorbell(nil)
-		if err := a.Transmit(buildFrame(t, a, b, []byte("x")), 0, timebase.Breakdown{}); err != nil {
+		if err := a.Transmit(buildFrame(t, a, b, []byte("x")), timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 		if bell.rings != 0 || b.Stats().RxFrames != 1 {

@@ -46,7 +46,7 @@ func TestReceiveIntoRegisteredMemory(t *testing.T) {
 	mm := newMem(t, 8)
 	_, a, b := twoHostsOn(t, DefaultLink, mm)
 	frame := buildFrame(t, a, b, []byte("registered"))
-	if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+	if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 		t.Fatal(err)
 	}
 	wantFree(t, mm, 7)
@@ -82,13 +82,12 @@ func TestClockCrossesThePort(t *testing.T) {
 	mm := newMem(t, 8)
 	_, a, b := twoHostsOn(t, LinkParams{PropDelay: prop}, mm)
 	frame := buildFrame(t, a, b, []byte("clock"))
-	sent := func(i int) (timebase.VTime, timebase.Breakdown) {
+	sent := func(i int) timebase.Breakdown {
 		d := time.Duration(i+1) * time.Microsecond
-		return timebase.VTime(10 * d), timebase.Breakdown{Send: d, Network: 2 * d, Recv: 3 * d, Processing: 4 * d}
+		return timebase.Breakdown{Send: d, Network: 2 * d, Recv: 3 * d, Processing: 4 * d}
 	}
 	for i := 0; i < 3; i++ {
-		vt, bd := sent(i)
-		if err := a.Transmit(frame, vt, bd); err != nil {
+		if err := a.Transmit(frame, sent(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,12 +96,12 @@ func TestClockCrossesThePort(t *testing.T) {
 		if !ok {
 			t.Fatalf("frame %d missing", i)
 		}
-		vt, bd := sent(i)
+		bd := sent(i)
 		bd.Network += prop
-		if f.VTime != vt.Add(prop) || f.Breakdown != bd {
-			t.Errorf("frame %d: clock %v %+v, want %v %+v", i, f.VTime, f.Breakdown, vt.Add(prop), bd)
+		if f.Breakdown != bd {
+			t.Errorf("frame %d: clock %+v, want %+v", i, f.Breakdown, bd)
 		}
-		if h := mm.Header(f.Slot); h.VTime != f.VTime || h.Breakdown != f.Breakdown {
+		if h := mm.Header(f.Slot); h.Breakdown != f.Breakdown {
 			t.Errorf("frame %d: slot header %+v, want the frame's clock", i, *h)
 		}
 		if err := mm.Release(f.Slot); err != nil {
@@ -121,7 +120,7 @@ func TestRxSlotConservation(t *testing.T) {
 		_, a, b := twoHostsOn(t, DefaultLink, mm)
 		frame := buildFrame(t, a, b, []byte("x"))
 		for i := 0; i < rxQueueDepth+100; i++ {
-			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+			if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -139,7 +138,7 @@ func TestRxSlotConservation(t *testing.T) {
 		b.SetRxDoorbell(&bell)
 		frame := buildFrame(t, a, b, []byte("x"))
 		for i := 0; i < 20; i++ {
-			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+			if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -162,7 +161,7 @@ func TestRxSlotConservation(t *testing.T) {
 		_, a, b := twoHostsOn(t, DefaultLink, mm)
 		frame := buildFrame(t, a, b, []byte("x"))
 		for i := 0; i < 5; i++ {
-			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+			if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -171,7 +170,7 @@ func TestRxSlotConservation(t *testing.T) {
 		wantFree(t, mm, 8)
 		// A peer that keeps transmitting takes nothing from the closed side.
 		for i := 0; i < 5; i++ {
-			if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+			if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -211,7 +210,7 @@ func TestRxSlotConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ports[0].Transmit(buf[:fl], 0, timebase.Breakdown{}); err != nil {
+		if err := ports[0].Transmit(buf[:fl], timebase.Breakdown{}); err != nil {
 			t.Fatal(err)
 		}
 		wantFree(t, mems[0], 4) // the sender hears nothing
@@ -256,7 +255,7 @@ func TestCloseWhileTransmitting(t *testing.T) {
 						return
 					default:
 					}
-					if err := a.Transmit(frame, 0, timebase.Breakdown{}); err != nil {
+					if err := a.Transmit(frame, timebase.Breakdown{}); err != nil {
 						t.Error(err)
 						return
 					}

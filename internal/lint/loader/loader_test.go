@@ -28,8 +28,8 @@ func TestLoadModulePackage(t *testing.T) {
 	if pkg.Types == nil || pkg.Types.Name() != "timebase" {
 		t.Fatalf("type-checked package missing or misnamed: %+v", pkg.Types)
 	}
-	if pkg.Types.Scope().Lookup("Wall") == nil {
-		t.Error("timebase.Wall not found in the loaded package scope")
+	if pkg.Types.Scope().Lookup("Clock") == nil {
+		t.Error("timebase.Clock not found in the loaded package scope")
 	}
 	if len(pkg.Info.Uses) == 0 {
 		t.Error("type info not populated")

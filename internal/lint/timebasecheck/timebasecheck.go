@@ -2,16 +2,15 @@
 // reads through internal/timebase.
 //
 // The reproduction reports the paper's µs-scale latencies in virtual
-// time: hot-path components annotate packets with timebase.VTime and
-// add calibrated model costs instead of sampling the wall clock, so
-// experiments are deterministic (see internal/timebase). A stray
-// time.Now() or time.Since() inside the runtime either perturbs the
-// measurements or — under the simulated clock — silently compares
-// virtual and wall time. The rule flags direct time.Now/time.Since/
+// time: every packet carries a virtual clock, a timebase.Breakdown, and
+// hot-path components add calibrated model costs to its Fig. 6 stages
+// instead of sampling the wall clock, so experiments are deterministic
+// (see internal/timebase). A stray time.Now() or time.Since() inside the
+// runtime either perturbs the measurements or — under the simulated
+// clock — silently compares virtual and wall time. The rule flags direct time.Now/time.Since/
 // time.Until calls in the packages that sit on the datapath
-// (internal/core, internal/sched, internal/datapath); they must use the
-// configured timebase.Clock for virtual time or timebase.Wall for the
-// few genuine wall-clock deadlines (session flush, poller-pass waits).
+// (internal/core, internal/sched, internal/datapath); they read the
+// configured timebase.Clock instead.
 //
 // Test files are exempt (the loader never feeds them to analyzers), and
 // internal/timebase itself is where the sanctioned time.Now calls live.
@@ -64,7 +63,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok || !isPkgName(pass, id, "time") {
 				return true
 			}
-			pass.Reportf(call.Pos(), "time.%s in %s: read time via internal/timebase (Clock.Now for virtual time, timebase.Wall for wall-clock deadlines)", sel.Sel.Name, pass.Pkg.Path())
+			pass.Reportf(call.Pos(), "time.%s in %s: read time via the runtime's timebase.Clock", sel.Sel.Name, pass.Pkg.Path())
 			return true
 		})
 	}

@@ -156,9 +156,8 @@ func stateOwner(w uint64) Owner { return Owner(int32(w >> 32)) }
 // It is one cache line, and a chunk's header array starts on a line
 // boundary (TestHeaderIsOneLine).
 type Header struct {
-	// VTime is the message's accumulated virtual timestamp.
-	VTime timebase.VTime
-	// Breakdown splits VTime by Fig. 6 stage.
+	// Breakdown is the message's virtual clock, split by Fig. 6 stage; its
+	// Total is the message's accumulated latency.
 	Breakdown timebase.Breakdown
 	// AdmitT is the runtime clock when Emit admitted a sampled message:
 	// the reading its emit_pickup, stage_send and consume_latency spans
@@ -173,6 +172,9 @@ type Header struct {
 	// Stamps says which of AdmitT and PushT hold; zero for an unsampled
 	// message. The runtime gives the values their meaning.
 	Stamps uint8
+	// The fields above use 53 B. Padded to 64 B a header is one whole
+	// line; at 56 B, six of every eight headers would straddle two.
+	_ [8]byte
 }
 
 // chunkSlots is how many slots one commit of a class allocates: 128 KiB

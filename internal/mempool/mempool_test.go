@@ -418,7 +418,6 @@ func TestConcurrentGrowth(t *testing.T) {
 	tagHeader := func(tag uint32) Header {
 		v := time.Duration(tag)
 		return Header{
-			VTime:     timebase.VTime(v),
 			Breakdown: timebase.Breakdown{Send: v + 1, Network: v + 2, Recv: v + 3, Processing: v + 4},
 			AdmitT:    timebase.VTime(v + 5),
 			PushT:     timebase.VTime(v + 6),

@@ -90,11 +90,9 @@ type Participant struct {
 type Sample struct {
 	Topic   string
 	Payload []byte
-	// Latency is the accumulated one-way virtual latency, middleware
-	// overhead included.
-	Latency time.Duration
-	// VTime and Breakdown allow echo benchmarks to continue the clock.
-	VTime     timebase.VTime
+	// Breakdown is the sample's virtual clock: its Total is the one-way
+	// virtual latency, middleware overhead included, and an echo
+	// benchmark continues it.
 	Breakdown timebase.Breakdown
 }
 
@@ -159,11 +157,12 @@ func TopicID(topic string) uint32 {
 
 // Publish serializes and sends one sample on a topic to all peers.
 func (p *Participant) Publish(topic string, payload []byte) error {
-	return p.PublishAt(topic, payload, 0, timebase.Breakdown{})
+	return p.PublishAt(topic, payload, timebase.Breakdown{})
 }
 
-// PublishAt publishes a sample with a seeded virtual clock (for echoes).
-func (p *Participant) PublishAt(topic string, payload []byte, at timebase.VTime, bd timebase.Breakdown) error {
+// PublishAt publishes a sample with its virtual clock seeded with bd (for
+// echoes).
+func (p *Participant) PublishAt(topic string, payload []byte, bd timebase.Breakdown) error {
 	msgLen := rtpsHeaderLen + len(payload)
 	slot, buf, err := p.mm.Get(datapath.Headroom+msgLen, mempool.NoOwner)
 	if err != nil {
@@ -183,7 +182,7 @@ func (p *Participant) PublishAt(topic string, payload []byte, at timebase.VTime,
 	pkt := &datapath.Packet{
 		Slot: slot, Buf: buf,
 		Off: datapath.Headroom, Len: msgLen,
-		Src: p.local, VTime: at, Breakdown: bd,
+		Src: p.local, Breakdown: bd,
 	}
 	pkt.Charge(&cycloneMarshal, len(payload), 1, &p.tb)
 	if p.flavor == FlavorZeroMQ {
@@ -193,7 +192,6 @@ func (p *Participant) PublishAt(topic string, payload []byte, at timebase.VTime,
 	// raw socket baselines.
 	j := time.Duration(p.rng.Int63n(int64(2*p.jitter))) - p.jitter
 	if j > 0 {
-		pkt.VTime = pkt.VTime.Add(j)
 		pkt.Breakdown.Processing += j
 	}
 
@@ -257,8 +255,6 @@ func (p *Participant) deliver(pkt *datapath.Packet) bool {
 	}
 	handler(Sample{
 		Payload:   append([]byte(nil), b[rtpsHeaderLen:rtpsHeaderLen+plen]...),
-		Latency:   pkt.VTime.Duration(),
-		VTime:     pkt.VTime,
 		Breakdown: pkt.Breakdown,
 	})
 	return true

@@ -34,6 +34,17 @@ func pair(t *testing.T, f Flavor) (*Participant, *Participant) {
 	return a, b
 }
 
+// TestCostsHaveCategories: the middleware's own components name one of
+// the four Fig. 6 stages; a sample's clock is its breakdown, and a cost
+// with any other category would be charged to no stage.
+func TestCostsHaveCategories(t *testing.T) {
+	for _, c := range []model.Component{cycloneMarshal, cycloneUnmarshal, zmqQueueHop} {
+		if c.Category < model.CatSend || c.Category > model.CatProcessing {
+			t.Errorf("%q has category %d", c.Name, c.Category)
+		}
+	}
+}
+
 func TestCyclonePublishSubscribe(t *testing.T) {
 	a, b := pair(t, FlavorCyclone)
 	var got []Sample
@@ -49,8 +60,8 @@ func TestCyclonePublishSubscribe(t *testing.T) {
 		t.Errorf("payload = %q", got[0].Payload)
 	}
 	// One-way ≈ blocking kernel path + marshal + unmarshal ≈ 9.7 µs ± jitter.
-	if got[0].Latency < 7*time.Microsecond || got[0].Latency > 13*time.Microsecond {
-		t.Errorf("cyclone one-way = %v, want ≈9.7µs", got[0].Latency)
+	if got[0].Breakdown.Total() < 7*time.Microsecond || got[0].Breakdown.Total() > 13*time.Microsecond {
+		t.Errorf("cyclone one-way = %v, want ≈9.7µs", got[0].Breakdown.Total())
 	}
 }
 
@@ -58,7 +69,7 @@ func TestZeroMQSlowerThanCyclone(t *testing.T) {
 	measure := func(f Flavor) time.Duration {
 		a, b := pair(t, f)
 		var lat time.Duration
-		b.Subscribe("t", func(s Sample) { lat = s.Latency })
+		b.Subscribe("t", func(s Sample) { lat = s.Breakdown.Total() })
 		if err := a.Publish("t", make([]byte, 64)); err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +104,7 @@ func TestTopicFiltering(t *testing.T) {
 func TestJitterVariability(t *testing.T) {
 	a, b := pair(t, FlavorCyclone)
 	var lats []time.Duration
-	b.Subscribe("t", func(s Sample) { lats = append(lats, s.Latency) })
+	b.Subscribe("t", func(s Sample) { lats = append(lats, s.Breakdown.Total()) })
 	for i := 0; i < 50; i++ {
 		if err := a.Publish("t", make([]byte, 64)); err != nil {
 			t.Fatal(err)

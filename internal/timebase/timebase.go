@@ -1,13 +1,15 @@
 // Package timebase provides the virtual time primitives shared by the whole
-// reproduction: a virtual timestamp type, clocks (real and simulated), and
-// transmission-rate arithmetic.
+// reproduction: a message's virtual clock (Breakdown), clock readings
+// (VTime) and clocks (real and simulated), and transmission-rate
+// arithmetic.
 //
 // The paper reports µs-scale round-trip times measured on 100 Gbps hardware.
 // Wall-clock measurements of a pure-Go reproduction would be dominated by Go
-// scheduler noise, so latency-sensitive components annotate every packet with
-// a virtual timestamp (VTime) and add calibrated model costs as the packet
-// traverses each stage. Experiments then report virtual durations, which are
-// deterministic and reproducible.
+// scheduler noise, so every packet carries a virtual clock — the paper's
+// Fig. 6 stage split — and latency-sensitive components add calibrated model
+// costs to its stages as the packet traverses them; the latency is the sum.
+// Experiments then report virtual durations, which are deterministic and
+// reproducible.
 package timebase
 
 import (
@@ -16,7 +18,7 @@ import (
 	"time"
 )
 
-// VTime is a virtual timestamp in nanoseconds since an arbitrary epoch
+// VTime is a clock reading in nanoseconds since an arbitrary epoch
 // (usually the start of an experiment). It is deliberately a distinct type
 // from time.Duration so that timestamps and durations cannot be mixed up.
 type VTime int64
@@ -30,18 +32,16 @@ func (t VTime) Sub(o VTime) time.Duration { return time.Duration(t - o) }
 // Before reports whether t is strictly earlier than o.
 func (t VTime) Before(o VTime) bool { return t < o }
 
-// After reports whether t is strictly later than o.
-func (t VTime) After(o VTime) bool { return t > o }
-
 // Duration converts the timestamp to the duration elapsed since the epoch.
 func (t VTime) Duration() time.Duration { return time.Duration(t) }
 
 // String formats the timestamp as a duration since the epoch.
 func (t VTime) String() string { return time.Duration(t).String() }
 
-// Breakdown accumulates where a message's virtual time went, mirroring the
-// stage split of the paper's Fig. 6 (send / network / receive / data
-// processing). It travels beside the VTime it splits.
+// Breakdown is a message's virtual clock: where its virtual time went, in
+// the stage split of the paper's Fig. 6 (send / network / receive / data
+// processing). A message's clock starts at zero and every charge lands in
+// one stage, so Total is its accumulated latency.
 type Breakdown struct {
 	Send       time.Duration // sender-side CPU (app, runtime, driver)
 	Network    time.Duration // serialization + propagation + switch
@@ -57,14 +57,6 @@ func (b Breakdown) Total() time.Duration {
 // Max returns the later of a and b.
 func Max(a, b VTime) VTime {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min returns the earlier of a and b.
-func Min(a, b VTime) VTime {
-	if a < b {
 		return a
 	}
 	return b
@@ -108,19 +100,6 @@ func (c *SimClock) Set(t VTime) { c.now.Store(int64(t)) }
 func (c *SimClock) Advance(d time.Duration) VTime {
 	return VTime(c.now.Add(int64(d)))
 }
-
-// Wall returns the current wall-clock time. It is the single
-// sanctioned wall-clock read for the datapath packages: the insanevet
-// timebase rule forbids direct time.Now/time.Since there so that every
-// clock access is either virtual (through a Clock) or routed through
-// this auditable escape hatch. Use it only for genuine wall-clock
-// deadlines, never for latency accounting, which must stay in virtual
-// time.
-func Wall() time.Time { return time.Now() }
-
-// WallSince returns the wall-clock duration elapsed since t, the
-// companion escape hatch to Wall for timeout bookkeeping.
-func WallSince(t time.Time) time.Duration { return time.Since(t) }
 
 // Rate is a transmission rate in bits per second.
 type Rate int64

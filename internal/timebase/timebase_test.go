@@ -18,17 +18,14 @@ func TestVTimeArithmetic(t *testing.T) {
 	if !base.Before(VTime(1001)) || base.Before(base) {
 		t.Error("Before wrong")
 	}
-	if !VTime(1001).After(base) || base.After(base) {
-		t.Error("After wrong")
-	}
 	if base.Duration() != time.Microsecond {
 		t.Errorf("Duration = %v", base.Duration())
 	}
 	if base.String() != "1µs" {
 		t.Errorf("String = %q", base.String())
 	}
-	if Max(base, VTime(2000)) != VTime(2000) || Min(base, VTime(2000)) != base {
-		t.Error("Max/Min wrong")
+	if Max(base, VTime(2000)) != VTime(2000) || Max(base, VTime(500)) != base {
+		t.Error("Max wrong")
 	}
 }
 
@@ -159,15 +156,5 @@ func TestRateString(t *testing.T) {
 		if got := c.r.String(); got != c.want {
 			t.Errorf("(%d).String() = %q, want %q", c.r, got, c.want)
 		}
-	}
-}
-
-func TestWall(t *testing.T) {
-	t0 := Wall()
-	if since := WallSince(t0); since < 0 {
-		t.Errorf("WallSince(Wall()) = %v, want >= 0", since)
-	}
-	if !Wall().After(t0.Add(-time.Second)) {
-		t.Error("Wall() went backwards by more than a second")
 	}
 }
