@@ -11,7 +11,6 @@
 package netstack
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -36,16 +35,6 @@ type IPv4 [4]byte
 // String renders the address in dotted-quad form.
 func (ip IPv4) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", ip[0], ip[1], ip[2], ip[3])
-}
-
-// Uint32 returns the address in host integer form (big-endian semantics).
-func (ip IPv4) Uint32() uint32 { return binary.BigEndian.Uint32(ip[:]) }
-
-// IPv4FromUint32 builds an address from its integer form.
-func IPv4FromUint32(v uint32) IPv4 {
-	var ip IPv4
-	binary.BigEndian.PutUint32(ip[:], v)
-	return ip
 }
 
 // Endpoint is an IPv4 address/UDP port pair.

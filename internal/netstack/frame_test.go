@@ -214,10 +214,6 @@ func TestAddrStrings(t *testing.T) {
 	if !BroadcastMAC.IsBroadcast() {
 		t.Error("BroadcastMAC.IsBroadcast() = false")
 	}
-	ip := IPv4{1, 2, 3, 4}
-	if IPv4FromUint32(ip.Uint32()) != ip {
-		t.Error("IPv4 uint32 round trip failed")
-	}
 }
 
 func BenchmarkEncodeUDP(b *testing.B) {

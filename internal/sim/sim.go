@@ -99,7 +99,6 @@ type Server struct {
 	name string
 	free timebase.VTime
 	busy time.Duration
-	jobs int
 }
 
 // NewServer attaches a named server to the engine.
@@ -117,18 +116,11 @@ func (s *Server) Process(service time.Duration, done func(end timebase.VTime)) t
 	end := start.Add(service)
 	s.free = end
 	s.busy += service
-	s.jobs++
 	if done != nil {
 		s.eng.At(end, func() { done(end) })
 	}
 	return end
 }
-
-// Busy returns the cumulative service time the server performed.
-func (s *Server) Busy() time.Duration { return s.busy }
-
-// Jobs returns how many jobs the server processed.
-func (s *Server) Jobs() int { return s.jobs }
 
 // Utilization returns busy time over the horizon (or over Now if zero).
 func (s *Server) Utilization(horizon time.Duration) float64 {

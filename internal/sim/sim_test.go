@@ -72,11 +72,11 @@ func TestServerFIFO(t *testing.T) {
 	if len(ends) != 2 || ends[0] != 10 || ends[1] != 20 {
 		t.Errorf("ends = %v, want [10 20]", ends)
 	}
-	if s.Busy() != 20*time.Nanosecond || s.Jobs() != 2 {
-		t.Errorf("busy=%v jobs=%d", s.Busy(), s.Jobs())
-	}
 	if u := s.Utilization(0); u != 1.0 {
 		t.Errorf("utilization = %f, want 1.0", u)
+	}
+	if u := s.Utilization(40 * time.Nanosecond); u != 0.5 {
+		t.Errorf("utilization over 40ns = %f, want 0.5 (20ns busy)", u)
 	}
 }
 

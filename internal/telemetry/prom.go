@@ -28,12 +28,6 @@ func HistMetricName(h HistID) string {
 	return MetricPrefix + histTable[h].name
 }
 
-// CounterHelp returns the # HELP text of a counter.
-func CounterHelp(c CounterID) string { return counterTable[c].help }
-
-// HistHelp returns the # HELP text of a histogram.
-func HistHelp(h HistID) string { return histTable[h].help }
-
 // NodeSnapshot pairs a node name with its merged snapshot for export.
 type NodeSnapshot struct {
 	Node string

@@ -133,8 +133,8 @@ func TestWritePromFormat(t *testing.T) {
 	// Every latency family says what its _count counts; the families are
 	// the ones a stamp pair feeds.
 	for h := HistID(0); h < NumHists; h++ {
-		if sampled := strings.Contains(HistHelp(h), "sampled 1-in-64"); sampled != LatencyHist(h) {
-			t.Errorf("%s: help %q, latency family = %v", HistMetricName(h), HistHelp(h), LatencyHist(h))
+		if sampled := strings.Contains(histTable[h].help, "sampled 1-in-64"); sampled != LatencyHist(h) {
+			t.Errorf("%s: help %q, latency family = %v", HistMetricName(h), histTable[h].help, LatencyHist(h))
 		}
 	}
 	if !strings.Contains(text, "# TYPE insane_emit_pickup_seconds histogram") || strings.Contains(text, "stage_network") {

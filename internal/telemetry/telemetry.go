@@ -25,7 +25,7 @@ import (
 )
 
 // CounterID enumerates the hot-path event counters. A new one is declared
-// here and in counterTable; keep the DESIGN.md §8 reference table in sync.
+// here and in counterTable.
 type CounterID int
 
 // Hot-path counters.
@@ -107,7 +107,7 @@ const (
 )
 
 // counterTable declares each counter once: the stable identifier exporters
-// use and the # HELP text (also the DESIGN.md §8 reference table).
+// use and the # HELP text. It is the metric reference DESIGN.md §8 points to.
 var counterTable = [NumCounters]struct{ name, help string }{
 	CtrEmits:              {"emits", "Messages admitted by Emit into a session TX ring."},
 	CtrEmitBytes:          {"emit_bytes", "Payload bytes admitted by Emit."},

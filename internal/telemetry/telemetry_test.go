@@ -217,7 +217,7 @@ func TestSnapshotMonotonic(t *testing.T) {
 // and help text (exporters render them unconditionally).
 func TestMetricNamesComplete(t *testing.T) {
 	for c := CounterID(0); c < NumCounters; c++ {
-		if NameOf(c) == "" || CounterHelp(c) == "" {
+		if NameOf(c) == "" || counterTable[c].help == "" {
 			t.Fatalf("counter %d missing name or help", c)
 		}
 		if !strings.HasPrefix(CounterMetricName(c), MetricPrefix) {
@@ -225,7 +225,7 @@ func TestMetricNamesComplete(t *testing.T) {
 		}
 	}
 	for h := HistID(0); h < NumHists; h++ {
-		if HistNameOf(h) == "" || HistHelp(h) == "" {
+		if HistNameOf(h) == "" || histTable[h].help == "" {
 			t.Fatalf("hist %d missing name or help", h)
 		}
 	}
