@@ -4,14 +4,14 @@
 // proof, atomic-counter discipline, timebase-routed clock reads,
 // errors.Is discipline on wrapped sentinels, channel/WaitGroup misuse
 // (syncmisuse), and — via the whole-program hotpathcheck and
-// goroutinecheck rules — freedom from allocation and blocking on every
-// //insane:hotpath-rooted call chain, and a verified owner and stop
-// path for every goroutine the runtime spawns (annotated with
-// //insane:goroutine owner=<type> stop=<method>). The archcheck rule
-// fences imports to the layering declared in ARCH.layers (a stale spec
-// aborts the run), boundedcheck proves every loop reachable from a
-// hot-path root bounded by a compile-time constant or waived with a
-// verified //insane:bounded by=<reason> annotation, paircheck proves
+// goroutinecheck rules — freedom from allocation, blocking and
+// unbounded work on every //insane:hotpath-rooted call chain (each loop
+// bounded by a compile-time constant or waived with a verified
+// //insane:bounded by=<reason> annotation, no recursion), and a
+// verified owner and stop path for every goroutine the runtime spawns
+// (annotated with //insane:goroutine owner=<type> stop=<method>). The
+// archcheck rule fences imports to the layering declared in
+// ARCH.layers (a stale spec aborts the run), paircheck proves
 // every //insane:acquire balanced by a release or transfer on all
 // control-flow paths, and guardcheck proves every field of an
 // //insane:shared struct accessed under its declared synchronization

@@ -9,6 +9,7 @@ import (
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/netstack"
 	"github.com/insane-mw/insane/internal/qos"
+	"github.com/insane-mw/insane/internal/sched"
 	"github.com/insane-mw/insane/internal/telemetry"
 	"github.com/insane-mw/insane/internal/timebase"
 )
@@ -117,12 +118,14 @@ func (r *Runtime) pollLoop(p *poller) {
 
 // pass is one polling iteration over the poller's technologies: drain the
 // TX lanes through the egress schedulers, poll the port, and look at what
-// the schedulers still hold. It reports the messages moved, whether tokens
-// are held, and the earliest gate opening that would release one (zero: one
-// is already eligible). A pass that finds no work reads the view, each
-// lane's length, each scheduler's count and each port's queue length, and
-// nothing else: no clock, no scheduler lock, no endpoint lock (DESIGN.md
-// §15). While the view carries a closed session's lanes it retires them.
+// the schedulers still hold. It reports the messages moved, whether held
+// tokens wait for a gate, and the earliest gate opening that would release
+// one (zero: one is already eligible). Tokens whose gates never open wait
+// for nothing a timer can bring: the poller parks until it is rung. A pass
+// that finds no work reads the view, each lane's length, each scheduler's
+// count and each port's queue length, and nothing else: no clock, no
+// scheduler lock, no endpoint lock (DESIGN.md §15). While the view carries
+// a closed session's lanes it retires them.
 func (r *Runtime) pass(p *poller) (work int, gated bool, nextGate timebase.VTime) {
 	//insane:bounded by=one entry per registered technology, fixed at runtime construction
 	for _, st := range p.states {
@@ -138,6 +141,9 @@ func (r *Runtime) pass(p *poller) (work int, gated bool, nextGate timebase.VTime
 		st.schedMu.Lock()
 		e := st.egress.NextEvent(r.clock.Now())
 		st.schedMu.Unlock()
+		if e == sched.Never {
+			continue
+		}
 		if !gated || (nextGate != 0 && (e == 0 || e.Before(nextGate))) {
 			nextGate = e
 		}
@@ -200,19 +206,13 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 		return 0
 	}
 
-	// 2. Stamp a sampled token's pickup, then file the pulled tokens with
-	// the scheduler and dequeue what it releases at the current time, in
+	// 2. File the pulled tokens with the scheduler, stamping a sampled
+	// token's pickup, and dequeue what it releases at the current time, in
 	// one schedMu section. The clock is read once per pass: it is the
-	// scheduler arrival time of every token and gates the dequeue. No slot
-	// header is touched here: dispatch does, once it has proven the slot
-	// live.
+	// pickup time of a sampled token, the scheduler arrival time of every
+	// token and gates the dequeue. No slot header is touched here: dispatch
+	// does, once it has proven the slot live.
 	now := r.clock.Now()
-	//insane:bounded by=pulled <= burst, the per-poller burst buffer
-	for i := 0; i < pulled; i++ {
-		if p.toks[i].sampled {
-			p.toks[i].enqT = r.clock.Now()
-		}
-	}
 	if pulled > 0 {
 		p.shard.Add(telemetry.CtrSchedEnqueues, uint64(pulled))
 	}
@@ -221,6 +221,9 @@ func (r *Runtime) drainTX(p *poller, st *techState) int {
 	//insane:bounded by=pulled <= burst, the per-poller burst buffer
 	for i := 0; i < pulled; i++ {
 		tok := &p.toks[i]
+		if tok.sampled {
+			tok.enqT = now
+		}
 		st.egress.Enqueue(*tok, tok.timing == qos.TimingSensitive, tok.src.ten.index, tok.class, int(tok.msgLen), now)
 	}
 	n := st.egress.Dequeue(batch, waits, now)

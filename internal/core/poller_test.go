@@ -130,3 +130,38 @@ func TestIdlePassReadsOnlyQueueHeads(t *testing.T) {
 	}
 	idle("after the message")
 }
+
+// TestPassReadsTheClockOnce: a pass that files k sampled tokens with the
+// scheduler reads the clock once for all of them — the token's pickup time
+// is the pass's scheduler time — and once more for the gate the held tokens
+// wait for: two readings, whatever k is.
+func TestPassReadsTheClockOnce(t *testing.T) {
+	w := newStepped(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) { c.GCL = testGCL })
+	conn, _ := w.a.Connect()
+	// Every message of a time-sensitive stream is sampled; class 0 is held
+	// inside the protected window, so nothing is dispatched.
+	stream, err := conn.OpenStream(qos.Options{Timing: qos.TimingSensitive, Class: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stream.CreateSink(25); err != nil {
+		t.Fatal(err)
+	}
+	src, err := stream.CreateSource(25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := slices.Index(w.a.Techs(), stream.Tech())
+	w.Set(timebase.VTime(10 * time.Microsecond))
+	const k = 4
+	for i := 0; i < k; i++ {
+		sendOn(t, src, []byte("sampled"))
+	}
+	reads := w.reads.Load()
+	if work, gated, _ := w.Step(w.a, p); work != k || !gated {
+		t.Fatalf("pass: work %d, gated %v; want %d, true", work, gated, k)
+	}
+	if got := w.reads.Load() - reads; got != 2 {
+		t.Errorf("a pass filing %d sampled tokens read the clock %d times, want 2", k, got)
+	}
+}

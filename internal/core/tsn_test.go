@@ -7,6 +7,8 @@ import (
 	"github.com/insane-mw/insane/internal/datapath"
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/qos"
+	"github.com/insane-mw/insane/internal/sched"
+	"github.com/insane-mw/insane/internal/telemetry"
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
@@ -61,6 +63,65 @@ func TestTSNGateWaitAccountedInVTime(t *testing.T) {
 	// The delivery must account ≥ the 140µs spent waiting for the gate.
 	if vt := d.Breakdown.Total(); vt < 140*time.Microsecond {
 		t.Errorf("delivery vtime = %v, want ≥140µs of gate wait", vt)
+	}
+}
+
+// TestGateThatNeverOpensParks: a time-sensitive message of a class the
+// gate control list never opens is held for good. A pass files it and then
+// reports nothing to wait for, neither now nor at some gate opening, so the
+// poller parks until it is rung instead of re-polling for ever; the message
+// stays held.
+func TestGateThatNeverOpensParks(t *testing.T) {
+	class7Only := sched.GCL{{Duration: 100 * time.Microsecond, Gates: 1 << 7}}
+	w := newStepped(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) { c.GCL = class7Only })
+	conn, _ := w.a.Connect()
+	st, err := conn.OpenStream(qos.Options{Timing: qos.TimingSensitive, Class: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.CreateSink(23); err != nil {
+		t.Fatal(err)
+	}
+	src, err := st.CreateSource(23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sendOn(t, src, []byte("never"))
+	for i, want := range []int{1, 0} {
+		if work, gated, next := w.Step(w.a, 0); work != want || gated {
+			t.Fatalf("pass %d: work %d, gated %v, next gate %v; want %d, false", i, work, gated, next, want)
+		}
+	}
+	if held := w.a.techs[st.Tech()].egress.Pending(); held != 1 {
+		t.Fatalf("the scheduler holds %d, want the one message", held)
+	}
+}
+
+// TestLivePollerParksBehindAGateThatNeverOpens is the same message with
+// running pollers: the poller it wakes files it and parks again.
+func TestLivePollerParksBehindAGateThatNeverOpens(t *testing.T) {
+	class7Only := sched.GCL{{Duration: 100 * time.Microsecond, Gates: 1 << 7}}
+	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) { c.GCL = class7Only })
+	parks := func() uint64 { return w.a.tel.Counter(telemetry.CtrPollerParks) }
+	// Every poller parks once it finds no work.
+	if !eventually(func() bool { return parks() >= uint64(len(w.a.pollers)) }) {
+		t.Fatalf("%d parks before any traffic, want one per poller (%d)", parks(), len(w.a.pollers))
+	}
+	conn, _ := w.a.Connect()
+	st, _ := conn.OpenStream(qos.Options{Timing: qos.TimingSensitive, Class: 0})
+	if _, err := st.CreateSink(24); err != nil {
+		t.Fatal(err)
+	}
+	src, err := st.CreateSource(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := parks()
+	sendOn(t, src, []byte("never"))
+	egress := w.a.techs[st.Tech()].egress
+	if !eventually(func() bool { return egress.Pending() == 1 && parks() > before }) {
+		t.Fatalf("scheduler holds %d; %d parks since the message, want 1 and more than 0 (%d idle passes)",
+			egress.Pending(), parks()-before, w.a.tel.Counter(telemetry.CtrPollerIdlePasses))
 	}
 }
 

@@ -19,13 +19,10 @@
 // of course, fine; composite-literal initialization of a not-yet-shared
 // struct is also accepted.
 //
-// The rule shares the //insane:shared regime registry with guardcheck
-// (DESIGN.md §14): a field declared `//insane:guardedby atomic` is in
-// the atomic family even when this package never passes its address to
-// a sync/atomic function — the Regime facts travel the whole-program
-// dependency closure, so one annotation drives both analyzers across
-// package boundaries. Malformed annotations are guardcheck's findings;
-// this pass consumes the registry silently.
+// A field declared `//insane:guardedby atomic` on an //insane:shared
+// struct is guardcheck's (DESIGN.md §14): its atomic regime reports
+// every plain access to it, in any package, so this rule looks only at
+// what one package shows it.
 package atomicfield
 
 import (
@@ -35,25 +32,16 @@ import (
 
 	"github.com/insane-mw/insane/internal/lint/analysis"
 	"github.com/insane-mw/insane/internal/lint/callutil"
-	"github.com/insane-mw/insane/internal/lint/directive"
-	"github.com/insane-mw/insane/internal/lint/guardfacts"
 )
 
 // Analyzer is the atomicfield rule.
 var Analyzer = &analysis.Analyzer{
-	Name:      "atomicfield",
-	Doc:       "flag copies of atomic value fields and plain accesses to fields used atomically elsewhere",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*guardfacts.Regime)(nil)},
+	Name: "atomicfield",
+	Doc:  "flag copies of atomic value fields and plain accesses to fields used atomically elsewhere",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	// Export this package's shared-struct regime declarations into the
-	// fact store. guardcheck owns the annotation diagnostics, so the
-	// problems are dropped here — reporting them twice would double
-	// every malformed-spec finding in the suite.
-	guardfacts.Export(pass)
-
 	// Pass 1 (whole package): find fields whose address is passed to a
 	// sync/atomic function, and remember where.
 	atomicallyUsed := make(map[*types.Var]token.Pos)
@@ -96,16 +84,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if at, shared := atomicallyUsed[fld]; shared && plainAccess(parent, sel) {
 				line := pass.Fset.Position(at).Line
 				pass.Reportf(sel.Pos(), "plain access to field %s, which is accessed atomically elsewhere (line %d): mixed access is a data race", sel.Sel.Name, line)
-				return
-			}
-			// The regime check only bites on plain scalars, where a bare
-			// read/write races with the atomic ops used elsewhere. Fields
-			// whose type is (an aggregate of) sync/atomic value types
-			// enforce the discipline through their method set already —
-			// indexing into [N]atomic.Uint64 is how it's used correctly.
-			if r, ok := guardfacts.Lookup(pass, fld); ok && r.R.Kind == directive.RegimeAtomic &&
-				plainScalar(fld.Type()) && plainAccess(parent, sel) {
-				pass.Reportf(sel.Pos(), "plain access to field %s, declared //insane:guardedby atomic on %s.%s: mixed access is a data race", sel.Sel.Name, r.Struct, fld.Name())
 			}
 		})
 	}
@@ -148,19 +126,6 @@ func fieldOf(pass *analysis.Pass, sel *ast.SelectorExpr) *types.Var {
 		return nil
 	}
 	return v
-}
-
-// plainScalar reports whether t is a bare scalar (integer, pointer,
-// unsafe.Pointer) — the shapes sync/atomic free functions operate on,
-// and the only shapes where a plain access can race with them.
-func plainScalar(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Basic:
-		return u.Info()&types.IsInteger != 0 || u.Kind() == types.UnsafePointer
-	case *types.Pointer:
-		return true
-	}
-	return false
 }
 
 // isAtomicFuncCall reports whether the call invokes a sync/atomic

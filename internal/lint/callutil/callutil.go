@@ -305,13 +305,3 @@ func ChainText(chain []*types.Func, qual types.Qualifier) string {
 	}
 	return strings.Join(names, " -> ")
 }
-
-// HotChainSuffix is the tail of a hot-path finding: which root reaches
-// the function holding it, and how. chain runs from the root.
-func HotChainSuffix(chain []*types.Func, qual types.Qualifier) string {
-	root := FuncName(chain[0], qual)
-	if len(chain) == 1 {
-		return " in hot-path root " + root
-	}
-	return " reachable from hot-path root " + root + ": " + ChainText(chain, qual)
-}

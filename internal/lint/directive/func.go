@@ -7,10 +7,10 @@ import (
 	"strings"
 )
 
-// The //insane:* markers shared by the hot-path analyzers. hotpathcheck
-// and boundedcheck both root their traversals at //insane:hotpath
-// functions and stop at //insane:coldpath barriers, so the parsing
-// lives here rather than in either analyzer.
+// The //insane:* markers of the hot-path proof. hotpathcheck roots its
+// traversal at //insane:hotpath functions and stops at //insane:coldpath
+// barriers; the parsing lives here, in the lint base layer, beside the
+// other annotation grammars.
 const (
 	// HotMarker declares a hot-path root (on a function declaration) or
 	// a trusted boundary (on an interface method).
@@ -33,8 +33,7 @@ type FuncDirectives struct {
 }
 
 // Problem is one malformed directive found while parsing, for the
-// analyzer that owns reporting it (hotpathcheck, so the same mistake is
-// not reported once per analyzer that shares the parse).
+// analyzer to report.
 type Problem struct {
 	Pos token.Pos
 	Msg string
@@ -89,7 +88,7 @@ func HasMarker(cg *ast.CommentGroup, marker string) bool {
 	return false
 }
 
-// boundedMarker vouches for a loop the boundedcheck analyzer cannot
+// boundedMarker vouches for a loop the hotpathcheck analyzer cannot
 // prove work-bounded:
 //
 //	//insane:bounded by=<reason>
@@ -121,8 +120,8 @@ func ParseBounded(text string) (*Bounded, bool) {
 }
 
 // HotInterfaceMethods returns the interface methods declared in files
-// that carry //insane:hotpath. Such a method is a trusted boundary for
-// every hot-path rule: implementations are vetted where they are
+// that carry //insane:hotpath. Such a method is a trusted boundary of
+// the hot-path proof: implementations are vetted where they are
 // defined, so calls through it are neither followed nor flagged as
 // unknown.
 func HotInterfaceMethods(files []*ast.File, info *types.Info) []*types.Func {

@@ -16,8 +16,7 @@
 //     — method calls on atomic.* values (including indexed elements,
 //     as in shard counter arrays) or &field handed to an atomic
 //     function or wrapper. Plain reads, writes and copies are
-//     violations. The atomicfield analyzer consumes the same registry,
-//     so one annotation drives both rules.
+//     violations, in any package.
 //   - rcu=<publisher>: an RCU-style published snapshot. Readers load it
 //     anywhere; it is stored (Store/Swap/CompareAndSwap, or a plain
 //     write for non-atomic publication fields) only inside the named

@@ -4,10 +4,9 @@
 // every field then names its synchronization regime with an
 // //insane:guardedby spec (parsed by internal/lint/directive). This
 // package turns those declarations into per-field facts that travel the
-// whole-program dependency closure, so any analyzer that needs to know
+// whole-program dependency closure, so an analyzer that needs to know
 // "how is this field synchronized" — guardcheck proving every access
-// uses the declared regime, atomicfield folding declared-atomic fields
-// into its consistency proof — reads one registry instead of keeping a
+// uses the declared regime — reads one registry instead of keeping a
 // private field list.
 package guardfacts
 

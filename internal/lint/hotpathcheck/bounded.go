@@ -1,4 +1,4 @@
-package boundedcheck
+package hotpathcheck
 
 import (
 	"go/ast"
@@ -6,53 +6,14 @@ import (
 	"go/token"
 	"go/types"
 
-	"github.com/insane-mw/insane/internal/lint/analysis"
 	"github.com/insane-mw/insane/internal/lint/callutil"
-	"github.com/insane-mw/insane/internal/lint/directive"
 )
-
-// scanner walks one function body, proving each loop bounded or
-// recording it, and collecting the outgoing module-internal call edges.
-type scanner struct {
-	pass     *analysis.Pass
-	idx      *directive.Index
-	bidx     *directive.Lines[*directive.Bounded]
-	constRet map[*types.Func]int64
-	sum      *WorkSummary
-	seen     map[*types.Func]bool
-	clamps   []clamp
-}
 
 // clamp records one fence `if x > C { x = C }` / `if len(s) > C
 // { s = s[:C] }`: after pos, obj is capped by a constant.
 type clamp struct {
 	obj types.Object
 	pos token.Pos
-}
-
-func scanBody(pass *analysis.Pass, idx *directive.Index, bidx *directive.Lines[*directive.Bounded], constRet map[*types.Func]int64, fd *ast.FuncDecl, sum *WorkSummary) {
-	s := &scanner{
-		pass:     pass,
-		idx:      idx,
-		bidx:     bidx,
-		constRet: constRet,
-		sum:      sum,
-		seen:     make(map[*types.Func]bool),
-	}
-	s.collectClamps(fd.Body)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // dynamic; hotpathcheck flags calls to it
-		case *ast.ForStmt:
-			s.checkLoop(n, s.proveFor(n))
-		case *ast.RangeStmt:
-			s.checkLoop(n, s.proveRange(n))
-		case *ast.CallExpr:
-			s.call(n)
-		}
-		return true
-	})
 }
 
 // checkLoop reconciles the proof result (detail == "" means proven)
@@ -62,59 +23,17 @@ func (s *scanner) checkLoop(loop ast.Stmt, detail string) {
 	b, annotated := s.bidx.At(pos)
 	switch {
 	case annotated && b.Malformed != "":
-		s.flag(b.Pos, "malformed //insane:bounded annotation: "+b.Malformed)
+		s.pass.Reportf(b.Pos, "malformed //insane:bounded annotation: %s", b.Malformed)
 		if detail != "" {
-			s.loop(loop.Pos(), detail)
+			s.flag(loop.Pos(), SevUnbounded, detail)
 		}
 	case annotated && detail == "":
-		s.flag(b.Pos, "//insane:bounded annotation is redundant: the loop is provably bounded")
+		s.pass.Reportf(b.Pos, "//insane:bounded annotation is redundant: the loop is provably bounded")
 	case annotated:
 		// Verified waiver: the reason documents the external invariant.
 	case detail != "":
-		s.loop(loop.Pos(), detail)
+		s.flag(loop.Pos(), SevUnbounded, detail)
 	}
-}
-
-// loop records one unproven loop, honoring scan-time suppression (the
-// diagnostic may be reported from another package's pass, where this
-// file's //lint:ignore directives are not visible).
-func (s *scanner) loop(pos token.Pos, detail string) {
-	if s.idx.Suppresses(s.pass.Fset.Position(pos), name) {
-		return
-	}
-	s.sum.Loops = append(s.sum.Loops, Loop{Pos: pos, Msg: detail})
-}
-
-// flag reports a package-local annotation problem immediately.
-func (s *scanner) flag(pos token.Pos, msg string) {
-	if s.idx.Suppresses(s.pass.Fset.Position(pos), name) {
-		return
-	}
-	s.pass.Reportf(pos, "%s", msg)
-}
-
-// call records a module-internal call edge for the traversal.
-func (s *scanner) call(call *ast.CallExpr) {
-	fn := callutil.StaticCallee(s.pass.TypesInfo, call)
-	if fn == nil {
-		return // dynamic; hotpathcheck flags it on hot paths
-	}
-	origin := fn.Origin()
-	if origin.Pkg() == nil {
-		return
-	}
-	if origin.Pkg() == s.pass.Pkg || s.hasSummary(origin) {
-		if !s.seen[origin] {
-			s.seen[origin] = true
-			s.sum.Calls = append(s.sum.Calls, CallEdge{Fn: origin, Pos: call.Pos()})
-		}
-	}
-}
-
-// hasSummary reports whether a WorkSummary fact was exported for fn.
-func (s *scanner) hasSummary(fn *types.Func) bool {
-	var sum WorkSummary
-	return s.pass.ImportObjectFact(fn, &sum)
 }
 
 // proveFor proves a for statement bounded, returning "" on success or
@@ -300,7 +219,7 @@ func (s *scanner) postStep(post ast.Stmt, obj types.Object) (int, bool) {
 // constFold resolves an expression to a constant integer: a
 // type-checker constant (literals, named constants, len of an array),
 // or a call to a module function proven to return a single constant —
-// locally, or through the WorkSummary fact its package exported.
+// locally, or through the Summary fact its package exported.
 func (s *scanner) constFold(e ast.Expr) (int64, bool) {
 	if v, ok := intConst(s.pass.TypesInfo, e); ok {
 		return v, true
@@ -317,7 +236,7 @@ func (s *scanner) constFold(e ast.Expr) (int64, bool) {
 	if v, ok := s.constRet[origin]; ok {
 		return v, true
 	}
-	var sum WorkSummary
+	var sum Summary
 	if s.pass.ImportObjectFact(origin, &sum) && sum.ConstBound {
 		return sum.BoundVal, true
 	}
@@ -348,45 +267,35 @@ func (s *scanner) clampedBefore(obj types.Object, pos token.Pos) bool {
 	return false
 }
 
-// collectClamps records the fence statements of the body:
+// collectClamp records a fence statement of the body:
 //
 //	if x > C  { x = C' }     — x capped
 //	if len(s) > C { s = s[:C'] } — s capped
 //
-// with C and C' provable constants. The check is positional, not
-// flow-sensitive: a reassignment between fence and loop is not seen.
-// That unsound edge is accepted — the fence idiom puts the clamp
-// directly before the loop, and the alternative (full SSA) is out of
-// proportion for a lint.
-func (s *scanner) collectClamps(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
+// with C and C' provable constants. The walk meets a fence before any
+// loop after it. The check is positional, not flow-sensitive: a
+// reassignment between fence and loop is not seen. That unsound edge
+// is accepted — the fence idiom puts the clamp directly before the
+// loop, and the alternative (full SSA) is out of proportion for a lint.
+func (s *scanner) collectClamp(ifs *ast.IfStmt) {
+	be, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
+	if !ok || (be.Op != token.GTR && be.Op != token.GEQ) {
+		return
+	}
+	if _, ok := s.constFold(be.Y); !ok {
+		return
+	}
+	switch x := ast.Unparen(be.X).(type) {
+	case *ast.Ident: // if x > C { x = C' }
+		obj := s.identObj(x)
+		if obj != nil && s.blockCaps(ifs.Body, obj, false) {
+			s.clamps = append(s.clamps, clamp{obj: obj, pos: ifs.End()})
 		}
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			return true
+	case *ast.CallExpr: // if len(s) > C { s = s[:C'] }
+		if obj := s.lenArg(x); obj != nil && s.blockCaps(ifs.Body, obj, true) {
+			s.clamps = append(s.clamps, clamp{obj: obj, pos: ifs.End()})
 		}
-		be, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
-		if !ok || (be.Op != token.GTR && be.Op != token.GEQ) {
-			return true
-		}
-		if _, ok := s.constFold(be.Y); !ok {
-			return true
-		}
-		switch x := ast.Unparen(be.X).(type) {
-		case *ast.Ident: // if x > C { x = C' }
-			obj := s.identObj(x)
-			if obj != nil && s.blockCaps(ifs.Body, obj, false) {
-				s.clamps = append(s.clamps, clamp{obj: obj, pos: ifs.End()})
-			}
-		case *ast.CallExpr: // if len(s) > C { s = s[:C'] }
-			if obj := s.lenArg(x); obj != nil && s.blockCaps(ifs.Body, obj, true) {
-				s.clamps = append(s.clamps, clamp{obj: obj, pos: ifs.End()})
-			}
-		}
-		return true
-	})
+	}
 }
 
 // lenArg resolves the object of a len(x) call on an identifier.

@@ -36,9 +36,9 @@ func (s *scanner) visitCall(call *ast.CallExpr) {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "append":
-				if !s.hasCap {
-					s.flag(call.Pos(), SevAlloc, exprText(call)+" without capacity evidence can grow the backing array")
-				}
+				s.appends = append(s.appends, call)
+			case "cap":
+				s.hasCap = true
 			case "make":
 				s.flag(call.Pos(), SevAlloc, exprText(call)+" allocates")
 			case "new":
@@ -79,7 +79,10 @@ func (s *scanner) visitCall(call *ast.CallExpr) {
 	// Module-internal: record a call edge; the traversal follows it
 	// through the callee's exported fact.
 	if pkg == s.pass.Pkg || s.hasSummary(origin) {
-		s.calls[origin] = true
+		if !s.seen[origin] {
+			s.seen[origin] = true
+			s.sum.Calls = append(s.sum.Calls, Call{Fn: origin, Pos: call.Pos()})
+		}
 		s.boxedArgs(call)
 		return
 	}

@@ -1,12 +1,13 @@
 // Package hotpathcheck proves, at compile time, that the INSANE hot
-// path is allocation- and blocking-free.
+// path is cheap: every function reachable from an annotated hot-path
+// root is free of heap allocation, blocking and calls into unproven
+// code, and does bounded work, so per-packet cost is a compile-time
+// constant that adversarial traffic cannot stretch.
 //
 // The runtime's zero-alloc contract (DESIGN.md §7) was previously
 // enforced only by sampled runtime gates (TestSteadyStateZeroAlloc),
 // which cover one warm path and are skipped under -race. This analyzer
-// turns the contract into a whole-program property: every function
-// reachable from an annotated hot-path root must be free of heap
-// allocation, blocking and calls into unproven code.
+// turns the contract into a whole-program property.
 //
 // Roots are declared with a directive on the function declaration:
 //
@@ -30,7 +31,7 @@
 //
 //	//lint:ignore insanevet/hotpathcheck <reason>
 //
-// Findings carry one of three severities:
+// Findings carry one of four severities:
 //
 //	alloc        — the operation heap-allocates (composite literals
 //	               that escape, make/new, interface boxing, closure
@@ -43,12 +44,41 @@
 //	unknown-call — a call whose target cannot be proven clean (dynamic
 //	               calls through func values, unannotated interface
 //	               methods, stdlib outside the allowlist)
+//	unbounded    — a loop that cannot be proven bounded, or a call
+//	               cycle: recursion no constant can bound
+//
+// A loop is provably bounded when the analyzer can see a constant cap:
+//
+//   - a range over a fixed-size array (or pointer to one), or over a
+//     constant integer
+//   - a counter loop `for i := C0; i < C1; i++` whose start, bound and
+//     step are all provable constants — folding includes `len` of an
+//     array, named constants, and calls to module functions that return
+//     a single constant (proven via the exported Summary fact of the
+//     callee's package, so a bound can live in a dependency)
+//   - a counter loop or slice range whose bound was fence-clamped
+//     against a constant earlier in the function: `if n > C { n = C }`
+//     or `if len(s) > C { s = s[:C] }`
+//
+// Everything else — `for {}`, data-dependent slice/map/string/channel
+// ranges, bounds that flow from packet contents — is unproven. An
+// unproven loop that a real invariant bounds is waived, with the
+// invariant spelled out, by annotating the loop line (or the line
+// above):
+//
+//	//insane:bounded by=<reason>
+//
+// The annotation is verified: one that is malformed, attached to no
+// loop, or attached to a loop the analyzer can prove anyway is
+// reported, so the waiver set cannot rot. Loops inside function
+// literals are out of scope: the literal's body belongs to a different
+// function, and calls through func values are already unknown-calls.
 //
 // The analysis is incremental: each package pass summarizes every
-// function into a fact (ops surviving suppression + outgoing
-// module-internal calls) and exports it; passes over dependent
-// packages import the facts instead of re-scanning, exactly as
-// analysis.Fact works upstream.
+// function into a fact (ops surviving suppression, outgoing
+// module-internal calls, constant-return value) and exports it; passes
+// over dependent packages import the facts instead of re-scanning,
+// exactly as analysis.Fact works upstream.
 package hotpathcheck
 
 import (
@@ -65,11 +95,12 @@ import (
 // Severity classifies one hot-path violation.
 type Severity string
 
-// The three severity classes (see package doc).
+// The four severity classes (see package doc).
 const (
-	SevAlloc   Severity = "alloc"
-	SevBlock   Severity = "block"
-	SevUnknown Severity = "unknown-call"
+	SevAlloc     Severity = "alloc"
+	SevBlock     Severity = "block"
+	SevUnknown   Severity = "unknown-call"
+	SevUnbounded Severity = "unbounded"
 )
 
 // Op is one flagged operation inside a function body.
@@ -82,19 +113,33 @@ type Op struct {
 	Msg string
 }
 
+// Call is one resolved module-internal call edge.
+type Call struct {
+	// Fn is the callee (generic origin).
+	Fn *types.Func
+	// Pos locates the first call site, where recursion is reported.
+	Pos token.Pos
+}
+
 // Summary is the per-function fact: everything a traversal needs to
 // know about a function without re-reading its body.
 type Summary struct {
-	// Ops are the flagged operations that survived `//lint:ignore`
-	// suppression in the function's own package.
+	// Ops are the flagged operations, unproven loops included, that
+	// survived `//lint:ignore` suppression and //insane:bounded waivers
+	// in the function's own package.
 	Ops []Op
-	// Calls are the resolved module-internal callees (generic origins).
-	Calls []*types.Func
+	// Calls are the module-internal callees, in order of first call.
+	Calls []Call
 	// Cold marks an //insane:coldpath traversal barrier.
 	Cold bool
 	// Trusted marks an //insane:hotpath-annotated interface method:
 	// calls through it are accepted without traversal.
 	Trusted bool
+	// ConstBound marks a function whose body is a single `return C`
+	// with C a constant integer: calls to it fold to BoundVal when
+	// proving loop bounds in dependent packages.
+	ConstBound bool
+	BoundVal   int64
 }
 
 // AFact marks Summary as an analysis fact.
@@ -106,7 +151,7 @@ const name = "hotpathcheck"
 // Analyzer is the hotpathcheck rule.
 var Analyzer = &analysis.Analyzer{
 	Name:      name,
-	Doc:       "functions reachable from //insane:hotpath roots must not allocate, block or call unproven code",
+	Doc:       "functions reachable from //insane:hotpath roots must not allocate, block, call unproven code or run unbounded loops",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*Summary)(nil)},
 }
@@ -119,7 +164,7 @@ type root struct {
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	idx := directive.NewIndex(pass.Fset, pass.Files)
-	var roots []root
+	bidx := directive.Scan(pass.Fset, pass.Files, directive.ParseBounded)
 
 	// Phase 1a: interface methods carrying //insane:hotpath are
 	// trusted boundaries (timebase.Clock.Now, fabric.Doorbell.Ring).
@@ -129,11 +174,18 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		pass.ExportObjectFact(m, &Summary{Trusted: true})
 	}
 
-	// Phase 1b: summarize every function declaration and export the
-	// facts; collect the roots declared in this package.
+	// Phase 1b: collect declarations and pre-compute constant returns,
+	// so a loop in one function can fold a bound through a call to a
+	// function declared later in the same package.
+	type decl struct {
+		fd *ast.FuncDecl
+		fn *types.Func
+	}
+	var decls []decl
+	constRet := make(map[*types.Func]int64)
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
@@ -141,51 +193,121 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				continue
 			}
-			d, probs := directive.ParseFuncDecl(fd.Doc)
-			for _, p := range probs {
-				pass.Reportf(p.Pos, "%s", p.Msg)
-			}
-			sum := &Summary{Cold: d.Cold}
-			if !d.Cold && fd.Body != nil {
-				sum.Ops, sum.Calls = scanBody(pass, idx, fd)
-			}
-			pass.ExportObjectFact(fn, sum)
-			if d.Hot {
-				roots = append(roots, root{fn: fn, allowBlock: d.AllowBlock})
+			decls = append(decls, decl{fd, fn})
+			if v, ok := constReturn(pass, fd); ok {
+				constRet[fn] = v
 			}
 		}
 	}
 
+	// Phase 1c: summarize every function and export the facts; collect
+	// the roots declared in this package.
+	var roots []root
+	for _, d := range decls {
+		dirs, probs := directive.ParseFuncDecl(d.fd.Doc)
+		for _, p := range probs {
+			pass.Reportf(p.Pos, "%s", p.Msg)
+		}
+		sum := &Summary{Cold: dirs.Cold}
+		if v, ok := constRet[d.fn]; ok {
+			sum.ConstBound, sum.BoundVal = true, v
+		}
+		if !dirs.Cold && d.fd.Body != nil {
+			scanBody(pass, idx, bidx, constRet, d.fd, sum)
+		}
+		pass.ExportObjectFact(d.fn, sum)
+		if dirs.Hot {
+			roots = append(roots, root{fn: d.fn, allowBlock: dirs.AllowBlock})
+		}
+	}
+
 	// Phase 2: breadth-first traversal from each root over the fact
-	// graph. Every op is reported at most once per pass (the first
-	// root to reach it wins, with the shortest call chain).
+	// graph, so every finding carries a shortest call chain, then a
+	// depth-first cycle check over what the root reaches: a call edge
+	// back into the DFS stack is recursion no constant can bound. Each
+	// finding is reported at most once per pass (the first root to
+	// reach it wins).
 	qual := types.RelativeTo(pass.Pkg)
-	reported := make(map[token.Pos]bool)
+	reported := make(map[Op]bool)
 	for _, r := range roots {
 		search := callutil.NewSearch(r.fn)
-		search.BFS(func(fn *types.Func) []*types.Func {
-			var sum Summary
-			if !pass.ImportObjectFact(fn, &sum) {
-				return nil // classified at the call site during scanning
+		report := func(fn *types.Func, op Op) {
+			if reported[op] || r.allowBlock && op.Sev == SevBlock {
+				return
 			}
-			if sum.Cold || sum.Trusted {
+			reported[op] = true
+			pass.Report(analysis.Diagnostic{
+				Pos:     op.Pos,
+				Message: fmt.Sprintf("%s [%s]%s", op.Msg, op.Sev, chainSuffix(search.Chain(fn), qual)),
+			})
+		}
+		// sums holds the reached functions whose bodies count: those
+		// with a fact (the rest was classified at the call site during
+		// scanning) that is neither a barrier nor a trusted boundary.
+		sums := make(map[*types.Func]*Summary)
+		search.BFS(func(fn *types.Func) []*types.Func {
+			sum := new(Summary)
+			if !pass.ImportObjectFact(fn, sum) || sum.Cold || sum.Trusted {
 				return nil
 			}
+			sums[fn] = sum
 			for _, op := range sum.Ops {
-				if r.allowBlock && op.Sev == SevBlock {
-					continue
-				}
-				if reported[op.Pos] {
-					continue
-				}
-				reported[op.Pos] = true
-				pass.Report(analysis.Diagnostic{
-					Pos:     op.Pos,
-					Message: fmt.Sprintf("%s [%s]%s", op.Msg, op.Sev, callutil.HotChainSuffix(search.Chain(fn), qual)),
-				})
+				report(fn, op)
 			}
-			return sum.Calls
+			callees := make([]*types.Func, len(sum.Calls))
+			for i, c := range sum.Calls {
+				callees[i] = c.Fn
+			}
+			return callees
 		})
+		onStack := make(map[*types.Func]bool)
+		var dfs func(fn *types.Func)
+		dfs = func(fn *types.Func) {
+			onStack[fn] = true
+			for _, c := range sums[fn].Calls {
+				if on, visited := onStack[c.Fn]; on {
+					report(fn, Op{Pos: c.Pos, Sev: SevUnbounded, Msg: "recursive call to " + callutil.FuncName(c.Fn, qual) + " makes per-packet work unprovable"})
+				} else if !visited && sums[c.Fn] != nil {
+					dfs(c.Fn)
+				}
+			}
+			onStack[fn] = false
+		}
+		if sums[r.fn] != nil {
+			dfs(r.fn)
+		}
+	}
+
+	// Phase 3: annotations no loop claimed vouch for nothing.
+	for _, b := range bidx.Unclaimed() {
+		if b.Malformed != "" {
+			pass.Reportf(b.Pos, "malformed //insane:bounded annotation: %s", b.Malformed)
+		} else {
+			pass.Reportf(b.Pos, "//insane:bounded annotation is not attached to a for or range statement")
+		}
 	}
 	return nil, nil
+}
+
+// constReturn recognizes a function whose body is exactly `return C`
+// for a constant integer C.
+func constReturn(pass *analysis.Pass, fd *ast.FuncDecl) (int64, bool) {
+	if fd.Body == nil || len(fd.Body.List) != 1 {
+		return 0, false
+	}
+	ret, ok := fd.Body.List[0].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return 0, false
+	}
+	return intConst(pass.TypesInfo, ret.Results[0])
+}
+
+// chainSuffix is the tail of a finding: which root reaches the function
+// holding it, and how. chain runs from the root.
+func chainSuffix(chain []*types.Func, qual types.Qualifier) string {
+	root := callutil.FuncName(chain[0], qual)
+	if len(chain) == 1 {
+		return " in hot-path root " + root
+	}
+	return " reachable from hot-path root " + root + ": " + callutil.ChainText(chain, qual)
 }

@@ -9,41 +9,30 @@ import (
 	"github.com/insane-mw/insane/internal/lint/directive"
 )
 
-// scanBody summarizes one function body: the flagged operations that
-// survive suppression, and the outgoing module-internal calls.
-func scanBody(pass *analysis.Pass, idx *directive.Index, fd *ast.FuncDecl) ([]Op, []*types.Func) {
+// scanBody summarizes one function body into sum in a single walk: the
+// flagged operations that survive suppression, each loop proven
+// bounded or recorded, and the outgoing module-internal calls.
+func scanBody(pass *analysis.Pass, idx *directive.Index, bidx *directive.Lines[*directive.Bounded], constRet map[*types.Func]int64, fd *ast.FuncDecl, sum *Summary) {
 	s := &scanner{
-		pass:    pass,
-		idx:     idx,
-		skip:    make(map[ast.Node]bool),
-		calls:   make(map[*types.Func]bool),
-		results: resultTypes(pass, fd),
+		pass:     pass,
+		idx:      idx,
+		bidx:     bidx,
+		constRet: constRet,
+		sum:      sum,
+		skip:     make(map[ast.Node]bool),
+		seen:     make(map[*types.Func]bool),
+		results:  resultTypes(pass, fd),
 	}
+	s.walk(fd.Body)
 	// Capacity evidence: an explicit cap() read anywhere in the
 	// function is taken as proof the author reasoned about growth, so
-	// append is accepted (the Cache.Put batch-drain idiom).
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok {
-				if b, ok := s.pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "cap" {
-					s.hasCap = true
-				}
-			}
-		}
-		return true
-	})
-	s.walk(fd.Body)
-	var order []*types.Func
-	for fn := range s.calls {
-		order = append(order, fn)
-	}
-	// Deterministic call order (map iteration is random).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && order[j].Pos() < order[j-1].Pos(); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
+	// append is accepted (the Cache.Put batch-drain idiom). The read may
+	// follow the append, so appends are judged once the walk is done.
+	if !s.hasCap {
+		for _, call := range s.appends {
+			s.flag(call.Pos(), SevAlloc, exprText(call)+" without capacity evidence can grow the backing array")
 		}
 	}
-	return s.ops, order
 }
 
 // resultTypes lists the declared result types, for return boxing.
@@ -63,16 +52,21 @@ func resultTypes(pass *analysis.Pass, fd *ast.FuncDecl) []types.Type {
 	return out
 }
 
-// scanner walks one function body collecting ops and call edges.
+// scanner walks one function body collecting ops, loop proofs and call
+// edges into its summary.
 type scanner struct {
-	pass    *analysis.Pass
-	idx     *directive.Index
-	ops     []Op
-	calls   map[*types.Func]bool
-	skip    map[ast.Node]bool // channel ops already accounted to a select
-	results []types.Type
-	hasCap  bool
-	loop    int // enclosing for/range depth
+	pass     *analysis.Pass
+	idx      *directive.Index
+	bidx     *directive.Lines[*directive.Bounded]
+	constRet map[*types.Func]int64
+	sum      *Summary
+	seen     map[*types.Func]bool // callees already in sum.Calls
+	skip     map[ast.Node]bool    // channel ops already accounted to a select
+	results  []types.Type
+	hasCap   bool
+	appends  []*ast.CallExpr // judged against hasCap after the walk
+	clamps   []clamp         // fences seen so far, in walk order
+	loop     int             // enclosing for/range depth
 }
 
 // flag records one op unless a //lint:ignore directive waives it.
@@ -80,28 +74,30 @@ func (s *scanner) flag(pos token.Pos, sev Severity, msg string) {
 	if s.idx.Suppresses(s.pass.Fset.Position(pos), name) {
 		return
 	}
-	s.ops = append(s.ops, Op{Pos: pos, Sev: sev, Msg: msg})
+	s.sum.Ops = append(s.sum.Ops, Op{Pos: pos, Sev: sev, Msg: msg})
 }
 
 // walk dispatches on one node and recurses; it is a hand-rolled
-// ast.Inspect so loop depth and select membership stay accurate.
+// ast.Inspect so loop depth and select membership stay accurate. Each
+// loop is proven bounded (or recorded) as the walk enters it.
 func (s *scanner) walk(n ast.Node) {
-	if n == nil {
-		return
-	}
+	depth := 0
 	switch n := n.(type) {
-	case *ast.ForStmt, *ast.RangeStmt:
-		s.loop++
-		ast.Inspect(n, s.dispatch(n))
-		s.loop--
-		return
+	case *ast.ForStmt:
+		s.checkLoop(n, s.proveFor(n))
+		depth = 1
+	case *ast.RangeStmt:
+		s.checkLoop(n, s.proveRange(n))
+		depth = 1
 	case *ast.FuncLit:
 		// The literal's body belongs to a different function; only the
 		// closure value itself concerns the enclosing hot path.
 		s.flagFuncLit(n)
 		return
 	}
+	s.loop += depth
 	ast.Inspect(n, s.dispatch(n))
+	s.loop -= depth
 }
 
 // dispatch adapts walk's per-node handling to ast.Inspect, delegating
@@ -128,6 +124,9 @@ func (s *scanner) visit(n ast.Node) {
 	switch n := n.(type) {
 	case *ast.CallExpr:
 		s.visitCall(n)
+
+	case *ast.IfStmt:
+		s.collectClamp(n)
 
 	case *ast.CompositeLit:
 		t := s.pass.TypesInfo.TypeOf(n)

@@ -1,4 +1,4 @@
-// Package a exercises every boundedcheck loop diagnostic class inside
+// Package a exercises every hotpathcheck loop diagnostic class inside
 // one package: unconditioned and constant-true for loops, data-dependent
 // counters and ranges, recursion, and the full set of bounded-proof
 // recognizers (constant counters, array ranges, fence clamps, constant
@@ -213,7 +213,7 @@ func waived(pkts []int) int {
 //
 //insane:hotpath
 func suppressed(m map[int]int) {
-	//lint:ignore insanevet/boundedcheck fixture: demonstrates per-line waiver
+	//lint:ignore insanevet/hotpathcheck fixture: demonstrates per-line waiver
 	for range m {
 	}
 }
@@ -239,8 +239,8 @@ func offPath(m map[int]int) {
 	}
 }
 
-// dynamic calls through func values are hotpathcheck's concern; the
-// literal's body is out of scope here.
+// dynamic holds a loop in a capture-free literal: the literal's body
+// belongs to a different function and is out of scope here.
 //
 //insane:hotpath
 func dynamic(fns []func()) {

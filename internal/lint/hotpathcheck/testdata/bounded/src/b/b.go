@@ -5,7 +5,7 @@ package b
 
 import "b/dep"
 
-// Root's loop folds dep.Burst() to 32 via the WorkSummary fact exported
+// Root's loop folds dep.Burst() to 32 via the Summary fact exported
 // by dep's pass — the bound lives in a dependency. The call into
 // dep.Flush drags dep's unproven loop into the report.
 //

@@ -1,5 +1,5 @@
 // Package dep provides the constant batch cap and one unproven loop;
-// both cross the package boundary as WorkSummary facts.
+// both cross the package boundary as Summary facts.
 package dep
 
 // Burst is the batch cap, published as a constant-return function so

@@ -15,6 +15,10 @@
 //	timebase        — datapath packages read time via internal/timebase
 //	hotpathcheck    — code reachable from //insane:hotpath roots is
 //	                  allocation- and blocking-free (§7 zero-alloc proof)
+//	                  and does bounded work: every loop is provably
+//	                  bounded or carries a verified //insane:bounded
+//	                  annotation, and no call cycle is reachable (§7
+//	                  per-packet cost)
 //	sentinelcompare — errors wrapped with %w are matched with errors.Is
 //	goroutinecheck  — every go statement is provably bounded or carries
 //	                  a verified //insane:goroutine owner/stop annotation
@@ -23,9 +27,6 @@
 //	archcheck       — imports respect the layering declared in
 //	                  ARCH.layers: no upward, same-layer or unlisted
 //	                  cross-layer edges (DESIGN.md §10)
-//	boundedcheck    — every loop reachable from an //insane:hotpath root
-//	                  is provably bounded or carries a verified
-//	                  //insane:bounded annotation (§7 per-packet cost)
 //	paircheck       — every //insane:acquire resource has a matching
 //	                  release, transfer or verified waiver on every
 //	                  control-flow path (§5.1/§6 charge-refund balance)
@@ -49,7 +50,6 @@ import (
 	"github.com/insane-mw/insane/internal/lint/analysis"
 	"github.com/insane-mw/insane/internal/lint/archcheck"
 	"github.com/insane-mw/insane/internal/lint/atomicfield"
-	"github.com/insane-mw/insane/internal/lint/boundedcheck"
 	"github.com/insane-mw/insane/internal/lint/bufownership"
 	"github.com/insane-mw/insane/internal/lint/concurrencycheck"
 	"github.com/insane-mw/insane/internal/lint/directive"
@@ -74,7 +74,6 @@ func Analyzers() []*analysis.Analyzer {
 		concurrencycheck.Goroutine,
 		concurrencycheck.Sync,
 		archcheck.Analyzer,
-		boundedcheck.Analyzer,
 		paircheck.Analyzer,
 		guardcheck.Analyzer,
 	}

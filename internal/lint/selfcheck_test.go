@@ -13,11 +13,12 @@ import (
 // TestRepositoryIsClean runs the full insanevet suite over the whole
 // module, exactly as `make lint` does: the tree must stay free of
 // ownership, lock-order, atomicity, timebase, hot-path,
-// sentinel-comparison, goroutine-lifecycle, sync-misuse, layering and
-// work-bound violations (or carry explicit //lint:ignore directives). It also asserts the
-// whole-program analyzers really covered the module's dependency
-// closure — a suite that silently analyzed nothing would pass
-// otherwise.
+// sentinel-comparison, goroutine-lifecycle, sync-misuse, layering,
+// resource-balance and shared-state violations (or carry explicit
+// //lint:ignore directives). It also asserts every whole-program
+// analyzer of the suite (each one declaring FactTypes) really covered
+// the module's dependency closure — a suite that silently analyzed
+// nothing would pass otherwise.
 func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the entire module")
@@ -44,18 +45,21 @@ func TestRepositoryIsClean(t *testing.T) {
 	if info.ClosurePackages < 30 {
 		t.Errorf("whole-program closure covered only %d packages (want >= 30)", info.ClosurePackages)
 	}
-	for _, name := range []string{"goroutinecheck", "lockorder", "hotpathcheck", "archcheck", "boundedcheck", "paircheck", "bufownership", "guardcheck", "atomicfield"} {
-		if n := info.WholeProgram[name]; n < 30 {
-			t.Errorf("whole-program analyzer %s ran over %d packages (want >= 30)", name, n)
+	for _, a := range lint.Analyzers() {
+		if len(a.FactTypes) == 0 {
+			continue
+		}
+		if n := info.WholeProgram[a.Name]; n < 30 {
+			t.Errorf("whole-program analyzer %s ran over %d packages (want >= 30)", a.Name, n)
 		}
 	}
 }
 
 // TestHotPathIsProven runs hotpathcheck alone over the module and
 // additionally asserts that the //insane:hotpath annotation set has
-// not silently shrunk: the zero-alloc proof is only as strong as its
-// roots (Emit admission, scheduler push/pop, the poller loop, Consume,
-// mempool and ringbuf ops, telemetry records).
+// not silently shrunk: the zero-alloc and work-bound proof is only as
+// strong as its roots (Emit admission, scheduler push/pop, the poller
+// loop, Consume, mempool and ringbuf ops, telemetry records).
 func TestHotPathIsProven(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the entire module")
@@ -95,7 +99,7 @@ func TestHotPathIsProven(t *testing.T) {
 }
 
 // TestWorkBoundWaiversAreAlive asserts the //insane:bounded waiver set
-// has not silently shrunk: boundedcheck verifies each one (malformed,
+// has not silently shrunk: hotpathcheck verifies each one (malformed,
 // unattached or redundant annotations are findings), so a healthy count
 // here means the runtime's unprovable loops all carry live, checked
 // justifications rather than having been deleted along with their

@@ -24,6 +24,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -44,18 +45,22 @@ type GCLEntry struct {
 // GCL is a gate control list: a full cycle of gate states.
 type GCL []GCLEntry
 
-// Validate checks that the list describes a usable cycle.
+// Validate checks that the list describes a usable cycle: one whose length
+// is positive and fits a time.Duration, and in which some gate opens.
 func (g GCL) Validate() error {
 	if len(g) == 0 {
 		return fmt.Errorf("sched: empty gate control list")
 	}
+	var cycle time.Duration
+	var anyOpen uint8
 	for i, e := range g {
 		if e.Duration <= 0 {
 			return fmt.Errorf("sched: GCL entry %d has non-positive duration", i)
 		}
-	}
-	var anyOpen uint8
-	for _, e := range g {
+		if e.Duration > math.MaxInt64-cycle {
+			return fmt.Errorf("sched: GCL cycle overflows a time.Duration at entry %d", i)
+		}
+		cycle += e.Duration
 		anyOpen |= e.Gates
 	}
 	if anyOpen == 0 {
@@ -119,13 +124,19 @@ func (g *gateClock) gatesAt(now timebase.VTime) uint8 {
 	return g.gcl[idx].Gates
 }
 
+// Never is NextEvent's answer when no gate of the list ever opens for the
+// held heads: no instant releases them, so there is no gate to wait for.
+// Validate only rejects a list in which no class opens, so a list may well
+// never open some.
+const Never = timebase.VTime(math.MaxInt64)
+
 // nextOpening returns the virtual time of the next gate change that opens
-// one of classes, or zero when one of them is open at now already (or
-// classes is empty).
+// one of classes: zero when one of them is open at now already (or classes
+// is empty), Never when the list never opens any of them.
 func (g *gateClock) nextOpening(now timebase.VTime, classes uint8) timebase.VTime {
 	idx, off := g.entryAt(now)
-	if g.gcl[idx].Gates&classes != 0 {
-		return 0 // something is eligible right now
+	if g.gcl[idx].Gates&classes != 0 || classes == 0 {
+		return 0 // something is eligible right now, or nothing waits
 	}
 	// Walk entry boundaries forward from the current cycle position until
 	// an entry opens one of the classes.
@@ -138,7 +149,7 @@ func (g *gateClock) nextOpening(now timebase.VTime, classes uint8) timebase.VTim
 		}
 		elapsed += e.Duration
 	}
-	return 0 // no gate ever opens for these classes (prevented by Validate)
+	return Never
 }
 
 // classBit returns a packet's traffic class as a gate-mask bit; classes
@@ -353,8 +364,8 @@ func (e *Egress[T]) dequeueShaper(dst []T, waits []time.Duration, gates uint8, n
 func (e *Egress[T]) Pending() int { return int(e.count.Load()) }
 
 // NextEvent returns zero when some held head is eligible at now (or nothing
-// is held), and otherwise the virtual time of the earliest gate opening that
-// releases one.
+// is held), Never when no gate ever opens for any held head, and otherwise
+// the virtual time of the earliest gate opening that releases one.
 func (e *Egress[T]) NextEvent(now timebase.VTime) timebase.VTime {
 	var waiting uint8
 	if e.shaped > 0 {

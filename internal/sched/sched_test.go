@@ -57,6 +57,10 @@ func TestGCLValidate(t *testing.T) {
 		{{Duration: 0, Gates: 1}},
 		{{Duration: -time.Microsecond, Gates: 1}},
 		{{Duration: time.Microsecond, Gates: 0}},
+		{ // the cycle overflows a time.Duration
+			{Duration: 1 << 62, Gates: 1 << 7}, {Duration: 1 << 62, Gates: 0x7F},
+			{Duration: 1 << 62, Gates: 1 << 7}, {Duration: 1 << 62, Gates: 0x7F},
+		},
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {
@@ -165,6 +169,12 @@ func TestTASNextEvent(t *testing.T) {
 	got := tas2.NextEvent(timebase.VTime(150 * time.Microsecond))
 	if want := timebase.VTime(200 * time.Microsecond); got != want {
 		t.Errorf("NextEvent wrap = %v, want %v", got, want)
+	}
+	// Class 0 behind a list that never opens it: no next event, not now.
+	tas3 := newEgress(t, GCL{{Duration: 100 * time.Microsecond, Gates: 1 << 7}})
+	enqueue(tas3, pkt(0, 0), 0)
+	if got := tas3.NextEvent(0); got != Never {
+		t.Errorf("NextEvent for a class never opened = %v, want Never", got)
 	}
 }
 

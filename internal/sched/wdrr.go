@@ -28,7 +28,7 @@ import (
 // queue's deficit at each round-robin visit. It is sized above the
 // largest slot class (jumbo 9216B), which guarantees every visit to a
 // non-empty, gate-open queue releases at least one packet — the property
-// that bounds dequeueTenants' per-packet work (boundedcheck) and keeps
+// that bounds dequeueTenants' per-packet work (hotpathcheck) and keeps
 // DRR's O(1) amortized cost.
 const wdrrQuantumUnit = 16384
 
