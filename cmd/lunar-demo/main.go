@@ -71,7 +71,7 @@ func run() error {
 // bare node subscribe — each on the best technology its hardware has.
 func momDemo(cluster *insane.Cluster) error {
 	fmt.Println("\n== Lunar MoM: decentralized pub/sub ==")
-	gw, err := mom.New(cluster.Node("sensor-gw"), insane.Options{Datapath: insane.Fast})
+	gw, err := mom.New(cluster.Node("sensor-gw"), insane.WithDatapath(insane.Fast))
 	if err != nil {
 		return err
 	}
@@ -80,7 +80,7 @@ func momDemo(cluster *insane.Cluster) error {
 
 	var received atomic.Int64
 	for _, name := range []string{"edge-dc", "bare-node"} {
-		sub, err := mom.New(cluster.Node(name), insane.Options{Datapath: insane.Fast})
+		sub, err := mom.New(cluster.Node(name), insane.WithDatapath(insane.Fast))
 		if err != nil {
 			return err
 		}
@@ -117,7 +117,7 @@ func momDemo(cluster *insane.Cluster) error {
 // edge DC.
 func streamingDemo(cluster *insane.Cluster) error {
 	fmt.Println("\n== Lunar Streaming: raw HD frames ==")
-	client, err := streaming.Connect(cluster.Node("edge-dc"), "cam0", insane.Options{Datapath: insane.Fast})
+	client, err := streaming.Connect(cluster.Node("edge-dc"), "cam0", insane.WithDatapath(insane.Fast))
 	if err != nil {
 		return err
 	}
@@ -125,7 +125,7 @@ func streamingDemo(cluster *insane.Cluster) error {
 	waitFor(func() bool {
 		return cluster.Node("sensor-gw").SubscriberCount(streaming.StreamChannel("cam0")) >= 1
 	})
-	server, err := streaming.OpenServer(cluster.Node("sensor-gw"), "cam0", insane.Options{Datapath: insane.Fast})
+	server, err := streaming.OpenServer(cluster.Node("sensor-gw"), "cam0", insane.WithDatapath(insane.Fast))
 	if err != nil {
 		return err
 	}

@@ -76,7 +76,7 @@ func run() error {
 	defer cluster.Close()
 
 	client, err := streaming.Connect(cluster.Node("analysis-node"), "line1-cam",
-		insane.Options{Datapath: insane.Fast})
+		insane.WithDatapath(insane.Fast))
 	if err != nil {
 		return err
 	}
@@ -87,7 +87,7 @@ func run() error {
 		time.Sleep(100 * time.Microsecond)
 	}
 	server, err := streaming.OpenServer(cluster.Node("camera-node"), "line1-cam",
-		insane.Options{Datapath: insane.Fast})
+		insane.WithDatapath(insane.Fast))
 	if err != nil {
 		return err
 	}

@@ -40,7 +40,7 @@ func run() error {
 	defer cluster.Close()
 
 	// Quality control consumes every production line, accelerated.
-	qc, err := mom.New(cluster.Node("qc-service"), insane.Options{Datapath: insane.Fast})
+	qc, err := mom.New(cluster.Node("qc-service"), insane.WithDatapath(insane.Fast))
 	if err != nil {
 		return err
 	}
@@ -57,7 +57,7 @@ func run() error {
 	}
 
 	// The dashboard only watches line1, over plain kernel networking.
-	dash, err := mom.New(cluster.Node("dashboard"), insane.Options{Datapath: insane.Slow})
+	dash, err := mom.New(cluster.Node("dashboard"), insane.WithDatapath(insane.Slow))
 	if err != nil {
 		return err
 	}
@@ -72,7 +72,7 @@ func run() error {
 
 	// Gateways publish three readings each.
 	for _, gwName := range []string{"gw-line1", "gw-line2"} {
-		gw, err := mom.New(cluster.Node(gwName), insane.Options{Datapath: insane.Fast})
+		gw, err := mom.New(cluster.Node(gwName), insane.WithDatapath(insane.Fast))
 		if err != nil {
 			return err
 		}

@@ -87,7 +87,7 @@ type ClusterOptions struct {
 	// Prometheus text at /metrics — plus net/http/pprof under
 	// /debug/pprof/ — on an HTTP listener bound to this address. Use
 	// "127.0.0.1:0" for an ephemeral port (Cluster.MetricsAddr reports
-	// the bound address); a bare ":port" is normalized to loopback, as
+	// the bound address); a bare ":port" binds to loopback, as
 	// the pprof handlers make this a debug endpoint.
 	MetricsAddr string
 }

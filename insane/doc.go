@@ -14,6 +14,13 @@
 // creation time, so the same binary runs unmodified on heterogeneous edge
 // nodes and keeps working after migration.
 //
+// A stream's QoS contract is set only by Option values passed to
+// CreateStreamOpts — WithDatapath, WithResources, WithTiming, WithClass,
+// WithMapper, WithTelemetry and WithRunToCompletion — a later one
+// overriding an earlier one. Each policy's default is its zero value
+// (Slow, WhateverItTakes, BestEffort), so no option at all asks for
+// kernel networking.
+//
 // All data movement is asynchronous and zero-copy: a Source borrows a
 // Buffer from the runtime's memory pools, writes the payload in place and
 // Emits it; a Sink either registers a callback or Consumes deliveries,

@@ -48,10 +48,10 @@ func Example() {
 	// received: hello edge
 }
 
-// ExampleOptions demonstrates the QoS mapping: the same Fast request maps
+// ExampleOption demonstrates the QoS mapping: the same Fast request maps
 // to different technologies depending on the node's hardware, falling
 // back to the kernel (with a warning) when nothing accelerated exists.
-func ExampleOptions() {
+func ExampleOption() {
 	cluster, err := insane.NewCluster(insane.ClusterOptions{
 		Nodes: []insane.NodeSpec{
 			{Name: "rich", DPDK: true, XDP: true, RDMA: true},

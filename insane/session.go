@@ -7,118 +7,7 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/internal/core"
-	"github.com/insane-mw/insane/internal/datapath"
-	"github.com/insane-mw/insane/internal/model"
-	"github.com/insane-mw/insane/internal/qos"
 )
-
-// Datapath is the acceleration QoS policy of a stream (§5.2).
-type Datapath int
-
-// Acceleration levels: Slow maps to kernel networking, Fast requests an
-// accelerated technology.
-const (
-	Slow Datapath = iota
-	Fast
-)
-
-// Resources is the resource-consumption QoS policy.
-type Resources int
-
-// Resource-consumption levels: WhateverItTakes permits busy-polling
-// technologies like DPDK; Frugal avoids dedicating spinning cores.
-const (
-	WhateverItTakes Resources = iota
-	Frugal
-)
-
-// Timing is the time-sensitiveness QoS policy.
-type Timing int
-
-// Time-sensitiveness levels: BestEffort uses the FIFO scheduler;
-// TimeSensitive uses the IEEE 802.1Qbv time-aware scheduler.
-const (
-	BestEffort Timing = iota
-	TimeSensitive
-)
-
-// Options is the QoS requirement set of a stream (create_stream).
-type Options struct {
-	Datapath  Datapath
-	Resources Resources
-	Timing    Timing
-	// Class is the 802.1Qbv traffic class (0-7) of time-sensitive
-	// streams; higher is more critical.
-	Class uint8
-	// Mapper overrides the default mapping strategy (§5.2: streams map
-	// "according to a user-configured mapping strategy"). It receives
-	// the technology names available on the node (as in
-	// Node.Technologies()) and must return one of them; returning ""
-	// delegates back to the default strategy.
-	Mapper func(available []string) string
-	// DisableTelemetry opts the stream's messages out of the per-stage
-	// latency histograms (Node.Metrics, /metrics); throughput counters
-	// always run. See WithTelemetry.
-	DisableTelemetry bool
-	// RunToCompletion opts the stream's sources into the synchronous
-	// local fast path (DESIGN.md §11): when every subscriber of the
-	// emitted channel is local, the fanout is small, and the stream's
-	// TSN gate (if any) is open, Emit delivers straight into the sink
-	// rings on the calling goroutine instead of queueing for a polling
-	// thread. Emits that fail a precondition silently take the queued
-	// path. Requires the application's single-goroutine-per-source emit
-	// discipline (already the Source contract). See WithRunToCompletion.
-	RunToCompletion bool
-}
-
-// toQoS converts the public options to the internal policy type.
-func (o Options) toQoS() qos.Options {
-	out := qos.Options{
-		Class:           o.Class,
-		NoTelemetry:     o.DisableTelemetry,
-		RunToCompletion: o.RunToCompletion,
-	}
-	if o.Mapper != nil {
-		userPick := o.Mapper
-		out.Mapper = func(inner qos.Options, caps datapath.Caps) (model.Tech, bool) {
-			names := make([]string, 0, 4)
-			for _, tech := range caps.List() {
-				names = append(names, tech.String())
-			}
-			pick := userPick(names)
-			if pick == "" {
-				return qos.DefaultMap(inner, caps)
-			}
-			for _, tech := range caps.List() {
-				if tech.String() == pick {
-					// The hint was honored only if it matches the
-					// acceleration request; picking the kernel for a
-					// fast stream is still a (deliberate) fallback.
-					fb := inner.Datapath == qos.DatapathFast && tech == model.TechKernelUDP
-					return tech, fb
-				}
-			}
-			// Unknown name: best-effort default, like any other hint.
-			return qos.DefaultMap(inner, caps)
-		}
-	}
-	if o.Datapath == Fast {
-		out.Datapath = qos.DatapathFast
-	} else {
-		out.Datapath = qos.DatapathSlow
-	}
-	if o.Resources == Frugal {
-		out.Resources = qos.ResourcesConstrained
-	} else {
-		out.Resources = qos.ResourcesUnconstrained
-	}
-	if o.Timing == TimeSensitive {
-		out.Timing = qos.TimingSensitive
-	} else {
-		out.Timing = qos.TimingBestEffort
-	}
-	return out
-}
 
 // Session is an application's connection to the local INSANE runtime
 // (init_session / close_session).

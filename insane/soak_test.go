@@ -40,9 +40,9 @@ func TestSoakNoSlotLeaks(t *testing.T) {
 		pubNode := cluster.Nodes()[rng.Intn(2)]
 		subNode := cluster.Nodes()[1-rng.Intn(2)]
 
-		opts := insane.Options{}
+		var opts []insane.Option
 		if rng.Intn(2) == 0 {
-			opts.Datapath = insane.Fast
+			opts = append(opts, insane.WithDatapath(insane.Fast))
 		}
 		channel := 500 + rng.Intn(8)
 
@@ -50,7 +50,7 @@ func TestSoakNoSlotLeaks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		subStream, err := subSess.CreateStreamOpts(insane.WithOptions(opts))
+		subStream, err := subSess.CreateStreamOpts(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestSoakNoSlotLeaks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pubStream, err := pubSess.CreateStreamOpts(insane.WithOptions(opts))
+		pubStream, err := pubSess.CreateStreamOpts(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -123,13 +123,16 @@ func TestTenantMemQuota(t *testing.T) {
 	}
 }
 
-// TestTenantTxQuota parks one packet behind a permanently closed TSN
-// gate so its TX token stays charged, then checks the second emit is
-// refused with ErrTenantQuota.
+// TestTenantTxQuota parks one packet behind a TSN gate that stays closed
+// for the test's whole run, so its TX token stays charged, then checks the
+// second emit is refused with ErrTenantQuota.
 func TestTenantTxQuota(t *testing.T) {
-	// Class 7 only, for an hour: a class-0 time-sensitive packet never
-	// leaves the scheduler, so its in-flight token is never returned.
-	spec := insane.NodeSpec{TSNSchedule: []insane.GateWindow{{Duration: time.Hour, Classes: 1 << 7}}}
+	// Class 7 only for the first hour: a class-0 time-sensitive packet
+	// stays in the scheduler, so its in-flight token is not returned.
+	spec := insane.NodeSpec{TSNSchedule: []insane.GateWindow{
+		{Duration: time.Hour, Classes: 1 << 7},
+		{Duration: time.Millisecond, Classes: 1 << 0},
+	}}
 	c := tenantCluster(t, []insane.TenantSpec{{ID: "tiny", TxTokens: 1}}, spec)
 	node := c.Node("edge")
 	sess, err := node.InitSession(insane.WithTenant("tiny"))

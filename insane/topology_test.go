@@ -39,12 +39,12 @@ func TestRandomTopologiesDeliver(t *testing.T) {
 
 			pub := cluster.Nodes()[rng.Intn(nodes)]
 			channel := 100 + rng.Intn(50)
-			opts := insane.Options{}
+			var opts []insane.Option
 			if rng.Intn(2) == 0 {
-				opts.Datapath = insane.Fast
+				opts = append(opts, insane.WithDatapath(insane.Fast))
 			}
 			if rng.Intn(3) == 0 {
-				opts.Resources = insane.Frugal
+				opts = append(opts, insane.WithResources(insane.Frugal))
 			}
 
 			// Subscribers on every *other* node.
@@ -58,7 +58,7 @@ func TestRandomTopologiesDeliver(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer sess.Close()
-				st, err := sess.CreateStreamOpts(insane.WithOptions(opts))
+				st, err := sess.CreateStreamOpts(opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,7 +81,7 @@ func TestRandomTopologiesDeliver(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sess.Close()
-			st, err := sess.CreateStreamOpts(insane.WithOptions(opts))
+			st, err := sess.CreateStreamOpts(opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,7 +9,6 @@ import (
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/netstack"
 	"github.com/insane-mw/insane/internal/qos"
-	"github.com/insane-mw/insane/internal/sched"
 	"github.com/insane-mw/insane/internal/telemetry"
 	"github.com/insane-mw/insane/internal/timebase"
 )
@@ -120,12 +119,11 @@ func (r *Runtime) pollLoop(p *poller) {
 // TX lanes through the egress schedulers, poll the port, and look at what
 // the schedulers still hold. It reports the messages moved, whether held
 // tokens wait for a gate, and the earliest gate opening that would release
-// one (zero: one is already eligible). Tokens whose gates never open wait
-// for nothing a timer can bring: the poller parks until it is rung. A pass
-// that finds no work reads the view, each lane's length, each scheduler's
-// count and each port's queue length, and nothing else: no clock, no
-// scheduler lock, no endpoint lock (DESIGN.md §15). While the view carries
-// a closed session's lanes it retires them.
+// one (zero: one is already eligible); OpenStream refuses a stream whose
+// gate never opens. A pass that finds no work reads the view, each lane's
+// length, each scheduler's count and each port's queue length, and nothing
+// else: no clock, no scheduler lock, no endpoint lock (DESIGN.md §15).
+// While the view carries a closed session's lanes it retires them.
 func (r *Runtime) pass(p *poller) (work int, gated bool, nextGate timebase.VTime) {
 	//insane:bounded by=one entry per registered technology, fixed at runtime construction
 	for _, st := range p.states {
@@ -141,9 +139,6 @@ func (r *Runtime) pass(p *poller) (work int, gated bool, nextGate timebase.VTime
 		st.schedMu.Lock()
 		e := st.egress.NextEvent(r.clock.Now())
 		st.schedMu.Unlock()
-		if e == sched.Never {
-			continue
-		}
 		if !gated || (nextGate != 0 && (e == 0 || e.Before(nextGate))) {
 			nextGate = e
 		}

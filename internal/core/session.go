@@ -108,8 +108,12 @@ func (c *ClientConn) OpenStream(opts qos.Options) (*StreamHandle, error) {
 	if fellBack {
 		c.rt.warnf("stream: acceleration requested (%s) but no accelerated technology available; falling back to %s", opts, tech)
 	}
-	if _, ok := c.rt.techs[tech]; !ok {
+	st, ok := c.rt.techs[tech]
+	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoDatapath, tech)
+	}
+	if !st.egress.Opens(opts.Timing == qos.TimingSensitive, opts.Class) {
+		return nil, fmt.Errorf("stream: the gate control list never opens traffic class %d", opts.Class)
 	}
 	h := &StreamHandle{
 		conn:     c,

@@ -8,7 +8,6 @@ import (
 	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/qos"
 	"github.com/insane-mw/insane/internal/sched"
-	"github.com/insane-mw/insane/internal/telemetry"
 	"github.com/insane-mw/insane/internal/timebase"
 )
 
@@ -66,62 +65,45 @@ func TestTSNGateWaitAccountedInVTime(t *testing.T) {
 	}
 }
 
-// TestGateThatNeverOpensParks: a time-sensitive message of a class the
-// gate control list never opens is held for good. A pass files it and then
-// reports nothing to wait for, neither now nor at some gate opening, so the
-// poller parks until it is rung instead of re-polling for ever; the message
-// stays held.
-func TestGateThatNeverOpensParks(t *testing.T) {
+// TestStreamWhoseClassNeverOpensIsRefused: OpenStream refuses a stream
+// whose packets the egress would gate behind a class the gate control list
+// never opens, where each message would keep its slot and its tenant's TX
+// charge for good. Time-sensitive streams are always gated, best-effort ones
+// once the node declares tenants; the class that counts is the one left
+// after the tenant's MaxClass clamp.
+func TestStreamWhoseClassNeverOpensIsRefused(t *testing.T) {
 	class7Only := sched.GCL{{Duration: 100 * time.Microsecond, Gates: 1 << 7}}
-	w := newStepped(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) { c.GCL = class7Only })
-	conn, _ := w.a.Connect()
-	st, err := conn.OpenStream(qos.Options{Timing: qos.TimingSensitive, Class: 0})
-	if err != nil {
-		t.Fatal(err)
+	acme := []TenantSpec{{Name: "acme"}}
+	cases := []struct {
+		name    string
+		tenants []TenantSpec
+		tenant  string
+		opts    qos.Options
+		refused bool
+	}{
+		{"time-sensitive, class never opens", nil, "", qos.Options{Timing: qos.TimingSensitive, Class: 0}, true},
+		{"time-sensitive, class opens", nil, "", qos.Options{Timing: qos.TimingSensitive, Class: 7}, false},
+		{"best effort, one tenant", nil, "", qos.Options{Class: 0}, false},
+		{"best effort between tenants, class never opens", acme, "acme", qos.Options{Class: 0}, true},
+		{"best effort between tenants, class opens", acme, "acme", qos.Options{Class: 7}, false},
+		{"class clamped to one that never opens", []TenantSpec{{Name: "capped", MaxClass: 5}}, "capped",
+			qos.Options{Timing: qos.TimingSensitive, Class: 7}, true},
 	}
-	if _, err := st.CreateSink(23); err != nil {
-		t.Fatal(err)
-	}
-	src, err := st.CreateSource(23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sendOn(t, src, []byte("never"))
-	for i, want := range []int{1, 0} {
-		if work, gated, next := w.Step(w.a, 0); work != want || gated {
-			t.Fatalf("pass %d: work %d, gated %v, next gate %v; want %d, false", i, work, gated, next, want)
-		}
-	}
-	if held := w.a.techs[st.Tech()].egress.Pending(); held != 1 {
-		t.Fatalf("the scheduler holds %d, want the one message", held)
-	}
-}
-
-// TestLivePollerParksBehindAGateThatNeverOpens is the same message with
-// running pollers: the poller it wakes files it and parks again.
-func TestLivePollerParksBehindAGateThatNeverOpens(t *testing.T) {
-	class7Only := sched.GCL{{Duration: 100 * time.Microsecond, Gates: 1 << 7}}
-	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) { c.GCL = class7Only })
-	parks := func() uint64 { return w.a.tel.Counter(telemetry.CtrPollerParks) }
-	// Every poller parks once it finds no work.
-	if !eventually(func() bool { return parks() >= uint64(len(w.a.pollers)) }) {
-		t.Fatalf("%d parks before any traffic, want one per poller (%d)", parks(), len(w.a.pollers))
-	}
-	conn, _ := w.a.Connect()
-	st, _ := conn.OpenStream(qos.Options{Timing: qos.TimingSensitive, Class: 0})
-	if _, err := st.CreateSink(24); err != nil {
-		t.Fatal(err)
-	}
-	src, err := st.CreateSource(24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := parks()
-	sendOn(t, src, []byte("never"))
-	egress := w.a.techs[st.Tech()].egress
-	if !eventually(func() bool { return egress.Pending() == 1 && parks() > before }) {
-		t.Fatalf("scheduler holds %d; %d parks since the message, want 1 and more than 0 (%d idle passes)",
-			egress.Pending(), parks()-before, w.a.tel.Counter(telemetry.CtrPollerIdlePasses))
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := newStepped(t, datapath.Caps{}, datapath.Caps{}, func(cfg *Config) {
+				cfg.GCL = class7Only
+				cfg.Tenants = c.tenants
+			})
+			conn, err := w.a.ConnectTenant(c.tenant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = conn.OpenStream(c.opts)
+			if refused := err != nil; refused != c.refused {
+				t.Fatalf("OpenStream(%s) = %v, want refused %v", c.opts, err, c.refused)
+			}
+		})
 	}
 }
 

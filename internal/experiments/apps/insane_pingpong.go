@@ -15,9 +15,9 @@ import (
 // InsanePingPong measures rounds round trips of payload bytes through the
 // INSANE API; fast selects the accelerated datapath QoS.
 func InsanePingPong(cluster *insane.Cluster, payload, rounds int, fast bool) []time.Duration {
-	opts := insane.Options{Datapath: insane.Slow}
+	opt := insane.WithDatapath(insane.Slow)
 	if fast {
-		opts.Datapath = insane.Fast
+		opt = insane.WithDatapath(insane.Fast)
 	}
 	const pingCh, pongCh = 1001, 1002
 
@@ -33,9 +33,9 @@ func InsanePingPong(cluster *insane.Cluster, payload, rounds int, fast bool) []t
 	check(err, "session B")
 	defer sessB.Close()
 
-	streamA, err := sessA.CreateStreamOpts(insane.WithOptions(opts))
+	streamA, err := sessA.CreateStreamOpts(opt)
 	check(err, "stream A")
-	streamB, err := sessB.CreateStreamOpts(insane.WithOptions(opts))
+	streamB, err := sessB.CreateStreamOpts(opt)
 	check(err, "stream B")
 
 	pingSink, err := streamB.CreateSink(pingCh, nil)

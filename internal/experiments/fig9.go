@@ -24,16 +24,16 @@ func momPingPong(fast bool, payload, rounds int) ([]time.Duration, error) {
 	}
 	defer cluster.Close()
 
-	opts := insane.Options{Datapath: insane.Slow}
+	opt := insane.WithDatapath(insane.Slow)
 	if fast {
-		opts.Datapath = insane.Fast
+		opt = insane.WithDatapath(insane.Fast)
 	}
-	pub, err := mom.New(cluster.Nodes()[0], opts)
+	pub, err := mom.New(cluster.Nodes()[0], opt)
 	if err != nil {
 		return nil, err
 	}
 	defer pub.Close()
-	echo, err := mom.New(cluster.Nodes()[1], opts)
+	echo, err := mom.New(cluster.Nodes()[1], opt)
 	if err != nil {
 		return nil, err
 	}

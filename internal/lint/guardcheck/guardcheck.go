@@ -58,7 +58,6 @@ import (
 	"github.com/insane-mw/insane/internal/lint/analysis"
 	"github.com/insane-mw/insane/internal/lint/callutil"
 	"github.com/insane-mw/insane/internal/lint/directive"
-	"github.com/insane-mw/insane/internal/lint/guardfacts"
 )
 
 // Analyzer is the shared-state regime rule.
@@ -66,7 +65,7 @@ var Analyzer = &analysis.Analyzer{
 	Name:      "guardcheck",
 	Doc:       "prove every access to an //insane:shared struct field uses its declared //insane:guardedby regime",
 	Run:       run,
-	FactTypes: []analysis.Fact{(*guardfacts.Regime)(nil), (*Needs)(nil)},
+	FactTypes: []analysis.Fact{(*Regime)(nil), (*Needs)(nil)},
 }
 
 // Need is one lock a function requires its callers to hold (the
@@ -199,7 +198,7 @@ func satisfied(held lockSet, lockKey string, qualified bool, base string, write 
 type accessRec struct {
 	fn     *fnInfo
 	field  *types.Var
-	fact   guardfacts.Regime
+	fact   Regime
 	kind   accessKind
 	method string // method name for akMethod
 	pos    token.Pos
@@ -267,7 +266,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		reported:  make(map[string]bool),
 	}
 
-	structs, probs := guardfacts.Export(pass)
+	structs, probs := exportRegimes(pass)
 	for _, p := range probs {
 		pass.Reportf(p.Pos, "%s", p.Msg)
 	}
@@ -355,7 +354,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 // the declaring package: mu= locks must exist and be mutexes, rcu=,
 // confined owner= and immutable after= must name package functions, and
 // confined owners must actually be spawned as goroutines.
-func (st *state) validate(structs []guardfacts.Struct) {
+func (st *state) validate(structs []sharedStruct) {
 	for _, s := range structs {
 		for _, f := range s.Fields {
 			if !f.HasSpec || f.Exempt || f.Var == nil {
@@ -389,7 +388,7 @@ func (st *state) validate(structs []guardfacts.Struct) {
 
 // resolveLockSpec maps a mu= spec of a field to the lock's identity
 // key and display name. The empty msg means success.
-func (st *state) resolveLockSpec(field *types.Var, owner guardfacts.Struct, arg string) (lockKey, lockName string, msg string) {
+func (st *state) resolveLockSpec(field *types.Var, owner sharedStruct, arg string) (lockKey, lockName string, msg string) {
 	pkg := field.Pkg()
 	typeName, fieldName := owner.Name, arg
 	if t, f, ok := strings.Cut(arg, "."); ok {
@@ -421,7 +420,7 @@ func (st *state) resolveLockSpec(field *types.Var, owner guardfacts.Struct, arg 
 
 // lockFor resolves the mu= lock of a guarded field at an access site,
 // in whichever package the field was declared.
-func lockFor(field *types.Var, fact guardfacts.Regime) (lockKey, lockName string, qualified bool) {
+func lockFor(field *types.Var, fact Regime) (lockKey, lockName string, qualified bool) {
 	typeName, fieldName := fact.Struct, fact.R.Arg
 	if t, f, ok := strings.Cut(fact.R.Arg, "."); ok {
 		typeName, fieldName, qualified = t, f, true
@@ -641,7 +640,7 @@ func (st *state) chainLink(fn string, pos token.Pos) string {
 	return fmt.Sprintf("%s (%s:%d)", fn, filepath.Base(p.Filename), p.Line)
 }
 
-func fieldDesc(field *types.Var, fact guardfacts.Regime) string {
+func fieldDesc(field *types.Var, fact Regime) string {
 	pkg := ""
 	if field.Pkg() != nil {
 		pkg = field.Pkg().Name() + "."

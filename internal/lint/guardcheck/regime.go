@@ -1,14 +1,12 @@
-// Package guardfacts is the shared-state regime registry of the
-// insanevet suite (DESIGN.md §14). A struct marked //insane:shared
-// declares that its instances are accessed by more than one goroutine;
-// every field then names its synchronization regime with an
-// //insane:guardedby spec (parsed by internal/lint/directive). This
-// package turns those declarations into per-field facts that travel the
-// whole-program dependency closure, so an analyzer that needs to know
-// "how is this field synchronized" — guardcheck proving every access
-// uses the declared regime — reads one registry instead of keeping a
-// private field list.
-package guardfacts
+package guardcheck
+
+// The shared-state regime registry (DESIGN.md §14). A struct marked
+// //insane:shared declares that its instances are accessed by more than one
+// goroutine; every field then names its synchronization regime with an
+// //insane:guardedby spec (parsed by internal/lint/directive). exportRegimes
+// turns those declarations into per-field Regime facts that travel the
+// whole-program dependency closure, so an access in any package resolves
+// the regime of a field declared in another.
 
 import (
 	"go/ast"
@@ -31,8 +29,9 @@ type Regime struct {
 // AFact marks Regime as an analysis fact.
 func (*Regime) AFact() {}
 
-// Field is one field of a shared struct, as seen by the exporting pass.
-type Field struct {
+// sharedField is one field of a shared struct, as seen by the exporting
+// pass.
+type sharedField struct {
 	// Var is the field object (nil for embedded fields, which are
 	// reported as problems instead).
 	Var *types.Var
@@ -49,8 +48,9 @@ type Field struct {
 	Exempt bool
 }
 
-// Struct is one //insane:shared struct declared in the pass's package.
-type Struct struct {
+// sharedStruct is one //insane:shared struct declared in the pass's
+// package.
+type sharedStruct struct {
 	// Name is the type name.
 	Name string
 	// Obj is the type-name object.
@@ -58,17 +58,17 @@ type Struct struct {
 	// Spec is the declaring TypeSpec.
 	Spec *ast.TypeSpec
 	// Fields lists the struct's fields in declaration order.
-	Fields []Field
+	Fields []sharedField
 }
 
-// Export parses the shared-struct annotations of every type declared in
+// exportRegimes parses the shared-struct annotations of every type declared in
 // the pass's package, exports a Regime fact for each annotated field,
 // and returns the shared structs plus any malformed annotations
 // (missing specs, specs on sync primitives, markers outside shared
 // structs). Call it before walking bodies, so same-package accesses
 // resolve their regimes exactly like cross-package ones.
-func Export(pass *analysis.Pass) ([]Struct, []directive.Problem) {
-	var structs []Struct
+func exportRegimes(pass *analysis.Pass) ([]sharedStruct, []directive.Problem) {
+	var structs []sharedStruct
 	var probs []directive.Problem
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
@@ -103,7 +103,7 @@ func Export(pass *analysis.Pass) ([]Struct, []directive.Problem) {
 					}
 					continue
 				}
-				s := Struct{Name: ts.Name.Name, Obj: pass.TypesInfo.Defs[ts.Name], Spec: ts}
+				s := sharedStruct{Name: ts.Name.Name, Obj: pass.TypesInfo.Defs[ts.Name], Spec: ts}
 				for _, f := range st.Fields.List {
 					if len(f.Names) == 0 {
 						probs = append(probs, directive.Problem{Pos: f.Pos(), Msg: "embedded field in //insane:shared struct " + s.Name + ": name it and declare its regime"})
@@ -114,7 +114,7 @@ func Export(pass *analysis.Pass) ([]Struct, []directive.Problem) {
 					malformed := len(ps) > 0
 					for _, name := range f.Names {
 						v, _ := pass.TypesInfo.Defs[name].(*types.Var)
-						fld := Field{Var: v, Name: name.Name, Pos: name.Pos(), Regime: regime, HasSpec: has && !malformed}
+						fld := sharedField{Var: v, Name: name.Name, Pos: name.Pos(), Regime: regime, HasSpec: has && !malformed}
 						if v != nil && exemptType(v.Type()) {
 							fld.Exempt = true
 							if has {
@@ -136,10 +136,10 @@ func Export(pass *analysis.Pass) ([]Struct, []directive.Problem) {
 	return structs, probs
 }
 
-// Lookup returns the declared regime of a field, whether declared in
+// lookupRegime returns the declared regime of a field, whether declared in
 // this package (exported earlier in the same pass) or imported through
 // the fact store.
-func Lookup(pass *analysis.Pass, v *types.Var) (Regime, bool) {
+func lookupRegime(pass *analysis.Pass, v *types.Var) (Regime, bool) {
 	if v == nil {
 		return Regime{}, false
 	}

@@ -25,7 +25,6 @@ import (
 
 	"github.com/insane-mw/insane/internal/lint/callutil"
 	"github.com/insane-mw/insane/internal/lint/flow"
-	"github.com/insane-mw/insane/internal/lint/guardfacts"
 )
 
 type walker struct {
@@ -377,7 +376,7 @@ func (w *walker) recordSel(sel *ast.SelectorExpr, kind accessKind, method string
 	if obj == nil || !obj.IsField() {
 		return
 	}
-	fact, ok := guardfacts.Lookup(w.st.pass, obj)
+	fact, ok := lookupRegime(w.st.pass, obj)
 	if !ok {
 		return
 	}

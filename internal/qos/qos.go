@@ -24,8 +24,9 @@ type Datapath int
 
 // Acceleration levels.
 const (
-	// DatapathSlow requests regular kernel-based networking.
-	DatapathSlow Datapath = iota + 1
+	// DatapathSlow requests regular kernel-based networking. It is the
+	// zero value.
+	DatapathSlow Datapath = iota
 	// DatapathFast requests network acceleration.
 	DatapathFast
 )
@@ -49,8 +50,9 @@ type Resources int
 
 // Resource-consumption levels.
 const (
-	// ResourcesUnconstrained permits resource-hungry technologies.
-	ResourcesUnconstrained Resources = iota + 1
+	// ResourcesUnconstrained permits resource-hungry technologies. It is
+	// the zero value.
+	ResourcesUnconstrained Resources = iota
 	// ResourcesConstrained asks the mapper to avoid busy-polling cores.
 	ResourcesConstrained
 )
@@ -73,8 +75,9 @@ type Timing uint8
 
 // Time-sensitiveness levels.
 const (
-	// TimingBestEffort uses the default FIFO scheduler.
-	TimingBestEffort Timing = iota + 1
+	// TimingBestEffort uses the default FIFO scheduler. It is the zero
+	// value.
+	TimingBestEffort Timing = iota
 	// TimingSensitive uses the IEEE 802.1Qbv time-aware scheduler.
 	TimingSensitive
 )
@@ -91,23 +94,23 @@ func (t Timing) String() string {
 	}
 }
 
-// Mapper is a custom mapping strategy. It returns the chosen technology
-// and whether the choice is a fallback that disregards the acceleration
-// hint (INSANE then warns the user, §5.2).
-type Mapper func(opts Options, caps datapath.Caps) (model.Tech, bool)
-
-// Options is the quality requirement set associated with a stream.
-// The zero value means slow/unconstrained/best-effort.
+// Options is the quality requirement set associated with a stream: the
+// contract create_stream maps. The zero value means
+// slow/unconstrained/best-effort with telemetry on.
 type Options struct {
 	Datapath  Datapath
 	Resources Resources
 	Timing    Timing
-	// Class is the 802.1Qbv traffic class (0-7) for time-sensitive
-	// streams; ignored for best-effort ones.
+	// Class is the 802.1Qbv traffic class (0-7) whose gate the stream's
+	// packets wait for: always when time-sensitive, between tenants when
+	// best effort.
 	Class uint8
 	// Mapper overrides the default mapping strategy when non-nil
-	// ("according to a user-configured mapping strategy", §5.2).
-	Mapper Mapper
+	// ("according to a user-configured mapping strategy", §5.2). It
+	// receives the names of the technologies available on the node and
+	// returns one of them; "" or an unknown name delegates back to
+	// DefaultMap.
+	Mapper func(available []string) string
 	// NoTelemetry opts this stream's messages out of the per-stage
 	// latency histograms (counters still run); see DESIGN.md §8.
 	NoTelemetry bool
@@ -121,23 +124,8 @@ type Options struct {
 	RunToCompletion bool
 }
 
-// normalized fills zero values with the defaults.
-func (o Options) normalized() Options {
-	if o.Datapath == 0 {
-		o.Datapath = DatapathSlow
-	}
-	if o.Resources == 0 {
-		o.Resources = ResourcesUnconstrained
-	}
-	if o.Timing == 0 {
-		o.Timing = TimingBestEffort
-	}
-	return o
-}
-
 // Validate checks the option values.
 func (o Options) Validate() error {
-	o = o.normalized()
 	if o.Datapath != DatapathSlow && o.Datapath != DatapathFast {
 		return fmt.Errorf("qos: invalid datapath policy %d", o.Datapath)
 	}
@@ -155,18 +143,28 @@ func (o Options) Validate() error {
 
 // String renders the options compactly for logs and warnings.
 func (o Options) String() string {
-	o = o.normalized()
 	return fmt.Sprintf("datapath=%s resources=%s timing=%s class=%d",
 		o.Datapath, o.Resources, o.Timing, o.Class)
 }
 
 // Map applies the stream's mapping strategy (custom or default) to the
 // host capabilities. The boolean result reports a fallback: acceleration
-// was requested but no accelerated technology is available.
+// was requested but the stream runs on the kernel stack — because no
+// accelerated technology is available, or because the custom strategy
+// picked the kernel.
 func Map(opts Options, caps datapath.Caps) (model.Tech, bool) {
-	opts = opts.normalized()
 	if opts.Mapper != nil {
-		return opts.Mapper(opts, caps)
+		techs := caps.List()
+		names := make([]string, len(techs))
+		for i, tech := range techs {
+			names[i] = tech.String()
+		}
+		pick := opts.Mapper(names)
+		for i, name := range names {
+			if name == pick {
+				return techs[i], opts.Datapath == DatapathFast && techs[i] == model.TechKernelUDP
+			}
+		}
 	}
 	return DefaultMap(opts, caps)
 }
@@ -178,7 +176,6 @@ func Map(opts Options, caps datapath.Caps) (model.Tech, bool) {
 // available, fall back to the kernel stack and report it so the runtime
 // can warn the user.
 func DefaultMap(opts Options, caps datapath.Caps) (model.Tech, bool) {
-	opts = opts.normalized()
 	if opts.Datapath == DatapathSlow {
 		return model.TechKernelUDP, false
 	}

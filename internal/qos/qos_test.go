@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/insane-mw/insane/internal/datapath"
@@ -49,17 +50,20 @@ func TestDefaultMapPreferenceOrder(t *testing.T) {
 }
 
 func TestMapUsesCustomMapper(t *testing.T) {
-	called := false
+	var offered []string
 	opts := Options{
 		Datapath: DatapathFast,
-		Mapper: func(o Options, c datapath.Caps) (model.Tech, bool) {
-			called = true
-			return model.TechXDP, false
+		Mapper: func(available []string) string {
+			offered = available
+			return "xdp"
 		},
 	}
-	tech, fb := Map(opts, datapath.Caps{RDMA: true})
-	if !called || tech != model.TechXDP || fb {
-		t.Errorf("custom mapper not honored: %v,%v called=%v", tech, fb, called)
+	tech, fb := Map(opts, datapath.Caps{XDP: true, RDMA: true})
+	if tech != model.TechXDP || fb {
+		t.Errorf("custom mapper not honored: %v,%v", tech, fb)
+	}
+	if want := []string{"kernel-udp", "xdp", "rdma"}; !slices.Equal(offered, want) {
+		t.Errorf("mapper offered %v, want %v", offered, want)
 	}
 }
 
@@ -81,6 +85,7 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	bad := []Options{
+		{Datapath: -1},
 		{Datapath: 99},
 		{Resources: 99},
 		{Timing: 99},
@@ -94,7 +99,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestStringers(t *testing.T) {
-	if DatapathFast.String() != "fast" || Datapath(0).String() != "unknown" {
+	if DatapathFast.String() != "fast" || Datapath(0).String() != "slow" || Datapath(9).String() != "unknown" {
 		t.Error("Datapath.String")
 	}
 	if ResourcesConstrained.String() != "constrained" || Resources(9).String() != "unknown" {

@@ -5,7 +5,7 @@
 // (wdrr.go), which with one tenant is the paper's default FIFO strategy and
 // forwards packets "as soon as the user code emits them". The shaper is
 // served first. An Egress is driven by one polling thread at a time and is
-// not safe for concurrent use, except for Pending and GateOpenAt.
+// not safe for concurrent use, except for Pending, GateOpenAt and Opens.
 //
 // It is generic over what it queues and holds it by value: Enqueue is told
 // the element's timing, tenant index, traffic class and byte length, and
@@ -306,6 +306,19 @@ func (e *Egress[T]) Enqueue(v T, timeSensitive bool, tenant int, class uint8, si
 //insane:hotpath
 func (e *Egress[T]) GateOpenAt(class uint8, now timebase.VTime) bool {
 	return e.clock.gatesAt(now)&classBit(class) != 0
+}
+
+// Opens reports whether an element Enqueue files with timeSensitive and
+// class ever leaves: best effort is gated only between tenants, and a gated
+// element leaves only if the list opens its class somewhere in the cycle.
+// One the list never opens would be held for good, so the runtime refuses
+// the stream that would send it. Like GateOpenAt it reads only what is
+// fixed at construction and may be called concurrently.
+func (e *Egress[T]) Opens(timeSensitive bool, class uint8) bool {
+	if !timeSensitive && len(e.tenants) == 1 {
+		return true
+	}
+	return e.clock.nextOpening(0, classBit(class)) != Never
 }
 
 // Dequeue fills dst with the elements eligible at now: gate-open shaper

@@ -23,7 +23,7 @@ func Example() {
 	}
 	defer cluster.Close()
 
-	sub, _ := mom.New(cluster.Node("subscriber"), insane.Options{Datapath: insane.Fast})
+	sub, _ := mom.New(cluster.Node("subscriber"), insane.WithDatapath(insane.Fast))
 	defer sub.Close()
 	done := make(chan struct{})
 	sub.Subscribe("plant/line1/temp", func(payload []byte, m mom.Meta) {
@@ -31,7 +31,7 @@ func Example() {
 		close(done)
 	})
 
-	pub, _ := mom.New(cluster.Node("publisher"), insane.Options{Datapath: insane.Fast})
+	pub, _ := mom.New(cluster.Node("publisher"), insane.WithDatapath(insane.Fast))
 	defer pub.Close()
 	for cluster.Node("publisher").SubscriberCount(mom.TopicChannel("plant/line1/temp")) == 0 {
 		time.Sleep(100 * time.Microsecond)

@@ -5,7 +5,9 @@
 // topics hash to channel ids, lunar_publish opens a source on the topic's
 // channel on first use and emits zero-copy buffers, lunar_subscribe opens
 // a sink with a callback. Message dissemination, technology selection and
-// fanout are entirely INSANE's business — that is the point.
+// fanout are entirely INSANE's business — that is the point: New takes
+// the same insane.Option values as any INSANE stream (Lunar fast is
+// insane.WithDatapath(insane.Fast)).
 package mom
 
 import (
@@ -64,13 +66,13 @@ func TopicChannel(topic string) int {
 
 // New opens a MoM endpoint on a node. The QoS options select the stream's
 // acceleration level exactly as for any INSANE stream: Lunar fast is a
-// MoM over {Datapath: Fast}, Lunar slow over {Datapath: Slow}.
-func New(node *insane.Node, opts insane.Options) (*MoM, error) {
+// MoM over WithDatapath(Fast), Lunar slow one over the default, Slow.
+func New(node *insane.Node, opts ...insane.Option) (*MoM, error) {
 	sess, err := node.InitSession()
 	if err != nil {
 		return nil, err
 	}
-	stream, err := sess.CreateStreamOpts(insane.WithOptions(opts))
+	stream, err := sess.CreateStreamOpts(opts...)
 	if err != nil {
 		sess.Close()
 		return nil, err

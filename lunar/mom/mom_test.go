@@ -68,12 +68,12 @@ func waitTopicKnown(t *testing.T, n *insane.Node, topic string) {
 
 func TestPublishSubscribeRemote(t *testing.T) {
 	c := cluster(t, insane.NodeSpec{DPDK: true})
-	pub, err := New(c.Node("pub-node"), insane.Options{Datapath: insane.Fast})
+	pub, err := New(c.Node("pub-node"), insane.WithDatapath(insane.Fast))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	sub, err := New(c.Node("sub-node"), insane.Options{Datapath: insane.Fast})
+	sub, err := New(c.Node("sub-node"), insane.WithDatapath(insane.Fast))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +112,9 @@ func TestPublishSubscribeRemote(t *testing.T) {
 
 func TestPublishIntoZeroCopy(t *testing.T) {
 	c := cluster(t, insane.NodeSpec{})
-	pub, _ := New(c.Node("pub-node"), insane.Options{})
+	pub, _ := New(c.Node("pub-node"))
 	defer pub.Close()
-	sub, _ := New(c.Node("sub-node"), insane.Options{})
+	sub, _ := New(c.Node("sub-node"))
 	defer sub.Close()
 
 	col := &collector{}
@@ -141,9 +141,9 @@ func TestPublishIntoZeroCopy(t *testing.T) {
 
 func TestTopicIsolation(t *testing.T) {
 	c := cluster(t, insane.NodeSpec{})
-	pub, _ := New(c.Node("pub-node"), insane.Options{})
+	pub, _ := New(c.Node("pub-node"))
 	defer pub.Close()
-	sub, _ := New(c.Node("sub-node"), insane.Options{})
+	sub, _ := New(c.Node("sub-node"))
 	defer sub.Close()
 
 	colA, colB := &collector{}, &collector{}
@@ -161,7 +161,7 @@ func TestTopicIsolation(t *testing.T) {
 
 func TestLocalPubSubSameNode(t *testing.T) {
 	c := cluster(t, insane.NodeSpec{})
-	m, _ := New(c.Node("pub-node"), insane.Options{})
+	m, _ := New(c.Node("pub-node"))
 	defer m.Close()
 	col := &collector{}
 	m.Subscribe("loopback", col.handler)
@@ -176,7 +176,7 @@ func TestLocalPubSubSameNode(t *testing.T) {
 
 func TestClosedMoM(t *testing.T) {
 	c := cluster(t, insane.NodeSpec{})
-	m, _ := New(c.Node("pub-node"), insane.Options{})
+	m, _ := New(c.Node("pub-node"))
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}

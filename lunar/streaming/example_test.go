@@ -23,13 +23,13 @@ func Example() {
 	defer cluster.Close()
 
 	client, _ := streaming.Connect(cluster.Node("analyzer"), "cam0",
-		insane.Options{Datapath: insane.Fast})
+		insane.WithDatapath(insane.Fast))
 	defer client.Close()
 	for cluster.Node("camera").SubscriberCount(streaming.StreamChannel("cam0")) == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	server, _ := streaming.OpenServer(cluster.Node("camera"), "cam0",
-		insane.Options{Datapath: insane.Fast})
+		insane.WithDatapath(insane.Fast))
 	defer server.Close()
 
 	frame := make([]byte, 20_000)

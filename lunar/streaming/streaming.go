@@ -7,7 +7,8 @@
 // Only fragmentation is implemented — the paper explicitly leaves
 // compression out of scope — and delivery is best effort: a frame missing
 // any fragment is dropped, consistent with INSANE's QoS philosophy (§5.2)
-// that reliability is the application's business.
+// that reliability is the application's business. OpenServer and Connect
+// take the same insane.Option values as any INSANE stream.
 package streaming
 
 import (
@@ -84,12 +85,12 @@ type Server struct {
 
 // OpenServer opens the server side of a named stream on a node with the
 // given QoS (Lunar fast streams over DPDK, Lunar slow over kernel UDP).
-func OpenServer(node *insane.Node, name string, opts insane.Options) (*Server, error) {
+func OpenServer(node *insane.Node, name string, opts ...insane.Option) (*Server, error) {
 	sess, err := node.InitSession()
 	if err != nil {
 		return nil, err
 	}
-	stream, err := sess.CreateStreamOpts(insane.WithOptions(opts))
+	stream, err := sess.CreateStreamOpts(opts...)
 	if err != nil {
 		sess.Close()
 		return nil, err
@@ -241,12 +242,12 @@ type assembly struct {
 }
 
 // Connect opens the client side of a named stream.
-func Connect(node *insane.Node, name string, opts insane.Options) (*Client, error) {
+func Connect(node *insane.Node, name string, opts ...insane.Option) (*Client, error) {
 	sess, err := node.InitSession()
 	if err != nil {
 		return nil, err
 	}
-	stream, err := sess.CreateStreamOpts(insane.WithOptions(opts))
+	stream, err := sess.CreateStreamOpts(opts...)
 	if err != nil {
 		sess.Close()
 		return nil, err

@@ -30,9 +30,9 @@ func pattern(size int) []byte {
 	return f
 }
 
-func connectPair(t *testing.T, c *insane.Cluster, name string, opts insane.Options) (*Server, *Client) {
+func connectPair(t *testing.T, c *insane.Cluster, name string, opts ...insane.Option) (*Server, *Client) {
 	t.Helper()
-	client, err := Connect(c.Node("analyzer"), name, opts)
+	client, err := Connect(c.Node("analyzer"), name, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func connectPair(t *testing.T, c *insane.Cluster, name string, opts insane.Optio
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	server, err := OpenServer(c.Node("camera"), name, opts)
+	server, err := OpenServer(c.Node("camera"), name, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func connectPair(t *testing.T, c *insane.Cluster, name string, opts insane.Optio
 
 func TestSingleFragmentFrame(t *testing.T) {
 	c := cluster(t, insane.NodeSpec{DPDK: true})
-	srv, cli := connectPair(t, c, "cam0", insane.Options{Datapath: insane.Fast})
+	srv, cli := connectPair(t, c, "cam0", insane.WithDatapath(insane.Fast))
 	frame := pattern(1000)
 	n, err := srv.SendFrame(frame)
 	if err != nil {
@@ -78,7 +78,7 @@ func TestSingleFragmentFrame(t *testing.T) {
 
 func TestMultiFragmentReassembly(t *testing.T) {
 	c := cluster(t, insane.NodeSpec{DPDK: true})
-	srv, cli := connectPair(t, c, "cam1", insane.Options{Datapath: insane.Fast})
+	srv, cli := connectPair(t, c, "cam1", insane.WithDatapath(insane.Fast))
 	// ~5.5 fragments.
 	frame := pattern(49_000)
 	n, err := srv.SendFrame(frame)
@@ -105,7 +105,7 @@ func TestHDFrameOverSlowPath(t *testing.T) {
 		t.Skip("HD frame in -short mode")
 	}
 	c := cluster(t, insane.NodeSpec{})
-	srv, cli := connectPair(t, c, "cam2", insane.Options{Datapath: insane.Slow})
+	srv, cli := connectPair(t, c, "cam2", insane.WithDatapath(insane.Slow))
 	// A genuine HD raw RGB frame from Table 4 (2.76 MB, 311 fragments).
 	frame := pattern(2_760_000)
 	if _, err := srv.SendFrame(frame); err != nil {
@@ -122,7 +122,7 @@ func TestHDFrameOverSlowPath(t *testing.T) {
 
 func TestConsecutiveFrames(t *testing.T) {
 	c := cluster(t, insane.NodeSpec{DPDK: true})
-	srv, cli := connectPair(t, c, "cam3", insane.Options{Datapath: insane.Fast})
+	srv, cli := connectPair(t, c, "cam3", insane.WithDatapath(insane.Fast))
 	for i := 0; i < 5; i++ {
 		frame := pattern(20_000 + i)
 		if _, err := srv.SendFrame(frame); err != nil {
@@ -157,7 +157,7 @@ func (s *cannedSource) WaitNext() bool { return s.i < len(s.frames) }
 
 func TestServerLoop(t *testing.T) {
 	c := cluster(t, insane.NodeSpec{DPDK: true})
-	srv, cli := connectPair(t, c, "cam4", insane.Options{Datapath: insane.Fast})
+	srv, cli := connectPair(t, c, "cam4", insane.WithDatapath(insane.Fast))
 	src := &cannedSource{frames: [][]byte{pattern(10_000), pattern(12_000), pattern(9_000)}}
 	if err := srv.Loop(src); err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestServerLoop(t *testing.T) {
 
 func TestClosedServerAndClient(t *testing.T) {
 	c := cluster(t, insane.NodeSpec{})
-	srv, cli := connectPair(t, c, "cam5", insane.Options{})
+	srv, cli := connectPair(t, c, "cam5")
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestClosedServerAndClient(t *testing.T) {
 
 func TestEmptyFrameIsOneFragment(t *testing.T) {
 	c := cluster(t, insane.NodeSpec{})
-	srv, cli := connectPair(t, c, "cam6", insane.Options{})
+	srv, cli := connectPair(t, c, "cam6")
 	n, err := srv.SendFrame(nil)
 	if err != nil {
 		t.Fatalf("empty frame rejected: %v", err)
@@ -236,7 +236,7 @@ func TestLossyLinkDropsFramesButRecovers(t *testing.T) {
 
 	// Client first (so the SUB has a chance over the lossy control plane;
 	// retry until it lands).
-	cli, err := Connect(c.Node("analyzer"), "lossy", insane.Options{Datapath: insane.Fast})
+	cli, err := Connect(c.Node("analyzer"), "lossy", insane.WithDatapath(insane.Fast))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +246,13 @@ func TestLossyLinkDropsFramesButRecovers(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Skip("subscription lost on lossy link")
 		}
-		extra, err := Connect(c.Node("analyzer"), "lossy", insane.Options{Datapath: insane.Fast})
+		extra, err := Connect(c.Node("analyzer"), "lossy", insane.WithDatapath(insane.Fast))
 		if err == nil {
 			extra.Close()
 		}
 		time.Sleep(time.Millisecond)
 	}
-	srv, err := OpenServer(c.Node("camera"), "lossy", insane.Options{Datapath: insane.Fast})
+	srv, err := OpenServer(c.Node("camera"), "lossy", insane.WithDatapath(insane.Fast))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestLossyLinkDropsFramesButRecovers(t *testing.T) {
 // verbs plugin.
 func TestStreamingOverRDMA(t *testing.T) {
 	c := cluster(t, insane.NodeSpec{RDMA: true})
-	srv, cli := connectPair(t, c, "cam-rdma", insane.Options{Datapath: insane.Fast})
+	srv, cli := connectPair(t, c, "cam-rdma", insane.WithDatapath(insane.Fast))
 	if srv.Technology() != "rdma" {
 		t.Fatalf("fast stream on RDMA nodes mapped to %s", srv.Technology())
 	}
@@ -321,7 +321,7 @@ func TestStreamingHeterogeneousNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	cli, err := Connect(c.Node("analyzer"), "hetero", insane.Options{Datapath: insane.Fast})
+	cli, err := Connect(c.Node("analyzer"), "hetero", insane.WithDatapath(insane.Fast))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestStreamingHeterogeneousNodes(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	srv, err := OpenServer(c.Node("camera"), "hetero", insane.Options{Datapath: insane.Fast})
+	srv, err := OpenServer(c.Node("camera"), "hetero", insane.WithDatapath(insane.Fast))
 	if err != nil {
 		t.Fatal(err)
 	}
