@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,16 +13,63 @@ import (
 	"github.com/insane-mw/insane/internal/lint/multichecker"
 )
 
+// TestListAnalyzers holds the README's rule table to the suite: the
+// first-column names of its "Static analysis" table are exactly the
+// names -list prints, so a new rule needs a row and a deleted rule's
+// row goes with it.
 func TestListAnalyzers(t *testing.T) {
 	var out, errw bytes.Buffer
 	code := multichecker.Run([]string{"-list"}, &out, &errw, lint.Analyzers()...)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errw.String())
 	}
-	for _, name := range []string{"bufownership", "lockorder", "atomicfield", "timebase", "hotpathcheck", "sentinelcompare"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing %s:\n%s", name, out.String())
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		listed = append(listed, strings.Fields(line)[0])
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(readme), "\n## Static analysis\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	var documented []string
+	for _, line := range strings.Split(section, "\n") {
+		if name, ok := strings.CutPrefix(line, "| `"); ok {
+			name, _, _ = strings.Cut(name, "`")
+			documented = append(documented, name)
 		}
+	}
+	slices.Sort(listed)
+	slices.Sort(documented)
+	if !slices.Equal(listed, documented) {
+		t.Errorf("README \"Static analysis\" rules %q, -list prints %q", documented, listed)
+	}
+}
+
+// TestIgnoreNamingNoRule: a waiver of a rule the suite does not have
+// (a typo, or a retired rule) would waive nothing, so it is a finding
+// of its own, also when -run selects other rules.
+func TestIgnoreNamingNoRule(t *testing.T) {
+	for _, rule := range []string{"bufownershp", "bufownership"} {
+		t.Run(rule, func(t *testing.T) {
+			dir := t.TempDir()
+			src := "package p\n\n//lint:ignore insanevet/" + rule + " the waiver this test expects reported\nfunc F() {}\n"
+			for name, data := range map[string]string{"go.mod": "module example.com/p\n\ngo 1.22\n", "p.go": src} {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var out, errw bytes.Buffer
+			code := multichecker.Run([]string{"-C", dir, "-run", "timebase", "./..."}, &out, &errw, lint.Analyzers()...)
+			if code != 1 {
+				t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errw.String())
+			}
+			want := "insanevet/" + rule + " names no insanevet rule (insanevet/directive)"
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("no finding %q in:\n%s", want, out.String())
+			}
+		})
 	}
 }
 

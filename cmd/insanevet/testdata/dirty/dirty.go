@@ -9,7 +9,7 @@ type Buffer struct{ Payload []byte }
 type Source struct{}
 
 // Emit mimics the ownership-transferring send, annotated the way the
-// real client library is so the registry-driven bufownership rule
+// real client library is so the registry-driven paircheck rule
 // recognizes it as consuming.
 //
 //insane:transfer resource=slot on=nilerr

@@ -123,7 +123,7 @@ type Buffer struct {
 // API are recycled when ownership returns to the library (successful
 // Emit / Abort / Release), which the API contract — never touch a buffer
 // after Emit, a message after Release, enforced by the insanevet
-// bufownership rule — makes safe. They are the only pooled wrappers: each
+// paircheck rule — makes safe. They are the only pooled wrappers: each
 // holds the runtime's own struct by value and the core calls fill it in
 // place, so an API object costs one pool round trip.
 var (

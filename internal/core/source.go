@@ -288,7 +288,7 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 		return 0, ErrBackpressure
 	}
 	// Ownership of the slot moved to the runtime; the buffer is dead to
-	// the caller (bufownership rule).
+	// the caller (paircheck rule).
 	*b = Buffer{}
 	s.shard.Inc(telemetry.CtrEmits)
 	s.shard.Add(telemetry.CtrEmitBytes, uint64(n))

@@ -4,20 +4,17 @@
 // The pollers, the client library and the stats snapshots touch the
 // same counters concurrently, so the runtime declares them as
 // sync/atomic value types (atomic.Uint64 &c.) or accesses plain fields
-// exclusively through the sync/atomic functions. Two mistakes defeat
-// that discipline silently:
+// exclusively through the sync/atomic functions. This rule reports the
+// mistake that defeats the second discipline silently: accessing a
+// field plainly (`s.n++`, `x := s.n`) when other code accesses the same
+// field through atomic.Load/Add/Store/... — the mixed access is a data
+// race the race detector only catches when both sides happen to run in
+// one test. Taking the field's address is fine.
 //
-//   - copying an atomic value field (`x := st.loops` or passing
-//     `st.loops` by value): the copy detaches from the shared counter
-//     and future Loads read a stale snapshot;
-//   - accessing a field plainly (`s.n++`, `x := s.n`) when other code
-//     accesses the same field through atomic.Load/Add/Store/...: the
-//     mixed access is a data race the race detector only catches when
-//     both sides happen to run in one test.
-//
-// Taking the address of an atomic field and calling its methods are,
-// of course, fine; composite-literal initialization of a not-yet-shared
-// struct is also accepted.
+// Copying an atomic value field (`x := st.loops`, or passing it by
+// value) is go vet's: every sync/atomic type but atomic.Value carries a
+// noCopy, which vet's copylocks check reports, and the tree uses no
+// atomic.Value.
 //
 // A field declared `//insane:guardedby atomic` on an //insane:shared
 // struct is guardcheck's (DESIGN.md §14): its atomic regime reports
@@ -31,13 +28,12 @@ import (
 	"go/types"
 
 	"github.com/insane-mw/insane/internal/lint/analysis"
-	"github.com/insane-mw/insane/internal/lint/callutil"
 )
 
 // Analyzer is the atomicfield rule.
 var Analyzer = &analysis.Analyzer{
 	Name: "atomicfield",
-	Doc:  "flag copies of atomic value fields and plain accesses to fields used atomically elsewhere",
+	Doc:  "flag plain accesses to fields used atomically elsewhere in the package",
 	Run:  run,
 }
 
@@ -63,7 +59,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		})
 	}
 
-	// Pass 2: flag misuses of both field families.
+	// Pass 2: flag plain accesses to those fields.
 	for _, f := range pass.Files {
 		walk(f, nil, func(n ast.Node, stack []ast.Node) {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -74,14 +70,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if fld == nil {
 				return
 			}
-			parent := parentOf(stack)
-			if callutil.IsNamed(fld.Type(), "sync/atomic") {
-				if usedAsValue(parent, sel) {
-					pass.Reportf(sel.Pos(), "%s field %s copied by value: use its methods (Load/Store/Add) or take its address", typeString(fld.Type()), sel.Sel.Name)
-				}
-				return
-			}
-			if at, shared := atomicallyUsed[fld]; shared && plainAccess(parent, sel) {
+			if at, shared := atomicallyUsed[fld]; shared && plainAccess(parentOf(stack)) {
 				line := pass.Fset.Position(at).Line
 				pass.Reportf(sel.Pos(), "plain access to field %s, which is accessed atomically elsewhere (line %d): mixed access is a data race", sel.Sel.Name, line)
 			}
@@ -156,24 +145,9 @@ func addressedField(pass *analysis.Pass, e ast.Expr) *types.Var {
 	return fieldOf(pass, sel)
 }
 
-// usedAsValue reports whether an atomic-typed selector is used as a
-// value (copied) rather than through a method call or its address.
-func usedAsValue(parent ast.Node, sel *ast.SelectorExpr) bool {
-	switch p := parent.(type) {
-	case *ast.SelectorExpr:
-		// st.loops.Load(): sel is the X of a method selector.
-		return p.X != sel
-	case *ast.UnaryExpr:
-		return p.Op != token.AND
-	case nil:
-		return false
-	}
-	return true
-}
-
 // plainAccess reports whether a plain field selector is a read or write
 // outside the atomic API (anything but &s.f).
-func plainAccess(parent ast.Node, sel *ast.SelectorExpr) bool {
+func plainAccess(parent ast.Node) bool {
 	switch p := parent.(type) {
 	case *ast.UnaryExpr:
 		return p.Op != token.AND
@@ -181,13 +155,4 @@ func plainAccess(parent ast.Node, sel *ast.SelectorExpr) bool {
 		return false
 	}
 	return true
-}
-
-// typeString renders the field type compactly ("atomic.Uint64").
-func typeString(t types.Type) string {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return t.String()
-	}
-	return "atomic." + named.Obj().Name()
 }

@@ -1,5 +1,5 @@
-// Package a seeds atomicfield violations: copies of sync/atomic value
-// fields and mixed plain/atomic access to ordinary fields.
+// Package a seeds atomicfield violations: mixed plain/atomic access to
+// ordinary fields. (Copies of sync/atomic value fields are go vet's.)
 package a
 
 import "sync/atomic"
@@ -11,28 +11,14 @@ type counters struct {
 	plain int
 }
 
-// Seeded violation 1: copying an atomic value field detaches the copy
-// from the shared counter.
-func copyAtomic(c *counters) uint64 {
-	snapshot := c.loops // want `copied by value`
-	return snapshot.Load()
-}
-
-// Seeded violation 2: passing an atomic field by value.
-func passAtomic(c *counters) {
-	sink(c.loops) // want `copied by value`
-}
-
-func sink(v atomic.Uint64) { _ = v }
-
-// Seeded violation 3: plain write to a field that is accessed
+// Seeded violation 1: plain write to a field that is accessed
 // atomically elsewhere in the package.
 func plainWrite(c *counters) {
 	atomic.AddUint64(&c.n, 1)
 	c.n = 0 // want `accessed atomically elsewhere`
 }
 
-// Seeded violation 4: plain read of the same field, in a function with
+// Seeded violation 2: plain read of the same field, in a function with
 // no atomic call of its own (the property is package-wide).
 func plainRead(c *counters) uint64 {
 	return c.n // want `accessed atomically elsewhere`

@@ -23,7 +23,7 @@ import (
 // prefix is the comment marker shared with staticcheck-style tooling.
 const prefix = "//lint:ignore "
 
-// namespace scopes rules to this suite: `insanevet/bufownership`.
+// namespace scopes rules to this suite: `insanevet/paircheck`.
 const namespace = "insanevet/"
 
 // Anchor locates one line-anchored annotation; every annotation type

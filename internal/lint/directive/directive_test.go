@@ -13,10 +13,10 @@ import (
 const src = `package x
 
 func f() {
-	//lint:ignore insanevet/bufownership the slot is quarantined by the test harness
+	//lint:ignore insanevet/paircheck the slot is quarantined by the test harness
 	use()
 	ok() //lint:ignore insanevet/lockorder trailing directive on its own line
-	//lint:ignore bufownership missing the insanevet namespace
+	//lint:ignore paircheck missing the insanevet namespace
 	//lint:ignore insanevet/timebase
 	use()
 }
@@ -40,7 +40,7 @@ func TestSuppressesNextLine(t *testing.T) {
 	at := func(line int) token.Position { return token.Position{Filename: "x.go", Line: line} }
 
 	// Comment-above style: directive on line 4 covers line 5.
-	if !idx.Suppresses(at(5), "bufownership") {
+	if !idx.Suppresses(at(5), "paircheck") {
 		t.Error("directive above the statement should suppress it")
 	}
 	// Only the named rule is waived.
@@ -52,7 +52,7 @@ func TestSuppressesNextLine(t *testing.T) {
 		t.Error("trailing directive should suppress its own line")
 	}
 	// Out of range.
-	if idx.Suppresses(at(9), "bufownership") {
+	if idx.Suppresses(at(9), "paircheck") {
 		t.Error("directives must not leak past the following line")
 	}
 }
@@ -64,7 +64,7 @@ func TestMalformedDirectives(t *testing.T) {
 		t.Fatalf("got %d malformed directives, want 2: %+v", len(bad), bad)
 	}
 	// Neither malformed directive suppresses anything.
-	if idx.Suppresses(token.Position{Filename: "x.go", Line: 8}, "bufownership") ||
+	if idx.Suppresses(token.Position{Filename: "x.go", Line: 8}, "paircheck") ||
 		idx.Suppresses(token.Position{Filename: "x.go", Line: 9}, "timebase") {
 		t.Error("malformed directives must not suppress")
 	}
@@ -170,7 +170,7 @@ func TestCollectReasons(t *testing.T) {
 	if len(igs) != 4 {
 		t.Fatalf("got %d directives, want 4", len(igs))
 	}
-	if igs[0].Rule != "bufownership" || igs[0].Reason == "" {
+	if igs[0].Rule != "paircheck" || igs[0].Reason == "" {
 		t.Errorf("first directive parsed wrong: %+v", igs[0])
 	}
 	if igs[3].Malformed == "" {

@@ -1,17 +1,16 @@
 // Package lint assembles the insanevet analyzer suite and runs it over
 // loaded packages, applying the `//lint:ignore insanevet/<rule>`
-// suppression directives.
+// suppression directives. A directive that is malformed, or names no
+// rule of the suite, is itself a finding: it would waive nothing.
 //
 // The suite enforces the conventions the compiler cannot check but the
 // INSANE runtime depends on (see README, "Static analysis"):
 //
-//	bufownership    — no touching zero-copy buffers after Emit/Abort, no
-//	                  Message use after Release (§5.1 slot pools)
 //	lockorder       — mu→schedMu acquisition order, locks never escape
 //	                  their function, whole-program lock graph is
 //	                  cycle-free (§5.3 polling threads)
-//	atomicfield     — no copies of atomic fields, no mixed plain/atomic
-//	                  access to counters
+//	atomicfield     — no mixed plain/atomic access to counters (go vet's
+//	                  copylocks reports copies of atomic fields)
 //	timebase        — datapath packages read time via internal/timebase
 //	hotpathcheck    — code reachable from //insane:hotpath roots is
 //	                  allocation- and blocking-free (§7 zero-alloc proof)
@@ -29,7 +28,10 @@
 //	                  cross-layer edges (DESIGN.md §10)
 //	paircheck       — every //insane:acquire resource has a matching
 //	                  release, transfer or verified waiver on every
-//	                  control-flow path (§5.1/§6 charge-refund balance)
+//	                  control-flow path (§5.1/§6 charge-refund balance),
+//	                  and nothing is touched after it was released or
+//	                  transferred: no buffer after Emit/Abort, no
+//	                  Message after Release (§5.1 slot pools)
 //	guardcheck      — every access to a field of an //insane:shared
 //	                  struct uses its declared //insane:guardedby
 //	                  regime: mutex-held, atomic, RCU-published,
@@ -50,7 +52,6 @@ import (
 	"github.com/insane-mw/insane/internal/lint/analysis"
 	"github.com/insane-mw/insane/internal/lint/archcheck"
 	"github.com/insane-mw/insane/internal/lint/atomicfield"
-	"github.com/insane-mw/insane/internal/lint/bufownership"
 	"github.com/insane-mw/insane/internal/lint/concurrencycheck"
 	"github.com/insane-mw/insane/internal/lint/directive"
 	"github.com/insane-mw/insane/internal/lint/guardcheck"
@@ -65,7 +66,6 @@ import (
 // Analyzers returns the full insanevet suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		bufownership.Analyzer,
 		lockorder.Analyzer,
 		atomicfield.Analyzer,
 		timebasecheck.Analyzer,
@@ -81,8 +81,8 @@ func Analyzers() []*analysis.Analyzer {
 
 // Finding is one unsuppressed diagnostic.
 type Finding struct {
-	// Analyzer names the rule ("bufownership", ..., or "directive" for
-	// malformed suppression comments).
+	// Analyzer names the rule ("paircheck", ..., or "directive" for
+	// suppression comments that waive nothing).
 	Analyzer string
 	// Pos locates the finding.
 	Pos token.Position
@@ -168,6 +168,12 @@ func RunWithInfo(ldr *loader.Loader, pkgs []*loader.Package, analyzers []*analys
 		return nil
 	}
 
+	// A waiver is checked against the whole suite, not the analyzers
+	// this run selected: under -run a waiver of another rule is fine.
+	rules := map[string]bool{"*": true}
+	for _, a := range Analyzers() {
+		rules[a.Name] = true
+	}
 	for _, pkg := range pkgs {
 		for _, ig := range index(pkg).Malformed() {
 			out = append(out, Finding{
@@ -175,6 +181,15 @@ func RunWithInfo(ldr *loader.Loader, pkgs []*loader.Package, analyzers []*analys
 				Pos:      pkg.Fset.Position(ig.Pos),
 				Message:  "malformed //lint:ignore directive: " + ig.Malformed,
 			})
+		}
+		for _, ig := range index(pkg).All() {
+			if ig.Malformed == "" && !rules[ig.Rule] {
+				out = append(out, Finding{
+					Analyzer: "directive",
+					Pos:      pkg.Fset.Position(ig.Pos),
+					Message:  "//lint:ignore insanevet/" + ig.Rule + " names no insanevet rule",
+				})
+			}
 		}
 		for _, a := range plain {
 			if err := runOne(pkg, a, nil); err != nil {

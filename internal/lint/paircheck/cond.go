@@ -99,12 +99,18 @@ func pick(cond bool, a, b *state) *state {
 }
 
 // resolve applies branch knowledge about a gating variable to the
-// tokens pending on it under the given condition kind: holds means the
-// error is nil (CondNilErr) or the bool is true (CondTrue) — in both
-// encodings the gated effect happened iff holds. A pending acquire
-// materializes or never existed; a pending transfer discharged or
-// reverted to the caller.
+// tokens and kills pending on it under the given condition kind: holds
+// means the error is nil (CondNilErr) or the bool is true (CondTrue) —
+// in both encodings the gated effect happened iff holds. A pending
+// acquire materializes or never existed; a pending transfer discharged
+// or reverted to the caller, and so did its kill: where Emit refused the
+// buffer with ErrBackpressure the caller still owns it.
 func (w *walker) resolve(st *state, obj types.Object, cond directive.PairCond, holds bool) {
+	for key, k := range st.killed {
+		if !holds && k.gate.matches(obj) && k.gate.cond == cond {
+			delete(st.killed, key)
+		}
+	}
 	for _, t := range append([]*tok(nil), st.toks...) {
 		if t.pendAcq.matches(obj) && t.pendAcq.cond == cond {
 			if holds {

@@ -1,8 +1,11 @@
-// Package paircheck implements the insanevet rule proving resource
-// balance: every acquisition of a named resource — a tenant TX token,
-// a mempool slot, a tenant budget unit — is matched by a release or a
-// transfer to another owner on every control-flow path out of the
-// function, including error returns, panics and defers (DESIGN.md §13).
+// Package paircheck implements the insanevet rule proving the ownership
+// contract of every named resource — a tenant TX token, a mempool slot,
+// a tenant budget unit (DESIGN.md §13): every acquisition is matched by
+// a release or a transfer to another owner on every control-flow path
+// out of the function, including error returns, panics and defers; and
+// once a pointer went to a releasing or transferring call, nothing
+// touches it again — the polling threads recycle the slot it wraps with
+// no after-write protection (§5.1).
 //
 // Functions declare their effect in the doc comment:
 //
@@ -12,25 +15,30 @@
 //	//insane:unbalanced resource=<name> by=<reason>
 //
 // The declarations travel the whole-program dependency closure as
-// facts (internal/lint/pairfacts), so a call into another package
-// resolves its effect exactly like a local one. Within each body the
-// analyzer runs a path-sensitive walk on the shared flow engine
-// (internal/lint/flow) with a token-merge join: conditional acquires
-// (TryCharge returning false, GetBuffer returning an error) stay
-// pending until a branch on the gating variable resolves them, a
+// facts, so a call into another package resolves its effect exactly
+// like a local one. Within each body the analyzer runs one
+// path-sensitive walk on the shared flow engine (internal/lint/flow).
+// Its tokens, one per tracked unit, meet in a token merge: conditional
+// acquires (TryCharge returning false, GetBuffer returning an error)
+// stay pending until a branch on the gating variable resolves them, a
 // conditional transfer (a failed lane push) reverts ownership to the
 // caller on the failure side, short-circuit conjuncts attach nil-check
-// guards, and defers apply at every subsequent exit. The diagnostics
-// cover six classes: a leak on a return path, a release on a path
-// whose conditional acquire failed, a double release, an acquire
-// returned from an undeclared function, a stale or malformed
+// guards, and defers apply at every subsequent exit. Its kill set holds
+// the holders ("b", "m.d") whose unit a release or transfer callee took;
+// a kill inside a branch stays there, reassignment revives a holder, and
+// a conditional transfer's kill waits on the same gate as its token — so
+// where Emit failed with ErrBackpressure the caller still owns the
+// buffer, with no exception of its own. The diagnostics cover seven
+// classes: a leak on a return path, a release on a path whose
+// conditional acquire failed, a double release, a use after release, an
+// acquire returned from an undeclared function, a stale or malformed
 // annotation, and a stale waiver.
 //
-// Trust boundaries keep the proof compositional: a function declared
-// //insane:release or //insane:transfer for a resource is the trusted
-// boundary for the caller-owned unit it consumes, so its body is not
-// re-verified for that resource; a declared acquirer whose body calls
-// no annotated function for the resource is its trusted primitive
+// Trust boundaries keep the balance proof compositional: a function
+// declared //insane:release or //insane:transfer for a resource is the
+// trusted boundary for the caller-owned unit it consumes, so its body is
+// not re-verified for that resource; a declared acquirer whose body
+// calls no annotated function for the resource is its trusted primitive
 // (the atomics inside chargeTX). Everything else is proven.
 package paircheck
 
@@ -42,7 +50,6 @@ import (
 	"github.com/insane-mw/insane/internal/lint/analysis"
 	"github.com/insane-mw/insane/internal/lint/callutil"
 	"github.com/insane-mw/insane/internal/lint/directive"
-	"github.com/insane-mw/insane/internal/lint/pairfacts"
 )
 
 // Analyzer is the paircheck rule. Its fact type makes it
@@ -50,19 +57,70 @@ import (
 // closure, dependencies first.
 var Analyzer = &analysis.Analyzer{
 	Name:      "paircheck",
-	Doc:       "prove every declared resource acquisition is balanced by a release or transfer on every control-flow path",
+	Doc:       "prove every declared resource acquisition is balanced by a release or transfer on every control-flow path, and no holder is used after the unit moved",
 	Run:       run,
-	FactTypes: []analysis.Fact{(*pairfacts.Effects)(nil)},
+	FactTypes: []analysis.Fact{(*effects)(nil)},
+}
+
+// effects is the fact attached to every function with at least one
+// pair annotation: its declared resource effects, in source order.
+type effects struct {
+	List []directive.PairEffect
+}
+
+// AFact marks effects as an analysis fact.
+func (*effects) AFact() {}
+
+// export parses the pair annotations of every function declared in the
+// pass's package, exports an effects fact for each annotated function,
+// and returns the parsed annotations by declaration plus any malformed
+// ones. It runs before any body is walked, so same-package calls
+// resolve their effects exactly like cross-package ones.
+func export(pass *analysis.Pass) (map[*ast.FuncDecl]directive.PairDirectives, []directive.Problem) {
+	decls := make(map[*ast.FuncDecl]directive.PairDirectives)
+	var probs []directive.Problem
+	for _, file := range pass.Files {
+		for _, d := range file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			dirs, ps := directive.ParsePairDecl(fd.Doc)
+			probs = append(probs, ps...)
+			if len(dirs.Effects) == 0 && len(dirs.Waivers) == 0 {
+				continue
+			}
+			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			decls[fd] = dirs
+			if len(dirs.Effects) > 0 {
+				pass.ExportObjectFact(obj, &effects{List: dirs.Effects})
+			}
+		}
+	}
+	return decls, probs
+}
+
+// lookup returns the declared effects of a function, resolving generic
+// instantiations back to their origin declaration (facts are exported
+// on the generic method, calls resolve to the instantiated one).
+func lookup(pass *analysis.Pass, fn *types.Func) []directive.PairEffect {
+	if fn == nil {
+		return nil
+	}
+	var f effects
+	if pass.ImportObjectFact(fn.Origin(), &f) {
+		return f.List
+	}
+	return nil
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	decls, probs := pairfacts.Export(pass)
+	byFn, probs := export(pass)
 	for _, p := range probs {
 		pass.Reportf(p.Pos, "%s", p.Msg)
-	}
-	byFn := make(map[*ast.FuncDecl]*pairfacts.Decl, len(decls))
-	for i := range decls {
-		byFn[decls[i].Fn] = &decls[i]
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -81,7 +139,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 }
 
 // verifyFunc walks one declared function body.
-func verifyFunc(pass *analysis.Pass, fd *ast.FuncDecl, decl *pairfacts.Decl) {
+func verifyFunc(pass *analysis.Pass, fd *ast.FuncDecl, dirs directive.PairDirectives) {
 	w := newWalker(pass, fd.Body)
 	if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
 		w.sig, _ = obj.Type().(*types.Signature)
@@ -94,24 +152,20 @@ func verifyFunc(pass *analysis.Pass, fd *ast.FuncDecl, decl *pairfacts.Decl) {
 			w.nonLocal[w.sig.Params().At(i)] = true
 		}
 	}
-	if decl != nil {
-		for _, e := range decl.Dirs.Effects {
-			if e.Kind == directive.PairAcquire {
-				w.declared[e.Resource] = e.Cond
-			} else {
-				w.skip[e.Resource] = true
-			}
-		}
-		for _, wv := range decl.Dirs.Waivers {
-			w.waived[wv.Resource] = true
+	for _, e := range dirs.Effects {
+		if e.Kind == directive.PairAcquire {
+			w.declared[e.Resource] = e.Cond
+		} else {
+			w.skip[e.Resource] = true
 		}
 	}
+	for _, wv := range dirs.Waivers {
+		w.waived[wv.Resource] = true
+	}
 	w.verify(fd.Body)
-	if decl != nil {
-		for _, wv := range decl.Dirs.Waivers {
-			if !w.waiverHit[wv.Resource] {
-				pass.Reportf(fd.Name.Pos(), "//insane:unbalanced resource=%s: every path of %s is balanced; remove the stale waiver", wv.Resource, fd.Name.Name)
-			}
+	for _, wv := range dirs.Waivers {
+		if !w.waiverHit[wv.Resource] {
+			pass.Reportf(fd.Name.Pos(), "//insane:unbalanced resource=%s: every path of %s is balanced; remove the stale waiver", wv.Resource, fd.Name.Name)
 		}
 	}
 }
@@ -142,7 +196,7 @@ func effectCallsIn(pass *analysis.Pass, body *ast.BlockStmt) map[string]bool {
 			return true
 		}
 		if fn := callutil.StaticCallee(pass.TypesInfo, call); fn != nil {
-			for _, e := range pairfacts.Lookup(pass, fn) {
+			for _, e := range lookup(pass, fn) {
 				out[e.Resource] = true
 			}
 		}

@@ -18,6 +18,12 @@ func TestPairCheck(t *testing.T) {
 	analysistest.Run(t, "testdata", paircheck.Analyzer, "a", "pairuse")
 }
 
+// TestBufOwnership covers the kill set: the uses of a buffer or
+// message after release or transfer in own.
+func TestBufOwnership(t *testing.T) {
+	analysistest.Run(t, "testdata", paircheck.Analyzer, "own")
+}
+
 // TestMalformedDirectives drives the analyzer by hand over the
 // baddirective fixture: the diagnostics land on the directive comments
 // themselves, where a trailing `// want` comment would be swallowed

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 
 	"github.com/insane-mw/insane/internal/lint/directive"
@@ -105,16 +106,17 @@ type deferEntry struct {
 
 // state is the walker's per-path knowledge: the tracked tokens, the
 // resources whose conditional acquire failed on this path, the pending
-// defers and the branch trail for diagnostics.
+// defers, the branch trail for diagnostics and the kill set.
 type state struct {
 	toks    []*tok
 	dropped map[string]token.Pos // resource -> failed-acquire site
 	defers  []deferEntry
 	trail   []string
+	killed  map[string]kill // holder ("b", "m.d") -> the call that took its unit
 }
 
 func newState() *state {
-	return &state{dropped: make(map[string]token.Pos)}
+	return &state{dropped: make(map[string]token.Pos), killed: make(map[string]kill)}
 }
 
 func (s *state) Clone() *state {
@@ -123,6 +125,7 @@ func (s *state) Clone() *state {
 		dropped: make(map[string]token.Pos, len(s.dropped)),
 		defers:  append([]deferEntry(nil), s.defers...),
 		trail:   append([]string(nil), s.trail...),
+		killed:  maps.Clone(s.killed),
 	}
 	for i, t := range s.toks {
 		tc := *t
@@ -202,8 +205,9 @@ func (s *state) drop(t *tok) {
 // on both sides merge status (diverging live/released goes lenient via
 // maybe); one-sided tokens are kept as-is — the leak checks still see
 // them, and the && / || splitters attach guards where the one-sidedness
-// is a provable short-circuit. Returns nil iff both inputs are nil
-// (both branches terminated).
+// is a provable short-circuit. A holder stays dead only if it is dead on
+// both sides. Returns nil iff both inputs are nil (both branches
+// terminated).
 func merge(a, b *state) *state {
 	if a == nil {
 		return b
@@ -247,6 +251,11 @@ func merge(a, b *state) *state {
 			out.dropped[r] = pos
 		}
 	}
+	for key := range out.killed {
+		if _, dead := b.killed[key]; !dead {
+			delete(out.killed, key)
+		}
+	}
 	for _, bd := range b.defers {
 		dup := false
 		for _, ad := range out.defers {
@@ -262,12 +271,23 @@ func merge(a, b *state) *state {
 	return out
 }
 
-// Join is the token merge of the states that fall out of a construct;
-// the state it was entered with has no say.
-func (*state) Join(outs []*state) *state {
+// Join is the token merge of the states that fall out of a construct.
+// Its kill set is the one the construct was entered with, less what a
+// path out of it revived: a kill inside a branch does not escape it (no
+// finding after `if cond { Emit(b) } else { Abort(b) }`), while a holder
+// reassigned, or handed back by a failed transfer
+// (`if err == nil { return nil }` after Emit), lives on.
+func (s *state) Join(outs []*state) *state {
 	var out *state
-	for _, s := range outs {
-		out = merge(out, s)
+	for _, o := range outs {
+		out = merge(out, o)
 	}
+	killed := make(map[string]kill, len(s.killed))
+	for key, k := range s.killed {
+		if _, dead := out.killed[key]; dead {
+			killed[key] = k
+		}
+	}
+	out.killed = killed
 	return out
 }

@@ -1,9 +1,9 @@
-// Package a seeds bufownership violations against a stand-in of the
+// Package own seeds uses after release against a stand-in of the
 // INSANE client API: the analyzer recognizes consuming calls through
 // the //insane:release and //insane:transfer resource registry, so the
 // fixture annotates its stand-in methods the same way the real module
 // does and needs nothing beyond this package.
-package a
+package own
 
 import "errors"
 
@@ -75,7 +75,7 @@ func useAfterRelease(k *Sink) byte {
 func doubleRelease(k *Sink) {
 	m, _ := k.Consume()
 	k.Release(m)
-	k.Release(m) // want `m used after Release`
+	k.Release(m) // want `double release`
 }
 
 // The backpressure protocol: on error the caller keeps ownership, so
@@ -89,12 +89,17 @@ func retryOnBackpressure(s *Source) {
 }
 
 // Retry loops re-emit the same buffer; the analysis is forward-only
-// within one iteration, mirroring how ownership really flows.
+// within one iteration, mirroring how ownership really flows. Any other
+// error leaves the buffer with the caller, who must abort it.
 func retryLoop(s *Source) error {
 	b, _ := s.GetBuffer(8)
 	for {
 		_, err := s.Emit(b, 8)
+		if err == nil {
+			return nil
+		}
 		if !errors.Is(err, ErrBackpressure) {
+			s.Abort(b)
 			return err
 		}
 	}
@@ -121,6 +126,14 @@ func clearField(s *Source, w *wrapper) {
 	}
 }
 
+// A field that shares a dead holder's name is another object.
+type named struct{ b []byte }
+
+func fieldNamedLikeHolder(s *Source, b *Buffer, n *named) int {
+	s.Emit(b, 8)
+	return len(n.b) // ok: n.b is not b
+}
+
 // Transfers inside one branch do not poison the sibling or the code
 // after the conditional.
 func branchLocal(s *Source, cond bool) {
@@ -138,7 +151,7 @@ func branchLocal(s *Source, cond bool) {
 func suppressed(s *Source) {
 	b, _ := s.GetBuffer(8)
 	s.Emit(b, 8)
-	//lint:ignore insanevet/bufownership fixture proving the suppression path
+	//lint:ignore insanevet/paircheck fixture proving the suppression path
 	b.Payload[0] = 1
 }
 
@@ -179,7 +192,7 @@ func useAfterPut(c *cache) int {
 func doublePut(c *cache) {
 	e := c.Get()
 	c.Put(e)
-	c.Put(e) // want `e used after Put`
+	c.Put(e) // want `double release`
 }
 
 // Seeded violation 8: the Recycle spelling kills a *Packet the same way.

@@ -11,13 +11,12 @@ import (
 	"github.com/insane-mw/insane/internal/lint/callutil"
 	"github.com/insane-mw/insane/internal/lint/directive"
 	"github.com/insane-mw/insane/internal/lint/flow"
-	"github.com/insane-mw/insane/internal/lint/pairfacts"
 )
 
 // walker verifies one function body against the pair convention. The
 // control flow is the shared flow engine's (internal/lint/flow); the
 // walker supplies the transfer functions and, through state.Join, the
-// token merge.
+// token merge and the kill-set join.
 type walker struct {
 	pass      *analysis.Pass
 	eng       *flow.Walker[*state]
@@ -31,6 +30,7 @@ type walker struct {
 	nonLocal  map[types.Object]bool
 	bodyEnd   token.Pos
 	reported  map[string]bool
+	doubled   map[token.Pos]bool // calls reported as a double release
 }
 
 // newWalker returns a walker for one body, with nothing declared.
@@ -45,13 +45,23 @@ func newWalker(pass *analysis.Pass, body *ast.BlockStmt) *walker {
 		nonLocal:  make(map[types.Object]bool),
 		bodyEnd:   body.Rbrace,
 		reported:  make(map[string]bool),
+		doubled:   make(map[token.Pos]bool),
 	}
 	w.eng = flow.New(flow.Hooks[*state]{
 		NoReturn: func(call *ast.CallExpr) bool { return callutil.NoReturn(pass.TypesInfo, call) },
-		Stmt:     w.stmt,
-		Eval:     func(_ ast.Node, e ast.Expr, st *state) { w.applyNested(st, e, nil) },
-		Branch:   w.branch,
-		Exit:     func(ret *ast.ReturnStmt, st *state) { w.doExit(st, ret) },
+		Stmt: func(s ast.Stmt, st *state) {
+			w.balance(s, st)
+			w.own(s, st)
+		},
+		Eval: func(_ ast.Node, e ast.Expr, st *state) {
+			w.checkUses(st, e)
+			w.applyNested(st, e, nil)
+		},
+		Branch: w.branch,
+		Exit: func(ret *ast.ReturnStmt, st *state) {
+			w.checkUses(st, ret.Results...)
+			w.doExit(st, ret)
+		},
 		// A unit still held at the lap boundary is reported there and
 		// then; the state goes no further.
 		IterEnd: func(loop ast.Stmt, depth int, at token.Pos, st *state) bool {
@@ -83,6 +93,11 @@ func (w *walker) flag(resource string, pos token.Pos, format string, args ...int
 		w.waiverHit[resource] = true
 		return
 	}
+	w.report(pos, format, args...)
+}
+
+// report emits one diagnostic, once per position and message.
+func (w *walker) report(pos token.Pos, format string, args ...interface{}) {
 	msg := fmt.Sprintf(format, args...)
 	key := fmt.Sprintf("%d\x00%s", pos, msg)
 	if w.reported[key] {
@@ -96,6 +111,7 @@ func (w *walker) flag(resource string, pos token.Pos, format string, args ...int
 // each path's trail: both sides of an if, the matching side of a switch
 // case, nothing for a loop.
 func (w *walker) branch(at ast.Node, cond ast.Expr, st *state) (then, els *state) {
+	w.checkUses(st, cond)
 	then, els = w.splitCond(cond, st)
 	if _, loop := at.(*ast.ForStmt); loop {
 		// The condition runs again before every lap, so what it
@@ -111,8 +127,9 @@ func (w *walker) branch(at ast.Node, cond ast.Expr, st *state) (then, els *state
 	return then, els
 }
 
-// stmt applies one simple statement to the path state.
-func (w *walker) stmt(s ast.Stmt, st *state) {
+// balance applies one simple statement's resource effects to the
+// tokens.
+func (w *walker) balance(s ast.Stmt, st *state) {
 	switch s := s.(type) {
 	case *ast.AssignStmt:
 		var topCall *ast.CallExpr
@@ -155,11 +172,7 @@ func (w *walker) stmt(s ast.Stmt, st *state) {
 				w.applyNested(st, v, topCall)
 			}
 			if topCall != nil {
-				lhs := make([]ast.Expr, len(vs.Names))
-				for i, n := range vs.Names {
-					lhs[i] = n
-				}
-				w.applyCall(st, topCall, lhs)
+				w.applyCall(st, topCall, specLHS(vs))
 			}
 		}
 
@@ -360,7 +373,7 @@ func (w *walker) effects(call *ast.CallExpr) (*types.Func, []directive.PairEffec
 		return nil, nil
 	}
 	var out []directive.PairEffect
-	for _, e := range pairfacts.Lookup(w.pass, fn) {
+	for _, e := range lookup(w.pass, fn) {
 		if !w.skip[e.Resource] {
 			out = append(out, e)
 		}
@@ -459,24 +472,32 @@ func (w *walker) transfer(st *state, call *ast.CallExpr, fn *types.Func, e direc
 	if len(live) == 0 {
 		return // consuming a unit this function never tracked is fine
 	}
+	p := w.pendingOn(e.Cond, lhs, call.Pos(), w.funcName(fn))
+	for _, t := range live {
+		if p == nil {
+			// Unconditional, or the result is discarded: treat as done.
+			w.discharge(t, call.Pos(), fn)
+		} else {
+			t.pendXfer = p
+		}
+	}
+}
+
+// pendingOn ties a conditional effect at pos to the variable the
+// statement binds its result to; nil when the effect is unconditional or
+// its result is discarded, so it happened as far as the caller can tell.
+func (w *walker) pendingOn(cond directive.PairCond, lhs []ast.Expr, pos token.Pos, via string) *pending {
 	var obj types.Object
-	switch e.Cond {
+	switch cond {
 	case directive.CondNilErr:
 		obj = callutil.ErrorLHS(w.pass.TypesInfo, lhs)
 	case directive.CondTrue:
 		obj = boolObjLHS(w.pass.TypesInfo, lhs)
 	}
-	if e.Cond == directive.CondAlways || obj == nil {
-		// Unconditional, or the result is discarded: treat as done.
-		for _, t := range live {
-			w.discharge(t, call.Pos(), fn)
-		}
-		return
+	if obj == nil {
+		return nil
 	}
-	p := &pending{obj: obj, cond: e.Cond, pos: call.Pos(), via: w.funcName(fn)}
-	for _, t := range live {
-		t.pendXfer = p
-	}
+	return &pending{obj: obj, cond: cond, pos: pos, via: via}
 }
 
 // transferTargets narrows a transfer's effect to the units the call can
@@ -526,6 +547,7 @@ func (w *walker) releaseAt(st *state, resource string, keys []string, pos token.
 	}
 	for _, t := range st.toks {
 		if t.resource == resource && t.status == stReleased && !t.maybe && tokMatchesKeys(t, keys) {
+			w.doubled[pos] = true
 			w.flag(resource, pos, "resource %s already %s at line %d is released again via %s (double release)",
 				resource, releasedVerb(t), w.line(t.relPos), w.funcName(fn))
 			return
