@@ -73,14 +73,23 @@ func TestIgnoreNamingNoRule(t *testing.T) {
 	}
 }
 
+// dirtyFindings are the findings the dirty module must produce: one of
+// each rule that proves a resource or a lock on every path.
+var dirtyFindings = []struct{ analyzer, message string }{
+	{"paircheck", "used after Emit"},
+	{"guardcheck", "c.mu.Lock() has no matching Unlock"},
+}
+
 func TestDirtyModuleFails(t *testing.T) {
 	var out, errw bytes.Buffer
 	code := multichecker.Run([]string{"-C", "testdata/dirty", "./..."}, &out, &errw, lint.Analyzers()...)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errw.String())
 	}
-	if !strings.Contains(out.String(), "used after Emit") {
-		t.Errorf("expected a bufownership finding, got:\n%s", out.String())
+	for _, want := range dirtyFindings {
+		if !strings.Contains(out.String(), want.message) || !strings.Contains(out.String(), "(insanevet/"+want.analyzer+")") {
+			t.Errorf("expected a %s finding %q, got:\n%s", want.analyzer, want.message, out.String())
+		}
 	}
 }
 
@@ -92,12 +101,13 @@ func TestJSONOutput(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errw.String())
 	}
-	var findings []struct {
+	type finding struct {
 		Analyzer string `json:"analyzer"`
 		File     string `json:"file"`
 		Line     int    `json:"line"`
 		Message  string `json:"message"`
 	}
+	var findings []finding
 	if err := json.Unmarshal(out.Bytes(), &findings); err != nil {
 		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out.String())
 	}
@@ -107,6 +117,13 @@ func TestJSONOutput(t *testing.T) {
 	for _, f := range findings {
 		if f.Analyzer == "" || f.File == "" || f.Line == 0 || f.Message == "" {
 			t.Errorf("finding missing fields: %+v", f)
+		}
+	}
+	for _, want := range dirtyFindings {
+		if !slices.ContainsFunc(findings, func(f finding) bool {
+			return f.Analyzer == want.analyzer && strings.Contains(f.Message, want.message)
+		}) {
+			t.Errorf("-json has no %s finding %q: %+v", want.analyzer, want.message, findings)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -116,7 +117,10 @@ func treeWords(t *testing.T) map[string]bool {
 // TestDesignSectionsCiteExperiments holds DESIGN.md's numbered sections to
 // their evidence: each ends with a paragraph that starts "Measured in:",
 // and every quoted title in it is an EXPERIMENTS.md section (a heading
-// may carry a parenthesised suffix the quote leaves out).
+// may carry a parenthesised suffix the quote leaves out). Every
+// `EXPERIMENTS.md "<title>"` that README.md or CHANGES.md cites names a
+// section too, where the quote may also leave out a subtitle after a
+// colon. DESIGN.md stays under 800 lines.
 func TestDesignSectionsCiteExperiments(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -139,6 +143,22 @@ func TestDesignSectionsCiteExperiments(t *testing.T) {
 			}
 		}
 		return false
+	}
+	if n := strings.Count(string(design), "\n"); n >= 800 {
+		t.Errorf("DESIGN.md has %d lines, want under 800", n)
+	}
+	cite := regexp.MustCompile(`EXPERIMENTS\.md\s+"([^"]+)"`)
+	for _, doc := range []string{"README.md", "CHANGES.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cite.FindAllStringSubmatch(string(data), -1) {
+			title := strings.Join(strings.Fields(m[1]), " ")
+			if !exists(title) && !slices.ContainsFunc(headings, func(h string) bool { return strings.HasPrefix(h, title+": ") }) {
+				t.Errorf("%s cites EXPERIMENTS.md %q, which is no section", doc, title)
+			}
+		}
 	}
 	sections := regexp.MustCompile(`(?m)^## (\d+)\. .*$`)
 	quoted := regexp.MustCompile(`"([^"]+)"`)

@@ -1,10 +1,10 @@
 // Package callutil holds the recognisers and call-graph helpers the
 // insanevet rules share: resolving the static target of a call,
 // canonical tracking keys for expressions, calls that never return,
-// sync.Mutex operations, the fact-graph search with its call-chain
-// rendering, and function names for diagnostics. The archcheck layering
-// fence forbids one rule importing a sibling rule, so there is one copy
-// of each, here in the lint base layer.
+// the fact-graph search with its call-chain rendering, and function
+// names for diagnostics. The archcheck layering fence forbids one rule
+// importing a sibling rule, so there is one copy of each, here in the
+// lint base layer.
 package callutil
 
 import (
@@ -169,68 +169,6 @@ func ErrorLHS(info *types.Info, lhs []ast.Expr) types.Object {
 	}
 	return nil
 }
-
-// MutexOp is one recognised method call on a sync.Mutex or
-// sync.RWMutex (or a pointer to one).
-type MutexOp struct {
-	// Verb is Lock, RLock, TryLock, TryRLock, Unlock or RUnlock.
-	Verb string
-	// X is the mutex operand: owner.field for a struct-field mutex, a
-	// plain identifier for a package-level or local one.
-	X ast.Expr
-	// Field, Base and Owner describe a struct-field mutex: the field
-	// name, the owner expression and the owner's static type (pointer
-	// or value, as written). Field is "" otherwise.
-	Field string
-	Base  ast.Expr
-	Owner types.Type
-	// Var is the variable of a plain-identifier mutex, nil otherwise.
-	Var types.Object
-}
-
-// MutexCall recognises a sync.Mutex/RWMutex operation.
-func MutexCall(info *types.Info, call *ast.CallExpr) (MutexOp, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return MutexOp{}, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
-	default:
-		return MutexOp{}, false
-	}
-	if tv, ok := info.Types[sel.X]; !ok || !IsMutex(tv.Type) {
-		return MutexOp{}, false
-	}
-	op := MutexOp{Verb: sel.Sel.Name, X: sel.X}
-	switch x := ast.Unparen(sel.X).(type) {
-	case *ast.SelectorExpr:
-		if s, ok := info.Selections[x]; ok && s.Kind() == types.FieldVal {
-			op.Field, op.Base, op.Owner = x.Sel.Name, x.X, s.Recv()
-		}
-	case *ast.Ident:
-		op.Var = info.Uses[x]
-	}
-	return op, op.Field != "" || op.Var != nil
-}
-
-// Class names the lock class of a struct-field mutex, lockdep style:
-// the declaring named type plus the field, qualified by package path
-// (id, "pkg/path.Type.field") and by package name (disp). Both are ""
-// for a mutex that is not a field of a named, package-level type.
-func (op MutexOp) Class() (id, disp string) {
-	named, ok := Deref(op.Owner).(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return "", ""
-	}
-	obj := named.Obj()
-	tail := "." + obj.Name() + "." + op.Field
-	return obj.Pkg().Path() + tail, obj.Pkg().Name() + tail
-}
-
-// IsMutex reports whether t is sync.Mutex or sync.RWMutex, or a pointer
-// to one.
-func IsMutex(t types.Type) bool { return IsNamed(Deref(t), "sync", "Mutex", "RWMutex") }
 
 // Search is one traversal of a call (or lock) graph. It remembers how
 // each node was first reached, so a finding deep in the graph can name

@@ -15,7 +15,7 @@ const src = `package x
 func f() {
 	//lint:ignore insanevet/paircheck the slot is quarantined by the test harness
 	use()
-	ok() //lint:ignore insanevet/lockorder trailing directive on its own line
+	ok() //lint:ignore insanevet/guardcheck trailing directive on its own line
 	//lint:ignore paircheck missing the insanevet namespace
 	//lint:ignore insanevet/timebase
 	use()
@@ -44,11 +44,11 @@ func TestSuppressesNextLine(t *testing.T) {
 		t.Error("directive above the statement should suppress it")
 	}
 	// Only the named rule is waived.
-	if idx.Suppresses(at(5), "lockorder") {
+	if idx.Suppresses(at(5), "guardcheck") {
 		t.Error("directive must not suppress other rules")
 	}
 	// Trailing style: directive on line 6 covers line 6.
-	if !idx.Suppresses(at(6), "lockorder") {
+	if !idx.Suppresses(at(6), "guardcheck") {
 		t.Error("trailing directive should suppress its own line")
 	}
 	// Out of range.

@@ -45,6 +45,30 @@
 //
 // //insane:unguarded <reason> waives one access (its own line or the
 // next); a waiver that suppresses nothing is itself a finding.
+//
+// The same walk proves the runtime's lock discipline (§5.3's polling
+// threads), over every lock it tracks, annotated or not:
+//
+//   - locks never escape their function: at every exit — each return,
+//     and the end a body falls off — a lock taken in that body and held
+//     on some path without a deferred Unlock is a finding (Unlock
+//     releases a Lock, RUnlock an RLock; a mismatched pair leaves the
+//     lock held);
+//   - mu before schedMu: acquiring a mutex field named mu while a
+//     schedMu of the same receiver or struct type may be held inverts
+//     internal/core's techState order and deadlocks two pollers;
+//   - no lock cycles: each function's Summary also records which lock
+//     classes it acquires while holding which others and its
+//     module-internal calls with the classes held at each. Over the
+//     dependency closure those summaries form a global acquired-after
+//     graph; each cycle is reported once, at the edge of this package
+//     that closes it, with the acquisition chain (order.go).
+//
+// A lock class is the declaring type plus field ("core.techState.mu"),
+// like lockdep's: instances of one type share a class, so a cycle means
+// some pair of instances can deadlock, and same-class nesting is no
+// edge. A function literal judges its own exits. A spawned one orders
+// nothing in its enclosing function's summary.
 package guardcheck
 
 import (
@@ -60,12 +84,12 @@ import (
 	"github.com/insane-mw/insane/internal/lint/directive"
 )
 
-// Analyzer is the shared-state regime rule.
+// Analyzer is the shared-state and lock rule.
 var Analyzer = &analysis.Analyzer{
 	Name:      "guardcheck",
-	Doc:       "prove every access to an //insane:shared struct field uses its declared //insane:guardedby regime",
+	Doc:       "prove every access to an //insane:shared struct field uses its declared //insane:guardedby regime, and that locks never escape their function and are taken in a cycle-free order",
 	Run:       run,
-	FactTypes: []analysis.Fact{(*Regime)(nil), (*Needs)(nil)},
+	FactTypes: []analysis.Fact{(*Regime)(nil), (*Summary)(nil)},
 }
 
 // Need is one lock a function requires its callers to hold (the
@@ -91,14 +115,16 @@ type Need struct {
 	Chain []string
 }
 
-// Needs is the fact exported for every function with caller-held lock
-// requirements.
-type Needs struct {
-	List []Need
+// Summary is the per-function fact: the locks its callers must hold,
+// and its half of the global acquired-after graph (order.go).
+type Summary struct {
+	Needs    []Need
+	Acquires []Acquire
+	Calls    []LockCall
 }
 
-// AFact marks Needs as an analysis fact.
-func (*Needs) AFact() {}
+// AFact marks Summary as an analysis fact.
+func (*Summary) AFact() {}
 
 func (n Need) key() string {
 	return fmt.Sprintf("%s|%v|%s", n.LockKey, n.Write, n.FieldDesc)
@@ -133,20 +159,38 @@ func (k accessKind) writeLike() bool {
 	return k == akWrite || k == akAddr || k == akAddrCall
 }
 
-// heldLock is one lock known held at a program point.
+// heldLock is one lock held at a program point.
 type heldLock struct {
+	// lockKey is a field lock's class, "pkgpath.Type.field", or a plain
+	// variable's "pkgpath.var.name" / "local.name".
 	lockKey string
 	base    string // canonical receiver expression, "" for non-field locks
+	disp    string // the class for diagnostics, "core.techState.mu"; "" for a plain variable
 	write   bool
+	// may marks a lock held on some incoming paths but not all: the
+	// order and exit rules read it, the must-hold proof does not.
+	may bool
+	// deferred marks a lock whose Unlock is deferred: held to the end
+	// of the function, but not leaked by it.
+	deferred bool
+	// verb and at are the mutex call and its position: for a held
+	// lock, the Lock, RLock, TryLock or TryRLock that took it.
+	verb string
+	at   token.Pos
+	lit  int // function-literal depth of the body that took the lock
 }
+
+func (h heldLock) key() string { return h.lockKey + "|" + h.base }
+
+// field is the lock's field or variable name.
+func (h heldLock) field() string { return h.lockKey[strings.LastIndex(h.lockKey, ".")+1:] }
+
+// name renders the lock as written: "st.mu", or "mu" for a variable.
+func (h heldLock) name() string { return lockDisplay(h.base, h.field(), false) }
 
 // lockSet is the set of locks held at a program point, keyed by
 // lockKey+base.
 type lockSet map[string]heldLock
-
-func (s lockSet) add(h heldLock) { s[h.lockKey+"|"+h.base] = h }
-
-func (s lockSet) remove(lockKey, base string) { delete(s, lockKey+"|"+base) }
 
 func (s lockSet) Clone() lockSet {
 	out := make(lockSet, len(s))
@@ -156,31 +200,51 @@ func (s lockSet) Clone() lockSet {
 	return out
 }
 
-// Join is the must-hold merge: it keeps the locks held in every
-// out-state, demoting mode to read when any arm held only the read
-// lock.
+// Join merges the out-states of a construct. A lock held in every one
+// stays must-held, demoted to read mode when any held only the read
+// lock and deferred only when every one defers it; a lock some
+// out-state lacks is may-held.
 func (lockSet) Join(sets []lockSet) lockSet {
-	out := sets[0].Clone()
-	for _, s := range sets[1:] {
-		for k, v := range out {
-			o, ok := s[k]
-			if !ok {
-				delete(out, k)
-				continue
+	out := make(lockSet)
+	for _, s := range sets {
+		for k, v := range s {
+			if o, ok := out[k]; ok {
+				v.write = o.write && v.write
+				v.may = o.may || v.may
+				v.deferred = o.deferred && v.deferred
+				v.verb, v.at = o.verb, o.at
 			}
-			if !o.write {
-				v.write = false
+			out[k] = v
+		}
+	}
+	for k, v := range out {
+		for _, s := range sets {
+			if _, ok := s[k]; !ok {
+				v.may = true
 				out[k] = v
+				break
 			}
 		}
 	}
 	return out
 }
 
-// satisfied reports whether held covers a lock requirement.
+// releasedBy returns the key of the held lock an Unlock or RUnlock
+// releases: the one taken in the same mode.
+func (s lockSet) releasedBy(h heldLock) (string, bool) {
+	if h.verb != "Unlock" && h.verb != "RUnlock" {
+		return "", false
+	}
+	prior, ok := s[h.key()]
+	return h.key(), ok && isRead(prior.verb) == (h.verb == "RUnlock")
+}
+
+func isRead(verb string) bool { return strings.HasSuffix(verb, "RLock") }
+
+// satisfied reports whether held must hold a lock requirement.
 func satisfied(held lockSet, lockKey string, qualified bool, base string, write bool) bool {
 	for _, h := range held {
-		if h.lockKey != lockKey {
+		if h.may || h.lockKey != lockKey {
 			continue
 		}
 		if !qualified && h.base != base {
@@ -216,7 +280,8 @@ type callRec struct {
 	held      lockSet
 	recvCanon string
 	recvFresh bool
-	isGo      bool
+	isGo      bool // a go statement's call
+	inGo      bool // inside a spawned function literal
 }
 
 // fnInfo is the per-function analysis state.
@@ -228,6 +293,9 @@ type fnInfo struct {
 	locked bool   // name ends in "Locked": callers hold its needs
 	needs  []Need
 	nkeys  map[string]bool
+	// acquires are the blocking acquisitions of lock classes outside
+	// spawned literals, with the classes held at each.
+	acquires []Acquire
 }
 
 func (f *fnInfo) addNeed(n Need) bool {
@@ -254,6 +322,11 @@ type state struct {
 	funcNames map[string]bool
 	goTargets map[string]bool
 	reported  map[string]bool
+	imported  map[*types.Func]*Summary
+	// cycleSeen holds the lock cycles already reported in this
+	// package, by cycleKey; the mu→schedMu rule seeds it, so a cycle
+	// that rule explains is not reported twice.
+	cycleSeen map[string]bool
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
@@ -264,6 +337,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		funcNames: make(map[string]bool),
 		goTargets: make(map[string]bool),
 		reported:  make(map[string]bool),
+		imported:  make(map[*types.Func]*Summary),
+		cycleSeen: make(map[string]bool),
 	}
 
 	structs, probs := exportRegimes(pass)
@@ -328,12 +403,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	// propagating through *Locked callers to a fixed point.
 	st.resolveCalls()
 
-	// Export the surviving needs for dependent packages.
-	for _, fi := range st.fns {
-		if fi.obj != nil && len(fi.needs) > 0 {
-			pass.ExportObjectFact(fi.obj, &Needs{List: fi.needs})
-		}
-	}
+	// Export each function's needs and lock summary for dependent
+	// packages, then close the lock graph over everything exported.
+	st.exportSummaries()
+	st.checkCycles()
 
 	// A waiver must say why and must be needed: malformed ones and the
 	// ones that never suppressed a finding are findings themselves.
@@ -410,7 +483,7 @@ func (st *state) resolveLockSpec(field *types.Var, owner sharedStruct, arg strin
 		if fv.Name() != fieldName {
 			continue
 		}
-		if !callutil.IsMutex(fv.Type()) {
+		if !isMutex(fv.Type()) {
 			return "", "", typeName + "." + fieldName + " is not a sync.Mutex or sync.RWMutex"
 		}
 		return pkg.Path() + "." + typeName + "." + fieldName, arg, ""
@@ -543,29 +616,33 @@ func (st *state) checkAccess(a accessRec, reach map[string]map[*fnInfo]bool) {
 	}
 }
 
+// summaryOf returns the Summary fact of a function of another package
+// of the closure, or nil when it exported none.
+func (st *state) summaryOf(fn *types.Func) *Summary {
+	fn = fn.Origin()
+	sum, ok := st.imported[fn]
+	if !ok {
+		sum = new(Summary)
+		if !st.pass.ImportObjectFact(fn, sum) {
+			sum = nil
+		}
+		st.imported[fn] = sum
+	}
+	return sum
+}
+
 // resolveCalls verifies the needs of every called function at every
 // call site, propagating unsatisfied needs into *Locked callers until
 // the package reaches a fixed point.
 func (st *state) resolveCalls() {
-	imported := make(map[*types.Func][]Need)
 	needsOf := func(callee *types.Func) []Need {
 		if fi := st.byObj[callee]; fi != nil {
 			return fi.needs
 		}
-		if cached, ok := imported[callee]; ok {
-			return cached
+		if sum := st.summaryOf(callee); sum != nil {
+			return sum.Needs
 		}
-		target := callee
-		if o := callee.Origin(); o != nil {
-			target = o
-		}
-		var f Needs
-		var list []Need
-		if st.pass.ImportObjectFact(target, &f) {
-			list = f.List
-		}
-		imported[callee] = list
-		return list
+		return nil
 	}
 
 	done := make([]map[string]bool, len(st.calls))
@@ -613,18 +690,24 @@ func (st *state) resolveCalls() {
 	}
 }
 
-// report emits one finding unless an //insane:unguarded waiver covers
-// its line, deduplicating repeated messages at one position.
+// report emits one regime finding unless an //insane:unguarded waiver
+// covers its line.
 func (st *state) report(pos token.Pos, format string, args ...interface{}) {
+	if w, ok := st.idx.At(st.pass.Fset.Position(pos)); ok && w.Malformed == "" {
+		return
+	}
+	st.reportf(pos, format, args...)
+}
+
+// reportf emits one finding, deduplicating repeated messages at one
+// position.
+func (st *state) reportf(pos token.Pos, format string, args ...interface{}) {
 	msg := fmt.Sprintf(format, args...)
 	key := fmt.Sprintf("%v|%s", pos, msg)
 	if st.reported[key] {
 		return
 	}
 	st.reported[key] = true
-	if w, ok := st.idx.At(st.pass.Fset.Position(pos)); ok && w.Malformed == "" {
-		return
-	}
 	st.pass.Reportf(pos, "%s", msg)
 }
 

@@ -18,6 +18,14 @@ func TestGuardCheck(t *testing.T) {
 	analysistest.Run(t, "testdata", guardcheck.Analyzer, "a", "guse")
 }
 
+// TestLockOrder covers the lock rules: the mu→schedMu order, locks that
+// escape their function at a return or at its end, in order, and the
+// whole-program cycle that closes only across the package boundary in
+// cyc.
+func TestLockOrder(t *testing.T) {
+	analysistest.Run(t, "testdata", guardcheck.Analyzer, "order", "cyc")
+}
+
 // TestMalformedDirectives drives the analyzer by hand over the
 // baddirective fixture: the diagnostics land on the directive comments
 // themselves, where a trailing `// want` comment would be swallowed

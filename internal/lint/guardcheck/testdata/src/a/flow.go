@@ -9,7 +9,7 @@ package a
 func (s *S) FallthroughJoins(n int) {
 	switch n {
 	case 1:
-		s.mu.Lock()
+		s.mu.Lock() // want `s\.mu\.Lock\(\) has no matching Unlock on some path to the end of the function`
 		fallthrough
 	case 2:
 		s.count++ // want `write to a\.S\.count \(//insane:guardedby mu=mu\) without holding s\.mu for writing`
@@ -47,12 +47,22 @@ func (s *S) BreakCarries(done func() bool) {
 // A break out of a switch arm rejoins after the switch like any other
 // arm: the arm that unlocked early means the lock is no longer held.
 func (s *S) BreakFromSwitch(n int) {
-	s.mu.Lock()
+	s.mu.Lock() // want `s\.mu\.Lock\(\) has no matching Unlock on some path to the end of the function`
 	switch n {
 	case 1:
 		s.mu.Unlock()
 		break
 	default:
+	}
+	s.count++ // want `write to a\.S\.count \(//insane:guardedby mu=mu\) without holding s\.mu for writing`
+}
+
+// A lap that released the lock leaves through the loop head like the
+// loop's entry state: after the loop the lock may not be held.
+func (s *S) LapReleases(n int) {
+	s.mu.Lock() // want `s\.mu\.Lock\(\) has no matching Unlock on some path to the end of the function`
+	for i := 0; i < n; i++ {
+		s.mu.Unlock()
 	}
 	s.count++ // want `write to a\.S\.count \(//insane:guardedby mu=mu\) without holding s\.mu for writing`
 }

@@ -1,7 +1,8 @@
-// Package a seeds lockorder violations against a stand-in of the
-// runtime's techState: the analyzer keys on mutex fields named mu and
-// schedMu, matching internal/core's locking discipline.
-package a
+// Package order seeds lock-order and lock-exit violations against a
+// stand-in of the runtime's techState: the mu→schedMu rule keys on
+// mutex fields named mu and schedMu, matching internal/core's locking
+// discipline.
+package order
 
 import "sync"
 
@@ -139,7 +140,7 @@ func returnAfterUnlock(st *techState, cond bool) {
 // finding.
 func suppressed(st *techState) {
 	st.schedMu.Lock()
-	//lint:ignore insanevet/lockorder fixture proving the suppression path
+	//lint:ignore insanevet/guardcheck fixture proving the suppression path
 	st.mu.Lock()
 	st.mu.Unlock()
 	st.schedMu.Unlock()

@@ -8,12 +8,14 @@ package guardcheck
 // literal or new() and not yet shared), and whether execution is inside
 // a spawned function literal. Every touch of a guarded field and every
 // static call is recorded with that context for the resolution phases in
-// guardcheck.go.
+// guardcheck.go; the lock rules (order and exits) are judged as the walk
+// goes.
 //
-// The join is must-hold: where arms meet, the held sets are intersected
-// and a lock is demoted to read mode when any arm held only the read
-// lock — a lock is dropped from the set rather than invented. Beyond
-// the engine's own approximations: a function literal that is not
+// The join unions the out-states and marks a lock some out-state lacks
+// as may-held: the must-hold part is the intersection the regime proof
+// reads, the whole set is what the order and exit rules read. What a
+// loop lap leaves held leaves through the loop head. Beyond the
+// engine's own approximations: a function literal that is not
 // go-spawned inherits the current set (closures stored and invoked
 // later are not modeled); deferred calls run with the set live at the
 // defer statement.
@@ -22,6 +24,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 
 	"github.com/insane-mw/insane/internal/lint/callutil"
 	"github.com/insane-mw/insane/internal/lint/flow"
@@ -32,6 +35,7 @@ type walker struct {
 	fn      *fnInfo
 	fresh   map[types.Object]bool
 	goDepth int
+	depth   int // function-literal depth of the body being walked
 	eng     *flow.Walker[lockSet]
 }
 
@@ -53,9 +57,69 @@ func (st *state) walkFunc(fi *fnInfo) {
 			for _, e := range ret.Results {
 				w.expr(e, akRead, held)
 			}
+			for _, h := range w.escaping(held) {
+				w.st.reportf(ret.Pos(), "return while still holding %s (the Unlock below is skipped on this path; defer it at the Lock)", h.name())
+			}
 		},
+		// What a lap leaves locked is still locked after the loop.
+		IterEnd: func(ast.Stmt, int, token.Pos, lockSet) bool { return true },
 	})
-	w.eng.Walk(fi.decl.Body.List, lockSet{})
+	w.body(fi.decl.Body, lockSet{})
+}
+
+// body walks a function body from held, and judges the end it falls
+// off, if any path does.
+func (w *walker) body(b *ast.BlockStmt, held lockSet) {
+	out, ok := w.eng.Walk(b.List, held)
+	if !ok {
+		return
+	}
+	for _, h := range w.escaping(out) {
+		unlock := "Unlock"
+		if isRead(h.verb) {
+			unlock = "RUnlock"
+		}
+		w.st.reportf(h.at, "%s.%s() has no matching %s on some path to the end of the function (runtime locks never escape their function)", h.name(), h.verb, unlock)
+	}
+}
+
+// lit walks a function literal's body, which judges its own exits.
+func (w *walker) lit(b *ast.BlockStmt, held lockSet) {
+	w.depth++
+	w.body(b, held)
+	w.depth--
+}
+
+// escaping returns, sorted, the locks the body being walked took and
+// holds at an exit without a deferred Unlock.
+func (w *walker) escaping(held lockSet) []heldLock {
+	var out []heldLock
+	for _, h := range held {
+		if h.lit == w.depth && !h.deferred {
+			out = append(out, h)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key() < out[j].key() })
+	return out
+}
+
+// acquire applies a blocking Lock or RLock: the order rules see every
+// lock that may be held, the summary records the acquisition outside a
+// spawned literal, and the lock is held.
+func (w *walker) acquire(h heldLock, held lockSet) {
+	if h.field() == "mu" {
+		for _, prior := range held {
+			if prior.field() == "schedMu" && sameOwner(prior, h) {
+				w.st.reportf(h.at, "%s.%s() while holding %s: lock order is mu→schedMu (inversion deadlocks the pollers)", h.name(), h.verb, prior.name())
+				w.st.cycleSeen[cycleKey(prior.lockKey, h.lockKey)] = true
+			}
+		}
+	}
+	if h.disp != "" && w.goDepth == 0 {
+		w.fn.acquires = append(w.fn.acquires, Acquire{Lock: LockRef{ID: h.lockKey, Disp: h.disp}, Held: held.refs(), Pos: h.at})
+	}
+	h.write = h.verb == "Lock"
+	held[h.key()] = h
 }
 
 // stmt applies one simple statement.
@@ -84,9 +148,15 @@ func (w *walker) stmt(s ast.Stmt, held lockSet) {
 	case *ast.GoStmt:
 		w.goStmt(s, held)
 	case *ast.DeferStmt:
-		if _, _, ok := w.mutexOp(s.Call); ok {
-			// defer mu.Unlock(): the lock stays held to function end; other
-			// deferred lock ops have no modeled effect.
+		if h, ok := w.mutexOp(s.Call); ok {
+			// defer mu.Unlock(): the lock stays held to function end, and
+			// is not leaked by it; other deferred lock ops have no
+			// modeled effect.
+			if k, ok := held.releasedBy(h); ok {
+				p := held[k]
+				p.deferred = true
+				held[k] = p
+			}
 			return
 		}
 		w.expr(s.Call, akRead, held)
@@ -142,13 +212,12 @@ func (w *walker) cond(e ast.Expr, held, thenHeld, elseHeld lockSet) {
 			return
 		}
 	case *ast.CallExpr:
-		if verb, h, ok := w.mutexOp(x); ok {
-			switch verb {
-			case "TryLock":
-				h.write = true
-				thenHeld.add(h)
-			case "TryRLock":
-				thenHeld.add(h)
+		if h, ok := w.mutexOp(x); ok {
+			// A TryLock never blocks, so it orders nothing: it is held,
+			// not acquired.
+			if h.verb == "TryLock" || h.verb == "TryRLock" {
+				h.write = h.verb == "TryLock"
+				thenHeld[h.key()] = h
 			}
 			return
 		}
@@ -186,7 +255,7 @@ func (w *walker) goStmt(s *ast.GoStmt, held lockSet) {
 	}
 	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
 		w.goDepth++
-		w.eng.Walk(lit.Body.List, lockSet{})
+		w.lit(lit.Body, lockSet{})
 		w.goDepth--
 		return
 	}
@@ -273,7 +342,7 @@ func (w *walker) expr(e ast.Expr, kind accessKind, held lockSet) {
 			w.expr(kv.Value, akRead, held)
 		}
 	case *ast.FuncLit:
-		w.eng.Walk(e.Body.List, held.Clone())
+		w.lit(e.Body, held.Clone())
 	}
 }
 
@@ -282,15 +351,14 @@ func (w *walker) expr(e ast.Expr, kind accessKind, held lockSet) {
 // hand-off, method receivers record akMethod accesses, and the static
 // callee is recorded for need resolution.
 func (w *walker) call(e *ast.CallExpr, held lockSet) {
-	if verb, h, ok := w.mutexOp(e); ok {
-		switch verb {
-		case "Lock":
-			h.write = true
-			held.add(h)
-		case "RLock":
-			held.add(h)
+	if h, ok := w.mutexOp(e); ok {
+		switch h.verb {
+		case "Lock", "RLock":
+			w.acquire(h, held)
 		case "Unlock", "RUnlock":
-			held.remove(h.lockKey, h.base)
+			if k, ok := held.releasedBy(h); ok {
+				delete(held, k)
+			}
 			// TryLock outside an if-condition has no modeled effect.
 		}
 		return
@@ -316,7 +384,7 @@ func (w *walker) call(e *ast.CallExpr, held lockSet) {
 		}
 	case *ast.FuncLit:
 		// Immediately invoked literal: runs here, under the current set.
-		w.eng.Walk(fun.Body.List, held.Clone())
+		w.lit(fun.Body, held.Clone())
 	default:
 		w.expr(e.Fun, akRead, held)
 	}
@@ -331,7 +399,7 @@ func (w *walker) call(e *ast.CallExpr, held lockSet) {
 		recvCanon, recvFresh := w.callReceiver(e)
 		w.st.calls = append(w.st.calls, callRec{
 			fn: w.fn, callee: callee, pos: e.Pos(),
-			held: held.Clone(), recvCanon: recvCanon, recvFresh: recvFresh,
+			held: held.Clone(), recvCanon: recvCanon, recvFresh: recvFresh, inGo: w.goDepth > 0,
 		})
 	}
 }
@@ -404,25 +472,55 @@ func (w *walker) baseKind(kind accessKind, base ast.Expr) accessKind {
 }
 
 // mutexOp recognizes a sync.Mutex/RWMutex method call and names its
-// lock operand: a struct field lock keys as "pkgpath.Type.field" with
-// the receiver expression as base, a plain variable (package-level or
-// local mutex) keys by its object. The mode is left for the caller,
+// lock operand: a struct field lock of a named type keys as its class
+// with the receiver expression as base, a plain variable (package-level
+// or local mutex) keys by its object. The mode is left for the caller,
 // which knows what the verb means where it stands.
-func (w *walker) mutexOp(call *ast.CallExpr) (verb string, h heldLock, ok bool) {
-	m, ok := callutil.MutexCall(w.info(), call)
+func (w *walker) mutexOp(call *ast.CallExpr) (h heldLock, ok bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return "", h, false
+		return h, false
 	}
-	switch {
-	case m.Field != "":
-		h.lockKey, _ = m.Class()
-		h.base = types.ExprString(ast.Unparen(m.Base))
-	case m.Var.Pkg() != nil && m.Var.Parent() == m.Var.Pkg().Scope():
-		h.lockKey = m.Var.Pkg().Path() + ".var." + m.Var.Name()
+	switch sel.Sel.Name {
+	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
 	default:
-		h.lockKey = "local." + m.Var.Name()
+		return h, false
 	}
-	return m.Verb, h, h.lockKey != ""
+	if tv, ok := w.info().Types[sel.X]; !ok || !isMutex(tv.Type) {
+		return h, false
+	}
+	h = heldLock{verb: sel.Sel.Name, at: call.Pos(), lit: w.depth}
+	switch x := ast.Unparen(sel.X).(type) {
+	case *ast.SelectorExpr:
+		s, ok := w.info().Selections[x]
+		if !ok || s.Kind() != types.FieldVal {
+			return h, false
+		}
+		named, ok := callutil.Deref(s.Recv()).(*types.Named)
+		if !ok || named.Obj().Pkg() == nil {
+			return h, false
+		}
+		pkg, tail := named.Obj().Pkg(), "."+named.Obj().Name()+"."+x.Sel.Name
+		h.lockKey, h.disp, h.base = pkg.Path()+tail, pkg.Name()+tail, types.ExprString(ast.Unparen(x.X))
+	case *ast.Ident:
+		switch v := w.info().Uses[x]; {
+		case v == nil:
+			return h, false
+		case v.Pkg() != nil && v.Parent() == v.Pkg().Scope():
+			h.lockKey = v.Pkg().Path() + ".var." + v.Name()
+		default:
+			h.lockKey = "local." + v.Name()
+		}
+	default:
+		return h, false
+	}
+	return h, true
+}
+
+// isMutex reports whether t is sync.Mutex or sync.RWMutex, or a pointer
+// to one.
+func isMutex(t types.Type) bool {
+	return callutil.IsNamed(callutil.Deref(t), "sync", "Mutex", "RWMutex")
 }
 
 // markFresh records locals born from a composite literal or new():

@@ -6,9 +6,6 @@
 // The suite enforces the conventions the compiler cannot check but the
 // INSANE runtime depends on (see README, "Static analysis"):
 //
-//	lockorder       — mu→schedMu acquisition order, locks never escape
-//	                  their function, whole-program lock graph is
-//	                  cycle-free (§5.3 polling threads)
 //	atomicfield     — no mixed plain/atomic access to counters (go vet's
 //	                  copylocks reports copies of atomic fields)
 //	timebase        — datapath packages read time via internal/timebase
@@ -35,7 +32,10 @@
 //	guardcheck      — every access to a field of an //insane:shared
 //	                  struct uses its declared //insane:guardedby
 //	                  regime: mutex-held, atomic, RCU-published,
-//	                  goroutine-confined or immutable (DESIGN.md §14)
+//	                  goroutine-confined or immutable (DESIGN.md §14);
+//	                  locks never escape their function, mu is never
+//	                  taken under schedMu, and the whole-program lock
+//	                  graph is cycle-free (§5.3 polling threads)
 //
 // Analyzers that declare FactTypes are whole-program: Run applies them
 // over the full in-module dependency closure of the requested
@@ -57,7 +57,6 @@ import (
 	"github.com/insane-mw/insane/internal/lint/guardcheck"
 	"github.com/insane-mw/insane/internal/lint/hotpathcheck"
 	"github.com/insane-mw/insane/internal/lint/loader"
-	"github.com/insane-mw/insane/internal/lint/lockorder"
 	"github.com/insane-mw/insane/internal/lint/paircheck"
 	"github.com/insane-mw/insane/internal/lint/sentinelcompare"
 	"github.com/insane-mw/insane/internal/lint/timebasecheck"
@@ -66,7 +65,6 @@ import (
 // Analyzers returns the full insanevet suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		lockorder.Analyzer,
 		atomicfield.Analyzer,
 		timebasecheck.Analyzer,
 		hotpathcheck.Analyzer,
